@@ -60,13 +60,13 @@ from .metrics import (
     weighted_l2_error,
 )
 from .particles import (
-    ParticleEnsemble,
     SimConfig,
     SnapshotSet,
     drift_deriv_from_moments,
     em_step,
     extract_marginal_samples,
     khat_drift_from_moments,
+    mode_sum_drift,
     pair_drift,
     run_ensemble,
     sample_initial,

@@ -30,7 +30,6 @@ from functools import lru_cache
 import mpmath as mp
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.integrate import solve_ivp
 
 __all__ = [
     "eval_I",
@@ -400,6 +399,8 @@ def integrate_hierarchy(
         for i in range(n_levels - 1):
             m[i, i + 1] = beta * ks[i] * alpha[i]
         return m
+
+    from scipy.integrate import solve_ivp  # deferred: no CLI command needs it at start-up
 
     times = np.linspace(0.0, bc.t, n_out)
     sol = solve_ivp(

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import Config, ConfigError, load_config
-from .core import GridField, KernelSpec, TorusGrid, fourier_field
+from .core import KernelSpec, TorusGrid, fourier_field, product_field
 from .experiments import ExperimentConfig, run_bounds_report, run_rate_experiment
 from .metrics import divergence_report_from_samples
 from .particles import SimConfig, SnapshotSet, extract_marginal_samples, run_ensemble
@@ -130,9 +130,7 @@ def _cmd_metrics(cfg: Config, out: Path, seed) -> int:
     base_seed = _seed(cfg, seed)
     results = {}
     for j in cfg.get_int_list("j", [1]):
-        ref = rho if j == 1 else GridField(
-            rho.grid, j, np.multiply.outer(rho.values, rho.values)
-        )
+        ref = product_field(rho, j)
         samples, rep = extract_marginal_samples(snaps.at_time(tidx), j, True)
         report = divergence_report_from_samples(
             samples, ref, bins if j == 1 else max(2, bins // 4), rep, seed=base_seed

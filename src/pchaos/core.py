@@ -136,12 +136,17 @@ class KernelSpec:
     b and Khat are trigonometric polynomials; arrays hold mode-m cosine/sine
     coefficients for m = 0..band.  sup_norm_bound is the cached L-infinity
     upper bound given by the sum of coefficient magnitudes.
+
+    mode_table holds the rows (m, b_cos, b_sin, k_cos, k_sin) of every mode
+    m >= 1 with a nonzero coefficient, in increasing m (the mode-0 constants
+    are b_cos[0] and k_cos[0]); every per-particle mode sum walks it.
     """
 
     b_cos: np.ndarray
     b_sin: np.ndarray
     k_cos: np.ndarray
     k_sin: np.ndarray
+    mode_table: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for name in ("b_cos", "b_sin", "k_cos", "k_sin"):
@@ -155,6 +160,11 @@ class KernelSpec:
             raise ValueError("cos/sin coefficient tables must have equal length")
         if self.b_sin[0] != 0.0 or self.k_sin[0] != 0.0:
             raise ValueError("mode-0 sine coefficient must be 0")
+        width = max(len(self.b_cos), len(self.k_cos))
+        coeffs = np.stack([np.pad(a, (0, width - len(a)))
+                           for a in (self.b_cos, self.b_sin, self.k_cos, self.k_sin)], axis=1)
+        rows = tuple((m, *map(float, coeffs[m])) for m in range(1, width) if coeffs[m].any())
+        object.__setattr__(self, "mode_table", rows)
 
     @property
     def band(self) -> int:

@@ -61,6 +61,7 @@ from .particles import (
     em_step,
     extract_marginal_samples,
     khat_drift_from_moments,
+    mode_sum_drift,
     sample_initial,
 )
 from .pde import TimeGrid, solve_g_hierarchy
@@ -292,38 +293,13 @@ def _chain_moments(kernel: KernelSpec, sample_density: GridField, dt: float,
     return Cdt, Sdt
 
 
-def _mode_table(kernel: KernelSpec):
-    """Nonzero per-mode coefficient rows plus the constant part of the drift.
-
-    Rows are (m, b_cos, b_sin, k_cos, k_sin) for every mode that carries any
-    coefficient; the constant collects the mode-0 confinement plus the mode-0
-    interaction response to the unit mass moment.  The simulation loop fuses
-    all per-mode work on one pair of trig evaluations, so it re-expresses the
-    same expansions as the canonical drift helpers (tested to agree).
-    """
-    nb, nk = len(kernel.b_cos), len(kernel.k_cos)
-    rows = []
-    for m in range(1, max(nb, nk)):
-        bc = float(kernel.b_cos[m]) if m < nb else 0.0
-        bs = float(kernel.b_sin[m]) if m < nb else 0.0
-        kc = float(kernel.k_cos[m]) if m < nk else 0.0
-        ks = float(kernel.k_sin[m]) if m < nk else 0.0
-        if bc or bs or kc or ks:
-            rows.append((m, bc, bs, kc, ks))
-    const = (float(kernel.b_cos[0]) if nb else 0.0) + (float(kernel.k_cos[0]) if nk else 0.0)
-    return rows, const
-
-
 def _rate_worker(payload):
     (kernel_text, dens_values, N, dt, n_steps, seed, r0, r1, Cdt, Sdt,
      phis, primary) = payload
     kernel = KernelSpec.from_text(kernel_text)
     density = GridField(TorusGrid(len(dens_values)), 1, dens_values)
-    n_modes = Cdt.shape[1]
     n_phi = len(phis)
     R = r1 - r0
-    twopi = 2.0 * np.pi
-    rows, const = _mode_table(kernel)
 
     rngs = [
         np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, r))))
@@ -338,35 +314,34 @@ def _rate_worker(payload):
 
     for n in range(n_steps):
         for i, rng in enumerate(rngs):
-            xi[i] = rng.standard_normal(N)
-        dx = np.full((R, N), const)
-        dy = np.full((R, N), const)
+            rng.standard_normal(out=xi[i])
+        # interacting drift from the system's own empirical moments
+        dx = mode_sum_drift(kernel, x)
+        # companion drift from the exact chain moments, summed in the order
+        # mode_sum_drift uses, so that it equals dx bitwise when khat = 0
+        dy = np.full((R, N), kernel.b_cos[0])
+        fy = np.full((R, N), kernel.k_cos[0])
         force = np.zeros((R, N))
         jac = np.zeros((R, N))
-        for m, bc, bs, kc, ks in rows:
-            w = twopi * m
-            cx = np.cos(w * x)
-            sx = np.sin(w * x)
+        for m, bc, bs, kc, ks in kernel.mode_table:
+            w = 2 * np.pi * m
             cy = np.cos(w * y)
             sy = np.sin(w * y)
-            dx += bc * cx + bs * sx
-            dy += bc * cy + bs * sy
+            if bc != 0.0:
+                dy += bc * cy
+            if bs != 0.0:
+                dy += bs * sy
             jac += w * (bs * cy - bc * sy)
             if kc == 0.0 and ks == 0.0:
                 continue
-            # interacting drift from the system's own empirical moments
-            Cm = cx.mean(axis=1, keepdims=True)
-            Sm = sx.mean(axis=1, keepdims=True)
-            dx += kc * (cx * Cm + sx * Sm) + ks * (sx * Cm - cx * Sm)
-            # companion drift and Jacobian from the exact chain moments
-            Cn = Cdt[n, m] if m < n_modes else 0.0
-            Sn = Sdt[n, m] if m < n_modes else 0.0
-            dy += kc * (cy * Cn + sy * Sn) + ks * (sy * Cn - cy * Sn)
+            Cn, Sn = Cdt[n, m], Sdt[n, m]
+            fy += kc * (cy * Cn + sy * Sn) + ks * (sy * Cn - cy * Sn)
             jac += w * (kc * (cy * Sn - sy * Cn) + ks * (cy * Cn + sy * Sn))
             # companion moment discrepancy, own contribution left out per particle
             ecm = (cy.mean(axis=1, keepdims=True) - Cn) - (cy - Cn) / N
             esm = (sy.mean(axis=1, keepdims=True) - Sn) - (sy - Sn) / N
             force += kc * (cy * ecm + sy * esm) + ks * (sy * ecm - cy * esm)
+        dy += fy
         delta += dt * (jac * delta + force)
         x = em_step(x, dx, dt, xi)
         y = em_step(y, dy, dt, xi)

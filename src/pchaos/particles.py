@@ -6,13 +6,17 @@ Each of N particles follows
 
 with the k = j self-interaction term included by default (the kernel need not
 vanish on the diagonal).  Replicas are fully independent: every replica owns
-a counter-based RNG stream derived from (base_seed, replica index), so
-results are reproducible and independent of any parallel schedule.
+a Philox stream seeded with SeedSequence((base_seed, replica)) and draws from
+it in a fixed order: one initial-sampler block, then one standard_normal((N, d))
+block per time step.  A replica's trajectory depends on its own stream alone,
+so all replicas step together as one replica-major (R, N, d) block.
 
 The pairwise drift sum costs O(N^2); for the translation-invariant kernel
 part a mode-summation fast path costs O(N * modes) and agrees with the direct
-sum to roundoff, since the kernels are trigonometric polynomials.  In two
-dimensions the kernel tables act coordinate-wise on each component.
+sum to roundoff, since the kernels are trigonometric polynomials.  The fast
+path walks the kernel's mode table once over the whole block; the direct
+path, kept as the oracle, loops over replicas so its memory stays O(N^2).  In
+two dimensions the kernel tables act coordinate-wise on each component.
 """
 
 from __future__ import annotations
@@ -26,15 +30,14 @@ from .core import GridField, KernelSpec
 
 __all__ = [
     "SimConfig",
-    "ParticleEnsemble",
     "SnapshotSet",
     "sample_initial",
     "pair_drift",
+    "mode_sum_drift",
     "trig_moments",
     "khat_drift_from_moments",
     "drift_deriv_from_moments",
     "em_step",
-    "step",
     "run_ensemble",
     "extract_marginal_samples",
 ]
@@ -144,31 +147,58 @@ def pair_drift(
 ) -> np.ndarray:
     """Mean interaction force (1/N) sum_k K(x_j, x_k) for every particle j.
 
-    positions has shape (N, d).  The direct method evaluates all N^2 kernel
-    values; the fast method accumulates the empirical trigonometric moments
-    once and evaluates the convolution by mode summation.  Both agree to
-    roundoff for these band-limited kernels.
+    positions has shape (..., N, d): one system of N particles, or a block of
+    independent replicas over the leading axes, each interacting only within
+    itself.  The direct method evaluates all N^2 kernel values, one replica at
+    a time; the fast method takes each replica's empirical trigonometric
+    moments and evaluates the convolution by mode summation.  Both agree to
+    roundoff for these band-limited kernels, and each replica's result is
+    bitwise the same whether it is passed alone or inside a block.
     """
     x = np.asarray(positions, dtype=float)
-    if x.ndim != 2:
-        raise ValueError("positions must have shape (N, d)")
-    N = x.shape[0]
-    if method == "auto":
-        method = "fast"
+    if x.ndim < 2:
+        raise ValueError("positions must have shape (..., N, d)")
+    if method not in ("auto", "direct", "fast"):
+        raise ValueError("method must be auto, direct, or fast")
+    N = x.shape[-2]
     out = np.empty_like(x)
-    for c in range(x.shape[1]):
-        xc = x[:, c]
+    for c in range(x.shape[-1]):
+        xc = x[..., c]
         if method == "direct":
-            diff = xc[:, None] - xc[None, :]
-            force = kernel.khat_values(diff).mean(axis=1)
-        elif method == "fast":
-            force = _mode_sum_drift(kernel, xc)
+            force = np.empty_like(xc)
+            for r in np.ndindex(xc.shape[:-1]):
+                force[r] = kernel.khat_values(np.subtract.outer(xc[r], xc[r])).mean(axis=1)
+            out[..., c] = kernel.b_values(xc) + force
         else:
-            raise ValueError("method must be auto, direct, or fast")
-        out[:, c] = kernel.b_values(xc) + force
+            out[..., c] = mode_sum_drift(kernel, xc)
         if not self_interaction:
-            out[:, c] -= (kernel.b_values(xc) + kernel.khat_values(0.0)) / N
+            out[..., c] -= (kernel.b_values(xc) + kernel.khat_values(0.0)) / N
     return out
+
+
+def mode_sum_drift(kernel: KernelSpec, xc: np.ndarray) -> np.ndarray:
+    """b(x_j) + (1/N) sum_k khat(x_j - x_k) along the last axis of a (..., N) block.
+
+    One walk over the mode table evaluates each mode's cos/sin once and takes
+    each replica's empirical moments as means along the particle axis; b and
+    the force are summed apart, in the order b_values and khat_drift_from_moments use.
+    """
+    b = np.full_like(xc, kernel.b_cos[0])
+    force = np.full_like(xc, kernel.k_cos[0])
+    for m, bc, bs, kc, ks in kernel.mode_table:
+        w = 2 * np.pi * m
+        cm = np.cos(w * xc)
+        sm = np.sin(w * xc)
+        if bc != 0.0:
+            b += bc * cm
+        if bs != 0.0:
+            b += bs * sm
+        if kc != 0.0 or ks != 0.0:
+            C = cm.mean(axis=-1, keepdims=True)
+            S = sm.mean(axis=-1, keepdims=True)
+            force += kc * (cm * C + sm * S) + ks * (sm * C - cm * S)
+    b += force
+    return b
 
 
 def trig_moments(kernel: KernelSpec, xc: np.ndarray):
@@ -192,25 +222,16 @@ def khat_drift_from_moments(
     the law; with empirical moments this is the pairwise mean force, with the
     moments of a density it is the mean-field drift, evaluated at xc.
     """
-    force = np.zeros_like(xc, dtype=float)
-    kcos, ksin = kernel.k_cos, kernel.k_sin
-    if len(kcos) == 0:
-        return force
-    force += kcos[0] * C[0]
-    for m in range(1, len(kcos)):
-        if kcos[m] == 0.0 and ksin[m] == 0.0:
+    force = np.full_like(xc, kernel.k_cos[0] * C[0], dtype=float)
+    for m, _, _, kc, ks in kernel.mode_table:
+        if kc == 0.0 and ks == 0.0:
             continue
-        cm = np.cos(2 * np.pi * m * xc)
-        sm = np.sin(2 * np.pi * m * xc)
+        w = 2 * np.pi * m
+        cm = np.cos(w * xc)
+        sm = np.sin(w * xc)
         # cos(a-b) and sin(a-b) expanded over the moments
-        force += kcos[m] * (cm * C[m] + sm * S[m]) + ksin[m] * (sm * C[m] - cm * S[m])
+        force += kc * (cm * C[m] + sm * S[m]) + ks * (sm * C[m] - cm * S[m])
     return force
-
-
-def _mode_sum_drift(kernel: KernelSpec, xc: np.ndarray) -> np.ndarray:
-    """(1/N) sum_k khat(x_j - x_k) via empirical cosine/sine moments."""
-    C, S = trig_moments(kernel, xc)
-    return khat_drift_from_moments(kernel, xc, C, S)
 
 
 def drift_deriv_from_moments(
@@ -224,53 +245,29 @@ def drift_deriv_from_moments(
     through one drift evaluation, used by linearized companion dynamics.
     """
     out = np.zeros_like(xc, dtype=float)
-    for m in range(1, len(kernel.b_cos)):
-        bc, bs = kernel.b_cos[m], kernel.b_sin[m]
-        if bc == 0.0 and bs == 0.0:
-            continue
-        w = 2 * np.pi * m
-        out += w * (-bc * np.sin(w * xc) + bs * np.cos(w * xc))
-    kcos, ksin = kernel.k_cos, kernel.k_sin
-    for m in range(1, len(kcos)):
-        if kcos[m] == 0.0 and ksin[m] == 0.0:
-            continue
+    for m, bc, bs, kc, ks in kernel.mode_table:
         w = 2 * np.pi * m
         cm = np.cos(w * xc)
         sm = np.sin(w * xc)
-        out += w * (kcos[m] * (-sm * C[m] + cm * S[m]) + ksin[m] * (cm * C[m] + sm * S[m]))
+        out += w * (bs * cm - bc * sm)
+        if kc != 0.0 or ks != 0.0:
+            out += w * (kc * (cm * S[m] - sm * C[m]) + ks * (cm * C[m] + sm * S[m]))
     return out
 
 
 def em_step(x: np.ndarray, drift: np.ndarray, dt: float, noise: np.ndarray) -> np.ndarray:
-    """One Euler-Maruyama step with periodic wrap: x + dt*drift + sqrt(2 dt)*noise."""
-    return np.mod(x + dt * drift + np.sqrt(2.0 * dt) * noise, 1.0)
+    """One Euler-Maruyama step with periodic wrap: x + dt*drift + sqrt(2 dt)*noise.
 
-
-@dataclass
-class ParticleEnsemble:
-    """Replica-major particle positions plus per-replica RNG streams."""
-
-    positions: np.ndarray  # (n_replicas, N, d), all coordinates in [0, 1)
-    t: float
-    rngs: list
-
-    @classmethod
-    def from_config(cls, cfg: SimConfig) -> "ParticleEnsemble":
-        rngs = [_replica_rng(cfg.base_seed, r) for r in range(cfg.n_replicas)]
-        pos = np.empty((cfg.n_replicas, cfg.N, cfg.d))
-        for r, rng in enumerate(rngs):
-            pos[r] = sample_initial(cfg.initial_density, cfg.N, rng)
-        return cls(pos, 0.0, rngs)
-
-
-def step(ens: ParticleEnsemble, cfg: SimConfig) -> ParticleEnsemble:
-    """Advance every replica by one time step (in place; returns the ensemble)."""
-    for r, rng in enumerate(ens.rngs):
-        x = ens.positions[r]
-        dr = pair_drift(cfg.kernel, x, cfg.self_interaction, cfg.drift_method)
-        ens.positions[r] = em_step(x, dr, cfg.dt, rng.standard_normal(x.shape))
-    ens.t += cfg.dt
-    return ens
+    The sum z is wrapped as z - floor(z), which equals np.mod(z, 1.0) bit for
+    bit except where a tiny negative z rounds up to exactly 1.0; that value is
+    mapped to 0.0 (the representable point nearest to it on the torus), so
+    every output lies in [0, 1).  The arguments are not modified.
+    """
+    z = np.add(x, np.multiply(dt, drift))
+    z += np.sqrt(2.0 * dt) * noise
+    z -= np.floor(z)
+    z -= np.floor(z)  # moves only an exact 1.0 (to 0.0); values in [0, 1) keep their bits
+    return z
 
 
 @dataclass
@@ -308,13 +305,19 @@ class SnapshotSet:
 
     @classmethod
     def from_raw(cls, path) -> "SnapshotSet":
+        """Read a file written by to_raw; its size must match its header exactly."""
         with open(path, "rb") as fh:
-            magic, version, N, d, R, nt = _RAW_HEADER.unpack(fh.read(_RAW_HEADER.size))
-            if magic != _RAW_MAGIC or version != _RAW_VERSION:
-                raise ValueError("unrecognized snapshot file")
-            times = np.frombuffer(fh.read(8 * nt), dtype="<f8").copy()
-            pos = np.frombuffer(fh.read(8 * R * nt * N * d), dtype="<f8")
-        return cls(times, pos.reshape(R, nt, N, d).copy())
+            data = fh.read()
+        if len(data) < _RAW_HEADER.size:
+            raise ValueError(f"snapshot file {path} has {len(data)} bytes, too short for a header")
+        magic, version, N, d, R, nt = _RAW_HEADER.unpack_from(data)
+        if magic != _RAW_MAGIC or version != _RAW_VERSION:
+            raise ValueError("unrecognized snapshot file")
+        want = _RAW_HEADER.size + 8 * nt * (1 + R * N * d)
+        if len(data) != want:
+            raise ValueError(f"snapshot file {path} has {len(data)} bytes, its header describes {want}")
+        body = np.frombuffer(data, dtype="<f8", offset=_RAW_HEADER.size)
+        return cls(body[:nt].copy(), body[nt:].reshape(R, nt, N, d).copy())
 
 
 def run_ensemble(cfg: SimConfig, output_times) -> SnapshotSet:
@@ -322,6 +325,11 @@ def run_ensemble(cfg: SimConfig, output_times) -> SnapshotSet:
 
     Output times must be sorted, within the horizon, and multiples of dt to
     1e-12.  The result is a deterministic function of the configuration.
+
+    All replicas advance as one (R, N, d) block: each step draws every
+    replica's standard_normal((N, d)) from its own stream into a preallocated
+    noise block, then evaluates the drift and steps the whole block.  Each
+    replica's bits are those of simulating it alone.
     """
     output_times = np.asarray(output_times, dtype=float)
     if output_times.ndim != 1 or len(output_times) == 0:
@@ -338,16 +346,20 @@ def run_ensemble(cfg: SimConfig, output_times) -> SnapshotSet:
     record = {int(s): i for i, s in enumerate(rounded)}
     n_steps = int(rounded[-1])
     out = np.empty((cfg.n_replicas, len(output_times), cfg.N, cfg.d))
-    for r in range(cfg.n_replicas):
-        rng = _replica_rng(cfg.base_seed, r)
-        x = sample_initial(cfg.initial_density, cfg.N, rng)
-        if 0 in record:
-            out[r, record[0]] = x
-        for n in range(1, n_steps + 1):
-            dr = pair_drift(cfg.kernel, x, cfg.self_interaction, cfg.drift_method)
-            x = em_step(x, dr, cfg.dt, rng.standard_normal(x.shape))
-            if n in record:
-                out[r, record[n]] = x
+    rngs = [_replica_rng(cfg.base_seed, r) for r in range(cfg.n_replicas)]
+    x = np.empty((cfg.n_replicas, cfg.N, cfg.d))
+    for r, rng in enumerate(rngs):
+        x[r] = sample_initial(cfg.initial_density, cfg.N, rng)
+    if 0 in record:
+        out[:, record[0]] = x
+    noise = np.empty_like(x)
+    for n in range(1, n_steps + 1):
+        for r, rng in enumerate(rngs):
+            rng.standard_normal(out=noise[r])
+        dr = pair_drift(cfg.kernel, x, cfg.self_interaction, cfg.drift_method)
+        x = em_step(x, dr, cfg.dt, noise)
+        if n in record:
+            out[:, record[n]] = x
     return SnapshotSet(np.asarray(output_times), out)
 
 

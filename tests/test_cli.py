@@ -1,5 +1,9 @@
 """End-to-end smoke tests for every CLI subcommand on tiny configurations."""
 import json
+import os
+import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +13,7 @@ from pchaos.cli import main
 from pchaos.particles import SnapshotSet
 from pchaos.pde import GTable
 
-from conftest import KERNEL_PATH
+from conftest import KERNEL_PATH, REPO_ROOT
 
 
 def _write_cfg(tmp_path, name, text):
@@ -132,6 +136,67 @@ def test_solve_hierarchy_and_metrics(tmp_path, capsys):
                      "time = 1.5e-3\n")
     assert main(["metrics", "--config", bad, "--out", str(tmp_path / "x")]) == 2
     assert "no snapshot at time" in capsys.readouterr().err
+
+
+def test_metrics_three_particle_marginal(tmp_path, capsys):
+    # j = 3 is compared against rho^{⊗3}; a sample too small for the 2^3
+    # cells exits 2 with the one-line cell-count message
+    hier_cfg = _write_cfg(
+        tmp_path, "h.cfg",
+        f"kernel = {KERNEL_PATH}\n"
+        "density_cos = 1.0, 0.5\n"
+        "grid = 32\n"
+        "dt = 1e-3\n"
+        "T = 2e-3\n",
+    )
+    assert main(["solve-hierarchy", "--config", hier_cfg, "--out", str(tmp_path / "h")]) == 0
+    for replicas, rc_want in ((200, 0), (50, 2)):
+        sim_cfg = _write_cfg(
+            tmp_path, f"s{replicas}.cfg",
+            f"kernel = {KERNEL_PATH}\n"
+            "density_cos = 1.0, 0.5\n"
+            "sample_grid = 64\nN = 8\ndt = 1e-3\nT = 2e-3\n"
+            f"replicas = {replicas}\nsnapshot_format = raw\n",
+        )
+        sim_out = tmp_path / f"s{replicas}"
+        assert main(["simulate", "--config", sim_cfg, "--out", str(sim_out)]) == 0
+        met_cfg = _write_cfg(
+            tmp_path, f"m{replicas}.cfg",
+            f"snapshots = {sim_out / 'snapshots.raw'}\n"
+            f"gtable = {tmp_path / 'h' / 'gtable'}\n"
+            "j = 3\nbins = 8\n",
+        )
+        met_out = tmp_path / f"m{replicas}"
+        capsys.readouterr()
+        assert main(["metrics", "--config", met_cfg, "--out", str(met_out)]) == rc_want
+        if rc_want == 0:
+            payload = json.loads((met_out / "divergence_j3.json").read_text())
+            assert payload["bins"] == 2 and payload["n_samples"] == 400
+            assert np.isfinite(payload["chi_squared"])
+        else:
+            err = capsys.readouterr().err
+            assert err.startswith("error: too many cells: 2^3 = 8 exceeds")
+            assert err.count("\n") == 1
+
+
+def test_shipped_simulate_solve_metrics_chain(tmp_path, monkeypatch, capsys):
+    # the shipped configs, unmodified, run from a directory laid out like the repo
+    shutil.copytree(REPO_ROOT / "configs", tmp_path / "configs")
+    shutil.copytree(REPO_ROOT / "kernels", tmp_path / "kernels")
+    monkeypatch.chdir(tmp_path)
+    for sub, cfg, out in (("simulate", "simulate.cfg", "results/simulate"),
+                          ("solve-hierarchy", "solve.cfg", "results/solve"),
+                          ("metrics", "metrics.cfg", "results/metrics")):
+        assert main([sub, "--config", f"configs/{cfg}", "--out", out]) == 0, capsys.readouterr().err
+    manifest = json.loads((tmp_path / "results/metrics/manifest.json").read_text())
+    assert set(manifest["chi_squared"]) == {"j1", "j2"}
+
+
+def test_cli_import_leaves_out_scipy_integrate():
+    code = "import sys, pchaos.cli; print('scipy.integrate' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")}, check=True)
+    assert proc.stdout.strip() == "False"
 
 
 def test_bounds_clean_and_faulted(tmp_path, capsys):

@@ -1,10 +1,11 @@
 """Particle sampling, pairwise drift, time stepping, and snapshot formats."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pchaos.core import GridField, KernelSpec, TorusGrid, fourier_field
 from pchaos.particles import (
-    ParticleEnsemble,
     SimConfig,
     SnapshotSet,
     drift_deriv_from_moments,
@@ -14,7 +15,6 @@ from pchaos.particles import (
     pair_drift,
     run_ensemble,
     sample_initial,
-    step,
     trig_moments,
 )
 
@@ -142,6 +142,25 @@ def test_em_step_formula_and_wrap():
     assert np.all((got >= 0.0) & (got < 1.0))
 
 
+def test_em_step_never_returns_one():
+    # -1e-18 + 1 rounds to exactly 1.0; the wrap must land in [0, 1)
+    x = np.array([[-1e-18]])
+    got = em_step(x, np.zeros_like(x), 1e-3, np.zeros_like(x))
+    assert got[0, 0] == 0.0
+    assert x[0, 0] == -1e-18  # arguments are left untouched
+
+
+_finite = st.floats(min_value=-1e15, max_value=1e15)
+
+
+@settings(max_examples=300, deadline=None)
+@given(x=_finite, drift=_finite, noise=_finite,
+       dt=st.floats(min_value=1e-12, max_value=1.0))
+def test_em_step_output_in_unit_interval(x, drift, noise, dt):
+    got = em_step(np.array([[x]]), np.array([[drift]]), dt, np.array([[noise]]))
+    assert 0.0 <= got[0, 0] < 1.0
+
+
 # ---------------------------------------------------------------------------
 # ensemble stepping and reproducibility
 
@@ -186,19 +205,26 @@ def test_run_ensemble_deterministic_and_correct_shapes():
     assert np.max(np.abs(snap3.positions - snap1.positions)) > 1e-3
 
 
-def test_run_ensemble_pure_diffusion_replay():
-    # with a zero kernel the dynamics is Brownian motion; replaying the
-    # documented per-replica streams (Philox seeded with (base_seed, replica),
-    # one initial block then one normal block per step) must reproduce the
-    # simulation bit for bit
-    cfg = _small_config(kernel=KernelSpec.zero())
-    snap = run_ensemble(cfg, [cfg.T])
-    for r in range(cfg.n_replicas):
-        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((42, r))))
-        x = sample_initial(cfg.initial_density, cfg.N, rng)
-        for _ in range(cfg.n_steps):
-            x = em_step(x, np.zeros_like(x), cfg.dt, rng.standard_normal(x.shape))
-        assert np.array_equal(snap.positions[r, 0], x)
+def test_run_ensemble_pure_diffusion_replay(default_kernel):
+    # replaying the documented per-replica streams (Philox seeded with
+    # (base_seed, replica), one initial block then one normal block per step)
+    # one replica at a time must reproduce the (R, N, d) block stepper bit for
+    # bit: with a zero kernel (pure Brownian motion) and with the stock kernel
+    # through single-replica pair_drift
+    cases = [(KernelSpec.zero(), "fast", 8)] + [
+        (default_kernel, method, N)
+        for method, N in (("fast", 8), ("fast", 64), ("fast", 800), ("direct", 8))
+    ]
+    for kernel, method, N in cases:
+        cfg = _small_config(kernel=kernel, N=N, drift_method=method)
+        snap = run_ensemble(cfg, [cfg.T])
+        for r in range(cfg.n_replicas):
+            rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((42, r))))
+            x = sample_initial(cfg.initial_density, cfg.N, rng)
+            for _ in range(cfg.n_steps):
+                drift = pair_drift(kernel, x, True, method)
+                x = em_step(x, drift, cfg.dt, rng.standard_normal(x.shape))
+            assert np.array_equal(snap.positions[r, 0], x), (method, N, r)
 
 
 def test_run_ensemble_time_validation():
@@ -211,16 +237,6 @@ def test_run_ensemble_time_validation():
         run_ensemble(cfg, [1.0])
     with pytest.raises(ValueError, match="multiples"):
         run_ensemble(cfg, [2.5e-4])
-
-
-def test_step_advances_in_place():
-    cfg = _small_config()
-    ens = ParticleEnsemble.from_config(cfg)
-    before = ens.positions.copy()
-    out = step(ens, cfg)
-    assert out is ens
-    assert ens.t == pytest.approx(cfg.dt)
-    assert np.max(np.abs(ens.positions - before)) > 0.0
 
 
 def test_two_dimensional_smoke():
@@ -272,6 +288,22 @@ def test_raw_roundtrip_and_header(tmp_path, snapshot):
     back = SnapshotSet.from_raw(p)
     assert np.array_equal(back.times, snapshot.times)
     assert np.array_equal(back.positions, snapshot.positions)
+
+
+def test_raw_rejects_truncated_and_padded_files(tmp_path, snapshot):
+    p = tmp_path / "snap.bin"
+    snapshot.to_raw(p)
+    data = p.read_bytes()
+    n = len(data)
+    p.write_bytes(data[:-8])
+    with pytest.raises(ValueError, match=f"has {n - 8} bytes, its header describes {n}"):
+        SnapshotSet.from_raw(p)
+    p.write_bytes(data + b"\x00" * 8)
+    with pytest.raises(ValueError, match=f"has {n + 8} bytes, its header describes {n}"):
+        SnapshotSet.from_raw(p)
+    p.write_bytes(data[:10])
+    with pytest.raises(ValueError, match="too short for a header"):
+        SnapshotSet.from_raw(p)
 
 
 def test_raw_rejects_foreign_file(tmp_path):
