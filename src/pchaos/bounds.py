@@ -7,27 +7,32 @@ The integrals are defined by I^0_j = 1 and the carry recurrence
 so I^l_j is exactly the probability that a sum of independent exponential
 waiting times with rates beta*j, beta*(j+1), ..., beta*(j+l-1) is at most t:
 each application of the recurrence convolves one more waiting time onto the
-front of the chain, and I^1_j = 1 - e^{-beta j t} is the base case.  Since
-the rates are distinct, the partial-fraction form
+front of the chain, and I^1_j = 1 - e^{-beta j t} is the base case.
 
-    I^l_j(t) = 1 - sum_{m=j}^{j+l-1} e^{-beta*m*t} prod_{n != m} n / (n - m)
+That sum is an exponential order statistic.  Among n = j+l-1 independent
+Exp(beta) clocks, the gap between the (k-1)-th and the k-th ring is
+Exp(beta (n-k+1)) and the gaps are independent (Renyi's representation), so
+the l-th ring of the n clocks comes after waiting times with rates beta*n,
+beta*(n-1), ..., beta*j -- the same sum.  Hence I^l_j(t) is the probability
+that at least l of j+l-1 clocks have rung by t, a binomial tail that equals
+the regularized incomplete beta function
 
-is exact.  The products are binomial-sized with alternating signs, so the sum
-is evaluated in adaptive multiple precision and rounded once at the end; the
-recurrence itself is exercised separately by a quadrature residual check.
-Everything downstream (the polynomial and exponential decay bounds, the
-cascade bound for hierarchies of differential inequalities, and the direct
-ODE integration used to cross-check it) is plain float arithmetic on top of
-that evaluator.
+    I^l_j(t) = P(Bin(j+l-1, p) >= l) = betainc(l, j, p),   p = 1 - e^{-beta t},
+
+with p formed as -expm1(-beta t) so that small times keep full relative
+precision.  The evaluator is therefore one vectorized special-function call,
+accurate to a few ulps also deep in the tail; the recurrence itself is
+exercised separately by a quadrature residual check.  Everything downstream
+(the polynomial and exponential decay bounds, the cascade bound for
+hierarchies of differential inequalities, and the direct ODE integration used
+to cross-check it) is plain float arithmetic on top of that evaluator.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
-import mpmath as mp
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
@@ -45,9 +50,6 @@ __all__ = [
     "integrate_hierarchy",
 ]
 
-_DPS_START = 60
-_DPS_LIMIT = 4000
-
 
 def _check_args(ell: int, j: int, beta: float, t: float) -> None:
     if ell < 0:
@@ -60,136 +62,34 @@ def _check_args(ell: int, j: int, beta: float, t: float) -> None:
         raise ValueError("time must be nonnegative")
 
 
-@lru_cache(maxsize=None)
-def _fraction_coeffs(j: int, ell: int, dps: int):
-    """Partial-fraction coefficients c_m = prod_{n != m} n/(n-m), m = j..j+ell-1."""
-    with mp.workdps(dps):
-        out = []
-        for m in range(j, j + ell):
-            c = mp.mpf(1)
-            for n in range(j, j + ell):
-                if n != m:
-                    c *= mp.mpf(n) / (n - m)
-            out.append(c)
-        return tuple(out)
+def _binomial_tail(ell, j: int, beta: float, ts: np.ndarray) -> np.ndarray:
+    """I^ell_j(ts) = betainc(ell, j, 1 - e^{-beta t}); ell and ts broadcast, I^0 = 1."""
+    from scipy.special import betainc  # deferred: keeps scipy.special out of CLI start-up
+
+    ell = np.asarray(ell)
+    return np.where(ell == 0, 1.0, betainc(np.maximum(ell, 1), j, -np.expm1(-beta * ts)))
 
 
-def _eval_mp(ell: int, j: int, beta, ts, dps: int):
-    """I^ell_j at each time in ts, as mpf values at working precision dps."""
-    coeffs = _fraction_coeffs(j, ell, dps)
-    with mp.workdps(dps):
-        b = mp.mpf(beta)
-        vals = []
-        for t in ts:
-            acc = mp.mpf(1)
-            tt = mp.mpf(t)
-            for m, c in zip(range(j, j + ell), coeffs):
-                acc -= c * mp.e ** (-b * m * tt)
-            vals.append(acc)
-        return vals
-
-
-def eval_I_many(ell: int, j: int, beta: float, ts, rel_tol: float = 1e-12) -> np.ndarray:
-    """I^ell_j at every time in ts, certified by doubling the working precision.
-
-    Precision doubles until two consecutive evaluations agree to rel_tol at
-    every requested time (absolute tolerance for values near zero); failure to
-    stabilize below the precision ceiling raises with the error achieved.
-    """
+def eval_I_many(ell: int, j: int, beta: float, ts) -> np.ndarray:
+    """I^ell_j at every time in ts."""
     ts = np.atleast_1d(np.asarray(ts, dtype=float))
     _check_args(ell, j, beta, float(ts.min(initial=0.0)))
-    if ell == 0:
-        return np.ones_like(ts)
-    dps = _DPS_START
-    prev = _eval_mp(ell, j, beta, ts, dps)
-    worst = math.inf
-    while dps * 2 <= _DPS_LIMIT:
-        dps *= 2
-        cur = _eval_mp(ell, j, beta, ts, dps)
-        with mp.workdps(dps):
-            worst = max(
-                float(abs(a - b) / max(abs(b), mp.mpf(1e-300))) for a, b in zip(prev, cur)
-            )
-            ok = worst <= rel_tol or all(
-                abs(a - b) <= rel_tol for a, b in zip(prev, cur)
-            )
-        if ok:
-            out = np.array([float(v) for v in cur])
-            # the value is a probability; clip the last-digit rounding spill
-            return np.clip(out, 0.0, 1.0)
-        prev = cur
-    raise ArithmeticError(
-        f"I evaluation did not stabilize below {_DPS_LIMIT} digits "
-        f"(ell={ell}, j={j}, beta={beta}; achieved agreement {worst:.3e})"
-    )
+    return _binomial_tail(ell, j, beta, ts)
 
 
-def eval_I(ell: int, j: int, beta: float, t: float, rel_tol: float = 1e-12) -> float:
+def eval_I(ell: int, j: int, beta: float, t: float) -> float:
     """The damping integral I^ell_j(t) as a float."""
-    return float(eval_I_many(ell, j, beta, [t], rel_tol)[0])
+    return float(eval_I_many(ell, j, beta, [t])[0])
 
 
-def _eval_table_mp(j: int, ell_max: int, beta, ts, dps: int):
-    """Rows I^L_j(ts) for L = 0..ell_max, sharing one exponential table.
+def eval_I_table(j: int, ell_max: int, beta: float, ts) -> np.ndarray:
+    """I^L_j at every time in ts for every order L = 0..ell_max.
 
-    All rows over one j reuse the same factors e^{-beta m t}, m = j..j+ell_max-1,
-    so sweeping every order costs O(ell_max^2) multiplies per time instead of
-    ell_max separate evaluations.
-    """
-    with mp.workdps(dps):
-        b = mp.mpf(beta)
-        exps = [
-            [mp.e ** (-b * m * mp.mpf(t)) for t in ts] for m in range(j, j + ell_max)
-        ]
-        rows = [[mp.mpf(1)] * len(ts)]
-        for L in range(1, ell_max + 1):
-            coeffs = _fraction_coeffs(j, L, dps)
-            row = []
-            for it in range(len(ts)):
-                acc = mp.mpf(1)
-                for mi, c in enumerate(coeffs):
-                    acc -= c * exps[mi][it]
-                row.append(acc)
-            rows.append(row)
-        return rows
-
-
-def eval_I_table(
-    j: int, ell_max: int, beta: float, ts, rel_tol: float = 1e-12
-) -> np.ndarray:
-    """I^L_j at every time in ts for every order L = 0..ell_max at once.
-
-    Returns an (ell_max+1, len(ts)) array with the same certification loop as
-    eval_I_many: the working precision doubles until two consecutive sweeps
-    agree entrywise.
+    Returns an (ell_max+1, len(ts)) array.
     """
     ts = np.atleast_1d(np.asarray(ts, dtype=float))
     _check_args(ell_max, j, beta, float(ts.min(initial=0.0)))
-    if ell_max == 0:
-        return np.ones((1, ts.size))
-    dps = _DPS_START
-    prev = _eval_table_mp(j, ell_max, beta, ts, dps)
-    worst = math.inf
-    while dps * 2 <= _DPS_LIMIT:
-        dps *= 2
-        cur = _eval_table_mp(j, ell_max, beta, ts, dps)
-        with mp.workdps(dps):
-            worst = 0.0
-            ok = True
-            for ra, rb in zip(prev, cur):
-                for a, b in zip(ra, rb):
-                    d = abs(a - b)
-                    worst = max(worst, float(d / max(abs(b), mp.mpf(1e-300))))
-                    if d > rel_tol and d / max(abs(b), mp.mpf(1e-300)) > rel_tol:
-                        ok = False
-        if ok:
-            out = np.array([[float(v) for v in row] for row in cur])
-            return np.clip(out, 0.0, 1.0)
-        prev = cur
-    raise ArithmeticError(
-        f"I table did not stabilize below {_DPS_LIMIT} digits "
-        f"(ell_max={ell_max}, j={j}, beta={beta}; achieved agreement {worst:.3e})"
-    )
+    return _binomial_tail(np.arange(ell_max + 1)[:, None], j, beta, ts)
 
 
 def recurrence_residual(ell: int, j: int, beta: float, t: float, order: int = 64) -> float:
@@ -197,7 +97,7 @@ def recurrence_residual(ell: int, j: int, beta: float, t: float, order: int = 64
 
     The integral is done by Gauss-Legendre panels sized so the exponential
     factor varies by at most e^2 per panel; the integrand values come from the
-    certified evaluator, so this measures how well the returned values satisfy
+    closed-form evaluator, so this measures how well the returned values satisfy
     the defining recurrence.
     """
     if ell < 1:

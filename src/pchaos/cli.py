@@ -21,7 +21,14 @@ from .core import KernelSpec, TorusGrid, fourier_field, product_field
 from .experiments import ExperimentConfig, run_bounds_report, run_rate_experiment
 from .metrics import divergence_report_from_samples
 from .particles import SimConfig, SnapshotSet, extract_marginal_samples, run_ensemble
-from .pde import GTable, TimeGrid, solve_g_hierarchy, solve_mckean_vlasov
+from .pde import (
+    GTable,
+    MemoryBudgetError,
+    NegativeDensityError,
+    TimeGrid,
+    solve_g_hierarchy,
+    solve_mckean_vlasov,
+)
 
 __all__ = ["main"]
 
@@ -214,7 +221,8 @@ def main(argv=None) -> int:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         return _COMMANDS[args.command](cfg, out, args.seed)
-    except (ConfigError, FileNotFoundError, ValueError) as exc:
+    except (ConfigError, FileNotFoundError, ValueError,
+            MemoryBudgetError, NegativeDensityError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -47,7 +47,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.special import erf
 
 from . import bounds as bnd
 from .config import Config, ConfigError
@@ -113,6 +112,11 @@ class ExperimentConfig:
             raise ConfigError("every N must be at least 2 and at least the largest j")
         if not 1 <= self.order <= 2:
             raise ConfigError("correction order must be 1 or 2")
+        if self.order == 2:
+            raise ConfigError(
+                "order = 2 is not supported yet: rate predictions are first order until "
+                "the spectral hierarchy operator lands"
+            )
         if self.T <= 0 or self.dt <= 0:
             raise ConfigError("need positive horizon and step")
         if self.replicas < 10 or self.seed < 0:
@@ -268,6 +272,8 @@ def _chain_moments(kernel: KernelSpec, sample_density: GridField, dt: float,
         drift = kernel.b_values(mid) + khat_drift_from_moments(kernel, mid, Cdt[n], Sdt[n])
         w = mid[:, None] - (mid + dt * drift)[None, :]
         return w - np.round(w)
+
+    from scipy.special import erf  # deferred: keeps scipy.special out of CLI start-up
 
     w = displaced(0)
     G = np.zeros_like(w)

@@ -53,11 +53,21 @@ __all__ = [
     "solve_bbgky_reference",
     "EnergyReport",
     "BBGKYResult",
+    "NegativeDensityError",
+    "MemoryBudgetError",
 ]
 
 STAR = 10 ** 6  # sentinel for the integrated-out coordinate; sorts after any real one
 
 MEMORY_BUDGET_BYTES = 2 * 1024 ** 3
+
+
+class NegativeDensityError(RuntimeError):
+    """A solved density went negative: the time step is too large for the transport."""
+
+
+class MemoryBudgetError(MemoryError):
+    """A hierarchy solve would need more memory than MEMORY_BUDGET_BYTES."""
 
 
 @dataclass(frozen=True)
@@ -177,7 +187,7 @@ def _check_density(f: GridField) -> None:
 def _guard_negative(rho: np.ndarray, t: float) -> None:
     m = rho.min()
     if m < -1e-10:
-        raise RuntimeError(
+        raise NegativeDensityError(
             f"density reached {m:.3e} at t={t:.6f}; time step too large for the transport"
         )
 
@@ -533,7 +543,7 @@ def solve_g_hierarchy(
     grid = f.grid
     need = (tg.n_stored + 2) * grid.M ** (i_max + 1) * 8
     if need > MEMORY_BUDGET_BYTES:
-        raise MemoryError(
+        raise MemoryBudgetError(
             f"hierarchy solve needs ~{need/1e9:.1f} GB (> {MEMORY_BUDGET_BYTES/1e9:.1f} GB budget)"
         )
     _check_density(f)

@@ -1,12 +1,16 @@
 """Damping integrals, their decay bounds, and the hierarchy cascade.
 
+The closed form under test is the binomial tail betainc(ell, j, 1 - e^{-beta t}).
 Reference values are frozen from tests/oracles/damping_integral_expm.py,
 which evaluates the integrals as absorption probabilities of a sequential
-phase chain via scipy.linalg.expm -- a mechanism fully independent of the
-partial-fraction evaluator under test.
+phase chain via scipy.linalg.expm; tests/oracles/damping_integral_partial_fractions.py
+sums the exact partial-fraction expansion in adaptive multiple precision and
+is compared live over a lattice.  Neither shares a mechanism with the closed
+form.
 """
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -23,6 +27,10 @@ from pchaos.bounds import (
     recurrence_residual,
     recurrence_residual_sweep,
 )
+from pchaos.config import load_config
+
+from conftest import REPO_ROOT
+from oracles.damping_integral_partial_fractions import damping_integral_table
 
 # frozen from tests/oracles/damping_integral_expm.py; the last entry sits at
 # 1e-29 where the double-precision oracle itself keeps only ~8 digits
@@ -42,6 +50,34 @@ def test_against_matrix_exponential_oracle():
     for ell, j, beta, t, want, rel in EXPM_ORACLE:
         got = eval_I(ell, j, beta, t)
         assert got == pytest.approx(want, rel=rel)
+
+
+def test_against_partial_fraction_oracle():
+    ts = (1e-3, 0.1, 1.0, 3.0, 10.0)
+    for j in (1, 4, 16):
+        got = eval_I_table(j, 64, 1.0, ts)
+        for col, t in enumerate(ts):
+            want = damping_integral_table(j, 64, 1.0, t)
+            big = want > 1e-10
+            assert np.allclose(got[big, col], want[big], rtol=1e-13, atol=0.0)
+
+
+def test_deep_tail_keeps_relative_precision():
+    # 4.3355e-99: a fixed absolute tolerance would certify 0.0 here
+    with mp.workdps(400):
+        p = -mp.expm1(mp.mpf(-0.001))
+        want = float(mp.betainc(37, 16, 0, p, regularized=True))
+    assert want == pytest.approx(4.3355e-99, rel=1e-4)
+    assert eval_I(37, 16, 1.0, 0.001) == pytest.approx(want, rel=1e-13)
+
+
+def test_largest_shipped_lattice_point_returns_values():
+    # the largest (j, ell) of the shipped lattice, where the values reach 5e-51
+    cfg = load_config(REPO_ROOT / "configs" / "bounds.cfg")
+    j, ell, beta = max(cfg.get_int_list("j")), cfg.get_int("ell_max"), cfg.get_float("beta")
+    for t in cfg.get_float_list("t"):
+        assert 0.0 < eval_I(ell, j, beta, t) <= 1.0
+        assert np.all(recurrence_residual_sweep(ell, j, beta, t) < 1e-10)
 
 
 def test_order_one_closed_form():

@@ -193,10 +193,49 @@ def test_shipped_simulate_solve_metrics_chain(tmp_path, monkeypatch, capsys):
 
 
 def test_cli_import_leaves_out_scipy_integrate():
-    code = "import sys, pchaos.cli; print('scipy.integrate' in sys.modules)"
+    # mpmath and scipy.special are imported where they are used, not at start-up
+    mods = ("scipy.integrate", "mpmath", "scipy.special")
+    code = f"import sys, pchaos.cli; print([m in sys.modules for m in {mods!r}])"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")}, check=True)
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.strip() == "[False, False, False]"
+
+
+def test_shipped_bounds_config_and_its_fault_control(tmp_path, capsys):
+    shipped = REPO_ROOT / "configs" / "bounds.cfg"
+    out = tmp_path / "clean"
+    assert main(["bounds", "--config", str(shipped), "--out", str(out)]) == 0
+    lines = (out / "bounds.csv").read_text(encoding="utf-8").splitlines()
+    assert len(lines) == 1 + 3 * 64 * 3 * 3
+    assert json.loads((out / "manifest.json").read_text())["violations"] == 0
+
+    text = shipped.read_text(encoding="utf-8")
+    assert "inject = 0.0\n" in text
+    faulty = _write_cfg(tmp_path, "bf.cfg", text.replace("inject = 0.0\n", "inject = 1e-3\n"))
+    assert main(["bounds", "--config", faulty, "--out", str(tmp_path / "f")]) == 1
+    assert json.loads((tmp_path / "f" / "manifest.json").read_text())["violations"] == 195
+    assert "FAIL" in capsys.readouterr().out
+
+
+def test_hierarchy_over_memory_budget_is_a_user_error(tmp_path, capsys):
+    cfg = _write_cfg(tmp_path, "big.cfg",
+                     f"kernel = {KERNEL_PATH}\ndensity_cos = 1.0, 0.5\ngrid = 256\n"
+                     "dt = 1e-3\nT = 0.02\norder = 2\n")
+    assert main(["solve-hierarchy", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "budget" in err and err.count("\n") == 1
+
+
+def test_negative_density_is_a_user_error(tmp_path, capsys):
+    # a strong confinement on a coarse grid: the step passes the CFL check
+    # but the explicit transport drives the density negative
+    kernel = _write_cfg(tmp_path, "strong.txt", "b 1 100.0 0.0\n")
+    cfg = _write_cfg(tmp_path, "mv.cfg",
+                     f"kernel = {kernel}\ndensity_cos = 1.0, 0.5\ngrid = 16\n"
+                     "dt = 0.000625\nT = 0.01\n")
+    assert main(["solve-mv", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: density reached") and err.count("\n") == 1
 
 
 def test_bounds_clean_and_faulted(tmp_path, capsys):

@@ -72,6 +72,13 @@ def test_experiment_config_validation(tmp_path):
         _ecfg(tmp_path, density_cos=(1.0, 1.0))
 
 
+def test_experiment_config_rejects_order_two(tmp_path):
+    # rate predictions are solved at first order only, so order-2 rows would
+    # carry first-order predictions under the label i = 2
+    with pytest.raises(ConfigError, match="first order"):
+        _ecfg(tmp_path, order=2)
+
+
 def test_experiment_config_from_file_defaults(tmp_path):
     p = tmp_path / "exp.cfg"
     p.write_text(
