@@ -70,7 +70,6 @@ from .particles import (
     pair_drift,
     run_ensemble,
     sample_initial,
-    trig_moments,
 )
 from .partitions import (
     OrderComposition,
@@ -96,8 +95,6 @@ from .pde import (
     check_energy_inequality,
     compute_remainder,
     solve_bbgky_reference,
-    solve_g1_pair,
-    solve_g1_single,
     solve_g_hierarchy,
     solve_mckean_vlasov,
 )

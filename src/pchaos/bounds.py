@@ -51,15 +51,17 @@ __all__ = [
 ]
 
 
-def _check_args(ell: int, j: int, beta: float, t: float) -> None:
+def _check_args(ell: int, j: int, beta: float, t) -> None:
+    """Validate the indices, beta, and every entry of the time t (scalar or array)."""
     if ell < 0:
         raise ValueError("order ell must be nonnegative")
     if j < 1:
         raise ValueError("index j must be at least 1")
-    if beta <= 0:
-        raise ValueError("beta must be positive")
-    if t < 0:
-        raise ValueError("time must be nonnegative")
+    if not (math.isfinite(beta) and beta > 0):
+        raise ValueError("beta must be positive and finite")
+    t = np.asarray(t)
+    if not (np.isfinite(t).all() and (t >= 0).all()):
+        raise ValueError("time must be finite and nonnegative")
 
 
 def _binomial_tail(ell, j: int, beta: float, ts: np.ndarray) -> np.ndarray:
@@ -73,7 +75,7 @@ def _binomial_tail(ell, j: int, beta: float, ts: np.ndarray) -> np.ndarray:
 def eval_I_many(ell: int, j: int, beta: float, ts) -> np.ndarray:
     """I^ell_j at every time in ts."""
     ts = np.atleast_1d(np.asarray(ts, dtype=float))
-    _check_args(ell, j, beta, float(ts.min(initial=0.0)))
+    _check_args(ell, j, beta, ts)
     return _binomial_tail(ell, j, beta, ts)
 
 
@@ -88,7 +90,7 @@ def eval_I_table(j: int, ell_max: int, beta: float, ts) -> np.ndarray:
     Returns an (ell_max+1, len(ts)) array.
     """
     ts = np.atleast_1d(np.asarray(ts, dtype=float))
-    _check_args(ell_max, j, beta, float(ts.min(initial=0.0)))
+    _check_args(ell_max, j, beta, ts)
     return _binomial_tail(np.arange(ell_max + 1)[:, None], j, beta, ts)
 
 

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import Config, ConfigError, load_config
-from .core import KernelSpec, TorusGrid, fourier_field, product_field
+from .core import KernelSpec, TorusGrid, fourier_field, product_field, step_count
 from .experiments import ExperimentConfig, run_bounds_report, run_rate_experiment
 from .metrics import divergence_report_from_samples
 from .particles import SimConfig, SnapshotSet, extract_marginal_samples, run_ensemble
@@ -56,12 +56,7 @@ def _manifest(out: Path, cfg: Config, seed, extra=None):
 
 def _time_grid(cfg: Config) -> TimeGrid:
     dt = cfg.get_float("dt")
-    T = cfg.get_float("T")
-    n = round(T / dt)
-    if n < 1 or abs(n * dt - T) > 1e-12 * max(1, n):
-        raise ConfigError("T must be a positive integer multiple of dt")
-    store = cfg.get_int("store_every", 1)
-    return TimeGrid(dt, n, store)
+    return TimeGrid(dt, step_count(cfg.get_float("T"), dt), cfg.get_int("store_every", 1))
 
 
 def _cmd_simulate(cfg: Config, out: Path, seed) -> int:

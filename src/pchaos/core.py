@@ -27,6 +27,8 @@ __all__ = [
     "trig_interp",
 ]
 
+MASS_TOL = 1e-12  # allowed |mass - 1| of every probability density the package accepts
+
 
 @dataclass(frozen=True)
 class TorusGrid:
@@ -106,11 +108,22 @@ class GridField:
         vals = self.values.sum(axis=axes) * self.grid.cell_volume(1)
         return GridField(self.grid, self.arity - 1, vals)
 
-    def is_probability_density(self, tol: float = 1e-12) -> bool:
-        return bool(self.values.min() >= -tol and abs(self.integrate() - 1.0) <= 1e-12)
+    def is_probability_density(self) -> bool:
+        """Nonnegative everywhere with unit mass to MASS_TOL."""
+        return bool(self.values.min() >= 0 and abs(self.integrate() - 1.0) <= MASS_TOL)
 
     def copy(self) -> "GridField":
         return GridField(self.grid, self.arity, self.values.copy())
+
+
+def step_count(T: float, dt: float) -> int:
+    """Number of steps of size dt in the horizon T, which must be a multiple of dt."""
+    if not dt > 0:
+        raise ValueError("dt must be positive")
+    q = T / dt
+    if math.isfinite(q) and abs(T - round(q) * dt) <= 1e-12 * max(1, round(q)):
+        return round(q)
+    raise ValueError("T must be an integer multiple of dt")
 
 
 def quadrature(f: GridField) -> float:

@@ -50,7 +50,7 @@ import numpy as np
 
 from . import bounds as bnd
 from .config import Config, ConfigError
-from .core import GridField, KernelSpec, TorusGrid, fourier_field
+from .core import GridField, KernelSpec, TorusGrid, fourier_field, step_count
 from .metrics import (
     chi_squared_from_samples,
     paired_pair_cumulant_difference,
@@ -393,9 +393,7 @@ def _predictions(ecfg: ExperimentConfig, kernel: KernelSpec) -> _RatePlan:
     """Mean-field solve and first-order correction functionals for the panel."""
     grid = TorusGrid(ecfg.grid)
     density = _density_field(grid, ecfg.density_cos, ecfg.density_sin)
-    n_steps = round(ecfg.T / ecfg.dt)
-    if abs(n_steps * ecfg.dt - ecfg.T) > 1e-12 * max(1, n_steps):
-        raise ConfigError("T must be an integer multiple of dt")
+    n_steps = step_count(ecfg.T, ecfg.dt)
     tg = TimeGrid(ecfg.dt, n_steps)
     gt = solve_g_hierarchy(1, density, kernel, tg)
     s = tg.n_stored - 1
@@ -442,7 +440,7 @@ def run_rate_experiment(ecfg: ExperimentConfig) -> RateResult:
     kernel_text = kernel.to_text()
     plan = _predictions(ecfg, kernel)
     per_phi, chi_pred, rho = plan.per_phi, plan.chi_pred, plan.rho
-    n_steps = round(ecfg.T / ecfg.dt)
+    n_steps = step_count(ecfg.T, ecfg.dt)
 
     # the primary observable is fixed from the solved correction, not the data
     primary = max(per_phi, key=lambda k: abs(per_phi[k]["bias"]))

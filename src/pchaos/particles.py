@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import GridField, KernelSpec
+from .core import GridField, KernelSpec, step_count
 
 __all__ = [
     "SimConfig",
@@ -34,7 +34,6 @@ __all__ = [
     "sample_initial",
     "pair_drift",
     "mode_sum_drift",
-    "trig_moments",
     "khat_drift_from_moments",
     "drift_deriv_from_moments",
     "em_step",
@@ -77,17 +76,15 @@ class SimConfig:
             raise ValueError("initial_density must be an arity-1 field in dimension d")
         if self.initial_density.values.min() <= 0:
             raise ValueError("initial density must be strictly positive")
-        if not self.initial_density.is_probability_density(tol=1e-8):
+        if not self.initial_density.is_probability_density():
             raise ValueError("initial density must integrate to 1")
         if self.drift_method not in ("auto", "direct", "fast"):
             raise ValueError("drift_method must be auto, direct, or fast")
-        n = round(self.T / self.dt)
-        if abs(self.T - n * self.dt) > 1e-12 * max(1.0, n):
-            raise ValueError("T must be an integer multiple of dt")
+        step_count(self.T, self.dt)
 
     @property
     def n_steps(self) -> int:
-        return round(self.T / self.dt)
+        return step_count(self.T, self.dt)
 
 
 def _replica_rng(base_seed: int, replica: int) -> np.random.Generator:
@@ -104,7 +101,7 @@ def sample_initial(f: GridField, N: int, rng: np.random.Generator) -> np.ndarray
     """
     if f.arity != 1:
         raise ValueError("sampling needs an arity-1 density")
-    if f.values.min() < 0 or abs(f.integrate() - 1.0) > 1e-8:
+    if not f.is_probability_density():
         raise ValueError("initial sampler needs a probability density")
     grid = f.grid
     if grid.dim == 1:
@@ -199,18 +196,6 @@ def mode_sum_drift(kernel: KernelSpec, xc: np.ndarray) -> np.ndarray:
             force += kc * (cm * C + sm * S) + ks * (sm * C - cm * S)
     b += force
     return b
-
-
-def trig_moments(kernel: KernelSpec, xc: np.ndarray):
-    """Empirical moments (mean cos(2 pi m x), mean sin(2 pi m x)) per kernel mode."""
-    modes = len(kernel.k_cos)
-    C = np.zeros(max(modes, 1))
-    S = np.zeros(max(modes, 1))
-    C[0] = 1.0
-    for m in range(1, modes):
-        C[m] = np.cos(2 * np.pi * m * xc).mean()
-        S[m] = np.sin(2 * np.pi * m * xc).mean()
-    return C, S
 
 
 def khat_drift_from_moments(

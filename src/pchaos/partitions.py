@@ -10,7 +10,6 @@ corrections indexed by the triangular set T = {(i, j): 1 <= j <= i + 1}.
 
 from __future__ import annotations
 
-import itertools as it
 import math
 from dataclasses import dataclass
 
@@ -33,7 +32,6 @@ __all__ = [
     "cluster_from_marginals",
     "marginals_from_clusters",
     "assemble_correction",
-    "assemble_correction_sparse",
     "evaluate_block_product",
     "max_asymmetry",
 ]
@@ -322,46 +320,6 @@ def assemble_correction(i: int, j: int, g_table: dict) -> GridField:
                 factors.append((g_table[(order, len(block))], block))
             if factors is not None:
                 out += evaluate_block_product(grid, j, factors)
-    return GridField(grid, j, out)
-
-
-def assemble_correction_sparse(i: int, j: int, g_table: dict) -> GridField:
-    """f^i_j via the sparse form: correlated coordinates P with |P| <= 2i, rest carries rho.
-
-    Each term is rho^(j - |P|) times a product of clusters with all orders >= 1
-    summing to i over the blocks of a partition of P.
-    """
-    _check_g_table(g_table, i)
-    rho = g_table[(0, 1)]
-    grid = rho.grid
-    out = np.zeros((grid.M,) * j)
-    universe = list(range(1, j + 1))
-    for size in range(0, min(2 * i, j) + 1):
-        for P in it.combinations(universe, size):
-            rest = [c for c in universe if c not in P]
-            rho_factors = [(rho, (c,)) for c in rest]
-            if size == 0:
-                if i == 0:
-                    out += evaluate_block_product(grid, j, rho_factors)
-                continue
-            if i == 0:
-                continue
-            for p in enumerate_partitions(size):
-                nblocks = p.block_count
-                if nblocks > i:
-                    continue  # every block carries order >= 1
-                blocks = [tuple(P[e - 1] for e in b) for b in p.blocks]
-                for extra in _compositions(i - nblocks, nblocks):
-                    orders = [1 + e for e in extra]
-                    factors = list(rho_factors)
-                    ok = True
-                    for block, order in zip(blocks, orders):
-                        if not in_triangle(order, len(block)):
-                            ok = False
-                            break
-                        factors.append((g_table[(order, len(block))], block))
-                    if ok:
-                        out += evaluate_block_product(grid, j, factors)
     return GridField(grid, j, out)
 
 

@@ -11,19 +11,23 @@ rule, and weighted by the phi_1 factor (1 - e^{-z})/z per mode.  That weight
 makes linear steady states exact and keeps the mode-0 (mass) update exact.
 
 The correction hierarchy g^i_j lives on the triangular index set
-T = {(i, j): 1 <= j <= i + 1}.  Entry (0, 1) is the mean-field density rho
-(the only nonlinear equation, solved by solve_mckean_vlasov); every other
-entry satisfies a linear transport equation whose right-hand side couples
-lower entries through the operators
+T = {(i, j): 1 <= j <= i + 1}.  Entry (0, 1) is the mean-field density rho,
+the only nonlinear equation; solve_mckean_vlasov is the order-0 hierarchy.
+Every other entry satisfies a linear transport equation whose right-hand side
+couples lower entries through the operators
 
     S_{k,l} h = d/dx_k (K(x_k, x_l) h),
     H_k    h = d/dx_k (integral of K(x_k, x_*) h dx_*),
 
 where H_k applied to a product integrates every factor carrying the starred
-coordinate.  The generic assembler compiles each entry's equation into a term
-table once and evaluates it per step; the explicit first-order solvers
-(solve_g1_pair / solve_g1_single) implement the same two equations from their
-written-out form as an independent cross-check.
+coordinate.  One interaction operator (_Interaction) is the only place that
+applies K: it contracts the starred coordinate for H_k, routes the pair
+weight for S_{k,l}, and assembles the BBGKY-shaped flux
+c_upper H_k f_{a+1} + c_self sum_l K(x_k, x_l) f_a shared by the remainder
+R^i_j and the truncated N-particle hierarchy.  The generic assembler compiles
+each entry's equation into a term table once and evaluates it per step.  The
+written-out first-order solvers that cross-check it live with the tests, in
+tests/oracles/first_order_explicit.py.
 """
 
 from __future__ import annotations
@@ -37,15 +41,13 @@ from pathlib import Path
 import numpy as np
 
 from .core import GridField, KernelSpec, TorusGrid, product_field
-from .partitions import assemble_correction, in_triangle, solve_order
+from .partitions import assemble_correction, solve_order
 
 __all__ = [
     "TimeGrid",
     "Trajectory",
     "GTable",
     "solve_mckean_vlasov",
-    "solve_g1_pair",
-    "solve_g1_single",
     "solve_g_hierarchy",
     "assemble_phi",
     "compute_remainder",
@@ -169,18 +171,20 @@ def _sup_norm_grid(kernel: KernelSpec, samples: int = 4096) -> float:
     return float(max(b.max() + k.max(), -(b.min() + k.min())))
 
 
-def _check_cfl(kernel: KernelSpec, grid: TorusGrid, tg: TimeGrid) -> None:
+def _check_problem(f: GridField, kernel: KernelSpec, tg: TimeGrid) -> None:
+    """Inputs every solver needs: a positive 1-d density, a resolved band, the CFL bound."""
+    grid = f.grid
+    if f.arity != 1 or grid.dim != 1:
+        raise ValueError("the solvers need an arity-1 density on a 1-d torus grid")
+    kernel._check_band(grid.M)
     sup = kernel.sup_norm_bound
     if sup > 0 and tg.dt > grid.h / sup:
         raise ValueError(
             f"transport CFL violated: dt={tg.dt} exceeds h/|K|_inf = {grid.h / sup:.3e}"
         )
-
-
-def _check_density(f: GridField) -> None:
     if f.values.min() <= 0:
         raise ValueError("initial density must be bounded below by a positive constant")
-    if abs(f.integrate() - 1.0) > 1e-10:
+    if not f.is_probability_density():
         raise ValueError(f"initial data has mass {f.integrate()!r}, expected 1")
 
 
@@ -195,113 +199,10 @@ def _guard_negative(rho: np.ndarray, t: float) -> None:
 def solve_mckean_vlasov(f: GridField, kernel: KernelSpec, tg: TimeGrid) -> Trajectory:
     """Mean-field density rho: d/dt rho - Lap rho + d/dx((K*rho) rho) = 0, rho(0) = f.
 
-    Mass is conserved exactly each step; a density dipping below -1e-10
-    anywhere aborts with a diagnostic.
+    This is the order-0 hierarchy.  Mass is conserved exactly each step; a
+    density dipping below -1e-10 anywhere aborts with a diagnostic.
     """
-    grid = f.grid
-    if grid.dim != 1:
-        raise ValueError("the mean-field solver runs on 1-d torus grids")
-    _check_density(f)
-    kernel._check_band(grid.M)
-    _check_cfl(kernel, grid, tg)
-
-    ops = _SpectralOps(grid.M, 1, tg.dt)
-    bvec = kernel.b_values(grid.points)
-    kc = kernel.khat_coeff_fft(grid.M)
-    h = grid.h
-
-    rho = f.values.copy()
-    out = np.empty((tg.n_stored, grid.M))
-    out[0] = rho
-    s = 1
-    for n in range(tg.n_steps):
-        mass = rho.sum() * h
-        conv = bvec * mass + np.fft.ifft(kc * np.fft.fft(rho)).real
-        rho = ops.step(rho, [conv * rho])
-        _guard_negative(rho, (n + 1) * tg.dt)
-        if (n + 1) % tg.store_every == 0:
-            out[s] = rho
-            s += 1
-    return Trajectory(grid, 1, tg, out)
-
-
-# ---------------------------------------------------------------------------
-# explicit first-order correction solvers (written-out pair/single equations)
-
-
-def _require_full_resolution(traj: Trajectory) -> None:
-    if traj.tg.store_every != 1:
-        raise ValueError("this solver needs the driving trajectory at every time step")
-
-
-def solve_g1_pair(rho: Trajectory, kernel: KernelSpec, tg: TimeGrid) -> Trajectory:
-    """First-order pair correlation: the written-out linear PDE with zero initial data.
-
-    d/dt g - Lap g + d/dx[rho(x) int K(x,s)g(y,s)ds + g (K*rho)(x)]
-                   + d/dy[rho(y) int K(y,s)g(x,s)ds + g (K*rho)(y)]
-      = d/dx[(K*rho)(x) rho(x)rho(y)] + d/dy[(K*rho)(y) rho(x)rho(y)]
-        - d/dx[K(x,y) rho rho] - d/dy[K(y,x) rho rho].
-    """
-    _require_full_resolution(rho)
-    if rho.tg != tg:
-        raise ValueError("rho must be solved on the same time grid")
-    grid = rho.grid
-    ops = _SpectralOps(grid.M, 2, tg.dt)
-    Kmat = _kernel_matrix(kernel, grid)
-    h = grid.h
-
-    g = np.zeros((grid.M,) * 2)
-    out = np.empty((tg.n_stored, grid.M, grid.M))
-    out[0] = g
-    s = 1
-    for n in range(tg.n_steps):
-        r = rho.values[n]
-        conv = h * (Kmat @ r)          # (K*rho)(x) on the nodes
-        rr = np.outer(r, r)
-        cx = h * np.einsum("xs,ys->xy", Kmat, g)   # int K(x,s) g(y,s) ds
-        cy = h * np.einsum("ys,xs->xy", Kmat, g)   # int K(y,s) g(x,s) ds
-        flux_x = r[:, None] * cx + g * conv[:, None] - conv[:, None] * rr + Kmat * rr
-        flux_y = r[None, :] * cy + g * conv[None, :] - conv[None, :] * rr + Kmat.T * rr
-        g = ops.step(g, [flux_x, flux_y])
-        if (n + 1) % tg.store_every == 0:
-            out[s] = g
-            s += 1
-    return Trajectory(grid, 2, tg, out)
-
-
-def solve_g1_single(
-    rho: Trajectory, g12: Trajectory, kernel: KernelSpec, tg: TimeGrid
-) -> Trajectory:
-    """First-order single-coordinate correction with zero initial data.
-
-    d/dt g - Lap g + d/dx[rho(x) int K(x,s)g(s)ds + g(x)(K*rho)(x)]
-      = d/dx[int K(x,s)(rho(s)rho(x) - g12(x,s))ds] - d/dx[K(x,x) rho(x)],
-
-    the last term being the self-interaction carried by the diagonal of K.
-    """
-    _require_full_resolution(rho)
-    _require_full_resolution(g12)
-    grid = rho.grid
-    ops = _SpectralOps(grid.M, 1, tg.dt)
-    Kmat = _kernel_matrix(kernel, grid)
-    Kdiag = np.diag(Kmat).copy()
-    h = grid.h
-
-    g = np.zeros(grid.M)
-    out = np.empty((tg.n_stored, grid.M))
-    out[0] = g
-    s = 1
-    for n in range(tg.n_steps):
-        r = rho.values[n]
-        conv = h * (Kmat @ r)
-        cg = h * (Kmat @ g)
-        pair_force = h * np.einsum("xs,xs->x", Kmat, g12.values[n])
-        flux = r * cg + g * conv - conv * r + pair_force + Kdiag * r
-        g = ops.step(g, [flux])
-        if (n + 1) % tg.store_every == 0:
-            out[s] = g
-            s += 1
-    return Trajectory(grid, 1, tg, out)
+    return solve_g_hierarchy(0, f, kernel, tg).rho()
 
 
 # ---------------------------------------------------------------------------
@@ -401,56 +302,91 @@ def _route(vals: np.ndarray, coords: tuple, j: int, M: int) -> np.ndarray:
     return vals.reshape(shape)
 
 
-def _contract_star(vals: np.ndarray, coords: tuple, k: int, Kmat: np.ndarray, h: float):
-    """Integrate the starred axis against K(x_k, .); returns (values, coords).
+class _Interaction:
+    """The kernel K on one grid: the only place the hierarchy operators apply it.
 
-    coords are sorted with STAR last, so the starred axis is the final one.
-    The contraction appends an x_k axis; when the factor already carries x_k
-    the two are tied on the diagonal.
+    mean_field_flux() is the transport (K * rho) rho of the mean-field
+    equation, starred() the contraction behind H_k, pair() the routed weight
+    K(x_k, x_l) behind S_{k,l}, and bbgky_fluxes() the flux
+    c_upper H_k f_{a+1} + c_self sum_l K(x_k, x_l) f_a that the remainder and
+    the truncated BBGKY hierarchy share.  The pair sums are built once per
+    (k, a) and cached.
     """
-    rest = coords[:-1]
-    w = h * np.tensordot(vals, Kmat, axes=([len(coords) - 1], [1]))
-    if k in rest:
-        ax_k = rest.index(k)
-        w = np.diagonal(w, axis1=ax_k, axis2=w.ndim - 1)
-        out_coords = tuple(c for c in rest if c != k) + (k,)
-    else:
-        out_coords = rest + (k,)
-    return w, out_coords
+
+    def __init__(self, kernel: KernelSpec, grid: TorusGrid):
+        self.M = grid.M
+        self.h = grid.h
+        self.bvec = kernel.b_values(grid.points)
+        self.kc = kernel.khat_coeff_fft(grid.M)
+        self.Kmat = _kernel_matrix(kernel, grid)
+        self.Kdiag = np.diag(self.Kmat).copy()
+        self._pair_sums = {}
+
+    def mean_field_flux(self, rho: np.ndarray) -> np.ndarray:
+        """(K * rho) rho: b times the mass plus the spectral convolution with khat."""
+        conv = self.bvec * (rho.sum() * self.h) + np.fft.ifft(self.kc * np.fft.fft(rho)).real
+        return conv * rho
+
+    def starred(self, vals: np.ndarray, coords: tuple, k: int, j: int) -> np.ndarray:
+        """Integrate the starred axis against K(x_k, .) and route onto the j-lattice.
+
+        coords are sorted with STAR last, so the starred axis is the final one.
+        The contraction appends an x_k axis; when the factor already carries x_k
+        the two are tied on the diagonal.
+        """
+        rest = coords[:-1]
+        w = self.h * np.tensordot(vals, self.Kmat, axes=([len(coords) - 1], [1]))
+        if k in rest:
+            w = np.diagonal(w, axis1=rest.index(k), axis2=w.ndim - 1)
+            rest = tuple(c for c in rest if c != k)
+        return _route(w, rest + (k,), j, self.M)
+
+    def pair(self, k: int, l: int, j: int) -> np.ndarray:
+        """K(x_k, x_l) routed onto the j-lattice (K(x_k, x_k) on the diagonal)."""
+        if k == l:
+            return _route(self.Kdiag, (k,), j, self.M)
+        vals = self.Kmat if k < l else self.Kmat.T
+        return _route(vals, _mk((k, l)), j, self.M)
+
+    def bbgky_fluxes(self, upper: np.ndarray, u: np.ndarray, c_upper: float, c_self: float):
+        """flux_k = c_upper int K(x_k, x_*) upper dx_* + c_self sum_l K(x_k, x_l) u, k = 1..a."""
+        a = u.ndim
+        star_coords = tuple(range(1, a + 1)) + (STAR,)
+        fluxes = []
+        for k in range(1, a + 1):
+            if (k, a) not in self._pair_sums:
+                ssum = np.zeros((self.M,) * a)
+                for l in range(1, a + 1):
+                    ssum = ssum + self.pair(k, l, a)
+                self._pair_sums[(k, a)] = ssum
+            hk = self.starred(upper, star_coords, k, a)
+            fluxes.append(c_upper * hk + c_self * (self._pair_sums[(k, a)] * u))
+        return fluxes
 
 
 class _EntrySolver:
     """Compiled evaluator for one hierarchy entry (i, j), i >= 1."""
 
-    def __init__(self, i: int, j: int, grid: TorusGrid, Kmat: np.ndarray):
-        self.i = i
+    def __init__(self, i: int, j: int, op: _Interaction):
         self.j = j
-        self.M = grid.M
-        self.h = grid.h
-        self.Kmat = Kmat
-        self.Kdiag = np.diag(Kmat).copy()
+        self.op = op
         self.terms = compile_entry_terms(i, j)
 
-    def _pair_weight(self, k: int, l: int) -> np.ndarray:
-        if k == l:
-            return _route(self.Kdiag, (k,), self.j, self.M)
-        vals = self.Kmat if k < l else self.Kmat.T
-        return _route(vals, _mk((k, l)), self.j, self.M)
-
     def fluxes(self, state: dict) -> list:
-        j, M, h = self.j, self.M, self.h
+        j, M = self.j, self.op.M
         fluxes = [np.zeros((M,) * j) for _ in range(j)]
         for t in self.terms:
-            prod = None
             if t.kind == "H":
+                prod = None
                 for order, coords in t.factors:
                     vals = state[(order, len(coords))]
                     if STAR in coords:
-                        vals, coords = _contract_star(vals, coords, t.k, self.Kmat, h)
-                    part = _route(vals, coords, j, M)
+                        part = self.op.starred(vals, coords, t.k, j)
+                    else:
+                        part = _route(vals, coords, j, M)
                     prod = part if prod is None else prod * part
             else:
-                prod = self._pair_weight(t.k, t.l)
+                prod = self.op.pair(t.k, t.l, j)
                 for order, coords in t.factors:
                     prod = prod * _route(state[(order, len(coords))], coords, j, M)
             # the table holds d/dt g - Lap g = sum coef * Op(...); the stepper
@@ -514,16 +450,26 @@ class GTable:
 
     @classmethod
     def load(cls, path) -> "GTable":
+        """Read a table written by save; the kernel hash and every file size must match."""
         path = Path(path)
         with open(path / "meta.json", "r", encoding="utf-8") as fh:
             meta = json.load(fh)
         grid = TorusGrid(meta["M"], meta["dim"])
         tg = TimeGrid(meta["dt"], meta["n_steps"], meta["store_every"])
-        kernel = KernelSpec.from_text(meta["kernel_text"])
+        ktext = meta["kernel_text"]
+        if hashlib.sha256(ktext.encode()).hexdigest() != meta["kernel_sha256"]:
+            raise ValueError(f"{path / 'meta.json'}: kernel_text does not match kernel_sha256")
+        kernel = KernelSpec.from_text(ktext)
         entries = {}
         for ent in meta["entries"]:
             i, j = ent["i"], ent["j"]
-            raw = np.frombuffer((path / ent["file"]).read_bytes(), dtype="<f8")
+            want = 8 * tg.n_stored * meta["M"] ** j
+            data = (path / ent["file"]).read_bytes()
+            if len(data) != want:
+                raise ValueError(
+                    f"table file {path / ent['file']} has {len(data)} bytes, meta.json describes {want}"
+                )
+            raw = np.frombuffer(data, dtype="<f8")
             entries[(i, j)] = raw.reshape((tg.n_stored,) + (meta["M"],) * j).copy()
         return cls(grid, tg, meta["i_max"], kernel, entries)
 
@@ -546,42 +492,26 @@ def solve_g_hierarchy(
         raise MemoryBudgetError(
             f"hierarchy solve needs ~{need/1e9:.1f} GB (> {MEMORY_BUDGET_BYTES/1e9:.1f} GB budget)"
         )
-    _check_density(f)
-    kernel._check_band(grid.M)
-    _check_cfl(kernel, grid, tg)
+    _check_problem(f, kernel, tg)
 
-    order = solve_order(i_max)
-    Kmat = _kernel_matrix(kernel, grid)
-    bvec = kernel.b_values(grid.points)
-    kc = kernel.khat_coeff_fft(grid.M)
-    h = grid.h
-
+    keys = [(e.i, e.j) for e in solve_order(i_max)]  # (0, 1) first
+    op = _Interaction(kernel, grid)
     ops = {a: _SpectralOps(grid.M, a, tg.dt) for a in range(1, i_max + 2)}
-    solvers = {
-        (e.i, e.j): _EntrySolver(e.i, e.j, grid, Kmat) for e in order if (e.i, e.j) != (0, 1)
-    }
+    solvers = {key: _EntrySolver(*key, op) for key in keys[1:]}
 
-    state = {(i, j): np.zeros((grid.M,) * j) for (i, j) in ((e.i, e.j) for e in order)}
+    state = {key: np.zeros((grid.M,) * key[1]) for key in keys}
     state[(0, 1)] = f.values.copy()
-    store = {
-        (e.i, e.j): np.empty((tg.n_stored,) + (grid.M,) * e.j) for e in order
-    }
+    store = {key: np.empty((tg.n_stored,) + state[key].shape) for key in keys}
     for key, arr in store.items():
         arr[0] = state[key]
 
     s = 1
     for n in range(tg.n_steps):
-        new_state = {}
         rho = state[(0, 1)]
-        conv = bvec * (rho.sum() * h) + np.fft.ifft(kc * np.fft.fft(rho)).real
-        new_state[(0, 1)] = ops[1].step(rho, [conv * rho])
+        new_state = {(0, 1): ops[1].step(rho, [op.mean_field_flux(rho)])}
         _guard_negative(new_state[(0, 1)], (n + 1) * tg.dt)
-        for e in order:
-            key = (e.i, e.j)
-            if key == (0, 1):
-                continue
-            fluxes = solvers[key].fluxes(state)
-            new_state[key] = ops[e.j].step(state[key], fluxes)
+        for key, solver in solvers.items():
+            new_state[key] = ops[key[1]].step(state[key], solver.fluxes(state))
         state = new_state
         if (n + 1) % tg.store_every == 0:
             for key, arr in store.items():
@@ -618,30 +548,14 @@ def compute_remainder(i: int, j: int, N: float, gt: GTable, s: int):
         raise ValueError("remainder needs arity j+1 fields; capped at j <= 2")
     if i > gt.i_max:
         raise ValueError(f"table solved to order {gt.i_max}, requested {i}")
-    grid = gt.grid
-    M, h = grid.M, grid.h
-    Kmat = _kernel_matrix(gt.kernel, grid)
     fields = gt.fields_at(s)
     fij = assemble_correction(i, j, fields).values
     fij1 = assemble_correction(i, j + 1, fields).values
-
     scale = float(N) ** (-(i + 1))
-    comps = np.empty((j,) + (M,) * j)
-    star_coords = tuple(range(1, j + 1)) + (STAR,)
-    for k in range(1, j + 1):
-        contracted, coords = _contract_star(fij1, star_coords, k, Kmat, h)
-        ck = _route(contracted, coords, j, M) * np.ones((M,) * j)
-        ssum = np.zeros((M,) * j)
-        for l in range(1, j + 1):
-            if k == l:
-                ssum = ssum + _route(np.diag(Kmat).copy(), (k,), j, M)
-            else:
-                vals = Kmat if k < l else Kmat.T
-                ssum = ssum + _route(vals, _mk((k, l)), j, M)
-        comps[k - 1] = scale * (j * ck - ssum * fij)
-
+    op = _Interaction(gt.kernel, gt.grid)
+    comps = np.array(op.bbgky_fluxes(fij1, fij, j * scale, -scale))
     rho_j = product_field(gt.field(0, 1, s), j).values
-    norm = float(h ** j * (comps ** 2 / rho_j).sum())
+    norm = _weighted_sq(comps, rho_j, gt.grid.h, j)
     return comps, norm
 
 
@@ -753,12 +667,10 @@ def solve_bbgky_reference(
         raise ValueError("reference solver is wired for closure at level 4 (j_max = 3)")
     if N < j_max + 1:
         raise ValueError("need N > j_max")
+    _check_problem(f, kernel, tg)
     grid = f.grid
-    _check_density(f)
-    _check_cfl(kernel, grid, tg)
     M, h = grid.M, grid.h
-    Kmat = _kernel_matrix(kernel, grid)
-    Kdiag = np.diag(Kmat).copy()
+    op = _Interaction(kernel, grid)
     ops = {a: _SpectralOps(M, a, tg.dt) for a in (1, 2, 3)}
 
     state = {a: product_field(f, a).values for a in (1, 2, 3)}
@@ -786,7 +698,7 @@ def solve_bbgky_reference(
             trip = [x for x in range(4) if x != rest]
             block = np.multiply.outer(g3, g1)
             out += np.moveaxis(block, (0, 1, 2, 3), tuple(trip) + (rest,))
-        return out, g3
+        return out
 
     def diagnostics(s):
         f1, f2, f3 = state[1], state[2], state[3]
@@ -802,26 +714,11 @@ def solve_bbgky_reference(
 
     s = 1
     for n in range(tg.n_steps):
-        f4, _ = closure_f4(state[1], state[2], state[3])
-        upper = {1: state[2], 2: state[3], 3: f4}
-        new_state = {}
-        for a in (1, 2, 3):
-            u = state[a]
-            fluxes = []
-            star_coords = tuple(range(1, a + 1)) + (STAR,)
-            for k in range(1, a + 1):
-                contracted, coords = _contract_star(upper[a], star_coords, k, Kmat, h)
-                hk = _route(contracted, coords, a, M) * np.ones((M,) * a)
-                ssum = np.zeros((M,) * a)
-                for l in range(1, a + 1):
-                    if k == l:
-                        ssum = ssum + _route(Kdiag, (k,), a, M)
-                    else:
-                        vals = Kmat if k < l else Kmat.T
-                        ssum = ssum + _route(vals, _mk((k, l)), a, M)
-                fluxes.append(((N - a) / N) * hk + (ssum * u) / N)
-            new_state[a] = ops[a].step(u, fluxes)
-        state = new_state
+        upper = {1: state[2], 2: state[3], 3: closure_f4(state[1], state[2], state[3])}
+        state = {
+            a: ops[a].step(state[a], op.bbgky_fluxes(upper[a], state[a], (N - a) / N, 1 / N))
+            for a in (1, 2, 3)
+        }
         _guard_negative(state[1], (n + 1) * tg.dt)
         if (n + 1) % tg.store_every == 0:
             for a in (1, 2, 3):

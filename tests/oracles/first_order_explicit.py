@@ -1,0 +1,96 @@
+"""Written-out first-order correction equations: a cross-check of the generic hierarchy.
+
+The package solves every hierarchy entry g^i_j from a compiled term table
+evaluated through one interaction operator.  This oracle writes the two
+first-order equations out by hand instead, the pair correlation g^1_2 and
+the single-coordinate correction g^1_1, with every H and S term spelled as
+an explicit matrix product against the kernel matrix.  A sign, coefficient
+or routing error in the term table therefore shows up as a disagreement
+between the two solves (test_generic_hierarchy_matches_explicit_first_order
+demands 1e-12); the pair solver alone also reaches the frozen stationary
+amplitude of stationary_pair_amplitude.py.
+
+It shares only the exponential stepper `_SpectralOps` and the node table
+`_kernel_matrix` with the package (plus the `Trajectory` container it
+returns); term tables, routing and the interaction operator are not used.
+Both solvers take the mean-field trajectory at every time step.
+"""
+import numpy as np
+
+from pchaos.core import KernelSpec
+from pchaos.pde import TimeGrid, Trajectory, _kernel_matrix, _SpectralOps
+
+
+def _require_full_resolution(traj: Trajectory) -> None:
+    if traj.tg.store_every != 1:
+        raise ValueError("this solver needs the driving trajectory at every time step")
+
+
+def solve_g1_pair(rho: Trajectory, kernel: KernelSpec, tg: TimeGrid) -> Trajectory:
+    """First-order pair correlation: the written-out linear PDE with zero initial data.
+
+    d/dt g - Lap g + d/dx[rho(x) int K(x,s)g(y,s)ds + g (K*rho)(x)]
+                   + d/dy[rho(y) int K(y,s)g(x,s)ds + g (K*rho)(y)]
+      = d/dx[(K*rho)(x) rho(x)rho(y)] + d/dy[(K*rho)(y) rho(x)rho(y)]
+        - d/dx[K(x,y) rho rho] - d/dy[K(y,x) rho rho].
+    """
+    _require_full_resolution(rho)
+    if rho.tg != tg:
+        raise ValueError("rho must be solved on the same time grid")
+    grid = rho.grid
+    ops = _SpectralOps(grid.M, 2, tg.dt)
+    Kmat = _kernel_matrix(kernel, grid)
+    h = grid.h
+
+    g = np.zeros((grid.M,) * 2)
+    out = np.empty((tg.n_stored, grid.M, grid.M))
+    out[0] = g
+    s = 1
+    for n in range(tg.n_steps):
+        r = rho.values[n]
+        conv = h * (Kmat @ r)          # (K*rho)(x) on the nodes
+        rr = np.outer(r, r)
+        cx = h * np.einsum("xs,ys->xy", Kmat, g)   # int K(x,s) g(y,s) ds
+        cy = h * np.einsum("ys,xs->xy", Kmat, g)   # int K(y,s) g(x,s) ds
+        flux_x = r[:, None] * cx + g * conv[:, None] - conv[:, None] * rr + Kmat * rr
+        flux_y = r[None, :] * cy + g * conv[None, :] - conv[None, :] * rr + Kmat.T * rr
+        g = ops.step(g, [flux_x, flux_y])
+        if (n + 1) % tg.store_every == 0:
+            out[s] = g
+            s += 1
+    return Trajectory(grid, 2, tg, out)
+
+
+def solve_g1_single(
+    rho: Trajectory, g12: Trajectory, kernel: KernelSpec, tg: TimeGrid
+) -> Trajectory:
+    """First-order single-coordinate correction with zero initial data.
+
+    d/dt g - Lap g + d/dx[rho(x) int K(x,s)g(s)ds + g(x)(K*rho)(x)]
+      = d/dx[int K(x,s)(rho(s)rho(x) - g12(x,s))ds] - d/dx[K(x,x) rho(x)],
+
+    the last term being the self-interaction carried by the diagonal of K.
+    """
+    _require_full_resolution(rho)
+    _require_full_resolution(g12)
+    grid = rho.grid
+    ops = _SpectralOps(grid.M, 1, tg.dt)
+    Kmat = _kernel_matrix(kernel, grid)
+    Kdiag = np.diag(Kmat).copy()
+    h = grid.h
+
+    g = np.zeros(grid.M)
+    out = np.empty((tg.n_stored, grid.M))
+    out[0] = g
+    s = 1
+    for n in range(tg.n_steps):
+        r = rho.values[n]
+        conv = h * (Kmat @ r)
+        cg = h * (Kmat @ g)
+        pair_force = h * np.einsum("xs,xs->x", Kmat, g12.values[n])
+        flux = r * cg + g * conv - conv * r + pair_force + Kdiag * r
+        g = ops.step(g, [flux])
+        if (n + 1) % tg.store_every == 0:
+            out[s] = g
+            s += 1
+    return Trajectory(grid, 1, tg, out)

@@ -138,6 +138,25 @@ def test_argument_validation():
         recurrence_residual(0, 1, 1.0, 1.0)
 
 
+def test_non_finite_time_and_beta_are_rejected():
+    # NaN passes every `< 0` test, so each time entry and beta are checked finite
+    nan = float("nan")
+    with pytest.raises(ValueError, match="time"):
+        eval_I(1, 1, 1.0, nan)
+    with pytest.raises(ValueError, match="time"):
+        eval_I(1, 1, 1.0, math.inf)
+    with pytest.raises(ValueError, match="time"):
+        eval_I_many(1, 1, 1.0, [0.5, nan])
+    with pytest.raises(ValueError, match="time"):
+        eval_I_table(1, 4, 1.0, [nan, 0.5])
+    with pytest.raises(ValueError, match="time"):
+        recurrence_residual_sweep(4, 1, 1.0, nan)
+    with pytest.raises(ValueError, match="beta"):
+        eval_I(1, 1, nan, 1.0)
+    with pytest.raises(ValueError, match="beta"):
+        eval_I_table(1, 4, math.inf, [0.5])
+
+
 def test_recurrence_residual_small():
     for ell, j, t in ((1, 1, 1.0), (4, 2, 0.5), (16, 1, 3.0), (8, 16, 0.1)):
         assert recurrence_residual(ell, j, 1.0, t) < 1e-10

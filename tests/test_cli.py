@@ -238,6 +238,34 @@ def test_negative_density_is_a_user_error(tmp_path, capsys):
     assert err.startswith("error: density reached") and err.count("\n") == 1
 
 
+def test_metrics_rejects_truncated_gtable(tmp_path, capsys):
+    hier_cfg = _write_cfg(
+        tmp_path, "h.cfg",
+        f"kernel = {KERNEL_PATH}\ndensity_cos = 1.0, 0.5\ngrid = 16\ndt = 1e-3\nT = 2e-3\n",
+    )
+    assert main(["solve-hierarchy", "--config", hier_cfg, "--out", str(tmp_path / "h")]) == 0
+    sim_cfg = _sim_cfg(tmp_path, "snapshot_format = raw\n")
+    assert main(["simulate", "--config", sim_cfg, "--out", str(tmp_path / "s")]) == 0
+    table = tmp_path / "h" / "gtable" / "g_1_2.f64"
+    table.write_bytes(table.read_bytes()[:-8])
+    met_cfg = _write_cfg(
+        tmp_path, "m.cfg",
+        f"snapshots = {tmp_path / 's' / 'snapshots.raw'}\ngtable = {tmp_path / 'h' / 'gtable'}\n",
+    )
+    capsys.readouterr()
+    assert main(["metrics", "--config", met_cfg, "--out", str(tmp_path / "m")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: table file") and "g_1_2.f64" in err
+    assert err.count("\n") == 1
+
+
+def test_bounds_nan_time_is_a_user_error(tmp_path, capsys):
+    cfg = _write_cfg(tmp_path, "b.cfg", "j = 4\nell_max = 6\nb = 1\nt = nan\n")
+    assert main(["bounds", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: time must be finite") and err.count("\n") == 1
+
+
 def test_bounds_clean_and_faulted(tmp_path, capsys):
     cfg = _write_cfg(tmp_path, "b.cfg",
                      "j = 4\nell_max = 6\nb = 1, 3\nt = 0.5\n")

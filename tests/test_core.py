@@ -11,6 +11,7 @@ from pchaos.core import (
     fourier_field,
     product_field,
     quadrature,
+    step_count,
     trig_interp,
 )
 
@@ -67,6 +68,16 @@ def test_is_probability_density():
     assert fourier_field(g, [1.0, 0.5]).is_probability_density()
     assert not fourier_field(g, [2.0]).is_probability_density()
     assert not fourier_field(g, [1.0, 1.5]).is_probability_density()  # negative part
+
+
+def test_step_count():
+    assert step_count(0.5, 1e-3) == 500
+    assert step_count(0.0, 0.1) == 0
+    for T in (2.5e-4, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="integer multiple of dt"):
+            step_count(T, 1e-3)
+    with pytest.raises(ValueError, match="dt must be positive"):
+        step_count(1.0, 0.0)
 
 
 def test_kernel_eval_matches_series(default_kernel):

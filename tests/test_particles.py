@@ -15,8 +15,8 @@ from pchaos.particles import (
     pair_drift,
     run_ensemble,
     sample_initial,
-    trig_moments,
 )
+from pchaos.pde import TimeGrid, solve_mckean_vlasov
 
 RICH_KERNEL = KernelSpec.from_tables(
     b={0: (0.1, 0.0), 1: (0.3, -0.2), 3: (0.05, 0.1)},
@@ -105,10 +105,9 @@ def test_self_interaction_flag_subtracts_self_term():
 def test_trig_moments_and_moment_drift():
     rng = np.random.default_rng(5)
     x = rng.random(64)
-    C, S = trig_moments(RICH_KERNEL, x)
-    for m in (1, 2):
-        assert C[m] == pytest.approx(np.cos(2 * np.pi * m * x).mean(), rel=1e-13)
-        assert S[m] == pytest.approx(np.sin(2 * np.pi * m * x).mean(), rel=1e-13)
+    modes = np.arange(len(RICH_KERNEL.k_cos))
+    C = np.cos(2 * np.pi * np.outer(modes, x)).mean(axis=1)
+    S = np.sin(2 * np.pi * np.outer(modes, x)).mean(axis=1)
     # with the empirical moments, the moment form is the pairwise mean force
     force = khat_drift_from_moments(RICH_KERNEL, x, C, S)
     direct = RICH_KERNEL.khat_values(x[:, None] - x[None, :]).mean(axis=1)
@@ -189,6 +188,18 @@ def test_sim_config_validation():
     with pytest.raises(ValueError, match="drift_method"):
         _small_config(drift_method="magic")
     assert _small_config().n_steps == 5
+
+
+def test_density_checks_share_one_mass_tolerance(default_kernel):
+    # mass 1 + 5e-11 is outside MASS_TOL for the simulator, the sampler and
+    # the solvers alike
+    f = fourier_field(TorusGrid(32), [1.0 + 5e-11, 0.5])
+    with pytest.raises(ValueError, match="integrate to 1"):
+        _small_config(initial_density=f)
+    with pytest.raises(ValueError, match="probability density"):
+        sample_initial(f, 10, np.random.default_rng(0))
+    with pytest.raises(ValueError, match="mass"):
+        solve_mckean_vlasov(f, default_kernel, TimeGrid(1e-3, 10))
 
 
 def test_run_ensemble_deterministic_and_correct_shapes():

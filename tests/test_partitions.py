@@ -14,7 +14,6 @@ from pchaos.partitions import (
     Partition,
     TriangularIndex,
     assemble_correction,
-    assemble_correction_sparse,
     cluster_from_marginals,
     combinings,
     enumerate_order_compositions,
@@ -30,6 +29,7 @@ from pchaos.partitions import (
 )
 
 from field_synth import random_exchangeable_triple
+from oracles.sparse_correction import assemble_correction_sparse
 
 # frozen from tests/oracles/bell_triangle.py
 BELL = [1, 2, 5, 15, 52, 203, 877, 4140, 21147, 115975]

@@ -1,12 +1,15 @@
 """Mean-field solver, correction hierarchy, remainder, and energy checks.
 
 The stationary pair-correlation amplitude is frozen from
-tests/oracles/stationary_pair_amplitude.py.
+tests/oracles/stationary_pair_amplitude.py; the written-out first-order
+solvers come from tests/oracles/first_order_explicit.py.
 """
+import json
+
 import numpy as np
 import pytest
 
-from pchaos.core import KernelSpec, TorusGrid, fourier_field, product_field
+from pchaos.core import GridField, KernelSpec, TorusGrid, fourier_field, product_field
 from pchaos.pde import (
     GTable,
     TimeGrid,
@@ -14,11 +17,11 @@ from pchaos.pde import (
     check_energy_inequality,
     compute_remainder,
     solve_bbgky_reference,
-    solve_g1_pair,
-    solve_g1_single,
     solve_g_hierarchy,
     solve_mckean_vlasov,
 )
+
+from oracles.first_order_explicit import solve_g1_pair, solve_g1_single
 
 
 def l2_norm_sq(values: np.ndarray, h: float) -> float:
@@ -106,17 +109,30 @@ def test_constant_drift_advection_first_order(default_kernel):
     assert e1 / e2 == pytest.approx(2.0, rel=0.1)
 
 
-def test_solver_input_validation(default_kernel):
+SOLVERS = {
+    "solve_mckean_vlasov": solve_mckean_vlasov,
+    "solve_g_hierarchy": lambda f, k, tg: solve_g_hierarchy(1, f, k, tg),
+    "solve_bbgky_reference": lambda f, k, tg: solve_bbgky_reference(f, k, 8, tg),
+}
+
+
+@pytest.mark.parametrize("solver", list(SOLVERS))
+def test_solver_input_validation(solver, default_kernel):
+    # every solver checks its inputs the same way before it steps
+    solve = SOLVERS[solver]
     g = TorusGrid(16)
     with pytest.raises(ValueError, match="mass"):
-        solve_mckean_vlasov(fourier_field(g, [1.1]), default_kernel, TimeGrid(1e-3, 10))
+        solve(fourier_field(g, [1.1]), default_kernel, TimeGrid(1e-3, 10))
     with pytest.raises(ValueError, match="positive"):
-        solve_mckean_vlasov(fourier_field(g, [1.0, 1.2]), default_kernel, TimeGrid(1e-3, 10))
+        solve(fourier_field(g, [1.0, 1.2]), default_kernel, TimeGrid(1e-3, 10))
     with pytest.raises(ValueError, match="CFL"):
-        solve_mckean_vlasov(fourier_field(g, [1.0, 0.5]), default_kernel, TimeGrid(0.2, 10))
+        solve(fourier_field(g, [1.0, 0.5]), default_kernel, TimeGrid(0.2, 10))
     wide = KernelSpec.from_tables(khat={9: (0.5, 0.0)})
     with pytest.raises(ValueError, match="Nyquist"):
-        solve_mckean_vlasov(fourier_field(g, [1.0]), wide, TimeGrid(1e-3, 10))
+        solve(fourier_field(g, [1.0]), wide, TimeGrid(1e-3, 10))
+    flat_2d = GridField(TorusGrid(16, 2), 1, np.ones((16, 16)))
+    with pytest.raises(ValueError, match="1-d torus"):
+        solve(flat_2d, default_kernel, TimeGrid(1e-3, 10))
 
 
 # ---------------------------------------------------------------------------
@@ -205,6 +221,32 @@ def test_gtable_save_load_roundtrip(tmp_path, default_kernel):
     assert back.kernel.to_text() == default_kernel.to_text()
     for key, arr in gt.entries.items():
         assert np.array_equal(back.entries[key], arr)
+
+
+@pytest.fixture
+def saved_table(tmp_path, default_kernel):
+    g = TorusGrid(16)
+    f = fourier_field(g, [1.0, 0.5], [0.0, 0.25])
+    solve_g_hierarchy(1, f, default_kernel, TimeGrid(2e-3, 4, store_every=2)).save(tmp_path)
+    return tmp_path
+
+
+def test_gtable_load_rejects_stale_kernel_hash(saved_table):
+    meta_path = saved_table / "meta.json"
+    meta = json.loads(meta_path.read_text())
+    meta["kernel_text"] = meta["kernel_text"].replace("khat 1", "khat 2")
+    meta_path.write_text(json.dumps(meta))
+    with pytest.raises(ValueError, match="kernel_sha256"):
+        GTable.load(saved_table)
+
+
+def test_gtable_load_rejects_truncated_file(saved_table):
+    path = saved_table / "g_1_2.f64"
+    data = path.read_bytes()
+    assert len(data) == 8 * 3 * 16 * 16
+    path.write_bytes(data[:-8])
+    with pytest.raises(ValueError, match=r"g_1_2\.f64 has 6136 bytes, meta.json describes 6144"):
+        GTable.load(saved_table)
 
 
 # ---------------------------------------------------------------------------
