@@ -62,10 +62,8 @@ from .metrics import (
 from .particles import (
     SimConfig,
     SnapshotSet,
-    drift_deriv_from_moments,
     em_step,
     extract_marginal_samples,
-    khat_drift_from_moments,
     mode_sum_drift,
     pair_drift,
     run_ensemble,

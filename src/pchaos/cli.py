@@ -9,14 +9,12 @@ reproduced from the pair.
 from __future__ import annotations
 
 import argparse
-import hashlib
-import json
 import sys
 from pathlib import Path
 
 import numpy as np
 
-from .config import Config, ConfigError, load_config
+from .config import Config, ConfigError, _write_manifest, load_config
 from .core import KernelSpec, TorusGrid, fourier_field, product_field, step_count
 from .experiments import ExperimentConfig, run_bounds_report, run_rate_experiment
 from .metrics import divergence_report_from_samples
@@ -43,15 +41,16 @@ def _seed(cfg: Config, override):
     return override if override is not None else cfg.get_int("seed", 0)
 
 
-def _manifest(out: Path, cfg: Config, seed, extra=None):
-    payload = {
-        "config_sha256": hashlib.sha256(cfg.canonical_text().encode()).hexdigest(),
-        "seed": seed,
-    }
-    if extra:
-        payload.update(extra)
-    with open(out / "manifest.json", "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=1)
+def _hashed_text(cfg: Config) -> str:
+    """The config's canonical text, then the text of the kernel file it names.
+
+    The kernel is part of the input, so the manifest hash covers it, as in
+    ExperimentConfig.canonical_text.
+    """
+    text = cfg.canonical_text()
+    if cfg.has("kernel"):
+        text += "\nkernel:\n" + Path(cfg.get_str("kernel")).read_text(encoding="utf-8")
+    return text
 
 
 def _time_grid(cfg: Config) -> TimeGrid:
@@ -72,7 +71,7 @@ def _cmd_simulate(cfg: Config, out: Path, seed) -> int:
         initial_density=density,
         d=cfg.get_int("d", 1),
         self_interaction=cfg.get_bool("self_interaction", True),
-        drift_method=cfg.get_str("drift_method", "auto"),
+        drift_method=cfg.get_str("drift_method", "fast"),
     )
     times = cfg.get_float_list("output_times", [sim.T])
     snaps = run_ensemble(sim, times)
@@ -83,7 +82,7 @@ def _cmd_simulate(cfg: Config, out: Path, seed) -> int:
         snaps.to_raw(out / "snapshots.raw")
     else:
         raise ConfigError("snapshot_format must be csv or raw")
-    _manifest(out, cfg, sim.base_seed, {"n_replicas": sim.n_replicas, "N": sim.N})
+    _write_manifest(out, _hashed_text(cfg), sim.base_seed, n_replicas=sim.n_replicas, N=sim.N)
     print(f"simulate: {sim.n_replicas} replicas of N={sim.N} to t={sim.T} -> {out}")
     return 0
 
@@ -100,7 +99,7 @@ def _cmd_solve_mv(cfg: Config, out: Path, seed) -> int:
             for x, v in zip(grid.points, traj.values[s]):
                 fh.write(f"{float(t)!r},{float(x)!r},{float(v)!r}\n")
     drift = max(abs(grid.h * traj.values[s].sum() - 1.0) for s in range(len(traj.times)))
-    _manifest(out, cfg, _seed(cfg, seed), {"max_mass_drift": drift})
+    _write_manifest(out, _hashed_text(cfg), _seed(cfg, seed), max_mass_drift=drift)
     print(f"solve-mv: M={grid.M}, {tg.n_steps} steps, max mass drift {drift:.3e}")
     return 0
 
@@ -112,7 +111,8 @@ def _cmd_solve_hierarchy(cfg: Config, out: Path, seed) -> int:
     i_max = cfg.get_int("order", 1)
     gt = solve_g_hierarchy(i_max, density, kernel, tg)
     gt.save(out / "gtable")
-    _manifest(out, cfg, _seed(cfg, seed), {"i_max": i_max, "entries": len(gt.entries)})
+    _write_manifest(out, _hashed_text(cfg), _seed(cfg, seed),
+                    i_max=i_max, entries=len(gt.entries))
     print(f"solve-hierarchy: order {i_max}, {len(gt.entries)} entries -> {out / 'gtable'}")
     return 0
 
@@ -145,7 +145,7 @@ def _cmd_metrics(cfg: Config, out: Path, seed) -> int:
             f"metrics j={j}: chi2 {report.chi_squared:.4e} "
             f"(se {report.se_chi_squared:.2e}), tv {report.total_variation:.4e}"
         )
-    _manifest(out, cfg, base_seed, {"time": t, "chi_squared": results})
+    _write_manifest(out, _hashed_text(cfg), base_seed, time=t, chi_squared=results)
     return 0
 
 
@@ -166,7 +166,8 @@ def _cmd_bounds(cfg: Config, out: Path, seed) -> int:
         print("violation:", v)
     if len(report.violations) > 20:
         print(f"... and {len(report.violations) - 20} more")
-    _manifest(out, cfg, _seed(cfg, seed), {"violations": len(report.violations)})
+    _write_manifest(out, _hashed_text(cfg), _seed(cfg, seed),
+                    violations=len(report.violations))
     return 0 if report.ok else 1
 
 

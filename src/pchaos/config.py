@@ -2,11 +2,14 @@
 
 No sections, no nesting: one `key = value` per line, `#` starts a comment
 anywhere, arrays are comma-separated.  Typed accessors validate and convert;
-missing keys without defaults fail loudly with the file name.
+missing keys without defaults fail loudly with the file name.  Every output
+directory gets a manifest.json written by _write_manifest.
 """
 
 from __future__ import annotations
 
+import hashlib
+import json
 from pathlib import Path
 
 __all__ = ["parse_config_text", "load_config", "ConfigError", "Config"]
@@ -42,6 +45,19 @@ def parse_config_text(text: str) -> dict:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
         out[key] = value
     return out
+
+
+def _write_manifest(out, canonical_text: str, seed, **fields) -> Path:
+    """Write out/manifest.json: the sha256 of canonical_text, the seed, then fields."""
+    manifest = {
+        "config_sha256": hashlib.sha256(canonical_text.encode()).hexdigest(),
+        "seed": seed,
+        **fields,
+    }
+    path = Path(out) / "manifest.json"
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(manifest, fh, indent=1)
+    return path
 
 
 def load_config(path) -> "Config":

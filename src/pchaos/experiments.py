@@ -38,18 +38,17 @@ the manifest records the config hash and seed next to the CSV.
 
 from __future__ import annotations
 
-import hashlib
-import json
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
 from . import bounds as bnd
-from .config import Config, ConfigError
+from .config import Config, ConfigError, _write_manifest
 from .core import GridField, KernelSpec, TorusGrid, fourier_field, step_count
 from .metrics import (
     chi_squared_from_samples,
@@ -57,11 +56,11 @@ from .metrics import (
     weighted_l2_error,
 )
 from .particles import (
+    SimConfig,
+    _replica_steps,
     em_step,
     extract_marginal_samples,
-    khat_drift_from_moments,
     mode_sum_drift,
-    sample_initial,
 )
 from .pde import TimeGrid, solve_g_hierarchy
 
@@ -269,8 +268,7 @@ def _chain_moments(kernel: KernelSpec, sample_density: GridField, dt: float,
         return Cdt, Sdt
 
     def displaced(n):
-        drift = kernel.b_values(mid) + khat_drift_from_moments(kernel, mid, Cdt[n], Sdt[n])
-        w = mid[:, None] - (mid + dt * drift)[None, :]
+        w = mid[:, None] - (mid + dt * mode_sum_drift(kernel, mid, Cdt[n], Sdt[n]))[None, :]
         return w - np.round(w)
 
     from scipy.special import erf  # deferred: keeps scipy.special out of CLI start-up
@@ -299,61 +297,61 @@ def _chain_moments(kernel: KernelSpec, sample_density: GridField, dt: float,
     return Cdt, Sdt
 
 
-def _rate_worker(payload):
-    (kernel_text, dens_values, N, dt, n_steps, seed, r0, r1, Cdt, Sdt,
-     phis, primary) = payload
-    kernel = KernelSpec.from_text(kernel_text)
-    density = GridField(TorusGrid(len(dens_values)), 1, dens_values)
-    n_phi = len(phis)
-    R = r1 - r0
+def _companion_terms(kernel: KernelSpec, y: np.ndarray, C: np.ndarray, S: np.ndarray):
+    """Companion drift, its Jacobian, and the derivative companion's forcing.
 
-    rngs = [
-        np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, r))))
-        for r in range(r0, r1)
-    ]
-    x = np.empty((R, N))
-    for i, rng in enumerate(rngs):
-        x[i] = sample_initial(density, N, rng)[:, 0]
-    y = x.copy()
-    delta = np.zeros((R, N))
-    xi = np.empty((R, N))
+    y is the (R, N) companion block and C[m], S[m] the chain moments of the
+    step.  drift is b + khat * law, summed as mode_sum_drift sums it (so it
+    equals the interacting drift bitwise when khat = 0); jac is its
+    derivative in the evaluation point; force is the khat response to each
+    replica's companion moment discrepancy, with every particle's own
+    contribution left out.  cos/sin are evaluated once per mode.
+    """
+    N = y.shape[-1]
+    b = np.full_like(y, kernel.b_cos[0])
+    fy = np.full_like(y, kernel.k_cos[0] * C[0])
+    force = np.zeros_like(y)
+    jac = np.zeros_like(y)
+    for m, bc, bs, kc, ks in kernel.mode_table:
+        w = 2 * np.pi * m
+        cy = np.cos(w * y)
+        sy = np.sin(w * y)
+        if bc != 0.0:
+            b += bc * cy
+        if bs != 0.0:
+            b += bs * sy
+        jac += w * (bs * cy - bc * sy)
+        if kc == 0.0 and ks == 0.0:
+            continue
+        Cn, Sn = C[m], S[m]
+        fy += kc * (cy * Cn + sy * Sn) + ks * (sy * Cn - cy * Sn)
+        jac += w * (kc * (cy * Sn - sy * Cn) + ks * (cy * Cn + sy * Sn))
+        ecm = (cy.mean(axis=-1, keepdims=True) - Cn) - (cy - Cn) / N
+        esm = (sy.mean(axis=-1, keepdims=True) - Sn) - (sy - Sn) / N
+        force += kc * (cy * ecm + sy * esm) + ks * (sy * ecm - cy * esm)
+    b += fy
+    return b, jac, force
 
-    for n in range(n_steps):
-        for i, rng in enumerate(rngs):
-            rng.standard_normal(out=xi[i])
-        # interacting drift from the system's own empirical moments
-        dx = mode_sum_drift(kernel, x)
-        # companion drift from the exact chain moments, summed in the order
-        # mode_sum_drift uses, so that it equals dx bitwise when khat = 0
-        dy = np.full((R, N), kernel.b_cos[0])
-        fy = np.full((R, N), kernel.k_cos[0])
-        force = np.zeros((R, N))
-        jac = np.zeros((R, N))
-        for m, bc, bs, kc, ks in kernel.mode_table:
-            w = 2 * np.pi * m
-            cy = np.cos(w * y)
-            sy = np.sin(w * y)
-            if bc != 0.0:
-                dy += bc * cy
-            if bs != 0.0:
-                dy += bs * sy
-            jac += w * (bs * cy - bc * sy)
-            if kc == 0.0 and ks == 0.0:
-                continue
-            Cn, Sn = Cdt[n, m], Sdt[n, m]
-            fy += kc * (cy * Cn + sy * Sn) + ks * (sy * Cn - cy * Sn)
-            jac += w * (kc * (cy * Sn - sy * Cn) + ks * (cy * Cn + sy * Sn))
-            # companion moment discrepancy, own contribution left out per particle
-            ecm = (cy.mean(axis=1, keepdims=True) - Cn) - (cy - Cn) / N
-            esm = (sy.mean(axis=1, keepdims=True) - Sn) - (sy - Sn) / N
-            force += kc * (cy * ecm + sy * esm) + ks * (sy * ecm - cy * esm)
-        dy += fy
-        delta += dt * (jac * delta + force)
-        x = em_step(x, dx, dt, xi)
-        y = em_step(y, dy, dt, xi)
 
-    diffs = np.empty((R, n_phi))
-    plains = np.empty((R, n_phi))
+def _rate_worker(cfg: SimConfig, r0, r1, Cdt, Sdt, phis, primary):
+    """Coupled estimates over replicas range(r0, r1) of the sim configuration.
+
+    The interacting system x is particles._replica_steps; the companion y
+    starts at the same positions, takes the same noise and drifts by the
+    chain moments Cdt[n], Sdt[n]; delta is the derivative companion.
+    """
+    steps = _replica_steps(cfg, range(r0, r1), cfg.n_steps)
+    x, _ = next(steps)
+    y = x[..., 0].copy()
+    delta = np.zeros_like(y)
+    for n, (x, noise) in enumerate(steps):
+        dy, jac, force = _companion_terms(cfg.kernel, y, Cdt[n], Sdt[n])
+        delta += cfg.dt * (jac * delta + force)
+        y = em_step(y, dy, cfg.dt, noise[..., 0])
+    x = x[..., 0]
+
+    diffs = np.empty((r1 - r0, len(phis)))
+    plains = np.empty_like(diffs)
     for p, (_, kind, mode) in enumerate(phis):
         vx = _phi_values(kind, mode, x)
         vy = _phi_values(kind, mode, y)
@@ -437,10 +435,8 @@ def run_rate_experiment(ecfg: ExperimentConfig) -> RateResult:
     out = Path(ecfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     kernel = KernelSpec.from_file(ecfg.kernel_path)
-    kernel_text = kernel.to_text()
     plan = _predictions(ecfg, kernel)
     per_phi, chi_pred, rho = plan.per_phi, plan.chi_pred, plan.rho
-    n_steps = step_count(ecfg.T, ecfg.dt)
 
     # the primary observable is fixed from the solved correction, not the data
     primary = max(per_phi, key=lambda k: abs(per_phi[k]["bias"]))
@@ -453,37 +449,24 @@ def run_rate_experiment(ecfg: ExperimentConfig) -> RateResult:
     failure = None
     try:
         for N in sorted(ecfg.N_list):
+            sim = SimConfig(
+                N=N, dt=ecfg.dt, T=ecfg.T, n_replicas=ecfg.replicas, base_seed=ecfg.seed,
+                kernel=kernel, initial_density=plan.sample_density,
+            )
+            work = partial(_rate_worker, sim, Cdt=plan.Cdt, Sdt=plan.Sdt,
+                           phis=_PHI_PANEL, primary=primary_idx)
             chunk = max(1, math.ceil(ecfg.replicas / (4 * ecfg.workers)))
-            payloads = [
-                (
-                    kernel_text,
-                    plan.sample_density.values,
-                    N,
-                    ecfg.dt,
-                    n_steps,
-                    ecfg.seed,
-                    r0,
-                    min(r0 + chunk, ecfg.replicas),
-                    plan.Cdt,
-                    plan.Sdt,
-                    _PHI_PANEL,
-                    primary_idx,
-                )
-                for r0 in range(0, ecfg.replicas, chunk)
-            ]
+            starts = range(0, ecfg.replicas, chunk)
+            ends = [min(r0 + chunk, ecfg.replicas) for r0 in starts]
             if ecfg.workers > 1:
                 with ProcessPoolExecutor(max_workers=ecfg.workers) as ex:
-                    parts = list(ex.map(_rate_worker, payloads))
+                    parts = list(ex.map(work, starts, ends))
             else:
-                parts = [_rate_worker(p) for p in payloads]
+                parts = list(map(work, starts, ends))
             parts.sort(key=lambda t: t[0])
-            diffs = np.concatenate([p[1] for p in parts])
-            plains = np.concatenate([p[2] for p in parts])
-            uX = np.concatenate([p[3] for p in parts])
-            aX = np.concatenate([p[4] for p in parts])
-            uY = np.concatenate([p[5] for p in parts])
-            aY = np.concatenate([p[6] for p in parts])
-            xs = np.concatenate([p[7] for p in parts])
+            diffs, plains, uX, aX, uY, aY, xs = (
+                np.concatenate(arrays) for arrays in list(zip(*parts))[1:]
+            )
             R = diffs.shape[0]
 
             for p, (name, _, _) in enumerate(_PHI_PANEL):
@@ -553,15 +536,10 @@ def _persist_rates(ecfg: ExperimentConfig, rows, failure):
                 f"{r['N']},{r['j']},{r['i']},{r['t']!r},{r['observable']},"
                 f"{r['estimate']!r},{r['prediction']!r},{r['se']!r}\n"
             )
-    manifest = {
-        "config_sha256": hashlib.sha256(ecfg.canonical_text().encode()).hexdigest(),
-        "seed": ecfg.seed,
-        "rows": len(ordered),
-        "status": "failed: " + failure if failure else "complete",
-    }
-    manifest_path = out / "manifest.json"
-    with open(manifest_path, "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=1)
+    manifest_path = _write_manifest(
+        out, ecfg.canonical_text(), ecfg.seed,
+        rows=len(ordered), status="failed: " + failure if failure else "complete",
+    )
     return csv_path, manifest_path
 
 

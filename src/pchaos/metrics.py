@@ -256,6 +256,27 @@ def _kstat(vals: np.ndarray) -> float:
     return float(out)
 
 
+def _estimate_and_loo(u: np.ndarray, abar: np.ndarray, bbar: np.ndarray):
+    """The combination mean(u) - mean(abar) mean(bbar) + cov(abar, bbar)/R over
+    all R replicas, and the array of its R leave-one-replica-out values."""
+
+    def combine(R, tu, ta, tb, tab):  # from the sums of u, abar, bbar, abar*bbar
+        U = tu / R
+        va, vb = ta / R, tb / R
+        cov = (tab - R * va * vb) / (R - 1)
+        return U - va * vb + cov / R
+
+    terms = (u, abar, bbar, abar * bbar)
+    sums = [t.sum() for t in terms]
+    R = len(u)
+    return combine(R, *sums), combine(R - 1, *(s - t for s, t in zip(sums, terms)))
+
+
+def _jackknife_se(loo: np.ndarray) -> float:
+    R = len(loo)
+    return math.sqrt((R - 1) / R * ((loo - loo.mean()) ** 2).sum())
+
+
 def pair_cumulant_from_replica_stats(u: np.ndarray, abar: np.ndarray, bbar: np.ndarray):
     """Combine per-replica pair statistics into an unbiased covariance estimate.
 
@@ -275,23 +296,8 @@ def pair_cumulant_from_replica_stats(u: np.ndarray, abar: np.ndarray, bbar: np.n
     if R < 3:
         raise ValueError("need at least three replicas")
 
-    su, sa, sb = u.sum(), abar.sum(), bbar.sum()
-    sab = (abar * bbar).sum()
-
-    def combine(Rr, tu, ta, tb, tab):
-        U = tu / Rr
-        va, vb = ta / Rr, tb / Rr
-        cov = (tab - Rr * va * vb) / (Rr - 1)
-        return U - va * vb + cov / Rr
-
-    est = combine(R, su, sa, sb, sab)
-    loo = np.empty(R)
-    for r in range(R):
-        loo[r] = combine(
-            R - 1, su - u[r], sa - abar[r], sb - bbar[r], sab - abar[r] * bbar[r]
-        )
-    se = math.sqrt((R - 1) / R * ((loo - loo.mean()) ** 2).sum())
-    return float(est), float(se)
+    est, loo = _estimate_and_loo(u, abar, bbar)
+    return float(est), _jackknife_se(loo)
 
 
 def paired_pair_cumulant_difference(
@@ -318,27 +324,9 @@ def paired_pair_cumulant_difference(
         raise ValueError("all replica statistic arrays must share a length")
     if R < 3:
         raise ValueError("need at least three replicas")
-    ua, aa, ba, ub, ab, bb = stats
-
-    def combine(Rr, tu, ta, tb, tab):
-        U = tu / Rr
-        va, vb = ta / Rr, tb / Rr
-        cov = (tab - Rr * va * vb) / (Rr - 1)
-        return U - va * vb + cov / Rr
-
-    def diff(Rr, sums_a, sums_b):
-        return combine(Rr, *sums_a) - combine(Rr, *sums_b)
-
-    sums_a = (ua.sum(), aa.sum(), ba.sum(), (aa * ba).sum())
-    sums_b = (ub.sum(), ab.sum(), bb.sum(), (ab * bb).sum())
-    est = diff(R, sums_a, sums_b)
-    loo = np.empty(R)
-    for r in range(R):
-        drop_a = (sums_a[0] - ua[r], sums_a[1] - aa[r], sums_a[2] - ba[r], sums_a[3] - aa[r] * ba[r])
-        drop_b = (sums_b[0] - ub[r], sums_b[1] - ab[r], sums_b[2] - bb[r], sums_b[3] - ab[r] * bb[r])
-        loo[r] = diff(R - 1, drop_a, drop_b)
-    se = math.sqrt((R - 1) / R * ((loo - loo.mean()) ** 2).sum())
-    return float(est), float(se)
+    est_a, loo_a = _estimate_and_loo(*stats[:3])
+    est_b, loo_b = _estimate_and_loo(*stats[3:])
+    return float(est_a - est_b), _jackknife_se(loo_a - loo_b)
 
 
 def _grouped_pair_cumulant(vals: np.ndarray, replica_ids: np.ndarray):

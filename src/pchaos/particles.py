@@ -5,11 +5,16 @@ Each of N particles follows
     dX_j = (1/N) sum_{k=1..N} K(X_j, X_k) dt + sqrt(2) dW_j,
 
 with the k = j self-interaction term included by default (the kernel need not
-vanish on the diagonal).  Replicas are fully independent: every replica owns
-a Philox stream seeded with SeedSequence((base_seed, replica)) and draws from
-it in a fixed order: one initial-sampler block, then one standard_normal((N, d))
-block per time step.  A replica's trajectory depends on its own stream alone,
-so all replicas step together as one replica-major (R, N, d) block.
+vanish on the diagonal).
+
+One stepper, _replica_steps, simulates the system; run_ensemble and the rate
+experiment's worker both iterate it.  It fixes the stream layout, which is
+the reproducibility contract: replica r owns the Philox stream seeded with
+SeedSequence((base_seed, r)) and draws from it in this order: one
+sample_initial block of N positions, then one standard_normal((N, d)) block
+per time step.  A replica's trajectory depends on its own stream alone, so
+all replicas step together as one replica-major (R, N, d) block, and any
+range of replicas gives each replica the bits it has when simulated alone.
 
 The pairwise drift sum costs O(N^2); for the translation-invariant kernel
 part a mode-summation fast path costs O(N * modes) and agrees with the direct
@@ -34,8 +39,6 @@ __all__ = [
     "sample_initial",
     "pair_drift",
     "mode_sum_drift",
-    "khat_drift_from_moments",
-    "drift_deriv_from_moments",
     "em_step",
     "run_ensemble",
     "extract_marginal_samples",
@@ -59,7 +62,7 @@ class SimConfig:
     initial_density: GridField
     d: int = 1
     self_interaction: bool = True
-    drift_method: str = "auto"  # auto | direct | fast
+    drift_method: str = "fast"  # fast | direct
 
     def __post_init__(self):
         if self.N < 1:
@@ -78,8 +81,8 @@ class SimConfig:
             raise ValueError("initial density must be strictly positive")
         if not self.initial_density.is_probability_density():
             raise ValueError("initial density must integrate to 1")
-        if self.drift_method not in ("auto", "direct", "fast"):
-            raise ValueError("drift_method must be auto, direct, or fast")
+        if self.drift_method not in ("fast", "direct"):
+            raise ValueError("drift_method must be fast or direct")
         step_count(self.T, self.dt)
 
     @property
@@ -140,7 +143,7 @@ def pair_drift(
     kernel: KernelSpec,
     positions: np.ndarray,
     self_interaction: bool = True,
-    method: str = "auto",
+    method: str = "fast",
 ) -> np.ndarray:
     """Mean interaction force (1/N) sum_k K(x_j, x_k) for every particle j.
 
@@ -155,8 +158,8 @@ def pair_drift(
     x = np.asarray(positions, dtype=float)
     if x.ndim < 2:
         raise ValueError("positions must have shape (..., N, d)")
-    if method not in ("auto", "direct", "fast"):
-        raise ValueError("method must be auto, direct, or fast")
+    if method not in ("fast", "direct"):
+        raise ValueError("method must be fast or direct")
     N = x.shape[-2]
     out = np.empty_like(x)
     for c in range(x.shape[-1]):
@@ -173,15 +176,18 @@ def pair_drift(
     return out
 
 
-def mode_sum_drift(kernel: KernelSpec, xc: np.ndarray) -> np.ndarray:
-    """b(x_j) + (1/N) sum_k khat(x_j - x_k) along the last axis of a (..., N) block.
+def mode_sum_drift(kernel: KernelSpec, xc: np.ndarray, C=None, S=None) -> np.ndarray:
+    """b(x) + (khat * law)(x) at every point of a (..., N) block xc.
 
-    One walk over the mode table evaluates each mode's cos/sin once and takes
-    each replica's empirical moments as means along the particle axis; b and
-    the force are summed apart, in the order b_values and khat_drift_from_moments use.
+    The law is given by its moments C[m], S[m] of cos(2 pi m .) and
+    sin(2 pi m .): the moments of a density give the mean-field drift.  When
+    they are omitted, the law is each replica's empirical measure along the
+    last axis, and the result is the pairwise mean force (1/N) sum_k
+    K(x_j, x_k).  One walk over the mode table evaluates each mode's cos/sin
+    once; b and the force are summed apart, then added.
     """
     b = np.full_like(xc, kernel.b_cos[0])
-    force = np.full_like(xc, kernel.k_cos[0])
+    force = np.full_like(xc, kernel.k_cos[0] * (1.0 if C is None else C[0]))
     for m, bc, bs, kc, ks in kernel.mode_table:
         w = 2 * np.pi * m
         cm = np.cos(w * xc)
@@ -191,53 +197,14 @@ def mode_sum_drift(kernel: KernelSpec, xc: np.ndarray) -> np.ndarray:
         if bs != 0.0:
             b += bs * sm
         if kc != 0.0 or ks != 0.0:
-            C = cm.mean(axis=-1, keepdims=True)
-            S = sm.mean(axis=-1, keepdims=True)
-            force += kc * (cm * C + sm * S) + ks * (sm * C - cm * S)
+            if C is None:
+                Cm, Sm = cm.mean(axis=-1, keepdims=True), sm.mean(axis=-1, keepdims=True)
+            else:
+                Cm, Sm = C[m], S[m]
+            # cos(a-b) and sin(a-b) expanded over the moments
+            force += kc * (cm * Cm + sm * Sm) + ks * (sm * Cm - cm * Sm)
     b += force
     return b
-
-
-def khat_drift_from_moments(
-    kernel: KernelSpec, xc: np.ndarray, C: np.ndarray, S: np.ndarray
-) -> np.ndarray:
-    """Convolution of khat against a law given by its cosine/sine moments.
-
-    C[m] and S[m] are the moments of cos(2 pi m .) and sin(2 pi m .) under
-    the law; with empirical moments this is the pairwise mean force, with the
-    moments of a density it is the mean-field drift, evaluated at xc.
-    """
-    force = np.full_like(xc, kernel.k_cos[0] * C[0], dtype=float)
-    for m, _, _, kc, ks in kernel.mode_table:
-        if kc == 0.0 and ks == 0.0:
-            continue
-        w = 2 * np.pi * m
-        cm = np.cos(w * xc)
-        sm = np.sin(w * xc)
-        # cos(a-b) and sin(a-b) expanded over the moments
-        force += kc * (cm * C[m] + sm * S[m]) + ks * (sm * C[m] - cm * S[m])
-    return force
-
-
-def drift_deriv_from_moments(
-    kernel: KernelSpec, xc: np.ndarray, C: np.ndarray, S: np.ndarray
-) -> np.ndarray:
-    """Position derivative of the mean-field drift b + khat * law at xc.
-
-    Differentiates the same mode expansion as khat_drift_from_moments (plus
-    the confinement part b) with respect to the evaluation point; this is the
-    Jacobian that propagates a small perturbation of a particle's position
-    through one drift evaluation, used by linearized companion dynamics.
-    """
-    out = np.zeros_like(xc, dtype=float)
-    for m, bc, bs, kc, ks in kernel.mode_table:
-        w = 2 * np.pi * m
-        cm = np.cos(w * xc)
-        sm = np.sin(w * xc)
-        out += w * (bs * cm - bc * sm)
-        if kc != 0.0 or ks != 0.0:
-            out += w * (kc * (cm * S[m] - sm * C[m]) + ks * (cm * C[m] + sm * S[m]))
-    return out
 
 
 def em_step(x: np.ndarray, drift: np.ndarray, dt: float, noise: np.ndarray) -> np.ndarray:
@@ -305,16 +272,32 @@ class SnapshotSet:
         return cls(body[:nt].copy(), body[nt:].reshape(R, nt, N, d).copy())
 
 
+def _replica_steps(cfg: SimConfig, replicas: range, n_steps: int):
+    """Yield (x, noise) for steps 0..n_steps of the given replicas.
+
+    x is the (R, N, d) block of positions and noise the standard normal block
+    that moved it there (None at step 0); noise is overwritten by the next
+    step.  Draws follow the stream layout in the module docstring.
+    """
+    rngs = [_replica_rng(cfg.base_seed, r) for r in replicas]
+    x = np.empty((len(rngs), cfg.N, cfg.d))
+    for i, rng in enumerate(rngs):
+        x[i] = sample_initial(cfg.initial_density, cfg.N, rng)
+    yield x, None
+    noise = np.empty_like(x)
+    for _ in range(n_steps):
+        for i, rng in enumerate(rngs):
+            rng.standard_normal(out=noise[i])
+        dr = pair_drift(cfg.kernel, x, cfg.self_interaction, cfg.drift_method)
+        x = em_step(x, dr, cfg.dt, noise)
+        yield x, noise
+
+
 def run_ensemble(cfg: SimConfig, output_times) -> SnapshotSet:
     """Simulate all replicas and record positions at the requested times.
 
     Output times must be sorted, within the horizon, and multiples of dt to
     1e-12.  The result is a deterministic function of the configuration.
-
-    All replicas advance as one (R, N, d) block: each step draws every
-    replica's standard_normal((N, d)) from its own stream into a preallocated
-    noise block, then evaluates the drift and steps the whole block.  Each
-    replica's bits are those of simulating it alone.
     """
     output_times = np.asarray(output_times, dtype=float)
     if output_times.ndim != 1 or len(output_times) == 0:
@@ -328,24 +311,10 @@ def run_ensemble(cfg: SimConfig, output_times) -> SnapshotSet:
     if np.any(np.abs(steps - rounded) > 1e-12 * np.maximum(1, rounded)):
         raise ValueError("output times must be multiples of dt")
 
-    record = {int(s): i for i, s in enumerate(rounded)}
-    n_steps = int(rounded[-1])
     out = np.empty((cfg.n_replicas, len(output_times), cfg.N, cfg.d))
-    rngs = [_replica_rng(cfg.base_seed, r) for r in range(cfg.n_replicas)]
-    x = np.empty((cfg.n_replicas, cfg.N, cfg.d))
-    for r, rng in enumerate(rngs):
-        x[r] = sample_initial(cfg.initial_density, cfg.N, rng)
-    if 0 in record:
-        out[:, record[0]] = x
-    noise = np.empty_like(x)
-    for n in range(1, n_steps + 1):
-        for r, rng in enumerate(rngs):
-            rng.standard_normal(out=noise[r])
-        dr = pair_drift(cfg.kernel, x, cfg.self_interaction, cfg.drift_method)
-        x = em_step(x, dr, cfg.dt, noise)
-        if n in record:
-            out[:, record[n]] = x
-    return SnapshotSet(np.asarray(output_times), out)
+    for n, (x, _) in enumerate(_replica_steps(cfg, range(cfg.n_replicas), rounded[-1])):
+        out[:, rounded == n] = x[:, None]
+    return SnapshotSet(output_times, out)
 
 
 def extract_marginal_samples(

@@ -65,6 +65,28 @@ def test_simulate_raw_and_seed_override(tmp_path):
     assert snaps.positions.shape == (50, 1, 8, 1)
 
 
+def test_manifest_hash_covers_the_kernel_file(tmp_path):
+    # the same config text naming an edited kernel file simulates different
+    # positions, so its manifest must carry a different config hash
+    kernel = tmp_path / "kernel.txt"
+    kernel.write_text(KERNEL_PATH.read_text(encoding="utf-8"), encoding="utf-8")
+    cfg = _write_cfg(
+        tmp_path, "sim.cfg",
+        f"kernel = {kernel}\ndensity_cos = 1.0, 0.5\nsample_grid = 64\nN = 8\n"
+        "dt = 1e-3\nT = 2e-3\nreplicas = 5\nseed = 4\nsnapshot_format = raw\n",
+    )
+    runs = []
+    for name, text in (("a", None), ("b", "b 1 0.5 0.0\nkhat 1 0.0 0.25\n")):
+        if text is not None:
+            kernel.write_text(text, encoding="utf-8")
+        out = tmp_path / name
+        assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
+        runs.append((json.loads((out / "manifest.json").read_text())["config_sha256"],
+                     (out / "snapshots.raw").read_bytes()))
+    assert runs[0][1] != runs[1][1]
+    assert runs[0][0] != runs[1][0]
+
+
 def test_simulate_rejects_bad_format(tmp_path, capsys):
     cfg = _sim_cfg(tmp_path, "snapshot_format = hdf5\n")
     rc = main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")])

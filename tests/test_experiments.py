@@ -13,6 +13,7 @@ from pchaos.core import GridField, KernelSpec, TorusGrid, fourier_field
 from pchaos.experiments import (
     _PHI_PANEL,
     _chain_moments,
+    _companion_terms,
     _rate_worker,
     ExperimentConfig,
     fit_rate,
@@ -21,12 +22,12 @@ from pchaos.experiments import (
 )
 from pchaos.particles import (
     SimConfig,
-    khat_drift_from_moments,
+    mode_sum_drift,
     run_ensemble,
     sample_initial,
 )
 
-from conftest import KERNEL_PATH
+from conftest import KERNEL_PATH, RICH_KERNEL
 
 
 def _ecfg(tmp_path, **over):
@@ -192,10 +193,7 @@ def test_chain_moments_one_step_against_fine_quadrature(default_kernel):
     h = g.h / refine
     y = (np.arange(g.M * refine) + 0.5) * h
     masses = np.repeat(density.values * g.h, refine) / refine
-    drift = default_kernel.b_values(y) + khat_drift_from_moments(
-        default_kernel, y, C[0], S[0]
-    )
-    shifted = y + dt * drift
+    shifted = y + dt * mode_sum_drift(default_kernel, y, C[0], S[0])
     for m in range(1, C.shape[1]):
         damp = math.exp(-((2 * math.pi * m) ** 2) * dt)
         want_c = damp * float((masses * np.cos(2 * np.pi * m * shifted)).sum())
@@ -210,27 +208,51 @@ def test_chain_moments_one_step_against_fine_quadrature(default_kernel):
 
 def _payload(kernel, density, N, dt, n_steps, seed, r0, r1):
     C, S = _chain_moments(kernel, density, dt, n_steps)
-    return (
-        kernel.to_text(), density.values, N, dt, n_steps, seed, r0, r1,
-        C, S, _PHI_PANEL, 0,
-    )
+    cfg = SimConfig(N=N, dt=dt, T=n_steps * dt, n_replicas=r1, base_seed=seed,
+                    kernel=kernel, initial_density=density)
+    return cfg, r0, r1, C, S, _PHI_PANEL, 0
 
 
 def test_worker_matches_canonical_ensemble(default_kernel):
-    # same per-replica streams, so the interacting system inside the fused
-    # worker must retrace run_ensemble up to floating-point reassociation
+    # the worker's interacting system is run_ensemble's stepper: bit for bit
+    # with the fast drift, and to reassociation with the direct oracle
     g = TorusGrid(64)
     density = fourier_field(g, [1.0, 0.5], [0.0, 0.25])
     N, dt, n_steps, seed = 8, 1e-3, 3, 11
     _, _, _, _, _, _, _, x = _rate_worker(
-        _payload(default_kernel, density, N, dt, n_steps, seed, 0, 5)
+        *_payload(default_kernel, density, N, dt, n_steps, seed, 0, 5)
     )
-    cfg = SimConfig(
-        N=N, dt=dt, T=n_steps * dt, n_replicas=5, base_seed=seed,
-        kernel=default_kernel, initial_density=density, drift_method="direct",
-    )
-    snaps = run_ensemble(cfg, [n_steps * dt])
-    assert np.abs(x - snaps.positions[:, 0, :, 0]).max() < 1e-10
+    for method in ("fast", "direct"):
+        cfg = SimConfig(
+            N=N, dt=dt, T=n_steps * dt, n_replicas=5, base_seed=seed,
+            kernel=default_kernel, initial_density=density, drift_method=method,
+        )
+        want = run_ensemble(cfg, [n_steps * dt]).positions[:, 0, :, 0]
+        if method == "fast":
+            assert np.array_equal(x, want)
+        else:
+            assert np.abs(x - want).max() < 1e-10
+
+
+def test_companion_drift_is_the_moment_drift():
+    # the fused companion evaluator sums the drift as mode_sum_drift does
+    y = np.random.default_rng(4).random((3, 16))
+    C = np.array([1.0, 0.3, -0.2])
+    S = np.array([0.0, 0.1, 0.4])
+    drift, _, _ = _companion_terms(RICH_KERNEL, y, C, S)
+    assert np.array_equal(drift, mode_sum_drift(RICH_KERNEL, y, C, S))
+
+
+def test_drift_derivative_matches_finite_differences():
+    rng = np.random.default_rng(9)
+    x = rng.random((1, 32))
+    C = np.array([1.0, 0.3, -0.2])
+    S = np.array([0.0, 0.1, 0.4])
+    _, deriv, _ = _companion_terms(RICH_KERNEL, x, C, S)
+    eps = 1e-6
+    fd = (mode_sum_drift(RICH_KERNEL, x + eps, C, S)
+          - mode_sum_drift(RICH_KERNEL, x - eps, C, S)) / (2 * eps)
+    assert np.max(np.abs(deriv - fd)) < 1e-7
 
 
 def test_worker_zero_interaction_null(default_kernel):
@@ -243,7 +265,7 @@ def test_worker_zero_interaction_null(default_kernel):
     g = TorusGrid(64)
     density = fourier_field(g, [1.0, 0.5])
     _, diffs, _, uX, aX, uY, aY, _ = _rate_worker(
-        _payload(kernel, density, 6, 1e-3, 4, 3, 0, 4)
+        *_payload(kernel, density, 6, 1e-3, 4, 3, 0, 4)
     )
     assert np.all(diffs == 0.0)
     assert np.array_equal(uX, uY) and np.array_equal(aX, aY)
@@ -252,9 +274,9 @@ def test_worker_zero_interaction_null(default_kernel):
 def test_worker_chunking_is_invisible(default_kernel):
     g = TorusGrid(64)
     density = fourier_field(g, [1.0, 0.5], [0.0, 0.25])
-    whole = _rate_worker(_payload(default_kernel, density, 6, 1e-3, 2, 9, 0, 6))
-    lo = _rate_worker(_payload(default_kernel, density, 6, 1e-3, 2, 9, 0, 3))
-    hi = _rate_worker(_payload(default_kernel, density, 6, 1e-3, 2, 9, 3, 6))
+    whole = _rate_worker(*_payload(default_kernel, density, 6, 1e-3, 2, 9, 0, 6))
+    lo = _rate_worker(*_payload(default_kernel, density, 6, 1e-3, 2, 9, 0, 3))
+    hi = _rate_worker(*_payload(default_kernel, density, 6, 1e-3, 2, 9, 3, 6))
     for k in range(1, 8):
         joined = np.concatenate([lo[k], hi[k]])
         assert np.array_equal(whole[k], joined)

@@ -8,20 +8,16 @@ from pchaos.core import GridField, KernelSpec, TorusGrid, fourier_field
 from pchaos.particles import (
     SimConfig,
     SnapshotSet,
-    drift_deriv_from_moments,
     em_step,
     extract_marginal_samples,
-    khat_drift_from_moments,
+    mode_sum_drift,
     pair_drift,
     run_ensemble,
     sample_initial,
 )
 from pchaos.pde import TimeGrid, solve_mckean_vlasov
 
-RICH_KERNEL = KernelSpec.from_tables(
-    b={0: (0.1, 0.0), 1: (0.3, -0.2), 3: (0.05, 0.1)},
-    khat={1: (0.2, 0.25), 2: (-0.1, 0.15)},
-)
+from conftest import RICH_KERNEL
 
 
 # ---------------------------------------------------------------------------
@@ -109,25 +105,9 @@ def test_trig_moments_and_moment_drift():
     C = np.cos(2 * np.pi * np.outer(modes, x)).mean(axis=1)
     S = np.sin(2 * np.pi * np.outer(modes, x)).mean(axis=1)
     # with the empirical moments, the moment form is the pairwise mean force
-    force = khat_drift_from_moments(RICH_KERNEL, x, C, S)
-    direct = RICH_KERNEL.khat_values(x[:, None] - x[None, :]).mean(axis=1)
-    assert np.max(np.abs(force - direct)) < 1e-12
-
-
-def test_drift_derivative_matches_finite_differences():
-    rng = np.random.default_rng(9)
-    x = rng.random(32)
-    C = np.array([1.0, 0.3, -0.2])
-    S = np.array([0.0, 0.1, 0.4])
-    deriv = drift_deriv_from_moments(RICH_KERNEL, x, C, S)
-    eps = 1e-6
-
-    def drift(pts):
-        return (RICH_KERNEL.b_values(pts)
-                + khat_drift_from_moments(RICH_KERNEL, pts, C, S))
-
-    fd = (drift(x + eps) - drift(x - eps)) / (2 * eps)
-    assert np.max(np.abs(deriv - fd)) < 1e-7
+    drift = mode_sum_drift(RICH_KERNEL, x, C, S)
+    direct = RICH_KERNEL.b_values(x) + RICH_KERNEL.khat_values(x[:, None] - x[None, :]).mean(axis=1)
+    assert np.max(np.abs(drift - direct)) < 1e-12
 
 
 def test_em_step_formula_and_wrap():
@@ -248,6 +228,15 @@ def test_run_ensemble_time_validation():
         run_ensemble(cfg, [1.0])
     with pytest.raises(ValueError, match="multiples"):
         run_ensemble(cfg, [2.5e-4])
+
+
+def test_run_ensemble_repeated_output_time():
+    # a time listed twice is recorded in both of its slots
+    cfg = _small_config()
+    snap = run_ensemble(cfg, [2e-3, 2e-3, 5e-3])
+    assert np.array_equal(snap.positions[:, 0], snap.positions[:, 1])
+    assert np.array_equal(snap.positions[:, 0], run_ensemble(cfg, [2e-3]).positions[:, 0])
+    assert np.array_equal(snap.positions[:, 2], run_ensemble(cfg, [5e-3]).positions[:, 0])
 
 
 def test_two_dimensional_smoke():
