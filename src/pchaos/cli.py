@@ -9,6 +9,7 @@ reproduced from the pair.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import sys
 from pathlib import Path
 
@@ -51,6 +52,11 @@ def _hashed_text(cfg: Config) -> str:
     if cfg.has("kernel"):
         text += "\nkernel:\n" + Path(cfg.get_str("kernel")).read_text(encoding="utf-8")
     return text
+
+
+def _file_digests(paths) -> str:
+    """One 'sha256  name' line per input file, so a manifest hash covers the bytes read."""
+    return "".join(f"\n{hashlib.sha256(Path(p).read_bytes()).hexdigest()}  {p}" for p in paths)
 
 
 def _time_grid(cfg: Config) -> TimeGrid:
@@ -145,7 +151,10 @@ def _cmd_metrics(cfg: Config, out: Path, seed) -> int:
             f"metrics j={j}: chi2 {report.chi_squared:.4e} "
             f"(se {report.se_chi_squared:.2e}), tv {report.total_variation:.4e}"
         )
-    _write_manifest(out, _hashed_text(cfg), base_seed, time=t, chi_squared=results)
+    gdir = Path(cfg.get_str("gtable"))
+    inputs = [cfg.get_str("snapshots"), gdir / "meta.json", *sorted(gdir.glob("*.f64"))]
+    _write_manifest(out, _hashed_text(cfg) + _file_digests(inputs), base_seed,
+                    time=t, chi_squared=results)
     return 0
 
 

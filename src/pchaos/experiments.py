@@ -113,8 +113,9 @@ class ExperimentConfig:
             raise ConfigError("correction order must be 1 or 2")
         if self.order == 2:
             raise ConfigError(
-                "order = 2 is not supported yet: rate predictions are first order until "
-                "the spectral hierarchy operator lands"
+                "order = 2 is not supported: rates is first order by design, because "
+                "simulation cannot resolve the order-2 bias; higher orders are checked "
+                "deterministically against the N-particle hierarchy"
             )
         if self.T <= 0 or self.dt <= 0:
             raise ConfigError("need positive horizon and step")
@@ -219,6 +220,14 @@ def _pair_stats(v: np.ndarray):
     return (s1 * s1 - s2) / (N * (N - 1)), v.mean(axis=1)
 
 
+_ERF_UFUNC = np.frompyfunc(math.erf, 1, 1)
+
+
+def _erf(z: np.ndarray) -> np.ndarray:
+    """Elementwise math.erf: the standard library's erf, so rates needs no scipy.special."""
+    return _ERF_UFUNC(z).astype(float)
+
+
 def _chain_moments(kernel: KernelSpec, sample_density: GridField, dt: float,
                    n_steps: int, min_refine: int = 1):
     """Exact per-step trigonometric moments of the self-consistent companion chain.
@@ -271,15 +280,13 @@ def _chain_moments(kernel: KernelSpec, sample_density: GridField, dt: float,
         w = mid[:, None] - (mid + dt * mode_sum_drift(kernel, mid, Cdt[n], Sdt[n]))[None, :]
         return w - np.round(w)
 
-    from scipy.special import erf  # deferred: keeps scipy.special out of CLI start-up
-
     w = displaced(0)
     G = np.zeros_like(w)
     root2 = math.sqrt(2.0)
     for k in images:
         G += 0.5 * (
-            erf((w + k + 0.5 * h) / (sigma * root2))
-            - erf((w + k - 0.5 * h) / (sigma * root2))
+            _erf((w + k + 0.5 * h) / (sigma * root2))
+            - _erf((w + k - 0.5 * h) / (sigma * root2))
         )
     p = G @ (masses / h)
     norm = h / (sigma * math.sqrt(2.0 * math.pi))

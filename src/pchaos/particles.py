@@ -47,6 +47,7 @@ __all__ = [
 _RAW_MAGIC = b"PCEN"
 _RAW_VERSION = 1
 _RAW_HEADER = struct.Struct("<4sIIIII8x")  # magic, version, N, d, replicas, times
+_NOISE_BLOCK_BYTES = 1 << 20  # noise _replica_steps draws ahead, all replicas together
 
 
 @dataclass(frozen=True)
@@ -276,21 +277,28 @@ def _replica_steps(cfg: SimConfig, replicas: range, n_steps: int):
     """Yield (x, noise) for steps 0..n_steps of the given replicas.
 
     x is the (R, N, d) block of positions and noise the standard normal block
-    that moved it there (None at step 0); noise is overwritten by the next
-    step.  Draws follow the stream layout in the module docstring.
+    that moved it there (None at step 0); noise is overwritten by a later
+    step.  Draws follow the stream layout in the module docstring.  The
+    noise of as many steps as fit in _NOISE_BLOCK_BYTES (at least one) is
+    drawn ahead with one call per replica, which yields the same bits as one
+    (N, d) draw per step.
     """
     rngs = [_replica_rng(cfg.base_seed, r) for r in replicas]
     x = np.empty((len(rngs), cfg.N, cfg.d))
     for i, rng in enumerate(rngs):
         x[i] = sample_initial(cfg.initial_density, cfg.N, rng)
     yield x, None
-    noise = np.empty_like(x)
-    for _ in range(n_steps):
+    steps_per_block = max(1, min(n_steps, _NOISE_BLOCK_BYTES // max(1, x.nbytes)))
+    block = np.empty((len(rngs), steps_per_block) + x.shape[1:])
+    for n0 in range(0, n_steps, steps_per_block):
+        nb = min(steps_per_block, n_steps - n0)
         for i, rng in enumerate(rngs):
-            rng.standard_normal(out=noise[i])
-        dr = pair_drift(cfg.kernel, x, cfg.self_interaction, cfg.drift_method)
-        x = em_step(x, dr, cfg.dt, noise)
-        yield x, noise
+            rng.standard_normal(out=block[i, :nb])
+        for b in range(nb):
+            noise = block[:, b]
+            dr = pair_drift(cfg.kernel, x, cfg.self_interaction, cfg.drift_method)
+            x = em_step(x, dr, cfg.dt, noise)
+            yield x, noise
 
 
 def run_ensemble(cfg: SimConfig, output_times) -> SnapshotSet:

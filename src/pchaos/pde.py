@@ -10,6 +10,16 @@ fluxes are assembled explicitly at the current time, dealiased by the 2/3
 rule, and weighted by the phi_1 factor (1 - e^{-z})/z per mode.  That weight
 makes linear steady states exact and keeps the mode-0 (mass) update exact.
 
+Every unknown here (each g^i_j and each BBGKY marginal f_a) is symmetric in
+its coordinates, and so are the equations.  So flux_k is flux_1 with x_1 and
+x_k swapped, and every solver assembles flux_1 alone: one stepper,
+_SpectralOps.step(u, flux1), transforms it once and takes the k-th component
+by an axis swap.  test_pde.py guards the premise: on symmetric states the
+full term table's flux_k equals the swapped flux_1
+(tests/oracles/all_k_flux.py), and the solved entries stay symmetric to
+1e-13.  compute_remainder, which reports R^i_j rather than stepping, still
+evaluates every component.
+
 The correction hierarchy g^i_j lives on the triangular index set
 T = {(i, j): 1 <= j <= i + 1}.  Entry (0, 1) is the mean-field density rho,
 the only nonlinear equation; solve_mckean_vlasov is the order-0 hierarchy.
@@ -25,9 +35,10 @@ applies K: it contracts the starred coordinate for H_k, routes the pair
 weight for S_{k,l}, and assembles the BBGKY-shaped flux
 c_upper H_k f_{a+1} + c_self sum_l K(x_k, x_l) f_a shared by the remainder
 R^i_j and the truncated N-particle hierarchy.  The generic assembler compiles
-each entry's equation into a term table once and evaluates it per step.  The
-written-out first-order solvers that cross-check it live with the tests, in
-tests/oracles/first_order_explicit.py.
+the k = 1 terms of each entry's equation once (_EntrySolver) and evaluates
+them per step, with the starred contractions shared between entries through
+a per-step cache.  The written-out first-order solvers that cross-check it
+live with the tests, in tests/oracles/first_order_explicit.py.
 """
 
 from __future__ import annotations
@@ -127,34 +138,47 @@ class Trajectory:
 
 
 class _SpectralOps:
-    """Cached Fourier multipliers for one (M, arity, dt) combination."""
+    """Exponential-Euler stepper on (T^1)^arity for a symmetric unknown.
+
+    The multipliers live in the half spectrum of rfftn (the last axis keeps
+    modes 0..M//2).  step() takes flux_1 alone: u and every field its flux is
+    built from are symmetric in their coordinates, so flux_k is flux_1 with
+    x_1 and x_k swapped and its transform is that of flux_1 with axes 0 and
+    k-1 swapped.  test_pde.py checks the premise on the full flux tables
+    (test_flux_k_is_flux_1_with_axes_swapped) and on the solved entries
+    (test_solved_entries_are_symmetric).
+    """
 
     def __init__(self, M: int, arity: int, dt: float):
         freqs = np.fft.fftfreq(M, d=1.0 / M)  # integer mode numbers
         lam = np.zeros((M,) * arity)
-        self.deriv = []
-        self.mask = np.ones((M,) * arity, dtype=bool)
+        deriv = []
+        mask = np.ones((M,) * arity, dtype=bool)
         keep = np.abs(freqs) <= M // 3  # 2/3-rule dealiasing
         for ax in range(arity):
             shape = [1] * arity
             shape[ax] = M
             kx = freqs.reshape(shape)
             lam = lam + 4.0 * np.pi ** 2 * kx ** 2
-            self.deriv.append(2j * np.pi * kx)
-            self.mask &= keep.reshape(shape)
+            deriv.append(2j * np.pi * kx)
+            mask &= keep.reshape(shape)
+        self.half = M // 2 + 1
+        lam = lam[..., : self.half]
+        self.deriv = [d[..., : self.half] for d in deriv]
         self.heat = np.exp(-lam * dt)
         with np.errstate(divide="ignore", invalid="ignore"):
             w = -np.expm1(-lam * dt) / lam
-        self.dtphi = np.where(lam == 0.0, dt, w)
+        # the flux divergence enters with a minus sign and dealiased: both go into its weight
+        self.force = np.where(mask[..., : self.half], -np.where(lam == 0.0, dt, w), 0.0)
 
-    def step(self, u: np.ndarray, fluxes) -> np.ndarray:
-        """One exponential-Euler step of du/dt = Lap u - sum_k d/dx_k flux_k."""
-        rhs = np.zeros(u.shape, dtype=complex)
-        for ax, flux in enumerate(fluxes):
-            rhs -= self.deriv[ax] * np.fft.fftn(flux)
-        rhs[~self.mask] = 0.0
-        out = self.heat * np.fft.fftn(u) + self.dtphi * rhs
-        return np.fft.ifftn(out).real
+    def step(self, u: np.ndarray, flux1: np.ndarray) -> np.ndarray:
+        """One step of du/dt = Lap u - sum_k d/dx_k flux_k with flux_k = flux_1 o (x_1 <-> x_k)."""
+        F1 = np.fft.fftn(flux1)
+        div = self.deriv[0] * F1[..., : self.half]
+        for ax in range(1, u.ndim):
+            div += self.deriv[ax] * np.swapaxes(F1, 0, ax)[..., : self.half]
+        out = self.heat * np.fft.rfftn(u) + self.force * div
+        return np.fft.irfftn(out, s=u.shape, axes=range(u.ndim))
 
 
 def _kernel_matrix(kernel: KernelSpec, grid: TorusGrid) -> np.ndarray:
@@ -307,7 +331,7 @@ class _Interaction:
 
     mean_field_flux() is the transport (K * rho) rho of the mean-field
     equation, starred() the contraction behind H_k, pair() the routed weight
-    K(x_k, x_l) behind S_{k,l}, and bbgky_fluxes() the flux
+    K(x_k, x_l) behind S_{k,l}, and bbgky_flux() the flux
     c_upper H_k f_{a+1} + c_self sum_l K(x_k, x_l) f_a that the remainder and
     the truncated BBGKY hierarchy share.  The pair sums are built once per
     (k, a) and cached.
@@ -348,51 +372,80 @@ class _Interaction:
         vals = self.Kmat if k < l else self.Kmat.T
         return _route(vals, _mk((k, l)), j, self.M)
 
-    def bbgky_fluxes(self, upper: np.ndarray, u: np.ndarray, c_upper: float, c_self: float):
-        """flux_k = c_upper int K(x_k, x_*) upper dx_* + c_self sum_l K(x_k, x_l) u, k = 1..a."""
+    def bbgky_flux(self, upper: np.ndarray, u: np.ndarray, c_upper: float, c_self: float,
+                   k: int = 1) -> np.ndarray:
+        """flux_k = c_upper int K(x_k, x_*) upper dx_* + c_self sum_l K(x_k, x_l) u."""
         a = u.ndim
-        star_coords = tuple(range(1, a + 1)) + (STAR,)
-        fluxes = []
-        for k in range(1, a + 1):
-            if (k, a) not in self._pair_sums:
-                ssum = np.zeros((self.M,) * a)
-                for l in range(1, a + 1):
-                    ssum = ssum + self.pair(k, l, a)
-                self._pair_sums[(k, a)] = ssum
-            hk = self.starred(upper, star_coords, k, a)
-            fluxes.append(c_upper * hk + c_self * (self._pair_sums[(k, a)] * u))
-        return fluxes
+        if (k, a) not in self._pair_sums:
+            self._pair_sums[(k, a)] = sum(self.pair(k, l, a) for l in range(1, a + 1))
+        hk = self.starred(upper, tuple(range(1, a + 1)) + (STAR,), k, a)
+        return c_upper * hk + c_self * (self._pair_sums[(k, a)] * u)
 
 
 class _EntrySolver:
-    """Compiled evaluator for one hierarchy entry (i, j), i >= 1."""
+    """flux_1 of one hierarchy entry (i, j), i >= 1, compiled from its term table.
+
+    Only the k = 1 terms are kept (the stepper derives flux_k by an axis
+    swap).  Each term becomes a coefficient times sources (kind, arg, shape)
+    on the j-lattice, multiplied from the smallest shape up so the products
+    grow late: a "state" source is a stored entry reshaped onto the lattice
+    (factor coordinates are sorted, so no transpose is needed), a "starred"
+    source the contraction behind H_1, looked up in the per-step cache, and a
+    "weight" source the routed pair weight of S_{1,l}.  S terms with equal
+    factors share one weight summed over l.
+    """
 
     def __init__(self, i: int, j: int, op: _Interaction):
         self.j = j
         self.op = op
-        self.terms = compile_entry_terms(i, j)
 
-    def fluxes(self, state: dict) -> list:
-        j, M = self.j, self.op.M
-        fluxes = [np.zeros((M,) * j) for _ in range(j)]
-        for t in self.terms:
-            if t.kind == "H":
-                prod = None
-                for order, coords in t.factors:
-                    vals = state[(order, len(coords))]
-                    if STAR in coords:
-                        part = self.op.starred(vals, coords, t.k, j)
-                    else:
-                        part = _route(vals, coords, j, M)
-                    prod = part if prod is None else prod * part
-            else:
-                prod = self.op.pair(t.k, t.l, j)
-                for order, coords in t.factors:
-                    prod = prod * _route(state[(order, len(coords))], coords, j, M)
+        def lattice(coords):
+            return tuple(op.M if c in coords else 1 for c in range(1, j + 1))
+
+        pair_weights = {}
+        self.terms = []
+        for t in compile_entry_terms(i, j):
+            if t.k != 1:
+                continue
+            sources = []
+            for order, coords in t.factors:
+                key = (order, len(coords))
+                if STAR in coords:
+                    out_coords = tuple(c for c in coords[:-1] if c != 1) + (1,)
+                    sources.append(("starred", (key, coords), lattice(out_coords)))
+                else:
+                    sources.append(("state", key, lattice(coords)))
             # the table holds d/dt g - Lap g = sum coef * Op(...); the stepper
             # subtracts flux divergences, so the flux carries the opposite sign
-            fluxes[t.k - 1] -= t.coef * prod
-        return fluxes
+            if t.kind == "S":
+                w = -t.coef * op.pair(1, t.l, j)
+                sources = tuple(sources)
+                pair_weights[sources] = pair_weights[sources] + w if sources in pair_weights else w
+            else:
+                self.terms.append((-t.coef, sources))
+        for sources, w in pair_weights.items():
+            self.terms.append((1, list(sources) + [("weight", w, w.shape)]))
+        for _, sources in self.terms:
+            sources.sort(key=lambda src: np.prod(src[2]))
+
+    def flux1(self, state: dict, contractions: dict) -> np.ndarray:
+        """flux_1 at the time-t state; contractions caches starred factors for this step."""
+        out = np.zeros((self.op.M,) * self.j)
+        for coef, sources in self.terms:
+            prod = coef
+            for kind, arg, shape in sources:
+                if kind == "state":
+                    part = state[arg].reshape(shape)
+                elif kind == "starred":
+                    ckey = arg + (self.j,)
+                    if ckey not in contractions:
+                        contractions[ckey] = self.op.starred(state[arg[0]], arg[1], 1, self.j)
+                    part = contractions[ckey]
+                else:
+                    part = arg
+                prod = prod * part
+            out += prod
+        return out
 
 
 @dataclass
@@ -508,10 +561,11 @@ def solve_g_hierarchy(
     s = 1
     for n in range(tg.n_steps):
         rho = state[(0, 1)]
-        new_state = {(0, 1): ops[1].step(rho, [op.mean_field_flux(rho)])}
+        new_state = {(0, 1): ops[1].step(rho, op.mean_field_flux(rho))}
         _guard_negative(new_state[(0, 1)], (n + 1) * tg.dt)
+        contractions = {}
         for key, solver in solvers.items():
-            new_state[key] = ops[key[1]].step(state[key], solver.fluxes(state))
+            new_state[key] = ops[key[1]].step(state[key], solver.flux1(state, contractions))
         state = new_state
         if (n + 1) % tg.store_every == 0:
             for key, arr in store.items():
@@ -553,7 +607,7 @@ def compute_remainder(i: int, j: int, N: float, gt: GTable, s: int):
     fij1 = assemble_correction(i, j + 1, fields).values
     scale = float(N) ** (-(i + 1))
     op = _Interaction(gt.kernel, gt.grid)
-    comps = np.array(op.bbgky_fluxes(fij1, fij, j * scale, -scale))
+    comps = np.array([op.bbgky_flux(fij1, fij, j * scale, -scale, k) for k in range(1, j + 1)])
     rho_j = product_field(gt.field(0, 1, s), j).values
     norm = _weighted_sq(comps, rho_j, gt.grid.h, j)
     return comps, norm
@@ -648,7 +702,7 @@ def _cluster3(f1, f2, f3):
     prod3 = np.multiply.outer(np.multiply.outer(f1, f1), f1)
     s12 = np.multiply.outer(g2, f1)                       # g2(x1,x2) f1(x3)
     s13 = np.swapaxes(s12, 1, 2)                          # g2(x1,x3) f1(x2)
-    s23 = np.moveaxis(s12, (0, 1, 2), (2, 0, 1))          # g2(x2,x3) f1(x1)
+    s23 = np.moveaxis(s12, (0, 1, 2), (1, 2, 0))          # g2(x2,x3) f1(x1)
     g3 = f3 - s12 - s13 - s23 - prod3
     return g1, g2, g3
 
@@ -716,7 +770,7 @@ def solve_bbgky_reference(
     for n in range(tg.n_steps):
         upper = {1: state[2], 2: state[3], 3: closure_f4(state[1], state[2], state[3])}
         state = {
-            a: ops[a].step(state[a], op.bbgky_fluxes(upper[a], state[a], (N - a) / N, 1 / N))
+            a: ops[a].step(state[a], op.bbgky_flux(upper[a], state[a], (N - a) / N, 1 / N))
             for a in (1, 2, 3)
         }
         _guard_negative(state[1], (n + 1) * tg.dt)

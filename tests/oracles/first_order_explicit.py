@@ -10,15 +10,49 @@ between the two solves (test_generic_hierarchy_matches_explicit_first_order
 demands 1e-12); the pair solver alone also reaches the frozen stationary
 amplitude of stationary_pair_amplitude.py.
 
-It shares only the exponential stepper `_SpectralOps` and the node table
-`_kernel_matrix` with the package (plus the `Trajectory` container it
-returns); term tables, routing and the interaction operator are not used.
-Both solvers take the mean-field trajectory at every time step.
+It shares only the node table `_kernel_matrix` with the package (plus the
+`Trajectory` container it returns); term tables, routing, the interaction
+operator and the stepper are not used.  Its own stepper, _AxisStepper,
+transforms every flux component on its own, where the package's
+`_SpectralOps` derives flux_k from flux_1 by an axis swap, so the comparison
+also checks that shortcut.  Both solvers take the mean-field trajectory at
+every time step.
 """
 import numpy as np
 
 from pchaos.core import KernelSpec
-from pchaos.pde import TimeGrid, Trajectory, _kernel_matrix, _SpectralOps
+from pchaos.pde import TimeGrid, Trajectory, _kernel_matrix
+
+
+class _AxisStepper:
+    """Exponential Euler on (T^1)^arity with one full transform per flux component."""
+
+    def __init__(self, M: int, arity: int, dt: float):
+        freqs = np.fft.fftfreq(M, d=1.0 / M)
+        lam = np.zeros((M,) * arity)
+        self.deriv = []
+        self.mask = np.ones((M,) * arity, dtype=bool)
+        keep = np.abs(freqs) <= M // 3  # 2/3-rule dealiasing
+        for ax in range(arity):
+            shape = [1] * arity
+            shape[ax] = M
+            kx = freqs.reshape(shape)
+            lam = lam + 4.0 * np.pi ** 2 * kx ** 2
+            self.deriv.append(2j * np.pi * kx)
+            self.mask &= keep.reshape(shape)
+        self.heat = np.exp(-lam * dt)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            w = -np.expm1(-lam * dt) / lam
+        self.dtphi = np.where(lam == 0.0, dt, w)
+
+    def step(self, u: np.ndarray, fluxes) -> np.ndarray:
+        """One exponential-Euler step of du/dt = Lap u - sum_k d/dx_k flux_k."""
+        rhs = np.zeros(u.shape, dtype=complex)
+        for ax, flux in enumerate(fluxes):
+            rhs -= self.deriv[ax] * np.fft.fftn(flux)
+        rhs[~self.mask] = 0.0
+        out = self.heat * np.fft.fftn(u) + self.dtphi * rhs
+        return np.fft.ifftn(out).real
 
 
 def _require_full_resolution(traj: Trajectory) -> None:
@@ -38,7 +72,7 @@ def solve_g1_pair(rho: Trajectory, kernel: KernelSpec, tg: TimeGrid) -> Trajecto
     if rho.tg != tg:
         raise ValueError("rho must be solved on the same time grid")
     grid = rho.grid
-    ops = _SpectralOps(grid.M, 2, tg.dt)
+    ops = _AxisStepper(grid.M, 2, tg.dt)
     Kmat = _kernel_matrix(kernel, grid)
     h = grid.h
 
@@ -74,7 +108,7 @@ def solve_g1_single(
     _require_full_resolution(rho)
     _require_full_resolution(g12)
     grid = rho.grid
-    ops = _SpectralOps(grid.M, 1, tg.dt)
+    ops = _AxisStepper(grid.M, 1, tg.dt)
     Kmat = _kernel_matrix(kernel, grid)
     Kdiag = np.diag(Kmat).copy()
     h = grid.h

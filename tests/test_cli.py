@@ -160,6 +160,39 @@ def test_solve_hierarchy_and_metrics(tmp_path, capsys):
     assert "no snapshot at time" in capsys.readouterr().err
 
 
+def test_metrics_manifest_hash_covers_its_inputs(tmp_path):
+    # one metrics config reading different snapshot or g-table bytes must
+    # record a different config hash
+    hier_cfg = _write_cfg(
+        tmp_path, "h.cfg",
+        f"kernel = {KERNEL_PATH}\ndensity_cos = 1.0, 0.5\ngrid = 16\ndt = 1e-3\nT = 2e-3\n",
+    )
+    sim_cfg = _sim_cfg(tmp_path, "snapshot_format = raw\n")
+    for name, seed in (("s1", "1"), ("s2", "2")):
+        assert main(["simulate", "--config", sim_cfg, "--out", str(tmp_path / name),
+                     "--seed", seed]) == 0
+    assert main(["solve-hierarchy", "--config", hier_cfg, "--out", str(tmp_path / "h")]) == 0
+    met_cfg = _write_cfg(
+        tmp_path, "m.cfg",
+        f"snapshots = {tmp_path / 'in.raw'}\ngtable = {tmp_path / 'in'}\nbins = 8\n",
+    )
+
+    def metrics_hash(snap, gtable_dt):
+        shutil.copyfile(tmp_path / snap / "snapshots.raw", tmp_path / "in.raw")
+        table = GTable.load(tmp_path / "h" / "gtable")
+        table.entries[(0, 1)][-1] += gtable_dt
+        shutil.rmtree(tmp_path / "in", ignore_errors=True)
+        table.save(tmp_path / "in")
+        out = tmp_path / "m"
+        assert main(["metrics", "--config", met_cfg, "--out", str(out)]) == 0
+        return json.loads((out / "manifest.json").read_text())["config_sha256"]
+
+    base = metrics_hash("s1", 0.0)
+    assert metrics_hash("s1", 0.0) == base
+    assert metrics_hash("s2", 0.0) != base
+    assert metrics_hash("s1", 1e-9) != base
+
+
 def test_metrics_three_particle_marginal(tmp_path, capsys):
     # j = 3 is compared against rho^{⊗3}; a sample too small for the 2^3
     # cells exits 2 with the one-line cell-count message

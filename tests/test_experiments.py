@@ -3,11 +3,15 @@ rate fits, persistence, and the bounds lattice report."""
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from pchaos.cli import main
 from pchaos.config import ConfigError, load_config
 from pchaos.core import GridField, KernelSpec, TorusGrid, fourier_field
 from pchaos.experiments import (
@@ -27,7 +31,7 @@ from pchaos.particles import (
     sample_initial,
 )
 
-from conftest import KERNEL_PATH, RICH_KERNEL
+from conftest import KERNEL_PATH, REPO_ROOT, RICH_KERNEL
 
 
 def _ecfg(tmp_path, **over):
@@ -73,11 +77,17 @@ def test_experiment_config_validation(tmp_path):
         _ecfg(tmp_path, density_cos=(1.0, 1.0))
 
 
-def test_experiment_config_rejects_order_two(tmp_path):
-    # rate predictions are solved at first order only, so order-2 rows would
-    # carry first-order predictions under the label i = 2
-    with pytest.raises(ConfigError, match="first order"):
+def test_experiment_config_rejects_order_two(tmp_path, capsys):
+    # simulation cannot resolve the order-2 bias, so rates stays first order;
+    # the CLI reports the refusal as a user error
+    with pytest.raises(ConfigError, match="first order by design"):
         _ecfg(tmp_path, order=2)
+    cfg = tmp_path / "rates.cfg"
+    cfg.write_text(f"kernel = {KERNEL_PATH}\ndensity_cos = 1.0, 0.5\nN = 4, 6, 8\n"
+                   "T = 2e-3\norder = 2\n", encoding="utf-8")
+    assert main(["rates", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: order = 2 is not supported") and err.count("\n") == 1
 
 
 def test_experiment_config_from_file_defaults(tmp_path):
@@ -164,6 +174,35 @@ def test_chain_moments_pure_diffusion_damps_exactly():
             damp = math.exp(-((2 * math.pi * m) ** 2) * dt * n)
             assert C[n, m] == pytest.approx(damp * C[0, m], rel=1e-8, abs=1e-12)
             assert S[n, m] == pytest.approx(damp * S[0, m], rel=1e-6, abs=1e-12)
+
+
+def test_chain_moments_erf_within_1e15_of_scipy(default_kernel, monkeypatch):
+    # the first step integrates the Gaussian with math.erf; scipy's erf
+    # differs by at most an ulp per value, so the moments agree to 1e-15
+    from scipy.special import erf
+
+    from pchaos import experiments
+
+    density = fourier_field(TorusGrid(256), [1.0, 0.5], [0.0, 0.25])
+    got = _chain_moments(default_kernel, density, 1e-3, 3)
+    monkeypatch.setattr(experiments, "_erf", erf)
+    want = _chain_moments(default_kernel, density, 1e-3, 3)
+    for a, b in zip(got, want):
+        assert np.max(np.abs(a - b)) <= 1e-15
+
+
+def test_chain_moments_leave_scipy_special_unimported():
+    code = (
+        "import sys\n"
+        "from pchaos.core import KernelSpec, TorusGrid, fourier_field\n"
+        "from pchaos.experiments import _chain_moments\n"
+        f"k = KernelSpec.from_file({str(KERNEL_PATH)!r})\n"
+        "_chain_moments(k, fourier_field(TorusGrid(64), [1.0, 0.5]), 1e-3, 2)\n"
+        "print('scipy.special' in sys.modules)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")}, check=True)
+    assert proc.stdout.strip() == "False"
 
 
 def test_chain_moments_quadrature_self_convergence(default_kernel):

@@ -201,8 +201,9 @@ def test_run_ensemble_pure_diffusion_replay(default_kernel):
     # (base_seed, replica), one initial block then one normal block per step)
     # one replica at a time must reproduce the (R, N, d) block stepper bit for
     # bit: with a zero kernel (pure Brownian motion) and with the stock kernel
-    # through single-replica pair_drift
-    cases = [(KernelSpec.zero(), "fast", 8)] + [
+    # through single-replica pair_drift.  At N = 20000 the stepper's noise
+    # blocks hold two steps, so the replay crosses block boundaries
+    cases = [(KernelSpec.zero(), "fast", 8), (KernelSpec.zero(), "fast", 20000)] + [
         (default_kernel, method, N)
         for method, N in (("fast", 8), ("fast", 64), ("fast", 800), ("direct", 8))
     ]

@@ -2,7 +2,8 @@
 
 The stationary pair-correlation amplitude is frozen from
 tests/oracles/stationary_pair_amplitude.py; the written-out first-order
-solvers come from tests/oracles/first_order_explicit.py.
+solvers come from tests/oracles/first_order_explicit.py and the all-k flux
+assembler from tests/oracles/all_k_flux.py.
 """
 import json
 
@@ -10,9 +11,14 @@ import numpy as np
 import pytest
 
 from pchaos.core import GridField, KernelSpec, TorusGrid, fourier_field, product_field
+from pchaos.experiments import fit_rate
+from pchaos.partitions import max_asymmetry
 from pchaos.pde import (
     GTable,
     TimeGrid,
+    _cluster3,
+    _EntrySolver,
+    _Interaction,
     assemble_phi,
     check_energy_inequality,
     compute_remainder,
@@ -21,6 +27,9 @@ from pchaos.pde import (
     solve_mckean_vlasov,
 )
 
+from conftest import RICH_KERNEL
+from field_synth import random_smooth_field
+from oracles.all_k_flux import entry_fluxes
 from oracles.first_order_explicit import solve_g1_pair, solve_g1_single
 
 
@@ -199,6 +208,50 @@ def test_hierarchy_marginals_vanish(default_kernel):
                 assert np.max(np.abs(fld.marginalize(c).values)) < 1e-12
 
 
+HIERARCHY_ENTRIES = [(1, 1), (1, 2), (2, 1), (2, 2), (2, 3)]
+
+
+@pytest.mark.parametrize("entry", HIERARCHY_ENTRIES)
+def test_flux_k_is_flux_1_with_axes_swapped(entry):
+    # the stepper builds flux_k from flux_1 by swapping x_1 and x_k; on
+    # symmetric states the full term table must agree with that, component
+    # by component, and the compiled flux_1 must be the table's
+    i, j = entry
+    grid = TorusGrid(8)
+    rng = np.random.default_rng(10 * i + j)
+    state = {(o, a): random_smooth_field(grid, a, rng).values
+             for o in range(i + 1) for a in range(1, o + 2)}
+    op = _Interaction(RICH_KERNEL, grid)
+    fluxes = entry_fluxes(i, j, op, state)
+    scale = np.abs(fluxes[0]).max()
+    assert scale > 1e-3
+    for k in range(2, j + 1):
+        assert np.abs(fluxes[k - 1] - np.swapaxes(fluxes[0], 0, k - 1)).max() <= 1e-13 * scale
+    compiled = _EntrySolver(i, j, op).flux1(state, {})
+    assert np.abs(compiled - fluxes[0]).max() <= 1e-13 * scale
+
+
+@pytest.mark.parametrize("a", [1, 2, 3])
+def test_bbgky_flux_k_is_flux_1_with_axes_swapped(a):
+    grid = TorusGrid(8)
+    rng = np.random.default_rng(a)
+    upper = random_smooth_field(grid, a + 1, rng).values
+    u = random_smooth_field(grid, a, rng).values
+    op = _Interaction(RICH_KERNEL, grid)
+    flux1 = op.bbgky_flux(upper, u, 0.75, 0.25)
+    for k in range(2, a + 1):
+        fk = op.bbgky_flux(upper, u, 0.75, 0.25, k)
+        assert np.abs(fk - np.swapaxes(flux1, 0, k - 1)).max() <= 1e-13 * np.abs(flux1).max()
+
+
+def test_solved_entries_are_symmetric(small_table):
+    # a table entry that lost its symmetry would break the flux_1 shortcut
+    gt = small_table
+    for i, j in gt.entries:
+        for s in range(gt.n_stored):
+            assert max_asymmetry(gt.field(i, j, s)) <= 1e-13, (i, j, s)
+
+
 def test_hierarchy_order_cap_and_memory_guard(default_kernel):
     g = TorusGrid(16)
     f = fourier_field(g, [1.0, 0.5])
@@ -323,3 +376,29 @@ def test_bbgky_reference_and_energy_margins(default_kernel):
 def test_energy_check_requires_reference_arities(small_table):
     with pytest.raises(ValueError, match="arity 3"):
         check_energy_inequality(1, 2, 8.0, small_table, {1: None, 2: None})
+
+
+def test_cluster3_recovers_constructed_clusters():
+    # f_2 and f_3 assembled from chosen clusters g_1, g_2, g_3 give them back
+    grid = TorusGrid(8)
+    rng = np.random.default_rng(8)
+    g1 = random_smooth_field(grid, 1, rng).values
+    g2 = random_smooth_field(grid, 2, rng).values - 1.0
+    g3 = random_smooth_field(grid, 3, rng).values - 1.0
+    f2 = np.multiply.outer(g1, g1) + g2
+    f3 = (np.einsum("a,b,c->abc", g1, g1, g1) + np.einsum("ab,c->abc", g2, g1)
+          + np.einsum("ac,b->abc", g2, g1) + np.einsum("bc,a->abc", g2, g1) + g3)
+    got1, got2, got3 = _cluster3(g1, f2, f3)
+    assert np.array_equal(got1, g1)
+    assert np.max(np.abs(got2 - g2)) < 1e-14
+    assert np.max(np.abs(got3 - g3)) < 1e-13
+
+
+def test_bbgky_closure_size_falls_as_inverse_square(default_kernel):
+    # the three-particle cluster of the N-particle hierarchy is O(N^-2)
+    g = TorusGrid(16)
+    f = fourier_field(g, [1.0, 0.5], [0.0, 0.25])
+    tg = TimeGrid(1e-2, 50)
+    sizes = [(N, solve_bbgky_reference(f, default_kernel, N, tg).closure_size[-1])
+             for N in (8, 16, 32, 64)]
+    assert fit_rate(sizes).slope == pytest.approx(-2.0, abs=0.1)
