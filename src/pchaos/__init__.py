@@ -2,13 +2,14 @@
 
 The package has three layers.  The analytic layer solves the mean-field
 density and its finite-size correction hierarchy on a periodic spectral grid
-(`pde`), with the combinatorial machinery of set-partition cluster expansions
-in `partitions` and shared grid/kernel primitives in `core`.  The stochastic
+(`pde`), with the set-partition sums that assemble the corrections in
+`partitions` and shared grid/kernel primitives in `core`.  The stochastic
 layer simulates the interacting particle system (`particles`) and estimates
-distances and joint cumulants from replica ensembles (`metrics`).  The
-certification layer evaluates damping integrals and cascade bounds for
-hierarchies of differential inequalities (`bounds`), and `experiments`/`cli`
-drive end-to-end rate studies against the solved predictions.
+histogram divergences and paired pair cumulants from replica ensembles
+(`metrics`).  The certification layer evaluates damping integrals and
+cascade bounds for hierarchies of differential inequalities (`bounds`), and
+`experiments`/`cli` drive end-to-end rate studies against the solved
+predictions.
 """
 
 from .bounds import (
@@ -29,12 +30,8 @@ from .core import (
     GridField,
     KernelSpec,
     TorusGrid,
-    convolve_density,
-    eval_kernel,
     fourier_field,
     product_field,
-    quadrature,
-    trig_interp,
 )
 from .experiments import (
     BoundsReport,
@@ -48,15 +45,9 @@ from .experiments import (
 from .metrics import (
     DivergenceReport,
     bin_masses,
-    bin_samples,
     chi_squared_from_samples,
-    chi_squared_grid,
     divergence_report_from_samples,
-    joint_cumulant,
-    pair_cumulant_from_replica_stats,
     paired_pair_cumulant_difference,
-    relative_entropy_grid,
-    total_variation_grid,
     weighted_l2_error,
 )
 from .particles import (
@@ -70,17 +61,11 @@ from .particles import (
     sample_initial,
 )
 from .partitions import (
-    OrderComposition,
     Partition,
-    TriangularIndex,
     assemble_correction,
-    cluster_from_marginals,
     enumerate_order_compositions,
     enumerate_partitions,
-    marginals_from_clusters,
     max_asymmetry,
-    mobius_sum_identity,
-    mobius_weight,
     solve_order,
 )
 from .pde import (

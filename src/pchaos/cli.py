@@ -77,7 +77,6 @@ def _cmd_simulate(cfg: Config, out: Path, seed) -> int:
         initial_density=density,
         d=cfg.get_int("d", 1),
         self_interaction=cfg.get_bool("self_interaction", True),
-        drift_method=cfg.get_str("drift_method", "fast"),
     )
     times = cfg.get_float_list("output_times", [sim.T])
     snaps = run_ensemble(sim, times)

@@ -1,11 +1,13 @@
-"""Torus grids, band-limited interaction kernels, and quadrature.
+"""Torus grids, grid fields, and band-limited interaction kernels.
 
 Everything lives on the periodic unit torus T^d = [0,1)^d.  A function of j
 torus points is stored densely as a numpy array of shape (M,)*(d*j), with the
-axes of x_1 first (row-major, x_1 slowest).  Interaction kernels have the form
-K(x, y) = b(x) + Khat(x - y) and are band-limited trigonometric polynomials
-kept as cosine/sine coefficient tables, so convolutions against grid fields
-are exact whenever the grid resolves the band.
+axes of x_1 first (row-major, x_1 slowest); GridField.integrate is the
+rectangle rule, exact for trigonometric polynomials below the Nyquist mode.
+Interaction kernels have the form K(x, y) = b(x) + Khat(x - y) and are
+band-limited trigonometric polynomials kept as cosine/sine coefficient
+tables, so convolutions against grid fields (pde._Interaction) are exact
+whenever the grid resolves the band.
 """
 
 from __future__ import annotations
@@ -19,12 +21,8 @@ __all__ = [
     "TorusGrid",
     "GridField",
     "KernelSpec",
-    "eval_kernel",
-    "convolve_density",
-    "quadrature",
     "fourier_field",
     "product_field",
-    "trig_interp",
 ]
 
 MASS_TOL = 1e-12  # allowed |mass - 1| of every probability density the package accepts
@@ -126,11 +124,6 @@ def step_count(T: float, dt: float) -> int:
     raise ValueError("T must be an integer multiple of dt")
 
 
-def quadrature(f: GridField) -> float:
-    """Integral of a grid field over its full domain (T^d)^arity."""
-    return f.integrate()
-
-
 def _series(coeff_cos: np.ndarray, coeff_sin: np.ndarray, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     out = np.zeros_like(x)
@@ -227,14 +220,6 @@ class KernelSpec:
     def khat_coeff_fft(self, M: int) -> np.ndarray:
         return self._coeff_fft(self.k_cos, self.k_sin, M)
 
-    def is_zero(self) -> bool:
-        return bool(
-            np.all(self.b_cos == 0)
-            and np.all(self.b_sin == 0)
-            and np.all(self.k_cos == 0)
-            and np.all(self.k_sin == 0)
-        )
-
     @classmethod
     def zero(cls) -> "KernelSpec":
         return cls(np.zeros(1), np.zeros(1), np.zeros(1), np.zeros(1))
@@ -307,28 +292,6 @@ class KernelSpec:
             fh.write(self.to_text())
 
 
-def eval_kernel(k: KernelSpec, x, y):
-    """K(x, y) = b(x) + Khat(x - y) with x - y reduced mod 1."""
-    return k.eval(x, y)
-
-
-def convolve_density(k: KernelSpec, rho: GridField) -> GridField:
-    """Grid samples of (K * rho)(x) = integral of K(x, y) rho(y) dy, spectrally exact.
-
-    The drift part contributes b(x) * mass(rho); the pair part is a circular
-    convolution evaluated through the kernel's continuum Fourier coefficients,
-    exact because the kernel is band-limited below the grid Nyquist mode.
-    """
-    if rho.grid.dim != 1 or rho.arity != 1:
-        raise ValueError("convolve_density expects an arity-1 field on a 1-d torus")
-    M = rho.grid.M
-    k._check_band(M)
-    mass = rho.integrate()
-    pair = np.fft.ifft(k.khat_coeff_fft(M) * np.fft.fft(rho.values)).real
-    vals = k.b_values(rho.grid.points) * mass + pair
-    return GridField(rho.grid, 1, vals)
-
-
 def fourier_field(grid: TorusGrid, cos_coeffs, sin_coeffs=None) -> GridField:
     """Arity-1 field sum_m a_m cos(2 pi m x) + s_m sin(2 pi m x) (d=1)."""
     if grid.dim != 1:
@@ -354,23 +317,3 @@ def product_field(rho: GridField, arity: int) -> GridField:
         out = np.multiply.outer(out, vals)
     return GridField(rho.grid, arity, out)
 
-
-def trig_interp(f: GridField, x) -> np.ndarray:
-    """Evaluate an arity-1 field off-grid by trigonometric interpolation.
-
-    Exact for fields whose spectrum lies strictly below the Nyquist mode,
-    which holds for every density and observable this package produces.
-    """
-    if f.grid.dim != 1 or f.arity != 1:
-        raise ValueError("trig_interp expects an arity-1 field on a 1-d torus")
-    M = f.grid.M
-    x = np.asarray(x, dtype=float)
-    spec = np.fft.rfft(f.values) / M
-    out = np.full_like(x, spec[0].real)
-    for m in range(1, len(spec)):
-        c = spec[m]
-        if abs(c) < 1e-15:
-            continue
-        w = 2.0 if m < M / 2 else 1.0  # the Nyquist bin is not doubled
-        out = out + w * (c.real * np.cos(2 * np.pi * m * x) - c.imag * np.sin(2 * np.pi * m * x))
-    return out

@@ -18,10 +18,11 @@ range of replicas gives each replica the bits it has when simulated alone.
 
 The pairwise drift sum costs O(N^2); for the translation-invariant kernel
 part a mode-summation fast path costs O(N * modes) and agrees with the direct
-sum to roundoff, since the kernels are trigonometric polynomials.  The fast
-path walks the kernel's mode table once over the whole block; the direct
-path, kept as the oracle, loops over replicas so its memory stays O(N^2).  In
-two dimensions the kernel tables act coordinate-wise on each component.
+sum to roundoff, since the kernels are trigonometric polynomials.  The
+stepper always takes the fast path, which walks the kernel's mode table once
+over the whole block; the direct path, kept as the oracle, loops over
+replicas so its memory stays O(N^2).  In two dimensions the kernel tables
+act coordinate-wise on each component.
 """
 
 from __future__ import annotations
@@ -63,7 +64,6 @@ class SimConfig:
     initial_density: GridField
     d: int = 1
     self_interaction: bool = True
-    drift_method: str = "fast"  # fast | direct
 
     def __post_init__(self):
         if self.N < 1:
@@ -82,8 +82,6 @@ class SimConfig:
             raise ValueError("initial density must be strictly positive")
         if not self.initial_density.is_probability_density():
             raise ValueError("initial density must integrate to 1")
-        if self.drift_method not in ("fast", "direct"):
-            raise ValueError("drift_method must be fast or direct")
         step_count(self.T, self.dt)
 
     @property
@@ -296,7 +294,7 @@ def _replica_steps(cfg: SimConfig, replicas: range, n_steps: int):
             rng.standard_normal(out=block[i, :nb])
         for b in range(nb):
             noise = block[:, b]
-            dr = pair_drift(cfg.kernel, x, cfg.self_interaction, cfg.drift_method)
+            dr = pair_drift(cfg.kernel, x, cfg.self_interaction)
             x = em_step(x, dr, cfg.dt, noise)
             yield x, noise
 

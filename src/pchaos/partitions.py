@@ -1,16 +1,15 @@
-"""Exact set-partition combinatorics and cluster/correction assembly.
+"""Exact set-partition combinatorics and the correction assembly.
 
 Partitions of {1..j} are stored canonically as restricted-growth strings
 (element -> block label, blocks numbered by first appearance).  On top of the
-enumeration sit the Moebius weights of the cluster expansion, the
-cluster <-> marginal transforms, order compositions over blocks, and the
-assembly of the 1/N-expansion correction fields from a table of cluster
-corrections indexed by the triangular set T = {(i, j): 1 <= j <= i + 1}.
+enumeration sit order compositions over blocks, the solve order of the
+triangular index set T = {(i, j): 1 <= j <= i + 1}, and the assembly of the
+1/N-expansion correction fields f^i_j from a table of cluster corrections
+g^i_j indexed by T.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,18 +18,11 @@ from .core import GridField
 
 __all__ = [
     "Partition",
-    "OrderComposition",
-    "TriangularIndex",
     "in_triangle",
     "solve_order",
     "enumerate_partitions",
     "iter_partition_labels",
-    "mobius_weight",
-    "combinings",
-    "mobius_sum_identity",
     "enumerate_order_compositions",
-    "cluster_from_marginals",
-    "marginals_from_clusters",
     "assemble_correction",
     "evaluate_block_product",
     "max_asymmetry",
@@ -82,23 +74,6 @@ class Partition:
     def __str__(self) -> str:
         return "|".join(str(v) for v in self.labels)
 
-    @classmethod
-    def from_blocks(cls, blocks) -> "Partition":
-        elems = sorted(e for b in blocks for e in b)
-        if elems != list(range(1, len(elems) + 1)):
-            raise ValueError("blocks must partition {1..j}")
-        label_of = {}
-        next_lab = 0
-        labels = []
-        first_of_block = {min(b): tuple(sorted(b)) for b in blocks}
-        for e in range(1, len(elems) + 1):
-            if e in first_of_block:
-                for member in first_of_block[e]:
-                    label_of[member] = next_lab
-                next_lab += 1
-            labels.append(label_of[e])
-        return cls(tuple(labels))
-
 
 def iter_partition_labels(j: int):
     """Yield restricted-growth label tuples for all partitions of {1..j}, lexicographically."""
@@ -130,52 +105,6 @@ def enumerate_partitions(j: int) -> list:
     return [Partition(lbl) for lbl in iter_partition_labels(j)]
 
 
-def mobius_weight(p: Partition) -> int:
-    """Cluster-expansion weight (-1)^(|pi|-1) (|pi|-1)!."""
-    n = p.block_count
-    return (-1) ** (n - 1) * math.factorial(n - 1)
-
-
-def combinings(p: Partition) -> list:
-    """All partitions sigma of the same ground set with every block of p inside a block of sigma.
-
-    Coarsenings are in bijection with partitions of p's block set.
-    """
-    blocks = p.blocks
-    out = []
-    for outer in iter_partition_labels(p.block_count):
-        merged: dict[int, list] = {}
-        for block_idx, lab in enumerate(outer):
-            merged.setdefault(lab, []).extend(blocks[block_idx])
-        out.append(Partition.from_blocks(list(merged.values())))
-    return out
-
-
-def mobius_sum_identity(p: Partition) -> int:
-    """Sum of mobius_weight over all coarsenings of p: 1 if p has one block, else 0."""
-    return sum(mobius_weight(s) for s in combinings(p))
-
-
-@dataclass(frozen=True)
-class OrderComposition:
-    """Assignment of a non-negative order to each block of a partition."""
-
-    partition: Partition
-    orders: tuple
-
-    def __post_init__(self):
-        orders = tuple(int(v) for v in self.orders)
-        if len(orders) != self.partition.block_count:
-            raise ValueError("one order per block required")
-        if any(v < 0 for v in orders):
-            raise ValueError("orders must be non-negative")
-        object.__setattr__(self, "orders", orders)
-
-    @property
-    def total(self) -> int:
-        return sum(self.orders)
-
-
 def _compositions(total: int, parts: int):
     """Non-negative integer tuples of given length summing to total, lexicographic."""
     if parts == 1:
@@ -187,33 +116,11 @@ def _compositions(total: int, parts: int):
 
 
 def enumerate_order_compositions(p: Partition, i: int) -> list:
-    """All maps block -> order >= 0 with total order i; count C(i+|pi|-1, |pi|-1)."""
+    """All maps block -> order >= 0 with total order i, as order tuples over p's
+    blocks; count C(i+|pi|-1, |pi|-1)."""
     if i < 0:
         raise ValueError("total order must be non-negative")
-    return [OrderComposition(p, c) for c in _compositions(i, p.block_count)]
-
-
-@dataclass(frozen=True, order=False)
-class TriangularIndex:
-    """Index (i, j) of the correction hierarchy; member of T iff 1 <= j <= i + 1."""
-
-    i: int
-    j: int
-
-    def __post_init__(self):
-        if self.i < 0 or self.j < 1:
-            raise ValueError(f"invalid index ({self.i}, {self.j})")
-
-    @property
-    def in_T(self) -> bool:
-        return in_triangle(self.i, self.j)
-
-    def __lt__(self, other: "TriangularIndex") -> bool:
-        # solve order: lower correction order first; within an order, larger arity first
-        return (self.i, -self.j) < (other.i, -other.j)
-
-    def __le__(self, other: "TriangularIndex") -> bool:
-        return self == other or self < other
+    return list(_compositions(i, p.block_count))
 
 
 def in_triangle(i: int, j: int) -> bool:
@@ -221,8 +128,8 @@ def in_triangle(i: int, j: int) -> bool:
 
 
 def solve_order(i_max: int) -> list:
-    """All (i, j) in T with i <= i_max, in dependency order (i asc, j desc)."""
-    return [TriangularIndex(i, j) for i in range(i_max + 1) for j in range(i + 1, 0, -1)]
+    """All (i, j) pairs in T with i <= i_max, in dependency order (i asc, j desc)."""
+    return [(i, j) for i in range(i_max + 1) for j in range(i + 1, 0, -1)]
 
 
 # ---------------------------------------------------------------------------
@@ -263,37 +170,6 @@ def evaluate_block_product(grid, j: int, factors) -> np.ndarray:
     return out
 
 
-def _require_arities(table: dict, j: int, what: str) -> None:
-    for a in range(1, j + 1):
-        if a not in table:
-            raise ValueError(f"{what} table is missing arity {a}")
-        if table[a].arity != a:
-            raise ValueError(f"{what} table entry {a} has arity {table[a].arity}")
-
-
-def cluster_from_marginals(f_table: dict, j: int) -> GridField:
-    """Cluster function g_j = sum over partitions of Moebius-weighted marginal products."""
-    _require_arities(f_table, j, "marginal")
-    grid = f_table[1].grid
-    out = np.zeros((grid.M,) * j)
-    for p in enumerate_partitions(j):
-        w = mobius_weight(p)
-        factors = [(f_table[len(b)], b) for b in p.blocks]
-        out += w * evaluate_block_product(grid, j, factors)
-    return GridField(grid, j, out)
-
-
-def marginals_from_clusters(g_table: dict, j: int) -> GridField:
-    """Marginal f_j = sum over partitions of cluster products (inverse transform)."""
-    _require_arities(g_table, j, "cluster")
-    grid = g_table[1].grid
-    out = np.zeros((grid.M,) * j)
-    for p in enumerate_partitions(j):
-        factors = [(g_table[len(b)], b) for b in p.blocks]
-        out += evaluate_block_product(grid, j, factors)
-    return GridField(grid, j, out)
-
-
 def _check_g_table(g_table: dict, i: int) -> None:
     for k in range(i + 1):
         for a in range(1, k + 2):
@@ -311,9 +187,9 @@ def assemble_correction(i: int, j: int, g_table: dict) -> GridField:
     out = np.zeros((grid.M,) * j)
     for p in enumerate_partitions(j):
         blocks = p.blocks
-        for comp in enumerate_order_compositions(p, i):
+        for orders in enumerate_order_compositions(p, i):
             factors = []
-            for block, order in zip(blocks, comp.orders):
+            for block, order in zip(blocks, orders):
                 if not in_triangle(order, len(block)):
                     factors = None
                     break

@@ -547,7 +547,7 @@ def solve_g_hierarchy(
         )
     _check_problem(f, kernel, tg)
 
-    keys = [(e.i, e.j) for e in solve_order(i_max)]  # (0, 1) first
+    keys = solve_order(i_max)  # (0, 1) first
     op = _Interaction(kernel, grid)
     ops = {a: _SpectralOps(grid.M, a, tg.dt) for a in range(1, i_max + 2)}
     solvers = {key: _EntrySolver(*key, op) for key in keys[1:]}

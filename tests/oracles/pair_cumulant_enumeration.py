@@ -1,4 +1,4 @@
-"""Exact-enumeration oracle for the replica pair-cumulant estimators.
+"""Exact-enumeration oracle for the replica pair-cumulant estimator.
 
 The estimand is the cumulant kappa = E[phi(X_1) psi(X_2)] - E[phi] E[psi]
 of two distinct particles drawn from an exchangeable pair law.  The
@@ -9,10 +9,11 @@ sample assignment over R replicas of N=2 particles is enumerated with its
 product probability, and the expectation of the estimator is summed as an
 exact weighted average.  Any bias, however small, would show up directly.
 
-The same enumeration covers the paired-difference estimator by coupling
-the companion replica to the first through a deterministic state map, the
-worst case for a difference estimator since the two terms are maximally
-dependent.
+The single-system estimate is the paired difference against an all-zero
+control, which reproduces it bit for bit.  The same enumeration covers the
+paired difference proper by coupling the companion replica to the first
+through a deterministic state map, the worst case for a difference estimator
+since the two terms are maximally dependent.
 
 Run:  python3 tests/oracles/pair_cumulant_enumeration.py
 """
@@ -20,10 +21,7 @@ import itertools
 
 import numpy as np
 
-from pchaos.metrics import (
-    pair_cumulant_from_replica_stats,
-    paired_pair_cumulant_difference,
-)
+from pchaos.metrics import paired_pair_cumulant_difference
 
 # Exchangeable pair law on states {0, 1, 2}^2: symmetric joint weights.
 STATES = (0.0, 1.0, 2.5)
@@ -58,8 +56,9 @@ def enumerate_expectation(n_replicas: int) -> float:
         for pair in combo:
             w *= JOINT[pair]
         u, ab, bb = zip(*(replica_stats(p) for p in combo))
-        est, _ = pair_cumulant_from_replica_stats(
-            np.array(u), np.array(ab), np.array(bb)
+        zero = np.zeros(n_replicas)
+        est, _ = paired_pair_cumulant_difference(
+            np.array(u), np.array(ab), np.array(bb), zero, zero, zero
         )
         total += w * est
     return total

@@ -2,18 +2,8 @@
 import numpy as np
 import pytest
 
-from pchaos.core import (
-    GridField,
-    KernelSpec,
-    TorusGrid,
-    convolve_density,
-    eval_kernel,
-    fourier_field,
-    product_field,
-    quadrature,
-    step_count,
-    trig_interp,
-)
+from pchaos.core import GridField, KernelSpec, TorusGrid, fourier_field, product_field, step_count
+from pchaos.pde import _Interaction
 
 
 def test_grid_basics():
@@ -47,7 +37,7 @@ def test_integrate_exact_for_trig_polynomials():
     g = TorusGrid(16)
     f = fourier_field(g, [1.0, 0.3, 0.0, -0.2], [0.0, 0.1, 0.4, 0.0])
     # every nonconstant mode integrates to zero on the full period
-    assert quadrature(f) == pytest.approx(1.0, abs=1e-15)
+    assert f.integrate() == pytest.approx(1.0, abs=1e-15)
 
 
 def test_marginalize_tensor_product():
@@ -85,12 +75,12 @@ def test_kernel_eval_matches_series(default_kernel):
     x = rng.random(64)
     y = rng.random(64)
     want = 0.75 * np.cos(2 * np.pi * x) + 0.25 * np.sin(2 * np.pi * (x - y))
-    got = eval_kernel(default_kernel, x, y)
+    got = default_kernel.eval(x, y)
     assert np.allclose(got, want, atol=1e-14)
     assert default_kernel.sup_norm_bound == 1.0
     assert default_kernel.band == 1
-    assert not default_kernel.is_zero()
-    assert KernelSpec.zero().is_zero()
+    assert KernelSpec.zero().sup_norm_bound == 0.0
+    assert KernelSpec.zero().mode_table == ()
 
 
 def test_kernel_text_roundtrip_preserves_floats():
@@ -146,23 +136,26 @@ def test_coeff_fft_reconstructs_samples():
 
 
 def test_convolve_density_equals_direct_sum():
+    # the mean-field flux (K * rho) rho, spectral in khat, against the direct
+    # quadrature sum of K(x_i, y_j) rho(y_j)
     rng = np.random.default_rng(11)
     g = TorusGrid(32)
     k = KernelSpec.from_tables(b={0: (0.2, 0.0), 1: (0.5, 0.1)},
                                khat={1: (-0.3, 0.4), 5: (0.2, 0.2)})
     rho = GridField(g, 1, 1.0 + 0.5 * rng.standard_normal(32))
     x = g.points
-    direct = g.h * np.array([np.sum(eval_kernel(k, xi, x) * rho.values) for xi in x])
-    conv = convolve_density(k, rho)
-    assert np.allclose(conv.values, direct, atol=1e-13)
+    direct = g.h * np.array([np.sum(k.eval(xi, x) * rho.values) for xi in x])
+    flux = _Interaction(k, g).mean_field_flux(rho.values)
+    assert np.allclose(flux, direct * rho.values, atol=1e-13)
 
 
 def test_convolve_density_mass_and_zero_kernel():
     g = TorusGrid(16)
     rho = fourier_field(g, [1.0, 0.5])
-    assert np.allclose(convolve_density(KernelSpec.zero(), rho).values, 0.0)
-    k = KernelSpec.from_tables(b={0: (2.0, 0.0)})
-    assert np.allclose(convolve_density(k, rho).values, 2.0, atol=1e-14)
+    assert np.allclose(_Interaction(KernelSpec.zero(), g).mean_field_flux(rho.values), 0.0)
+    k = KernelSpec.from_tables(b={0: (2.0, 0.0)})   # K * rho = 2 mass(rho) = 2
+    flux = _Interaction(k, g).mean_field_flux(rho.values)
+    assert np.allclose(flux, 2.0 * rho.values, atol=1e-14)
 
 
 def test_fourier_field_band_check():
@@ -183,17 +176,3 @@ def test_product_field_values():
     )
     assert p3.integrate() == pytest.approx(1.0, abs=1e-14)
 
-
-def test_trig_interp_exact_off_grid():
-    g = TorusGrid(32)
-    cos_c = [1.0, 0.3, 0.0, -0.2]
-    sin_c = [0.0, -0.1, 0.25, 0.0]
-    f = fourier_field(g, cos_c, sin_c)
-    rng = np.random.default_rng(5)
-    x = rng.random(40)
-    m = np.arange(4)[:, None]
-    want = (np.asarray(cos_c)[:, None] * np.cos(2 * np.pi * m * x)
-            + np.asarray(sin_c)[:, None] * np.sin(2 * np.pi * m * x)).sum(axis=0)
-    assert np.allclose(trig_interp(f, x), want, atol=1e-12)
-    # on-grid evaluation reproduces the samples themselves
-    assert np.allclose(trig_interp(f, g.points), f.values, atol=1e-12)

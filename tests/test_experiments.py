@@ -26,7 +26,9 @@ from pchaos.experiments import (
 )
 from pchaos.particles import (
     SimConfig,
+    em_step,
     mode_sum_drift,
+    pair_drift,
     run_ensemble,
     sample_initial,
 )
@@ -253,24 +255,26 @@ def _payload(kernel, density, N, dt, n_steps, seed, r0, r1):
 
 
 def test_worker_matches_canonical_ensemble(default_kernel):
-    # the worker's interacting system is run_ensemble's stepper: bit for bit
-    # with the fast drift, and to reassociation with the direct oracle
+    # the worker's interacting system is run_ensemble's stepper: bit for bit,
+    # and to reassociation with a replay through the direct drift oracle
     g = TorusGrid(64)
     density = fourier_field(g, [1.0, 0.5], [0.0, 0.25])
     N, dt, n_steps, seed = 8, 1e-3, 3, 11
     _, _, _, _, _, _, _, x = _rate_worker(
         *_payload(default_kernel, density, N, dt, n_steps, seed, 0, 5)
     )
-    for method in ("fast", "direct"):
-        cfg = SimConfig(
-            N=N, dt=dt, T=n_steps * dt, n_replicas=5, base_seed=seed,
-            kernel=default_kernel, initial_density=density, drift_method=method,
-        )
-        want = run_ensemble(cfg, [n_steps * dt]).positions[:, 0, :, 0]
-        if method == "fast":
-            assert np.array_equal(x, want)
-        else:
-            assert np.abs(x - want).max() < 1e-10
+    cfg = SimConfig(
+        N=N, dt=dt, T=n_steps * dt, n_replicas=5, base_seed=seed,
+        kernel=default_kernel, initial_density=density,
+    )
+    assert np.array_equal(x, run_ensemble(cfg, [n_steps * dt]).positions[:, 0, :, 0])
+    for r in range(5):
+        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, r))))
+        y = sample_initial(density, N, rng)
+        for _ in range(n_steps):
+            y = em_step(y, pair_drift(default_kernel, y, True, "direct"), dt,
+                        rng.standard_normal(y.shape))
+        assert np.abs(x[r] - y[:, 0]).max() < 1e-10
 
 
 def test_companion_drift_is_the_moment_drift():

@@ -1,37 +1,28 @@
-"""Divergences, histogram statistics, and unbiased cumulant estimators.
+"""Weighted errors, histogram statistics, and the paired cumulant estimator.
 
-Exact-enumeration unbiasedness of the replica combiners is certified by
-tests/oracles/pair_cumulant_enumeration.py; here the same combiners are
+Exact-enumeration unbiasedness of the replica combiner is certified by
+tests/oracles/pair_cumulant_enumeration.py; here the same combiner is
 checked mechanically and statistically.
 """
-import itertools as it
 import json
-import math
 
 import numpy as np
 import pytest
-from scipy.integrate import quad
 
 from pchaos.core import GridField, TorusGrid, fourier_field
 from pchaos.metrics import (
     DivergenceReport,
     bin_masses,
-    bin_samples,
     chi_squared_from_samples,
-    chi_squared_grid,
     divergence_report_from_samples,
-    joint_cumulant,
-    pair_cumulant_from_replica_stats,
     paired_pair_cumulant_difference,
-    relative_entropy_grid,
-    total_variation_grid,
     weighted_l2_error,
 )
 from pchaos.particles import sample_initial
 
 
 # ---------------------------------------------------------------------------
-# grid divergences
+# weighted grid error
 
 
 def test_weighted_l2_analytic():
@@ -50,38 +41,6 @@ def test_weighted_l2_analytic():
         weighted_l2_error(gamma, GridField(g, 1, np.zeros(128)))
     with pytest.raises(ValueError, match="arity-1"):
         weighted_l2_error(gamma, g2)
-
-
-def test_chi_squared_and_tv_analytic():
-    g = TorusGrid(256)
-    a = 0.3
-    p = fourier_field(g, [1.0, a])
-    q = fourier_field(g, [1.0])
-    assert chi_squared_grid(p, q) == pytest.approx(a ** 2 / 2, rel=1e-12)
-    assert total_variation_grid(p, q) == pytest.approx(a / np.pi, rel=1e-3)
-
-
-def test_relative_entropy_against_quadrature():
-    g = TorusGrid(256)
-    a = 0.4
-    p = fourier_field(g, [1.0, a])
-    q = fourier_field(g, [1.0])
-    want, err = quad(lambda x: (1 + a * np.cos(2 * np.pi * x))
-                     * np.log(1 + a * np.cos(2 * np.pi * x)), 0.0, 1.0)
-    assert err < 1e-11
-    assert relative_entropy_grid(p, q) == pytest.approx(want, abs=1e-10)
-
-
-def test_divergence_ordering_chain():
-    rng = np.random.default_rng(17)
-    g = TorusGrid(64)
-    for _ in range(5):
-        p = fourier_field(g, [1.0, 0.3 * rng.random()], [0.0, 0.3 * rng.random()])
-        q = fourier_field(g, [1.0, -0.2 * rng.random()])
-        chi2 = chi_squared_grid(p, q)
-        kl = relative_entropy_grid(p, q)
-        tv = total_variation_grid(p, q)
-        assert chi2 >= kl >= 2 * tv ** 2
 
 
 # ---------------------------------------------------------------------------
@@ -106,14 +65,6 @@ def test_bin_masses_arity_two():
     m = bin_masses(f2, 2)
     assert m.shape == (2, 2)
     assert np.allclose(m, 0.25)
-
-
-def test_bin_samples_counts():
-    samples = np.array([[0.05], [0.05], [0.30], [0.99]])[:, :, None]
-    counts = bin_samples(samples, 4)
-    assert np.array_equal(counts, [2, 1, 0, 1])
-    with pytest.raises(ValueError, match="lie in"):
-        bin_samples(np.array([[[1.0]]]), 4)
 
 
 def test_chi_squared_from_samples_null_and_alternative():
@@ -141,106 +92,18 @@ def test_chi_squared_cell_cap_and_zero_mass():
     hole = GridField(g, 1, np.where(g.points < 0.5, 2.0, 0.0))
     with pytest.raises(ValueError, match="zero mass"):
         chi_squared_from_samples(x, hole, 8)
+    with pytest.raises(ValueError, match="lie in"):
+        chi_squared_from_samples(np.ones((5000, 1, 1)), f, 8)
 
 
 # ---------------------------------------------------------------------------
-# cumulant estimators
+# paired pair-cumulant estimator
 
 
-def test_joint_cumulant_order_one_is_mean():
-    rng = np.random.default_rng(3)
-    x = rng.random((500, 1))
-    est, se = joint_cumulant(x, [lambda v: np.sin(2 * np.pi * v)])
-    assert est == pytest.approx(np.sin(2 * np.pi * x[:, 0]).mean(), rel=1e-12)
-    assert se > 0
-
-
-def test_joint_cumulant_order_two_closed_form():
-    rng = np.random.default_rng(8)
-    n = 200
-    x = rng.random((n, 2))
-    a = np.cos(2 * np.pi * x[:, 0])
-    b = np.sin(2 * np.pi * x[:, 1])
-    est, _ = joint_cumulant(x, [np.cos, np.sin], n_bootstrap=10)
-
-    # hand k-statistic: mean over distinct ordered pairs subtracted
-    def phi(v):
-        return np.cos(v), np.sin(v)
-    a = np.cos(x[:, 0])
-    b = np.sin(x[:, 1])
-    distinct = (a.sum() * b.sum() - (a * b).sum()) / (n * (n - 1))
-    want = (a * b).mean() - distinct
-    assert est == pytest.approx(want, rel=1e-12)
-
-
-def test_joint_cumulant_exact_unbiasedness_by_enumeration():
-    # three i.i.d. rows over a four-point joint law: the expectation of the
-    # estimator equals the true covariance exactly
-    vals = [(0.0, 0.0), (0.0, 1.0), (1.0, 0.0), (1.0, 1.0)]
-    probs = [0.4, 0.1, 0.2, 0.3]
-    e_ab = sum(p * a * b for (a, b), p in zip(vals, probs))
-    e_a = sum(p * a for (a, _), p in zip(vals, probs))
-    e_b = sum(p * b for (_, b), p in zip(vals, probs))
-    true_cov = e_ab - e_a * e_b
-    total = 0.0
-    for combo in it.product(range(4), repeat=3):
-        w = math.prod(probs[c] for c in combo)
-        rows = np.array([vals[c] for c in combo])
-        est, _ = joint_cumulant(rows, [lambda v: v, lambda v: v], n_bootstrap=2)
-        total += w * est
-    assert total == pytest.approx(true_cov, abs=1e-14)
-
-
-def test_joint_cumulant_grid_field_observable():
-    g = TorusGrid(32)
-    phi = fourier_field(g, [0.0, 1.0])          # cos(2 pi x) as a grid field
-    rng = np.random.default_rng(31)
-    x = rng.random((300, 1))
-    est_field, _ = joint_cumulant(x, [phi], n_bootstrap=5)
-    est_call, _ = joint_cumulant(x, [lambda v: np.cos(2 * np.pi * v)], n_bootstrap=5)
-    assert est_field == pytest.approx(est_call, abs=1e-10)
-
-
-def test_joint_cumulant_grouped_replica_path():
-    # two tuples per replica; the grouped path must equal the manual
-    # composition of within-replica pair means with the replica combiner
-    rng = np.random.default_rng(12)
-    R, m = 40, 2
-    base = rng.standard_normal((R, 1))
-    tuples = np.empty((R * m, 2))
-    for r in range(R):
-        for k in range(m):
-            pair = 0.6 * base[r] + 0.4 * rng.standard_normal(2)
-            tuples[r * m + k] = pair
-    ids = np.repeat(np.arange(R), m)
-    shifted = (tuples - tuples.min()) / (tuples.max() - tuples.min() + 1e-9)
-    est, se = joint_cumulant(shifted, [lambda v: v, lambda v: v], replica_ids=ids)
-
-    vals = shifted.copy()
-    a, b = vals[:, 0], vals[:, 1]
-    sa = a.reshape(R, m).sum(axis=1)
-    sb = b.reshape(R, m).sum(axis=1)
-    sab = (a * b).reshape(R, m).sum(axis=1)
-    u = (sa * sb - sab) / (m * (m - 1))
-    want, want_se = pair_cumulant_from_replica_stats(u, sa / m, sb / m)
-    assert est == pytest.approx(want, rel=1e-12)
-    assert se == pytest.approx(want_se, rel=1e-12)
-
-
-def test_joint_cumulant_validation():
-    x = np.random.default_rng(0).random((10, 2))
-    with pytest.raises(ValueError, match="one observable per"):
-        joint_cumulant(x, [lambda v: v])
-    with pytest.raises(ValueError, match="j <= 4"):
-        joint_cumulant(np.random.default_rng(0).random((30, 5)),
-                       [lambda v: v] * 5)
-    ids = np.array([0, 0, 1, 1, 2, 2, 3, 3, 4, 4])
-    x3 = np.random.default_rng(0).random((10, 3))
-    with pytest.raises(ValueError, match="pair cumulants only"):
-        joint_cumulant(x3, [lambda v: v] * 3, replica_ids=ids)
-    with pytest.raises(ValueError, match="at least two tuples"):
-        joint_cumulant(x, [lambda v: v] * 2, replica_ids=np.array(
-            [0, 0, 1, 1, 2, 2, 3, 3, 4, 5]))
+def _single(u, abar, bbar):
+    """One system's estimate: the paired difference against an all-zero control."""
+    zero = np.zeros(len(u))
+    return paired_pair_cumulant_difference(u, abar, bbar, zero, zero, zero)
 
 
 def test_replica_combiner_statistical_consistency():
@@ -251,11 +114,11 @@ def test_replica_combiner_statistical_consistency():
     z = rng.standard_normal((R, 3))
     a = np.sqrt(cov) * z[:, 0] + np.sqrt(1 - cov) * z[:, 1]
     b = np.sqrt(cov) * z[:, 0] + np.sqrt(1 - cov) * z[:, 2]
-    est, se = pair_cumulant_from_replica_stats(a * b, a, b)
+    est, se = _single(a * b, a, b)
     assert se > 0
     assert est == pytest.approx(cov, abs=5 * se)
     with pytest.raises(ValueError, match="three replicas"):
-        pair_cumulant_from_replica_stats(a[:2], a[:2], b[:2])
+        _single(a[:2], a[:2], b[:2])
 
 
 def test_paired_difference_identities():
@@ -264,8 +127,8 @@ def test_paired_difference_identities():
     u_a, aa, ba = rng.random(R), rng.random(R), rng.random(R)
     u_b, ab, bb = rng.random(R), rng.random(R), rng.random(R)
     est, se = paired_pair_cumulant_difference(u_a, aa, ba, u_b, ab, bb)
-    ea, _ = pair_cumulant_from_replica_stats(u_a, aa, ba)
-    eb, _ = pair_cumulant_from_replica_stats(u_b, ab, bb)
+    ea, _ = _single(u_a, aa, ba)
+    eb, _ = _single(u_b, ab, bb)
     assert est == pytest.approx(ea - eb, rel=1e-12)
     # identical inputs cancel exactly, and so does their jackknife spread
     est0, se0 = paired_pair_cumulant_difference(u_a, aa, ba, u_a, aa, ba)
@@ -287,7 +150,7 @@ def test_paired_difference_cancels_shared_noise():
     a_a = shared_m + 1e-4 * rng.standard_normal(R)
     a_b = shared_m + 1e-4 * rng.standard_normal(R)
     est, se = paired_pair_cumulant_difference(u_a, a_a, a_a, u_b, a_b, a_b)
-    _, se_single = pair_cumulant_from_replica_stats(u_a, a_a, a_a)
+    _, se_single = _single(u_a, a_a, a_a)
     assert se < se_single / 20
     assert est == pytest.approx(signal, abs=5 * se)
 
@@ -314,9 +177,8 @@ def test_divergence_report_fields_and_roundtrip():
     back = DivergenceReport.from_json(rep.to_json())
     assert back == rep
     # the three sample estimators carry different bias corrections, so the
-    # ordering holds only up to estimation error here (it is exact for grid
-    # densities, see test_divergence_ordering_chain)
-    m1, m2 = rep.pinsker_margins()
-    assert m1 >= -1e-3 and m2 >= -1e-3
+    # Pinsker ordering tv^2 <= kl/2 <= chi2/2 holds only up to estimation error
+    assert rep.relative_entropy / 2 - rep.total_variation ** 2 >= -1e-3
+    assert rep.chi_squared / 2 - rep.relative_entropy / 2 >= -1e-3
     # near the null, the bias-corrected chi-squared sits within its error bar
     assert abs(rep.chi_squared) < 5 * rep.se_chi_squared + 1e-4

@@ -165,8 +165,6 @@ def test_sim_config_validation():
         _small_config(T=2.5e-4)
     with pytest.raises(ValueError, match="strictly positive"):
         _small_config(initial_density=fourier_field(TorusGrid(32), [1.0, 1.0]))
-    with pytest.raises(ValueError, match="drift_method"):
-        _small_config(drift_method="magic")
     assert _small_config().n_steps == 5
 
 
@@ -202,13 +200,14 @@ def test_run_ensemble_pure_diffusion_replay(default_kernel):
     # one replica at a time must reproduce the (R, N, d) block stepper bit for
     # bit: with a zero kernel (pure Brownian motion) and with the stock kernel
     # through single-replica pair_drift.  At N = 20000 the stepper's noise
-    # blocks hold two steps, so the replay crosses block boundaries
+    # blocks hold two steps, so the replay crosses block boundaries.  A
+    # replay through the direct O(N^2) oracle agrees to roundoff
     cases = [(KernelSpec.zero(), "fast", 8), (KernelSpec.zero(), "fast", 20000)] + [
         (default_kernel, method, N)
         for method, N in (("fast", 8), ("fast", 64), ("fast", 800), ("direct", 8))
     ]
     for kernel, method, N in cases:
-        cfg = _small_config(kernel=kernel, N=N, drift_method=method)
+        cfg = _small_config(kernel=kernel, N=N)
         snap = run_ensemble(cfg, [cfg.T])
         for r in range(cfg.n_replicas):
             rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((42, r))))
@@ -216,7 +215,10 @@ def test_run_ensemble_pure_diffusion_replay(default_kernel):
             for _ in range(cfg.n_steps):
                 drift = pair_drift(kernel, x, True, method)
                 x = em_step(x, drift, cfg.dt, rng.standard_normal(x.shape))
-            assert np.array_equal(snap.positions[r, 0], x), (method, N, r)
+            if method == "fast":
+                assert np.array_equal(snap.positions[r, 0], x), (N, r)
+            else:
+                assert np.abs(snap.positions[r, 0] - x).max() < 1e-10, (N, r)
 
 
 def test_run_ensemble_time_validation():
