@@ -25,6 +25,18 @@ order being measured).  The correction term then has expectation exactly
 zero by independence, so the corrected difference stays unbiased while its
 standard error drops by a further order of magnitude.
 
+The worker steps both systems and the derivative companion in place.  Per
+kernel mode it evaluates cos and sin once per particle and system; the
+moments (each replica's for the interacting system, the chain's for the
+companion) fold into per-mode coefficients, so the drift, its Jacobian and
+the leave-one-out forcing each cost one product per trigonometric value
+(see _companion_terms).  run_rate_experiment keeps one process pool for
+the run: it builds the chain-moment table while the main process solves
+the hierarchy, then takes every N's replica chunks, all submitted up front.
+A chunk holds about _CHUNK_PARTICLES particles and each N gets a multiple
+of workers chunks.  Results are consumed in N order, so rows are built and
+a failure is flushed per N.
+
 Pair cumulants are estimated within replicas over all ordered distinct pairs
 with the exact between-replica mean-covariance correction, for both coupled
 systems; the companion's cumulant vanishes identically in law, so the paired
@@ -43,6 +55,7 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
+from itertools import groupby
 from pathlib import Path
 
 import numpy as np
@@ -57,6 +70,7 @@ from .metrics import (
 )
 from .particles import (
     SimConfig,
+    _mode_terms,
     _replica_steps,
     em_step,
     extract_marginal_samples,
@@ -74,6 +88,9 @@ __all__ = [
     "run_bounds_report",
 ]
 
+# particles (replicas x N) per worker task: enough to amortize each step's
+# per-call overhead, few enough that the step's arrays stay in cache
+_CHUNK_PARTICLES = 6000
 _PHI_PANEL = (("cos1", "cos", 1), ("sin1", "sin", 1), ("cos2", "cos", 2), ("sin2", "sin", 2))
 
 
@@ -105,6 +122,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if not self.N_list:
             raise ConfigError("need at least one N")
+        if len(set(self.N_list)) != len(self.N_list):
+            raise ConfigError("N values must be distinct")
         if not self.j_list or any(j not in (1, 2) for j in self.j_list):
             raise ConfigError("marginal orders j must come from {1, 2}")
         if min(self.N_list) < max(2, max(self.j_list)):
@@ -121,9 +140,29 @@ class ExperimentConfig:
             raise ConfigError("need positive horizon and step")
         if self.replicas < 10 or self.seed < 0:
             raise ConfigError("need replicas >= 10 and a nonnegative seed")
+        if self.workers < 1:
+            raise ConfigError("need workers >= 1")
+        # the chi2_j rows bin every N's final positions; check them all before
+        # any simulation, so a bad (N, j) cannot end a run after the N before it
+        for N in sorted(self.N_list):
+            for j in sorted(self.j_list):
+                bins = self._histogram_bins(j)
+                if bins < 1 or self.grid % bins:
+                    raise ConfigError(f"grid = {self.grid} is not a multiple of the {bins} "
+                                      f"histogram bins of j = {j}")
+                n = self.replicas * (N // j)
+                if bins ** j > n / 50:
+                    raise ConfigError(
+                        f"too many histogram cells at N = {N}, j = {j}: {bins}^{j} = "
+                        f"{bins ** j} exceeds n/50 = {n / 50:g} (n = replicas * floor(N/j))"
+                    )
         fine = _density_field(TorusGrid(4096), self.density_cos, self.density_sin)
         if fine.values.min() < 1e-3:
             raise ConfigError("initial density must stay above 1e-3")
+
+    def _histogram_bins(self, j: int) -> int:
+        """Bins per axis of the chi2_j histogram; pair histograms live on bins^2 cells."""
+        return self.bins if j == 1 else max(2, self.bins // 4)
 
     @classmethod
     def from_config(cls, cfg: Config, out_override=None, seed_override=None):
@@ -276,12 +315,15 @@ def _chain_moments(kernel: KernelSpec, sample_density: GridField, dt: float,
     if n_steps == 0:
         return Cdt, Sdt
 
-    def displaced(n):
-        w = mid[:, None] - (mid + dt * mode_sum_drift(kernel, mid, Cdt[n], Sdt[n]))[None, :]
-        return w - np.round(w)
+    # the (M, M) step arrays are reused: fresh ones cost more than the arithmetic
+    w, t, G = np.empty((M, M)), np.empty((M, M)), np.zeros((M, M))
 
-    w = displaced(0)
-    G = np.zeros_like(w)
+    def displaced(n):
+        np.subtract(mid[:, None], (mid + dt * mode_sum_drift(kernel, mid, Cdt[n], Sdt[n]))[None, :],
+                    out=w)
+        np.subtract(w, np.round(w, out=t), out=w)
+
+    displaced(0)
     root2 = math.sqrt(2.0)
     for k in images:
         G += 0.5 * (
@@ -296,10 +338,16 @@ def _chain_moments(kernel: KernelSpec, sample_density: GridField, dt: float,
             Sdt[n, m] = h * float((p * np.sin(2 * np.pi * m * mid)).sum())
         if n == n_steps:
             break
-        w = displaced(n)
-        G = np.exp(-0.5 * ((w + images[0]) / sigma) ** 2)
-        for k in images[1:]:
-            G += np.exp(-0.5 * ((w + k) / sigma) ** 2)
+        displaced(n)
+        for k in images:  # G = sum_k exp(-((w + k) / sigma)^2 / 2)
+            np.add(w, k, out=t)
+            t /= sigma
+            np.square(t, out=t)
+            t *= -0.5
+            if k == images[0]:
+                np.exp(t, out=G)
+            else:
+                G += np.exp(t, out=t)
         p = (G @ p) * norm
     return Cdt, Sdt
 
@@ -308,34 +356,43 @@ def _companion_terms(kernel: KernelSpec, y: np.ndarray, C: np.ndarray, S: np.nda
     """Companion drift, its Jacobian, and the derivative companion's forcing.
 
     y is the (R, N) companion block and C[m], S[m] the chain moments of the
-    step.  drift is b + khat * law, summed as mode_sum_drift sums it (so it
-    equals the interacting drift bitwise when khat = 0); jac is its
-    derivative in the evaluation point; force is the khat response to each
-    replica's companion moment discrepancy, with every particle's own
-    contribution left out.  cos/sin are evaluated once per mode.
+    step, folded per mode into the step's scalars alpha = k_c C[m] - k_s S[m]
+    and beta = k_c S[m] + k_s C[m] (particles._mode_terms).  With
+    cos = cos(2 pi m y), sin = sin(2 pi m y), w = 2 pi m, a = b_c + alpha and
+    b = b_s + beta, mode m contributes
+
+        drift  b_c cos + b_s sin + cos alpha + sin beta, summed as
+               mode_sum_drift sums it (so it equals the interacting drift
+               bitwise when khat = 0),
+        jac    w (cos b - sin a), its derivative in the evaluation point,
+        force  cos (k_c P_c - k_s P_s) + sin (k_c P_s + k_s P_c) - k_c / N,
+
+    where P = mean - C[m] (1 - 1/N) per replica.  force is the khat response
+    to each replica's companion moment discrepancy with every particle's own
+    contribution left out: cos^2 + sin^2 = 1 turns the left-out self terms
+    into the constant -k_c / N.  cos/sin are evaluated once per mode.
     """
     N = y.shape[-1]
     b = np.full_like(y, kernel.b_cos[0])
     fy = np.full_like(y, kernel.k_cos[0] * C[0])
-    force = np.zeros_like(y)
     jac = np.zeros_like(y)
-    for m, bc, bs, kc, ks in kernel.mode_table:
+    force = np.zeros_like(y)
+    tmp = np.empty_like(y)
+    self_terms = 0.0
+    for (m, bc, bs, kc, ks), cy, sy, alpha, beta in _mode_terms(kernel, y, C, S, b, fy):
         w = 2 * np.pi * m
-        cy = np.cos(w * y)
-        sy = np.sin(w * y)
-        if bc != 0.0:
-            b += bc * cy
-        if bs != 0.0:
-            b += bs * sy
-        jac += w * (bs * cy - bc * sy)
+        if alpha is None:
+            alpha = beta = 0.0
+        jac += np.multiply(cy, w * (bs + beta), out=tmp)
+        jac -= np.multiply(sy, w * (bc + alpha), out=tmp)
         if kc == 0.0 and ks == 0.0:
             continue
-        Cn, Sn = C[m], S[m]
-        fy += kc * (cy * Cn + sy * Sn) + ks * (sy * Cn - cy * Sn)
-        jac += w * (kc * (cy * Sn - sy * Cn) + ks * (cy * Cn + sy * Sn))
-        ecm = (cy.mean(axis=-1, keepdims=True) - Cn) - (cy - Cn) / N
-        esm = (sy.mean(axis=-1, keepdims=True) - Sn) - (sy - Sn) / N
-        force += kc * (cy * ecm + sy * esm) + ks * (sy * ecm - cy * esm)
+        Pc = cy.mean(axis=-1, keepdims=True) - C[m] * (1.0 - 1.0 / N)
+        Ps = sy.mean(axis=-1, keepdims=True) - S[m] * (1.0 - 1.0 / N)
+        force += np.multiply(cy, kc * Pc - ks * Ps, out=tmp)
+        force += np.multiply(sy, kc * Ps + ks * Pc, out=tmp)
+        self_terms += kc
+    force -= self_terms / N
     b += fy
     return b, jac, force
 
@@ -353,8 +410,11 @@ def _rate_worker(cfg: SimConfig, r0, r1, Cdt, Sdt, phis, primary):
     delta = np.zeros_like(y)
     for n, (x, noise) in enumerate(steps):
         dy, jac, force = _companion_terms(cfg.kernel, y, Cdt[n], Sdt[n])
-        delta += cfg.dt * (jac * delta + force)
-        y = em_step(y, dy, cfg.dt, noise[..., 0])
+        jac *= delta
+        jac += force
+        jac *= cfg.dt
+        delta += jac
+        em_step(y, dy, cfg.dt, noise[..., 0], out=y)
     x = x[..., 0]
 
     diffs = np.empty((r1 - r0, len(phis)))
@@ -368,6 +428,17 @@ def _rate_worker(cfg: SimConfig, r0, r1, Cdt, Sdt, phis, primary):
             uX, aX = _pair_stats(vx)
             uY, aY = _pair_stats(vy)
     return r0, diffs, plains, uX, aX, uY, aY, x
+
+
+def _chunks(replicas: int, N: int, workers: int) -> list:
+    """Replica ranges of one N for the worker pool, in order.
+
+    Each holds about _CHUNK_PARTICLES particles (replicas x N), and their
+    count is a multiple of workers, so every worker gets the same share.
+    """
+    n = min(replicas, workers * max(1, round(replicas * N / (_CHUNK_PARTICLES * workers))))
+    edges = [i * replicas // n for i in range(n + 1)]
+    return list(zip(edges[:-1], edges[1:]))
 
 
 @dataclass
@@ -394,11 +465,20 @@ class _RatePlan:
     sample_density: GridField
 
 
-def _predictions(ecfg: ExperimentConfig, kernel: KernelSpec) -> _RatePlan:
-    """Mean-field solve and first-order correction functionals for the panel."""
+def _predictions(ecfg: ExperimentConfig, kernel: KernelSpec, pool) -> _RatePlan:
+    """Mean-field solve and first-order correction functionals for the panel.
+
+    With a process pool, the chain-moment table is built there while this
+    process solves the hierarchy.
+    """
+    sample_density = _density_field(
+        TorusGrid(ecfg.sample_grid), ecfg.density_cos, ecfg.density_sin
+    )
+    n_steps = step_count(ecfg.T, ecfg.dt)
+    chain_args = (kernel, sample_density, ecfg.dt, n_steps)
+    chain = pool.submit(_chain_moments, *chain_args) if pool is not None else None
     grid = TorusGrid(ecfg.grid)
     density = _density_field(grid, ecfg.density_cos, ecfg.density_sin)
-    n_steps = step_count(ecfg.T, ecfg.dt)
     tg = TimeGrid(ecfg.dt, n_steps)
     gt = solve_g_hierarchy(1, density, kernel, tg)
     s = tg.n_stored - 1
@@ -425,10 +505,7 @@ def _predictions(ecfg: ExperimentConfig, kernel: KernelSpec) -> _RatePlan:
         1: weighted_l2_error(GridField(grid, 1, gamma1), rho),
         2: weighted_l2_error(GridField(grid, 2, gamma2), rho),
     }
-    sample_density = _density_field(
-        TorusGrid(ecfg.sample_grid), ecfg.density_cos, ecfg.density_sin
-    )
-    Cdt, Sdt = _chain_moments(kernel, sample_density, ecfg.dt, n_steps)
+    Cdt, Sdt = chain.result() if chain is not None else _chain_moments(*chain_args)
     return _RatePlan(rho, per_phi, chi_pred, Cdt, Sdt, sample_density)
 
 
@@ -442,7 +519,17 @@ def run_rate_experiment(ecfg: ExperimentConfig) -> RateResult:
     out = Path(ecfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     kernel = KernelSpec.from_file(ecfg.kernel_path)
-    plan = _predictions(ecfg, kernel)
+    pool = ProcessPoolExecutor(max_workers=ecfg.workers) if ecfg.workers > 1 else None
+    try:
+        return _run_rates(ecfg, kernel, pool)
+    finally:
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
+
+
+def _run_rates(ecfg: ExperimentConfig, kernel: KernelSpec, pool) -> RateResult:
+    """run_rate_experiment on the given process pool (None: in this process)."""
+    plan = _predictions(ecfg, kernel, pool)
     per_phi, chi_pred, rho = plan.per_phi, plan.chi_pred, plan.rho
 
     # the primary observable is fixed from the solved correction, not the data
@@ -455,24 +542,25 @@ def run_rate_experiment(ecfg: ExperimentConfig) -> RateResult:
     bias_points = []
     failure = None
     try:
-        for N in sorted(ecfg.N_list):
-            sim = SimConfig(
-                N=N, dt=ecfg.dt, T=ecfg.T, n_replicas=ecfg.replicas, base_seed=ecfg.seed,
-                kernel=kernel, initial_density=plan.sample_density,
-            )
-            work = partial(_rate_worker, sim, Cdt=plan.Cdt, Sdt=plan.Sdt,
-                           phis=_PHI_PANEL, primary=primary_idx)
-            chunk = max(1, math.ceil(ecfg.replicas / (4 * ecfg.workers)))
-            starts = range(0, ecfg.replicas, chunk)
-            ends = [min(r0 + chunk, ecfg.replicas) for r0 in starts]
-            if ecfg.workers > 1:
-                with ProcessPoolExecutor(max_workers=ecfg.workers) as ex:
-                    parts = list(ex.map(work, starts, ends))
-            else:
-                parts = list(map(work, starts, ends))
-            parts.sort(key=lambda t: t[0])
+        N_list = sorted(ecfg.N_list)
+        sims = {
+            N: SimConfig(N=N, dt=ecfg.dt, T=ecfg.T, n_replicas=ecfg.replicas,
+                         base_seed=ecfg.seed, kernel=kernel,
+                         initial_density=plan.sample_density)
+            for N in N_list
+        }
+        tasks = [(N, r0, r1) for N in N_list
+                 for r0, r1 in _chunks(ecfg.replicas, N, ecfg.workers)]
+        work = partial(_rate_worker, Cdt=plan.Cdt, Sdt=plan.Sdt, phis=_PHI_PANEL,
+                       primary=primary_idx)
+        if pool is None:
+            parts = (work(sims[N], r0, r1) for N, r0, r1 in tasks)
+        else:
+            futures = [pool.submit(work, sims[N], r0, r1) for N, r0, r1 in tasks]
+            parts = (f.result() for f in futures)
+        for N, done in groupby(zip(tasks, parts), key=lambda task_part: task_part[0][0]):
             diffs, plains, uX, aX, uY, aY, xs = (
-                np.concatenate(arrays) for arrays in list(zip(*parts))[1:]
+                np.concatenate(arrays) for arrays in list(zip(*(part for _, part in done)))[1:]
             )
             R = diffs.shape[0]
 
@@ -500,8 +588,7 @@ def run_rate_experiment(ecfg: ExperimentConfig) -> RateResult:
             pair_points.append((N, abs(kap)))
 
             for j in sorted(ecfg.j_list):
-                # pair histograms live on bins^2 cells; keep them coarse
-                bins = ecfg.bins if j == 1 else max(2, ecfg.bins // 4)
+                bins = ecfg._histogram_bins(j)
                 samples, rep_ids = extract_marginal_samples(xs[:, :, None], j, True)
                 ref = rho if j == 1 else GridField(
                     rho.grid, 2, np.multiply.outer(rho.values, rho.values)

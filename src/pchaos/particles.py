@@ -20,9 +20,11 @@ The pairwise drift sum costs O(N^2); for the translation-invariant kernel
 part a mode-summation fast path costs O(N * modes) and agrees with the direct
 sum to roundoff, since the kernels are trigonometric polynomials.  The
 stepper always takes the fast path, which walks the kernel's mode table once
-over the whole block; the direct path, kept as the oracle, loops over
-replicas so its memory stays O(N^2).  In two dimensions the kernel tables
-act coordinate-wise on each component.
+over the whole block: per mode it evaluates one cos and one sin per
+particle, folds each replica's moments into two coefficients alpha, beta,
+and adds cos * alpha + sin * beta (see _mode_terms).  The direct path, kept
+as the oracle, loops over replicas so its memory stays O(N^2).  In two
+dimensions the kernel tables act coordinate-wise on each component.
 """
 
 from __future__ import annotations
@@ -175,6 +177,45 @@ def pair_drift(
     return out
 
 
+def _mode_terms(kernel: KernelSpec, xc: np.ndarray, C, S, b: np.ndarray, force: np.ndarray):
+    """Walk the kernel's mode table over the block xc, adding each mode to b and force.
+
+    For mode m, with cos = cos(2 pi m xc) and sin = sin(2 pi m xc), the law's
+    moments fold into the coefficients
+
+        alpha = k_c C[m] - k_s S[m],    beta = k_c S[m] + k_s C[m],
+
+    and the mode adds b_c cos + b_s sin to b and cos alpha + sin beta to
+    force (b(x) and khat * law).  The moments are C, S when given (alpha,
+    beta are then scalars) and each replica's empirical moments along the
+    last axis when C is None (alpha, beta have shape (..., 1)); they are read
+    only where khat has the mode.  Yields ((m, b_c, b_s, k_c, k_s), cos, sin,
+    alpha, beta) after adding, with alpha = beta = None where khat lacks the
+    mode; cos and sin are buffers reused for the next mode.
+    """
+    arg, cm, sm = np.empty_like(xc), np.empty_like(xc), np.empty_like(xc)
+    for row in kernel.mode_table:
+        m, bc, bs, kc, ks = row
+        np.multiply(xc, 2 * np.pi * m, out=arg)
+        np.cos(arg, out=cm)
+        np.sin(arg, out=sm)
+        if bc != 0.0:
+            b += np.multiply(bc, cm, out=arg)
+        if bs != 0.0:
+            b += np.multiply(bs, sm, out=arg)
+        if kc == 0.0 and ks == 0.0:
+            yield row, cm, sm, None, None
+            continue
+        if C is None:
+            Cm, Sm = cm.mean(axis=-1, keepdims=True), sm.mean(axis=-1, keepdims=True)
+        else:
+            Cm, Sm = C[m], S[m]
+        alpha, beta = kc * Cm - ks * Sm, kc * Sm + ks * Cm
+        force += np.multiply(cm, alpha, out=arg)
+        force += np.multiply(sm, beta, out=arg)
+        yield row, cm, sm, alpha, beta
+
+
 def mode_sum_drift(kernel: KernelSpec, xc: np.ndarray, C=None, S=None) -> np.ndarray:
     """b(x) + (khat * law)(x) at every point of a (..., N) block xc.
 
@@ -182,42 +223,35 @@ def mode_sum_drift(kernel: KernelSpec, xc: np.ndarray, C=None, S=None) -> np.nda
     sin(2 pi m .): the moments of a density give the mean-field drift.  When
     they are omitted, the law is each replica's empirical measure along the
     last axis, and the result is the pairwise mean force (1/N) sum_k
-    K(x_j, x_k).  One walk over the mode table evaluates each mode's cos/sin
-    once; b and the force are summed apart, then added.
+    K(x_j, x_k).  Each mode costs one cos, one sin and, for khat,
+    cos * alpha + sin * beta with the moments folded into per-replica (or
+    given-law) coefficients (see _mode_terms); b and the force are summed
+    apart, then added.
     """
     b = np.full_like(xc, kernel.b_cos[0])
     force = np.full_like(xc, kernel.k_cos[0] * (1.0 if C is None else C[0]))
-    for m, bc, bs, kc, ks in kernel.mode_table:
-        w = 2 * np.pi * m
-        cm = np.cos(w * xc)
-        sm = np.sin(w * xc)
-        if bc != 0.0:
-            b += bc * cm
-        if bs != 0.0:
-            b += bs * sm
-        if kc != 0.0 or ks != 0.0:
-            if C is None:
-                Cm, Sm = cm.mean(axis=-1, keepdims=True), sm.mean(axis=-1, keepdims=True)
-            else:
-                Cm, Sm = C[m], S[m]
-            # cos(a-b) and sin(a-b) expanded over the moments
-            force += kc * (cm * Cm + sm * Sm) + ks * (sm * Cm - cm * Sm)
+    for _ in _mode_terms(kernel, xc, C, S, b, force):
+        pass
     b += force
     return b
 
 
-def em_step(x: np.ndarray, drift: np.ndarray, dt: float, noise: np.ndarray) -> np.ndarray:
+def em_step(x: np.ndarray, drift: np.ndarray, dt: float, noise: np.ndarray,
+            out=None) -> np.ndarray:
     """One Euler-Maruyama step with periodic wrap: x + dt*drift + sqrt(2 dt)*noise.
 
     The sum z is wrapped as z - floor(z), which equals np.mod(z, 1.0) bit for
     bit except where a tiny negative z rounds up to exactly 1.0; that value is
     mapped to 0.0 (the representable point nearest to it on the torus), so
-    every output lies in [0, 1).  The arguments are not modified.
+    every output lies in [0, 1).  x, drift and noise share one shape.  The
+    result goes to out when given (x itself steps in place); no other
+    argument is modified.
     """
-    z = np.add(x, np.multiply(dt, drift))
-    z += np.sqrt(2.0 * dt) * noise
-    z -= np.floor(z)
-    z -= np.floor(z)  # moves only an exact 1.0 (to 0.0); values in [0, 1) keep their bits
+    tmp = np.multiply(dt, drift)
+    z = np.add(x, tmp, out=out)
+    z += np.multiply(noise, np.sqrt(2.0 * dt), out=tmp)
+    z -= np.floor(z, out=tmp)
+    z -= np.floor(z, out=tmp)  # moves only an exact 1.0 (to 0.0); values in [0, 1) keep their bits
     return z
 
 
@@ -275,7 +309,7 @@ def _replica_steps(cfg: SimConfig, replicas: range, n_steps: int):
     """Yield (x, noise) for steps 0..n_steps of the given replicas.
 
     x is the (R, N, d) block of positions and noise the standard normal block
-    that moved it there (None at step 0); noise is overwritten by a later
+    that moved it there (None at step 0); both are overwritten by a later
     step.  Draws follow the stream layout in the module docstring.  The
     noise of as many steps as fit in _NOISE_BLOCK_BYTES (at least one) is
     drawn ahead with one call per replica, which yields the same bits as one
@@ -295,7 +329,7 @@ def _replica_steps(cfg: SimConfig, replicas: range, n_steps: int):
         for b in range(nb):
             noise = block[:, b]
             dr = pair_drift(cfg.kernel, x, cfg.self_interaction)
-            x = em_step(x, dr, cfg.dt, noise)
+            em_step(x, dr, cfg.dt, noise, out=x)
             yield x, noise
 
 

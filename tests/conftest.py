@@ -2,6 +2,7 @@
 from pathlib import Path
 
 import pytest
+from hypothesis import strategies as st
 
 from pchaos.core import KernelSpec
 
@@ -21,3 +22,24 @@ def default_kernel() -> KernelSpec:
     """The stock kernel shipped with the repository: one cosine confinement
     mode plus one sine interaction mode, sup-norm bound 1."""
     return KernelSpec.from_file(KERNEL_PATH)
+
+
+@st.composite
+def band_limited_kernels(draw, max_band: int = 3):
+    """Kernels with b and khat bands drawn apart (each up to max_band), whose
+    coefficients, and whole tables, may be zero.  Nonzero coefficients lie in
+    1e-3 <= |c| <= 1, so no product underflows."""
+    coef = st.one_of(st.just(0.0), st.builds(lambda sign, v: sign * v, st.sampled_from((-1.0, 1.0)),
+                                             st.floats(1e-3, 1.0)))
+
+    def table(band):
+        if draw(st.booleans()):
+            return [0.0] * (band + 1)
+        return draw(st.lists(coef, min_size=band + 1, max_size=band + 1))
+
+    b_band = draw(st.integers(0, max_band))
+    k_band = draw(st.integers(0, max_band))
+    b_cos, k_cos = table(b_band), table(k_band)
+    b_sin, k_sin = table(b_band), table(k_band)
+    b_sin[0] = k_sin[0] = 0.0
+    return KernelSpec(b_cos=b_cos, b_sin=b_sin, k_cos=k_cos, k_sin=k_sin)

@@ -365,6 +365,24 @@ def test_rates_smoke(tmp_path, capsys):
     assert "rates bias: slope" in text and "primary observable" in text
 
 
+def test_rates_rejects_histogram_cells_before_simulating(tmp_path, capsys):
+    # the shipped rates config cut to N = 100, 25 and 60 replicas: at N = 25
+    # the one-particle histogram has 32 cells for 60 * 25 / 50 = 30; this is
+    # refused before any N is simulated
+    text = (REPO_ROOT / "configs" / "rates.cfg").read_text(encoding="utf-8")
+    lines = [line for line in text.splitlines()
+             if line.split("=")[0].strip() not in ("kernel", "N", "replicas", "workers")]
+    cfg = _write_cfg(tmp_path, "r.cfg", "\n".join(lines + [
+        f"kernel = {KERNEL_PATH}", "N = 100, 25", "replicas = 60", "workers = 1"]) + "\n")
+    assert "bins = 32" in text
+    out = tmp_path / "o"
+    assert main(["rates", "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: too many histogram cells")
+    assert "N = 25, j = 1" in err and "32^1 = 32" in err and "n/50 = 30" in err
+    assert list(out.iterdir()) == []
+
+
 def test_missing_config_and_missing_key(tmp_path, capsys):
     rc = main(["simulate", "--config", str(tmp_path / "nope.cfg"),
                "--out", str(tmp_path / "o")])

@@ -10,7 +10,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from pchaos import experiments
 from pchaos.cli import main
 from pchaos.config import ConfigError, load_config
 from pchaos.core import GridField, KernelSpec, TorusGrid, fourier_field
@@ -33,7 +36,8 @@ from pchaos.particles import (
     sample_initial,
 )
 
-from conftest import KERNEL_PATH, REPO_ROOT, RICH_KERNEL
+from conftest import KERNEL_PATH, REPO_ROOT, RICH_KERNEL, band_limited_kernels
+from oracles.companion_explicit import companion_terms_explicit
 
 
 def _ecfg(tmp_path, **over):
@@ -286,6 +290,37 @@ def test_companion_drift_is_the_moment_drift():
     assert np.array_equal(drift, mode_sum_drift(RICH_KERNEL, y, C, S))
 
 
+def _assert_matches_explicit_companion(kernel, y, C, S, tol, scale=0.0):
+    for got, want in zip(_companion_terms(kernel, y, C, S),
+                         companion_terms_explicit(kernel, y, C, S)):
+        assert np.max(np.abs(got - want)) <= tol * max(np.abs(want).max(), scale)
+
+
+@pytest.mark.parametrize("name", ["rich", "default"])
+def test_companion_terms_match_explicit_form(name, default_kernel):
+    # the folded coefficients and the cos^2 + sin^2 = 1 self term reproduce
+    # the leave-one-out form to roundoff
+    kernel = RICH_KERNEL if name == "rich" else default_kernel
+    rng = np.random.default_rng(12)
+    y = rng.random((4, 50))
+    modes = np.arange(len(kernel.k_cos))
+    C = np.cos(2 * np.pi * np.outer(modes, rng.random(200))).mean(axis=1)
+    S = np.sin(2 * np.pi * np.outer(modes, rng.random(200))).mean(axis=1)
+    _assert_matches_explicit_companion(kernel, y, C, S, 1e-13)
+
+
+@settings(max_examples=200, deadline=None)
+@given(kernel=band_limited_kernels(), N=st.integers(2, 12), seed=st.integers(0, 2**32 - 1))
+def test_companion_terms_match_explicit_form_for_any_kernel(kernel, N, seed):
+    rng = np.random.default_rng(seed)
+    y = rng.random((3, N))
+    C, S = rng.uniform(-1, 1, len(kernel.k_cos)), rng.uniform(-1, 1, len(kernel.k_cos))
+    C[0], S[0] = 1.0, 0.0
+    # a term can cancel to far below its parts, so the scale covers them too
+    scale = kernel.sup_norm_bound * (1 + 2 * np.pi * kernel.band)
+    _assert_matches_explicit_companion(kernel, y, C, S, 1e-13, scale)
+
+
 def test_drift_derivative_matches_finite_differences():
     rng = np.random.default_rng(9)
     x = rng.random((1, 32))
@@ -353,10 +388,19 @@ def test_run_rate_experiment_smoke(tmp_path):
     assert manifest["config_sha256"] == want_sha
 
 
-def test_run_rate_experiment_persists_failures(tmp_path):
-    # a histogram with more cells than the sample volume supports dies inside
-    # the estimation stage; whatever was already estimated must be flushed
-    ecfg = _ecfg(tmp_path, bins=32)
+def test_run_rate_experiment_persists_failures(tmp_path, monkeypatch):
+    # a stage that dies at the second N must flush the first N's rows; the
+    # histogram stage is made to fail there (the real cell cap is checked
+    # before any simulation, see test_histogram_cell_cap_checked_per_n_and_j)
+    ecfg = _ecfg(tmp_path, bins=8)
+    real = experiments.chi_squared_from_samples
+
+    def failing_at_second_n(samples, *args, **kw):
+        if len(samples) == ecfg.replicas * sorted(ecfg.N_list)[1]:  # j = 1
+            raise ValueError("too many cells: injected at the second N")
+        return real(samples, *args, **kw)
+
+    monkeypatch.setattr(experiments, "chi_squared_from_samples", failing_at_second_n)
     with pytest.raises(ValueError, match="too many cells"):
         run_rate_experiment(ecfg)
     manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
@@ -364,6 +408,48 @@ def test_run_rate_experiment_persists_failures(tmp_path):
     lines = (tmp_path / "out" / "rates.csv").read_text().splitlines()
     assert lines[0] == "N,j,i,t,observable,estimate,prediction,se"
     assert len(lines) > 1
+    # the first N is complete, the second has the rows made before its
+    # histograms, and the third never ran
+    per_n = {}
+    for line in lines[1:]:
+        per_n.setdefault(int(line.split(",")[0]), []).append(line.split(",")[4])
+    assert sorted(per_n) == [4, 6]
+    assert len(per_n[4]) == 2 * len(_PHI_PANEL) + 1 + len(ecfg.j_list)
+    assert len(per_n[6]) == 2 * len(_PHI_PANEL) + 1
+    assert not any(name.startswith("chi2") for name in per_n[6])
+
+
+def test_histogram_cell_cap_checked_per_n_and_j(tmp_path):
+    # every (N, j) needs replicas * floor(N/j) / 50 >= bins_j^j, with pair
+    # histograms on max(2, bins // 4) bins per axis
+    _ecfg(tmp_path, N_list=(4, 8), bins=8)  # N = 4: 100 * 4 / 50 = 8 cells for j = 1
+    with pytest.raises(ConfigError, match=r"N = 4, j = 1: 16\^1 = 16 exceeds n/50 = 8"):
+        _ecfg(tmp_path, N_list=(8, 4), bins=16)
+    # j = 2 at N = 5: floor(5/2) = 2 tuples per replica, 12 // 4 = 3 bins per axis
+    with pytest.raises(ConfigError, match=r"N = 5, j = 2: 3\^2 = 9 exceeds n/50 = 4"):
+        _ecfg(tmp_path, N_list=(5, 8), j_list=(2,), bins=12, grid=48)
+    _ecfg(tmp_path, N_list=(5, 8), j_list=(2,), bins=12, grid=48, replicas=300)
+    with pytest.raises(ConfigError, match="multiple"):
+        _ecfg(tmp_path, bins=5)
+
+
+def test_rate_pool_matches_serial_run(tmp_path):
+    # several chunks per N on two processes give the serial run's bytes
+    base = dict(N_list=(40, 60, 80), replicas=300)
+    assert [len(experiments._chunks(300, N, 2)) for N in base["N_list"]] == [2, 4, 4]
+    serial = run_rate_experiment(_ecfg(tmp_path, out_dir=str(tmp_path / "w1"), workers=1, **base))
+    pooled = run_rate_experiment(_ecfg(tmp_path, out_dir=str(tmp_path / "w2"), workers=2, **base))
+    assert Path(serial.csv_path).read_bytes() == Path(pooled.csv_path).read_bytes()
+
+
+def test_chunks_cover_replicas_in_multiples_of_workers():
+    for replicas, N, workers in ((600, 25, 2), (600, 100, 2), (10000, 800, 8), (10, 4, 3), (3, 10**6, 8)):
+        chunks = experiments._chunks(replicas, N, workers)
+        assert chunks[0][0] == 0 and chunks[-1][1] == replicas
+        assert all(a[1] == b[0] for a, b in zip(chunks, chunks[1:]))
+        assert all(r1 > r0 for r0, r1 in chunks)
+        assert len(chunks) % workers == 0 or len(chunks) == replicas
+    assert experiments._chunks(600, 100, 2) == [(60 * i, 60 * i + 60) for i in range(10)]
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from pchaos.particles import (
 )
 from pchaos.pde import TimeGrid, solve_mckean_vlasov
 
-from conftest import RICH_KERNEL
+from conftest import RICH_KERNEL, band_limited_kernels
 
 
 # ---------------------------------------------------------------------------
@@ -77,6 +77,21 @@ def test_pair_drift_fast_equals_direct():
     fast = pair_drift(RICH_KERNEL, x, method="fast")
     direct = pair_drift(RICH_KERNEL, x, method="direct")
     assert np.max(np.abs(fast - direct)) < 1e-12
+
+
+@settings(max_examples=200, deadline=None)
+@given(kernel=band_limited_kernels(), N=st.integers(1, 12), seed=st.integers(0, 2**32 - 1))
+def test_mode_sum_drift_matches_direct_sum_for_any_kernel(kernel, N, seed):
+    # empirical moments and given moments (tables as long as khat's, which
+    # may be shorter than b's) both reproduce the O(N^2) pairwise sum
+    x = np.random.default_rng(seed).random((2, N))
+    direct = pair_drift(kernel, x[..., None], True, "direct")[..., 0]
+    assert np.max(np.abs(mode_sum_drift(kernel, x) - direct)) < 1e-12
+    modes = np.arange(len(kernel.k_cos))
+    for r in range(2):
+        C = np.cos(2 * np.pi * np.outer(modes, x[r])).mean(axis=1)
+        S = np.sin(2 * np.pi * np.outer(modes, x[r])).mean(axis=1)
+        assert np.max(np.abs(mode_sum_drift(kernel, x[r], C, S) - direct[r])) < 1e-12
 
 
 def test_pair_drift_two_particles_by_hand(default_kernel):
