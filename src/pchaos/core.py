@@ -202,24 +202,6 @@ class KernelSpec:
                 f"kernel band {self.band} exceeds the Nyquist limit of an M={M} grid"
             )
 
-    def _coeff_fft(self, cos_t: np.ndarray, sin_t: np.ndarray, M: int) -> np.ndarray:
-        """Continuum Fourier coefficients c_m (for e^{2*pi*i*m*x}) in fft order."""
-        self._check_band(M)
-        c = np.zeros(M, dtype=complex)
-        c[0] = cos_t[0]
-        for m in range(1, len(cos_t)):
-            cm = 0.5 * (cos_t[m] - 1j * sin_t[m])
-            if cm != 0:
-                c[m] = cm
-                c[-m] = np.conj(cm)
-        return c
-
-    def b_coeff_fft(self, M: int) -> np.ndarray:
-        return self._coeff_fft(self.b_cos, self.b_sin, M)
-
-    def khat_coeff_fft(self, M: int) -> np.ndarray:
-        return self._coeff_fft(self.k_cos, self.k_sin, M)
-
     @classmethod
     def zero(cls) -> "KernelSpec":
         return cls(np.zeros(1), np.zeros(1), np.zeros(1), np.zeros(1))

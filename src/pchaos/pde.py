@@ -12,13 +12,17 @@ makes linear steady states exact and keeps the mode-0 (mass) update exact.
 
 Every unknown here (each g^i_j and each BBGKY marginal f_a) is symmetric in
 its coordinates, and so are the equations.  So flux_k is flux_1 with x_1 and
-x_k swapped, and every solver assembles flux_1 alone: one stepper,
-_SpectralOps.step(u, flux1), transforms it once and takes the k-th component
-by an axis swap.  test_pde.py guards the premise: on symmetric states the
-full term table's flux_k equals the swapped flux_1
-(tests/oracles/all_k_flux.py), and the solved entries stay symmetric to
-1e-13.  compute_remainder, which reports R^i_j rather than stepping, still
-evaluates every component.
+x_k swapped, and every solver assembles flux_1 alone.  One stepper,
+_SpectralOps.step(u, flux1), solves the update whose divergence is d/dx_1
+flux_1 and whose heat part is 1/j of u's, with real transforms only, and
+sums that update over the j swaps of x_1 with x_k in real space: the heat
+and phi_1 multipliers are invariant under coordinate permutations and u is
+symmetric, so the sum is the full update.  test_pde.py guards the premise:
+on symmetric states the full term table's flux_k equals the swapped flux_1
+(tests/oracles/all_k_flux.py), the stepper matches one that transforms the
+swapped fluxes (tests/oracles/fourier_swap_step.py), and the solved entries
+stay symmetric to 1e-13.  compute_remainder, which reports R^i_j rather
+than stepping, still evaluates every component.
 
 The correction hierarchy g^i_j lives on the triangular index set
 T = {(i, j): 1 <= j <= i + 1}.  Entry (0, 1) is the mean-field density rho,
@@ -31,8 +35,11 @@ couples lower entries through the operators
 
 where H_k applied to a product integrates every factor carrying the starred
 coordinate.  One interaction operator (_Interaction) is the only place that
-applies K: it contracts the starred coordinate for H_k, routes the pair
-weight for S_{k,l}, and assembles the BBGKY-shaped flux
+applies K.  K is band-limited, so on the grid h K(x, y) factors through
+Q = 1 + 2 (number of khat modes) functions of y, and every contraction
+against K (the mean-field convolution and the starred axis of H_k) is two
+small matrix products through those factors.  _Interaction also routes the
+pair weight for S_{k,l} and assembles the BBGKY-shaped flux
 c_upper H_k f_{a+1} + c_self sum_l K(x_k, x_l) f_a shared by the remainder
 R^i_j and the truncated N-particle hierarchy.  The generic assembler compiles
 the k = 1 terms of each entry's equation once (_EntrySolver) and evaluates
@@ -143,42 +150,41 @@ class _SpectralOps:
     The multipliers live in the half spectrum of rfftn (the last axis keeps
     modes 0..M//2).  step() takes flux_1 alone: u and every field its flux is
     built from are symmetric in their coordinates, so flux_k is flux_1 with
-    x_1 and x_k swapped and its transform is that of flux_1 with axes 0 and
-    k-1 swapped.  test_pde.py checks the premise on the full flux tables
-    (test_flux_k_is_flux_1_with_axes_swapped) and on the solved entries
-    (test_solved_entries_are_symmetric).
+    x_1 and x_k swapped.  The heat and phi_1 multipliers are invariant under
+    coordinate permutations, so the update with 1/arity of the heat part and
+    only the d/dx_1 flux_1 divergence, swapped x_1 <-> x_k and summed over k,
+    is the full update; the sum runs in real space.  force folds the phi_1
+    weight, the minus sign of the divergence, the 2/3-rule dealiasing and
+    d/dx_1 into one multiplier.  test_pde.py checks the premise on the full
+    flux tables (test_flux_k_is_flux_1_with_axes_swapped), against a stepper
+    that transforms the swapped fluxes (tests/oracles/fourier_swap_step.py)
+    and on the solved entries (test_solved_entries_are_symmetric).
     """
 
     def __init__(self, M: int, arity: int, dt: float):
         freqs = np.fft.fftfreq(M, d=1.0 / M)  # integer mode numbers
         lam = np.zeros((M,) * arity)
-        deriv = []
         mask = np.ones((M,) * arity, dtype=bool)
         keep = np.abs(freqs) <= M // 3  # 2/3-rule dealiasing
         for ax in range(arity):
             shape = [1] * arity
             shape[ax] = M
-            kx = freqs.reshape(shape)
-            lam = lam + 4.0 * np.pi ** 2 * kx ** 2
-            deriv.append(2j * np.pi * kx)
+            lam = lam + 4.0 * np.pi ** 2 * freqs.reshape(shape) ** 2
             mask &= keep.reshape(shape)
-        self.half = M // 2 + 1
-        lam = lam[..., : self.half]
-        self.deriv = [d[..., : self.half] for d in deriv]
-        self.heat = np.exp(-lam * dt)
+        half = M // 2 + 1
+        lam = lam[..., :half]
+        deriv1 = (2j * np.pi * freqs).reshape((M,) + (1,) * (arity - 1))[..., :half]
+        self.heat = np.exp(-lam * dt) / arity
         with np.errstate(divide="ignore", invalid="ignore"):
             w = -np.expm1(-lam * dt) / lam
-        # the flux divergence enters with a minus sign and dealiased: both go into its weight
-        self.force = np.where(mask[..., : self.half], -np.where(lam == 0.0, dt, w), 0.0)
+        self.force = np.where(mask[..., :half], -np.where(lam == 0.0, dt, w), 0.0) * deriv1
 
     def step(self, u: np.ndarray, flux1: np.ndarray) -> np.ndarray:
         """One step of du/dt = Lap u - sum_k d/dx_k flux_k with flux_k = flux_1 o (x_1 <-> x_k)."""
-        F1 = np.fft.fftn(flux1)
-        div = self.deriv[0] * F1[..., : self.half]
-        for ax in range(1, u.ndim):
-            div += self.deriv[ax] * np.swapaxes(F1, 0, ax)[..., : self.half]
-        out = self.heat * np.fft.rfftn(u) + self.force * div
-        return np.fft.irfftn(out, s=u.shape, axes=range(u.ndim))
+        axes = range(u.ndim)
+        x = np.fft.irfftn(self.heat * np.fft.rfftn(u) + self.force * np.fft.rfftn(flux1),
+                          s=u.shape, axes=axes)
+        return sum(np.swapaxes(x, 0, ax) for ax in axes)
 
 
 def _kernel_matrix(kernel: KernelSpec, grid: TorusGrid) -> np.ndarray:
@@ -318,12 +324,11 @@ def compile_entry_terms(i: int, j: int) -> list:
 
 def _route(vals: np.ndarray, coords: tuple, j: int, M: int) -> np.ndarray:
     """Broadcast an array whose axes follow `coords` onto the full j-lattice."""
-    order = np.argsort(coords)
-    if not np.all(order[:-1] < order[1:]):
-        vals = np.transpose(vals, order)
-        coords = tuple(coords[a] for a in order)
-    shape = tuple(M if (c + 1) in set(coords) else 1 for c in range(j))
-    return vals.reshape(shape)
+    ordered = sorted(coords)
+    if ordered != list(coords):
+        vals = np.transpose(vals, [coords.index(c) for c in ordered])
+    present = set(ordered)
+    return vals.reshape(tuple(M if c in present else 1 for c in range(1, j + 1)))
 
 
 class _Interaction:
@@ -335,21 +340,35 @@ class _Interaction:
     c_upper H_k f_{a+1} + c_self sum_l K(x_k, x_l) f_a that the remainder and
     the truncated BBGKY hierarchy share.  The pair sums are built once per
     (k, a) and cached.
+
+    Contractions go through the rank-Q factors h K(x, y) = sum_q V[q, x] U[y, q]
+    of the kernel's mode table: a column of h paired with b(x) + khat_c[0],
+    and per khat mode m the columns h cos(2 pi m y), h sin(2 pi m y) paired
+    with k_c cos + k_s sin and k_c sin - k_s cos at x (the alpha/beta fold of
+    particles._mode_terms).  Kmat, the kernel on the node pairs, gives the
+    pair weights.
     """
 
     def __init__(self, kernel: KernelSpec, grid: TorusGrid):
         self.M = grid.M
-        self.h = grid.h
-        self.bvec = kernel.b_values(grid.points)
-        self.kc = kernel.khat_coeff_fft(grid.M)
+        x = grid.points
         self.Kmat = _kernel_matrix(kernel, grid)
         self.Kdiag = np.diag(self.Kmat).copy()
+        cols = [np.full(grid.M, grid.h)]
+        rows = [kernel.b_values(x) + kernel.k_cos[0]]
+        for m, _, _, kc, ks in kernel.mode_table:
+            if kc == 0.0 and ks == 0.0:
+                continue
+            c, s = np.cos(2.0 * np.pi * m * x), np.sin(2.0 * np.pi * m * x)
+            cols += [grid.h * c, grid.h * s]
+            rows += [kc * c + ks * s, kc * s - ks * c]
+        self.U = np.stack(cols, axis=1)
+        self.V = np.stack(rows)
         self._pair_sums = {}
 
     def mean_field_flux(self, rho: np.ndarray) -> np.ndarray:
-        """(K * rho) rho: b times the mass plus the spectral convolution with khat."""
-        conv = self.bvec * (rho.sum() * self.h) + np.fft.ifft(self.kc * np.fft.fft(rho)).real
-        return conv * rho
+        """(K * rho) rho through the factors."""
+        return ((rho @ self.U) @ self.V) * rho
 
     def starred(self, vals: np.ndarray, coords: tuple, k: int, j: int) -> np.ndarray:
         """Integrate the starred axis against K(x_k, .) and route onto the j-lattice.
@@ -359,7 +378,7 @@ class _Interaction:
         the two are tied on the diagonal.
         """
         rest = coords[:-1]
-        w = self.h * np.tensordot(vals, self.Kmat, axes=([len(coords) - 1], [1]))
+        w = (vals @ self.U) @ self.V
         if k in rest:
             w = np.diagonal(w, axis1=rest.index(k), axis2=w.ndim - 1)
             rest = tuple(c for c in rest if c != k)

@@ -123,21 +123,16 @@ def test_kernel_mode0_sine_rejected_in_constructor():
         KernelSpec([0.0], [0.1], [0.0], [0.0])
 
 
-def test_coeff_fft_reconstructs_samples():
+def test_check_band_rejects_unresolved_kernel():
     k = KernelSpec.from_tables(b={1: (0.4, -0.2), 2: (0.0, 0.1)}, khat={2: (0.3, 0.0)})
-    M = 16
-    x = np.arange(M) / M
-    b_grid = np.fft.ifft(k.b_coeff_fft(M)).real * M
-    kh_grid = np.fft.ifft(k.khat_coeff_fft(M)).real * M
-    assert np.allclose(b_grid, k.b_values(x), atol=1e-13)
-    assert np.allclose(kh_grid, k.khat_values(x), atol=1e-13)
+    k._check_band(5)
     with pytest.raises(ValueError, match="Nyquist"):
-        k.b_coeff_fft(4)
+        k._check_band(4)
 
 
 def test_convolve_density_equals_direct_sum():
-    # the mean-field flux (K * rho) rho, spectral in khat, against the direct
-    # quadrature sum of K(x_i, y_j) rho(y_j)
+    # the mean-field flux (K * rho) rho, through the kernel factors, against
+    # the direct quadrature sum of K(x_i, y_j) rho(y_j)
     rng = np.random.default_rng(11)
     g = TorusGrid(32)
     k = KernelSpec.from_tables(b={0: (0.2, 0.0), 1: (0.5, 0.1)},

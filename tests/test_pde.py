@@ -2,35 +2,48 @@
 
 The stationary pair-correlation amplitude is frozen from
 tests/oracles/stationary_pair_amplitude.py; the written-out first-order
-solvers come from tests/oracles/first_order_explicit.py and the all-k flux
-assembler from tests/oracles/all_k_flux.py.
+solvers come from tests/oracles/first_order_explicit.py, the all-k flux
+assembler from tests/oracles/all_k_flux.py and the Fourier-space swap step
+from tests/oracles/fourier_swap_step.py.
 """
+import itertools as it
 import json
+import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from pchaos.core import GridField, KernelSpec, TorusGrid, fourier_field, product_field
 from pchaos.experiments import fit_rate
 from pchaos.partitions import max_asymmetry
 from pchaos.pde import (
+    STAR,
     GTable,
     TimeGrid,
     _cluster3,
     _EntrySolver,
     _Interaction,
+    _kernel_matrix,
+    _SpectralOps,
     assemble_phi,
     check_energy_inequality,
+    compile_entry_terms,
     compute_remainder,
     solve_bbgky_reference,
     solve_g_hierarchy,
     solve_mckean_vlasov,
 )
 
-from conftest import RICH_KERNEL
+from conftest import REPO_ROOT, RICH_KERNEL, band_limited_kernels
 from field_synth import random_smooth_field
 from oracles.all_k_flux import entry_fluxes
 from oracles.first_order_explicit import solve_g1_pair, solve_g1_single
+from oracles.fourier_swap_step import FourierSwapStep
 
 
 def l2_norm_sq(values: np.ndarray, h: float) -> float:
@@ -244,12 +257,126 @@ def test_bbgky_flux_k_is_flux_1_with_axes_swapped(a):
         assert np.abs(fk - np.swapaxes(flux1, 0, k - 1)).max() <= 1e-13 * np.abs(flux1).max()
 
 
+def _symmetrize(vals: np.ndarray, axes: tuple) -> np.ndarray:
+    """Mean of vals over every permutation of the given axes."""
+    out = np.zeros_like(vals)
+    for perm in it.permutations(axes):
+        order = list(range(vals.ndim))
+        for src, dst in zip(axes, perm):
+            order[src] = dst
+        out += np.transpose(vals, order)
+    return out / math.factorial(len(axes))
+
+
+@pytest.mark.parametrize("M", [12, 15, 32])
+@pytest.mark.parametrize("arity", [1, 2, 3])
+def test_spectral_step_matches_fourier_swap_step(M, arity):
+    # the real-space sum over swapped partial updates equals the update whose
+    # divergence sums the swapped spectra of flux_1, on u symmetric in all
+    # coordinates and flux_1 symmetric in x_2..x_j; white noise reaches every
+    # mode, the dealiased and (even M) the Nyquist ones included
+    rng = np.random.default_rng(100 * M + arity)
+    shape = (M,) * arity
+    u = _symmetrize(rng.standard_normal(shape), tuple(range(arity)))
+    flux1 = _symmetrize(rng.standard_normal(shape), tuple(range(1, arity)))
+    dt = 1e-3
+    got = _SpectralOps(M, arity, dt).step(u, flux1)
+    want = FourierSwapStep(M, arity, dt).step(u, flux1)
+    assert got.shape == shape
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
+ZERO_KERNEL = KernelSpec.zero()
+B_ONLY_KERNEL = KernelSpec.from_tables(b={0: (0.3, 0.0), 2: (0.5, -0.25)})
+KHAT_CONSTANT_KERNEL = KernelSpec.from_tables(khat={0: (0.7, 0.0), 1: (0.0, 0.25)})
+
+
+@settings(max_examples=100, deadline=None)
+@given(kernel=band_limited_kernels(), M=st.sampled_from([8, 9, 16]))
+@example(kernel=ZERO_KERNEL, M=8)
+@example(kernel=B_ONLY_KERNEL, M=9)
+@example(kernel=KHAT_CONSTANT_KERNEL, M=8)
+def test_kernel_factors_reproduce_kernel_matrix(kernel, M):
+    grid = TorusGrid(M)
+    op = _Interaction(kernel, grid)
+    khat_modes = sum(kc != 0.0 or ks != 0.0 for _, _, _, kc, ks in kernel.mode_table)
+    assert op.U.shape == (M, 1 + 2 * khat_modes) and op.V.shape == op.U.shape[::-1]
+    # (U V)[y, x] = h K(x, y), against the kernel summed mode by mode at x - y
+    assert np.abs(op.U @ op.V - grid.h * _kernel_matrix(kernel, grid).T).max() <= 1e-15
+
+
+def _starred_patterns() -> set:
+    """(coords, k, j) of every starred factor the hierarchy and the BBGKY flux contract."""
+    patterns = {(tuple(range(1, a + 1)) + (STAR,), k, a) for a in (1, 2, 3) for k in range(1, a + 1)}
+    for i in (1, 2):
+        for j in range(1, i + 2):
+            for t in compile_entry_terms(i, j):
+                patterns.update((coords, t.k, j) for _, coords in t.factors if STAR in coords)
+    return patterns
+
+
+STARRED_PATTERNS = sorted(_starred_patterns())
+
+
+def test_starred_patterns_cover_both_ties():
+    # every factor arity 1-3, and x_k both among the factor's coordinates and not
+    for arity in (1, 2, 3):
+        ties = {k in coords[:-1] for coords, k, _ in STARRED_PATTERNS if len(coords) == arity}
+        assert ties == ({False} if arity == 1 else {False, True})
+
+
+@settings(max_examples=50, deadline=None)
+@given(kernel=band_limited_kernels(), seed=st.integers(0, 2 ** 32 - 1))
+@example(kernel=ZERO_KERNEL, seed=0)
+@example(kernel=B_ONLY_KERNEL, seed=1)
+@example(kernel=KHAT_CONSTANT_KERNEL, seed=2)
+def test_starred_matches_direct_quadrature(kernel, seed):
+    # starred() against h sum_y vals[..., y] K(x_k, y) with K from
+    # KernelSpec.eval; einsum ties x_k on the diagonal when the factor has it
+    grid = TorusGrid(8)
+    M, x = grid.M, grid.points
+    K = kernel.eval(x[:, None], x[None, :])
+    op = _Interaction(kernel, grid)
+    rng = np.random.default_rng(seed)
+    letter = {1: "a", 2: "b", 3: "c"}
+    for coords, k, j in STARRED_PATTERNS:
+        rest = coords[:-1]
+        vals = rng.standard_normal((M,) * len(coords))
+        out = sorted(set(rest) | {k})
+        spec = ("".join(letter[c] for c in rest) + "y," + letter[k] + "y->"
+                + "".join(letter[c] for c in out))
+        want = grid.h * np.einsum(spec, vals, K)
+        want = want.reshape(tuple(M if c in out else 1 for c in range(1, j + 1)))
+        got = op.starred(vals, coords, k, j)
+        assert got.shape == want.shape, (coords, k, j)
+        assert np.abs(got - want).max() <= 1e-13 * max(1.0, np.abs(want).max()), (coords, k, j)
+
+
 def test_solved_entries_are_symmetric(small_table):
     # a table entry that lost its symmetry would break the flux_1 shortcut
     gt = small_table
     for i, j in gt.entries:
         for s in range(gt.n_stored):
             assert max_asymmetry(gt.field(i, j, s)) <= 1e-13, (i, j, s)
+
+
+def test_hierarchy_solve_keeps_to_one_cpu():
+    # the solve is single-threaded work; a BLAS call large enough to start
+    # OpenBLAS's worker threads left them spinning, ~1.9 CPU-seconds per
+    # wall-second on two cores.  Other load can only lower the ratio.
+    code = (
+        "import time\n"
+        "from pchaos.core import KernelSpec, TorusGrid, fourier_field\n"
+        "from pchaos.pde import TimeGrid, solve_g_hierarchy\n"
+        f"k = KernelSpec.from_file({str(REPO_ROOT / 'kernels' / 'default.txt')!r})\n"
+        "f = fourier_field(TorusGrid(32), [1.0, 0.5])\n"
+        "c0, t0 = time.process_time(), time.perf_counter()\n"
+        "solve_g_hierarchy(2, f, k, TimeGrid(1e-3, 50))\n"
+        "print((time.process_time() - c0) / (time.perf_counter() - t0))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")}, check=True)
+    assert float(proc.stdout) <= 1.3
 
 
 def test_hierarchy_order_cap_and_memory_guard(default_kernel):
