@@ -20,6 +20,7 @@ from .core import KernelSpec, TorusGrid, fourier_field, product_field, step_coun
 from .experiments import ExperimentConfig, run_bounds_report, run_rate_experiment
 from .metrics import divergence_report_from_samples
 from .particles import SimConfig, SnapshotSet, extract_marginal_samples, run_ensemble
+from .partitions import max_asymmetry
 from .pde import (
     GTable,
     MemoryBudgetError,
@@ -64,6 +65,11 @@ def _time_grid(cfg: Config) -> TimeGrid:
     return TimeGrid(dt, step_count(cfg.get_float("T"), dt), cfg.get_int("store_every", 1))
 
 
+def _max_mass_drift(traj) -> float:
+    """Largest |mass - 1| of a density trajectory over its stored times."""
+    return max(abs(traj.grid.h * traj.values[s].sum() - 1.0) for s in range(len(traj.times)))
+
+
 def _cmd_simulate(cfg: Config, out: Path, seed) -> int:
     kernel = KernelSpec.from_file(cfg.get_str("kernel"))
     density = _density_from_config(cfg, "sample_grid", 256)
@@ -103,7 +109,7 @@ def _cmd_solve_mv(cfg: Config, out: Path, seed) -> int:
         for s, t in enumerate(traj.times):
             for x, v in zip(grid.points, traj.values[s]):
                 fh.write(f"{float(t)!r},{float(x)!r},{float(v)!r}\n")
-    drift = max(abs(grid.h * traj.values[s].sum() - 1.0) for s in range(len(traj.times)))
+    drift = _max_mass_drift(traj)
     _write_manifest(out, _hashed_text(cfg), _seed(cfg, seed), max_mass_drift=drift)
     print(f"solve-mv: M={grid.M}, {tg.n_steps} steps, max mass drift {drift:.3e}")
     return 0
@@ -116,8 +122,11 @@ def _cmd_solve_hierarchy(cfg: Config, out: Path, seed) -> int:
     i_max = cfg.get_int("order", 1)
     gt = solve_g_hierarchy(i_max, density, kernel, tg)
     gt.save(out / "gtable")
-    _write_manifest(out, _hashed_text(cfg), _seed(cfg, seed),
-                    i_max=i_max, entries=len(gt.entries))
+    asymmetry = {f"g_{i}_{j}": max(max_asymmetry(gt.field(i, j, s)) for s in range(gt.n_stored))
+                 for i, j in sorted(gt.entries)}
+    _write_manifest(out, _hashed_text(cfg), _seed(cfg, seed), i_max=i_max,
+                    entries=len(gt.entries), max_mass_drift=_max_mass_drift(gt.rho()),
+                    max_asymmetry=asymmetry)
     print(f"solve-hierarchy: order {i_max}, {len(gt.entries)} entries -> {out / 'gtable'}")
     return 0
 

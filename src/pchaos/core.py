@@ -6,7 +6,7 @@ axes of x_1 first (row-major, x_1 slowest); GridField.integrate is the
 rectangle rule, exact for trigonometric polynomials below the Nyquist mode.
 Interaction kernels have the form K(x, y) = b(x) + Khat(x - y) and are
 band-limited trigonometric polynomials kept as cosine/sine coefficient
-tables, so convolutions against grid fields (pde._Interaction) are exact
+tables, so convolutions against grid fields (operators._Interaction) are exact
 whenever the grid resolves the band.
 """
 

@@ -1,0 +1,452 @@
+"""Lattice operators of the correction hierarchy and the stepper its solvers share.
+
+Each hierarchy entry g^i_j, i >= 1, satisfies a linear transport equation
+whose right-hand side couples lower entries through
+
+    S_{k,l} h = d/dx_k (K(x_k, x_l) h),
+    H_k    h = d/dx_k (integral of K(x_k, x_*) h dx_*),
+
+where H_k applied to a product integrates every factor carrying the starred
+coordinate; compile_entry_terms writes out each equation's term table.  One
+interaction operator (_Interaction) is the only place that applies K.  K is
+band-limited, so on the grid h K(x, y) factors through Q = 1 + 2 (number of
+khat modes) functions of y, and every contraction against K (the mean-field
+convolution and the starred axis of H_k) is two small matrix products through
+those factors.  _Interaction also routes the pair weight for S_{k,l} and
+assembles the BBGKY-shaped flux c_upper H_k f_{a+1} + c_self sum_l
+K(x_k, x_l) f_a shared by the remainder R^i_j and the truncated N-particle
+hierarchy.  _EntrySolver compiles the k = 1 terms of an entry's equation
+once into a few batched products and evaluates them per step.
+
+Every unknown (each g^i_j and each BBGKY marginal) is symmetric in its
+coordinates, and so are the equations.  So flux_k is flux_1 with x_1 and x_k
+swapped, and _SpectralOps steps from flux_1 alone, in the half spectrum.
+test_pde.py guards the premise: on symmetric states the full term table's
+flux_k equals the swapped flux_1 (tests/oracles/all_k_flux.py), the stepper
+matches one that transforms the swapped fluxes
+(tests/oracles/fourier_swap_step.py), and the solved entries stay symmetric
+to 1e-13.  The solvers that drive these operators are in pchaos.pde.
+"""
+
+from __future__ import annotations
+
+import itertools as it
+from dataclasses import dataclass
+
+import numpy as np
+
+from .core import KernelSpec, TorusGrid
+
+__all__ = ["STAR", "compile_entry_terms"]
+
+STAR = 10 ** 6  # sentinel for the integrated-out coordinate; sorts after any real one
+
+
+@dataclass(frozen=True)
+class _Term:
+    coef: int
+    kind: str            # "H" (starred contraction) or "S" (pairwise)
+    k: int               # 1-based divergence coordinate
+    l: int | None        # second coordinate for S terms
+    factors: tuple       # of (order, coords); coords sorted, STAR last
+
+
+def _factor_nonzero(order: int, coords: tuple) -> bool:
+    a = len(coords)
+    if a == 0 or order < 0:
+        return False
+    if order == 0:
+        return a == 1
+    return a <= order + 1
+
+
+def _mk(coords) -> tuple:
+    return tuple(sorted(coords))
+
+
+def compile_entry_terms(i: int, j: int) -> list:
+    """Term table of the order-(i, j) cluster-correction equation, i >= 1.
+
+    Both transport products (which involve the unknown itself) are folded in
+    with negative coefficients, so the right-hand side for the time stepper is
+    the signed sum of all returned terms.  Terms whose factors vanish (order
+    and arity off the triangular set, or the empty coordinate set) are pruned.
+    """
+    if i < 1:
+        raise ValueError("entry (0, 1) is the mean-field equation; no term table")
+    terms: list[_Term] = []
+    full = tuple(range(1, j + 1))
+
+    def add(coef, kind, k, l, factors):
+        if coef == 0:
+            return
+        fs = tuple((o, _mk(c)) for o, c in factors)
+        if not all(_factor_nonzero(o, c) for o, c in fs):
+            return
+        if kind == "H":
+            starred = sum(STAR in c for _, c in fs)
+            if starred != 1:
+                raise AssertionError("H term needs exactly one starred factor")
+        terms.append(_Term(coef, kind, k, l, fs))
+
+    for k in full:
+        rest = tuple(c for c in full if c != k)
+        add(-1, "H", k, None, [(0, (k,)), (i, rest + (STAR,))])
+        add(-1, "H", k, None, [(i, full), (0, (STAR,))])
+        add(-1, "H", k, None, [(i, full + (STAR,))])
+        add(j, "H", k, None, [(i - 1, full + (STAR,))])
+        for wlen in range(len(rest) + 1):
+            for W in it.combinations(rest, wlen):
+                Wk = W + (k,)
+                rem = tuple(c for c in rest if c not in W)
+                for m in range(1, i):
+                    add(-1, "H", k, None, [(m, Wk), (i - m, rem + (STAR,))])
+                for m in range(i):
+                    add(j - 1 - wlen, "H", k, None, [(m, W + (k, STAR)), (i - 1 - m, rem)])
+                    add(j, "H", k, None, [(m, Wk), (i - 1 - m, rem + (STAR,))])
+                for rlen in range(len(rem) + 1):
+                    for R in it.combinations(rem, rlen):
+                        coef = j - 1 - wlen - rlen
+                        rem2 = tuple(c for c in rem if c not in R)
+                        for m in range(i):
+                            for n in range(i - m):
+                                add(coef, "H", k, None,
+                                    [(m, Wk), (n, R + (STAR,)), (i - 1 - m - n, rem2)])
+        for l in full:
+            add(-1, "S", k, l, [(i - 1, full)])
+            if l == k:
+                continue
+            pool = tuple(c for c in full if c not in (k, l))
+            for wlen in range(len(pool) + 1):
+                for W in it.combinations(pool, wlen):
+                    rem = tuple(c for c in full if c != k and c not in W)
+                    for m in range(i):
+                        add(-1, "S", k, l, [(m, W + (k,)), (i - 1 - m, rem)])
+    return terms
+
+
+def _route(vals: np.ndarray, coords: tuple, j: int, M: int) -> np.ndarray:
+    """Broadcast an array whose axes follow `coords` onto the full j-lattice."""
+    ordered = sorted(coords)
+    if ordered != list(coords):
+        vals = np.transpose(vals, [coords.index(c) for c in ordered])
+    present = set(ordered)
+    return vals.reshape(tuple(M if c in present else 1 for c in range(1, j + 1)))
+
+
+def _kernel_matrix(kernel: KernelSpec, grid: TorusGrid) -> np.ndarray:
+    """Kmat[a, b] = K(x_a, x_b) on the grid nodes."""
+    x = grid.points
+    return kernel.eval(x[:, None], x[None, :])
+
+
+class _Interaction:
+    """The kernel K on one grid: the only place the hierarchy operators apply it.
+
+    mean_field_flux() is the transport (K * rho) rho of the mean-field
+    equation, starred() the contraction behind H_k, pair() the routed weight
+    K(x_k, x_l) behind S_{k,l}, and bbgky_flux() the flux
+    c_upper H_k f_{a+1} + c_self sum_l K(x_k, x_l) f_a that the remainder and
+    the truncated BBGKY hierarchy share.  The pair sums are built once per
+    (k, a) and cached.
+
+    Contractions go through the rank-Q factors h K(x, y) = sum_q V[q, x] U[y, q]
+    of the kernel's mode table: a column of h paired with b(x) + khat_c[0],
+    and per khat mode m the columns h cos(2 pi m y), h sin(2 pi m y) paired
+    with k_c cos + k_s sin and k_c sin - k_s cos at x (the alpha/beta fold of
+    particles._mode_terms).  Kmat, the kernel on the node pairs, gives the
+    pair weights.
+    """
+
+    def __init__(self, kernel: KernelSpec, grid: TorusGrid):
+        self.M, self.h = grid.M, grid.h
+        x = grid.points
+        self.Kmat = _kernel_matrix(kernel, grid)
+        self.Kdiag = np.diag(self.Kmat).copy()
+        cols = [np.full(grid.M, grid.h)]
+        rows = [kernel.b_values(x) + kernel.k_cos[0]]
+        for m, _, _, kc, ks in kernel.mode_table:
+            if kc == 0.0 and ks == 0.0:
+                continue
+            c, s = np.cos(2.0 * np.pi * m * x), np.sin(2.0 * np.pi * m * x)
+            cols += [grid.h * c, grid.h * s]
+            rows += [kc * c + ks * s, kc * s - ks * c]
+        self.U = np.stack(cols, axis=1)
+        self.V = np.stack(rows)
+        self._pair_sums = {}
+
+    def mean_field_flux(self, rho: np.ndarray) -> np.ndarray:
+        """(K * rho) rho through the factors."""
+        return ((rho @ self.U) @ self.V) * rho
+
+    def starred(self, vals: np.ndarray, coords: tuple, k: int, j: int) -> np.ndarray:
+        """Integrate the starred axis against K(x_k, .) and route onto the j-lattice.
+
+        coords are sorted with STAR last, so the starred axis is the final one.
+        The contraction appends an x_k axis; when the factor already carries x_k
+        the two are tied on the diagonal.
+        """
+        return self.starred_from(vals @ self.U, coords, k, j)
+
+    def starred_from(self, vu: np.ndarray, coords: tuple, k: int, j: int) -> np.ndarray:
+        """starred() from the factor's contraction vu = vals @ U."""
+        rest = coords[:-1]
+        w = vu @ self.V
+        if k in rest:
+            w = np.diagonal(w, axis1=rest.index(k), axis2=w.ndim - 1)
+            rest = tuple(c for c in rest if c != k)
+        return _route(w, rest + (k,), j, self.M)
+
+    def pair(self, k: int, l: int, j: int) -> np.ndarray:
+        """K(x_k, x_l) routed onto the j-lattice (K(x_k, x_k) on the diagonal)."""
+        if k == l:
+            return _route(self.Kdiag, (k,), j, self.M)
+        vals = self.Kmat if k < l else self.Kmat.T
+        return _route(vals, _mk((k, l)), j, self.M)
+
+    def bbgky_flux(self, upper: np.ndarray, u: np.ndarray, c_upper: float, c_self: float,
+                   k: int = 1) -> np.ndarray:
+        """flux_k = c_upper int K(x_k, x_*) upper dx_* + c_self sum_l K(x_k, x_l) u."""
+        a = u.ndim
+        if (k, a) not in self._pair_sums:
+            self._pair_sums[(k, a)] = sum(self.pair(k, l, a) for l in range(1, a + 1))
+        hk = self.starred(upper, tuple(range(1, a + 1)) + (STAR,), k, a)
+        return c_upper * hk + c_self * (self._pair_sums[(k, a)] * u)
+
+
+def _support(src: tuple) -> set:
+    """Coordinates a term's source depends on, on the entry's lattice (k = 1)."""
+    kind, _, coords = src
+    return (set(coords) - {STAR}) | ({1} if kind == "starred" else set())
+
+
+class _EntrySolver:
+    """flux_1 of one hierarchy entry (i, j), i >= 1, compiled from its term table.
+
+    Only the k = 1 terms are kept (the stepper derives flux_k by an axis
+    swap).  A term is a coefficient times sources: a stored entry on its
+    coordinates ("state"), the contraction behind H_1, which always carries
+    x_1 ("starred"), or the weight K(x_1, x_l) of S_{1,l} ("pair").  Sources
+    on x_1 alone make up the term's x_1 part; each other source is mixed
+    (it carries x_1) or free.  Each term compiles into one of three forms,
+    and each form is evaluated once for all of its terms:
+
+    (A) a(x_1) B(x_2..x_j): no mixed source, or a single one that factors
+        through the rank-Q kernel factors, int K(x_1, y) g(., y) dy =
+        sum_q V[q, x_1] (g @ U)[., q] and K(x_1, x_l) =
+        sum_q V[q, x_1] U[x_l, q] / h.  Terms with the same x_1 part share
+        columns of a (times V[q, x_1] when expanded) and sum their B parts
+        at the size of x_2..x_j; one matmul batched over x_2 writes flux_1.
+    (B) F(x_1, x_2) G(x_1, x_3), j = 3: no source carries both x_2 and x_3.
+        All such terms are one matmul batched over x_1, (M, M, T) @ (M, T, M).
+    (D) the rest: d(x_1) times lattice sources; terms with the same lattice
+        sources sum their d at size M first.
+
+    Each batch of a matmul is a small product (M x width x M^(j-2) for (A),
+    M x T x M for (B)), which OpenBLAS runs on the calling thread at the
+    sizes test_hierarchy_solve_keeps_to_one_cpu times; a 2-D product over
+    the whole lattice would wake its worker threads.  The starred
+    contractions, and the g @ U they start from, are shared between entries
+    through a per-step cache.
+    """
+
+    def __init__(self, i: int, j: int, op: _Interaction):
+        self.j = j
+        self.op = op
+        M, Q = op.M, op.U.shape[1]
+        X = tuple(range(2, j + 1))
+
+        def on(src, axes, tail=()):
+            return tuple(M if c in _support(src) else 1 for c in axes) + tail
+
+        def get(src, axes, tail=()):
+            """(kind, arg, shape): how flux1 reads a source, on the given axes."""
+            kind, key, coords = src
+            if kind == "pair":
+                return "const", op.pair(1, key, j).reshape(on(src, axes, tail)), None
+            return kind, (key, coords), on(src, axes, tail)
+
+        groups, self.pairwise, diag = {}, [], {}
+        for t in compile_entry_terms(i, j):
+            if t.k != 1:
+                continue
+            srcs = [("starred" if STAR in c else "state", (o, len(c)), c) for o, c in t.factors]
+            if t.kind == "S":
+                srcs.append(("pair", t.l, (1, t.l)))
+            # the table holds d/dt g - Lap g = sum coef * Op(...); the stepper
+            # subtracts flux divergences, so the flux carries the opposite sign
+            coef = -t.coef
+            x1 = tuple(sorted(s for s in srcs if _support(s) == {1}))
+            rest = [s for s in srcs if _support(s) != {1}]
+            mixed = [s for s in rest if 1 in _support(s)]
+            if X and not mixed:
+                groups.setdefault((x1, False), []).append((coef, rest, None))
+            elif len(mixed) == 1 and (mixed[0][0] == "pair" or 1 not in mixed[0][2]):
+                free = [s for s in rest if s is not mixed[0]]
+                groups.setdefault((x1, True), []).append((coef, free, mixed[0]))
+            elif j == 3 and not any({2, 3} <= _support(s) for s in rest):
+                near = [get(s, (1, 2)) for s in x1 + tuple(s for s in rest if 2 in _support(s))]
+                far = [get(s, (1, 3)) for s in rest if 2 not in _support(s)]
+                self.pairwise.append((coef, near, far))
+            else:
+                diag.setdefault(tuple(sorted(rest)), []).append((coef, x1))
+        self.diag = [([get(s, range(1, j + 1)) for s in srcs],
+                      [(coef, [get(s, (1,)) for s in x1]) for coef, x1 in parts])
+                     for srcs, parts in diag.items()]
+
+        # (A): columns of a per x_1 part, and each term's B part on x_2..x_j
+        # with the rank axis last (U[x_l, q] / h for a pair weight, g @ U for
+        # a starred factor)
+        self.columns, self.b_parts, width = [], [], 0
+        for (x1, expand), terms in groups.items():
+            cols = slice(width, width + (Q if expand else 1))
+            width = cols.stop
+            self.columns.append(([get(s, (1,)) for s in x1], expand, cols))
+            for coef, free, src in terms:
+                parts = [get(s, X, (1,)) for s in free]
+                if src is not None and src[0] == "pair":
+                    parts.append(("const", (op.U / op.h).reshape(on(src, X, (Q,))), None))
+                elif src is not None:
+                    parts.append(("contracted", src[1:], on(src, X, (Q,))))
+                self.b_parts.append((coef, parts, cols))
+        self.width = width
+        self._out = np.empty((M,) * j)
+        self._tmp = np.empty((M,) * j) if self.pairwise else None
+
+    def _get(self, source, state: dict, cache: dict) -> np.ndarray:
+        kind, arg, shape = source
+        if kind == "const":
+            return arg
+        if kind == "state":
+            return state[arg[0]].reshape(shape)
+        vu = cache.get(arg[0])
+        if vu is None:
+            vu = cache[arg[0]] = state[arg[0]] @ self.op.U
+        if kind == "contracted":
+            return vu.reshape(shape)
+        ckey = arg + (self.j,)
+        if ckey not in cache:
+            cache[ckey] = self.op.starred_from(vu, arg[1], 1, self.j)
+        return cache[ckey].reshape(shape)
+
+    def _product(self, sources, state: dict, cache: dict, prod=1.0):
+        for source in sources:
+            prod = prod * self._get(source, state, cache)
+        return prod
+
+    def flux1(self, state: dict, cache: dict) -> np.ndarray:
+        """flux_1 at the time-t state, in a buffer the next call overwrites.
+
+        cache holds this step's starred factors and their g @ U.
+        """
+        M, j, out = self.op.M, self.j, self._out
+        if self.columns:
+            a = np.empty((M, self.width))
+            for x1, expand, cols in self.columns:
+                v = np.reshape(self._product(x1, state, cache), (-1, 1))
+                a[:, cols] = v * self.op.V.T if expand else v
+            B = np.zeros((M,) * (j - 1) + (self.width,))
+            for coef, parts, cols in self.b_parts:
+                B[..., cols] += self._product(parts, state, cache, coef)
+            B = B.reshape(M, -1, self.width).transpose(0, 2, 1)
+            np.matmul(a, B, out=out.reshape(M, M, -1).transpose(1, 0, 2))
+        else:
+            out.fill(0.0)
+        if self.pairwise:
+            F = np.empty((M, M, len(self.pairwise)))
+            G = np.empty((M, len(self.pairwise), M))
+            for t, (coef, near, far) in enumerate(self.pairwise):
+                F[:, :, t] = self._product(near, state, cache, coef)
+                G[:, t] = self._product(far, state, cache)
+            out += np.matmul(F, G, out=self._tmp)
+        for srcs, parts in self.diag:
+            d = sum(self._product(x1, state, cache, coef) for coef, x1 in parts)
+            out += self._product(srcs, state, cache, np.reshape(d, (-1,) + (1,) * (j - 1)))
+        return out
+
+
+def _add_swapped(acc: np.ndarray, F: np.ndarray, ax: int) -> None:
+    """acc += rfftn of f with axes 0 and ax swapped, given F = rfftn(f).
+
+    rfftn keeps modes 0..M//2 (H of them) of the last axis.  A swap that
+    leaves that axis alone swaps the spectrum's axes.  The swap with the last
+    axis reads F where the new first-axis mode a is in the kept half (a < H);
+    for a >= H it reads conj F(-b, -m..., M - a), F's Hermitian mirror
+    (a real field has F(xi) = conj F(-xi)).  xi -> -xi on the full axes is a
+    flip and a roll by one, so no index array is built.
+    """
+    if ax < F.ndim - 1:
+        acc += np.swapaxes(F, 0, ax)
+        return
+    M, H = F.shape[0], F.shape[-1]
+    acc[:H] += np.swapaxes(F[:H], 0, ax)
+    full = tuple(range(ax))
+    mirror = np.roll(np.flip(F[..., M - H:0:-1], full), 1, full)
+    acc[H:] += np.swapaxes(mirror[:H], 0, ax).conj()
+
+
+class _SpectralOps:
+    """Exponential-Euler stepper on (T^1)^arity for a symmetric unknown.
+
+    Every entry carries its spectrum u_hat = rfftn(u) between steps (the last
+    axis keeps modes 0..M//2).  step() takes flux_1 alone: u and every field
+    its flux is built from are symmetric in their coordinates, so flux_k is
+    flux_1 with x_1 and x_k swapped, and its spectrum is flux_1's with the
+    axes swapped (_add_swapped).  The update is
+
+        u_hat' = heat u_hat + sum_k P_1k (force rfftn(flux_1)),  u' = irfftn(u_hat'),
+
+    two real transforms per step.  force folds the phi_1 weight, the minus
+    sign of the divergence, the 2/3-rule dealiasing and d/dx_1 into one
+    multiplier, and both multipliers are invariant under coordinate
+    permutations.  The transforms run one axis at a time in a scratch
+    spectrum, in the passes and order of np.fft.rfftn and irfftn (so with the
+    same result), and the new field can go into a buffer the caller reuses:
+    a step then allocates no lattice-sized array.  test_pde.py checks the premise on
+    the full flux tables (test_flux_k_is_flux_1_with_axes_swapped), against a
+    stepper that transforms the swapped fluxes
+    (tests/oracles/fourier_swap_step.py), the half-spectrum swap against
+    rfftn of the swapped field, the carried spectra against rfftn of the
+    solved states, and the solved entries' symmetry.
+    """
+
+    def __init__(self, M: int, arity: int, dt: float):
+        freqs = np.fft.fftfreq(M, d=1.0 / M)  # integer mode numbers
+        lam = np.zeros((M,) * arity)
+        mask = np.ones((M,) * arity, dtype=bool)
+        keep = np.abs(freqs) <= M // 3  # 2/3-rule dealiasing
+        for ax in range(arity):
+            shape = [1] * arity
+            shape[ax] = M
+            lam = lam + 4.0 * np.pi ** 2 * freqs.reshape(shape) ** 2
+            mask &= keep.reshape(shape)
+        half = M // 2 + 1
+        lam = lam[..., :half]
+        deriv1 = (2j * np.pi * freqs).reshape((M,) + (1,) * (arity - 1))[..., :half]
+        self.M = M
+        self.heat = np.exp(-lam * dt)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            w = -np.expm1(-lam * dt) / lam
+        self.force = np.where(mask[..., :half], -np.where(lam == 0.0, dt, w), 0.0) * deriv1
+        self._work = np.empty(lam.shape, dtype=complex)
+
+    def step(self, u_hat: np.ndarray, flux1: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """One step of du/dt = Lap u - sum_k d/dx_k flux_k with flux_k = flux_1 o (x_1 <-> x_k).
+
+        u_hat is advanced in place; the new field is returned (written into
+        out when given).
+        """
+        F = self._work
+        np.fft.rfft(flux1, axis=-1, out=F)
+        for ax in range(F.ndim - 2, -1, -1):
+            np.fft.fft(F, axis=ax, out=F)
+        F *= self.force
+        u_hat *= self.heat
+        u_hat += F
+        for ax in range(1, F.ndim):
+            _add_swapped(u_hat, F, ax)
+        np.copyto(F, u_hat)
+        for ax in range(F.ndim - 1):
+            np.fft.ifft(F, axis=ax, out=F)
+        return np.fft.irfft(F, n=self.M, axis=-1, out=out)
+

@@ -11,41 +11,21 @@ rule, and weighted by the phi_1 factor (1 - e^{-z})/z per mode.  That weight
 makes linear steady states exact and keeps the mode-0 (mass) update exact.
 
 Every unknown here (each g^i_j and each BBGKY marginal f_a) is symmetric in
-its coordinates, and so are the equations.  So flux_k is flux_1 with x_1 and
-x_k swapped, and every solver assembles flux_1 alone.  One stepper,
-_SpectralOps.step(u, flux1), solves the update whose divergence is d/dx_1
-flux_1 and whose heat part is 1/j of u's, with real transforms only, and
-sums that update over the j swaps of x_1 with x_k in real space: the heat
-and phi_1 multipliers are invariant under coordinate permutations and u is
-symmetric, so the sum is the full update.  test_pde.py guards the premise:
-on symmetric states the full term table's flux_k equals the swapped flux_1
-(tests/oracles/all_k_flux.py), the stepper matches one that transforms the
-swapped fluxes (tests/oracles/fourier_swap_step.py), and the solved entries
-stay symmetric to 1e-13.  compute_remainder, which reports R^i_j rather
-than stepping, still evaluates every component.
+its coordinates, and so are the equations, so every solver assembles flux_1
+alone.  One stepper (operators._SpectralOps) carries each unknown's half
+spectrum between steps and adds flux_k's spectrum as flux_1's with the axes
+swapped.  compute_remainder, which reports R^i_j rather than stepping, still
+evaluates every component.
 
 The correction hierarchy g^i_j lives on the triangular index set
 T = {(i, j): 1 <= j <= i + 1}.  Entry (0, 1) is the mean-field density rho,
 the only nonlinear equation; solve_mckean_vlasov is the order-0 hierarchy.
 Every other entry satisfies a linear transport equation whose right-hand side
-couples lower entries through the operators
-
-    S_{k,l} h = d/dx_k (K(x_k, x_l) h),
-    H_k    h = d/dx_k (integral of K(x_k, x_*) h dx_*),
-
-where H_k applied to a product integrates every factor carrying the starred
-coordinate.  One interaction operator (_Interaction) is the only place that
-applies K.  K is band-limited, so on the grid h K(x, y) factors through
-Q = 1 + 2 (number of khat modes) functions of y, and every contraction
-against K (the mean-field convolution and the starred axis of H_k) is two
-small matrix products through those factors.  _Interaction also routes the
-pair weight for S_{k,l} and assembles the BBGKY-shaped flux
-c_upper H_k f_{a+1} + c_self sum_l K(x_k, x_l) f_a shared by the remainder
-R^i_j and the truncated N-particle hierarchy.  The generic assembler compiles
-the k = 1 terms of each entry's equation once (_EntrySolver) and evaluates
-them per step, with the starred contractions shared between entries through
-a per-step cache.  The written-out first-order solvers that cross-check it
-live with the tests, in tests/oracles/first_order_explicit.py.
+couples lower entries through the operators S_{k,l} and H_k; pchaos.operators
+holds their term tables, the one place that applies the kernel
+(_Interaction) and the compiled flux of each entry (_EntrySolver).  The
+written-out first-order solvers that cross-check it live with the tests, in
+tests/oracles/first_order_explicit.py.
 """
 
 from __future__ import annotations
@@ -59,6 +39,7 @@ from pathlib import Path
 import numpy as np
 
 from .core import GridField, KernelSpec, TorusGrid, product_field
+from .operators import _EntrySolver, _Interaction, _SpectralOps
 from .partitions import assemble_correction, solve_order
 
 __all__ = [
@@ -77,7 +58,6 @@ __all__ = [
     "MemoryBudgetError",
 ]
 
-STAR = 10 ** 6  # sentinel for the integrated-out coordinate; sorts after any real one
 
 MEMORY_BUDGET_BYTES = 2 * 1024 ** 3
 
@@ -144,55 +124,6 @@ class Trajectory:
         return GridField(self.grid, self.arity, self.values[s])
 
 
-class _SpectralOps:
-    """Exponential-Euler stepper on (T^1)^arity for a symmetric unknown.
-
-    The multipliers live in the half spectrum of rfftn (the last axis keeps
-    modes 0..M//2).  step() takes flux_1 alone: u and every field its flux is
-    built from are symmetric in their coordinates, so flux_k is flux_1 with
-    x_1 and x_k swapped.  The heat and phi_1 multipliers are invariant under
-    coordinate permutations, so the update with 1/arity of the heat part and
-    only the d/dx_1 flux_1 divergence, swapped x_1 <-> x_k and summed over k,
-    is the full update; the sum runs in real space.  force folds the phi_1
-    weight, the minus sign of the divergence, the 2/3-rule dealiasing and
-    d/dx_1 into one multiplier.  test_pde.py checks the premise on the full
-    flux tables (test_flux_k_is_flux_1_with_axes_swapped), against a stepper
-    that transforms the swapped fluxes (tests/oracles/fourier_swap_step.py)
-    and on the solved entries (test_solved_entries_are_symmetric).
-    """
-
-    def __init__(self, M: int, arity: int, dt: float):
-        freqs = np.fft.fftfreq(M, d=1.0 / M)  # integer mode numbers
-        lam = np.zeros((M,) * arity)
-        mask = np.ones((M,) * arity, dtype=bool)
-        keep = np.abs(freqs) <= M // 3  # 2/3-rule dealiasing
-        for ax in range(arity):
-            shape = [1] * arity
-            shape[ax] = M
-            lam = lam + 4.0 * np.pi ** 2 * freqs.reshape(shape) ** 2
-            mask &= keep.reshape(shape)
-        half = M // 2 + 1
-        lam = lam[..., :half]
-        deriv1 = (2j * np.pi * freqs).reshape((M,) + (1,) * (arity - 1))[..., :half]
-        self.heat = np.exp(-lam * dt) / arity
-        with np.errstate(divide="ignore", invalid="ignore"):
-            w = -np.expm1(-lam * dt) / lam
-        self.force = np.where(mask[..., :half], -np.where(lam == 0.0, dt, w), 0.0) * deriv1
-
-    def step(self, u: np.ndarray, flux1: np.ndarray) -> np.ndarray:
-        """One step of du/dt = Lap u - sum_k d/dx_k flux_k with flux_k = flux_1 o (x_1 <-> x_k)."""
-        axes = range(u.ndim)
-        x = np.fft.irfftn(self.heat * np.fft.rfftn(u) + self.force * np.fft.rfftn(flux1),
-                          s=u.shape, axes=axes)
-        return sum(np.swapaxes(x, 0, ax) for ax in axes)
-
-
-def _kernel_matrix(kernel: KernelSpec, grid: TorusGrid) -> np.ndarray:
-    """Kmat[a, b] = K(x_a, x_b) on the grid nodes."""
-    x = grid.points
-    return kernel.eval(x[:, None], x[None, :])
-
-
 def _sup_norm_grid(kernel: KernelSpec, samples: int = 4096) -> float:
     """Sup of |b(x) + khat(z)| over a fine grid (x and z vary independently)."""
     pts = np.arange(samples) / samples
@@ -233,238 +164,6 @@ def solve_mckean_vlasov(f: GridField, kernel: KernelSpec, tg: TimeGrid) -> Traje
     density dipping below -1e-10 anywhere aborts with a diagnostic.
     """
     return solve_g_hierarchy(0, f, kernel, tg).rho()
-
-
-# ---------------------------------------------------------------------------
-# generic hierarchy assembler
-
-
-@dataclass(frozen=True)
-class _Term:
-    coef: int
-    kind: str            # "H" (starred contraction) or "S" (pairwise)
-    k: int               # 1-based divergence coordinate
-    l: int | None        # second coordinate for S terms
-    factors: tuple       # of (order, coords); coords sorted, STAR last
-
-
-def _factor_nonzero(order: int, coords: tuple) -> bool:
-    a = len(coords)
-    if a == 0 or order < 0:
-        return False
-    if order == 0:
-        return a == 1
-    return a <= order + 1
-
-
-def _mk(coords) -> tuple:
-    return tuple(sorted(coords))
-
-
-def compile_entry_terms(i: int, j: int) -> list:
-    """Term table of the order-(i, j) cluster-correction equation, i >= 1.
-
-    Both transport products (which involve the unknown itself) are folded in
-    with negative coefficients, so the right-hand side for the time stepper is
-    the signed sum of all returned terms.  Terms whose factors vanish (order
-    and arity off the triangular set, or the empty coordinate set) are pruned.
-    """
-    if i < 1:
-        raise ValueError("entry (0, 1) is the mean-field equation; no term table")
-    terms: list[_Term] = []
-    full = tuple(range(1, j + 1))
-
-    def add(coef, kind, k, l, factors):
-        if coef == 0:
-            return
-        fs = tuple((o, _mk(c)) for o, c in factors)
-        if not all(_factor_nonzero(o, c) for o, c in fs):
-            return
-        if kind == "H":
-            starred = sum(STAR in c for _, c in fs)
-            if starred != 1:
-                raise AssertionError("H term needs exactly one starred factor")
-        terms.append(_Term(coef, kind, k, l, fs))
-
-    for k in full:
-        rest = tuple(c for c in full if c != k)
-        add(-1, "H", k, None, [(0, (k,)), (i, rest + (STAR,))])
-        add(-1, "H", k, None, [(i, full), (0, (STAR,))])
-        add(-1, "H", k, None, [(i, full + (STAR,))])
-        add(j, "H", k, None, [(i - 1, full + (STAR,))])
-        for wlen in range(len(rest) + 1):
-            for W in it.combinations(rest, wlen):
-                Wk = W + (k,)
-                rem = tuple(c for c in rest if c not in W)
-                for m in range(1, i):
-                    add(-1, "H", k, None, [(m, Wk), (i - m, rem + (STAR,))])
-                for m in range(i):
-                    add(j - 1 - wlen, "H", k, None, [(m, W + (k, STAR)), (i - 1 - m, rem)])
-                    add(j, "H", k, None, [(m, Wk), (i - 1 - m, rem + (STAR,))])
-                for rlen in range(len(rem) + 1):
-                    for R in it.combinations(rem, rlen):
-                        coef = j - 1 - wlen - rlen
-                        rem2 = tuple(c for c in rem if c not in R)
-                        for m in range(i):
-                            for n in range(i - m):
-                                add(coef, "H", k, None,
-                                    [(m, Wk), (n, R + (STAR,)), (i - 1 - m - n, rem2)])
-        for l in full:
-            add(-1, "S", k, l, [(i - 1, full)])
-            if l == k:
-                continue
-            pool = tuple(c for c in full if c not in (k, l))
-            for wlen in range(len(pool) + 1):
-                for W in it.combinations(pool, wlen):
-                    rem = tuple(c for c in full if c != k and c not in W)
-                    for m in range(i):
-                        add(-1, "S", k, l, [(m, W + (k,)), (i - 1 - m, rem)])
-    return terms
-
-
-def _route(vals: np.ndarray, coords: tuple, j: int, M: int) -> np.ndarray:
-    """Broadcast an array whose axes follow `coords` onto the full j-lattice."""
-    ordered = sorted(coords)
-    if ordered != list(coords):
-        vals = np.transpose(vals, [coords.index(c) for c in ordered])
-    present = set(ordered)
-    return vals.reshape(tuple(M if c in present else 1 for c in range(1, j + 1)))
-
-
-class _Interaction:
-    """The kernel K on one grid: the only place the hierarchy operators apply it.
-
-    mean_field_flux() is the transport (K * rho) rho of the mean-field
-    equation, starred() the contraction behind H_k, pair() the routed weight
-    K(x_k, x_l) behind S_{k,l}, and bbgky_flux() the flux
-    c_upper H_k f_{a+1} + c_self sum_l K(x_k, x_l) f_a that the remainder and
-    the truncated BBGKY hierarchy share.  The pair sums are built once per
-    (k, a) and cached.
-
-    Contractions go through the rank-Q factors h K(x, y) = sum_q V[q, x] U[y, q]
-    of the kernel's mode table: a column of h paired with b(x) + khat_c[0],
-    and per khat mode m the columns h cos(2 pi m y), h sin(2 pi m y) paired
-    with k_c cos + k_s sin and k_c sin - k_s cos at x (the alpha/beta fold of
-    particles._mode_terms).  Kmat, the kernel on the node pairs, gives the
-    pair weights.
-    """
-
-    def __init__(self, kernel: KernelSpec, grid: TorusGrid):
-        self.M = grid.M
-        x = grid.points
-        self.Kmat = _kernel_matrix(kernel, grid)
-        self.Kdiag = np.diag(self.Kmat).copy()
-        cols = [np.full(grid.M, grid.h)]
-        rows = [kernel.b_values(x) + kernel.k_cos[0]]
-        for m, _, _, kc, ks in kernel.mode_table:
-            if kc == 0.0 and ks == 0.0:
-                continue
-            c, s = np.cos(2.0 * np.pi * m * x), np.sin(2.0 * np.pi * m * x)
-            cols += [grid.h * c, grid.h * s]
-            rows += [kc * c + ks * s, kc * s - ks * c]
-        self.U = np.stack(cols, axis=1)
-        self.V = np.stack(rows)
-        self._pair_sums = {}
-
-    def mean_field_flux(self, rho: np.ndarray) -> np.ndarray:
-        """(K * rho) rho through the factors."""
-        return ((rho @ self.U) @ self.V) * rho
-
-    def starred(self, vals: np.ndarray, coords: tuple, k: int, j: int) -> np.ndarray:
-        """Integrate the starred axis against K(x_k, .) and route onto the j-lattice.
-
-        coords are sorted with STAR last, so the starred axis is the final one.
-        The contraction appends an x_k axis; when the factor already carries x_k
-        the two are tied on the diagonal.
-        """
-        rest = coords[:-1]
-        w = (vals @ self.U) @ self.V
-        if k in rest:
-            w = np.diagonal(w, axis1=rest.index(k), axis2=w.ndim - 1)
-            rest = tuple(c for c in rest if c != k)
-        return _route(w, rest + (k,), j, self.M)
-
-    def pair(self, k: int, l: int, j: int) -> np.ndarray:
-        """K(x_k, x_l) routed onto the j-lattice (K(x_k, x_k) on the diagonal)."""
-        if k == l:
-            return _route(self.Kdiag, (k,), j, self.M)
-        vals = self.Kmat if k < l else self.Kmat.T
-        return _route(vals, _mk((k, l)), j, self.M)
-
-    def bbgky_flux(self, upper: np.ndarray, u: np.ndarray, c_upper: float, c_self: float,
-                   k: int = 1) -> np.ndarray:
-        """flux_k = c_upper int K(x_k, x_*) upper dx_* + c_self sum_l K(x_k, x_l) u."""
-        a = u.ndim
-        if (k, a) not in self._pair_sums:
-            self._pair_sums[(k, a)] = sum(self.pair(k, l, a) for l in range(1, a + 1))
-        hk = self.starred(upper, tuple(range(1, a + 1)) + (STAR,), k, a)
-        return c_upper * hk + c_self * (self._pair_sums[(k, a)] * u)
-
-
-class _EntrySolver:
-    """flux_1 of one hierarchy entry (i, j), i >= 1, compiled from its term table.
-
-    Only the k = 1 terms are kept (the stepper derives flux_k by an axis
-    swap).  Each term becomes a coefficient times sources (kind, arg, shape)
-    on the j-lattice, multiplied from the smallest shape up so the products
-    grow late: a "state" source is a stored entry reshaped onto the lattice
-    (factor coordinates are sorted, so no transpose is needed), a "starred"
-    source the contraction behind H_1, looked up in the per-step cache, and a
-    "weight" source the routed pair weight of S_{1,l}.  S terms with equal
-    factors share one weight summed over l.
-    """
-
-    def __init__(self, i: int, j: int, op: _Interaction):
-        self.j = j
-        self.op = op
-
-        def lattice(coords):
-            return tuple(op.M if c in coords else 1 for c in range(1, j + 1))
-
-        pair_weights = {}
-        self.terms = []
-        for t in compile_entry_terms(i, j):
-            if t.k != 1:
-                continue
-            sources = []
-            for order, coords in t.factors:
-                key = (order, len(coords))
-                if STAR in coords:
-                    out_coords = tuple(c for c in coords[:-1] if c != 1) + (1,)
-                    sources.append(("starred", (key, coords), lattice(out_coords)))
-                else:
-                    sources.append(("state", key, lattice(coords)))
-            # the table holds d/dt g - Lap g = sum coef * Op(...); the stepper
-            # subtracts flux divergences, so the flux carries the opposite sign
-            if t.kind == "S":
-                w = -t.coef * op.pair(1, t.l, j)
-                sources = tuple(sources)
-                pair_weights[sources] = pair_weights[sources] + w if sources in pair_weights else w
-            else:
-                self.terms.append((-t.coef, sources))
-        for sources, w in pair_weights.items():
-            self.terms.append((1, list(sources) + [("weight", w, w.shape)]))
-        for _, sources in self.terms:
-            sources.sort(key=lambda src: np.prod(src[2]))
-
-    def flux1(self, state: dict, contractions: dict) -> np.ndarray:
-        """flux_1 at the time-t state; contractions caches starred factors for this step."""
-        out = np.zeros((self.op.M,) * self.j)
-        for coef, sources in self.terms:
-            prod = coef
-            for kind, arg, shape in sources:
-                if kind == "state":
-                    part = state[arg].reshape(shape)
-                elif kind == "starred":
-                    ckey = arg + (self.j,)
-                    if ckey not in contractions:
-                        contractions[ckey] = self.op.starred(state[arg[0]], arg[1], 1, self.j)
-                    part = contractions[ckey]
-                else:
-                    part = arg
-                prod = prod * part
-            out += prod
-        return out
 
 
 @dataclass
@@ -546,50 +245,56 @@ class GTable:
         return cls(grid, tg, meta["i_max"], kernel, entries)
 
 
+def _hierarchy_steps(i_max: int, f: GridField, kernel: KernelSpec, tg: TimeGrid):
+    """Advance every entry (i, j), i <= i_max, in lockstep; yield (state, spectra) per step.
+
+    Each step evaluates every right-hand side from the time-t state, then
+    applies the exponential updates, so every entry sees exactly the values a
+    sequential solve in the triangular order would have used.  state maps
+    each entry to its field and spectra to its carried rfftn; the field
+    arrays are reused two steps later, so a caller keeps copies.
+    """
+    keys = solve_order(i_max)  # (0, 1) first
+    op = _Interaction(kernel, f.grid)
+    ops = {a: _SpectralOps(f.grid.M, a, tg.dt) for a in range(1, i_max + 2)}
+    solvers = {key: _EntrySolver(*key, op) for key in keys[1:]}
+    state = {key: np.zeros((f.grid.M,) * key[1]) for key in keys}
+    state[(0, 1)] = f.values.copy()
+    spectra = {key: np.fft.rfftn(u) for key, u in state.items()}
+    spare = {key: np.empty_like(u) for key, u in state.items()}
+    for n in range(tg.n_steps):
+        rho = state[(0, 1)]
+        new = {(0, 1): ops[1].step(spectra[(0, 1)], op.mean_field_flux(rho), spare[(0, 1)])}
+        _guard_negative(new[(0, 1)], (n + 1) * tg.dt)
+        contractions = {}
+        for key, solver in solvers.items():
+            new[key] = ops[key[1]].step(spectra[key], solver.flux1(state, contractions), spare[key])
+        state, spare = new, state
+        yield state, spectra
+
+
 def solve_g_hierarchy(
     i_max: int, f: GridField, kernel: KernelSpec, tg: TimeGrid
 ) -> GTable:
-    """Solve all hierarchy entries (i, j) in T with i <= i_max, in dependency order.
-
-    All entries advance in lockstep: each step evaluates every right-hand side
-    from the time-t state, then applies the exponential updates, so every
-    entry sees exactly the values a sequential solve in the triangular order
-    would have used.
-    """
+    """Solve all hierarchy entries (i, j) in T with i <= i_max, in lockstep (_hierarchy_steps)."""
     if not 0 <= i_max <= 2:
         raise ValueError("correction order capped at i_max = 2")
     grid = f.grid
-    need = (tg.n_stored + 2) * grid.M ** (i_max + 1) * 8
+    # the stored trajectory, then per step the field, its spare, its spectrum,
+    # the flux and its scratch arrays
+    need = (tg.n_stored + 6) * grid.M ** (i_max + 1) * 8
     if need > MEMORY_BUDGET_BYTES:
         raise MemoryBudgetError(
             f"hierarchy solve needs ~{need/1e9:.1f} GB (> {MEMORY_BUDGET_BYTES/1e9:.1f} GB budget)"
         )
     _check_problem(f, kernel, tg)
 
-    keys = solve_order(i_max)  # (0, 1) first
-    op = _Interaction(kernel, grid)
-    ops = {a: _SpectralOps(grid.M, a, tg.dt) for a in range(1, i_max + 2)}
-    solvers = {key: _EntrySolver(*key, op) for key in keys[1:]}
-
-    state = {key: np.zeros((grid.M,) * key[1]) for key in keys}
-    state[(0, 1)] = f.values.copy()
-    store = {key: np.empty((tg.n_stored,) + state[key].shape) for key in keys}
-    for key, arr in store.items():
-        arr[0] = state[key]
-
-    s = 1
-    for n in range(tg.n_steps):
-        rho = state[(0, 1)]
-        new_state = {(0, 1): ops[1].step(rho, op.mean_field_flux(rho))}
-        _guard_negative(new_state[(0, 1)], (n + 1) * tg.dt)
-        contractions = {}
-        for key, solver in solvers.items():
-            new_state[key] = ops[key[1]].step(state[key], solver.flux1(state, contractions))
-        state = new_state
-        if (n + 1) % tg.store_every == 0:
-            for key, arr in store.items():
-                arr[s] = state[key]
-            s += 1
+    store = {key: np.zeros((tg.n_stored,) + (grid.M,) * key[1]) for key in solve_order(i_max)}
+    store[(0, 1)][0] = f.values
+    steps = _hierarchy_steps(i_max, f, kernel, tg)
+    for s, (state, _) in enumerate(it.islice(steps, tg.store_every - 1, None, tg.store_every), 1):
+        for key, arr in store.items():
+            arr[s] = state[key]
     return GTable(grid, tg, i_max, kernel, store)
 
 
@@ -746,7 +451,7 @@ def solve_bbgky_reference(
     op = _Interaction(kernel, grid)
     ops = {a: _SpectralOps(M, a, tg.dt) for a in (1, 2, 3)}
 
-    state = {a: product_field(f, a).values for a in (1, 2, 3)}
+    state = {a: product_field(f, a).values.copy() for a in (1, 2, 3)}
     store = {a: np.empty((tg.n_stored,) + (M,) * a) for a in (1, 2, 3)}
     closure_size = np.empty(tg.n_stored)
     marg_drift = np.empty(tg.n_stored)
@@ -785,13 +490,15 @@ def solve_bbgky_reference(
         store[a][0] = state[a]
     diagnostics(0)
 
+    spectra = {a: np.fft.rfftn(u) for a, u in state.items()}
+    spare = {a: np.empty_like(u) for a, u in state.items()}
     s = 1
     for n in range(tg.n_steps):
         upper = {1: state[2], 2: state[3], 3: closure_f4(state[1], state[2], state[3])}
-        state = {
-            a: ops[a].step(state[a], op.bbgky_flux(upper[a], state[a], (N - a) / N, 1 / N))
-            for a in (1, 2, 3)
-        }
+        new = {a: ops[a].step(spectra[a], op.bbgky_flux(upper[a], state[a], (N - a) / N, 1 / N),
+                              spare[a])
+               for a in (1, 2, 3)}
+        state, spare = new, state
         _guard_negative(state[1], (n + 1) * tg.dt)
         if (n + 1) % tg.store_every == 0:
             for a in (1, 2, 3):

@@ -11,7 +11,7 @@ k != 1 term of compile_entry_terms shows up here and nowhere else.
 """
 import numpy as np
 
-from pchaos.pde import STAR, _Interaction, _route, compile_entry_terms
+from pchaos.operators import STAR, _Interaction, _route, compile_entry_terms
 
 
 def entry_fluxes(i: int, j: int, op: _Interaction, state: dict) -> list:

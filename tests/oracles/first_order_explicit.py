@@ -21,7 +21,8 @@ every time step.
 import numpy as np
 
 from pchaos.core import KernelSpec
-from pchaos.pde import TimeGrid, Trajectory, _kernel_matrix
+from pchaos.operators import _kernel_matrix
+from pchaos.pde import TimeGrid, Trajectory
 
 
 class _AxisStepper:

@@ -160,6 +160,26 @@ def test_solve_hierarchy_and_metrics(tmp_path, capsys):
     assert "no snapshot at time" in capsys.readouterr().err
 
 
+def test_solve_hierarchy_manifest_records_mass_drift_and_asymmetry(tmp_path):
+    cfg = _write_cfg(
+        tmp_path, "h.cfg",
+        f"kernel = {KERNEL_PATH}\n"
+        "density_cos = 1.0, 0.5\n"
+        "density_sin = 0.0, 0.25\n"
+        "grid = 16\n"
+        "order = 2\n"
+        "dt = 1e-3\n"
+        "T = 1e-2\n"
+        "store_every = 5\n",
+    )
+    assert main(["solve-hierarchy", "--config", cfg, "--out", str(tmp_path / "h")]) == 0
+    manifest = json.loads((tmp_path / "h" / "manifest.json").read_text())
+    assert 0.0 <= manifest["max_mass_drift"] < 1e-12
+    asymmetry = manifest["max_asymmetry"]
+    assert set(asymmetry) == {"g_0_1", "g_1_1", "g_1_2", "g_2_1", "g_2_2", "g_2_3"}
+    assert all(0.0 <= v <= 1e-13 for v in asymmetry.values()), asymmetry
+
+
 def test_metrics_manifest_hash_covers_its_inputs(tmp_path):
     # one metrics config reading different snapshot or g-table bytes must
     # record a different config hash

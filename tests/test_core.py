@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 from pchaos.core import GridField, KernelSpec, TorusGrid, fourier_field, product_field, step_count
-from pchaos.pde import _Interaction
+from pchaos.operators import _Interaction
 
 
 def test_grid_basics():
