@@ -47,6 +47,7 @@ from .metrics import (
     bin_masses,
     chi_squared_from_samples,
     divergence_report_from_samples,
+    histogram_bins,
     paired_pair_cumulant_difference,
     weighted_l2_error,
 )

@@ -18,7 +18,7 @@ import numpy as np
 from .config import Config, ConfigError, _write_manifest, load_config
 from .core import KernelSpec, TorusGrid, fourier_field, product_field, step_count
 from .experiments import ExperimentConfig, run_bounds_report, run_rate_experiment
-from .metrics import divergence_report_from_samples
+from .metrics import divergence_report_from_samples, histogram_bins
 from .particles import SimConfig, SnapshotSet, extract_marginal_samples, run_ensemble
 from .partitions import max_asymmetry
 from .pde import (
@@ -71,6 +71,13 @@ def _max_mass_drift(traj) -> float:
 
 
 def _cmd_simulate(cfg: Config, out: Path, seed) -> int:
+    # settings whose other values no prediction or reader of this package supports
+    if cfg.get_int("d", 1) != 1:
+        raise ConfigError("d must be 1: particles live on the one-dimensional torus")
+    if not cfg.get_bool("self_interaction", True):
+        raise ConfigError("self_interaction must be true: every prediction includes the k = j term")
+    if cfg.get_str("snapshot_format", "raw") != "raw":
+        raise ConfigError("snapshot_format must be raw, the format metrics reads")
     kernel = KernelSpec.from_file(cfg.get_str("kernel"))
     density = _density_from_config(cfg, "sample_grid", 256)
     sim = SimConfig(
@@ -81,18 +88,9 @@ def _cmd_simulate(cfg: Config, out: Path, seed) -> int:
         base_seed=_seed(cfg, seed),
         kernel=kernel,
         initial_density=density,
-        d=cfg.get_int("d", 1),
-        self_interaction=cfg.get_bool("self_interaction", True),
     )
     times = cfg.get_float_list("output_times", [sim.T])
-    snaps = run_ensemble(sim, times)
-    fmt = cfg.get_str("snapshot_format", "csv")
-    if fmt == "csv":
-        snaps.to_csv(out / "snapshots.csv")
-    elif fmt == "raw":
-        snaps.to_raw(out / "snapshots.raw")
-    else:
-        raise ConfigError("snapshot_format must be csv or raw")
+    run_ensemble(sim, times).to_raw(out / "snapshots.raw")
     _write_manifest(out, _hashed_text(cfg), sim.base_seed, n_replicas=sim.n_replicas, N=sim.N)
     print(f"simulate: {sim.n_replicas} replicas of N={sim.N} to t={sim.T} -> {out}")
     return 0
@@ -149,7 +147,7 @@ def _cmd_metrics(cfg: Config, out: Path, seed) -> int:
         ref = product_field(rho, j)
         samples, rep = extract_marginal_samples(snaps.at_time(tidx), j, True)
         report = divergence_report_from_samples(
-            samples, ref, bins if j == 1 else max(2, bins // 4), rep, seed=base_seed
+            samples, ref, histogram_bins(bins, j), rep, seed=base_seed
         )
         path = out / f"divergence_j{j}.json"
         with open(path, "w", encoding="utf-8") as fh:
@@ -189,10 +187,12 @@ def _cmd_bounds(cfg: Config, out: Path, seed) -> int:
 
 
 def _cmd_rates(cfg: Config, out: Path, seed) -> int:
-    ecfg = ExperimentConfig.from_config(cfg, out_override=str(out), seed_override=seed)
-    result = run_rate_experiment(ecfg)
     lo = cfg.get_float("slope_lo", -1.3)
     hi = cfg.get_float("slope_hi", -0.7)
+    if not lo < hi:
+        raise ConfigError(f"slope_lo = {lo} must be below slope_hi = {hi}")
+    ecfg = ExperimentConfig.from_config(cfg, out_override=str(out), seed_override=seed)
+    result = run_rate_experiment(ecfg)
     ok = True
     for name, fit in result.fits.items():
         inside = lo <= fit.slope <= hi

@@ -1,8 +1,8 @@
 """Torus grids, grid fields, and band-limited interaction kernels.
 
-Everything lives on the periodic unit torus T^d = [0,1)^d.  A function of j
-torus points is stored densely as a numpy array of shape (M,)*(d*j), with the
-axes of x_1 first (row-major, x_1 slowest); GridField.integrate is the
+Everything lives on the periodic unit circle T^1 = [0,1).  A function of j
+torus points is stored densely as a numpy array of shape (M,)*j, with the
+axis of x_1 first (row-major, x_1 slowest); GridField.integrate is the
 rectangle rule, exact for trigonometric polynomials below the Nyquist mode.
 Interaction kernels have the form K(x, y) = b(x) + Khat(x - y) and are
 band-limited trigonometric polynomials kept as cosine/sine coefficient
@@ -30,20 +30,17 @@ MASS_TOL = 1e-12  # allowed |mass - 1| of every probability density the package 
 
 @dataclass(frozen=True)
 class TorusGrid:
-    """Uniform periodic grid with M points per dimension on T^dim.
+    """Uniform periodic grid with M points on T^1.
 
-    Nodes are {m/M : 0 <= m < M} in every dimension; the spacing h = 1/M is
-    exact in floating point for power-of-two M (recommended).
+    Nodes are {m/M : 0 <= m < M}; the spacing h = 1/M is exact in floating
+    point for power-of-two M (recommended).
     """
 
     M: int
-    dim: int = 1
 
     def __post_init__(self):
         if self.M < 2:
-            raise ValueError(f"grid needs at least 2 points per dimension, got M={self.M}")
-        if self.dim not in (1, 2):
-            raise ValueError(f"only dim 1 and 2 are supported, got dim={self.dim}")
+            raise ValueError(f"grid needs at least 2 points, got M={self.M}")
 
     @property
     def h(self) -> float:
@@ -54,24 +51,15 @@ class TorusGrid:
         return np.arange(self.M) / self.M
 
     def shape(self, arity: int) -> tuple:
-        return (self.M,) * (self.dim * arity)
+        return (self.M,) * arity
 
     def cell_volume(self, arity: int = 1) -> float:
-        return self.h ** (self.dim * arity)
-
-    def coord(self, axis: int, arity: int) -> np.ndarray:
-        """Node coordinates along one axis, shaped to broadcast over shape(arity)."""
-        n_axes = self.dim * arity
-        if not 0 <= axis < n_axes:
-            raise ValueError(f"axis {axis} out of range for arity {arity}")
-        shape = [1] * n_axes
-        shape[axis] = self.M
-        return self.points.reshape(shape)
+        return self.h ** arity
 
 
 @dataclass
 class GridField:
-    """Real-valued function samples on (T^d)^arity.
+    """Real-valued function samples on (T^1)^arity.
 
     values has shape grid.shape(arity); a flat array of the right length is
     accepted and reshaped.
@@ -88,7 +76,7 @@ class GridField:
             if v.size != int(np.prod(want)):
                 raise ValueError(
                     f"field values have {v.size} entries, expected {int(np.prod(want))} "
-                    f"for arity {self.arity} on M={self.grid.M}, dim={self.grid.dim}"
+                    f"for arity {self.arity} on M={self.grid.M}"
                 )
             v = v.reshape(want)
         self.values = v
@@ -101,9 +89,7 @@ class GridField:
         """Integrate out one torus factor (0-based), returning an arity-1 smaller field."""
         if not 0 <= coordinate < self.arity:
             raise ValueError(f"coordinate {coordinate} out of range for arity {self.arity}")
-        d = self.grid.dim
-        axes = tuple(range(coordinate * d, (coordinate + 1) * d))
-        vals = self.values.sum(axis=axes) * self.grid.cell_volume(1)
+        vals = self.values.sum(axis=coordinate) * self.grid.h
         return GridField(self.grid, self.arity - 1, vals)
 
     def is_probability_density(self) -> bool:
@@ -269,15 +255,9 @@ class KernelSpec:
                     lines.append(f"{kind} {m} {float(cos_t[m])!r} {float(sin_t[m])!r}")
         return "\n".join(lines) + "\n"
 
-    def to_file(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(self.to_text())
-
 
 def fourier_field(grid: TorusGrid, cos_coeffs, sin_coeffs=None) -> GridField:
-    """Arity-1 field sum_m a_m cos(2 pi m x) + s_m sin(2 pi m x) (d=1)."""
-    if grid.dim != 1:
-        raise ValueError("fourier_field builds 1-d fields only")
+    """Arity-1 field sum_m a_m cos(2 pi m x) + s_m sin(2 pi m x)."""
     cos_coeffs = np.atleast_1d(np.asarray(cos_coeffs, dtype=float))
     if sin_coeffs is None:
         sin_coeffs = np.zeros_like(cos_coeffs)

@@ -65,6 +65,7 @@ from .config import Config, ConfigError, _write_manifest
 from .core import GridField, KernelSpec, TorusGrid, fourier_field, step_count
 from .metrics import (
     chi_squared_from_samples,
+    histogram_bins,
     paired_pair_cumulant_difference,
     weighted_l2_error,
 )
@@ -146,7 +147,7 @@ class ExperimentConfig:
         # any simulation, so a bad (N, j) cannot end a run after the N before it
         for N in sorted(self.N_list):
             for j in sorted(self.j_list):
-                bins = self._histogram_bins(j)
+                bins = histogram_bins(self.bins, j)
                 if bins < 1 or self.grid % bins:
                     raise ConfigError(f"grid = {self.grid} is not a multiple of the {bins} "
                                       f"histogram bins of j = {j}")
@@ -159,10 +160,6 @@ class ExperimentConfig:
         fine = _density_field(TorusGrid(4096), self.density_cos, self.density_sin)
         if fine.values.min() < 1e-3:
             raise ConfigError("initial density must stay above 1e-3")
-
-    def _histogram_bins(self, j: int) -> int:
-        """Bins per axis of the chi2_j histogram; pair histograms live on bins^2 cells."""
-        return self.bins if j == 1 else max(2, self.bins // 4)
 
     @classmethod
     def from_config(cls, cfg: Config, out_override=None, seed_override=None):
@@ -406,7 +403,7 @@ def _rate_worker(cfg: SimConfig, r0, r1, Cdt, Sdt, phis, primary):
     """
     steps = _replica_steps(cfg, range(r0, r1), cfg.n_steps)
     x, _ = next(steps)
-    y = x[..., 0].copy()
+    y = x.copy()
     delta = np.zeros_like(y)
     for n, (x, noise) in enumerate(steps):
         dy, jac, force = _companion_terms(cfg.kernel, y, Cdt[n], Sdt[n])
@@ -414,8 +411,7 @@ def _rate_worker(cfg: SimConfig, r0, r1, Cdt, Sdt, phis, primary):
         jac += force
         jac *= cfg.dt
         delta += jac
-        em_step(y, dy, cfg.dt, noise[..., 0], out=y)
-    x = x[..., 0]
+        em_step(y, dy, cfg.dt, noise, out=y)
 
     diffs = np.empty((r1 - r0, len(phis)))
     plains = np.empty_like(diffs)
@@ -588,7 +584,7 @@ def _run_rates(ecfg: ExperimentConfig, kernel: KernelSpec, pool) -> RateResult:
             pair_points.append((N, abs(kap)))
 
             for j in sorted(ecfg.j_list):
-                bins = ecfg._histogram_bins(j)
+                bins = histogram_bins(ecfg.bins, j)
                 samples, rep_ids = extract_marginal_samples(xs[:, :, None], j, True)
                 ref = rho if j == 1 else GridField(
                     rho.grid, 2, np.multiply.outer(rho.values, rho.values)

@@ -20,10 +20,12 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .core import GridField, product_field
+from .pde import _weighted_sq
 
 __all__ = [
     "weighted_l2_error",
     "bin_masses",
+    "histogram_bins",
     "chi_squared_from_samples",
     "paired_pair_cumulant_difference",
     "DivergenceReport",
@@ -44,8 +46,7 @@ def weighted_l2_error(gamma: GridField, rho: GridField) -> float:
     if rho.values.min() <= 0:
         raise ValueError("weight density must be strictly positive")
     w = product_field(rho, gamma.arity).values
-    h = gamma.grid.h
-    return float(h ** (gamma.grid.dim * gamma.arity) * (gamma.values ** 2 / w).sum())
+    return _weighted_sq(gamma.values, w, gamma.grid.h, gamma.arity)
 
 
 # ---------------------------------------------------------------------------
@@ -60,7 +61,7 @@ def bin_masses(reference: GridField, bins: int) -> np.ndarray:
     grid = reference.grid
     if bins < 1 or grid.M % bins:
         raise ValueError("bins must divide the grid size")
-    axes = grid.dim * reference.arity
+    axes = reference.arity
     per = grid.M // bins
     vals = reference.values
     shape = []
@@ -70,6 +71,11 @@ def bin_masses(reference: GridField, bins: int) -> np.ndarray:
     for ax in reversed(range(1, 2 * axes, 2)):
         v = v.sum(axis=ax)
     return v * grid.h ** axes
+
+
+def histogram_bins(bins: int, j: int) -> int:
+    """Bins per axis of the j-particle histogram: bins for j = 1, else bins // 4 (at least 2)."""
+    return bins if j == 1 else max(2, bins // 4)
 
 
 def _cell_indices(samples, bins):

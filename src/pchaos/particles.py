@@ -4,17 +4,20 @@ Each of N particles follows
 
     dX_j = (1/N) sum_{k=1..N} K(X_j, X_k) dt + sqrt(2) dW_j,
 
-with the k = j self-interaction term included by default (the kernel need not
-vanish on the diagonal).
+with the k = j self-interaction term included (the kernel need not vanish on
+the diagonal), as in the correction hierarchy and the BBGKY reference.
 
 One stepper, _replica_steps, simulates the system; run_ensemble and the rate
 experiment's worker both iterate it.  It fixes the stream layout, which is
 the reproducibility contract: replica r owns the Philox stream seeded with
 SeedSequence((base_seed, r)) and draws from it in this order: one
-sample_initial block of N positions, then one standard_normal((N, d)) block
-per time step.  A replica's trajectory depends on its own stream alone, so
-all replicas step together as one replica-major (R, N, d) block, and any
-range of replicas gives each replica the bits it has when simulated alone.
+sample_initial block of N positions, then one standard_normal draw of N
+values per time step (the same bits as an (N, 1) draw).  A replica's
+trajectory depends on its own stream alone, so all replicas step together as
+one replica-major (R, N) block, and any range of replicas gives each replica
+the bits it has when simulated alone.  Public arrays keep a trailing
+coordinate axis of length 1: positions are (N, 1) per system and snapshots
+(R, n_times, N, 1).
 
 The pairwise drift sum costs O(N^2); for the translation-invariant kernel
 part a mode-summation fast path costs O(N * modes) and agrees with the direct
@@ -23,8 +26,7 @@ stepper always takes the fast path, which walks the kernel's mode table once
 over the whole block: per mode it evaluates one cos and one sin per
 particle, folds each replica's moments into two coefficients alpha, beta,
 and adds cos * alpha + sin * beta (see _mode_terms).  The direct path, kept
-as the oracle, loops over replicas so its memory stays O(N^2).  In two
-dimensions the kernel tables act coordinate-wise on each component.
+as the oracle, loops over replicas so its memory stays O(N^2).
 """
 
 from __future__ import annotations
@@ -49,7 +51,7 @@ __all__ = [
 
 _RAW_MAGIC = b"PCEN"
 _RAW_VERSION = 1
-_RAW_HEADER = struct.Struct("<4sIIIII8x")  # magic, version, N, d, replicas, times
+_RAW_HEADER = struct.Struct("<4sIIIII8x")  # magic, version, N, d (always 1), replicas, times
 _NOISE_BLOCK_BYTES = 1 << 20  # noise _replica_steps draws ahead, all replicas together
 
 
@@ -64,8 +66,6 @@ class SimConfig:
     base_seed: int
     kernel: KernelSpec
     initial_density: GridField
-    d: int = 1
-    self_interaction: bool = True
 
     def __post_init__(self):
         if self.N < 1:
@@ -76,10 +76,8 @@ class SimConfig:
             raise ValueError("horizon must be nonnegative")
         if self.n_replicas < 1:
             raise ValueError("need at least one replica")
-        if self.d not in (1, 2):
-            raise ValueError("dimension must be 1 or 2")
-        if self.initial_density.arity != 1 or self.initial_density.grid.dim != self.d:
-            raise ValueError("initial_density must be an arity-1 field in dimension d")
+        if self.initial_density.arity != 1:
+            raise ValueError("initial_density must be an arity-1 field")
         if self.initial_density.values.min() <= 0:
             raise ValueError("initial density must be strictly positive")
         if not self.initial_density.is_probability_density():
@@ -96,48 +94,24 @@ def _replica_rng(base_seed: int, replica: int) -> np.random.Generator:
 
 
 def sample_initial(f: GridField, N: int, rng: np.random.Generator) -> np.ndarray:
-    """N i.i.d. samples from the density f; returns shape (N, d).
+    """N i.i.d. samples from the density f; returns shape (N, 1).
 
-    In one dimension the cumulative of f is integrated exactly on the grid
-    cells (midpoint values, matching the quadrature used everywhere else) and
-    inverted piecewise-linearly; in two dimensions samples are drawn by
-    rejection against the sup of f with a trigonometric evaluation of f.
+    The cumulative of f is integrated exactly on the grid cells (midpoint
+    values, matching the quadrature used everywhere else) and inverted
+    piecewise-linearly.
     """
     if f.arity != 1:
         raise ValueError("sampling needs an arity-1 density")
     if not f.is_probability_density():
         raise ValueError("initial sampler needs a probability density")
     grid = f.grid
-    if grid.dim == 1:
-        # cumulative mass up to each cell boundary; piecewise-linear inverse
-        masses = f.values * grid.h
-        cum = np.concatenate([[0.0], np.cumsum(masses)])
-        cum[-1] = 1.0
-        edges = np.arange(grid.M + 1) * grid.h
-        u = rng.random(N)
-        return np.interp(u, cum, edges).reshape(N, 1)
-    sup = float(f.values.max()) * (1.0 + 1e-9)
-    coeff = np.fft.fft2(f.values) / grid.M ** 2
-    out = np.empty((N, 2))
-    got = 0
-    while got < N:
-        batch = max(2 * (N - got), 64)
-        pts = rng.random((batch, 2))
-        height = rng.random(batch) * sup
-        dens = _eval_fourier_2d(coeff, pts)
-        keep = pts[height <= dens]
-        take = min(len(keep), N - got)
-        out[got : got + take] = keep[:take]
-        got += take
-    return out
-
-
-def _eval_fourier_2d(coeff: np.ndarray, pts: np.ndarray) -> np.ndarray:
-    M = coeff.shape[0]
-    freqs = np.fft.fftfreq(M, d=1.0 / M)
-    ex = np.exp(2j * np.pi * np.outer(pts[:, 0], freqs))
-    ey = np.exp(2j * np.pi * np.outer(pts[:, 1], freqs))
-    return np.einsum("pm,mn,pn->p", ex, coeff, ey).real
+    # cumulative mass up to each cell boundary; piecewise-linear inverse
+    masses = f.values * grid.h
+    cum = np.concatenate([[0.0], np.cumsum(masses)])
+    cum[-1] = 1.0
+    edges = np.arange(grid.M + 1) * grid.h
+    u = rng.random(N)
+    return np.interp(u, cum, edges).reshape(N, 1)
 
 
 def pair_drift(
@@ -148,33 +122,31 @@ def pair_drift(
 ) -> np.ndarray:
     """Mean interaction force (1/N) sum_k K(x_j, x_k) for every particle j.
 
-    positions has shape (..., N, d): one system of N particles, or a block of
+    positions has shape (..., N, 1): one system of N particles, or a block of
     independent replicas over the leading axes, each interacting only within
     itself.  The direct method evaluates all N^2 kernel values, one replica at
     a time; the fast method takes each replica's empirical trigonometric
     moments and evaluates the convolution by mode summation.  Both agree to
     roundoff for these band-limited kernels, and each replica's result is
-    bitwise the same whether it is passed alone or inside a block.
+    bitwise the same whether it is passed alone or inside a block.  With
+    self_interaction false the k = j term is left out of the sum.
     """
     x = np.asarray(positions, dtype=float)
-    if x.ndim < 2:
-        raise ValueError("positions must have shape (..., N, d)")
+    if x.ndim < 2 or x.shape[-1] != 1:
+        raise ValueError("positions must have shape (..., N, 1)")
     if method not in ("fast", "direct"):
         raise ValueError("method must be fast or direct")
-    N = x.shape[-2]
-    out = np.empty_like(x)
-    for c in range(x.shape[-1]):
-        xc = x[..., c]
-        if method == "direct":
-            force = np.empty_like(xc)
-            for r in np.ndindex(xc.shape[:-1]):
-                force[r] = kernel.khat_values(np.subtract.outer(xc[r], xc[r])).mean(axis=1)
-            out[..., c] = kernel.b_values(xc) + force
-        else:
-            out[..., c] = mode_sum_drift(kernel, xc)
-        if not self_interaction:
-            out[..., c] -= (kernel.b_values(xc) + kernel.khat_values(0.0)) / N
-    return out
+    xc = x[..., 0]
+    if method == "direct":
+        out = np.empty_like(xc)
+        for r in np.ndindex(xc.shape[:-1]):
+            out[r] = kernel.khat_values(np.subtract.outer(xc[r], xc[r])).mean(axis=1)
+        out = kernel.b_values(xc) + out
+    else:
+        out = mode_sum_drift(kernel, xc)
+    if not self_interaction:
+        out -= (kernel.b_values(xc) + kernel.khat_values(0.0)) / xc.shape[-1]
+    return out[..., None]
 
 
 def _mode_terms(kernel: KernelSpec, xc: np.ndarray, C, S, b: np.ndarray, force: np.ndarray):
@@ -260,7 +232,7 @@ class SnapshotSet:
     """Positions recorded at the requested output times, replica-major."""
 
     times: np.ndarray      # (n_times,)
-    positions: np.ndarray  # (n_replicas, n_times, N, d)
+    positions: np.ndarray  # (n_replicas, n_times, N, 1)
 
     @property
     def n_replicas(self) -> int:
@@ -269,20 +241,10 @@ class SnapshotSet:
     def at_time(self, idx: int) -> np.ndarray:
         return self.positions[:, idx]
 
-    def to_csv(self, path) -> None:
-        R, nt, N, d = self.positions.shape
-        cols = ",".join(f"coord{c}" for c in range(d))
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(f"replica,time,particle,{cols}\n")
-            for r in range(R):
-                for ti in range(nt):
-                    t = float(self.times[ti])
-                    for p in range(N):
-                        coords = ",".join(repr(float(v)) for v in self.positions[r, ti, p])
-                        fh.write(f"{r},{t!r},{p},{coords}\n")
-
     def to_raw(self, path) -> None:
         R, nt, N, d = self.positions.shape
+        if d != 1:
+            raise ValueError(f"positions must have one coordinate, got {d}")
         with open(path, "wb") as fh:
             fh.write(_RAW_HEADER.pack(_RAW_MAGIC, _RAW_VERSION, N, d, R, nt))
             fh.write(np.ascontiguousarray(self.times, dtype="<f8").tobytes())
@@ -290,7 +252,7 @@ class SnapshotSet:
 
     @classmethod
     def from_raw(cls, path) -> "SnapshotSet":
-        """Read a file written by to_raw; its size must match its header exactly."""
+        """Read a file written by to_raw (d = 1); its size must match its header exactly."""
         with open(path, "rb") as fh:
             data = fh.read()
         if len(data) < _RAW_HEADER.size:
@@ -298,6 +260,8 @@ class SnapshotSet:
         magic, version, N, d, R, nt = _RAW_HEADER.unpack_from(data)
         if magic != _RAW_MAGIC or version != _RAW_VERSION:
             raise ValueError("unrecognized snapshot file")
+        if d != 1:
+            raise ValueError(f"snapshot file {path} has d = {d}; positions must have one coordinate")
         want = _RAW_HEADER.size + 8 * nt * (1 + R * N * d)
         if len(data) != want:
             raise ValueError(f"snapshot file {path} has {len(data)} bytes, its header describes {want}")
@@ -308,52 +272,52 @@ class SnapshotSet:
 def _replica_steps(cfg: SimConfig, replicas: range, n_steps: int):
     """Yield (x, noise) for steps 0..n_steps of the given replicas.
 
-    x is the (R, N, d) block of positions and noise the standard normal block
+    x is the (R, N) block of positions and noise the standard normal block
     that moved it there (None at step 0); both are overwritten by a later
     step.  Draws follow the stream layout in the module docstring.  The
     noise of as many steps as fit in _NOISE_BLOCK_BYTES (at least one) is
     drawn ahead with one call per replica, which yields the same bits as one
-    (N, d) draw per step.
+    draw of N values per step.
     """
     rngs = [_replica_rng(cfg.base_seed, r) for r in replicas]
-    x = np.empty((len(rngs), cfg.N, cfg.d))
+    x = np.empty((len(rngs), cfg.N))
     for i, rng in enumerate(rngs):
-        x[i] = sample_initial(cfg.initial_density, cfg.N, rng)
+        x[i] = sample_initial(cfg.initial_density, cfg.N, rng)[:, 0]
     yield x, None
     steps_per_block = max(1, min(n_steps, _NOISE_BLOCK_BYTES // max(1, x.nbytes)))
-    block = np.empty((len(rngs), steps_per_block) + x.shape[1:])
+    block = np.empty((len(rngs), steps_per_block, cfg.N))
     for n0 in range(0, n_steps, steps_per_block):
         nb = min(steps_per_block, n_steps - n0)
         for i, rng in enumerate(rngs):
             rng.standard_normal(out=block[i, :nb])
         for b in range(nb):
             noise = block[:, b]
-            dr = pair_drift(cfg.kernel, x, cfg.self_interaction)
-            em_step(x, dr, cfg.dt, noise, out=x)
+            em_step(x, mode_sum_drift(cfg.kernel, x), cfg.dt, noise, out=x)
             yield x, noise
 
 
 def run_ensemble(cfg: SimConfig, output_times) -> SnapshotSet:
     """Simulate all replicas and record positions at the requested times.
 
-    Output times must be sorted, within the horizon, and multiples of dt to
-    1e-12.  The result is a deterministic function of the configuration.
+    Output times must be sorted, within the horizon [0, T], and multiples of
+    dt (core.step_count).  The result is a deterministic function of the
+    configuration.
     """
     output_times = np.asarray(output_times, dtype=float)
     if output_times.ndim != 1 or len(output_times) == 0:
         raise ValueError("need a nonempty list of output times")
     if np.any(np.diff(output_times) < 0):
         raise ValueError("output times must be sorted")
-    if output_times[-1] > cfg.T + 1e-12:
+    if output_times[0] < 0 or output_times[-1] > cfg.T + 1e-12:
         raise ValueError("output times must lie within the horizon")
-    steps = output_times / cfg.dt
-    rounded = np.round(steps).astype(int)
-    if np.any(np.abs(steps - rounded) > 1e-12 * np.maximum(1, rounded)):
-        raise ValueError("output times must be multiples of dt")
+    try:
+        steps = np.array([step_count(t, cfg.dt) for t in output_times])
+    except ValueError:
+        raise ValueError("output times must be multiples of dt") from None
 
-    out = np.empty((cfg.n_replicas, len(output_times), cfg.N, cfg.d))
-    for n, (x, _) in enumerate(_replica_steps(cfg, range(cfg.n_replicas), rounded[-1])):
-        out[:, rounded == n] = x[:, None]
+    out = np.empty((cfg.n_replicas, len(output_times), cfg.N, 1))
+    for n, (x, _) in enumerate(_replica_steps(cfg, range(cfg.n_replicas), steps[-1])):
+        out[:, steps == n] = x[:, None, :, None]
     return SnapshotSet(output_times, out)
 
 

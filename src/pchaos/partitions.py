@@ -137,12 +137,8 @@ def solve_order(i_max: int) -> list:
 
 
 def _check_common_grid(fields) -> None:
-    grids = {(f.grid.M, f.grid.dim) for f in fields}
-    if len(grids) > 1:
+    if len({f.grid.M for f in fields}) > 1:
         raise ValueError("all fields must share one grid")
-    (M, dim), = grids
-    if dim != 1:
-        raise ValueError("multi-arity products are implemented for 1-d torus grids")
 
 
 def evaluate_block_product(grid, j: int, factors) -> np.ndarray:
@@ -203,8 +199,6 @@ def max_asymmetry(f: GridField) -> float:
     """Exchangeability defect: largest deviation under adjacent coordinate swaps."""
     if f.arity < 2:
         return 0.0
-    if f.grid.dim != 1:
-        raise ValueError("asymmetry diagnostic implemented for 1-d torus grids")
     worst = 0.0
     for k in range(f.arity - 1):
         swapped = np.swapaxes(f.values, k, k + 1)

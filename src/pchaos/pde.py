@@ -133,10 +133,10 @@ def _sup_norm_grid(kernel: KernelSpec, samples: int = 4096) -> float:
 
 
 def _check_problem(f: GridField, kernel: KernelSpec, tg: TimeGrid) -> None:
-    """Inputs every solver needs: a positive 1-d density, a resolved band, the CFL bound."""
+    """Inputs every solver needs: a positive density, a resolved band, the CFL bound."""
     grid = f.grid
-    if f.arity != 1 or grid.dim != 1:
-        raise ValueError("the solvers need an arity-1 density on a 1-d torus grid")
+    if f.arity != 1:
+        raise ValueError("the solvers need an arity-1 density")
     kernel._check_band(grid.M)
     sup = kernel.sup_norm_bound
     if sup > 0 and tg.dt > grid.h / sup:
@@ -202,7 +202,7 @@ class GTable:
         ktext = self.kernel.to_text()
         meta = {
             "M": self.grid.M,
-            "dim": self.grid.dim,
+            "dim": 1,
             "dt": self.tg.dt,
             "n_steps": self.tg.n_steps,
             "store_every": self.tg.store_every,
@@ -221,11 +221,13 @@ class GTable:
 
     @classmethod
     def load(cls, path) -> "GTable":
-        """Read a table written by save; the kernel hash and every file size must match."""
+        """Read a table written by save (dim 1); the kernel hash and every file size must match."""
         path = Path(path)
         with open(path / "meta.json", "r", encoding="utf-8") as fh:
             meta = json.load(fh)
-        grid = TorusGrid(meta["M"], meta["dim"])
+        if meta["dim"] != 1:
+            raise ValueError(f"{path / 'meta.json'}: dim is {meta['dim']!r}, expected 1")
+        grid = TorusGrid(meta["M"])
         tg = TimeGrid(meta["dt"], meta["n_steps"], meta["store_every"])
         ktext = meta["kernel_text"]
         if hashlib.sha256(ktext.encode()).hexdigest() != meta["kernel_sha256"]:

@@ -37,18 +37,24 @@ def _sim_cfg(tmp_path, extra=""):
     )
 
 
-def test_simulate_csv(tmp_path, capsys):
+def test_simulate_writes_raw_by_default_and_metrics_reads_it(tmp_path, capsys):
     out = tmp_path / "o"
     rc = main(["simulate", "--config", _sim_cfg(tmp_path), "--out", str(out)])
     assert rc == 0
-    lines = (out / "snapshots.csv").read_text(encoding="utf-8").splitlines()
-    assert lines[0] == "replica,time,particle,coord0"
-    assert len(lines) == 1 + 50 * 1 * 8
+    assert sorted(p.name for p in out.iterdir()) == ["manifest.json", "snapshots.raw"]
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["seed"] == 4
     assert manifest["n_replicas"] == 50 and manifest["N"] == 8
     assert len(manifest["config_sha256"]) == 64
     assert "simulate: 50 replicas" in capsys.readouterr().out
+
+    hier_cfg = _write_cfg(tmp_path, "h.cfg", f"kernel = {KERNEL_PATH}\ndensity_cos = 1.0, 0.5\n"
+                          "density_sin = 0.0, 0.25\ngrid = 32\ndt = 1e-3\nT = 2e-3\n")
+    assert main(["solve-hierarchy", "--config", hier_cfg, "--out", str(tmp_path / "h")]) == 0
+    met_cfg = _write_cfg(tmp_path, "m.cfg", f"snapshots = {out / 'snapshots.raw'}\n"
+                         f"gtable = {tmp_path / 'h' / 'gtable'}\nbins = 8\n")
+    assert main(["metrics", "--config", met_cfg, "--out", str(tmp_path / "m")]) == 0
+    assert json.loads((tmp_path / "m" / "divergence_j1.json").read_text())["n_samples"] == 50 * 8
 
 
 def test_simulate_raw_and_seed_override(tmp_path):
@@ -88,10 +94,17 @@ def test_manifest_hash_covers_the_kernel_file(tmp_path):
 
 
 def test_simulate_rejects_bad_format(tmp_path, capsys):
-    cfg = _sim_cfg(tmp_path, "snapshot_format = hdf5\n")
-    rc = main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")])
-    assert rc == 2
-    assert "error: snapshot_format must be csv or raw" in capsys.readouterr().err
+    # a value no prediction or reader supports fails before any simulation
+    for extra, message in (("snapshot_format = hdf5", "snapshot_format must be raw"),
+                           ("snapshot_format = csv", "snapshot_format must be raw"),
+                           ("d = 2", "d must be 1"),
+                           ("self_interaction = false", "self_interaction must be true")):
+        out = tmp_path / extra.split()[0]
+        rc = main(["simulate", "--config", _sim_cfg(tmp_path, extra + "\n"), "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: " + message)
+        assert list(out.iterdir()) == []
 
 
 def test_solve_mv(tmp_path, capsys):
@@ -360,8 +373,8 @@ def test_bounds_clean_and_faulted(tmp_path, capsys):
     assert "violation: poly bound" in text and "FAIL" in text
 
 
-def test_rates_smoke(tmp_path, capsys):
-    cfg = _write_cfg(
+def _rates_smoke_cfg(tmp_path, slope_band):
+    return _write_cfg(
         tmp_path, "r.cfg",
         f"kernel = {KERNEL_PATH}\n"
         "density_cos = 1.0, 0.5\n"
@@ -374,15 +387,28 @@ def test_rates_smoke(tmp_path, capsys):
         "grid = 32\n"
         "sample_grid = 64\n"
         "bins = 8\n"
-        "workers = 1\n"
-        "slope_lo = -1000\n"
-        "slope_hi = 1000\n",
+        "workers = 1\n" + slope_band,
     )
+
+
+def test_rates_smoke(tmp_path, capsys):
+    cfg = _rates_smoke_cfg(tmp_path, "slope_lo = -1000\nslope_hi = 1000\n")
     out = tmp_path / "o"
     assert main(["rates", "--config", cfg, "--out", str(out)]) == 0
     assert (out / "rates.csv").exists()
     text = capsys.readouterr().out
     assert "rates bias: slope" in text and "primary observable" in text
+
+
+def test_rates_checks_slope_band_before_simulating(tmp_path, capsys):
+    for band, message in (("slope_lo = abc\n", "key 'slope_lo' is not a number"),
+                          ("slope_hi = -2\n", "slope_lo = -1.3 must be below slope_hi = -2.0"),
+                          ("slope_lo = 1\nslope_hi = 1\n", "must be below")):
+        out = tmp_path / "o"
+        assert main(["rates", "--config", _rates_smoke_cfg(tmp_path, band), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and message in err
+        assert list(out.iterdir()) == []
 
 
 def test_rates_rejects_histogram_cells_before_simulating(tmp_path, capsys):

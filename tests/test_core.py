@@ -12,17 +12,11 @@ def test_grid_basics():
     assert np.array_equal(g.points, np.arange(8) / 8)
     assert g.shape(3) == (8, 8, 8)
     assert g.cell_volume(2) == 0.125 ** 2
-    c1 = g.coord(1, arity=3)
-    assert c1.shape == (1, 8, 1)
 
 
 def test_grid_validation():
     with pytest.raises(ValueError, match="at least 2"):
         TorusGrid(1)
-    with pytest.raises(ValueError, match="dim"):
-        TorusGrid(8, 3)
-    with pytest.raises(ValueError, match="axis"):
-        TorusGrid(8).coord(2, arity=2)
 
 
 def test_field_reshapes_flat_input():

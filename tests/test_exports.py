@@ -2,14 +2,18 @@
 
 A stale __all__ entry (a name deleted from the module but still exported)
 breaks `from pchaos.<module> import *` and misleads readers; nothing else
-would catch it.
+would catch it.  Likewise every name the benchmark imports or traces must
+resolve, or the benchmark would first fail when it is run.
 """
+import ast
 import importlib
 import pkgutil
 
 import pytest
 
 import pchaos
+
+from conftest import REPO_ROOT
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(pchaos.__path__))
 
@@ -26,3 +30,32 @@ def test_all_names_resolve(name):
     missing = [n for n in exported if not hasattr(module, n)]
     assert not missing, f"pchaos.{name}.__all__ lists missing names {missing}"
     assert len(set(exported)) == len(exported), f"pchaos.{name}.__all__ repeats a name"
+
+
+def _module_tree(name):
+    return ast.parse((REPO_ROOT / "benchmarks" / name).read_text(encoding="utf-8"))
+
+
+def test_benchmark_layer_imports_resolve():
+    imports = [(node.module, a.name) for node in ast.walk(_module_tree("layers.py"))
+               if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("pchaos")
+               for a in node.names]
+    assert len(imports) > 10
+    missing = [f"{m}.{n}" for m, n in imports if not hasattr(importlib.import_module(m), n)]
+    assert not missing, f"benchmarks/layers.py imports missing names {missing}"
+
+
+def test_benchmark_traced_names_resolve():
+    traced, = [ast.literal_eval(node.value) for node in _module_tree("child.py").body
+               if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", None) == "TRACED"]
+    assert traced
+    missing = []
+    for modname, names in traced.items():
+        module = importlib.import_module(modname)
+        for name in names:
+            obj = module
+            for part in name.split("."):
+                obj = getattr(obj, part, None)
+            if obj is None:
+                missing.append(f"{modname}.{name}")
+    assert not missing, f"benchmarks/child.py traces missing names {missing}"

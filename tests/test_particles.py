@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pchaos.core import GridField, KernelSpec, TorusGrid, fourier_field
+from pchaos.core import KernelSpec, TorusGrid, fourier_field
 from pchaos.particles import (
     SimConfig,
     SnapshotSet,
@@ -51,20 +51,6 @@ def test_sampler_rejects_non_density():
     g = TorusGrid(16)
     with pytest.raises(ValueError, match="probability density"):
         sample_initial(fourier_field(g, [1.2]), 10, np.random.default_rng(0))
-
-
-def test_sampler_two_dimensional_rejection():
-    g = TorusGrid(16, 2)
-    x = g.coord(0, 1)
-    y = g.coord(1, 1)
-    vals = 1.0 + 0.3 * np.cos(2 * np.pi * x) * np.cos(2 * np.pi * y)
-    f = GridField(g, 1, vals * np.ones((16, 16)))
-    pts = sample_initial(f, 50_000, np.random.default_rng(3))
-    assert pts.shape == (50_000, 2)
-    assert np.all((pts >= 0.0) & (pts < 1.0))
-    got = np.mean(np.cos(2 * np.pi * pts[:, 0]) * np.cos(2 * np.pi * pts[:, 1]))
-    # E[cos cos] = 0.3 * int cos^2 cos^2 = 0.3 / 4
-    assert got == pytest.approx(0.075, abs=0.01)
 
 
 # ---------------------------------------------------------------------------
@@ -244,6 +230,8 @@ def test_run_ensemble_time_validation():
         run_ensemble(cfg, [2e-3, 1e-3])
     with pytest.raises(ValueError, match="horizon"):
         run_ensemble(cfg, [1.0])
+    with pytest.raises(ValueError, match="horizon"):
+        run_ensemble(cfg, [-1e-3, 2e-3])
     with pytest.raises(ValueError, match="multiples"):
         run_ensemble(cfg, [2.5e-4])
 
@@ -257,16 +245,6 @@ def test_run_ensemble_repeated_output_time():
     assert np.array_equal(snap.positions[:, 2], run_ensemble(cfg, [5e-3]).positions[:, 0])
 
 
-def test_two_dimensional_smoke():
-    g = TorusGrid(8, 2)
-    f = GridField(g, 1, np.ones((8, 8)))
-    cfg = SimConfig(N=4, dt=1e-3, T=2e-3, n_replicas=2, base_seed=1,
-                    kernel=RICH_KERNEL, initial_density=f, d=2)
-    snap = run_ensemble(cfg, [0.0, 2e-3])
-    assert snap.positions.shape == (2, 2, 4, 2)
-    assert np.all((snap.positions >= 0) & (snap.positions < 1))
-
-
 # ---------------------------------------------------------------------------
 # snapshot formats
 
@@ -274,28 +252,6 @@ def test_two_dimensional_smoke():
 @pytest.fixture()
 def snapshot():
     return run_ensemble(_small_config(), [0.0, 5e-3])
-
-
-def test_csv_format(tmp_path, snapshot):
-    p = tmp_path / "snap.csv"
-    snapshot.to_csv(p)
-    lines = p.read_text().splitlines()
-    assert lines[0] == "replica,time,particle,coord0"
-    assert len(lines) == 1 + 3 * 2 * 8
-    first = lines[1].split(",")
-    assert first[0] == "0" and first[2] == "0"
-    # float fields round-trip exactly through repr
-    assert float(first[3]) == snapshot.positions[0, 0, 0, 0]
-
-
-def test_csv_two_coordinate_header(tmp_path):
-    g = TorusGrid(8, 2)
-    f = GridField(g, 1, np.ones((8, 8)))
-    cfg = SimConfig(N=2, dt=1e-3, T=1e-3, n_replicas=1, base_seed=1,
-                    kernel=KernelSpec.zero(), initial_density=f, d=2)
-    p = tmp_path / "snap2d.csv"
-    run_ensemble(cfg, [1e-3]).to_csv(p)
-    assert p.read_text().splitlines()[0] == "replica,time,particle,coord0,coord1"
 
 
 def test_raw_roundtrip_and_header(tmp_path, snapshot):
@@ -328,6 +284,20 @@ def test_raw_rejects_foreign_file(tmp_path):
     p = tmp_path / "bogus.bin"
     p.write_bytes(b"XXXX" + b"\x00" * 60)
     with pytest.raises(ValueError, match="unrecognized"):
+        SnapshotSet.from_raw(p)
+
+
+def test_raw_holds_one_coordinate(tmp_path, snapshot):
+    # the header's d field is 1 on write, and a file claiming another d is refused
+    p = tmp_path / "snap.bin"
+    with pytest.raises(ValueError, match="one coordinate"):
+        SnapshotSet(snapshot.times, np.zeros(snapshot.positions.shape[:3] + (2,))).to_raw(p)
+    snapshot.to_raw(p)
+    data = bytearray(p.read_bytes())
+    assert data[12:16] == (1).to_bytes(4, "little")
+    data[12:16] = (2).to_bytes(4, "little")
+    p.write_bytes(bytes(data))
+    with pytest.raises(ValueError, match="has d = 2"):
         SnapshotSet.from_raw(p)
 
 

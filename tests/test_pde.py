@@ -18,7 +18,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from pchaos.core import GridField, KernelSpec, TorusGrid, fourier_field, product_field
+from pchaos.core import KernelSpec, TorusGrid, fourier_field, product_field
 from pchaos.experiments import fit_rate
 from pchaos.partitions import max_asymmetry
 from pchaos.operators import (
@@ -156,9 +156,6 @@ def test_solver_input_validation(solver, default_kernel):
     wide = KernelSpec.from_tables(khat={9: (0.5, 0.0)})
     with pytest.raises(ValueError, match="Nyquist"):
         solve(fourier_field(g, [1.0]), wide, TimeGrid(1e-3, 10))
-    flat_2d = GridField(TorusGrid(16, 2), 1, np.ones((16, 16)))
-    with pytest.raises(ValueError, match="1-d torus"):
-        solve(flat_2d, default_kernel, TimeGrid(1e-3, 10))
 
 
 # ---------------------------------------------------------------------------
@@ -482,6 +479,16 @@ def test_gtable_load_rejects_stale_kernel_hash(saved_table):
     meta["kernel_text"] = meta["kernel_text"].replace("khat 1", "khat 2")
     meta_path.write_text(json.dumps(meta))
     with pytest.raises(ValueError, match="kernel_sha256"):
+        GTable.load(saved_table)
+
+
+def test_gtable_load_rejects_other_dimension(saved_table):
+    meta_path = saved_table / "meta.json"
+    meta = json.loads(meta_path.read_text())
+    assert meta["dim"] == 1
+    meta["dim"] = 2
+    meta_path.write_text(json.dumps(meta))
+    with pytest.raises(ValueError, match="dim is 2, expected 1"):
         GTable.load(saved_table)
 
 
