@@ -14,16 +14,31 @@ Exp(beta) clocks, the gap between the (k-1)-th and the k-th ring is
 Exp(beta (n-k+1)) and the gaps are independent (Renyi's representation), so
 the l-th ring of the n clocks comes after waiting times with rates beta*n,
 beta*(n-1), ..., beta*j -- the same sum.  Hence I^l_j(t) is the probability
-that at least l of j+l-1 clocks have rung by t, a binomial tail that equals
-the regularized incomplete beta function
+that at least l of j+l-1 clocks have rung by t, a binomial tail:
 
-    I^l_j(t) = P(Bin(j+l-1, p) >= l) = betainc(l, j, p),   p = 1 - e^{-beta t},
+    I^l_j(t) = P(Bin(j+l-1, p) >= l),   p = 1 - e^{-beta t},  q = e^{-beta t}.
 
-with p formed as -expm1(-beta t) so that small times keep full relative
-precision.  The evaluator is therefore one vectorized special-function call,
-accurate to a few ulps also deep in the tail; the recurrence itself is
-exercised separately by a quadrature residual check.  Everything downstream
-(the polynomial and exponential decay bounds, the cascade bound for
+For whole-number l and j that tail is a finite sum of positive terms, so it
+is evaluated exactly as such, with no special function and no cancellation.
+Counting the clocks still silent when the l-th rings (negative binomial)
+gives the top order as a j-term sum,
+
+    I^L_j = p^L sum_{b<j} C(L-1+b, b) q^b,
+
+and removing one ring at a time gives every lower order by adding the next
+term of the binomial distribution,
+
+    I^l_j = I^{l+1}_j + C(l+j-1, l) p^l q^j.
+
+A table over l = 0..L at fixed j costs O(j + L) per time and O(L) memory.
+p is formed as -expm1(-beta t) so that small times keep full relative
+precision, and the partial products carry a binary exponent beside their
+mantissa, so neither p^L q^j underflowing nor C(L-1+b, b) overflowing costs
+precision, for any j.  Against 60-digit mpmath the values agree to within
+4e-14 relative wherever they are at least 1e-300, measured for l up to 400
+and j up to 1000 (and to 1.2e-14 at j = 20000, l <= 32).  The recurrence
+itself is exercised separately by a quadrature residual check.  Everything
+downstream (the polynomial and exponential decay bounds, the cascade bound for
 hierarchies of differential inequalities, and the direct ODE integration used
 to cross-check it) is plain float arithmetic on top of that evaluator.
 """
@@ -64,19 +79,49 @@ def _check_args(ell: int, j: int, beta: float, t) -> None:
         raise ValueError("time must be finite and nonnegative")
 
 
-def _binomial_tail(ell, j: int, beta: float, ts: np.ndarray) -> np.ndarray:
-    """I^ell_j(ts) = betainc(ell, j, 1 - e^{-beta t}); ell and ts broadcast, I^0 = 1."""
-    from scipy.special import betainc  # deferred: keeps scipy.special out of CLI start-up
+_POW_CHUNK = 1000  # p^ell is raised in chunks whose mantissa powers stay normal doubles
 
-    ell = np.asarray(ell)
-    return np.where(ell == 0, 1.0, betainc(np.maximum(ell, 1), j, -np.expm1(-beta * ts)))
+
+def _top_order(ell: int, j: int, a: np.ndarray):
+    """I^ell_j and its last binomial term at damping exponents a = beta t, ell >= 1.
+
+    Returns (i_m, e, t_m, p_m, p_e) with I^ell_j = i_m 2^e, the term
+    C(ell+j-1, ell) p^ell q^j = t_m 2^e, and p = p_m 2^p_e (np.frexp).  i_m
+    lies in [0.5, 1), or is 0 at t = 0; e is an int64 array.
+    """
+    p = -np.expm1(-a)
+    # The sum needs q to be 1 - p, not only e^{-a} to an ulp: an ulp in q
+    # moves q^b by b ulps, and b runs to j.  For p < 1/2, q (1 + rho) is 1 - p
+    # exactly (rho is the rounding error of 1 - p).  Past 1/2, e^{-a} is the
+    # accurate one and the terms peak at b ~ ell q / p < ell, so rho = 0.
+    small = p < 0.5
+    q = np.where(small, 1.0 - p, np.exp(-a))
+    rho = np.where(small, ((1.0 - q) - p) / q, 0.0)
+    # s 2^e = sum_{b<j} c_b, c_b = C(ell-1+b, b) q^b; ds 2^e = sum_b b c_b
+    # carries the first-order rho correction, (1+rho)^b = 1 + b rho
+    c = np.ones_like(a)
+    s = np.ones_like(a)
+    ds = np.zeros_like(a)
+    e = np.zeros(a.shape, dtype=np.int64)
+    for b in range(1, j):
+        c = c * ((ell - 1 + b) / b) * q
+        ds = ds + b * c
+        s, d = np.frexp(s + c)
+        c, ds, e = np.ldexp(c, -d), np.ldexp(ds, -d), e + d
+    s = s + rho * ds
+    term = c * ((ell - 1 + j) / ell) * q * (1.0 + j * rho)  # c_j j / ell, times p^ell below
+    p_m, p_e = np.frexp(p)
+    e = e + p_e.astype(np.int64) * ell
+    for k in range(ell, 0, -_POW_CHUNK):
+        f, d = np.frexp(p_m ** min(k, _POW_CHUNK))
+        s, term, e = s * f, term * f, e + d
+    s, d = np.frexp(s)
+    return s, e + d, np.ldexp(term, -d), p_m, p_e
 
 
 def eval_I_many(ell: int, j: int, beta: float, ts) -> np.ndarray:
     """I^ell_j at every time in ts."""
-    ts = np.atleast_1d(np.asarray(ts, dtype=float))
-    _check_args(ell, j, beta, ts)
-    return _binomial_tail(ell, j, beta, ts)
+    return eval_I_table(j, ell, beta, ts)[ell]
 
 
 def eval_I(ell: int, j: int, beta: float, t: float) -> float:
@@ -87,11 +132,29 @@ def eval_I(ell: int, j: int, beta: float, t: float) -> float:
 def eval_I_table(j: int, ell_max: int, beta: float, ts) -> np.ndarray:
     """I^L_j at every time in ts for every order L = 0..ell_max.
 
-    Returns an (ell_max+1, len(ts)) array.
+    Returns an (ell_max+1, len(ts)) array.  Each row below ell_max adds one
+    positive binomial term to the row above, so the rows never increase with L.
     """
     ts = np.atleast_1d(np.asarray(ts, dtype=float))
     _check_args(ell_max, j, beta, ts)
-    return _binomial_tail(np.arange(ell_max + 1)[:, None], j, beta, ts)
+    out = np.ones((ell_max + 1, ts.size))
+    if ell_max == 0:
+        return out
+    i_m, e, t_m, p_m, p_e = _top_order(ell_max, j, beta * ts)
+    # term_ell = term_{ell+1} h_ell 2^-p_e, h_ell = (ell+1) / ((ell+j) p_m), for
+    # ell = ell_max-1 .. 1.  A running product of the h can leave the double
+    # range, so each h is scaled (exactly) by the power of two that keeps the
+    # product near 1, chosen from approximate log2 partial sums.
+    ells = np.arange(ell_max - 1, 0, -1)
+    h = ((ells + 1) / (ells + j))[:, None] / np.where(p_m == 0.0, 1.0, p_m)  # t = 0: terms are 0
+    shift = np.rint(np.cumsum(np.log2(h), axis=0)).astype(np.int64)
+    prod = np.cumprod(np.ldexp(h, -np.diff(shift, axis=0, prepend=0)), axis=0)
+    terms = np.ldexp(t_m * prod, e + shift - p_e * (ell_max - ells)[:, None])
+    # terms and sums lie in [0, 1], so plain doubles hold them: a term below
+    # the double range cannot change a sum that is a normal double
+    rows = np.cumsum(np.vstack([np.ldexp(i_m, e)[None, :], terms]), axis=0)
+    out[1:] = np.minimum(rows[::-1], 1.0)
+    return out
 
 
 def recurrence_residual(ell: int, j: int, beta: float, t: float, order: int = 64) -> float:

@@ -166,6 +166,18 @@ def solve_mckean_vlasov(f: GridField, kernel: KernelSpec, tg: TimeGrid) -> Traje
     return solve_g_hierarchy(0, f, kernel, tg).rho()
 
 
+# the meta.json keys GTable.load reads
+_META_KEYS = ("dim", "M", "dt", "n_steps", "store_every", "i_max", "kernel_text",
+              "kernel_sha256", "entries")
+
+
+def _require_keys(meta_file: Path, obj: dict, keys) -> None:
+    """Raise ValueError naming meta_file and the first of keys that obj lacks."""
+    missing = next((k for k in keys if k not in obj), None)
+    if missing is not None:
+        raise ValueError(f"{meta_file}: missing key {missing!r}")
+
+
 @dataclass
 class GTable:
     """Solved correction hierarchy: trajectories for every (i, j) in T, i <= i_max."""
@@ -223,15 +235,19 @@ class GTable:
     def load(cls, path) -> "GTable":
         """Read a table written by save (dim 1); the kernel hash and every file size must match."""
         path = Path(path)
-        with open(path / "meta.json", "r", encoding="utf-8") as fh:
+        meta_file = path / "meta.json"
+        with open(meta_file, "r", encoding="utf-8") as fh:
             meta = json.load(fh)
+        _require_keys(meta_file, meta, _META_KEYS)
+        for ent in meta["entries"]:
+            _require_keys(meta_file, ent, ("i", "j", "file"))
         if meta["dim"] != 1:
-            raise ValueError(f"{path / 'meta.json'}: dim is {meta['dim']!r}, expected 1")
+            raise ValueError(f"{meta_file}: dim is {meta['dim']!r}, expected 1")
         grid = TorusGrid(meta["M"])
         tg = TimeGrid(meta["dt"], meta["n_steps"], meta["store_every"])
         ktext = meta["kernel_text"]
         if hashlib.sha256(ktext.encode()).hexdigest() != meta["kernel_sha256"]:
-            raise ValueError(f"{path / 'meta.json'}: kernel_text does not match kernel_sha256")
+            raise ValueError(f"{meta_file}: kernel_text does not match kernel_sha256")
         kernel = KernelSpec.from_text(ktext)
         entries = {}
         for ent in meta["entries"]:

@@ -1,18 +1,27 @@
 """Damping integrals, their decay bounds, and the hierarchy cascade.
 
-The closed form under test is the binomial tail betainc(ell, j, 1 - e^{-beta t}).
-Reference values are frozen from tests/oracles/damping_integral_expm.py,
-which evaluates the integrals as absorption probabilities of a sequential
-phase chain via scipy.linalg.expm; tests/oracles/damping_integral_partial_fractions.py
-sums the exact partial-fraction expansion in adaptive multiple precision and
-is compared live over a lattice.  Neither shares a mechanism with the closed
-form.
+The evaluator under test sums the binomial tail P(Bin(j+ell-1, p) >= ell),
+p = 1 - e^{-beta t}, as a finite sum of positive terms: a j-term negative
+binomial sum for the top order, then one added term per lower order.  For
+whole-number ell and j that sum is the damping integral exactly, not an
+approximation of it.  Reference values are frozen from
+tests/oracles/damping_integral_expm.py, which evaluates the integrals as
+absorption probabilities of a sequential phase chain via scipy.linalg.expm;
+tests/oracles/damping_integral_partial_fractions.py sums the exact
+partial-fraction expansion in adaptive multiple precision and is compared
+live over a lattice; tests/oracles/damping_integral_betainc.py is scipy's
+regularized incomplete beta function, the package's former evaluator; and
+mpmath's betainc at 60 digits checks random (ell, j, beta t).  None shares a
+mechanism with the finite sum.
 """
 import math
+import tracemalloc
 
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pchaos.bounds import (
     BoundCascade,
@@ -27,9 +36,11 @@ from pchaos.bounds import (
     recurrence_residual,
     recurrence_residual_sweep,
 )
+from pchaos.bounds import _panel_nodes
 from pchaos.config import load_config
 
 from conftest import REPO_ROOT
+from oracles.damping_integral_betainc import damping_integral_betainc_table
 from oracles.damping_integral_partial_fractions import damping_integral_table
 
 # frozen from tests/oracles/damping_integral_expm.py; the last entry sits at
@@ -69,6 +80,78 @@ def test_deep_tail_keeps_relative_precision():
         want = float(mp.betainc(37, 16, 0, p, regularized=True))
     assert want == pytest.approx(4.3355e-99, rel=1e-4)
     assert eval_I(37, 16, 1.0, 0.001) == pytest.approx(want, rel=1e-13)
+
+
+def test_against_betainc_oracle_on_the_shipped_lattice():
+    # every value the shipped bounds.cfg certifies: the lattice itself and the
+    # inner table at each recurrence-sweep quadrature node (largest measured
+    # difference 6.9e-15, at a node)
+    cfg = load_config(REPO_ROOT / "configs" / "bounds.cfg")
+    ell_max, beta = cfg.get_int("ell_max"), cfg.get_float("beta")
+    ts = cfg.get_float_list("t")
+    cases = []
+    for j in cfg.get_int_list("j"):
+        cases.append((j, ell_max, ts))
+        cases += [(j + 1, ell_max - 1, _panel_nodes(j, beta, t, 16)[0]) for t in ts]
+    for j, ell, times in cases:
+        got = eval_I_table(j, ell, beta, times)
+        want = damping_integral_betainc_table(j, ell, beta, times)
+        assert np.all(want > 0.0)
+        assert np.allclose(got, want, rtol=1e-13, atol=0.0)
+
+
+def _betainc_mp(ell: int, j: int, a: float):
+    """I^ell_j at beta t = a from mpmath's regularized incomplete beta, 60 digits."""
+    with mp.workdps(60):
+        if ell == 0:
+            return mp.mpf(1)
+        return mp.betainc(ell, j, 0, -mp.expm1(-mp.mpf(a)), regularized=True)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    j=st.one_of(st.integers(1, 64), st.sampled_from((200, 1000))),
+    ell=st.integers(0, 128),
+    a=st.floats(-4.0, math.log10(20.0)).map(lambda x: 10.0 ** x),
+    stretch=st.floats(1.0, 2.0),
+)
+def test_finite_sum_matches_mpmath_and_is_monotone(j, ell, a, stretch):
+    table = eval_I_table(j, ell, 1.0, [a, a * stretch])
+    assert np.all(np.isfinite(table)) and np.all((table >= 0.0) & (table <= 1.0))
+    assert np.all(np.diff(table, axis=0) <= 0.0)  # falls as ell grows, exactly
+    # rises with t, up to the evaluator's accuracy (and below normal doubles)
+    assert np.all(table[:, 0] <= table[:, 1] * (1 + 1e-13) + 1e-300)
+    # the top order (eval_I) and a lower one reached by the added terms
+    for got, order in ((eval_I(ell, j, 1.0, a), ell), (table[ell // 2, 0], ell // 2)):
+        want = _betainc_mp(order, j, a)
+        if want >= 1e-200:
+            assert abs(got - want) <= 1e-13 * want, (order, j, a, got, float(want))
+
+
+def test_deep_rows_and_large_j_keep_relative_precision():
+    # the terms p^l q^j underflow long before these values do; j = 1000
+    # puts C(l+j-1, l) past the largest double; at j = 20000 a q = 1 - p
+    # off by its rounding error would cost ~6e-13
+    for j, ell_max, t in ((16, 128, 0.004), (1, 128, 0.007), (1000, 64, 1e-4),
+                          (20000, 32, 1e-3)):
+        table = eval_I_table(j, ell_max, 1.0, [t])[:, 0]
+        for ell in range(0, ell_max + 1, 8):
+            want = _betainc_mp(ell, j, t)
+            assert abs(table[ell] - want) <= 1e-13 * want, (j, ell, t)
+    assert eval_I(128, 16, 1.0, 0.004) == pytest.approx(6.4561723302525985e-288, rel=1e-13)
+
+
+def test_working_memory_does_not_grow_with_j():
+    ts = np.linspace(0.01, 3.0, 4000)
+    peaks = []
+    for j in (2, 1000):
+        tracemalloc.start()
+        try:
+            eval_I_table(j, 8, 1.0, ts)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.25 * peaks[0]
 
 
 def test_largest_shipped_lattice_point_returns_values():

@@ -289,6 +289,27 @@ def test_cli_import_leaves_out_scipy_integrate():
     assert proc.stdout.strip() == "[False, False, False]"
 
 
+def test_commands_leave_scipy_unimported(tmp_path):
+    # bounds used to import scipy.special for betainc, ~0.3 s of its start-up;
+    # integrate_hierarchy's deferred scipy.integrate is reached by no command
+    sim = _sim_cfg(tmp_path)
+    hier = _write_cfg(tmp_path, "h.cfg", f"kernel = {KERNEL_PATH}\ndensity_cos = 1.0, 0.5\n"
+                      "grid = 16\ndt = 1e-3\nT = 2e-3\n")
+    met = _write_cfg(tmp_path, "m.cfg", f"snapshots = {tmp_path / 's' / 'snapshots.raw'}\n"
+                     f"gtable = {tmp_path / 'h' / 'gtable'}\nbins = 8\n")
+    bnd = _write_cfg(tmp_path, "b.cfg", "j = 1, 4\nell_max = 6\nb = 1, 3\nt = 0.1, 1.0\n")
+    for sub, cfg, out in (("simulate", sim, "s"), ("solve-hierarchy", hier, "h"),
+                          ("metrics", met, "m"), ("bounds", bnd, "b")):
+        code = (
+            "import sys\nfrom pchaos.cli import main\n"
+            f"rc = main([{sub!r}, '--config', {cfg!r}, '--out', {str(tmp_path / out)!r}])\n"
+            "print(rc, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")}, check=True)
+        assert proc.stdout.splitlines()[-1] == "0 []", (sub, proc.stdout, proc.stderr)
+
+
 def test_shipped_bounds_config_and_its_fault_control(tmp_path, capsys):
     shipped = REPO_ROOT / "configs" / "bounds.cfg"
     out = tmp_path / "clean"
@@ -344,6 +365,16 @@ def test_metrics_rejects_truncated_gtable(tmp_path, capsys):
     assert main(["metrics", "--config", met_cfg, "--out", str(tmp_path / "m")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: table file") and "g_1_2.f64" in err
+    assert err.count("\n") == 1
+
+    # a meta.json without one of the keys the loader reads
+    meta_file = tmp_path / "h" / "gtable" / "meta.json"
+    meta = json.loads(meta_file.read_text())
+    del meta["store_every"]
+    meta_file.write_text(json.dumps(meta))
+    assert main(["metrics", "--config", met_cfg, "--out", str(tmp_path / "m")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "meta.json" in err and "'store_every'" in err
     assert err.count("\n") == 1
 
 
