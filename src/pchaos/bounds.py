@@ -47,6 +47,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -74,8 +75,12 @@ def _check_args(ell: int, j: int, beta: float, t) -> None:
         raise ValueError("index j must be at least 1")
     if not (math.isfinite(beta) and beta > 0):
         raise ValueError("beta must be positive and finite")
-    t = np.asarray(t)
-    if not (np.isfinite(t).all() and (t >= 0).all()):
+    if isinstance(t, float):  # the scalar bounds' path; np.float64 is a float too
+        ok = math.isfinite(t) and t >= 0
+    else:
+        t = np.asarray(t)
+        ok = np.isfinite(t).all() and (t >= 0).all()
+    if not ok:
         raise ValueError("time must be finite and nonnegative")
 
 
@@ -176,10 +181,18 @@ def recurrence_residual(ell: int, j: int, beta: float, t: float, order: int = 64
     return abs(eval_I(ell, j, beta, t) - beta * j * integral)
 
 
+@lru_cache(maxsize=8, typed=True)
+def _leggauss(order: int):
+    """leggauss(order), computed once per order and shared read-only."""
+    nodes, weights = leggauss(order)
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
+
+
 def _panel_nodes(j: int, beta: float, t: float, order: int):
     """Gauss-Legendre nodes/weights on [0, t], panels sized to the damping rate."""
     panels = max(1, math.ceil(beta * j * t / 2.0))
-    nodes, weights = leggauss(order)
+    nodes, weights = _leggauss(order)
     edges = np.linspace(0.0, t, panels + 1)
     ss, ww = [], []
     for a, b in zip(edges[:-1], edges[1:]):
@@ -231,9 +244,11 @@ def exp_bound(ell: int, j: int, beta: float, t: float):
     Returns None when the hypothesis j <= (1/3) e^{-2 beta t - 1} ell fails,
     since the bound is simply not claimed there.
     """
-    if not exp_bound_applies(ell, j, beta, t):
+    _check_args(ell, j, beta, t)
+    rate = math.exp(-2.0 * beta * t - 1.0) * ell / 3.0
+    if not j <= rate:
         return None
-    return float(math.exp(-math.exp(-2.0 * beta * t - 1.0) * ell / 3.0))
+    return float(math.exp(-rate))
 
 
 # ---------------------------------------------------------------------------

@@ -25,12 +25,14 @@ order being measured).  The correction term then has expectation exactly
 zero by independence, so the corrected difference stays unbiased while its
 standard error drops by a further order of magnitude.
 
-The worker steps both systems and the derivative companion in place.  Per
-kernel mode it evaluates cos and sin once per particle and system; the
-moments (each replica's for the interacting system, the chain's for the
-companion) fold into per-mode coefficients, so the drift, its Jacobian and
-the leave-one-out forcing each cost one product per trigonometric value
-(see _companion_terms).  run_rate_experiment keeps one process pool for
+The worker steps both systems and the derivative companion in place, in
+work arrays allocated once per chunk.  Per kernel mode it takes cos and sin
+of 2 pi m x once per particle and system from particles._cos_sin (exact
+quarter-turn reduction, then libm on [-pi/4, pi/4]); the moments (each
+replica's for the interacting system, the chain's for the companion) fold
+into per-mode coefficients, so the drift, its Jacobian and the leave-one-out
+forcing each cost one product per trigonometric value (see
+_companion_terms).  run_rate_experiment keeps one process pool for
 the run: it builds the chain-moment table while the main process solves
 the hierarchy, then takes every N's replica chunks, all submitted up front.
 A chunk holds about _CHUNK_PARTICLES particles and each N gets a multiple
@@ -70,6 +72,7 @@ from .metrics import (
     weighted_l2_error,
 )
 from .particles import (
+    _MODE_WORK,
     SimConfig,
     _mode_terms,
     _replica_steps,
@@ -349,7 +352,13 @@ def _chain_moments(kernel: KernelSpec, sample_density: GridField, dt: float,
     return Cdt, Sdt
 
 
-def _companion_terms(kernel: KernelSpec, y: np.ndarray, C: np.ndarray, S: np.ndarray):
+# scratch rows of _companion_terms: b, fy, jac, force, then _mode_terms'
+# rows, whose third is free between modes
+_COMPANION_WORK = 4 + _MODE_WORK
+
+
+def _companion_terms(kernel: KernelSpec, y: np.ndarray, C: np.ndarray, S: np.ndarray,
+                     work=None):
     """Companion drift, its Jacobian, and the derivative companion's forcing.
 
     y is the (R, N) companion block and C[m], S[m] the chain moments of the
@@ -367,16 +376,22 @@ def _companion_terms(kernel: KernelSpec, y: np.ndarray, C: np.ndarray, S: np.nda
     where P = mean - C[m] (1 - 1/N) per replica.  force is the khat response
     to each replica's companion moment discrepancy with every particle's own
     contribution left out: cos^2 + sin^2 = 1 turns the left-out self terms
-    into the constant -k_c / N.  cos/sin are evaluated once per mode.
+    into the constant -k_c / N.  cos/sin are evaluated once per mode.  The
+    three results are rows of work, a (_COMPANION_WORK, *y.shape) scratch
+    array (allocated when None) that the next call overwrites.
     """
     N = y.shape[-1]
-    b = np.full_like(y, kernel.b_cos[0])
-    fy = np.full_like(y, kernel.k_cos[0] * C[0])
-    jac = np.zeros_like(y)
-    force = np.zeros_like(y)
-    tmp = np.empty_like(y)
+    if work is None:
+        work = np.empty((_COMPANION_WORK, *y.shape))
+    b, fy, jac, force = work[:4]
+    modes = work[4:]
+    tmp = modes[2]
+    b.fill(kernel.b_cos[0])
+    fy.fill(kernel.k_cos[0] * C[0])
+    jac.fill(0.0)
+    force.fill(0.0)
     self_terms = 0.0
-    for (m, bc, bs, kc, ks), cy, sy, alpha, beta in _mode_terms(kernel, y, C, S, b, fy):
+    for (m, bc, bs, kc, ks), cy, sy, alpha, beta in _mode_terms(kernel, y, C, S, b, fy, modes):
         w = 2 * np.pi * m
         if alpha is None:
             alpha = beta = 0.0
@@ -384,8 +399,8 @@ def _companion_terms(kernel: KernelSpec, y: np.ndarray, C: np.ndarray, S: np.nda
         jac -= np.multiply(sy, w * (bc + alpha), out=tmp)
         if kc == 0.0 and ks == 0.0:
             continue
-        Pc = cy.mean(axis=-1, keepdims=True) - C[m] * (1.0 - 1.0 / N)
-        Ps = sy.mean(axis=-1, keepdims=True) - S[m] * (1.0 - 1.0 / N)
+        Pc = np.add.reduce(cy, axis=-1, keepdims=True) / N - C[m] * (1.0 - 1.0 / N)
+        Ps = np.add.reduce(sy, axis=-1, keepdims=True) / N - S[m] * (1.0 - 1.0 / N)
         force += np.multiply(cy, kc * Pc - ks * Ps, out=tmp)
         force += np.multiply(sy, kc * Ps + ks * Pc, out=tmp)
         self_terms += kc
@@ -405,13 +420,14 @@ def _rate_worker(cfg: SimConfig, r0, r1, Cdt, Sdt, phis, primary):
     x, _ = next(steps)
     y = x.copy()
     delta = np.zeros_like(y)
+    work = np.empty((_COMPANION_WORK, *y.shape))
     for n, (x, noise) in enumerate(steps):
-        dy, jac, force = _companion_terms(cfg.kernel, y, Cdt[n], Sdt[n])
+        dy, jac, force = _companion_terms(cfg.kernel, y, Cdt[n], Sdt[n], work)
         jac *= delta
         jac += force
         jac *= cfg.dt
         delta += jac
-        em_step(y, dy, cfg.dt, noise, out=y)
+        em_step(y, dy, cfg.dt, noise, out=y, work=force)
 
     diffs = np.empty((r1 - r0, len(phis)))
     plains = np.empty_like(diffs)

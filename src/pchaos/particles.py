@@ -23,10 +23,15 @@ The pairwise drift sum costs O(N^2); for the translation-invariant kernel
 part a mode-summation fast path costs O(N * modes) and agrees with the direct
 sum to roundoff, since the kernels are trigonometric polynomials.  The
 stepper always takes the fast path, which walks the kernel's mode table once
-over the whole block: per mode it evaluates one cos and one sin per
-particle, folds each replica's moments into two coefficients alpha, beta,
-and adds cos * alpha + sin * beta (see _mode_terms).  The direct path, kept
-as the oracle, loops over replicas so its memory stays O(N^2).
+over the whole block: per mode it takes cos(2 pi m x) and sin(2 pi m x) of
+every particle from _cos_sin, folds each replica's moments into two
+coefficients alpha, beta, and adds cos * alpha + sin * beta (see
+_mode_terms).  _cos_sin reduces m x by whole and quarter turns exactly
+(Cody & Waite) and evaluates cos and sin only on [-pi/4, pi/4], where libm
+is about twice as fast as on [0, 2 pi) and the rounding of 2 pi m x never
+enters.  The stepper's work arrays are allocated once per simulation, not
+per step.  The direct path, kept as the oracle, loops over replicas so its
+memory stays O(N^2).
 """
 
 from __future__ import annotations
@@ -149,11 +154,60 @@ def pair_drift(
     return out[..., None]
 
 
-def _mode_terms(kernel: KernelSpec, xc: np.ndarray, C, S, b: np.ndarray, force: np.ndarray):
+# scratch rows, each of the block's shape: _mode_terms needs cos, sin and
+# the four of _cos_sin, the first of which doubles as its product buffer;
+# mode_sum_drift adds b and the force
+_MODE_WORK = 6
+_DRIFT_WORK = 2 + _MODE_WORK
+
+
+def _cos_sin(m: int, x: np.ndarray, cos: np.ndarray, sin: np.ndarray, work: np.ndarray) -> None:
+    """cos(2 pi m x) and sin(2 pi m x) into cos and sin, for a whole mode m >= 1.
+
+    The argument is reduced exactly by quarter turns (Cody & Waite): with
+    f = m x - rint(m x) and u = 4 f, the quarter turn k = rint(u) lies in
+    {-2, ..., 2} and r = u - k in [-1/2, 1/2]; every step is exact when m is
+    a power of two (x - rint(x) is taken first, so any finite x works), and
+    otherwise only m (x - rint(x)) rounds, by at most m 2^-53 turns.  cos and
+    sin are evaluated at phi = (pi/2) r in [-pi/4, pi/4] and rotated by k
+    quarter turns through the table A = cos(k pi/2), B = -sin(k pi/2),
+
+        k    -2  -1   0   1   2
+        A    -1   0   1   0  -1      A = 1 - |k|
+        B     0   1   0  -1   0      B = k (|k| - 2)
+
+    as cos = A c + B s, sin = A s - B c, which is exact.  So quarter turns
+    x = i / (4m) give exactly 0 and +-1, and for m a power of two both
+    values lie within 2 ulp of the true ones.  work is (4, *x.shape) scratch.
+    """
+    u, k, c, s = work
+    np.rint(x, out=u)
+    np.subtract(x, u, out=u)
+    if m != 1:
+        u *= m
+        u -= np.rint(u, out=k)
+    u *= 4.0
+    np.rint(u, out=k)
+    u -= k
+    u *= np.pi / 2
+    np.cos(u, out=c)
+    np.sin(u, out=s)
+    np.abs(k, out=cos)
+    np.subtract(1.0, cos, out=u)
+    cos -= 2.0
+    k *= cos
+    np.multiply(c, u, out=cos)
+    cos += np.multiply(s, k, out=sin)
+    np.multiply(s, u, out=sin)
+    sin -= np.multiply(c, k, out=k)
+
+
+def _mode_terms(kernel: KernelSpec, xc: np.ndarray, C, S, b: np.ndarray, force: np.ndarray,
+                work: np.ndarray):
     """Walk the kernel's mode table over the block xc, adding each mode to b and force.
 
-    For mode m, with cos = cos(2 pi m xc) and sin = sin(2 pi m xc), the law's
-    moments fold into the coefficients
+    For mode m, with cos = cos(2 pi m xc) and sin = sin(2 pi m xc) from
+    _cos_sin, the law's moments fold into the coefficients
 
         alpha = k_c C[m] - k_s S[m],    beta = k_c S[m] + k_s C[m],
 
@@ -163,14 +217,14 @@ def _mode_terms(kernel: KernelSpec, xc: np.ndarray, C, S, b: np.ndarray, force: 
     last axis when C is None (alpha, beta have shape (..., 1)); they are read
     only where khat has the mode.  Yields ((m, b_c, b_s, k_c, k_s), cos, sin,
     alpha, beta) after adding, with alpha = beta = None where khat lacks the
-    mode; cos and sin are buffers reused for the next mode.
+    mode.  work is (_MODE_WORK, *xc.shape) scratch: cos and sin are its
+    first two rows, and rows from the third on are free until the next mode.
     """
-    arg, cm, sm = np.empty_like(xc), np.empty_like(xc), np.empty_like(xc)
+    cm, sm, arg = work[0], work[1], work[2]
+    N = xc.shape[-1]
     for row in kernel.mode_table:
         m, bc, bs, kc, ks = row
-        np.multiply(xc, 2 * np.pi * m, out=arg)
-        np.cos(arg, out=cm)
-        np.sin(arg, out=sm)
+        _cos_sin(m, xc, cm, sm, work[2:])
         if bc != 0.0:
             b += np.multiply(bc, cm, out=arg)
         if bs != 0.0:
@@ -178,8 +232,9 @@ def _mode_terms(kernel: KernelSpec, xc: np.ndarray, C, S, b: np.ndarray, force: 
         if kc == 0.0 and ks == 0.0:
             yield row, cm, sm, None, None
             continue
-        if C is None:
-            Cm, Sm = cm.mean(axis=-1, keepdims=True), sm.mean(axis=-1, keepdims=True)
+        if C is None:  # np.add.reduce / N is ndarray.mean bit for bit, at less call overhead
+            Cm = np.add.reduce(cm, axis=-1, keepdims=True) / N
+            Sm = np.add.reduce(sm, axis=-1, keepdims=True) / N
         else:
             Cm, Sm = C[m], S[m]
         alpha, beta = kc * Cm - ks * Sm, kc * Sm + ks * Cm
@@ -188,7 +243,7 @@ def _mode_terms(kernel: KernelSpec, xc: np.ndarray, C, S, b: np.ndarray, force: 
         yield row, cm, sm, alpha, beta
 
 
-def mode_sum_drift(kernel: KernelSpec, xc: np.ndarray, C=None, S=None) -> np.ndarray:
+def mode_sum_drift(kernel: KernelSpec, xc: np.ndarray, C=None, S=None, work=None) -> np.ndarray:
     """b(x) + (khat * law)(x) at every point of a (..., N) block xc.
 
     The law is given by its moments C[m], S[m] of cos(2 pi m .) and
@@ -198,18 +253,23 @@ def mode_sum_drift(kernel: KernelSpec, xc: np.ndarray, C=None, S=None) -> np.nda
     K(x_j, x_k).  Each mode costs one cos, one sin and, for khat,
     cos * alpha + sin * beta with the moments folded into per-replica (or
     given-law) coefficients (see _mode_terms); b and the force are summed
-    apart, then added.
+    apart, then added.  With work, a (_DRIFT_WORK, *xc.shape) scratch array
+    reused from call to call, the result is its first row; without, it is a
+    new array.
     """
-    b = np.full_like(xc, kernel.b_cos[0])
-    force = np.full_like(xc, kernel.k_cos[0] * (1.0 if C is None else C[0]))
-    for _ in _mode_terms(kernel, xc, C, S, b, force):
+    fresh = work is None
+    if fresh:
+        work = np.empty((_DRIFT_WORK, *xc.shape))
+    b, force = work[0], work[1]
+    b.fill(kernel.b_cos[0])
+    force.fill(kernel.k_cos[0] * (1.0 if C is None else C[0]))
+    for _ in _mode_terms(kernel, xc, C, S, b, force, work[2:]):
         pass
-    b += force
-    return b
+    return b + force if fresh else np.add(b, force, out=b)
 
 
 def em_step(x: np.ndarray, drift: np.ndarray, dt: float, noise: np.ndarray,
-            out=None) -> np.ndarray:
+            out=None, work=None) -> np.ndarray:
     """One Euler-Maruyama step with periodic wrap: x + dt*drift + sqrt(2 dt)*noise.
 
     The sum z is wrapped as z - floor(z), which equals np.mod(z, 1.0) bit for
@@ -217,9 +277,9 @@ def em_step(x: np.ndarray, drift: np.ndarray, dt: float, noise: np.ndarray,
     mapped to 0.0 (the representable point nearest to it on the torus), so
     every output lies in [0, 1).  x, drift and noise share one shape.  The
     result goes to out when given (x itself steps in place); no other
-    argument is modified.
+    argument is modified.  work, when given, is a scratch array of x's shape.
     """
-    tmp = np.multiply(dt, drift)
+    tmp = np.multiply(dt, drift, out=work)
     z = np.add(x, tmp, out=out)
     z += np.multiply(noise, np.sqrt(2.0 * dt), out=tmp)
     z -= np.floor(z, out=tmp)
@@ -286,13 +346,15 @@ def _replica_steps(cfg: SimConfig, replicas: range, n_steps: int):
     yield x, None
     steps_per_block = max(1, min(n_steps, _NOISE_BLOCK_BYTES // max(1, x.nbytes)))
     block = np.empty((len(rngs), steps_per_block, cfg.N))
+    work = np.empty((_DRIFT_WORK, *x.shape))
     for n0 in range(0, n_steps, steps_per_block):
         nb = min(steps_per_block, n_steps - n0)
         for i, rng in enumerate(rngs):
             rng.standard_normal(out=block[i, :nb])
         for b in range(nb):
             noise = block[:, b]
-            em_step(x, mode_sum_drift(cfg.kernel, x), cfg.dt, noise, out=x)
+            drift = mode_sum_drift(cfg.kernel, x, work=work)
+            em_step(x, drift, cfg.dt, noise, out=x, work=work[1])
             yield x, noise
 
 

@@ -36,7 +36,7 @@ from pchaos.bounds import (
     recurrence_residual,
     recurrence_residual_sweep,
 )
-from pchaos.bounds import _panel_nodes
+from pchaos.bounds import _leggauss, _panel_nodes
 from pchaos.config import load_config
 
 from conftest import REPO_ROOT
@@ -238,6 +238,32 @@ def test_non_finite_time_and_beta_are_rejected():
         eval_I(1, 1, nan, 1.0)
     with pytest.raises(ValueError, match="beta"):
         eval_I_table(1, 4, math.inf, [0.5])
+
+
+@pytest.mark.parametrize("t", [float("nan"), math.inf, -math.inf, -0.5, -1e-30])
+@pytest.mark.parametrize("kind", [float, np.float64, np.float32])
+def test_bad_scalar_time_is_rejected_everywhere(t, kind):
+    # the scalar fast path of the argument check rejects what the array path does
+    t = kind(t)
+    for call in (lambda: poly_bound(4, 1, 2, 1.0, t), lambda: exp_bound(64, 1, 1.0, t),
+                 lambda: exp_bound_applies(64, 1, 1.0, t), lambda: eval_I(4, 1, 1.0, t),
+                 lambda: recurrence_residual(4, 1, 1.0, t),
+                 lambda: recurrence_residual_sweep(4, 1, 1.0, t)):
+        with pytest.raises(ValueError, match="time"):
+            call()
+    for good in (kind(0.0), kind(-0.0), kind(0.5)):
+        assert poly_bound(4, 1, 2, 1.0, good) > 0 and exp_bound_applies(64, 1, 1.0, good)
+
+
+def test_quadrature_nodes_are_shared_read_only():
+    ss, ww = _panel_nodes(2, 1.0, 3.0, 16)
+    ss2, ww2 = _panel_nodes(2, 1.0, 3.0, 16)
+    assert np.array_equal(ss, ss2) and np.array_equal(ww, ww2)
+    assert ww.sum() == pytest.approx(3.0, rel=1e-14)
+    nodes, weights = np.polynomial.legendre.leggauss(16)
+    assert np.array_equal(ss[:16], 0.5 * 1.0 * nodes + 0.5 * 1.0)
+    with pytest.raises(ValueError):
+        _leggauss(16)[0][0] = 0.0
 
 
 def test_recurrence_residual_small():

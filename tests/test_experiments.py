@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pchaos import experiments
+from pchaos import experiments, particles
 from pchaos.cli import main
 from pchaos.config import ConfigError, load_config
 from pchaos.core import GridField, KernelSpec, TorusGrid, fourier_field
@@ -38,6 +38,7 @@ from pchaos.particles import (
 
 from conftest import KERNEL_PATH, REPO_ROOT, RICH_KERNEL, band_limited_kernels
 from oracles.companion_explicit import companion_terms_explicit
+from oracles.plain_trig import plain_cos_sin
 
 
 def _ecfg(tmp_path, **over):
@@ -187,7 +188,7 @@ def test_chain_moments_erf_within_1e15_of_scipy(default_kernel, monkeypatch):
     # differs by at most an ulp per value, so the moments agree to 1e-15
     from scipy.special import erf
 
-    from pchaos import experiments
+    from pchaos import experiments, particles
 
     density = fourier_field(TorusGrid(256), [1.0, 0.5], [0.0, 0.25])
     got = _chain_moments(default_kernel, density, 1e-3, 3)
@@ -319,6 +320,49 @@ def test_companion_terms_match_explicit_form_for_any_kernel(kernel, N, seed):
     # a term can cancel to far below its parts, so the scale covers them too
     scale = kernel.sup_norm_bound * (1 + 2 * np.pi * kernel.band)
     _assert_matches_explicit_companion(kernel, y, C, S, 1e-13, scale)
+
+
+def test_companion_terms_at_quadrant_edges():
+    # quarter turns, their neighbouring doubles, 0 and the last double below 1
+    quarters = np.arange(4) / 4
+    y = np.unique(np.concatenate([quarters, np.nextafter(quarters, 1.0),
+                                  np.nextafter(quarters[1:], 0.0), [np.nextafter(1.0, 0.0)]]))
+    y = np.stack([y, y[::-1]])
+    C = np.array([1.0, 0.3, -0.2])
+    S = np.array([0.0, 0.1, 0.4])
+    scale = RICH_KERNEL.sup_norm_bound * (1 + 2 * np.pi * RICH_KERNEL.band)
+    _assert_matches_explicit_companion(RICH_KERNEL, y, C, S, 1e-13, scale)
+    drift, _, _ = _companion_terms(RICH_KERNEL, y, C, S)
+    assert np.array_equal(drift, mode_sum_drift(RICH_KERNEL, y, C, S))
+
+
+# The worker's trigonometry reduces 2 pi m x by exact quarter turns
+# (particles._cos_sin).  The old form rounded the argument fl(2 pi m x)
+# first, an error of up to ~m 4e-16 that the new values no longer carry;
+# through the coupled steps that moves the corrected estimates by ~1e-11 of
+# themselves and of their standard error.  This is the restated agreement
+# with the old form, with two orders of magnitude to spare.
+RESTATED_TRIG_TOL = 1e-9
+
+
+def test_quarter_turn_trig_moves_the_worker_within_the_restated_bound(default_kernel,
+                                                                      monkeypatch):
+    g = TorusGrid(64)
+    density = fourier_field(g, [1.0, 0.5], [0.0, 0.25])
+    payload = _payload(default_kernel, density, 20, 1e-3, 40, 5, 0, 50)
+    new = _rate_worker(*payload)
+    monkeypatch.setattr(particles, "_cos_sin", plain_cos_sin)
+    old = _rate_worker(*payload)
+    assert not np.array_equal(new[7], old[7])  # the oracle did take the helper's place
+    diffs_new, diffs_old = new[1], old[1]
+    est_new, est_old = diffs_new.mean(axis=0), diffs_old.mean(axis=0)
+    se = diffs_old.std(axis=0, ddof=1) / np.sqrt(len(diffs_old))
+    moved = np.abs(est_new - est_old)
+    assert np.all(moved <= RESTATED_TRIG_TOL * np.abs(est_old))
+    assert np.all(moved <= RESTATED_TRIG_TOL * se)
+    # the plain means and the pair statistics see only the positions
+    for k in range(2, 7):
+        assert np.max(np.abs(new[k] - old[k])) <= 1e-13
 
 
 def test_drift_derivative_matches_finite_differences():

@@ -1,4 +1,5 @@
 """Particle sampling, pairwise drift, time stepping, and snapshot formats."""
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,6 +9,7 @@ from pchaos.core import KernelSpec, TorusGrid, fourier_field
 from pchaos.particles import (
     SimConfig,
     SnapshotSet,
+    _cos_sin,
     em_step,
     extract_marginal_samples,
     mode_sum_drift,
@@ -78,6 +80,77 @@ def test_mode_sum_drift_matches_direct_sum_for_any_kernel(kernel, N, seed):
         C = np.cos(2 * np.pi * np.outer(modes, x[r])).mean(axis=1)
         S = np.sin(2 * np.pi * np.outer(modes, x[r])).mean(axis=1)
         assert np.max(np.abs(mode_sum_drift(kernel, x[r], C, S) - direct[r])) < 1e-12
+
+
+def _turn_trig(m, x):
+    x = np.asarray(x, dtype=float)
+    c, s = np.empty_like(x), np.empty_like(x)
+    _cos_sin(m, x, c, s, np.empty((4, *x.shape)))
+    return c, s
+
+
+def _assert_turn_trig_accurate(m, xs):
+    # against cos(2 pi m x), sin(2 pi m x) of the exact double x at 40 digits:
+    # within 2 ulp for m a power of two, within m 2^-50 absolute otherwise
+    c, s = _turn_trig(m, xs)
+    with mpmath.workdps(40):
+        for x, got_c, got_s in zip(xs, c, s):
+            for got, want in ((got_c, mpmath.cospi(2 * m * mpmath.mpf(x))),
+                              (got_s, mpmath.sinpi(2 * m * mpmath.mpf(x)))):
+                err = abs(mpmath.mpf(float(got)) - want)
+                if m & (m - 1) == 0:
+                    assert err <= 2 * np.spacing(abs(float(want))), (m, x, got, want)
+                else:
+                    assert err <= m * 2.0 ** -50, (m, x, got, want)
+
+
+_turn_points = st.one_of(st.floats(0.0, 1.0, exclude_max=True), st.floats(-1.0, 0.0),
+                         st.floats(-1e6, 1e6))
+
+
+@settings(max_examples=150, deadline=None)
+@given(m=st.integers(1, 16), xs=st.lists(_turn_points, min_size=1, max_size=8))
+def test_cos_sin_matches_mpmath(m, xs):
+    _assert_turn_trig_accurate(m, np.array(xs))
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 8, 12, 16])
+def test_cos_sin_at_quarter_turns_and_their_neighbours(m):
+    # x = i / (4m) is exactly a quarter turn: the values are exactly 0 and +-1
+    # (fl(2 pi m x) is not, so the plain form gives cos(2 pi 0.25) = 6.1e-17);
+    # the neighbouring doubles and far-off, negative and edge points stay
+    # within the accuracy bound
+    i = np.arange(-8 * m, 8 * m + 1)
+    quarter = np.concatenate([i / (4 * m), 1e6 + i / (4 * m), -1e6 + i / (4 * m)])
+    c, s = _turn_trig(m, quarter)
+    k = np.rint(quarter * 4 * m) % 4
+    if m & (m - 1) == 0:  # i / (4m) is a double only when m is a power of two
+        assert np.array_equal(c, np.select([k == 0, k == 2], [1.0, -1.0], 0.0))
+        assert np.array_equal(s, np.select([k == 1, k == 3], [1.0, -1.0], 0.0))
+    some = quarter[::m]
+    edges = np.concatenate([some, np.nextafter(some, np.inf), np.nextafter(some, -np.inf),
+                            [0.0, -0.0, np.nextafter(1.0, 0.0), 5e-324, 1e6, -1e6]])
+    _assert_turn_trig_accurate(m, edges)
+
+
+def test_drift_at_quadrant_edges():
+    # positions on the quarter turns, one ulp to either side, 0 and the last
+    # double below 1: the mode sum matches the direct sum to the usual
+    # roundoff, and a step from there stays in [0, 1)
+    quarters = np.arange(4) / 4
+    x = np.unique(np.concatenate([quarters, np.nextafter(quarters, 1.0),
+                                  np.nextafter(quarters[1:], 0.0), [np.nextafter(1.0, 0.0)]]))
+    x = np.stack([x, x[::-1]])
+    direct = pair_drift(RICH_KERNEL, x[..., None], True, "direct")[..., 0]
+    assert np.max(np.abs(mode_sum_drift(RICH_KERNEL, x) - direct)) < 1e-12
+    modes = np.arange(len(RICH_KERNEL.k_cos))
+    for r in range(2):
+        C = np.cos(2 * np.pi * np.outer(modes, x[r])).mean(axis=1)
+        S = np.sin(2 * np.pi * np.outer(modes, x[r])).mean(axis=1)
+        assert np.max(np.abs(mode_sum_drift(RICH_KERNEL, x[r], C, S) - direct[r])) < 1e-12
+    for dt, noise in ((1e-3, 0.0), (1e-3, 1.0), (1e-3, -1.0), (1e-20, -1.0), (1e-20, 1.0)):
+        got = em_step(x, mode_sum_drift(RICH_KERNEL, x), dt, np.full_like(x, noise))
+        assert np.all((got >= 0.0) & (got < 1.0))
 
 
 def test_pair_drift_two_particles_by_hand(default_kernel):
