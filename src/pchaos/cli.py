@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import Config, ConfigError, _write_manifest, load_config
+from .config import Config, ConfigError, _write_csv, _write_manifest, load_config
 from .core import KernelSpec, TorusGrid, fourier_field, product_field, step_count
 from .experiments import ExperimentConfig, run_bounds_report, run_rate_experiment
 from .metrics import divergence_report_from_samples, histogram_bins
@@ -102,11 +102,9 @@ def _cmd_solve_mv(cfg: Config, out: Path, seed) -> int:
     tg = _time_grid(cfg)
     traj = solve_mckean_vlasov(density, kernel, tg)
     grid = traj.grid
-    with open(out / "rho.csv", "w", encoding="utf-8") as fh:
-        fh.write("t,x,value\n")
-        for s, t in enumerate(traj.times):
-            for x, v in zip(grid.points, traj.values[s]):
-                fh.write(f"{float(t)!r},{float(x)!r},{float(v)!r}\n")
+    _write_csv(out / "rho.csv", ("t", "x", "value"),
+               ({"t": t, "x": x, "value": v} for t, vals in zip(traj.times, traj.values)
+                for x, v in zip(grid.points, vals)))
     drift = _max_mass_drift(traj)
     _write_manifest(out, _hashed_text(cfg), _seed(cfg, seed), max_mass_drift=drift)
     print(f"solve-mv: M={grid.M}, {tg.n_steps} steps, max mass drift {drift:.3e}")
@@ -133,11 +131,12 @@ def _cmd_metrics(cfg: Config, out: Path, seed) -> int:
     snaps = SnapshotSet.from_raw(cfg.get_str("snapshots"))
     gt = GTable.load(cfg.get_str("gtable"))
     t = cfg.get_float("time", float(snaps.times[-1]))
+    # written so that a NaN time matches nothing
     tidx = int(np.argmin(np.abs(snaps.times - t)))
-    if abs(snaps.times[tidx] - t) > 1e-9:
+    if not abs(snaps.times[tidx] - t) <= 1e-9:
         raise ConfigError(f"no snapshot at time {t}")
     sidx = int(np.argmin(np.abs(gt.times - t)))
-    if abs(gt.times[sidx] - t) > 1e-9:
+    if not abs(gt.times[sidx] - t) <= 1e-9:
         raise ConfigError(f"no solved density at time {t}")
     rho = gt.field(0, 1, sidx)
     bins = cfg.get_int("bins", 32)

@@ -60,6 +60,19 @@ def _write_manifest(out, canonical_text: str, seed, **fields) -> Path:
     return path
 
 
+def _write_csv(path, columns, rows) -> None:
+    """Write path as CSV: the header, then each row's values in the header's column order.
+
+    str and int values are written as str, every other value as
+    repr(float(v)), the shortest text that reads back as the same double.
+    """
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(",".join(columns) + "\n")
+        for row in rows:
+            fh.write(",".join(str(v) if isinstance(v, (str, int)) else repr(float(v))
+                              for v in (row[c] for c in columns)) + "\n")
+
+
 def load_config(path) -> "Config":
     text = Path(path).read_text(encoding="utf-8")
     return Config(parse_config_text(text), source=str(path))

@@ -63,7 +63,7 @@ from pathlib import Path
 import numpy as np
 
 from . import bounds as bnd
-from .config import Config, ConfigError, _write_manifest
+from .config import Config, ConfigError, _write_csv, _write_manifest
 from .core import GridField, KernelSpec, TorusGrid, fourier_field, step_count
 from .metrics import (
     chi_squared_from_samples,
@@ -409,12 +409,13 @@ def _companion_terms(kernel: KernelSpec, y: np.ndarray, C: np.ndarray, S: np.nda
     return b, jac, force
 
 
-def _rate_worker(cfg: SimConfig, r0, r1, Cdt, Sdt, phis, primary):
+def _rate_worker(cfg: SimConfig, r0, r1, Cdt, Sdt, phis):
     """Coupled estimates over replicas range(r0, r1) of the sim configuration.
 
     The interacting system x is particles._replica_steps; the companion y
     starts at the same positions, takes the same noise and drifts by the
-    chain moments Cdt[n], Sdt[n]; delta is the derivative companion.
+    chain moments Cdt[n], Sdt[n]; delta is the derivative companion.  Every
+    statistic has one column per observable in phis; x is returned last.
     """
     steps = _replica_steps(cfg, range(r0, r1), cfg.n_steps)
     x, _ = next(steps)
@@ -429,16 +430,14 @@ def _rate_worker(cfg: SimConfig, r0, r1, Cdt, Sdt, phis, primary):
         delta += jac
         em_step(y, dy, cfg.dt, noise, out=y, work=force)
 
-    diffs = np.empty((r1 - r0, len(phis)))
-    plains = np.empty_like(diffs)
+    diffs, plains, uX, aX, uY, aY = np.empty((6, r1 - r0, len(phis)))
     for p, (_, kind, mode) in enumerate(phis):
         vx = _phi_values(kind, mode, x)
         vy = _phi_values(kind, mode, y)
         plains[:, p] = vx.mean(axis=1)
         diffs[:, p] = plains[:, p] - vy.mean(axis=1) - (_phi_deriv_values(kind, mode, y) * delta).mean(axis=1)
-        if p == primary:
-            uX, aX = _pair_stats(vx)
-            uY, aY = _pair_stats(vy)
+        uX[:, p], aX[:, p] = _pair_stats(vx)
+        uY[:, p], aY[:, p] = _pair_stats(vy)
     return r0, diffs, plains, uX, aX, uY, aY, x
 
 
@@ -563,8 +562,7 @@ def _run_rates(ecfg: ExperimentConfig, kernel: KernelSpec, pool) -> RateResult:
         }
         tasks = [(N, r0, r1) for N in N_list
                  for r0, r1 in _chunks(ecfg.replicas, N, ecfg.workers)]
-        work = partial(_rate_worker, Cdt=plan.Cdt, Sdt=plan.Sdt, phis=_PHI_PANEL,
-                       primary=primary_idx)
+        work = partial(_rate_worker, Cdt=plan.Cdt, Sdt=plan.Sdt, phis=_PHI_PANEL)
         if pool is None:
             parts = (work(sims[N], r0, r1) for N, r0, r1 in tasks)
         else:
@@ -590,6 +588,7 @@ def _run_rates(ecfg: ExperimentConfig, kernel: KernelSpec, pool) -> RateResult:
                     bias_points.append((N, abs(est)))
                     ratios[N] = est / pred if pred else math.inf
 
+            uX, aX, uY, aY = (v[:, primary_idx] for v in (uX, aX, uY, aY))
             kap, kap_se = paired_pair_cumulant_difference(uX, aX, aX, uY, aY, aY)
             rows.append(
                 _row(
@@ -635,13 +634,8 @@ def _persist_rates(ecfg: ExperimentConfig, rows, failure):
     out = Path(ecfg.out_dir)
     csv_path = out / "rates.csv"
     ordered = sorted(rows, key=lambda r: (r["N"], r["j"], r["observable"]))
-    with open(csv_path, "w", encoding="utf-8") as fh:
-        fh.write("N,j,i,t,observable,estimate,prediction,se\n")
-        for r in ordered:
-            fh.write(
-                f"{r['N']},{r['j']},{r['i']},{r['t']!r},{r['observable']},"
-                f"{r['estimate']!r},{r['prediction']!r},{r['se']!r}\n"
-            )
+    _write_csv(csv_path, ("N", "j", "i", "t", "observable", "estimate", "prediction", "se"),
+               ordered)
     manifest_path = _write_manifest(
         out, ecfg.canonical_text(), ecfg.seed,
         rows=len(ordered), status="failed: " + failure if failure else "complete",
@@ -681,14 +675,18 @@ def run_bounds_report(
 
     For every (j, ell, t): the value lies in [0, 1], satisfies the defining
     recurrence to residual_tol, stays below the polynomial bound for every b,
-    and below the exponential bound where its hypothesis holds.  `inject`
-    shifts the evaluated values (a fault-injection negative control: a shift
-    of +1e-3 must be flagged).  Rows follow the report CSV schema
-    j,ell,beta,t,I,poly_b,poly_bound,exp_bound,margin.
+    and below the exponential bound where its hypothesis holds.  Every gate
+    is written as `not value <= bound`, so a NaN on either side fails it.
+    `inject` shifts the evaluated values, not the recurrence residuals (a
+    fault-injection negative control: a shift of +1e-3 must be flagged).
+    Rows follow the report CSV schema j,ell,beta,t,I,poly_b,poly_bound,
+    exp_bound,margin.
     """
     j_list, b_list, t_list = list(j_list), list(b_list), list(t_list)
     if not j_list or ell_max < 1 or not b_list or not t_list:
         raise ValueError("no lattice points")
+    if not 0 < residual_tol < math.inf:
+        raise ValueError(f"residual_tol must be finite and positive, got {residual_tol}")
     rows = []
     violations = []
     counts = {"range": 0, "recurrence": 0, "poly": 0, "exp": 0}
@@ -705,19 +703,19 @@ def run_bounds_report(
                     violations.append(f"range: I^{ell}_{j}({t}) = {I} outside [0, 1]")
                 res = float(residuals[ell - 1])
                 counts["recurrence"] += 1
-                if res > residual_tol:
+                if not res <= residual_tol:
                     violations.append(
                         f"recurrence: residual {res:.3e} at (ell={ell}, j={j}, t={t})"
                     )
                 eb = bnd.exp_bound(ell, j, beta, t)
                 if eb is not None:
                     counts["exp"] += 1
-                    if I > eb + 1e-12:
+                    if not I <= eb + 1e-12:
                         violations.append(f"exp bound: I^{ell}_{j}({t}) = {I} > {eb}")
                 for b in b_list:
                     pb = bnd.poly_bound(ell, j, b, beta, t)
                     counts["poly"] += 1
-                    if I > pb + 1e-12:
+                    if not I <= pb + 1e-12:
                         violations.append(
                             f"poly bound: I^{ell}_{j}({t}) = {I} > {pb} (b={b})"
                         )
@@ -743,13 +741,6 @@ def run_bounds_report(
     if out_csv is not None:
         out_csv = Path(out_csv)
         out_csv.parent.mkdir(parents=True, exist_ok=True)
-        with open(out_csv, "w", encoding="utf-8") as fh:
-            fh.write("j,ell,beta,t,I,poly_b,poly_bound,exp_bound,margin\n")
-            for r in rows:
-                eb = r["exp_bound"]
-                fh.write(
-                    f"{r['j']},{r['ell']},{r['beta']!r},{r['t']!r},{r['I']!r},"
-                    f"{r['poly_b']},{r['poly_bound']!r},"
-                    f"{eb if eb == '' else repr(eb)},{r['margin']!r}\n"
-                )
+        _write_csv(out_csv, ("j", "ell", "beta", "t", "I", "poly_b", "poly_bound", "exp_bound",
+                             "margin"), rows)
     return BoundsReport(rows, violations, summary)

@@ -1,16 +1,19 @@
-"""Exact set-partition combinatorics and the correction assembly.
+"""Exact set-partition combinatorics and the grid sums over partitions.
 
 Partitions of {1..j} are stored canonically as restricted-growth strings
 (element -> block label, blocks numbered by first appearance).  On top of the
 enumeration sit order compositions over blocks, the solve order of the
-triangular index set T = {(i, j): 1 <= j <= i + 1}, and the assembly of the
-1/N-expansion correction fields f^i_j from a table of cluster corrections
-g^i_j indexed by T.
+triangular index set T = {(i, j): 1 <= j <= i + 1}, the plain cluster
+expansion f_j = sum over partitions of {1..j} of prod over blocks B of
+g_|B|(x_B) with its Moebius inversion (cluster_moment, clusters_from_moments),
+and the assembly of the 1/N-expansion correction fields f^i_j from a table of
+cluster corrections g^i_j indexed by T.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property, lru_cache, reduce
 
 import numpy as np
 
@@ -24,6 +27,8 @@ __all__ = [
     "iter_partition_labels",
     "enumerate_order_compositions",
     "assemble_correction",
+    "cluster_moment",
+    "clusters_from_moments",
     "evaluate_block_product",
     "max_asymmetry",
 ]
@@ -63,7 +68,7 @@ class Partition:
     def block_count(self) -> int:
         return 1 + max(self.labels)
 
-    @property
+    @cached_property
     def blocks(self) -> tuple:
         """Blocks as sorted tuples of 1-based elements, ordered by first appearance."""
         out = [[] for _ in range(self.block_count)]
@@ -100,9 +105,10 @@ def iter_partition_labels(j: int):
         yield tuple(labels)
 
 
-def enumerate_partitions(j: int) -> list:
+@lru_cache(maxsize=MAX_GRID_ARITY)
+def enumerate_partitions(j: int) -> tuple:
     """All partitions of {1..j} exactly once, lexicographic in restricted-growth form."""
-    return [Partition(lbl) for lbl in iter_partition_labels(j)]
+    return tuple(Partition(lbl) for lbl in iter_partition_labels(j))
 
 
 def _compositions(total: int, parts: int):
@@ -136,34 +142,57 @@ def solve_order(i_max: int) -> list:
 # grid-product assembly
 
 
-def _check_common_grid(fields) -> None:
-    if len({f.grid.M for f in fields}) > 1:
-        raise ValueError("all fields must share one grid")
-
-
-def evaluate_block_product(grid, j: int, factors) -> np.ndarray:
-    """Dense product of fields routed onto blocks of {1..j}.
+def evaluate_block_product(grid, j: int, factors, out=None) -> np.ndarray:
+    """Dense product of fields routed onto blocks of {1..j}, in out if given, else a new array.
 
     factors is a list of (GridField, coords) with coords a tuple of 1-based
     coordinates (sorted routing: axis order of each field follows the sorted
     block, immaterial for exchangeable factors).  The coords must be disjoint
-    and cover {1..j}.
+    and cover {1..j}.  The factors are multiplied smallest first, so only the
+    last multiply is full size.
     """
     if j > MAX_GRID_ARITY:
         raise ValueError(f"grid assembly capped at arity {MAX_GRID_ARITY}, got {j}")
     covered = sorted(c for _, coords in factors for c in coords)
     if covered != list(range(1, j + 1)):
         raise ValueError(f"factor coordinates {covered} do not partition 1..{j}")
-    _check_common_grid([f for f, _ in factors])
     M = factors[0][0].grid.M
-    out = np.ones((M,) * j)
-    for f, coords in factors:
-        coords = tuple(sorted(coords))
+    routed = []
+    for f, coords in sorted(factors, key=lambda fc: fc[0].arity):
+        if f.grid.M != M:
+            raise ValueError("all fields must share one grid")
         if f.arity != len(coords):
             raise ValueError("factor arity does not match its coordinate block")
-        shape = tuple(M if (k + 1) in coords else 1 for k in range(j))
-        out = out * f.values.reshape(shape)
-    return out
+        routed.append(f.values.reshape([M if k in coords else 1 for k in range(1, j + 1)]))
+    return np.multiply(reduce(np.multiply, routed[:-1], 1.0), routed[-1], out=out)
+
+
+def cluster_moment(j: int, clusters: dict) -> GridField:
+    """f_j = sum over partitions of {1..j} of prod over blocks B of g_|B|(x_B).
+
+    clusters maps arity a -> symmetric GridField g_a and must hold g_1; an
+    arity it lacks is a zero cluster, so every term with such a block vanishes.
+    """
+    grid = clusters[1].grid
+    out, term = np.zeros((grid.M,) * j), np.empty((grid.M,) * j)
+    for p in enumerate_partitions(j):
+        if all(len(b) in clusters for b in p.blocks):
+            out += evaluate_block_product(grid, j, [(clusters[len(b)], b) for b in p.blocks], term)
+    return GridField(grid, j, out)
+
+
+def clusters_from_moments(moments: dict) -> dict:
+    """Cluster functions g_1..g_J of symmetric marginals f_1..f_J (moments: a -> f_a).
+
+    Moebius inversion of cluster_moment, level by level: g_1 = f_1 and
+    g_a = f_a - cluster_moment(a, {g_1..g_(a-1)}), the expansion without its
+    one-block term.
+    """
+    clusters = {1: moments[1]}
+    for a in range(2, max(moments) + 1):
+        f = moments[a]
+        clusters[a] = GridField(f.grid, a, f.values - cluster_moment(a, clusters).values)
+    return clusters
 
 
 def _check_g_table(g_table: dict, i: int) -> None:

@@ -12,10 +12,13 @@ makes linear steady states exact and keeps the mode-0 (mass) update exact.
 
 Every unknown here (each g^i_j and each BBGKY marginal f_a) is symmetric in
 its coordinates, and so are the equations, so every solver assembles flux_1
-alone.  One stepper (operators._SpectralOps) carries each unknown's half
-spectrum between steps and adds flux_k's spectrum as flux_1's with the axes
-swapped.  compute_remainder, which reports R^i_j rather than stepping, still
-evaluates every component.
+alone and marches through one loop, _march: one operators._SpectralOps per
+arity carries each unknown's half spectrum between steps and adds flux_k's
+spectrum as flux_1's with the axes swapped, and _trajectories keeps the
+stored times.  compute_remainder, which reports R^i_j rather than stepping,
+still evaluates every component.  The BBGKY reference closes its hierarchy
+with the plain cluster expansion of pchaos.partitions: f_4 is the level-4
+moment of the cluster functions g_1..g_3 of f_1..f_3.
 
 The correction hierarchy g^i_j lives on the triangular index set
 T = {(i, j): 1 <= j <= i + 1}.  Entry (0, 1) is the mean-field density rho,
@@ -40,7 +43,7 @@ import numpy as np
 
 from .core import GridField, KernelSpec, TorusGrid, product_field
 from .operators import _EntrySolver, _Interaction, _SpectralOps
-from .partitions import assemble_correction, solve_order
+from .partitions import assemble_correction, cluster_moment, clusters_from_moments, solve_order
 
 __all__ = [
     "TimeGrid",
@@ -149,12 +152,40 @@ def _check_problem(f: GridField, kernel: KernelSpec, tg: TimeGrid) -> None:
         raise ValueError(f"initial data has mass {f.integrate()!r}, expected 1")
 
 
-def _guard_negative(rho: np.ndarray, t: float) -> None:
-    m = rho.min()
-    if m < -1e-10:
-        raise NegativeDensityError(
-            f"density reached {m:.3e} at t={t:.6f}; time step too large for the transport"
-        )
+def _march(initial: dict, fluxes, guard, tg: TimeGrid):
+    """Exponential-Euler steps of symmetric unknowns; yield (state, spectra), t = 0 first.
+
+    initial maps each key to its field at t = 0, and fluxes(state) yields
+    (key, flux_1) for every key from the time-t state.  The field of guard is
+    a density: one dipping below -1e-10 aborts.  The field arrays are reused
+    two steps later, so a caller keeps copies.
+    """
+    state = {key: np.array(u, dtype=float) for key, u in initial.items()}
+    M = next(iter(state.values())).shape[0]
+    ops = {a: _SpectralOps(M, a, tg.dt) for a in {u.ndim for u in state.values()}}
+    spectra = {key: np.fft.rfftn(u) for key, u in state.items()}
+    spare = {key: np.empty_like(u) for key, u in state.items()}
+    yield state, spectra
+    for n in range(tg.n_steps):
+        new = {key: ops[flux.ndim].step(spectra[key], flux, spare[key])
+               for key, flux in fluxes(state)}
+        m = new[guard].min()
+        if m < -1e-10:
+            raise NegativeDensityError(f"density reached {m:.3e} at t={(n + 1) * tg.dt:.6f}; "
+                                       "time step too large for the transport")
+        state, spare = new, state
+        yield state, spectra
+
+
+def _trajectories(steps, tg: TimeGrid) -> dict:
+    """key -> its field at every stored time, from the states of a _march."""
+    store = {}
+    for s, (state, _) in enumerate(it.islice(steps, 0, None, tg.store_every)):
+        for key, u in state.items():
+            if s == 0:
+                store[key] = np.empty((tg.n_stored,) + u.shape)
+            store[key][s] = u
+    return store
 
 
 def solve_mckean_vlasov(f: GridField, kernel: KernelSpec, tg: TimeGrid) -> Trajectory:
@@ -264,31 +295,24 @@ class GTable:
 
 
 def _hierarchy_steps(i_max: int, f: GridField, kernel: KernelSpec, tg: TimeGrid):
-    """Advance every entry (i, j), i <= i_max, in lockstep; yield (state, spectra) per step.
+    """_march over every entry (i, j), i <= i_max: rho = g^0_1 starts at f, the rest at 0.
 
-    Each step evaluates every right-hand side from the time-t state, then
-    applies the exponential updates, so every entry sees exactly the values a
-    sequential solve in the triangular order would have used.  state maps
-    each entry to its field and spectra to its carried rfftn; the field
-    arrays are reused two steps later, so a caller keeps copies.
+    Every entry steps from the time-t state, so each sees exactly the values
+    a sequential solve in the triangular order would have used.
     """
     keys = solve_order(i_max)  # (0, 1) first
     op = _Interaction(kernel, f.grid)
-    ops = {a: _SpectralOps(f.grid.M, a, tg.dt) for a in range(1, i_max + 2)}
     solvers = {key: _EntrySolver(*key, op) for key in keys[1:]}
-    state = {key: np.zeros((f.grid.M,) * key[1]) for key in keys}
-    state[(0, 1)] = f.values.copy()
-    spectra = {key: np.fft.rfftn(u) for key, u in state.items()}
-    spare = {key: np.empty_like(u) for key, u in state.items()}
-    for n in range(tg.n_steps):
-        rho = state[(0, 1)]
-        new = {(0, 1): ops[1].step(spectra[(0, 1)], op.mean_field_flux(rho), spare[(0, 1)])}
-        _guard_negative(new[(0, 1)], (n + 1) * tg.dt)
+
+    def fluxes(state):
+        yield (0, 1), op.mean_field_flux(state[(0, 1)])
         contractions = {}
         for key, solver in solvers.items():
-            new[key] = ops[key[1]].step(spectra[key], solver.flux1(state, contractions), spare[key])
-        state, spare = new, state
-        yield state, spectra
+            yield key, solver.flux1(state, contractions)
+
+    initial = {key: np.zeros((f.grid.M,) * key[1]) for key in keys}
+    initial[(0, 1)] = f.values
+    return _march(initial, fluxes, (0, 1), tg)
 
 
 def solve_g_hierarchy(
@@ -306,13 +330,7 @@ def solve_g_hierarchy(
             f"hierarchy solve needs ~{need/1e9:.1f} GB (> {MEMORY_BUDGET_BYTES/1e9:.1f} GB budget)"
         )
     _check_problem(f, kernel, tg)
-
-    store = {key: np.zeros((tg.n_stored,) + (grid.M,) * key[1]) for key in solve_order(i_max)}
-    store[(0, 1)][0] = f.values
-    steps = _hierarchy_steps(i_max, f, kernel, tg)
-    for s, (state, _) in enumerate(it.islice(steps, tg.store_every - 1, None, tg.store_every), 1):
-        for key, arr in store.items():
-            arr[s] = state[key]
+    store = _trajectories(_hierarchy_steps(i_max, f, kernel, tg), tg)
     return GTable(grid, tg, i_max, kernel, store)
 
 
@@ -421,6 +439,9 @@ def check_energy_inequality(
 # truncated-BBGKY reference at small N
 
 
+BBGKY_LEVELS = 3  # the reference integrates f_1..f_3 and closes level 4
+
+
 @dataclass
 class BBGKYResult:
     """Marginal trajectories f_1..f_3 of the N-particle hierarchy, closed at level 4."""
@@ -437,90 +458,35 @@ class BBGKYResult:
         return self.tg.stored_times
 
 
-def _cluster3(f1, f2, f3):
-    """Cluster functions g_1, g_2, g_3 of a consistent triple (dense, exact algebra)."""
-    g1 = f1
-    g2 = f2 - np.multiply.outer(f1, f1)
-    prod3 = np.multiply.outer(np.multiply.outer(f1, f1), f1)
-    s12 = np.multiply.outer(g2, f1)                       # g2(x1,x2) f1(x3)
-    s13 = np.swapaxes(s12, 1, 2)                          # g2(x1,x3) f1(x2)
-    s23 = np.moveaxis(s12, (0, 1, 2), (1, 2, 0))          # g2(x2,x3) f1(x1)
-    g3 = f3 - s12 - s13 - s23 - prod3
-    return g1, g2, g3
+def solve_bbgky_reference(f: GridField, kernel: KernelSpec, N: int, tg: TimeGrid) -> BBGKYResult:
+    """Integrate the hierarchy for f_1..f_3 with a product closure above.
 
-
-def solve_bbgky_reference(
-    f: GridField, kernel: KernelSpec, N: int, tg: TimeGrid, j_max: int = 3
-) -> BBGKYResult:
-    """Integrate the hierarchy for f_1..f_{j_max} with a product closure above.
-
-    Level j_max+1 is reconstructed each step from the cluster functions of the
-    lower levels with the top cluster set to zero; the size of g_3 and the
-    marginal-consistency drift are reported so the closure error is visible
-    rather than hidden.
+    Level 4 is rebuilt each step as the cluster expansion of the lower
+    levels' cluster functions with the top cluster set to zero
+    (partitions.cluster_moment of partitions.clusters_from_moments).  The
+    size of g_3 and the marginal-consistency drift at the stored times are
+    reported so the closure error is visible rather than hidden.
     """
-    if j_max != 3:
-        raise ValueError("reference solver is wired for closure at level 4 (j_max = 3)")
-    if N < j_max + 1:
-        raise ValueError("need N > j_max")
+    top = BBGKY_LEVELS
+    if N <= top:
+        raise ValueError(f"need N > {top}")
     _check_problem(f, kernel, tg)
     grid = f.grid
-    M, h = grid.M, grid.h
+    levels = tuple(range(1, top + 1))
     op = _Interaction(kernel, grid)
-    ops = {a: _SpectralOps(M, a, tg.dt) for a in (1, 2, 3)}
 
-    state = {a: product_field(f, a).values.copy() for a in (1, 2, 3)}
-    store = {a: np.empty((tg.n_stored,) + (M,) * a) for a in (1, 2, 3)}
-    closure_size = np.empty(tg.n_stored)
-    marg_drift = np.empty(tg.n_stored)
+    def clusters(state):
+        return clusters_from_moments({a: GridField(grid, a, state[a]) for a in levels})
 
-    def closure_f4(f1, f2, f3):
-        g1, g2, g3 = _cluster3(f1, f2, f3)
-        out = np.zeros((M,) * 4)
-        pairs = list(it.combinations(range(4), 2))
-        # partitions of {1..4} with all blocks of size <= 3, assembled from g's
-        # 1+1+1+1
-        out += np.multiply.outer(np.multiply.outer(np.multiply.outer(g1, g1), g1), g1)
-        # 2+1+1 (6 ways) and 2+2 (3 ways) and 3+1 (4 ways)
-        for (a, b) in pairs:
-            restc = [c for c in range(4) if c not in (a, b)]
-            block = np.multiply.outer(g2, np.multiply.outer(g1, g1))
-            out += np.moveaxis(block, (0, 1, 2, 3), (a, b) + tuple(restc))
-        for (a, b) in ((0, 1), (0, 2), (0, 3)):
-            c, d = [x for x in range(4) if x not in (a, b)]
-            block = np.multiply.outer(g2, g2)
-            out += np.moveaxis(block, (0, 1, 2, 3), (a, b, c, d))
-        for rest in range(4):
-            trip = [x for x in range(4) if x != rest]
-            block = np.multiply.outer(g3, g1)
-            out += np.moveaxis(block, (0, 1, 2, 3), tuple(trip) + (rest,))
-        return out
+    def fluxes(state):
+        for a in levels:
+            upper = state[a + 1] if a < top else cluster_moment(top + 1, clusters(state)).values
+            yield a, op.bbgky_flux(upper, state[a], (N - a) / N, 1 / N)
 
-    def diagnostics(s):
-        f1, f2, f3 = state[1], state[2], state[3]
-        _, _, g3 = _cluster3(f1, f2, f3)
-        closure_size[s] = np.abs(g3).max()
-        d1 = np.abs(f2.sum(axis=1) * h - f1).max()
-        d2 = np.abs(f3.sum(axis=2) * h - f2).max()
-        marg_drift[s] = max(d1, d2)
-
-    for a in (1, 2, 3):
-        store[a][0] = state[a]
-    diagnostics(0)
-
-    spectra = {a: np.fft.rfftn(u) for a, u in state.items()}
-    spare = {a: np.empty_like(u) for a, u in state.items()}
-    s = 1
-    for n in range(tg.n_steps):
-        upper = {1: state[2], 2: state[3], 3: closure_f4(state[1], state[2], state[3])}
-        new = {a: ops[a].step(spectra[a], op.bbgky_flux(upper[a], state[a], (N - a) / N, 1 / N),
-                              spare[a])
-               for a in (1, 2, 3)}
-        state, spare = new, state
-        _guard_negative(state[1], (n + 1) * tg.dt)
-        if (n + 1) % tg.store_every == 0:
-            for a in (1, 2, 3):
-                store[a][s] = state[a]
-            diagnostics(s)
-            s += 1
-    return BBGKYResult(grid, tg, N, store, closure_size, marg_drift)
+    initial = {a: product_field(f, a).values for a in levels}
+    store = _trajectories(_march(initial, fluxes, 1, tg), tg)
+    closure_size = np.array([np.abs(clusters({a: store[a][s] for a in levels})[top].values).max()
+                             for s in range(tg.n_stored)])
+    drift = np.max([np.abs(store[a + 1].sum(axis=-1) * grid.h - store[a]).max(axis=levels[:a])
+                    for a in levels[:-1]], axis=0)
+    return BBGKYResult(grid, tg, N, store, closure_size, drift)

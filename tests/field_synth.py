@@ -40,3 +40,24 @@ def random_smooth_field(grid: TorusGrid, arity: int, rng: np.random.Generator,
 def random_exchangeable_triple(grid: TorusGrid, rng: np.random.Generator) -> dict:
     """Arity -> field table for arities 1..3, each exchangeable and smooth."""
     return {a: random_smooth_field(grid, a, rng) for a in (1, 2, 3)}
+
+
+def random_consistent_triple(grid: TorusGrid, rng: np.random.Generator) -> dict:
+    """Arity -> marginals f_1, f_2, f_3 of one exchangeable law: int f_{a+1} dx = f_a.
+
+    f_1 is a random smooth field of mean one; f_2 and f_3 are its cluster
+    expansions with random smooth exchangeable clusters g_2, g_3 whose
+    integral along every axis is zero.
+    """
+    f1 = random_smooth_field(grid, 1, rng).values
+    f1 = f1 / f1.mean()
+    g = {}
+    for a in (2, 3):
+        vals = random_smooth_field(grid, a, rng).values
+        for axis in range(a):
+            vals = vals - vals.mean(axis=axis, keepdims=True)
+        g[a] = vals
+    f2 = np.multiply.outer(f1, f1) + g[2]
+    f3 = (np.einsum("a,b,c->abc", f1, f1, f1) + np.einsum("ab,c->abc", g[2], f1)
+          + np.einsum("ac,b->abc", g[2], f1) + np.einsum("bc,a->abc", g[2], f1) + g[3])
+    return {a: GridField(grid, a, v) for a, v in ((1, f1), (2, f2), (3, f3))}

@@ -378,11 +378,42 @@ def test_metrics_rejects_truncated_gtable(tmp_path, capsys):
     assert err.count("\n") == 1
 
 
+def test_metrics_nan_time_is_a_user_error(tmp_path, capsys):
+    # a NaN time matches no snapshot: one error line, nothing written
+    hier_cfg = _write_cfg(
+        tmp_path, "h.cfg",
+        f"kernel = {KERNEL_PATH}\ndensity_cos = 1.0, 0.5\ngrid = 16\ndt = 1e-3\nT = 2e-3\n",
+    )
+    assert main(["solve-hierarchy", "--config", hier_cfg, "--out", str(tmp_path / "h")]) == 0
+    sim_cfg = _sim_cfg(tmp_path, "snapshot_format = raw\n")
+    assert main(["simulate", "--config", sim_cfg, "--out", str(tmp_path / "s")]) == 0
+    met_cfg = _write_cfg(
+        tmp_path, "m.cfg",
+        f"snapshots = {tmp_path / 's' / 'snapshots.raw'}\ngtable = {tmp_path / 'h' / 'gtable'}\n"
+        "time = nan\n",
+    )
+    capsys.readouterr()
+    out = tmp_path / "m"
+    assert main(["metrics", "--config", met_cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: no snapshot at time nan\n"
+    assert list(out.iterdir()) == []
+
+
 def test_bounds_nan_time_is_a_user_error(tmp_path, capsys):
     cfg = _write_cfg(tmp_path, "b.cfg", "j = 4\nell_max = 6\nb = 1\nt = nan\n")
     assert main(["bounds", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: time must be finite") and err.count("\n") == 1
+
+
+def test_bounds_nan_residual_tol_is_a_user_error(tmp_path, capsys):
+    cfg = _write_cfg(tmp_path, "b.cfg", "j = 4\nell_max = 6\nb = 1\nresidual_tol = nan\n")
+    out = tmp_path / "o"
+    assert main(["bounds", "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: residual_tol must be finite and positive, got nan\n"
+    assert list(out.iterdir()) == []
 
 
 def test_bounds_clean_and_faulted(tmp_path, capsys):

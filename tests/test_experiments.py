@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -256,7 +257,7 @@ def _payload(kernel, density, N, dt, n_steps, seed, r0, r1):
     C, S = _chain_moments(kernel, density, dt, n_steps)
     cfg = SimConfig(N=N, dt=dt, T=n_steps * dt, n_replicas=r1, base_seed=seed,
                     kernel=kernel, initial_density=density)
-    return cfg, r0, r1, C, S, _PHI_PANEL, 0
+    return cfg, r0, r1, C, S, _PHI_PANEL
 
 
 def test_worker_matches_canonical_ensemble(default_kernel):
@@ -527,6 +528,31 @@ def test_bounds_report_flags_injected_fault():
     assert not rep.ok
     assert any(v.startswith("poly") for v in rep.violations)
     assert any("FAIL" in s for s in rep.summary)
+
+
+def _fails_every_check(summary_line):
+    m = re.search(r"FAIL \((\d+) points\) over (\d+) checks", summary_line)
+    return m is not None and m.group(1) == m.group(2)
+
+
+def test_bounds_report_nan_fails_every_gate(monkeypatch):
+    # a NaN value fails the gates that read I (inject does not reach the
+    # recurrence residuals), a NaN residual fails the recurrence gate
+    lattice = dict(j_list=(1, 4), ell_max=12, b_list=(1, 3), t_list=(0.1, 3.0), residual_order=8)
+    rng, rec, poly, exp = run_bounds_report(inject=math.nan, **lattice).summary
+    assert all(_fails_every_check(line) for line in (rng, poly, exp))
+    assert "PASS" in rec
+    monkeypatch.setattr(experiments.bnd, "recurrence_residual_sweep",
+                        lambda ell_max, *args, **kw: np.full(ell_max, math.nan))
+    rep = run_bounds_report(**lattice)
+    assert _fails_every_check(rep.summary[1])
+    assert all("PASS" in line for line in rep.summary[:1] + rep.summary[2:])
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1e-6])
+def test_bounds_report_rejects_bad_residual_tol(tol):
+    with pytest.raises(ValueError, match="residual_tol must be finite and positive"):
+        run_bounds_report(j_list=(1,), ell_max=2, residual_tol=tol)
 
 
 def test_bounds_report_rejects_empty_lattice():

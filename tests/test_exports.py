@@ -3,11 +3,14 @@
 A stale __all__ entry (a name deleted from the module but still exported)
 breaks `from pchaos.<module> import *` and misleads readers; nothing else
 would catch it.  Likewise every name the benchmark imports or traces must
-resolve, or the benchmark would first fail when it is run.
+resolve, or the benchmark would first fail when it is run.  And every
+reference implementation in tests/oracles/ must be used by a test, or it
+checks nothing.
 """
 import ast
 import importlib
 import pkgutil
+import re
 
 import pytest
 
@@ -59,3 +62,24 @@ def test_benchmark_traced_names_resolve():
             if obj is None:
                 missing.append(f"{modname}.{name}")
     assert not missing, f"benchmarks/child.py traces missing names {missing}"
+
+
+def test_every_oracle_is_used_by_a_test():
+    # a test uses an oracle by importing it, or by naming the script whose
+    # printed values it freezes (tests/oracles/<name>.py)
+    used = set()
+    for path in (REPO_ROOT / "tests").glob("test_*.py"):
+        text = path.read_text(encoding="utf-8")
+        used.update(re.findall(r"tests/oracles/(\w+)\.py", text))
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module:
+                names = [node.module] + [f"{node.module}.{a.name}" for a in node.names]
+            else:
+                continue
+            used.update(n.split(".")[1] for n in names if n.startswith("oracles."))
+    oracles = {p.stem for p in (REPO_ROOT / "tests" / "oracles").glob("*.py")}
+    assert len(oracles) >= 13
+    orphans = sorted(oracles - used)
+    assert not orphans, f"no test uses {orphans} of tests/oracles/"

@@ -3,8 +3,9 @@
 The stationary pair-correlation amplitude is frozen from
 tests/oracles/stationary_pair_amplitude.py; the written-out first-order
 solvers come from tests/oracles/first_order_explicit.py, the all-k flux
-assembler from tests/oracles/all_k_flux.py and the Fourier-space swap step
-from tests/oracles/fourier_swap_step.py.
+assembler from tests/oracles/all_k_flux.py, the Fourier-space swap step
+from tests/oracles/fourier_swap_step.py and the term-by-term BBGKY closure
+from tests/oracles/bbgky_closure_dense.py.
 """
 import itertools as it
 import json
@@ -18,9 +19,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from pchaos.core import KernelSpec, TorusGrid, fourier_field, product_field
+from pchaos.core import GridField, KernelSpec, TorusGrid, fourier_field, product_field
 from pchaos.experiments import fit_rate
-from pchaos.partitions import max_asymmetry
+from pchaos.partitions import cluster_moment, clusters_from_moments, max_asymmetry
 from pchaos.operators import (
     STAR,
     _add_swapped,
@@ -33,7 +34,6 @@ from pchaos.operators import (
 from pchaos.pde import (
     GTable,
     TimeGrid,
-    _cluster3,
     _hierarchy_steps,
     assemble_phi,
     check_energy_inequality,
@@ -44,8 +44,9 @@ from pchaos.pde import (
 )
 
 from conftest import REPO_ROOT, RICH_KERNEL, band_limited_kernels
-from field_synth import random_smooth_field
+from field_synth import random_consistent_triple, random_smooth_field
 from oracles.all_k_flux import entry_fluxes
+from oracles.bbgky_closure_dense import _cluster3, closure_f4
 from oracles.first_order_explicit import solve_g1_pair, solve_g1_single
 from oracles.fourier_swap_step import FourierSwapStep
 
@@ -551,7 +552,7 @@ def test_bbgky_reference_and_energy_margins(default_kernel):
     g = TorusGrid(16)
     f = fourier_field(g, [1.0, 0.5], [0.0, 0.25])
     tg = TimeGrid(2e-3, 50, store_every=10)
-    bb = solve_bbgky_reference(f, default_kernel, 8, tg, j_max=3)
+    bb = solve_bbgky_reference(f, default_kernel, 8, tg)
     assert set(bb.marginals) == {1, 2, 3}
     for a, arr in bb.marginals.items():
         assert arr.shape == (tg.n_stored,) + (16,) * a
@@ -578,7 +579,8 @@ def test_energy_check_requires_reference_arities(small_table):
 
 
 def test_cluster3_recovers_constructed_clusters():
-    # f_2 and f_3 assembled from chosen clusters g_1, g_2, g_3 give them back
+    # f_2 and f_3 assembled from chosen clusters g_1, g_2, g_3 give them back,
+    # and the cluster expansion of the recovered clusters gives f_1..f_3 back
     grid = TorusGrid(8)
     rng = np.random.default_rng(8)
     g1 = random_smooth_field(grid, 1, rng).values
@@ -587,10 +589,29 @@ def test_cluster3_recovers_constructed_clusters():
     f2 = np.multiply.outer(g1, g1) + g2
     f3 = (np.einsum("a,b,c->abc", g1, g1, g1) + np.einsum("ab,c->abc", g2, g1)
           + np.einsum("ac,b->abc", g2, g1) + np.einsum("bc,a->abc", g2, g1) + g3)
-    got1, got2, got3 = _cluster3(g1, f2, f3)
-    assert np.array_equal(got1, g1)
-    assert np.max(np.abs(got2 - g2)) < 1e-14
-    assert np.max(np.abs(got3 - g3)) < 1e-13
+    moments = {a: GridField(grid, a, v) for a, v in ((1, g1), (2, f2), (3, f3))}
+    got = clusters_from_moments(moments)
+    assert np.array_equal(got[1].values, g1)
+    assert np.max(np.abs(got[2].values - g2)) < 1e-14
+    assert np.max(np.abs(got[3].values - g3)) < 1e-13
+    for a in (1, 2, 3):
+        back = cluster_moment(a, {b: got[b] for b in range(1, a + 1)}).values
+        assert np.max(np.abs(back - moments[a].values)) <= 1e-13 * np.abs(moments[a].values).max()
+
+
+@pytest.mark.parametrize("M", [8, 12])
+def test_partition_closure_matches_dense_oracle(M):
+    # the level-4 closure of the BBGKY reference, from pchaos.partitions,
+    # against the term-by-term closure it replaced
+    rng = np.random.default_rng(M)
+    for _ in range(3):
+        f = random_consistent_triple(TorusGrid(M), rng)
+        clusters = clusters_from_moments(f)
+        want = _cluster3(f[1].values, f[2].values, f[3].values)
+        for a in (1, 2, 3):
+            assert np.abs(clusters[a].values - want[a - 1]).max() <= 1e-13 * np.abs(want[a - 1]).max()
+        f4 = closure_f4(f[1].values, f[2].values, f[3].values)
+        assert np.abs(cluster_moment(4, clusters).values - f4).max() <= 1e-13 * np.abs(f4).max()
 
 
 def test_bbgky_closure_size_falls_as_inverse_square(default_kernel):
