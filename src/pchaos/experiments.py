@@ -18,23 +18,27 @@ integrates the linearized dynamics driven by the companion's own moment
 discrepancies, and subtracting its phi-derivative projection removes the
 response noise pathwise.  Two details keep the subtraction exactly centered:
 the discrepancies are measured against the exact per-step moments of the
-companion chain (computed by propagating its density, not by simulation),
-and each particle's own contribution is left out of the moments driving its
-correction (the retained self-term would otherwise re-enter at the O(1/N)
-order being measured).  The correction term then has expectation exactly
-zero by independence, so the corrected difference stays unbiased while its
-standard error drops by a further order of magnitude.
+companion chain (computed by propagating its density in Fourier space, not
+by simulation; see _chain_moments), and each particle's own contribution is
+left out of the moments driving its correction (the retained self-term would
+otherwise re-enter at the O(1/N) order being measured).  The correction term
+then has expectation exactly zero by independence, so the corrected
+difference stays unbiased while its standard error drops by a further order
+of magnitude.
 
 The worker steps both systems and the derivative companion in place, in
 work arrays allocated once per chunk.  Per kernel mode it takes cos and sin
 of 2 pi m x once per particle and system from particles._cos_sin (exact
-quarter-turn reduction, then libm on [-pi/4, pi/4]); the moments (each
-replica's for the interacting system, the chain's for the companion) fold
-into per-mode coefficients, so the drift, its Jacobian and the leave-one-out
-forcing each cost one product per trigonometric value (see
-_companion_terms).  run_rate_experiment keeps one process pool for
-the run: it builds the chain-moment table while the main process solves
-the hierarchy, then takes every N's replica chunks, all submitted up front.
+quarter-turn reduction, then one libm sin on [-pi/4, pi/4] and cos as
+sqrt(1 - sin^2)); b's coefficients and the moments (each replica's for the
+interacting system, the chain's for the companion) fold into two per-mode
+coefficients, so the drift, its Jacobian and the leave-one-out forcing each
+cost one product per trigonometric value (see _companion_terms).  The
+chain-moment table steps the chain's spectrum, band-limited by the heat
+factor, so it costs O(M L) per step for M cells and L modes.
+run_rate_experiment keeps one process pool for the run: it builds the
+chain-moment table while the main process solves the hierarchy, then takes
+every N's replica chunks, all submitted up front.
 A chunk holds about _CHUNK_PARTICLES particles and each N gets a multiple
 of workers chunks.  Results are consumed in N order, so rows are built and
 a failure is flushed per N.
@@ -259,14 +263,6 @@ def _pair_stats(v: np.ndarray):
     return (s1 * s1 - s2) / (N * (N - 1)), v.mean(axis=1)
 
 
-_ERF_UFUNC = np.frompyfunc(math.erf, 1, 1)
-
-
-def _erf(z: np.ndarray) -> np.ndarray:
-    """Elementwise math.erf: the standard library's erf, so rates needs no scipy.special."""
-    return _ERF_UFUNC(z).astype(float)
-
-
 def _chain_moments(kernel: KernelSpec, sample_density: GridField, dt: float,
                    n_steps: int, min_refine: int = 1):
     """Exact per-step trigonometric moments of the self-consistent companion chain.
@@ -281,80 +277,63 @@ def _chain_moments(kernel: KernelSpec, sample_density: GridField, dt: float,
     table centers the moment discrepancies that drive the derivative
     companion, whose correction must have mean exactly zero.
 
-    The chain's density is propagated on cell midpoints: the first step
-    integrates the Gaussian transition exactly over each constant cell (erf
-    differences), every later step applies the transition as a spectrally
-    accurate midpoint-rule transfer matrix.  min_refine forces extra
-    subdivision of the sampler's cells (the law is unchanged, only the
-    quadrature), which gives an honest self-convergence check.  Returns
-    moment arrays of shape (n_steps + 1, modes).
+    The chain's law is kept as weights w_j on the M cell midpoints.  A step
+    pushes each node to y_j = mid_j + dt drift(mid_j) and spreads it with the
+    periodic Gaussian of variance 2 dt; by Poisson summation the result has
+    the Fourier coefficients
+
+        a_m = e^{-2 pi^2 sigma^2 m^2} sum_j w_j e^{-2 pi i m y_j},
+
+    times sinc(m h) on the first step, whose cells are the sampler's constant
+    ones rather than points.  The step's moments are C[m] = Re a_m and
+    S[m] = -Im a_m, and irfft of a_m e^{i pi m h} gives the next node
+    weights.  The spectrum is cut at the band L past which the heat factor
+    is below 2^-60 (at least the kernel's band); cells are refined until the
+    one-step heat kernel is resolved and L lies below M/2.  min_refine
+    forces extra subdivision of the sampler's cells (the law is unchanged,
+    only the quadrature), which gives an honest self-convergence check.
+    Returns moment arrays of shape (n_steps + 1, modes).
     """
     n_modes = max(len(kernel.k_cos), 1)
     sigma = math.sqrt(2.0 * dt)
+    L = max(n_modes - 1, math.ceil(math.sqrt(30.0 * math.log(2.0)) / (math.pi * sigma)))
     grid = sample_density.grid
     masses = sample_density.values * grid.h
     cum = np.concatenate([[0.0], np.cumsum(masses)])
     cum[-1] = 1.0
     masses = np.diff(cum)
-    # refine cells until the one-step heat kernel is spectrally resolved
-    refine = max(min_refine, math.ceil(4.0 / (sigma * grid.M)))
+    refine = max(min_refine, math.ceil(4.0 / (sigma * grid.M)), math.ceil((2 * L + 1) / grid.M))
     M = grid.M * refine
     h = 1.0 / M
-    masses = np.repeat(masses, refine) / refine
+    weights = np.repeat(masses, refine) / refine
     mid = (np.arange(M) + 0.5) * h
-    images = range(-max(1, math.ceil(6.0 * sigma)), max(1, math.ceil(6.0 * sigma)) + 1)
+    m = np.arange(L + 1)
+    heat = np.exp(-2.0 * (np.pi * sigma * m) ** 2)
+    shift = np.exp(1j * np.pi * h * m)
+    phases = np.empty((L + 1, M), dtype=complex)
+
+    def spectrum(y, w):
+        # sum_j w_j e^{-2 pi i m y_j} for m = 0..L
+        phases[0] = 1.0
+        phases[1:] = np.exp(-2j * np.pi * y)
+        return np.cumprod(phases, axis=0, out=phases) @ w
 
     Cdt = np.zeros((n_steps + 1, n_modes))
     Sdt = np.zeros((n_steps + 1, n_modes))
     Cdt[:, 0] = 1.0
-    for m in range(1, n_modes):
-        # cell averages of the trig monomials against the exact cell masses
-        damp = math.sin(math.pi * m * h) / (math.pi * m * h)
-        Cdt[0, m] = damp * float((masses * np.cos(2 * np.pi * m * mid)).sum())
-        Sdt[0, m] = damp * float((masses * np.sin(2 * np.pi * m * mid)).sum())
-    if n_steps == 0:
-        return Cdt, Sdt
-
-    # the (M, M) step arrays are reused: fresh ones cost more than the arithmetic
-    w, t, G = np.empty((M, M)), np.empty((M, M)), np.zeros((M, M))
-
-    def displaced(n):
-        np.subtract(mid[:, None], (mid + dt * mode_sum_drift(kernel, mid, Cdt[n], Sdt[n]))[None, :],
-                    out=w)
-        np.subtract(w, np.round(w, out=t), out=w)
-
-    displaced(0)
-    root2 = math.sqrt(2.0)
-    for k in images:
-        G += 0.5 * (
-            _erf((w + k + 0.5 * h) / (sigma * root2))
-            - _erf((w + k - 0.5 * h) / (sigma * root2))
-        )
-    p = G @ (masses / h)
-    norm = h / (sigma * math.sqrt(2.0 * math.pi))
-    for n in range(1, n_steps + 1):
-        for m in range(1, n_modes):
-            Cdt[n, m] = h * float((p * np.cos(2 * np.pi * m * mid)).sum())
-            Sdt[n, m] = h * float((p * np.sin(2 * np.pi * m * mid)).sum())
-        if n == n_steps:
-            break
-        displaced(n)
-        for k in images:  # G = sum_k exp(-((w + k) / sigma)^2 / 2)
-            np.add(w, k, out=t)
-            t /= sigma
-            np.square(t, out=t)
-            t *= -0.5
-            if k == images[0]:
-                np.exp(t, out=G)
-            else:
-                G += np.exp(t, out=t)
-        p = (G @ p) * norm
+    cell = np.sinc(m * h)  # the sampler's weights fill constant cells; later ones are points
+    a = spectrum(mid, weights) * cell
+    for n in range(n_steps + 1):
+        Cdt[n, 1:], Sdt[n, 1:] = a[1:n_modes].real, -a[1:n_modes].imag
+        if n < n_steps:
+            a = spectrum(mid + dt * mode_sum_drift(kernel, mid, Cdt[n], Sdt[n]), weights) * heat * cell
+            weights, cell = np.fft.irfft(a * shift, M), 1.0
     return Cdt, Sdt
 
 
-# scratch rows of _companion_terms: b, fy, jac, force, then _mode_terms'
+# scratch rows of _companion_terms: drift, jac, force, then _mode_terms'
 # rows, whose third is free between modes
-_COMPANION_WORK = 4 + _MODE_WORK
+_COMPANION_WORK = 3 + _MODE_WORK
 
 
 def _companion_terms(kernel: KernelSpec, y: np.ndarray, C: np.ndarray, S: np.ndarray,
@@ -362,15 +341,13 @@ def _companion_terms(kernel: KernelSpec, y: np.ndarray, C: np.ndarray, S: np.nda
     """Companion drift, its Jacobian, and the derivative companion's forcing.
 
     y is the (R, N) companion block and C[m], S[m] the chain moments of the
-    step, folded per mode into the step's scalars alpha = k_c C[m] - k_s S[m]
-    and beta = k_c S[m] + k_s C[m] (particles._mode_terms).  With
-    cos = cos(2 pi m y), sin = sin(2 pi m y), w = 2 pi m, a = b_c + alpha and
-    b = b_s + beta, mode m contributes
+    step.  particles._mode_terms sums the drift into one row, as
+    mode_sum_drift does (so it equals the interacting drift bitwise when
+    khat = 0), and yields per mode cos = cos(2 pi m y), sin = sin(2 pi m y)
+    and the step's scalars a = b_c + k_c C[m] - k_s S[m] and
+    b = b_s + k_c S[m] + k_s C[m].  With w = 2 pi m, mode m contributes
 
-        drift  b_c cos + b_s sin + cos alpha + sin beta, summed as
-               mode_sum_drift sums it (so it equals the interacting drift
-               bitwise when khat = 0),
-        jac    w (cos b - sin a), its derivative in the evaluation point,
+        jac    w (cos b - sin a), the drift's derivative in the evaluation point,
         force  cos (k_c P_c - k_s P_s) + sin (k_c P_s + k_s P_c) - k_c / N,
 
     where P = mean - C[m] (1 - 1/N) per replica.  force is the khat response
@@ -383,30 +360,26 @@ def _companion_terms(kernel: KernelSpec, y: np.ndarray, C: np.ndarray, S: np.nda
     N = y.shape[-1]
     if work is None:
         work = np.empty((_COMPANION_WORK, *y.shape))
-    b, fy, jac, force = work[:4]
-    modes = work[4:]
+    drift, jac, force = work[:3]
+    modes = work[3:]
     tmp = modes[2]
-    b.fill(kernel.b_cos[0])
-    fy.fill(kernel.k_cos[0] * C[0])
     jac.fill(0.0)
     force.fill(0.0)
     self_terms = 0.0
-    for (m, bc, bs, kc, ks), cy, sy, alpha, beta in _mode_terms(kernel, y, C, S, b, fy, modes):
+    for (m, _, _, kc, ks), cy, sy, a, b in _mode_terms(kernel, y, C, S, drift, modes):
         w = 2 * np.pi * m
-        if alpha is None:
-            alpha = beta = 0.0
-        jac += np.multiply(cy, w * (bs + beta), out=tmp)
-        jac -= np.multiply(sy, w * (bc + alpha), out=tmp)
+        jac += np.multiply(cy, w * b, out=tmp)
+        jac -= np.multiply(sy, w * a, out=tmp)
         if kc == 0.0 and ks == 0.0:
             continue
-        Pc = np.add.reduce(cy, axis=-1, keepdims=True) / N - C[m] * (1.0 - 1.0 / N)
-        Ps = np.add.reduce(sy, axis=-1, keepdims=True) / N - S[m] * (1.0 - 1.0 / N)
+        Pc, Ps = np.add.reduce(modes[:2], axis=-1, keepdims=True) / N
+        Pc -= C[m] * (1.0 - 1.0 / N)
+        Ps -= S[m] * (1.0 - 1.0 / N)
         force += np.multiply(cy, kc * Pc - ks * Ps, out=tmp)
         force += np.multiply(sy, kc * Ps + ks * Pc, out=tmp)
         self_terms += kc
     force -= self_terms / N
-    b += fy
-    return b, jac, force
+    return drift, jac, force
 
 
 def _rate_worker(cfg: SimConfig, r0, r1, Cdt, Sdt, phis):

@@ -153,7 +153,7 @@ class _Interaction:
     Contractions go through the rank-Q factors h K(x, y) = sum_q V[q, x] U[y, q]
     of the kernel's mode table: a column of h paired with b(x) + khat_c[0],
     and per khat mode m the columns h cos(2 pi m y), h sin(2 pi m y) paired
-    with k_c cos + k_s sin and k_c sin - k_s cos at x (the alpha/beta fold of
+    with k_c cos + k_s sin and k_c sin - k_s cos at x (the moment fold of
     particles._mode_terms).  Kmat, the kernel on the node pairs, gives the
     pair weights.
     """

@@ -24,13 +24,14 @@ part a mode-summation fast path costs O(N * modes) and agrees with the direct
 sum to roundoff, since the kernels are trigonometric polynomials.  The
 stepper always takes the fast path, which walks the kernel's mode table once
 over the whole block: per mode it takes cos(2 pi m x) and sin(2 pi m x) of
-every particle from _cos_sin, folds each replica's moments into two
-coefficients alpha, beta, and adds cos * alpha + sin * beta (see
-_mode_terms).  _cos_sin reduces m x by whole and quarter turns exactly
-(Cody & Waite) and evaluates cos and sin only on [-pi/4, pi/4], where libm
-is about twice as fast as on [0, 2 pi) and the rounding of 2 pi m x never
-enters.  The stepper's work arrays are allocated once per simulation, not
-per step.  The direct path, kept as the oracle, loops over replicas so its
+every particle from _cos_sin, folds b's coefficients and each replica's
+moments into two coefficients a, b, and adds cos * a + sin * b to one drift
+row (see _mode_terms).  _cos_sin reduces m x by whole and quarter turns
+exactly (Cody & Waite), takes sin from libm only on [-pi/4, pi/4], where
+libm is about twice as fast as on [0, 2 pi) and the rounding of 2 pi m x
+never enters, and takes cos from sin as sqrt(1 - sin^2), which cannot cancel
+there.  The stepper's work arrays are allocated once per simulation, not per
+step.  The direct path, kept as the oracle, loops over replicas so its
 memory stays O(N^2).
 """
 
@@ -156,9 +157,9 @@ def pair_drift(
 
 # scratch rows, each of the block's shape: _mode_terms needs cos, sin and
 # the four of _cos_sin, the first of which doubles as its product buffer;
-# mode_sum_drift adds b and the force
+# mode_sum_drift adds the drift row
 _MODE_WORK = 6
-_DRIFT_WORK = 2 + _MODE_WORK
+_DRIFT_WORK = 1 + _MODE_WORK
 
 
 def _cos_sin(m: int, x: np.ndarray, cos: np.ndarray, sin: np.ndarray, work: np.ndarray) -> None:
@@ -168,17 +169,20 @@ def _cos_sin(m: int, x: np.ndarray, cos: np.ndarray, sin: np.ndarray, work: np.n
     f = m x - rint(m x) and u = 4 f, the quarter turn k = rint(u) lies in
     {-2, ..., 2} and r = u - k in [-1/2, 1/2]; every step is exact when m is
     a power of two (x - rint(x) is taken first, so any finite x works), and
-    otherwise only m (x - rint(x)) rounds, by at most m 2^-53 turns.  cos and
-    sin are evaluated at phi = (pi/2) r in [-pi/4, pi/4] and rotated by k
-    quarter turns through the table A = cos(k pi/2), B = -sin(k pi/2),
+    otherwise only m (x - rint(x)) rounds, by at most m 2^-53 turns.  s =
+    sin(phi) comes from libm at phi = (pi/2) r in [-pi/4, pi/4], and
+    c = cos(phi) = sqrt(1 - s^2): there s^2 <= 1/2 and c >= 1/sqrt(2), so
+    nothing cancels.  Both are rotated by k quarter turns through the table
+    A = cos(k pi/2), B = -sin(k pi/2),
 
         k    -2  -1   0   1   2
         A    -1   0   1   0  -1      A = 1 - |k|
         B     0   1   0  -1   0      B = k (|k| - 2)
 
     as cos = A c + B s, sin = A s - B c, which is exact.  So quarter turns
-    x = i / (4m) give exactly 0 and +-1, and for m a power of two both
-    values lie within 2 ulp of the true ones.  work is (4, *x.shape) scratch.
+    x = i / (4m) (r = 0, so s = 0 and c = 1) give exactly 0 and +-1, and for
+    m a power of two both values lie within 2 ulp of the true ones.  work is
+    (4, *x.shape) scratch.
     """
     u, k, c, s = work
     np.rint(x, out=u)
@@ -190,8 +194,10 @@ def _cos_sin(m: int, x: np.ndarray, cos: np.ndarray, sin: np.ndarray, work: np.n
     np.rint(u, out=k)
     u -= k
     u *= np.pi / 2
-    np.cos(u, out=c)
     np.sin(u, out=s)
+    np.square(s, out=c)
+    np.subtract(1.0, c, out=c)
+    np.sqrt(c, out=c)
     np.abs(k, out=cos)
     np.subtract(1.0, cos, out=u)
     cos -= 2.0
@@ -202,45 +208,44 @@ def _cos_sin(m: int, x: np.ndarray, cos: np.ndarray, sin: np.ndarray, work: np.n
     sin -= np.multiply(c, k, out=k)
 
 
-def _mode_terms(kernel: KernelSpec, xc: np.ndarray, C, S, b: np.ndarray, force: np.ndarray,
-                work: np.ndarray):
-    """Walk the kernel's mode table over the block xc, adding each mode to b and force.
+def _mode_terms(kernel: KernelSpec, xc: np.ndarray, C, S, drift: np.ndarray, work: np.ndarray):
+    """Walk the kernel's mode table over the block xc, summing b + khat * law into drift.
 
-    For mode m, with cos = cos(2 pi m xc) and sin = sin(2 pi m xc) from
-    _cos_sin, the law's moments fold into the coefficients
+    drift is first filled with the mode-0 term b_c[0] + k_c[0] C[0].  For
+    mode m, with cos = cos(2 pi m xc) and sin = sin(2 pi m xc) from
+    _cos_sin, the law's moments fold with b's coefficients into
 
-        alpha = k_c C[m] - k_s S[m],    beta = k_c S[m] + k_s C[m],
+        a = b_c + k_c C[m] - k_s S[m],    b = b_s + k_c S[m] + k_s C[m],
 
-    and the mode adds b_c cos + b_s sin to b and cos alpha + sin beta to
-    force (b(x) and khat * law).  The moments are C, S when given (alpha,
-    beta are then scalars) and each replica's empirical moments along the
-    last axis when C is None (alpha, beta have shape (..., 1)); they are read
-    only where khat has the mode.  Yields ((m, b_c, b_s, k_c, k_s), cos, sin,
-    alpha, beta) after adding, with alpha = beta = None where khat lacks the
-    mode.  work is (_MODE_WORK, *xc.shape) scratch: cos and sin are its
-    first two rows, and rows from the third on are free until the next mode.
+    and the mode adds cos a + sin b to drift.  The moments are C, S when
+    given (a, b are then scalars) and each replica's empirical moments along
+    the last axis when C is None (C[0] = 1; a, b have shape (..., 1)); they
+    are read only where khat has the mode, and a mode khat lacks adds only
+    its nonzero b terms.  Yields ((m, b_c, b_s, k_c, k_s), cos,
+    sin, a, b) after adding.  work is (_MODE_WORK, *xc.shape) scratch: cos
+    and sin are its first two rows, and rows from the third on are free
+    until the next mode.
     """
     cm, sm, arg = work[0], work[1], work[2]
     N = xc.shape[-1]
+    drift.fill(kernel.b_cos[0] + kernel.k_cos[0] * (1.0 if C is None else C[0]))
     for row in kernel.mode_table:
         m, bc, bs, kc, ks = row
         _cos_sin(m, xc, cm, sm, work[2:])
-        if bc != 0.0:
-            b += np.multiply(bc, cm, out=arg)
-        if bs != 0.0:
-            b += np.multiply(bs, sm, out=arg)
-        if kc == 0.0 and ks == 0.0:
-            yield row, cm, sm, None, None
-            continue
-        if C is None:  # np.add.reduce / N is ndarray.mean bit for bit, at less call overhead
-            Cm = np.add.reduce(cm, axis=-1, keepdims=True) / N
-            Sm = np.add.reduce(sm, axis=-1, keepdims=True) / N
-        else:
-            Cm, Sm = C[m], S[m]
-        alpha, beta = kc * Cm - ks * Sm, kc * Sm + ks * Cm
-        force += np.multiply(cm, alpha, out=arg)
-        force += np.multiply(sm, beta, out=arg)
-        yield row, cm, sm, alpha, beta
+        a, b = bc, bs
+        has_k = kc != 0.0 or ks != 0.0
+        if has_k:
+            if C is None:  # np.add.reduce / N is ndarray.mean bit for bit, at less call overhead
+                Cm, Sm = np.add.reduce(work[:2], axis=-1, keepdims=True) / N
+            else:
+                Cm, Sm = C[m], S[m]
+            a = bc + (kc * Cm - ks * Sm)
+            b = bs + (kc * Sm + ks * Cm)
+        if has_k or bc != 0.0:
+            drift += np.multiply(cm, a, out=arg)
+        if has_k or bs != 0.0:
+            drift += np.multiply(sm, b, out=arg)
+        yield row, cm, sm, a, b
 
 
 def mode_sum_drift(kernel: KernelSpec, xc: np.ndarray, C=None, S=None, work=None) -> np.ndarray:
@@ -250,22 +255,20 @@ def mode_sum_drift(kernel: KernelSpec, xc: np.ndarray, C=None, S=None, work=None
     sin(2 pi m .): the moments of a density give the mean-field drift.  When
     they are omitted, the law is each replica's empirical measure along the
     last axis, and the result is the pairwise mean force (1/N) sum_k
-    K(x_j, x_k).  Each mode costs one cos, one sin and, for khat,
-    cos * alpha + sin * beta with the moments folded into per-replica (or
-    given-law) coefficients (see _mode_terms); b and the force are summed
-    apart, then added.  With work, a (_DRIFT_WORK, *xc.shape) scratch array
+    K(x_j, x_k).  Each mode costs one sin, one square root and
+    cos * a + sin * b, with b's coefficients and the moments folded into
+    per-replica (or given-law) coefficients a, b, summed into one drift row
+    (see _mode_terms).  With work, a (_DRIFT_WORK, *xc.shape) scratch array
     reused from call to call, the result is its first row; without, it is a
     new array.
     """
-    fresh = work is None
-    if fresh:
-        work = np.empty((_DRIFT_WORK, *xc.shape))
-    b, force = work[0], work[1]
-    b.fill(kernel.b_cos[0])
-    force.fill(kernel.k_cos[0] * (1.0 if C is None else C[0]))
-    for _ in _mode_terms(kernel, xc, C, S, b, force, work[2:]):
+    if work is None:
+        drift, modes = np.empty(xc.shape), np.empty((_MODE_WORK, *xc.shape))
+    else:
+        drift, modes = work[0], work[1:]
+    for _ in _mode_terms(kernel, xc, C, S, drift, modes):
         pass
-    return b + force if fresh else np.add(b, force, out=b)
+    return drift
 
 
 def em_step(x: np.ndarray, drift: np.ndarray, dt: float, noise: np.ndarray,

@@ -38,6 +38,8 @@ from pchaos.particles import (
 )
 
 from conftest import KERNEL_PATH, REPO_ROOT, RICH_KERNEL, band_limited_kernels
+from oracles import chain_transfer_matrix
+from oracles.chain_transfer_matrix import chain_moments_transfer_matrix
 from oracles.companion_explicit import companion_terms_explicit
 from oracles.plain_trig import plain_cos_sin
 
@@ -185,18 +187,35 @@ def test_chain_moments_pure_diffusion_damps_exactly():
 
 
 def test_chain_moments_erf_within_1e15_of_scipy(default_kernel, monkeypatch):
-    # the first step integrates the Gaussian with math.erf; scipy's erf
-    # differs by at most an ulp per value, so the moments agree to 1e-15
+    # the transfer-matrix oracle's first step integrates the Gaussian with
+    # math.erf; scipy's erf differs by at most an ulp per value, so the
+    # moments agree to 1e-15
     from scipy.special import erf
 
-    from pchaos import experiments, particles
-
     density = fourier_field(TorusGrid(256), [1.0, 0.5], [0.0, 0.25])
-    got = _chain_moments(default_kernel, density, 1e-3, 3)
-    monkeypatch.setattr(experiments, "_erf", erf)
-    want = _chain_moments(default_kernel, density, 1e-3, 3)
+    got = chain_moments_transfer_matrix(default_kernel, density, 1e-3, 3)
+    monkeypatch.setattr(chain_transfer_matrix, "_erf", erf)
+    want = chain_moments_transfer_matrix(default_kernel, density, 1e-3, 3)
     for a, b in zip(got, want):
         assert np.max(np.abs(a - b)) <= 1e-15
+
+
+@pytest.mark.parametrize("steps", [3, 50])
+@pytest.mark.parametrize("min_refine", [1, 4])
+@pytest.mark.parametrize("dt", [1e-3, 1e-4])  # the 64 cells refine 2x and 5x
+@pytest.mark.parametrize("sin_coeffs", [None, [0.0, 0.25]], ids=["cos", "cos_sin"])
+@pytest.mark.parametrize("name", ["default", "rich"])
+def test_chain_moments_match_transfer_matrix_oracle(name, sin_coeffs, dt, min_refine, steps,
+                                                    default_kernel):
+    # the Fourier-space chain is the transfer-matrix chain with the heat
+    # factor applied diagonally: the same table to roundoff
+    kernel = RICH_KERNEL if name == "rich" else default_kernel
+    density = fourier_field(TorusGrid(64), [1.0, 0.5], sin_coeffs)
+    got = _chain_moments(kernel, density, dt, steps, min_refine=min_refine)
+    want = chain_moments_transfer_matrix(kernel, density, dt, steps, min_refine=min_refine)
+    for a, b in zip(got, want):
+        assert a.shape == b.shape
+        assert np.max(np.abs(a - b)) <= 1e-14
 
 
 def test_chain_moments_leave_scipy_special_unimported():
@@ -346,15 +365,9 @@ def test_companion_terms_at_quadrant_edges():
 RESTATED_TRIG_TOL = 1e-9
 
 
-def test_quarter_turn_trig_moves_the_worker_within_the_restated_bound(default_kernel,
-                                                                      monkeypatch):
-    g = TorusGrid(64)
-    density = fourier_field(g, [1.0, 0.5], [0.0, 0.25])
-    payload = _payload(default_kernel, density, 20, 1e-3, 40, 5, 0, 50)
-    new = _rate_worker(*payload)
-    monkeypatch.setattr(particles, "_cos_sin", plain_cos_sin)
-    old = _rate_worker(*payload)
-    assert not np.array_equal(new[7], old[7])  # the oracle did take the helper's place
+def _assert_moved_within_restated_bound(new, old):
+    # two _rate_worker results: the corrected estimates within the restated
+    # bound of themselves and of their standard error
     diffs_new, diffs_old = new[1], old[1]
     est_new, est_old = diffs_new.mean(axis=0), diffs_old.mean(axis=0)
     se = diffs_old.std(axis=0, ddof=1) / np.sqrt(len(diffs_old))
@@ -364,6 +377,31 @@ def test_quarter_turn_trig_moves_the_worker_within_the_restated_bound(default_ke
     # the plain means and the pair statistics see only the positions
     for k in range(2, 7):
         assert np.max(np.abs(new[k] - old[k])) <= 1e-13
+
+
+def test_quarter_turn_trig_moves_the_worker_within_the_restated_bound(default_kernel,
+                                                                      monkeypatch):
+    g = TorusGrid(64)
+    density = fourier_field(g, [1.0, 0.5], [0.0, 0.25])
+    payload = _payload(default_kernel, density, 20, 1e-3, 40, 5, 0, 50)
+    new = _rate_worker(*payload)
+    monkeypatch.setattr(particles, "_cos_sin", plain_cos_sin)
+    old = _rate_worker(*payload)
+    assert not np.array_equal(new[7], old[7])  # the oracle did take the helper's place
+    _assert_moved_within_restated_bound(new, old)
+
+
+def test_fourier_chain_moves_the_worker_within_the_restated_bound(default_kernel):
+    # the same worker run on the transfer-matrix oracle's table and on the
+    # Fourier-space one: the tables differ by roundoff, which the coupled
+    # steps carry into the corrected estimates only
+    g = TorusGrid(64)
+    density = fourier_field(g, [1.0, 0.5], [0.0, 0.25])
+    cfg, r0, r1, C, S, phis = _payload(default_kernel, density, 20, 1e-3, 40, 5, 0, 50)
+    C_old, S_old = chain_moments_transfer_matrix(default_kernel, density, 1e-3, 40)
+    assert not (np.array_equal(C, C_old) and np.array_equal(S, S_old))
+    _assert_moved_within_restated_bound(_rate_worker(cfg, r0, r1, C, S, phis),
+                                        _rate_worker(cfg, r0, r1, C_old, S_old, phis))
 
 
 def test_drift_derivative_matches_finite_differences():

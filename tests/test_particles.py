@@ -119,7 +119,9 @@ def test_cos_sin_at_quarter_turns_and_their_neighbours(m):
     # x = i / (4m) is exactly a quarter turn: the values are exactly 0 and +-1
     # (fl(2 pi m x) is not, so the plain form gives cos(2 pi 0.25) = 6.1e-17);
     # the neighbouring doubles and far-off, negative and edge points stay
-    # within the accuracy bound
+    # within the accuracy bound, and so do the eighth turns x = (2i+1) / (8m)
+    # and their neighbours, where the reduced argument reaches +-pi/4 and the
+    # cosine is sqrt(1 - s^2) at s^2 = 1/2
     i = np.arange(-8 * m, 8 * m + 1)
     quarter = np.concatenate([i / (4 * m), 1e6 + i / (4 * m), -1e6 + i / (4 * m)])
     c, s = _turn_trig(m, quarter)
@@ -131,6 +133,10 @@ def test_cos_sin_at_quarter_turns_and_their_neighbours(m):
     edges = np.concatenate([some, np.nextafter(some, np.inf), np.nextafter(some, -np.inf),
                             [0.0, -0.0, np.nextafter(1.0, 0.0), 5e-324, 1e6, -1e6]])
     _assert_turn_trig_accurate(m, edges)
+    j = np.arange(-4 * m, 4 * m)
+    eighth = np.concatenate([(2 * j + 1) / (8 * m), 1e6 + (2 * j + 1) / (8 * m)])
+    _assert_turn_trig_accurate(m, np.concatenate([eighth, np.nextafter(eighth, np.inf),
+                                                  np.nextafter(eighth, -np.inf)]))
 
 
 def test_drift_at_quadrant_edges():
