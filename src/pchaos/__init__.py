@@ -19,7 +19,6 @@ from .bounds import (
     eval_I_many,
     eval_I_table,
     exp_bound,
-    exp_bound_applies,
     integrate_hierarchy,
     poly_bound,
     recurrence_residual,

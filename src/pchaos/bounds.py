@@ -59,7 +59,6 @@ __all__ = [
     "recurrence_residual",
     "recurrence_residual_sweep",
     "poly_bound",
-    "exp_bound_applies",
     "exp_bound",
     "BoundCascade",
     "cascade_bound",
@@ -230,12 +229,6 @@ def poly_bound(ell: int, j: int, b: int, beta: float, t: float) -> float:
     if b != int(b) or b < 1:
         raise ValueError("exponent b must be a positive integer")
     return float(((j + b) / (j + ell)) ** b * math.exp(beta * b * t))
-
-
-def exp_bound_applies(ell: int, j: int, beta: float, t: float) -> bool:
-    """Hypothesis of the exponential bound: j <= (1/3) e^{-2 beta t - 1} ell."""
-    _check_args(ell, j, beta, t)
-    return j <= math.exp(-2.0 * beta * t - 1.0) * ell / 3.0
 
 
 def exp_bound(ell: int, j: int, beta: float, t: float):

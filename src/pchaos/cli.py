@@ -3,7 +3,10 @@
 Every subcommand takes --config (flat key=value text), --out (a directory it
 will create), and an optional --seed overriding the config seed.  Outputs are
 CSV/JSON plus a manifest recording the config hash and seed so any row can be
-reproduced from the pair.
+reproduced from the pair.  A user error (a bad or missing config value, an
+input the package rejects, a file that cannot be read or written, a solve
+over its memory budget or a density driven negative) exits 2 with one line
+on stderr; exit 1 is left to the rates and bounds gates.
 """
 
 from __future__ import annotations
@@ -35,8 +38,8 @@ __all__ = ["main"]
 
 def _density_from_config(cfg: Config, grid_key: str = "grid", default_grid: int = 64):
     grid = TorusGrid(cfg.get_int(grid_key, default_grid))
-    sins = cfg.get_float_list("density_sin", [])
-    return fourier_field(grid, cfg.get_float_list("density_cos"), sins or None)
+    return fourier_field(grid, cfg.get_float_list("density_cos"),
+                         cfg.get_float_list("density_sin", []))
 
 
 def _seed(cfg: Config, override):
@@ -233,8 +236,7 @@ def main(argv=None) -> int:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         return _COMMANDS[args.command](cfg, out, args.seed)
-    except (ConfigError, FileNotFoundError, ValueError,
-            MemoryBudgetError, NegativeDensityError) as exc:
+    except (OSError, ValueError, MemoryBudgetError, NegativeDensityError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -1,15 +1,19 @@
 """Flat key = value configuration files with # comments.
 
 No sections, no nesting: one `key = value` per line, `#` starts a comment
-anywhere, arrays are comma-separated.  Typed accessors validate and convert;
-missing keys without defaults fail loudly with the file name.  Every output
-directory gets a manifest.json written by _write_manifest.
+anywhere, arrays are comma-separated.  Every typed accessor converts through
+one Config._typed: a value read from the file is parsed, a caller's default
+is returned as given, and a value that does not parse is a ConfigError
+naming the file, the key and the value.  Missing keys without defaults fail
+loudly with the file name.  Every output directory gets a manifest.json
+written by _write_manifest.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+from functools import partial
 from pathlib import Path
 
 __all__ = ["parse_config_text", "load_config", "ConfigError", "Config"]
@@ -25,6 +29,13 @@ class _Required:
 
 
 _REQUIRED = _Required()
+_BOOLS = {**dict.fromkeys(("1", "true", "yes", "on"), True),
+          **dict.fromkeys(("0", "false", "no", "off"), False)}
+
+
+def _items(parse, text: str) -> list:
+    """parse applied to each nonblank comma-separated item of text."""
+    return [parse(s) for s in text.split(",") if s.strip()]
 
 
 def parse_config_text(text: str) -> dict:
@@ -103,53 +114,30 @@ class Config:
             raise ConfigError(f"{self.source}: missing required key {key!r}")
         return default
 
-    def get_str(self, key: str, default=_REQUIRED) -> str:
+    def _typed(self, key: str, default, parse, kind: str):
+        """The value of key converted by parse; a default passes through as given."""
         v = self._raw(key, default)
-        return v
+        if not isinstance(v, str):
+            return v
+        try:
+            return parse(v)
+        except (ValueError, KeyError) as e:
+            raise ConfigError(f"{self.source}: key {key!r} is not {kind}: {v!r}") from e
+
+    def get_str(self, key: str, default=_REQUIRED) -> str:
+        return self._raw(key, default)
 
     def get_int(self, key: str, default=_REQUIRED) -> int:
-        v = self._raw(key, default)
-        if not isinstance(v, str):
-            return v
-        try:
-            return int(v)
-        except ValueError as e:
-            raise ConfigError(f"{self.source}: key {key!r} is not an integer: {v!r}") from e
+        return self._typed(key, default, int, "an integer")
 
     def get_float(self, key: str, default=_REQUIRED) -> float:
-        v = self._raw(key, default)
-        if not isinstance(v, str):
-            return v
-        try:
-            return float(v)
-        except ValueError as e:
-            raise ConfigError(f"{self.source}: key {key!r} is not a number: {v!r}") from e
+        return self._typed(key, default, float, "a number")
 
     def get_bool(self, key: str, default=_REQUIRED) -> bool:
-        v = self._raw(key, default)
-        if not isinstance(v, str):
-            return v
-        low = v.lower()
-        if low in ("1", "true", "yes", "on"):
-            return True
-        if low in ("0", "false", "no", "off"):
-            return False
-        raise ConfigError(f"{self.source}: key {key!r} is not a boolean: {v!r}")
+        return self._typed(key, default, lambda v: _BOOLS[v.lower()], "a boolean")
 
     def get_int_list(self, key: str, default=_REQUIRED):
-        v = self._raw(key, default)
-        if not isinstance(v, str):
-            return v
-        try:
-            return [int(s.strip()) for s in v.split(",") if s.strip()]
-        except ValueError as e:
-            raise ConfigError(f"{self.source}: key {key!r} is not an integer list") from e
+        return self._typed(key, default, partial(_items, int), "an integer list")
 
     def get_float_list(self, key: str, default=_REQUIRED):
-        v = self._raw(key, default)
-        if not isinstance(v, str):
-            return v
-        try:
-            return [float(s.strip()) for s in v.split(",") if s.strip()]
-        except ValueError as e:
-            raise ConfigError(f"{self.source}: key {key!r} is not a number list") from e
+        return self._typed(key, default, partial(_items, float), "a number list")

@@ -8,6 +8,10 @@ Interaction kernels have the form K(x, y) = b(x) + Khat(x - y) and are
 band-limited trigonometric polynomials kept as cosine/sine coefficient
 tables, so convolutions against grid fields (operators._Interaction) are exact
 whenever the grid resolves the band.
+
+check_density is the one test of the paper's standing hypothesis on every
+density the package takes in (simulator, sampler, solvers, the weight of
+metrics.weighted_l2_error): arity 1, strictly positive, mass 1 to MASS_TOL.
 """
 
 from __future__ import annotations
@@ -21,11 +25,13 @@ __all__ = [
     "TorusGrid",
     "GridField",
     "KernelSpec",
+    "check_density",
     "fourier_field",
     "product_field",
 ]
 
 MASS_TOL = 1e-12  # allowed |mass - 1| of every probability density the package accepts
+MAX_KERNEL_MODE = 1 << 16  # largest mode a kernel file may name
 
 
 @dataclass(frozen=True)
@@ -92,12 +98,24 @@ class GridField:
         vals = self.values.sum(axis=coordinate) * self.grid.h
         return GridField(self.grid, self.arity - 1, vals)
 
-    def is_probability_density(self) -> bool:
-        """Nonnegative everywhere with unit mass to MASS_TOL."""
-        return bool(self.values.min() >= 0 and abs(self.integrate() - 1.0) <= MASS_TOL)
-
     def copy(self) -> "GridField":
         return GridField(self.grid, self.arity, self.values.copy())
+
+
+def check_density(f: GridField, name: str) -> None:
+    """Raise ValueError unless f is an arity-1, strictly positive field of mass 1 to MASS_TOL.
+
+    name says which input f is in the message.  A NaN fails the positivity test.
+    """
+    if f.arity != 1:
+        raise ValueError(f"{name} must be an arity-1 field, got arity {f.arity}")
+    low = float(f.values.min())
+    if not low > 0:
+        raise ValueError(f"{name} must be strictly positive, but its minimum is {low!r}")
+    mass = f.integrate()
+    if not abs(mass - 1.0) <= MASS_TOL:
+        raise ValueError(f"{name} must integrate to 1 to {MASS_TOL:g} as a probability "
+                         f"density, but its mass is {mass!r}")
 
 
 def step_count(T: float, dt: float) -> int:
@@ -213,7 +231,11 @@ class KernelSpec:
 
     @classmethod
     def from_text(cls, text: str) -> "KernelSpec":
-        """Parse the kernel file format: lines `b|khat <mode> <cos> <sin>`."""
+        """Parse the kernel file format: lines `b|khat <mode> <cos> <sin>`.
+
+        The tables are dense up to the largest mode, so a mode above
+        MAX_KERNEL_MODE = 2^16 is rejected, naming its line.
+        """
         tables: dict[str, dict[int, tuple]] = {"b": {}, "khat": {}}
         for lineno, raw in enumerate(text.splitlines(), start=1):
             line = raw.split("#", 1)[0].strip()
@@ -233,6 +255,9 @@ class KernelSpec:
                 raise ValueError(f"kernel line {lineno}: {exc}") from None
             if mode < 0:
                 raise ValueError(f"kernel line {lineno}: negative mode {mode}")
+            if mode > MAX_KERNEL_MODE:
+                raise ValueError(f"kernel line {lineno}: mode {mode} exceeds the largest "
+                                 f"supported mode {MAX_KERNEL_MODE}")
             if not (math.isfinite(cos_c) and math.isfinite(sin_c)):
                 raise ValueError(f"kernel line {lineno}: non-finite coefficient")
             if mode == 0 and sin_c != 0.0:
@@ -257,9 +282,13 @@ class KernelSpec:
 
 
 def fourier_field(grid: TorusGrid, cos_coeffs, sin_coeffs=None) -> GridField:
-    """Arity-1 field sum_m a_m cos(2 pi m x) + s_m sin(2 pi m x)."""
+    """Arity-1 field sum_m a_m cos(2 pi m x) + s_m sin(2 pi m x).
+
+    sin_coeffs None or empty means no sine terms; otherwise it lists one
+    coefficient per cosine coefficient.
+    """
     cos_coeffs = np.atleast_1d(np.asarray(cos_coeffs, dtype=float))
-    if sin_coeffs is None:
+    if sin_coeffs is None or not np.size(sin_coeffs):
         sin_coeffs = np.zeros_like(cos_coeffs)
     sin_coeffs = np.atleast_1d(np.asarray(sin_coeffs, dtype=float))
     if len(sin_coeffs) != len(cos_coeffs):

@@ -78,6 +78,7 @@ from .metrics import (
 from .particles import (
     _MODE_WORK,
     SimConfig,
+    _cell_cdf,
     _mode_terms,
     _replica_steps,
     em_step,
@@ -100,11 +101,6 @@ __all__ = [
 # per-call overhead, few enough that the step's arrays stay in cache
 _CHUNK_PARTICLES = 6000
 _PHI_PANEL = (("cos1", "cos", 1), ("sin1", "sin", 1), ("cos2", "cos", 2), ("sin2", "sin", 2))
-
-
-def _density_field(grid: TorusGrid, cos_coeffs, sin_coeffs) -> GridField:
-    sins = list(sin_coeffs) if len(sin_coeffs) else None
-    return fourier_field(grid, list(cos_coeffs), sins)
 
 
 @dataclass(frozen=True)
@@ -164,7 +160,7 @@ class ExperimentConfig:
                         f"too many histogram cells at N = {N}, j = {j}: {bins}^{j} = "
                         f"{bins ** j} exceeds n/50 = {n / 50:g} (n = replicas * floor(N/j))"
                     )
-        fine = _density_field(TorusGrid(4096), self.density_cos, self.density_sin)
+        fine = fourier_field(TorusGrid(4096), self.density_cos, self.density_sin)
         if fine.values.min() < 1e-3:
             raise ConfigError("initial density must stay above 1e-3")
 
@@ -269,8 +265,8 @@ def _chain_moments(kernel: KernelSpec, sample_density: GridField, dt: float,
 
     The companion chain is the N -> infinity limit of the interacting Euler
     scheme: a time-discrete nonlinear chain whose step-n drift field is built
-    from its own step-n moments, started from the piecewise-constant law of
-    the inverse-CDF sampler.  Driving the companion particles with this
+    from its own step-n moments, started from the sampler's law (the cell
+    masses of particles._cell_cdf).  Driving the companion particles with this
     chain's moments (rather than the continuum density's, which differ at
     O(dt)) gives both coupled systems the same large-N limit law, so their
     difference carries no N-independent discretization offset.  The same
@@ -298,10 +294,7 @@ def _chain_moments(kernel: KernelSpec, sample_density: GridField, dt: float,
     sigma = math.sqrt(2.0 * dt)
     L = max(n_modes - 1, math.ceil(math.sqrt(30.0 * math.log(2.0)) / (math.pi * sigma)))
     grid = sample_density.grid
-    masses = sample_density.values * grid.h
-    cum = np.concatenate([[0.0], np.cumsum(masses)])
-    cum[-1] = 1.0
-    masses = np.diff(cum)
+    masses = np.diff(_cell_cdf(sample_density))
     refine = max(min_refine, math.ceil(4.0 / (sigma * grid.M)), math.ceil((2 * L + 1) / grid.M))
     M = grid.M * refine
     h = 1.0 / M
@@ -455,20 +448,18 @@ def _predictions(ecfg: ExperimentConfig, kernel: KernelSpec, pool) -> _RatePlan:
     With a process pool, the chain-moment table is built there while this
     process solves the hierarchy.
     """
-    sample_density = _density_field(
-        TorusGrid(ecfg.sample_grid), ecfg.density_cos, ecfg.density_sin
-    )
+    sample_density = fourier_field(TorusGrid(ecfg.sample_grid), ecfg.density_cos,
+                                   ecfg.density_sin)
     n_steps = step_count(ecfg.T, ecfg.dt)
     chain_args = (kernel, sample_density, ecfg.dt, n_steps)
     chain = pool.submit(_chain_moments, *chain_args) if pool is not None else None
     grid = TorusGrid(ecfg.grid)
-    density = _density_field(grid, ecfg.density_cos, ecfg.density_sin)
-    tg = TimeGrid(ecfg.dt, n_steps)
-    gt = solve_g_hierarchy(1, density, kernel, tg)
-    s = tg.n_stored - 1
-    rho = gt.field(0, 1, s)
-    g11 = gt.field(1, 1, s)
-    g12 = gt.field(1, 2, s)
+    density = fourier_field(grid, ecfg.density_cos, ecfg.density_sin)
+    # only the final time is read, so only t = 0 and T are stored
+    gt = solve_g_hierarchy(1, density, kernel, TimeGrid(ecfg.dt, n_steps, n_steps))
+    rho = gt.field(0, 1, 1)
+    g11 = gt.field(1, 1, 1)
+    g12 = gt.field(1, 2, 1)
     h = grid.h
     x = grid.points
     per_phi = {}
@@ -663,6 +654,12 @@ def run_bounds_report(
     rows = []
     violations = []
     counts = {"range": 0, "recurrence": 0, "poly": 0, "exp": 0}
+    failed = dict.fromkeys(counts, 0)
+
+    def fail(gate: str, message: str) -> None:
+        failed[gate] += 1
+        violations.append(message)
+
     for j in j_list:
         for t in t_list:
             vals = bnd.eval_I_table(j, ell_max, beta, [t])[1:, 0] + inject
@@ -673,25 +670,22 @@ def run_bounds_report(
                 I = float(vals[ell - 1])
                 counts["range"] += 1
                 if not -1e-12 <= I <= 1 + 1e-12:
-                    violations.append(f"range: I^{ell}_{j}({t}) = {I} outside [0, 1]")
+                    fail("range", f"range: I^{ell}_{j}({t}) = {I} outside [0, 1]")
                 res = float(residuals[ell - 1])
                 counts["recurrence"] += 1
                 if not res <= residual_tol:
-                    violations.append(
-                        f"recurrence: residual {res:.3e} at (ell={ell}, j={j}, t={t})"
-                    )
+                    fail("recurrence",
+                         f"recurrence: residual {res:.3e} at (ell={ell}, j={j}, t={t})")
                 eb = bnd.exp_bound(ell, j, beta, t)
                 if eb is not None:
                     counts["exp"] += 1
                     if not I <= eb + 1e-12:
-                        violations.append(f"exp bound: I^{ell}_{j}({t}) = {I} > {eb}")
+                        fail("exp", f"exp bound: I^{ell}_{j}({t}) = {I} > {eb}")
                 for b in b_list:
                     pb = bnd.poly_bound(ell, j, b, beta, t)
                     counts["poly"] += 1
                     if not I <= pb + 1e-12:
-                        violations.append(
-                            f"poly bound: I^{ell}_{j}({t}) = {I} > {pb} (b={b})"
-                        )
+                        fail("poly", f"poly bound: I^{ell}_{j}({t}) = {I} > {pb} (b={b})")
                     margin = min(pb, eb) - I if eb is not None else pb - I
                     rows.append(
                         {
@@ -708,8 +702,7 @@ def run_bounds_report(
         ("poly", "I <= poly_bound"),
         ("exp", "I <= exp_bound (where defined)"),
     ):
-        bad = sum(1 for v in violations if v.startswith(name))
-        status = "PASS" if bad == 0 else f"FAIL ({bad} points)"
+        status = "PASS" if failed[name] == 0 else f"FAIL ({failed[name]} points)"
         summary.append(f"{label}: {status} over {counts[name]} checks")
     if out_csv is not None:
         out_csv = Path(out_csv)

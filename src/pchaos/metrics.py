@@ -19,7 +19,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .core import GridField, product_field
+from .core import GridField, check_density, product_field
 from .pde import _weighted_sq
 
 __all__ = [
@@ -36,15 +36,12 @@ __all__ = [
 def weighted_l2_error(gamma: GridField, rho: GridField) -> float:
     """Weighted squared distance  integral |gamma / rho^j|^2 rho^j  by quadrature.
 
-    gamma has arity j; rho is the arity-1 weight density, required strictly
-    positive on the grid.
+    gamma has arity j; rho is the weight, a density that passes
+    core.check_density on gamma's grid.
     """
-    if rho.arity != 1:
-        raise ValueError("weight must be an arity-1 density")
+    check_density(rho, "weight density")
     if rho.grid != gamma.grid:
         raise ValueError("fields must share a grid")
-    if rho.values.min() <= 0:
-        raise ValueError("weight density must be strictly positive")
     w = product_field(rho, gamma.arity).values
     return _weighted_sq(gamma.values, w, gamma.grid.h, gamma.arity)
 

@@ -12,10 +12,12 @@ experiment's worker both iterate it.  It fixes the stream layout, which is
 the reproducibility contract: replica r owns the Philox stream seeded with
 SeedSequence((base_seed, r)) and draws from it in this order: one
 sample_initial block of N positions, then one standard_normal draw of N
-values per time step (the same bits as an (N, 1) draw).  A replica's
-trajectory depends on its own stream alone, so all replicas step together as
-one replica-major (R, N) block, and any range of replicas gives each replica
-the bits it has when simulated alone.  Public arrays keep a trailing
+values per time step (the same bits as an (N, 1) draw).  The initial law
+is the piecewise-constant one of _cell_cdf, from which the rate
+experiment's companion chain (experiments._chain_moments) starts too.  A
+replica's trajectory depends on its own stream alone, so all replicas step
+together as one replica-major (R, N) block, and any range of replicas gives
+each replica the bits it has when simulated alone.  Public arrays keep a trailing
 coordinate axis of length 1: positions are (N, 1) per system and snapshots
 (R, n_times, N, 1).
 
@@ -42,7 +44,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import GridField, KernelSpec, step_count
+from .core import GridField, KernelSpec, check_density, step_count
 
 __all__ = [
     "SimConfig",
@@ -82,12 +84,7 @@ class SimConfig:
             raise ValueError("horizon must be nonnegative")
         if self.n_replicas < 1:
             raise ValueError("need at least one replica")
-        if self.initial_density.arity != 1:
-            raise ValueError("initial_density must be an arity-1 field")
-        if self.initial_density.values.min() <= 0:
-            raise ValueError("initial density must be strictly positive")
-        if not self.initial_density.is_probability_density():
-            raise ValueError("initial density must integrate to 1")
+        check_density(self.initial_density, "initial density")
         step_count(self.T, self.dt)
 
     @property
@@ -99,25 +96,29 @@ def _replica_rng(base_seed: int, replica: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.random.SeedSequence((base_seed, replica))))
 
 
-def sample_initial(f: GridField, N: int, rng: np.random.Generator) -> np.ndarray:
-    """N i.i.d. samples from the density f; returns shape (N, 1).
+def _cell_cdf(f: GridField) -> np.ndarray:
+    """The sampler's law: its cumulative mass at the M + 1 cell edges of f's grid.
 
-    The cumulative of f is integrated exactly on the grid cells (midpoint
-    values, matching the quadrature used everywhere else) and inverted
-    piecewise-linearly.
+    The law is piecewise constant.  Cell [k h, (k + 1) h) carries the
+    rectangle-rule mass h f(k h) of grid point k, the quadrature used
+    everywhere else; the last edge is set to exactly 1, so the last cell
+    takes up the rounding of the sum.  f must pass core.check_density.
     """
-    if f.arity != 1:
-        raise ValueError("sampling needs an arity-1 density")
-    if not f.is_probability_density():
-        raise ValueError("initial sampler needs a probability density")
-    grid = f.grid
-    # cumulative mass up to each cell boundary; piecewise-linear inverse
-    masses = f.values * grid.h
-    cum = np.concatenate([[0.0], np.cumsum(masses)])
+    check_density(f, "initial density")
+    cum = np.concatenate([[0.0], np.cumsum(f.values * f.grid.h)])
     cum[-1] = 1.0
-    edges = np.arange(grid.M + 1) * grid.h
-    u = rng.random(N)
-    return np.interp(u, cum, edges).reshape(N, 1)
+    return cum
+
+
+def sample_initial(f: GridField, N: int, rng: np.random.Generator) -> np.ndarray:
+    """N i.i.d. samples from the piecewise-constant law of f (_cell_cdf); shape (N, 1).
+
+    One uniform block of N values is mapped through the piecewise-linear
+    inverse of the cell cumulative.
+    """
+    cdf = _cell_cdf(f)
+    edges = np.arange(f.grid.M + 1) * f.grid.h
+    return np.interp(rng.random(N), cdf, edges).reshape(N, 1)
 
 
 def pair_drift(

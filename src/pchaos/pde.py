@@ -41,7 +41,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import GridField, KernelSpec, TorusGrid, product_field
+from .core import GridField, KernelSpec, TorusGrid, check_density, product_field
 from .operators import _EntrySolver, _Interaction, _SpectralOps
 from .partitions import assemble_correction, cluster_moment, clusters_from_moments, solve_order
 
@@ -136,20 +136,15 @@ def _sup_norm_grid(kernel: KernelSpec, samples: int = 4096) -> float:
 
 
 def _check_problem(f: GridField, kernel: KernelSpec, tg: TimeGrid) -> None:
-    """Inputs every solver needs: a positive density, a resolved band, the CFL bound."""
+    """Inputs every solver needs: a density (core.check_density), a resolved band, the CFL bound."""
+    check_density(f, "initial density")
     grid = f.grid
-    if f.arity != 1:
-        raise ValueError("the solvers need an arity-1 density")
     kernel._check_band(grid.M)
     sup = kernel.sup_norm_bound
     if sup > 0 and tg.dt > grid.h / sup:
         raise ValueError(
             f"transport CFL violated: dt={tg.dt} exceeds h/|K|_inf = {grid.h / sup:.3e}"
         )
-    if f.values.min() <= 0:
-        raise ValueError("initial density must be bounded below by a positive constant")
-    if not f.is_probability_density():
-        raise ValueError(f"initial data has mass {f.integrate()!r}, expected 1")
 
 
 def _march(initial: dict, fluxes, guard, tg: TimeGrid):

@@ -30,7 +30,6 @@ from pchaos.bounds import (
     eval_I_many,
     eval_I_table,
     exp_bound,
-    exp_bound_applies,
     integrate_hierarchy,
     poly_bound,
     recurrence_residual,
@@ -246,13 +245,13 @@ def test_bad_scalar_time_is_rejected_everywhere(t, kind):
     # the scalar fast path of the argument check rejects what the array path does
     t = kind(t)
     for call in (lambda: poly_bound(4, 1, 2, 1.0, t), lambda: exp_bound(64, 1, 1.0, t),
-                 lambda: exp_bound_applies(64, 1, 1.0, t), lambda: eval_I(4, 1, 1.0, t),
+                 lambda: eval_I(4, 1, 1.0, t),
                  lambda: recurrence_residual(4, 1, 1.0, t),
                  lambda: recurrence_residual_sweep(4, 1, 1.0, t)):
         with pytest.raises(ValueError, match="time"):
             call()
     for good in (kind(0.0), kind(-0.0), kind(0.5)):
-        assert poly_bound(4, 1, 2, 1.0, good) > 0 and exp_bound_applies(64, 1, 1.0, good)
+        assert poly_bound(4, 1, 2, 1.0, good) > 0 and exp_bound(64, 1, 1.0, good) is not None
 
 
 def test_quadrature_nodes_are_shared_read_only():
@@ -294,14 +293,11 @@ def test_exp_bound_hypothesis_and_domination():
     # hypothesis j <= (1/3) e^{-2 beta t - 1} ell, checked on both sides of the line
     ell, beta, t = 60, 1.0, 0.1
     cutoff = math.exp(-2 * beta * t - 1) * ell / 3.0
-    for j in (1, 2, 4):
-        applies = exp_bound_applies(ell, j, beta, t)
-        assert applies == (j <= cutoff)
+    for j in (1, 2, 4, 8):
         b = exp_bound(ell, j, beta, t)
-        if applies:
-            assert b is not None and eval_I(ell, j, beta, t) <= b * (1 + 1e-12)
-        else:
-            assert b is None
+        assert (b is not None) == (j <= cutoff)
+        if b is not None:
+            assert eval_I(ell, j, beta, t) <= b * (1 + 1e-12)
     # far outside the hypothesis nothing is claimed
     assert exp_bound(2, 16, 1.0, 3.0) is None
 

@@ -504,3 +504,28 @@ def test_missing_config_and_missing_key(tmp_path, capsys):
 def test_unknown_command_exits():
     with pytest.raises(SystemExit):
         main(["frobnicate", "--config", "x", "--out", "y"])
+
+
+@pytest.mark.parametrize("sub, config, out", [
+    ("bounds", lambda d: _write_cfg(d, "b.cfg", "j = 1\n"), lambda d: _write_cfg(d, "f", "")),
+    ("bounds", lambda d: str(d), lambda d: str(d / "o")),
+    ("solve-hierarchy", lambda d: _write_cfg(d, "h.cfg", f"kernel = {d}\ndensity_cos = 1.0\n"
+                                             "dt = 1e-3\nT = 2e-3\n"), lambda d: str(d / "o")),
+], ids=["out_is_a_file", "config_is_a_directory", "kernel_is_a_directory"])
+def test_os_errors_are_user_errors(tmp_path, capsys, sub, config, out):
+    # exit 1 is the gates' failure code, so a path that cannot be read or
+    # written must exit 2 with one line, not a traceback
+    assert main([sub, "--config", config(tmp_path), "--out", out(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("sub", ["simulate", "solve-hierarchy"])
+def test_kernel_mode_past_the_cap_is_a_user_error(tmp_path, capsys, sub):
+    # the coefficient tables are dense, so this mode would ask for ~800 GB
+    kernel = _write_cfg(tmp_path, "k.txt", "b 1 0.5 0.0\nkhat 100000000000 1 0\n")
+    cfg = _write_cfg(tmp_path, "c.cfg", f"kernel = {kernel}\ndensity_cos = 1.0, 0.5\n"
+                     "N = 8\ndt = 1e-3\nT = 2e-3\nreplicas = 2\ngrid = 32\n")
+    assert main([sub, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: kernel line 2: mode 100000000000 exceeds") and err.count("\n") == 1

@@ -2,7 +2,8 @@
 import numpy as np
 import pytest
 
-from pchaos.core import GridField, KernelSpec, TorusGrid, fourier_field, product_field, step_count
+from pchaos.core import (MAX_KERNEL_MODE, GridField, KernelSpec, TorusGrid, check_density,
+                         fourier_field, product_field, step_count)
 from pchaos.operators import _Interaction
 
 
@@ -48,10 +49,23 @@ def test_marginalize_tensor_product():
 
 
 def test_is_probability_density():
+    # check_density is the one test of every density the package takes in
     g = TorusGrid(32)
-    assert fourier_field(g, [1.0, 0.5]).is_probability_density()
-    assert not fourier_field(g, [2.0]).is_probability_density()
-    assert not fourier_field(g, [1.0, 1.5]).is_probability_density()  # negative part
+    check_density(fourier_field(g, [1.0, 0.5]), "weight")
+    for f, message in ((fourier_field(g, [2.0]), "integrate to 1"),
+                       (fourier_field(g, [1.0, 1.5]), "strictly positive"),  # negative part
+                       (fourier_field(g, [1.0, 1.0]), "strictly positive"),  # zero at x = 1/2
+                       (GridField(g, 1, np.full(32, np.nan)), "strictly positive"),
+                       (GridField(g, 2, np.ones((32, 32))), "arity-1")):
+        with pytest.raises(ValueError, match=message):
+            check_density(f, "weight")
+
+
+def test_fourier_field_empty_sine_list_means_no_sine_terms():
+    g = TorusGrid(16)
+    want = fourier_field(g, [1.0, 0.5]).values
+    for sins in (None, [], (), np.zeros(0)):
+        assert np.array_equal(fourier_field(g, [1.0, 0.5], sins).values, want)
 
 
 def test_step_count():
@@ -94,6 +108,7 @@ def test_kernel_text_roundtrip_preserves_floats():
         ("b 1 0.5", "4 fields"),
         ("c 1 0.5 0.0", "unknown part"),
         ("b -1 0.5 0.0", "negative mode"),
+        ("khat 65537 1.0 0.0", "line 1: mode 65537 exceeds the largest supported mode 65536"),
         ("b 0 0.5 0.3", "mode 0 sin"),
         ("b 1 0.5 0.0\nb 1 0.2 0.0", "duplicate"),
         ("b one 0.5 0.0", "invalid literal"),
@@ -103,6 +118,10 @@ def test_kernel_text_roundtrip_preserves_floats():
 def test_kernel_text_errors(line, message):
     with pytest.raises(ValueError, match=message):
         KernelSpec.from_text(line)
+
+
+def test_kernel_mode_cap_is_inclusive():
+    assert KernelSpec.from_text(f"khat {MAX_KERNEL_MODE} 0.5 0.0\n").band == MAX_KERNEL_MODE
 
 
 def test_kernel_text_ignores_comments_and_blanks(default_kernel):

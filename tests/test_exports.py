@@ -9,6 +9,7 @@ checks nothing.
 """
 import ast
 import importlib
+import inspect
 import pkgutil
 import re
 
@@ -62,6 +63,36 @@ def test_benchmark_traced_names_resolve():
             if obj is None:
                 missing.append(f"{modname}.{name}")
     assert not missing, f"benchmarks/child.py traces missing names {missing}"
+
+
+@pytest.mark.parametrize("name", ["layers.py", "workloads.py"])
+def test_benchmark_calls_fit_their_signatures(name):
+    # every call the benchmark makes into pchaos binds to the callee's
+    # signature, so dropping or renaming a parameter fails here, not first
+    # when the benchmark runs
+    tree = _module_tree(name)
+    imported = {a.asname or a.name: getattr(importlib.import_module(node.module), a.name)
+                for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("pchaos")
+                for a in node.names}
+    calls = 0
+    for node in ast.walk(tree):
+        func = getattr(node, "func", None)
+        if isinstance(func, ast.Name) and func.id in imported:
+            fn = imported[func.id]
+        elif (isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name)
+              and func.value.id in imported):
+            fn = getattr(imported[func.value.id], func.attr)
+        else:
+            continue
+        assert not any(isinstance(a, ast.Starred) for a in node.args), ast.unparse(node)
+        assert all(k.arg for k in node.keywords), ast.unparse(node)
+        try:
+            inspect.signature(fn).bind(*node.args, **{k.arg: k.value for k in node.keywords})
+        except TypeError as exc:
+            raise AssertionError(f"benchmarks/{name}: {ast.unparse(node)}: {exc}") from None
+        calls += 1
+    assert calls >= (20 if name == "layers.py" else 3)
 
 
 def test_every_oracle_is_used_by_a_test():

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pchaos.core import KernelSpec, TorusGrid, fourier_field
+from pchaos.metrics import weighted_l2_error
 from pchaos.particles import (
     SimConfig,
     SnapshotSet,
@@ -258,6 +259,20 @@ def test_density_checks_share_one_mass_tolerance(default_kernel):
         sample_initial(f, 10, np.random.default_rng(0))
     with pytest.raises(ValueError, match="mass"):
         solve_mckean_vlasov(f, default_kernel, TimeGrid(1e-3, 10))
+    with pytest.raises(ValueError, match="mass"):
+        weighted_l2_error(f, f)
+
+
+def test_every_density_reader_rejects_a_zero_cell(default_kernel):
+    # 1 + cos(2 pi x) vanishes at x = 1/2, so no reader of a density takes it
+    f = fourier_field(TorusGrid(32), [1.0, 1.0])
+    assert f.values.min() == 0.0
+    for reader in (lambda: _small_config(initial_density=f),
+                   lambda: sample_initial(f, 10, np.random.default_rng(0)),
+                   lambda: solve_mckean_vlasov(f, default_kernel, TimeGrid(1e-3, 10)),
+                   lambda: weighted_l2_error(f, f)):
+        with pytest.raises(ValueError, match="strictly positive"):
+            reader()
 
 
 def test_run_ensemble_deterministic_and_correct_shapes():
