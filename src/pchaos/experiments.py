@@ -446,15 +446,16 @@ def _predictions(ecfg: ExperimentConfig, kernel: KernelSpec, pool) -> _RatePlan:
     """Mean-field solve and first-order correction functionals for the panel.
 
     With a process pool, the chain-moment table is built there while this
-    process solves the hierarchy.
+    process solves the hierarchy; the band is checked before the pool gets work.
     """
     sample_density = fourier_field(TorusGrid(ecfg.sample_grid), ecfg.density_cos,
                                    ecfg.density_sin)
+    grid = TorusGrid(ecfg.grid)
+    density = fourier_field(grid, ecfg.density_cos, ecfg.density_sin)
+    kernel._check_band(grid.M)
     n_steps = step_count(ecfg.T, ecfg.dt)
     chain_args = (kernel, sample_density, ecfg.dt, n_steps)
     chain = pool.submit(_chain_moments, *chain_args) if pool is not None else None
-    grid = TorusGrid(ecfg.grid)
-    density = fourier_field(grid, ecfg.density_cos, ecfg.density_sin)
     # only the final time is read, so only t = 0 and T are stored
     gt = solve_g_hierarchy(1, density, kernel, TimeGrid(ecfg.dt, n_steps, n_steps))
     rho = gt.field(0, 1, 1)

@@ -1,22 +1,20 @@
 """Lattice operators of the correction hierarchy and the stepper its solvers share.
 
-Each hierarchy entry g^i_j, i >= 1, satisfies a linear transport equation
-whose right-hand side couples lower entries through
+Every equation here is d/dt u - Laplacian u = sum of coef * Op(factors), with
 
     S_{k,l} h = d/dx_k (K(x_k, x_l) h),
     H_k    h = d/dx_k (integral of K(x_k, x_*) h dx_*),
 
-where H_k applied to a product integrates every factor carrying the starred
-coordinate; compile_entry_terms writes out each equation's term table.  One
-interaction operator (_Interaction) is the only place that applies K.  K is
-band-limited, so on the grid h K(x, y) factors through Q = 1 + 2 (number of
-khat modes) functions of y, and every contraction against K (the mean-field
-convolution and the starred axis of H_k) is two small matrix products through
-those factors.  _Interaction also routes the pair weight for S_{k,l} and
-assembles the BBGKY-shaped flux c_upper H_k f_{a+1} + c_self sum_l
-K(x_k, x_l) f_a shared by the remainder R^i_j and the truncated N-particle
-hierarchy.  _EntrySolver compiles the k = 1 terms of an entry's equation
-once into a few batched products and evaluates them per step.
+where H_k applied to a product integrates the factor carrying the starred
+coordinate.  compile_entry_terms writes out the term table of each hierarchy
+entry g^i_j (the mean-field density g^0_1 has one nonlinear H term), and
+compile_bbgky_terms that of a BBGKY level's flux, c_upper H_1 f_{a+1} +
+c_self sum_l S_{1,l} f_a, also the remainder R^i_j.  One interaction operator
+(_Interaction) is the only place that applies K.  K is band-limited, so on
+the grid h K(x, y) factors through Q = 1 + 2 (number of khat modes)
+functions of y, and every contraction against K is two small matrix
+products through those factors.  _EntrySolver, the one flux assembler,
+compiles the k = 1 terms of a table once into a few batched products.
 
 Every unknown (each g^i_j and each BBGKY marginal) is symmetric in its
 coordinates, and so are the equations.  So flux_k is flux_1 with x_1 and x_k
@@ -36,28 +34,20 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import KernelSpec, TorusGrid
+from .partitions import enumerate_partitions, in_triangle
 
-__all__ = ["STAR", "compile_entry_terms"]
+__all__ = ["STAR", "compile_entry_terms", "compile_bbgky_terms"]
 
 STAR = 10 ** 6  # sentinel for the integrated-out coordinate; sorts after any real one
 
 
 @dataclass(frozen=True)
 class _Term:
-    coef: int
+    coef: float
     kind: str            # "H" (starred contraction) or "S" (pairwise)
     k: int               # 1-based divergence coordinate
     l: int | None        # second coordinate for S terms
-    factors: tuple       # of (order, coords); coords sorted, STAR last
-
-
-def _factor_nonzero(order: int, coords: tuple) -> bool:
-    a = len(coords)
-    if a == 0 or order < 0:
-        return False
-    if order == 0:
-        return a == 1
-    return a <= order + 1
+    factors: tuple       # of (tag, coords), the unknown keyed (tag, len(coords)); STAR last
 
 
 def _mk(coords) -> tuple:
@@ -65,15 +55,18 @@ def _mk(coords) -> tuple:
 
 
 def compile_entry_terms(i: int, j: int) -> list:
-    """Term table of the order-(i, j) cluster-correction equation, i >= 1.
+    """Term table of the order-(i, j) cluster-correction equation.
 
     Both transport products (which involve the unknown itself) are folded in
     with negative coefficients, so the right-hand side for the time stepper is
     the signed sum of all returned terms.  Terms whose factors vanish (order
     and arity off the triangular set, or the empty coordinate set) are pruned.
+    Entry (0, 1) has the one term -H_1 rho(x_1) rho(x_*).
     """
+    if (i, j) == (0, 1):
+        return [_Term(-1.0, "H", 1, None, ((0, (1,)), (0, (STAR,))))]
     if i < 1:
-        raise ValueError("entry (0, 1) is the mean-field equation; no term table")
+        raise ValueError(f"({i}, {j}) is not a hierarchy entry")
     terms: list[_Term] = []
     full = tuple(range(1, j + 1))
 
@@ -81,13 +74,13 @@ def compile_entry_terms(i: int, j: int) -> list:
         if coef == 0:
             return
         fs = tuple((o, _mk(c)) for o, c in factors)
-        if not all(_factor_nonzero(o, c) for o, c in fs):
+        if not all(in_triangle(o, len(c)) for o, c in fs):
             return
         if kind == "H":
             starred = sum(STAR in c for _, c in fs)
             if starred != 1:
                 raise AssertionError("H term needs exactly one starred factor")
-        terms.append(_Term(coef, kind, k, l, fs))
+        terms.append(_Term(float(coef), kind, k, l, fs))
 
     for k in full:
         rest = tuple(c for c in full if c != k)
@@ -125,6 +118,24 @@ def compile_entry_terms(i: int, j: int) -> list:
     return terms
 
 
+def compile_bbgky_terms(a: int, c_upper: float, c_self: float, closed: bool) -> list:
+    """k = 1 terms of the flux c_upper H_1 f_{a+1} + c_self sum_l S_{1,l} f_a of ("f", a).
+
+    When closed, f_{a+1} is the cluster expansion of the clusters ("g", 1..a)
+    with g_{a+1} = 0: one H term per partition of {1..a, y} with more than
+    one block, whose block holding y is the starred factor, so f_{a+1} is never formed.
+    """
+    full = tuple(range(1, a + 1))
+    terms = [_Term(-c_self, "S", 1, l, (("f", full),)) for l in full]
+    if not closed:
+        return [_Term(-c_upper, "H", 1, None, (("f", full + (STAR,)),))] + terms
+    for p in enumerate_partitions(a + 1):
+        if p.block_count > 1:  # y = a + 1 is the largest element, so STAR stays last
+            factors = tuple(("g", tuple(STAR if c > a else c for c in b)) for b in p.blocks)
+            terms.append(_Term(-c_upper, "H", 1, None, factors))
+    return terms
+
+
 def _route(vals: np.ndarray, coords: tuple, j: int, M: int) -> np.ndarray:
     """Broadcast an array whose axes follow `coords` onto the full j-lattice."""
     ordered = sorted(coords)
@@ -143,12 +154,8 @@ def _kernel_matrix(kernel: KernelSpec, grid: TorusGrid) -> np.ndarray:
 class _Interaction:
     """The kernel K on one grid: the only place the hierarchy operators apply it.
 
-    mean_field_flux() is the transport (K * rho) rho of the mean-field
-    equation, starred() the contraction behind H_k, pair() the routed weight
-    K(x_k, x_l) behind S_{k,l}, and bbgky_flux() the flux
-    c_upper H_k f_{a+1} + c_self sum_l K(x_k, x_l) f_a that the remainder and
-    the truncated BBGKY hierarchy share.  The pair sums are built once per
-    (k, a) and cached.
+    starred() is the contraction behind H_k and pair() the routed weight
+    K(x_k, x_l) behind S_{k,l}; _EntrySolver builds every flux from them.
 
     Contractions go through the rank-Q factors h K(x, y) = sum_q V[q, x] U[y, q]
     of the kernel's mode table: a column of h paired with b(x) + khat_c[0],
@@ -162,7 +169,6 @@ class _Interaction:
         self.M, self.h = grid.M, grid.h
         x = grid.points
         self.Kmat = _kernel_matrix(kernel, grid)
-        self.Kdiag = np.diag(self.Kmat).copy()
         cols = [np.full(grid.M, grid.h)]
         rows = [kernel.b_values(x) + kernel.k_cos[0]]
         for m, _, _, kc, ks in kernel.mode_table:
@@ -173,11 +179,6 @@ class _Interaction:
             rows += [kc * c + ks * s, kc * s - ks * c]
         self.U = np.stack(cols, axis=1)
         self.V = np.stack(rows)
-        self._pair_sums = {}
-
-    def mean_field_flux(self, rho: np.ndarray) -> np.ndarray:
-        """(K * rho) rho through the factors."""
-        return ((rho @ self.U) @ self.V) * rho
 
     def starred(self, vals: np.ndarray, coords: tuple, k: int, j: int) -> np.ndarray:
         """Integrate the starred axis against K(x_k, .) and route onto the j-lattice.
@@ -200,18 +201,9 @@ class _Interaction:
     def pair(self, k: int, l: int, j: int) -> np.ndarray:
         """K(x_k, x_l) routed onto the j-lattice (K(x_k, x_k) on the diagonal)."""
         if k == l:
-            return _route(self.Kdiag, (k,), j, self.M)
+            return _route(np.diag(self.Kmat), (k,), j, self.M)
         vals = self.Kmat if k < l else self.Kmat.T
         return _route(vals, _mk((k, l)), j, self.M)
-
-    def bbgky_flux(self, upper: np.ndarray, u: np.ndarray, c_upper: float, c_self: float,
-                   k: int = 1) -> np.ndarray:
-        """flux_k = c_upper int K(x_k, x_*) upper dx_* + c_self sum_l K(x_k, x_l) u."""
-        a = u.ndim
-        if (k, a) not in self._pair_sums:
-            self._pair_sums[(k, a)] = sum(self.pair(k, l, a) for l in range(1, a + 1))
-        hk = self.starred(upper, tuple(range(1, a + 1)) + (STAR,), k, a)
-        return c_upper * hk + c_self * (self._pair_sums[(k, a)] * u)
 
 
 def _support(src: tuple) -> set:
@@ -221,10 +213,10 @@ def _support(src: tuple) -> set:
 
 
 class _EntrySolver:
-    """flux_1 of one hierarchy entry (i, j), i >= 1, compiled from its term table.
+    """flux_1 on the j-lattice of any term table: a hierarchy entry's or a BBGKY level's.
 
     Only the k = 1 terms are kept (the stepper derives flux_k by an axis
-    swap).  A term is a coefficient times sources: a stored entry on its
+    swap).  A term is a coefficient times sources: a stored unknown on its
     coordinates ("state"), the contraction behind H_1, which always carries
     x_1 ("starred"), or the weight K(x_1, x_l) of S_{1,l} ("pair").  Sources
     on x_1 alone make up the term's x_1 part; each other source is mixed
@@ -246,11 +238,11 @@ class _EntrySolver:
     M x T x M for (B)), which OpenBLAS runs on the calling thread at the
     sizes test_hierarchy_solve_keeps_to_one_cpu times; a 2-D product over
     the whole lattice would wake its worker threads.  The starred
-    contractions, and the g @ U they start from, are shared between entries
+    contractions, and the g @ U they start from, are shared between unknowns
     through a per-step cache.
     """
 
-    def __init__(self, i: int, j: int, op: _Interaction):
+    def __init__(self, terms: list, j: int, op: _Interaction):
         self.j = j
         self.op = op
         M, Q = op.M, op.U.shape[1]
@@ -267,7 +259,7 @@ class _EntrySolver:
             return kind, (key, coords), on(src, axes, tail)
 
         groups, self.pairwise, diag = {}, [], {}
-        for t in compile_entry_terms(i, j):
+        for t in terms:
             if t.k != 1:
                 continue
             srcs = [("starred" if STAR in c else "state", (o, len(c)), c) for o, c in t.factors]

@@ -34,7 +34,7 @@ __all__ = [
 ]
 
 MAX_ENUM = 12          # Bell(13) is ~27M; enumeration is capped here
-MAX_GRID_ARITY = 4     # dense M^j products; arity 4 is needed by the closure
+MAX_GRID_ARITY = 4     # dense M^j products; arity 4 is for order-3 entries and f_4 as a BBGKY level
 
 
 @dataclass(frozen=True)

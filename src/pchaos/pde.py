@@ -12,23 +12,21 @@ makes linear steady states exact and keeps the mode-0 (mass) update exact.
 
 Every unknown here (each g^i_j and each BBGKY marginal f_a) is symmetric in
 its coordinates, and so are the equations, so every solver assembles flux_1
-alone and marches through one loop, _march: one operators._SpectralOps per
-arity carries each unknown's half spectrum between steps and adds flux_k's
-spectrum as flux_1's with the axes swapped, and _trajectories keeps the
-stored times.  compute_remainder, which reports R^i_j rather than stepping,
-still evaluates every component.  The BBGKY reference closes its hierarchy
-with the plain cluster expansion of pchaos.partitions: f_4 is the level-4
-moment of the cluster functions g_1..g_3 of f_1..f_3.
+alone (operators._EntrySolver) and marches through one loop, _march: one
+operators._SpectralOps per arity carries each unknown's half spectrum
+between steps and adds flux_k's spectrum as flux_1's with the axes swapped,
+and _trajectories keeps the stored times.  compute_remainder swaps axes for
+R^i_j's other components.  The BBGKY reference closes its hierarchy with
+the plain cluster expansion of pchaos.partitions, contracted block by block.
 
 The correction hierarchy g^i_j lives on the triangular index set
 T = {(i, j): 1 <= j <= i + 1}.  Entry (0, 1) is the mean-field density rho,
 the only nonlinear equation; solve_mckean_vlasov is the order-0 hierarchy.
 Every other entry satisfies a linear transport equation whose right-hand side
 couples lower entries through the operators S_{k,l} and H_k; pchaos.operators
-holds their term tables, the one place that applies the kernel
-(_Interaction) and the compiled flux of each entry (_EntrySolver).  The
-written-out first-order solvers that cross-check it live with the tests, in
-tests/oracles/first_order_explicit.py.
+holds the term tables, the one place that applies the kernel (_Interaction)
+and the one flux assembler (_EntrySolver).  The written-out first-order
+solvers that cross-check it are tests/oracles/first_order_explicit.py.
 """
 
 from __future__ import annotations
@@ -42,8 +40,9 @@ from pathlib import Path
 import numpy as np
 
 from .core import GridField, KernelSpec, TorusGrid, check_density, product_field
-from .operators import _EntrySolver, _Interaction, _SpectralOps
-from .partitions import assemble_correction, cluster_moment, clusters_from_moments, solve_order
+from .operators import (_EntrySolver, _Interaction, _SpectralOps, compile_bbgky_terms,
+                        compile_entry_terms)
+from .partitions import assemble_correction, clusters_from_moments, solve_order
 
 __all__ = [
     "TimeGrid",
@@ -297,10 +296,9 @@ def _hierarchy_steps(i_max: int, f: GridField, kernel: KernelSpec, tg: TimeGrid)
     """
     keys = solve_order(i_max)  # (0, 1) first
     op = _Interaction(kernel, f.grid)
-    solvers = {key: _EntrySolver(*key, op) for key in keys[1:]}
+    solvers = {key: _EntrySolver(compile_entry_terms(*key), key[1], op) for key in keys}
 
     def fluxes(state):
-        yield (0, 1), op.mean_field_flux(state[(0, 1)])
         contractions = {}
         for key, solver in solvers.items():
             yield key, solver.flux1(state, contractions)
@@ -358,14 +356,13 @@ def compute_remainder(i: int, j: int, N: float, gt: GTable, s: int):
     if i > gt.i_max:
         raise ValueError(f"table solved to order {gt.i_max}, requested {i}")
     fields = gt.fields_at(s)
-    fij = assemble_correction(i, j, fields).values
-    fij1 = assemble_correction(i, j + 1, fields).values
+    f_i = {("f", a): assemble_correction(i, a, fields).values for a in (j, j + 1)}
     scale = float(N) ** (-(i + 1))
-    op = _Interaction(gt.kernel, gt.grid)
-    comps = np.array([op.bbgky_flux(fij1, fij, j * scale, -scale, k) for k in range(1, j + 1)])
+    terms = compile_bbgky_terms(j, j * scale, -scale, False)
+    flux1 = _EntrySolver(terms, j, _Interaction(gt.kernel, gt.grid)).flux1(f_i, {})
+    comps = np.array([np.swapaxes(flux1, 0, k) for k in range(j)])
     rho_j = product_field(gt.field(0, 1, s), j).values
-    norm = _weighted_sq(comps, rho_j, gt.grid.h, j)
-    return comps, norm
+    return comps, _weighted_sq(comps, rho_j, gt.grid.h, j)
 
 
 @dataclass
@@ -434,18 +431,18 @@ def check_energy_inequality(
 # truncated-BBGKY reference at small N
 
 
-BBGKY_LEVELS = 3  # the reference integrates f_1..f_3 and closes level 4
+BBGKY_LEVELS = 3  # the reference integrates f_1..f_top, top = BBGKY_LEVELS, and closes above
 
 
 @dataclass
 class BBGKYResult:
-    """Marginal trajectories f_1..f_3 of the N-particle hierarchy, closed at level 4."""
+    """Marginal trajectories f_1..f_top of the N-particle hierarchy, closed at level top + 1."""
 
     grid: TorusGrid
     tg: TimeGrid
     N: int
     marginals: dict
-    closure_size: np.ndarray       # max |g_3| per stored time
+    closure_size: np.ndarray       # max |g_top| per stored time
     marginal_drift: np.ndarray     # max over j of |int f_{j+1} dx - f_j| per stored time
 
     @property
@@ -454,13 +451,13 @@ class BBGKYResult:
 
 
 def solve_bbgky_reference(f: GridField, kernel: KernelSpec, N: int, tg: TimeGrid) -> BBGKYResult:
-    """Integrate the hierarchy for f_1..f_3 with a product closure above.
+    """Integrate the hierarchy for f_1..f_top with a product closure above.
 
-    Level 4 is rebuilt each step as the cluster expansion of the lower
-    levels' cluster functions with the top cluster set to zero
-    (partitions.cluster_moment of partitions.clusters_from_moments).  The
-    size of g_3 and the marginal-consistency drift at the stored times are
-    reported so the closure error is visible rather than hidden.
+    f_{top+1} is the cluster expansion of the lower levels' cluster functions
+    (partitions.clusters_from_moments) with g_{top+1} = 0, contracted block by
+    block (operators.compile_bbgky_terms), so no array of arity above top is
+    built.  The size of g_top and the marginal-consistency drift at the
+    stored times are reported so the closure error is visible rather than hidden.
     """
     top = BBGKY_LEVELS
     if N <= top:
@@ -469,19 +466,23 @@ def solve_bbgky_reference(f: GridField, kernel: KernelSpec, N: int, tg: TimeGrid
     grid = f.grid
     levels = tuple(range(1, top + 1))
     op = _Interaction(kernel, grid)
+    solvers = {("f", a): _EntrySolver(compile_bbgky_terms(a, (N - a) / N, 1 / N, a == top), a, op)
+               for a in levels}
 
     def clusters(state):
-        return clusters_from_moments({a: GridField(grid, a, state[a]) for a in levels})
+        f_a = {a: GridField(grid, a, state[("f", a)]) for a in levels}
+        return {("g", a): g.values for a, g in clusters_from_moments(f_a).items()}
 
     def fluxes(state):
-        for a in levels:
-            upper = state[a + 1] if a < top else cluster_moment(top + 1, clusters(state)).values
-            yield a, op.bbgky_flux(upper, state[a], (N - a) / N, 1 / N)
+        fields, contractions = {**state, **clusters(state)}, {}
+        for key, solver in solvers.items():
+            yield key, solver.flux1(fields, contractions)
 
-    initial = {a: product_field(f, a).values for a in levels}
-    store = _trajectories(_march(initial, fluxes, 1, tg), tg)
-    closure_size = np.array([np.abs(clusters({a: store[a][s] for a in levels})[top].values).max()
+    initial = {("f", a): product_field(f, a).values for a in levels}
+    store = _trajectories(_march(initial, fluxes, ("f", 1), tg), tg)
+    closure_size = np.array([np.abs(clusters({k: v[s] for k, v in store.items()})[("g", top)]).max()
                              for s in range(tg.n_stored)])
-    drift = np.max([np.abs(store[a + 1].sum(axis=-1) * grid.h - store[a]).max(axis=levels[:a])
+    marginals = {a: store[("f", a)] for a in levels}
+    drift = np.max([np.abs(marginals[a + 1].sum(axis=-1) * grid.h - marginals[a]).max(axis=levels[:a])
                     for a in levels[:-1]], axis=0)
-    return BBGKYResult(grid, tg, N, store, closure_size, drift)
+    return BBGKYResult(grid, tg, N, marginals, closure_size, drift)

@@ -8,6 +8,10 @@ so test_flux_k_is_flux_1_with_axes_swapped can check both premises: flux_k
 from the k-th terms equals flux_1 with axes 0 and k-1 swapped, and flux_1
 equals the package's compiled flux.  A wrong coefficient or coordinate in a
 k != 1 term of compile_entry_terms shows up here and nowhere else.
+
+bbgky_fluxes does the same for the BBGKY-shaped flux behind the remainder
+and the BBGKY reference, from a dense upper marginal: the package compiles
+flux_1 alone, and for the reference's top level never forms that marginal.
 """
 import numpy as np
 
@@ -36,3 +40,12 @@ def entry_fluxes(i: int, j: int, op: _Interaction, state: dict) -> list:
         # subtracts flux divergences, so the flux carries the opposite sign
         fluxes[t.k - 1] -= t.coef * prod
     return fluxes
+
+
+def bbgky_fluxes(upper: np.ndarray, u: np.ndarray, c_upper: float, c_self: float,
+                 op: _Interaction) -> list:
+    """[flux_1, ..., flux_a] of c_upper H_k upper + c_self sum_l S_{k,l} u, u of arity a."""
+    a = u.ndim
+    full = tuple(range(1, a + 1))
+    return [c_upper * op.starred(upper, full + (STAR,), k, a)
+            + c_self * sum(op.pair(k, l, a) for l in full) * u for k in full]

@@ -4,7 +4,7 @@ import pytest
 
 from pchaos.core import (MAX_KERNEL_MODE, GridField, KernelSpec, TorusGrid, check_density,
                          fourier_field, product_field, step_count)
-from pchaos.operators import _Interaction
+from pchaos.operators import _EntrySolver, _Interaction, compile_entry_terms
 
 
 def test_grid_basics():
@@ -143,6 +143,12 @@ def test_check_band_rejects_unresolved_kernel():
         k._check_band(4)
 
 
+def mean_field_flux(kernel: KernelSpec, grid: TorusGrid, rho: np.ndarray) -> np.ndarray:
+    """The compiled flux of entry (0, 1), the mean-field transport (K * rho) rho."""
+    solver = _EntrySolver(compile_entry_terms(0, 1), 1, _Interaction(kernel, grid))
+    return solver.flux1({(0, 1): rho}, {}).copy()
+
+
 def test_convolve_density_equals_direct_sum():
     # the mean-field flux (K * rho) rho, through the kernel factors, against
     # the direct quadrature sum of K(x_i, y_j) rho(y_j)
@@ -153,16 +159,16 @@ def test_convolve_density_equals_direct_sum():
     rho = GridField(g, 1, 1.0 + 0.5 * rng.standard_normal(32))
     x = g.points
     direct = g.h * np.array([np.sum(k.eval(xi, x) * rho.values) for xi in x])
-    flux = _Interaction(k, g).mean_field_flux(rho.values)
+    flux = mean_field_flux(k, g, rho.values)
     assert np.allclose(flux, direct * rho.values, atol=1e-13)
 
 
 def test_convolve_density_mass_and_zero_kernel():
     g = TorusGrid(16)
     rho = fourier_field(g, [1.0, 0.5])
-    assert np.allclose(_Interaction(KernelSpec.zero(), g).mean_field_flux(rho.values), 0.0)
+    assert np.allclose(mean_field_flux(KernelSpec.zero(), g, rho.values), 0.0)
     k = KernelSpec.from_tables(b={0: (2.0, 0.0)})   # K * rho = 2 mass(rho) = 2
-    flux = _Interaction(k, g).mean_field_flux(rho.values)
+    flux = mean_field_flux(k, g, rho.values)
     assert np.allclose(flux, 2.0 * rho.values, atol=1e-14)
 
 

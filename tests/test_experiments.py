@@ -268,6 +268,24 @@ def test_chain_moments_one_step_against_fine_quadrature(default_kernel):
         assert S[1, m] == pytest.approx(want_s, abs=2e-6)
 
 
+def test_predictions_check_the_band_before_the_pool_gets_work(tmp_path):
+    # a kernel mode past the grid's Nyquist limit is a user error; it must
+    # be raised before the chain moments go to the pool, where a mode that
+    # high takes seconds to tabulate
+    class RecordingPool:
+        def __init__(self):
+            self.submitted = []
+
+        def submit(self, fn, *args):
+            self.submitted.append(fn)
+
+    kernel = KernelSpec.from_tables(b={1: (0.5, 0.0)}, khat={1500: (0.0, 0.25)})
+    pool = RecordingPool()
+    with pytest.raises(ValueError, match="Nyquist"):
+        experiments._predictions(_ecfg(tmp_path, workers=2), kernel, pool)
+    assert pool.submitted == []
+
+
 # ---------------------------------------------------------------------------
 # the fused simulation worker
 

@@ -13,6 +13,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,8 +21,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pchaos.core import GridField, KernelSpec, TorusGrid, fourier_field, product_field
+from pchaos import pde
 from pchaos.experiments import fit_rate
-from pchaos.partitions import cluster_moment, clusters_from_moments, max_asymmetry
+from pchaos.partitions import (assemble_correction, cluster_moment, clusters_from_moments,
+                               max_asymmetry)
 from pchaos.operators import (
     STAR,
     _add_swapped,
@@ -29,6 +32,7 @@ from pchaos.operators import (
     _Interaction,
     _kernel_matrix,
     _SpectralOps,
+    compile_bbgky_terms,
     compile_entry_terms,
 )
 from pchaos.pde import (
@@ -45,7 +49,7 @@ from pchaos.pde import (
 
 from conftest import REPO_ROOT, RICH_KERNEL, band_limited_kernels
 from field_synth import random_consistent_triple, random_smooth_field
-from oracles.all_k_flux import entry_fluxes
+from oracles.all_k_flux import bbgky_fluxes, entry_fluxes
 from oracles.bbgky_closure_dense import _cluster3, closure_f4
 from oracles.first_order_explicit import solve_g1_pair, solve_g1_single
 from oracles.fourier_swap_step import FourierSwapStep
@@ -246,7 +250,7 @@ def test_flux_k_is_flux_1_with_axes_swapped(entry):
     assert scale > 1e-3
     for k in range(2, j + 1):
         assert np.abs(fluxes[k - 1] - np.swapaxes(fluxes[0], 0, k - 1)).max() <= 1e-13 * scale
-    compiled = _EntrySolver(i, j, op).flux1(state, {})
+    compiled = _EntrySolver(compile_entry_terms(i, j), j, op).flux1(state, {})
     assert np.abs(compiled - fluxes[0]).max() <= 1e-13 * scale
 
 
@@ -268,21 +272,8 @@ def test_flux_k_is_flux_1_with_axes_swapped_for_any_kernel(kernel, M, seed):
         scale = np.abs(fluxes[0]).max()
         for k in range(2, j + 1):
             assert np.abs(fluxes[k - 1] - np.swapaxes(fluxes[0], 0, k - 1)).max() <= 1e-13 * scale
-        compiled = _EntrySolver(i, j, op).flux1(state, {})
+        compiled = _EntrySolver(compile_entry_terms(i, j), j, op).flux1(state, {})
         assert np.abs(compiled - fluxes[0]).max() <= 1e-13 * scale, (i, j)
-
-
-@pytest.mark.parametrize("a", [1, 2, 3])
-def test_bbgky_flux_k_is_flux_1_with_axes_swapped(a):
-    grid = TorusGrid(8)
-    rng = np.random.default_rng(a)
-    upper = random_smooth_field(grid, a + 1, rng).values
-    u = random_smooth_field(grid, a, rng).values
-    op = _Interaction(RICH_KERNEL, grid)
-    flux1 = op.bbgky_flux(upper, u, 0.75, 0.25)
-    for k in range(2, a + 1):
-        fk = op.bbgky_flux(upper, u, 0.75, 0.25, k)
-        assert np.abs(fk - np.swapaxes(flux1, 0, k - 1)).max() <= 1e-13 * np.abs(flux1).max()
 
 
 def _symmetrize(vals: np.ndarray, axes: tuple) -> np.ndarray:
@@ -368,10 +359,11 @@ def test_kernel_factors_reproduce_kernel_matrix(kernel, M):
 def _starred_patterns() -> set:
     """(coords, k, j) of every starred factor the hierarchy and the BBGKY flux contract."""
     patterns = {(tuple(range(1, a + 1)) + (STAR,), k, a) for a in (1, 2, 3) for k in range(1, a + 1)}
-    for i in (1, 2):
-        for j in range(1, i + 2):
-            for t in compile_entry_terms(i, j):
-                patterns.update((coords, t.k, j) for _, coords in t.factors if STAR in coords)
+    tables = [(compile_entry_terms(i, j), j) for i in (0, 1, 2) for j in range(1, i + 2)]
+    tables += [(compile_bbgky_terms(a, 1.0, 1.0, closed), a) for a in (1, 2, 3) for closed in (False, True)]
+    for terms, j in tables:
+        for t in terms:
+            patterns.update((coords, t.k, j) for _, coords in t.factors if STAR in coords)
     return patterns
 
 
@@ -425,11 +417,15 @@ def test_hierarchy_solve_keeps_to_one_cpu():
     # OpenBLAS's worker threads left them spinning, ~1.9 CPU-seconds per
     # wall-second on two cores.  At M=64 a 2-D (64, Q) @ (Q, 4096) product
     # already crosses the threshold.  Other load can only lower the ratio.
+    # Importing numpy starts those workers, and they spin ~0.12 CPU-seconds
+    # before they first sleep; the child waits that out, so the timed
+    # window holds the solves alone.
     code = (
         "import time\n"
         "from pchaos.core import KernelSpec, TorusGrid, fourier_field\n"
         "from pchaos.pde import TimeGrid, solve_g_hierarchy\n"
         f"k = KernelSpec.from_file({str(REPO_ROOT / 'kernels' / 'default.txt')!r})\n"
+        "time.sleep(0.3)\n"
         "for M, steps in ((32, 50), (64, 8)):\n"
         "    f = fourier_field(TorusGrid(M), [1.0, 0.5])\n"
         "    c0, t0 = time.process_time(), time.perf_counter()\n"
@@ -548,6 +544,26 @@ def test_remainder_arity_cap(small_table):
         compute_remainder(0, 3, 100.0, small_table, 0)
 
 
+def test_remainder_components_match_all_k_evaluation(small_table):
+    # compute_remainder compiles flux_1 and swaps axes for the other
+    # components; each must equal its direct evaluation through starred(., k)
+    # and pair(k, l)
+    gt = small_table
+    s = gt.n_stored - 1
+    fields = gt.fields_at(s)
+    op = _Interaction(gt.kernel, gt.grid)
+    N = 8.0
+    for i in range(3):
+        scale = N ** -(i + 1)
+        for j in (1, 2):
+            fij = assemble_correction(i, j, fields).values
+            fij1 = assemble_correction(i, j + 1, fields).values
+            want = np.array(bbgky_fluxes(fij1, fij, j * scale, -scale, op))
+            comps = compute_remainder(i, j, N, gt, s)[0]
+            assert comps.shape == want.shape
+            assert np.abs(comps - want).max() <= 1e-13 * np.abs(want).max(), (i, j)
+
+
 def test_bbgky_reference_and_energy_margins(default_kernel):
     g = TorusGrid(16)
     f = fourier_field(g, [1.0, 0.5], [0.0, 0.25])
@@ -614,6 +630,26 @@ def test_partition_closure_matches_dense_oracle(M):
         assert np.abs(cluster_moment(4, clusters).values - f4).max() <= 1e-13 * np.abs(f4).max()
 
 
+@pytest.mark.parametrize("M", [8, 12])
+def test_compiled_closure_flux_matches_dense_oracle(M):
+    # the top level's flux contracts the cluster functions partition by
+    # partition; against the dense f_4 of the term-by-term closure,
+    # contracted through starred() and with the pair term added
+    grid = TorusGrid(M)
+    op = _Interaction(RICH_KERNEL, grid)
+    c_upper, c_self = 5 / 8, 1 / 8
+    solver = _EntrySolver(compile_bbgky_terms(3, c_upper, c_self, True), 3, op)
+    rng = np.random.default_rng(100 + M)
+    for _ in range(20):
+        f = random_consistent_triple(grid, rng)
+        fields = {("f", a): v.values for a, v in f.items()}
+        fields.update((("g", a), g.values) for a, g in clusters_from_moments(f).items())
+        f4 = closure_f4(f[1].values, f[2].values, f[3].values)
+        want = bbgky_fluxes(f4, f[3].values, c_upper, c_self, op)[0]
+        got = solver.flux1(fields, {})
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
 def test_bbgky_closure_size_falls_as_inverse_square(default_kernel):
     # the three-particle cluster of the N-particle hierarchy is O(N^-2)
     g = TorusGrid(16)
@@ -622,3 +658,37 @@ def test_bbgky_closure_size_falls_as_inverse_square(default_kernel):
     sizes = [(N, solve_bbgky_reference(f, default_kernel, N, tg).closure_size[-1])
              for N in (8, 16, 32, 64)]
     assert fit_rate(sizes).slope == pytest.approx(-2.0, abs=0.1)
+
+
+def test_bbgky_step_never_forms_f4(default_kernel):
+    # the closure is contracted block by block, so two steps at M = 32 peak
+    # below the size of one M^4 float64 array, the dense f_4 of the old closure
+    g = TorusGrid(32)
+    f = fourier_field(g, [1.0, 0.5], [0.0, 0.25])
+    tg = TimeGrid(1e-3, 2)
+    solve_bbgky_reference(f, default_kernel, 16, tg)  # warm-up
+    tracemalloc.start()
+    try:
+        solve_bbgky_reference(f, default_kernel, 16, tg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * g.M ** 4
+
+
+def test_bbgky_level_four_closure(default_kernel, monkeypatch):
+    # integrating f_4 and closing at level 5 moves f_1 and f_2 by less than
+    # the level-3 closure size, and its own closure (g_4) is smaller
+    g = TorusGrid(12)
+    f = fourier_field(g, [1.0, 0.5], [0.0, 0.25])
+    tg = TimeGrid(2e-3, 50, store_every=10)
+    for N in (8, 16):
+        three = solve_bbgky_reference(f, default_kernel, N, tg)
+        monkeypatch.setattr(pde, "BBGKY_LEVELS", 4)
+        four = solve_bbgky_reference(f, default_kernel, N, tg)
+        monkeypatch.undo()
+        assert set(four.marginals) == {1, 2, 3, 4}
+        bound = three.closure_size.max()
+        for a in (1, 2):
+            assert np.abs(four.marginals[a] - three.marginals[a]).max() < bound
+        assert four.closure_size.max() < bound
