@@ -276,6 +276,25 @@ def test_flux_k_is_flux_1_with_axes_swapped_for_any_kernel(kernel, M, seed):
         assert np.abs(compiled - fluxes[0]).max() <= 1e-13 * scale, (i, j)
 
 
+@pytest.mark.parametrize("a", [1, 2, 3])
+def test_bbgky_flux_k_is_flux_1_with_axes_swapped(a):
+    # the BBGKY-shaped flux c_upper H_k f_{a+1} + c_self sum_l S_{k,l} f_a,
+    # evaluated for every k, must be flux_1 with x_1 and x_k swapped on
+    # symmetric fields, and flux_1 must be that of the compiled table
+    grid = TorusGrid(8)
+    rng = np.random.default_rng(a)
+    upper = random_smooth_field(grid, a + 1, rng).values
+    u = random_smooth_field(grid, a, rng).values
+    op = _Interaction(RICH_KERNEL, grid)
+    fluxes = bbgky_fluxes(upper, u, 0.75, 0.25, op)
+    scale = np.abs(fluxes[0]).max()
+    for k in range(2, a + 1):
+        assert np.abs(fluxes[k - 1] - np.swapaxes(fluxes[0], 0, k - 1)).max() <= 1e-13 * scale
+    solver = _EntrySolver(compile_bbgky_terms(a, 0.75, 0.25, False), a, op)
+    compiled = solver.flux1({("f", a + 1): upper, ("f", a): u}, {})
+    assert np.abs(compiled - fluxes[0]).max() <= 1e-13 * scale
+
+
 def _symmetrize(vals: np.ndarray, axes: tuple) -> np.ndarray:
     """Mean of vals over every permutation of the given axes."""
     out = np.zeros_like(vals)
