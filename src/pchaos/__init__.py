@@ -2,8 +2,8 @@
 
 The package has three layers.  The analytic layer solves the mean-field
 density and its finite-size correction hierarchy on a periodic spectral grid
-(`pde`), with the set-partition sums that assemble the corrections in
-`partitions` and shared grid/kernel primitives in `core`.  The stochastic
+(`pde`), with the one partition-product sum that assembles the corrections
+in `partitions` and shared grid/kernel primitives in `core`.  The stochastic
 layer simulates the interacting particle system (`particles`) and estimates
 histogram divergences and paired pair cumulants from replica ensembles
 (`metrics`).  The certification layer evaluates damping integrals and
@@ -61,9 +61,7 @@ from .particles import (
     sample_initial,
 )
 from .partitions import (
-    Partition,
     assemble_correction,
-    enumerate_order_compositions,
     enumerate_partitions,
     max_asymmetry,
     solve_order,

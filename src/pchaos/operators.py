@@ -129,9 +129,9 @@ def compile_bbgky_terms(a: int, c_upper: float, c_self: float, closed: bool) -> 
     terms = [_Term(-c_self, "S", 1, l, (("f", full),)) for l in full]
     if not closed:
         return [_Term(-c_upper, "H", 1, None, (("f", full + (STAR,)),))] + terms
-    for p in enumerate_partitions(a + 1):
-        if p.block_count > 1:  # y = a + 1 is the largest element, so STAR stays last
-            factors = tuple(("g", tuple(STAR if c > a else c for c in b)) for b in p.blocks)
+    for blocks in enumerate_partitions(a + 1):
+        if len(blocks) > 1:  # y = a + 1 is the largest element, so STAR stays last
+            factors = tuple(("g", tuple(STAR if c > a else c for c in b)) for b in blocks)
             terms.append(_Term(-c_upper, "H", 1, None, factors))
     return terms
 

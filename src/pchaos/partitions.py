@@ -1,114 +1,44 @@
-"""Exact set-partition combinatorics and the grid sums over partitions.
+"""Exact set-partition combinatorics and the one partition-product sum on arrays.
 
-Partitions of {1..j} are stored canonically as restricted-growth strings
-(element -> block label, blocks numbered by first appearance).  On top of the
-enumeration sit order compositions over blocks, the solve order of the
-triangular index set T = {(i, j): 1 <= j <= i + 1}, the plain cluster
-expansion f_j = sum over partitions of {1..j} of prod over blocks B of
-g_|B|(x_B) with its Moebius inversion (cluster_moment, clusters_from_moments),
-and the assembly of the 1/N-expansion correction fields f^i_j from a table of
-cluster corrections g^i_j indexed by T.
+A partition of {1..j} is a tuple of blocks, each a sorted tuple of elements,
+ordered by least element.  _partition_sum carries the cluster expansion
+f_j = sum over partitions of prod over blocks B of g_|B|(x_B), its Moebius
+inversion (cluster_moment, clusters_from_moments), and the correction fields
+f^i_j from the cluster corrections g^i_j on T = {(i, j): 1 <= j <= i + 1}
+(assemble_correction).  Fields are plain arrays of shape (M,) * arity.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property, lru_cache, reduce
+from functools import lru_cache, reduce
 
 import numpy as np
 
 from .core import GridField
 
-__all__ = [
-    "Partition",
-    "in_triangle",
-    "solve_order",
-    "enumerate_partitions",
-    "iter_partition_labels",
-    "enumerate_order_compositions",
-    "assemble_correction",
-    "cluster_moment",
-    "clusters_from_moments",
-    "evaluate_block_product",
-    "max_asymmetry",
-]
+__all__ = ["in_triangle", "solve_order", "enumerate_partitions", "assemble_correction",
+           "cluster_moment", "clusters_from_moments", "evaluate_block_product", "max_asymmetry"]
 
-MAX_ENUM = 12          # Bell(13) is ~27M; enumeration is capped here
 MAX_GRID_ARITY = 4     # dense M^j products; arity 4 is for order-3 entries and f_4 as a BBGKY level
 
 
-@dataclass(frozen=True)
-class Partition:
-    """Set partition of {1..j} in restricted-growth form.
-
-    labels[k] is the block index of element k+1; labels[0] == 0 and each
-    label is at most 1 + max of the earlier labels.
-    """
-
-    labels: tuple
-
-    def __post_init__(self):
-        labels = tuple(int(v) for v in self.labels)
-        if not labels:
-            raise ValueError("empty partition")
-        if labels[0] != 0:
-            raise ValueError("restricted growth requires first label 0")
-        top = 0
-        for v in labels[1:]:
-            if v < 0 or v > top + 1:
-                raise ValueError(f"labels {labels} violate restricted growth")
-            top = max(top, v)
-        object.__setattr__(self, "labels", labels)
-
-    @property
-    def j(self) -> int:
-        return len(self.labels)
-
-    @property
-    def block_count(self) -> int:
-        return 1 + max(self.labels)
-
-    @cached_property
-    def blocks(self) -> tuple:
-        """Blocks as sorted tuples of 1-based elements, ordered by first appearance."""
-        out = [[] for _ in range(self.block_count)]
-        for elem, lab in enumerate(self.labels, start=1):
-            out[lab].append(elem)
-        return tuple(tuple(b) for b in out)
-
-    def __str__(self) -> str:
-        return "|".join(str(v) for v in self.labels)
-
-
-def iter_partition_labels(j: int):
-    """Yield restricted-growth label tuples for all partitions of {1..j}, lexicographically."""
-    if not 1 <= j <= MAX_ENUM:
-        raise ValueError(f"partition enumeration supports 1 <= j <= {MAX_ENUM}, got {j}")
-    labels = [0] * j
-    tops = [0] * j  # tops[k] = max(labels[:k+1])
-
-    k = j - 1
-    yield tuple(labels)
-    while True:
-        # advance position k to the next admissible label, backtracking as needed
-        while k > 0 and labels[k] >= tops[k - 1] + 1:
-            labels[k] = 0
-            k -= 1
-        if k == 0:
-            return
-        labels[k] += 1
-        tops[k] = max(tops[k - 1], labels[k])
-        for m in range(k + 1, j):
-            labels[m] = 0
-            tops[m] = tops[k]
-        k = j - 1
-        yield tuple(labels)
-
-
-@lru_cache(maxsize=MAX_GRID_ARITY)
+@lru_cache(maxsize=None)
 def enumerate_partitions(j: int) -> tuple:
-    """All partitions of {1..j} exactly once, lexicographic in restricted-growth form."""
-    return tuple(Partition(lbl) for lbl in iter_partition_labels(j))
+    """All partitions of {1..j} exactly once, as tuples of sorted blocks.
+
+    Element j joins each block of a partition of {1..j-1} in turn, then opens
+    a new block.  That is lexicographic order of the restricted-growth strings
+    (element -> index of its block), the order every sum here runs in.
+    """
+    if j < 1:
+        raise ValueError(f"partitions need j >= 1, got {j}")
+    if j == 1:
+        return (((1,),),)
+    out = []
+    for p in enumerate_partitions(j - 1):
+        out += [p[:k] + (p[k] + (j,),) + p[k + 1:] for k in range(len(p))]
+        out.append(p + ((j,),))
+    return tuple(out)
 
 
 def _compositions(total: int, parts: int):
@@ -119,14 +49,6 @@ def _compositions(total: int, parts: int):
     for first in range(total + 1):
         for rest in _compositions(total - first, parts - 1):
             yield (first,) + rest
-
-
-def enumerate_order_compositions(p: Partition, i: int) -> list:
-    """All maps block -> order >= 0 with total order i, as order tuples over p's
-    blocks; count C(i+|pi|-1, |pi|-1)."""
-    if i < 0:
-        raise ValueError("total order must be non-negative")
-    return list(_compositions(i, p.block_count))
 
 
 def in_triangle(i: int, j: int) -> bool:
@@ -142,13 +64,13 @@ def solve_order(i_max: int) -> list:
 # grid-product assembly
 
 
-def evaluate_block_product(grid, j: int, factors, out=None) -> np.ndarray:
-    """Dense product of fields routed onto blocks of {1..j}, in out if given, else a new array.
+def evaluate_block_product(j: int, factors, out=None) -> np.ndarray:
+    """Dense product of arrays routed onto blocks of {1..j}, in out if given, else a new array.
 
-    factors is a list of (GridField, coords) with coords a tuple of 1-based
-    coordinates (sorted routing: axis order of each field follows the sorted
-    block, immaterial for exchangeable factors).  The coords must be disjoint
-    and cover {1..j}.  The factors are multiplied smallest first, so only the
+    factors is a list of (array, coords): coords a tuple of 1-based coordinates
+    (axis order follows the sorted block, immaterial for exchangeable factors),
+    the array of shape (M,) * len(coords) for one M.  The coords must be
+    disjoint and cover {1..j}.  Smallest factors multiply first, so only the
     last multiply is full size.
     """
     if j > MAX_GRID_ARITY:
@@ -156,29 +78,35 @@ def evaluate_block_product(grid, j: int, factors, out=None) -> np.ndarray:
     covered = sorted(c for _, coords in factors for c in coords)
     if covered != list(range(1, j + 1)):
         raise ValueError(f"factor coordinates {covered} do not partition 1..{j}")
-    M = factors[0][0].grid.M
+    M = factors[0][0].shape[0]
     routed = []
-    for f, coords in sorted(factors, key=lambda fc: fc[0].arity):
-        if f.grid.M != M:
-            raise ValueError("all fields must share one grid")
-        if f.arity != len(coords):
-            raise ValueError("factor arity does not match its coordinate block")
-        routed.append(f.values.reshape([M if k in coords else 1 for k in range(1, j + 1)]))
+    for vals, coords in sorted(factors, key=lambda fc: len(fc[1])):
+        if vals.shape != (M,) * len(coords):
+            raise ValueError(f"factor of shape {vals.shape} does not fit block {coords}, M = {M}")
+        routed.append(vals.reshape([M if k in coords else 1 for k in range(1, j + 1)]))
     return np.multiply(reduce(np.multiply, routed[:-1], 1.0), routed[-1], out=out)
 
 
-def cluster_moment(j: int, clusters: dict) -> GridField:
+def _partition_sum(j: int, M: int, terms) -> np.ndarray:
+    """Sum over partitions of {1..j} of the block products of each factor list terms(blocks) yields."""
+    out, term = np.zeros((M,) * j), np.empty((M,) * j)
+    for blocks in enumerate_partitions(j):
+        for factors in terms(blocks):
+            out += evaluate_block_product(j, factors, term)
+    return out
+
+
+def cluster_moment(j: int, clusters: dict) -> np.ndarray:
     """f_j = sum over partitions of {1..j} of prod over blocks B of g_|B|(x_B).
 
-    clusters maps arity a -> symmetric GridField g_a and must hold g_1; an
-    arity it lacks is a zero cluster, so every term with such a block vanishes.
+    clusters maps arity a -> symmetric array g_a and must hold g_1; an arity
+    it lacks is a zero cluster, so every term with such a block vanishes.
     """
-    grid = clusters[1].grid
-    out, term = np.zeros((grid.M,) * j), np.empty((grid.M,) * j)
-    for p in enumerate_partitions(j):
-        if all(len(b) in clusters for b in p.blocks):
-            out += evaluate_block_product(grid, j, [(clusters[len(b)], b) for b in p.blocks], term)
-    return GridField(grid, j, out)
+    def terms(blocks):
+        if all(len(b) in clusters for b in blocks):
+            yield [(clusters[len(b)], b) for b in blocks]
+
+    return _partition_sum(j, clusters[1].shape[0], terms)
 
 
 def clusters_from_moments(moments: dict) -> dict:
@@ -190,38 +118,28 @@ def clusters_from_moments(moments: dict) -> dict:
     """
     clusters = {1: moments[1]}
     for a in range(2, max(moments) + 1):
-        f = moments[a]
-        clusters[a] = GridField(f.grid, a, f.values - cluster_moment(a, clusters).values)
+        clusters[a] = moments[a] - cluster_moment(a, clusters)
     return clusters
 
 
-def _check_g_table(g_table: dict, i: int) -> None:
-    for k in range(i + 1):
-        for a in range(1, k + 2):
-            if (k, a) not in g_table:
-                raise ValueError(f"correction table is missing entry ({k}, {a})")
-
-
-def assemble_correction(i: int, j: int, g_table: dict) -> GridField:
+def assemble_correction(i: int, j: int, g_table: dict) -> np.ndarray:
     """Correction f^i_j as the full partition/order-composition sum.
 
-    Products whose factor indices fall outside T vanish and are skipped.
+    g_table maps (order, arity) -> array.  Products whose factor indices fall
+    outside T vanish and are skipped.
     """
-    _check_g_table(g_table, i)
-    grid = g_table[(0, 1)].grid
-    out = np.zeros((grid.M,) * j)
-    for p in enumerate_partitions(j):
-        blocks = p.blocks
-        for orders in enumerate_order_compositions(p, i):
-            factors = []
-            for block, order in zip(blocks, orders):
-                if not in_triangle(order, len(block)):
-                    factors = None
-                    break
-                factors.append((g_table[(order, len(block))], block))
-            if factors is not None:
-                out += evaluate_block_product(grid, j, factors)
-    return GridField(grid, j, out)
+    if i < 0:
+        raise ValueError("total order must be non-negative")
+    missing = [key for key in solve_order(i) if key not in g_table]
+    if missing:
+        raise ValueError(f"correction table is missing entry {missing[0]}")
+
+    def terms(blocks):
+        for orders in _compositions(i, len(blocks)):
+            if all(in_triangle(order, len(b)) for b, order in zip(blocks, orders)):
+                yield [(g_table[(order, len(b))], b) for b, order in zip(blocks, orders)]
+
+    return _partition_sum(j, g_table[(0, 1)].shape[0], terms)
 
 
 def max_asymmetry(f: GridField) -> float:

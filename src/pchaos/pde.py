@@ -34,6 +34,7 @@ from __future__ import annotations
 import hashlib
 import itertools as it
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -81,8 +82,8 @@ class TimeGrid:
     store_every: int = 1
 
     def __post_init__(self):
-        if self.dt <= 0:
-            raise ValueError("dt must be positive")
+        if not (math.isfinite(self.dt) and self.dt > 0):
+            raise ValueError(f"dt must be positive and finite, got {self.dt}")
         if self.n_steps < 1:
             raise ValueError("need at least one step")
         if self.store_every < 1 or self.n_steps % self.store_every:
@@ -196,11 +197,21 @@ _META_KEYS = ("dim", "M", "dt", "n_steps", "store_every", "i_max", "kernel_text"
               "kernel_sha256", "entries")
 
 
-def _require_keys(meta_file: Path, obj: dict, keys) -> None:
-    """Raise ValueError naming meta_file and the first of keys that obj lacks."""
+def _require_keys(meta_file: Path, obj, keys) -> None:
+    """Raise ValueError naming meta_file unless obj is an object holding every one of keys."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"{meta_file}: expected an object, got {type(obj).__name__}")
     missing = next((k for k in keys if k not in obj), None)
     if missing is not None:
         raise ValueError(f"{meta_file}: missing key {missing!r}")
+
+
+def _meta_count(meta_file: Path, obj: dict, key: str) -> int:
+    """obj[key], which must be a non-negative integer (not a bool), else ValueError naming meta_file."""
+    v = obj[key]
+    if isinstance(v, bool) or not isinstance(v, int) or v < 0:
+        raise ValueError(f"{meta_file}: {key} is {v!r}, expected a non-negative integer")
+    return v
 
 
 @dataclass
@@ -228,7 +239,8 @@ class GTable:
         return GridField(self.grid, j, self.entries[(i, j)][s])
 
     def fields_at(self, s: int) -> dict:
-        return {key: GridField(self.grid, key[1], arr[s]) for key, arr in self.entries.items()}
+        """(i, j) -> g^i_j at stored time s, as the plain arrays pchaos.partitions sums."""
+        return {key: arr[s] for key, arr in self.entries.items()}
 
     def rho(self) -> Trajectory:
         return Trajectory(self.grid, 1, self.tg, self.entries[(0, 1)])
@@ -258,7 +270,8 @@ class GTable:
 
     @classmethod
     def load(cls, path) -> "GTable":
-        """Read a table written by save (dim 1); the kernel hash and every file size must match."""
+        """Read a table written by save (dim 1); the kernel hash and every file size must match,
+        and the entries must be exactly solve_order(i_max).  A malformed meta.json is a ValueError."""
         path = Path(path)
         meta_file = path / "meta.json"
         with open(meta_file, "r", encoding="utf-8") as fh:
@@ -268,24 +281,34 @@ class GTable:
             _require_keys(meta_file, ent, ("i", "j", "file"))
         if meta["dim"] != 1:
             raise ValueError(f"{meta_file}: dim is {meta['dim']!r}, expected 1")
-        grid = TorusGrid(meta["M"])
-        tg = TimeGrid(meta["dt"], meta["n_steps"], meta["store_every"])
+        if not all(isinstance(v, str) for v in (meta["kernel_text"], meta["kernel_sha256"],
+                                                *(ent["file"] for ent in meta["entries"]))):
+            raise ValueError(f"{meta_file}: kernel_text, kernel_sha256 and files must be strings")
+        M, n_steps, store_every, i_max = (_meta_count(meta_file, meta, key)
+                                          for key in ("M", "n_steps", "store_every", "i_max"))
+        dt = meta["dt"]
+        if isinstance(dt, bool) or not isinstance(dt, (int, float)) or not math.isfinite(dt):
+            raise ValueError(f"{meta_file}: dt is {dt!r}, expected a finite number")
+        keys = [tuple(_meta_count(meta_file, ent, k) for k in "ij") for ent in meta["entries"]]
+        if sorted(keys) != sorted(solve_order(i_max)):
+            raise ValueError(f"{meta_file}: entries {sorted(keys)} are not an order-{i_max} table's")
+        grid = TorusGrid(M)
+        tg = TimeGrid(dt, n_steps, store_every)
         ktext = meta["kernel_text"]
         if hashlib.sha256(ktext.encode()).hexdigest() != meta["kernel_sha256"]:
             raise ValueError(f"{meta_file}: kernel_text does not match kernel_sha256")
         kernel = KernelSpec.from_text(ktext)
         entries = {}
-        for ent in meta["entries"]:
-            i, j = ent["i"], ent["j"]
-            want = 8 * tg.n_stored * meta["M"] ** j
+        for (i, j), ent in zip(keys, meta["entries"]):
+            want = 8 * tg.n_stored * M ** j
             data = (path / ent["file"]).read_bytes()
             if len(data) != want:
                 raise ValueError(
                     f"table file {path / ent['file']} has {len(data)} bytes, meta.json describes {want}"
                 )
             raw = np.frombuffer(data, dtype="<f8")
-            entries[(i, j)] = raw.reshape((tg.n_stored,) + (meta["M"],) * j).copy()
-        return cls(grid, tg, meta["i_max"], kernel, entries)
+            entries[(i, j)] = raw.reshape((tg.n_stored,) + (M,) * j).copy()
+        return cls(grid, tg, i_max, kernel, entries)
 
 
 def _hierarchy_steps(i_max: int, f: GridField, kernel: KernelSpec, tg: TimeGrid):
@@ -339,7 +362,7 @@ def assemble_phi(i: int, j: int, N: float, gt: GTable) -> Trajectory:
     for s in range(gt.n_stored):
         fields = gt.fields_at(s)
         for k in range(i + 1):
-            out[s] += float(N) ** (-k) * assemble_correction(k, j, fields).values
+            out[s] += float(N) ** (-k) * assemble_correction(k, j, fields)
     return Trajectory(gt.grid, j, gt.tg, out)
 
 
@@ -356,7 +379,7 @@ def compute_remainder(i: int, j: int, N: float, gt: GTable, s: int):
     if i > gt.i_max:
         raise ValueError(f"table solved to order {gt.i_max}, requested {i}")
     fields = gt.fields_at(s)
-    f_i = {("f", a): assemble_correction(i, a, fields).values for a in (j, j + 1)}
+    f_i = {("f", a): assemble_correction(i, a, fields) for a in (j, j + 1)}
     scale = float(N) ** (-(i + 1))
     terms = compile_bbgky_terms(j, j * scale, -scale, False)
     flux1 = _EntrySolver(terms, j, _Interaction(gt.kernel, gt.grid)).flux1(f_i, {})
@@ -470,8 +493,8 @@ def solve_bbgky_reference(f: GridField, kernel: KernelSpec, N: int, tg: TimeGrid
                for a in levels}
 
     def clusters(state):
-        f_a = {a: GridField(grid, a, state[("f", a)]) for a in levels}
-        return {("g", a): g.values for a, g in clusters_from_moments(f_a).items()}
+        f_a = {a: state[("f", a)] for a in levels}
+        return {("g", a): g for a, g in clusters_from_moments(f_a).items()}
 
     def fluxes(state):
         fields, contractions = {**state, **clusters(state)}, {}

@@ -16,7 +16,6 @@ import itertools as it
 
 import numpy as np
 
-from pchaos.core import GridField
 from pchaos.partitions import enumerate_partitions, evaluate_block_product, in_triangle
 
 
@@ -30,15 +29,14 @@ def _compositions(total: int, parts: int):
             yield (first,) + rest
 
 
-def assemble_correction_sparse(i: int, j: int, g_table: dict) -> GridField:
+def assemble_correction_sparse(i: int, j: int, g_table: dict) -> np.ndarray:
     """f^i_j via the sparse form: correlated coordinates P with |P| <= 2i, rest carries rho.
 
     Each term is rho^(j - |P|) times a product of clusters with all orders >= 1
     summing to i over the blocks of a partition of P.
     """
     rho = g_table[(0, 1)]
-    grid = rho.grid
-    out = np.zeros((grid.M,) * j)
+    out = np.zeros(rho.shape * j)
     universe = list(range(1, j + 1))
     for size in range(0, min(2 * i, j) + 1):
         for P in it.combinations(universe, size):
@@ -46,15 +44,15 @@ def assemble_correction_sparse(i: int, j: int, g_table: dict) -> GridField:
             rho_factors = [(rho, (c,)) for c in rest]
             if size == 0:
                 if i == 0:
-                    out += evaluate_block_product(grid, j, rho_factors)
+                    out += evaluate_block_product(j, rho_factors)
                 continue
             if i == 0:
                 continue
             for p in enumerate_partitions(size):
-                nblocks = p.block_count
+                nblocks = len(p)
                 if nblocks > i:
                     continue  # every block carries order >= 1
-                blocks = [tuple(P[e - 1] for e in b) for b in p.blocks]
+                blocks = [tuple(P[e - 1] for e in b) for b in p]
                 for extra in _compositions(i - nblocks, nblocks):
                     orders = [1 + e for e in extra]
                     factors = list(rho_factors)
@@ -65,5 +63,5 @@ def assemble_correction_sparse(i: int, j: int, g_table: dict) -> GridField:
                             break
                         factors.append((g_table[(order, len(block))], block))
                     if ok:
-                        out += evaluate_block_product(grid, j, factors)
-    return GridField(grid, j, out)
+                        out += evaluate_block_product(j, factors)
+    return out

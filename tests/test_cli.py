@@ -377,6 +377,15 @@ def test_metrics_rejects_truncated_gtable(tmp_path, capsys):
     assert err.startswith("error: ") and "meta.json" in err and "'store_every'" in err
     assert err.count("\n") == 1
 
+    # a meta.json whose grid size is a string
+    meta["store_every"] = 1
+    meta["M"] = "16"
+    meta_file.write_text(json.dumps(meta))
+    assert main(["metrics", "--config", met_cfg, "--out", str(tmp_path / "m")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.endswith("meta.json: M is '16', expected a non-negative integer\n")
+    assert err.count("\n") == 1
+
 
 def test_metrics_nan_time_is_a_user_error(tmp_path, capsys):
     # a NaN time matches no snapshot: one error line, nothing written

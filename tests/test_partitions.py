@@ -3,20 +3,17 @@
 Integer expectations (partition counts, block census) are frozen from
 tests/oracles/bell_triangle.py; algebraic identities are checked exactly.
 """
-import math
+import itertools as it
 
 import numpy as np
 import pytest
 
 from pchaos.core import GridField, TorusGrid, fourier_field, product_field
 from pchaos.partitions import (
-    Partition,
     assemble_correction,
-    enumerate_order_compositions,
     enumerate_partitions,
     evaluate_block_product,
     in_triangle,
-    iter_partition_labels,
     max_asymmetry,
     solve_order,
 )
@@ -39,46 +36,26 @@ def test_block_count_census():
     for j, want in ((4, CENSUS_4), (8, CENSUS_8)):
         census = [0] * j
         for p in enumerate_partitions(j):
-            census[p.block_count - 1] += 1
+            census[len(p) - 1] += 1
         assert census == want
 
 
-def test_enumeration_is_canonical_and_unique():
-    labels = list(iter_partition_labels(5))
-    assert len(set(labels)) == len(labels) == BELL[4]
-    assert labels == sorted(labels)          # lexicographic
-    for lbl in labels:
-        assert lbl[0] == 0
-        top = 0
-        for v in lbl[1:]:
-            assert 0 <= v <= top + 1         # restricted growth
-            top = max(top, v)
+def _growth_string_blocks(labels):
+    """Blocks of a restricted-growth string, ordered by first appearance."""
+    blocks = {}
+    for elem, lab in enumerate(labels, start=1):
+        blocks.setdefault(lab, []).append(elem)
+    return tuple(tuple(b) for b in blocks.values())
 
 
-def test_partition_blocks_and_roundtrip():
-    p = Partition((0, 1, 0, 2, 1))
-    assert p.j == 5 and p.block_count == 3
-    assert p.blocks == ((1, 3), (2, 5), (4,))
-    assert str(p) == "0|1|0|2|1"
-    assert Partition(tuple(int(v) for v in str(p).split("|"))) == p
-
-
-def test_partition_validation():
-    with pytest.raises(ValueError, match="empty"):
-        Partition(())
-    with pytest.raises(ValueError, match="first label"):
-        Partition((1, 0))
-    with pytest.raises(ValueError, match="restricted growth"):
-        Partition((0, 2))
-
-
-def test_order_compositions_count_and_content():
-    p = Partition((0, 1, 0))
-    comps = enumerate_order_compositions(p, 3)
-    assert len(comps) == math.comb(3 + 1, 1)     # C(i + n - 1, n - 1), n = 2
-    assert comps == [(0, 3), (1, 2), (2, 1), (3, 0)]
-    with pytest.raises(ValueError, match="non-negative"):
-        enumerate_order_compositions(p, -1)
+def test_enumeration_is_sorted_growth_strings():
+    # every string with labels[k] <= 1 + max(labels[:k]), sorted, as blocks:
+    # the order every partition sum runs in
+    for j in range(1, 7):
+        strings = sorted(lbl for lbl in it.product(range(j), repeat=j)
+                         if all(lbl[k] <= max(lbl[:k], default=-1) + 1 for k in range(j)))
+        assert len(strings) == BELL[j - 1]
+        assert enumerate_partitions(j) == tuple(_growth_string_blocks(lbl) for lbl in strings)
 
 
 def test_triangle_membership_and_solve_order():
@@ -98,24 +75,24 @@ def test_evaluate_block_product_routing():
     g = TorusGrid(8)
     r = fourier_field(g, [1.0, 0.3])
     s = fourier_field(g, [1.0, 0.0, -0.2])
-    pair = GridField(g, 2, np.multiply.outer(r.values, r.values))
-    vals = evaluate_block_product(g, 3, [(pair, (1, 3)), (s, (2,))])
+    pair = np.multiply.outer(r.values, r.values)
+    vals = evaluate_block_product(3, [(pair, (1, 3)), (s.values, (2,))])
     i, j, l = 2, 5, 7
     assert vals[i, j, l] == pytest.approx(r.values[i] * r.values[l] * s.values[j], rel=1e-14)
 
 
 def test_evaluate_block_product_errors():
     g = TorusGrid(8)
-    r = fourier_field(g, [1.0, 0.3])
+    r = fourier_field(g, [1.0, 0.3]).values
     with pytest.raises(ValueError, match="partition"):
-        evaluate_block_product(g, 2, [(r, (1,))])
-    with pytest.raises(ValueError, match="arity"):
-        evaluate_block_product(g, 2, [(r, (1, 2))])
+        evaluate_block_product(2, [(r, (1,))])
+    with pytest.raises(ValueError, match=r"shape \(8,\) does not fit block \(1, 2\)"):
+        evaluate_block_product(2, [(r, (1, 2))])
     with pytest.raises(ValueError, match="capped"):
-        evaluate_block_product(g, 5, [(r, (k,)) for k in range(1, 6)])
-    other = fourier_field(TorusGrid(16), [1.0])
-    with pytest.raises(ValueError, match="one grid"):
-        evaluate_block_product(g, 2, [(r, (1,)), (other, (2,))])
+        evaluate_block_product(5, [(r, (k,)) for k in range(1, 6)])
+    other = fourier_field(TorusGrid(16), [1.0]).values
+    with pytest.raises(ValueError, match=r"shape \(16,\) does not fit block \(2,\), M = 8"):
+        evaluate_block_product(2, [(r, (1,)), (other, (2,))])
 
 
 def _random_correction_table(grid, i_max, rng):
@@ -125,7 +102,7 @@ def _random_correction_table(grid, i_max, rng):
         for a in range(1, k + 2):
             f = random_exchangeable_triple(grid, rng)[min(a, 3)]
             vals = f.values if a <= 3 else np.ones(grid.shape(a))
-            tbl[(k, a)] = GridField(grid, a, vals - (0.0 if (k, a) == (0, 1) else vals.mean()))
+            tbl[(k, a)] = vals - (0.0 if (k, a) == (0, 1) else vals.mean())
     return tbl
 
 
@@ -137,24 +114,26 @@ def test_assemble_correction_dense_vs_sparse():
         for j in (1, 2, 3):
             dense = assemble_correction(i, j, tbl)
             sparse = assemble_correction_sparse(i, j, tbl)
-            assert np.max(np.abs(dense.values - sparse.values)) < 1e-12
+            assert np.max(np.abs(dense - sparse)) < 1e-12
 
 
 def test_assemble_correction_order_zero_is_product():
     rng = np.random.default_rng(4)
     g = TorusGrid(12)
     tbl = _random_correction_table(g, 1, rng)
-    rho = tbl[(0, 1)]
+    rho = GridField(g, 1, tbl[(0, 1)])
     for j in (1, 2, 3):
         f0 = assemble_correction(0, j, tbl)
-        assert np.allclose(f0.values, product_field(rho, j).values, atol=1e-13)
+        assert np.allclose(f0, product_field(rho, j).values, atol=1e-13)
 
 
 def test_assemble_correction_missing_entry():
     g = TorusGrid(8)
     rho = fourier_field(g, [1.0])
     with pytest.raises(ValueError, match="missing entry"):
-        assemble_correction(1, 1, {(0, 1): rho})
+        assemble_correction(1, 1, {(0, 1): rho.values})
+    with pytest.raises(ValueError, match="non-negative"):
+        assemble_correction(-1, 1, {(0, 1): rho.values})
 
 
 def test_max_asymmetry():

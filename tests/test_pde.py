@@ -20,7 +20,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from pchaos.core import GridField, KernelSpec, TorusGrid, fourier_field, product_field
+from pchaos.core import KernelSpec, TorusGrid, fourier_field, product_field
 from pchaos import pde
 from pchaos.experiments import fit_rate
 from pchaos.partitions import (assemble_correction, cluster_moment, clusters_from_moments,
@@ -78,6 +78,9 @@ def test_time_grid_validation():
         TimeGrid(0.1, 0)
     with pytest.raises(ValueError, match="divide"):
         TimeGrid(0.1, 10, store_every=3)
+    for dt in (0.0, float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(ValueError, match="dt must be positive and finite"):
+            TimeGrid(dt, 5)
 
 
 # ---------------------------------------------------------------------------
@@ -508,6 +511,41 @@ def test_gtable_load_rejects_other_dimension(saved_table):
         GTable.load(saved_table)
 
 
+@pytest.mark.parametrize("edit, message", [
+    (lambda m: m.update(M="16"), r"M is '16', expected a non-negative integer"),
+    (lambda m: m.update(n_steps=4.0), r"n_steps is 4\.0, expected a non-negative integer"),
+    (lambda m: m.update(store_every=True), r"store_every is True, expected a non-negative"),
+    (lambda m: m.update(i_max=-1), r"i_max is -1, expected a non-negative integer"),
+    (lambda m: m["entries"][0].update(j="1"), r"j is '1', expected a non-negative integer"),
+    (lambda m: m["entries"][0].update(i=None), r"i is None, expected a non-negative integer"),
+    (lambda m: m.update(dt=None), r"dt is None, expected a finite number"),
+    (lambda m: m.update(dt=float("nan")), r"dt is nan, expected a finite number"),
+    (lambda m: m.update(dt="2e-3"), r"dt is '2e-3', expected a finite number"),
+    (lambda m: m.update(entries={}), r"entries \[\] are not an order-1 table's"),
+    (lambda m: m.update(i_max=2), r"entries \[\(0, 1\), \(1, 1\), \(1, 2\)\] are not an order-2"),
+    (lambda m: m["entries"].pop(), r"entries \[\(0, 1\), \(1, 1\)\] are not an order-1"),
+    (lambda m: m["entries"].append(dict(m["entries"][0])),
+     r"entries \[\(0, 1\), \(0, 1\), \(1, 1\), \(1, 2\)\] are not an order-1"),
+    (lambda m: m["entries"].append(5), r"expected an object, got int"),
+    (lambda m: m.update(kernel_text=5), r"kernel_text, kernel_sha256 and files must be strings"),
+    (lambda m: m["entries"][0].update(file=5), r"kernel_text, kernel_sha256 and files must be strings"),
+], ids=[
+    "M-string", "n_steps-float", "store_every-bool", "i_max-negative", "j-string",
+    "i-null", "dt-null", "dt-nan", "dt-string", "entries-object",
+    "i_max-above-table", "entry-missing", "entry-repeated", "entry-not-object", "kernel_text-int",
+    "file-int",
+])
+def test_gtable_load_rejects_malformed_meta(saved_table, edit, message):
+    # every malformed meta.json is a ValueError naming the file, not a
+    # TypeError or KeyError, nor a table that loads and fails later
+    meta_path = saved_table / "meta.json"
+    meta = json.loads(meta_path.read_text())
+    edit(meta)
+    meta_path.write_text(json.dumps(meta))
+    with pytest.raises(ValueError, match="meta.json: " + message):
+        GTable.load(saved_table)
+
+
 def test_gtable_load_rejects_truncated_file(saved_table):
     path = saved_table / "g_1_2.f64"
     data = path.read_bytes()
@@ -575,8 +613,8 @@ def test_remainder_components_match_all_k_evaluation(small_table):
     for i in range(3):
         scale = N ** -(i + 1)
         for j in (1, 2):
-            fij = assemble_correction(i, j, fields).values
-            fij1 = assemble_correction(i, j + 1, fields).values
+            fij = assemble_correction(i, j, fields)
+            fij1 = assemble_correction(i, j + 1, fields)
             want = np.array(bbgky_fluxes(fij1, fij, j * scale, -scale, op))
             comps = compute_remainder(i, j, N, gt, s)[0]
             assert comps.shape == want.shape
@@ -624,14 +662,14 @@ def test_cluster3_recovers_constructed_clusters():
     f2 = np.multiply.outer(g1, g1) + g2
     f3 = (np.einsum("a,b,c->abc", g1, g1, g1) + np.einsum("ab,c->abc", g2, g1)
           + np.einsum("ac,b->abc", g2, g1) + np.einsum("bc,a->abc", g2, g1) + g3)
-    moments = {a: GridField(grid, a, v) for a, v in ((1, g1), (2, f2), (3, f3))}
+    moments = {1: g1, 2: f2, 3: f3}
     got = clusters_from_moments(moments)
-    assert np.array_equal(got[1].values, g1)
-    assert np.max(np.abs(got[2].values - g2)) < 1e-14
-    assert np.max(np.abs(got[3].values - g3)) < 1e-13
+    assert np.array_equal(got[1], g1)
+    assert np.max(np.abs(got[2] - g2)) < 1e-14
+    assert np.max(np.abs(got[3] - g3)) < 1e-13
     for a in (1, 2, 3):
-        back = cluster_moment(a, {b: got[b] for b in range(1, a + 1)}).values
-        assert np.max(np.abs(back - moments[a].values)) <= 1e-13 * np.abs(moments[a].values).max()
+        back = cluster_moment(a, {b: got[b] for b in range(1, a + 1)})
+        assert np.max(np.abs(back - moments[a])) <= 1e-13 * np.abs(moments[a]).max()
 
 
 @pytest.mark.parametrize("M", [8, 12])
@@ -640,13 +678,13 @@ def test_partition_closure_matches_dense_oracle(M):
     # against the term-by-term closure it replaced
     rng = np.random.default_rng(M)
     for _ in range(3):
-        f = random_consistent_triple(TorusGrid(M), rng)
+        f = {a: v.values for a, v in random_consistent_triple(TorusGrid(M), rng).items()}
         clusters = clusters_from_moments(f)
-        want = _cluster3(f[1].values, f[2].values, f[3].values)
+        want = _cluster3(f[1], f[2], f[3])
         for a in (1, 2, 3):
-            assert np.abs(clusters[a].values - want[a - 1]).max() <= 1e-13 * np.abs(want[a - 1]).max()
-        f4 = closure_f4(f[1].values, f[2].values, f[3].values)
-        assert np.abs(cluster_moment(4, clusters).values - f4).max() <= 1e-13 * np.abs(f4).max()
+            assert np.abs(clusters[a] - want[a - 1]).max() <= 1e-13 * np.abs(want[a - 1]).max()
+        f4 = closure_f4(f[1], f[2], f[3])
+        assert np.abs(cluster_moment(4, clusters) - f4).max() <= 1e-13 * np.abs(f4).max()
 
 
 @pytest.mark.parametrize("M", [8, 12])
@@ -660,11 +698,11 @@ def test_compiled_closure_flux_matches_dense_oracle(M):
     solver = _EntrySolver(compile_bbgky_terms(3, c_upper, c_self, True), 3, op)
     rng = np.random.default_rng(100 + M)
     for _ in range(20):
-        f = random_consistent_triple(grid, rng)
-        fields = {("f", a): v.values for a, v in f.items()}
-        fields.update((("g", a), g.values) for a, g in clusters_from_moments(f).items())
-        f4 = closure_f4(f[1].values, f[2].values, f[3].values)
-        want = bbgky_fluxes(f4, f[3].values, c_upper, c_self, op)[0]
+        f = {a: v.values for a, v in random_consistent_triple(grid, rng).items()}
+        fields = {("f", a): v for a, v in f.items()}
+        fields.update((("g", a), g) for a, g in clusters_from_moments(f).items())
+        f4 = closure_f4(f[1], f[2], f[3])
+        want = bbgky_fluxes(f4, f[3], c_upper, c_self, op)[0]
         got = solver.flux1(fields, {})
         assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
