@@ -16,12 +16,10 @@ from .bounds import (
     BoundCascade,
     cascade_bound,
     eval_I,
-    eval_I_many,
     eval_I_table,
     exp_bound,
     integrate_hierarchy,
     poly_bound,
-    recurrence_residual,
     recurrence_residual_sweep,
 )
 from .config import Config, ConfigError, load_config, parse_config_text

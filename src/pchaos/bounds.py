@@ -54,9 +54,7 @@ from numpy.polynomial.legendre import leggauss
 
 __all__ = [
     "eval_I",
-    "eval_I_many",
     "eval_I_table",
-    "recurrence_residual",
     "recurrence_residual_sweep",
     "poly_bound",
     "exp_bound",
@@ -123,14 +121,9 @@ def _top_order(ell: int, j: int, a: np.ndarray):
     return s, e + d, np.ldexp(term, -d), p_m, p_e
 
 
-def eval_I_many(ell: int, j: int, beta: float, ts) -> np.ndarray:
-    """I^ell_j at every time in ts."""
-    return eval_I_table(j, ell, beta, ts)[ell]
-
-
 def eval_I(ell: int, j: int, beta: float, t: float) -> float:
     """The damping integral I^ell_j(t) as a float."""
-    return float(eval_I_many(ell, j, beta, [t])[0])
+    return float(eval_I_table(j, ell, beta, [t])[ell, 0])
 
 
 def eval_I_table(j: int, ell_max: int, beta: float, ts) -> np.ndarray:
@@ -161,37 +154,21 @@ def eval_I_table(j: int, ell_max: int, beta: float, ts) -> np.ndarray:
     return out
 
 
-def recurrence_residual(ell: int, j: int, beta: float, t: float, order: int = 64) -> float:
-    """|I^ell_j(t) - beta j int_0^t e^{-beta j (t-s)} I^{ell-1}_{j+1}(s) ds|.
-
-    The integral is done by Gauss-Legendre panels sized so the exponential
-    factor varies by at most e^2 per panel; the integrand values come from the
-    closed-form evaluator, so this measures how well the returned values satisfy
-    the defining recurrence.
-    """
-    if ell < 1:
-        raise ValueError("the recurrence starts at ell = 1")
-    _check_args(ell, j, beta, t)
-    if t == 0:
-        return float(eval_I(ell, j, beta, 0.0))
-    ss, ww = _panel_nodes(j, beta, t, order)
-    inner = eval_I_many(ell - 1, j + 1, beta, ss)
-    integral = float(np.sum(ww * np.exp(-beta * j * (t - ss)) * inner))
-    return abs(eval_I(ell, j, beta, t) - beta * j * integral)
+RESIDUAL_ORDER = 16  # Gauss-Legendre nodes per panel of the recurrence residual
 
 
-@lru_cache(maxsize=8, typed=True)
-def _leggauss(order: int):
-    """leggauss(order), computed once per order and shared read-only."""
-    nodes, weights = leggauss(order)
+@lru_cache(maxsize=None)
+def _leggauss():
+    """leggauss(RESIDUAL_ORDER), computed once and shared read-only."""
+    nodes, weights = leggauss(RESIDUAL_ORDER)
     nodes.flags.writeable = weights.flags.writeable = False
     return nodes, weights
 
 
-def _panel_nodes(j: int, beta: float, t: float, order: int):
+def _panel_nodes(j: int, beta: float, t: float):
     """Gauss-Legendre nodes/weights on [0, t], panels sized to the damping rate."""
     panels = max(1, math.ceil(beta * j * t / 2.0))
-    nodes, weights = _leggauss(order)
+    nodes, weights = _leggauss()
     edges = np.linspace(0.0, t, panels + 1)
     ss, ww = [], []
     for a, b in zip(edges[:-1], edges[1:]):
@@ -200,15 +177,18 @@ def _panel_nodes(j: int, beta: float, t: float, order: int):
     return np.concatenate(ss), np.concatenate(ww)
 
 
-def recurrence_residual_sweep(
-    ell_max: int, j: int, beta: float, t: float, order: int = 16
-) -> np.ndarray:
+def recurrence_residual_sweep(ell_max: int, j: int, beta: float, t: float) -> np.ndarray:
     """Recurrence residuals for every ell = 1..ell_max at one (j, t).
 
-    Same check as recurrence_residual, but all orders share the quadrature
-    node set and the exponential tables, which makes certifying a whole
-    lattice column cost barely more than its largest single entry.  Entry
-    [ell-1] is the residual at order ell.
+    The residual at order ell is
+    |I^ell_j(t) - beta j int_0^t e^{-beta j (t-s)} I^{ell-1}_{j+1}(s) ds|, the
+    integral done by Gauss-Legendre panels sized so the exponential factor
+    varies by at most e^2 per panel.  The integrand values come from the
+    evaluator itself, so this measures how well its values satisfy the
+    defining recurrence.  All orders share the quadrature node set and the
+    exponential tables, which makes certifying a whole lattice column cost
+    barely more than its largest single entry.  Entry [ell-1] is the
+    residual at order ell.
     """
     if ell_max < 1:
         raise ValueError("the recurrence starts at ell = 1")
@@ -216,7 +196,7 @@ def recurrence_residual_sweep(
     outer = eval_I_table(j, ell_max, beta, [t])[:, 0]
     if t == 0:
         return np.abs(outer[1:])
-    ss, ww = _panel_nodes(j, beta, t, order)
+    ss, ww = _panel_nodes(j, beta, t)
     inner = eval_I_table(j + 1, ell_max - 1, beta, ss)
     damp = ww * np.exp(-beta * j * (t - ss))
     integrals = inner @ damp

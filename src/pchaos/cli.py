@@ -5,8 +5,9 @@ will create), and an optional --seed overriding the config seed.  Outputs are
 CSV/JSON plus a manifest recording the config hash and seed so any row can be
 reproduced from the pair.  A user error (a bad or missing config value, an
 input the package rejects, a file that cannot be read or written, a solve
-over its memory budget or a density driven negative) exits 2 with one line
-on stderr; exit 1 is left to the rates and bounds gates.
+over its memory budget or an allocation the machine cannot meet, a density
+driven negative) exits 2 with one line on stderr; exit 1 is left to the rates
+and bounds gates.
 """
 
 from __future__ import annotations
@@ -24,14 +25,7 @@ from .experiments import ExperimentConfig, run_bounds_report, run_rate_experimen
 from .metrics import divergence_report_from_samples, histogram_bins
 from .particles import SimConfig, SnapshotSet, extract_marginal_samples, run_ensemble
 from .partitions import max_asymmetry
-from .pde import (
-    GTable,
-    MemoryBudgetError,
-    NegativeDensityError,
-    TimeGrid,
-    solve_g_hierarchy,
-    solve_mckean_vlasov,
-)
+from .pde import GTable, NegativeDensityError, TimeGrid, solve_g_hierarchy, solve_mckean_vlasov
 
 __all__ = ["main"]
 
@@ -236,7 +230,7 @@ def main(argv=None) -> int:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         return _COMMANDS[args.command](cfg, out, args.seed)
-    except (OSError, ValueError, MemoryBudgetError, NegativeDensityError) as exc:
+    except (OSError, ValueError, MemoryError, NegativeDensityError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

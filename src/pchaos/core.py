@@ -65,11 +65,7 @@ class TorusGrid:
 
 @dataclass
 class GridField:
-    """Real-valued function samples on (T^1)^arity.
-
-    values has shape grid.shape(arity); a flat array of the right length is
-    accepted and reshaped.
-    """
+    """Real-valued function samples on (T^1)^arity; values has shape grid.shape(arity)."""
 
     grid: TorusGrid
     arity: int
@@ -79,27 +75,13 @@ class GridField:
         v = np.asarray(self.values, dtype=float)
         want = self.grid.shape(self.arity)
         if v.shape != want:
-            if v.size != int(np.prod(want)):
-                raise ValueError(
-                    f"field values have {v.size} entries, expected {int(np.prod(want))} "
-                    f"for arity {self.arity} on M={self.grid.M}"
-                )
-            v = v.reshape(want)
+            raise ValueError(f"field values have shape {v.shape}, expected {want} "
+                             f"for arity {self.arity} on M={self.grid.M}")
         self.values = v
 
     def integrate(self) -> float:
         """Rectangle-rule integral; exact for trigonometric polynomials below Nyquist."""
         return float(self.values.sum() * self.grid.cell_volume(self.arity))
-
-    def marginalize(self, coordinate: int) -> "GridField":
-        """Integrate out one torus factor (0-based), returning an arity-1 smaller field."""
-        if not 0 <= coordinate < self.arity:
-            raise ValueError(f"coordinate {coordinate} out of range for arity {self.arity}")
-        vals = self.values.sum(axis=coordinate) * self.grid.h
-        return GridField(self.grid, self.arity - 1, vals)
-
-    def copy(self) -> "GridField":
-        return GridField(self.grid, self.arity, self.values.copy())
 
 
 def check_density(f: GridField, name: str) -> None:
@@ -205,10 +187,6 @@ class KernelSpec:
             raise ValueError(
                 f"kernel band {self.band} exceeds the Nyquist limit of an M={M} grid"
             )
-
-    @classmethod
-    def zero(cls) -> "KernelSpec":
-        return cls(np.zeros(1), np.zeros(1), np.zeros(1), np.zeros(1))
 
     @classmethod
     def from_tables(cls, b: dict | None = None, khat: dict | None = None) -> "KernelSpec":

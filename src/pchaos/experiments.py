@@ -68,7 +68,7 @@ import numpy as np
 
 from . import bounds as bnd
 from .config import Config, ConfigError, _write_csv, _write_manifest
-from .core import GridField, KernelSpec, TorusGrid, fourier_field, step_count
+from .core import GridField, KernelSpec, TorusGrid, fourier_field, product_field, step_count
 from .metrics import (
     chi_squared_from_samples,
     histogram_bins,
@@ -85,6 +85,7 @@ from .particles import (
     extract_marginal_samples,
     mode_sum_drift,
 )
+from .partitions import assemble_correction
 from .pde import TimeGrid, solve_g_hierarchy
 
 __all__ = [
@@ -181,7 +182,7 @@ class ExperimentConfig:
             sample_grid=cfg.get_int("sample_grid", 256),
             bins=cfg.get_int("bins", 32),
             out_dir=out_override if out_override is not None else cfg.get_str("out", "results"),
-            workers=cfg.get_int("workers", min(8, os.cpu_count() or 1)),
+            workers=cfg.get_int("workers", 8),
         )
 
     def canonical_text(self) -> str:
@@ -459,8 +460,7 @@ def _predictions(ecfg: ExperimentConfig, kernel: KernelSpec, pool) -> _RatePlan:
     # only the final time is read, so only t = 0 and T are stored
     gt = solve_g_hierarchy(1, density, kernel, TimeGrid(ecfg.dt, n_steps, n_steps))
     rho = gt.field(0, 1, 1)
-    g11 = gt.field(1, 1, 1)
-    g12 = gt.field(1, 2, 1)
+    fields = gt.fields_at(1)
     h = grid.h
     x = grid.points
     per_phi = {}
@@ -468,19 +468,11 @@ def _predictions(ecfg: ExperimentConfig, kernel: KernelSpec, pool) -> _RatePlan:
         pv = _phi_values(kind, mode, x)
         per_phi[name] = {
             "mean": h * float((pv * rho.values).sum()),
-            "bias": h * float((pv * g11.values).sum()),
-            "pair": h * h * float(np.einsum("x,y,xy->", pv, pv, g12.values)),
+            "bias": h * float((pv * fields[(1, 1)]).sum()),
+            "pair": h * h * float(np.einsum("x,y,xy->", pv, pv, fields[(1, 2)])),
         }
-    gamma1 = g11.values
-    gamma2 = (
-        np.multiply.outer(g11.values, rho.values)
-        + np.multiply.outer(rho.values, g11.values)
-        + g12.values
-    )
-    chi_pred = {
-        1: weighted_l2_error(GridField(grid, 1, gamma1), rho),
-        2: weighted_l2_error(GridField(grid, 2, gamma2), rho),
-    }
+    chi_pred = {j: weighted_l2_error(GridField(grid, j, assemble_correction(1, j, fields)), rho)
+                for j in (1, 2)}
     Cdt, Sdt = chain.result() if chain is not None else _chain_moments(*chain_args)
     return _RatePlan(rho, per_phi, chi_pred, Cdt, Sdt, sample_density)
 
@@ -495,16 +487,18 @@ def run_rate_experiment(ecfg: ExperimentConfig) -> RateResult:
     out = Path(ecfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     kernel = KernelSpec.from_file(ecfg.kernel_path)
-    pool = ProcessPoolExecutor(max_workers=ecfg.workers) if ecfg.workers > 1 else None
+    # the pool forks every worker at its first task, so it is sized to the machine
+    workers = min(ecfg.workers, os.cpu_count() or 1)
+    pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
     try:
-        return _run_rates(ecfg, kernel, pool)
+        return _run_rates(ecfg, kernel, pool, workers)
     finally:
         if pool is not None:
             pool.shutdown(cancel_futures=True)
 
 
-def _run_rates(ecfg: ExperimentConfig, kernel: KernelSpec, pool) -> RateResult:
-    """run_rate_experiment on the given process pool (None: in this process)."""
+def _run_rates(ecfg: ExperimentConfig, kernel: KernelSpec, pool, workers: int) -> RateResult:
+    """run_rate_experiment on the given process pool of workers (None: in this process)."""
     plan = _predictions(ecfg, kernel, pool)
     per_phi, chi_pred, rho = plan.per_phi, plan.chi_pred, plan.rho
 
@@ -526,7 +520,7 @@ def _run_rates(ecfg: ExperimentConfig, kernel: KernelSpec, pool) -> RateResult:
             for N in N_list
         }
         tasks = [(N, r0, r1) for N in N_list
-                 for r0, r1 in _chunks(ecfg.replicas, N, ecfg.workers)]
+                 for r0, r1 in _chunks(ecfg.replicas, N, workers)]
         work = partial(_rate_worker, Cdt=plan.Cdt, Sdt=plan.Sdt, phis=_PHI_PANEL)
         if pool is None:
             parts = (work(sims[N], r0, r1) for N, r0, r1 in tasks)
@@ -566,11 +560,8 @@ def _run_rates(ecfg: ExperimentConfig, kernel: KernelSpec, pool) -> RateResult:
             for j in sorted(ecfg.j_list):
                 bins = histogram_bins(ecfg.bins, j)
                 samples, rep_ids = extract_marginal_samples(xs[:, :, None], j, True)
-                ref = rho if j == 1 else GridField(
-                    rho.grid, 2, np.multiply.outer(rho.values, rho.values)
-                )
                 est, se = chi_squared_from_samples(
-                    samples, ref, bins, rep_ids, seed=ecfg.seed
+                    samples, product_field(rho, j), bins, rep_ids, seed=ecfg.seed
                 )
                 rows.append(
                     _row(N, j, ecfg.order, ecfg.T, f"chi2_j{j}", est, chi_pred[j] / N ** 2, se)
@@ -634,7 +625,6 @@ def run_bounds_report(
     out_csv=None,
     inject: float = 0.0,
     residual_tol: float = 1e-6,
-    residual_order: int = 16,
 ) -> BoundsReport:
     """Certify the damping-integral inequalities on a finite lattice.
 
@@ -664,9 +654,7 @@ def run_bounds_report(
     for j in j_list:
         for t in t_list:
             vals = bnd.eval_I_table(j, ell_max, beta, [t])[1:, 0] + inject
-            residuals = bnd.recurrence_residual_sweep(
-                ell_max, j, beta, t, order=residual_order
-            )
+            residuals = bnd.recurrence_residual_sweep(ell_max, j, beta, t)
             for ell in range(1, ell_max + 1):
                 I = float(vals[ell - 1])
                 counts["range"] += 1

@@ -238,10 +238,6 @@ class DivergenceReport:
     def to_json(self) -> str:
         return json.dumps(asdict(self), indent=1)
 
-    @classmethod
-    def from_json(cls, text: str) -> "DivergenceReport":
-        return cls(**json.loads(text))
-
 
 def _hist_divergences(counts, n, q, n_cells):
     phat = counts / n

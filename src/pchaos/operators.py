@@ -154,7 +154,7 @@ def _kernel_matrix(kernel: KernelSpec, grid: TorusGrid) -> np.ndarray:
 class _Interaction:
     """The kernel K on one grid: the only place the hierarchy operators apply it.
 
-    starred() is the contraction behind H_k and pair() the routed weight
+    starred_from() is the contraction behind H_k and pair() the routed weight
     K(x_k, x_l) behind S_{k,l}; _EntrySolver builds every flux from them.
 
     Contractions go through the rank-Q factors h K(x, y) = sum_q V[q, x] U[y, q]
@@ -180,17 +180,14 @@ class _Interaction:
         self.U = np.stack(cols, axis=1)
         self.V = np.stack(rows)
 
-    def starred(self, vals: np.ndarray, coords: tuple, k: int, j: int) -> np.ndarray:
-        """Integrate the starred axis against K(x_k, .) and route onto the j-lattice.
-
-        coords are sorted with STAR last, so the starred axis is the final one.
-        The contraction appends an x_k axis; when the factor already carries x_k
-        the two are tied on the diagonal.
-        """
-        return self.starred_from(vals @ self.U, coords, k, j)
-
     def starred_from(self, vu: np.ndarray, coords: tuple, k: int, j: int) -> np.ndarray:
-        """starred() from the factor's contraction vu = vals @ U."""
+        """Integrate a factor's starred axis against K(x_k, .) and route onto the j-lattice.
+
+        vu = vals @ U is the factor's contraction against the kernel's y
+        columns.  coords are sorted with STAR last, so the starred axis is the
+        final one.  The contraction appends an x_k axis; when the factor
+        already carries x_k the two are tied on the diagonal.
+        """
         rest = coords[:-1]
         w = vu @ self.V
         if k in rest:

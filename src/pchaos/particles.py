@@ -298,10 +298,6 @@ class SnapshotSet:
     times: np.ndarray      # (n_times,)
     positions: np.ndarray  # (n_replicas, n_times, N, 1)
 
-    @property
-    def n_replicas(self) -> int:
-        return self.positions.shape[0]
-
     def at_time(self, idx: int) -> np.ndarray:
         return self.positions[:, idx]
 

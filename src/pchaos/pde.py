@@ -90,14 +90,6 @@ class TimeGrid:
             raise ValueError("store_every must divide n_steps")
 
     @property
-    def T(self) -> float:
-        return self.dt * self.n_steps
-
-    @property
-    def times(self) -> np.ndarray:
-        return self.dt * np.arange(self.n_steps + 1)
-
-    @property
     def stored_steps(self) -> np.ndarray:
         return np.arange(0, self.n_steps + 1, self.store_every)
 
@@ -123,13 +115,10 @@ class Trajectory:
     def times(self) -> np.ndarray:
         return self.tg.stored_times
 
-    def at(self, s: int) -> GridField:
-        return GridField(self.grid, self.arity, self.values[s])
 
-
-def _sup_norm_grid(kernel: KernelSpec, samples: int = 4096) -> float:
-    """Sup of |b(x) + khat(z)| over a fine grid (x and z vary independently)."""
-    pts = np.arange(samples) / samples
+def _sup_norm_grid(kernel: KernelSpec) -> float:
+    """Sup of |b(x) + khat(z)| over a 4096-point grid (x and z vary independently)."""
+    pts = np.arange(4096) / 4096
     b = kernel.b_values(pts)
     k = kernel.khat_values(pts)
     return float(max(b.max() + k.max(), -(b.min() + k.min())))
@@ -232,9 +221,6 @@ class GTable:
     def n_stored(self) -> int:
         return self.tg.n_stored
 
-    def entry(self, i: int, j: int) -> np.ndarray:
-        return self.entries[(i, j)]
-
     def field(self, i: int, j: int, s: int) -> GridField:
         return GridField(self.grid, j, self.entries[(i, j)][s])
 
@@ -279,7 +265,7 @@ class GTable:
         _require_keys(meta_file, meta, _META_KEYS)
         for ent in meta["entries"]:
             _require_keys(meta_file, ent, ("i", "j", "file"))
-        if meta["dim"] != 1:
+        if _meta_count(meta_file, meta, "dim") != 1:
             raise ValueError(f"{meta_file}: dim is {meta['dim']!r}, expected 1")
         if not all(isinstance(v, str) for v in (meta["kernel_text"], meta["kernel_sha256"],
                                                 *(ent["file"] for ent in meta["entries"]))):

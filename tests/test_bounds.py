@@ -27,20 +27,19 @@ from pchaos.bounds import (
     BoundCascade,
     cascade_bound,
     eval_I,
-    eval_I_many,
     eval_I_table,
     exp_bound,
     integrate_hierarchy,
     poly_bound,
-    recurrence_residual,
     recurrence_residual_sweep,
 )
-from pchaos.bounds import _leggauss, _panel_nodes
+from pchaos.bounds import RESIDUAL_ORDER, _leggauss, _panel_nodes
 from pchaos.config import load_config
 
 from conftest import REPO_ROOT
 from oracles.damping_integral_betainc import damping_integral_betainc_table
 from oracles.damping_integral_partial_fractions import damping_integral_table
+from oracles.recurrence_residual_scalar import recurrence_residual
 
 # frozen from tests/oracles/damping_integral_expm.py; the last entry sits at
 # 1e-29 where the double-precision oracle itself keeps only ~8 digits
@@ -91,7 +90,7 @@ def test_against_betainc_oracle_on_the_shipped_lattice():
     cases = []
     for j in cfg.get_int_list("j"):
         cases.append((j, ell_max, ts))
-        cases += [(j + 1, ell_max - 1, _panel_nodes(j, beta, t, 16)[0]) for t in ts]
+        cases += [(j + 1, ell_max - 1, _panel_nodes(j, beta, t)[0]) for t in ts]
     for j, ell, times in cases:
         got = eval_I_table(j, ell, beta, times)
         want = damping_integral_betainc_table(j, ell, beta, times)
@@ -188,7 +187,7 @@ def test_values_are_probabilities_and_monotone():
     ts = np.array([0.1, 0.5, 1.0, 2.0, 3.0])
     prev = None
     for ell in (1, 2, 4, 8, 16, 32):
-        vals = eval_I_many(ell, 2, 1.0, ts)
+        vals = eval_I_table(2, ell, 1.0, ts)[ell]
         assert np.all((0.0 <= vals) & (vals <= 1.0))
         assert np.all(np.diff(vals) >= -1e-15)          # increasing in t
         if prev is not None:
@@ -203,7 +202,7 @@ def test_table_matches_single_evaluations():
     table = eval_I_table(3, 20, 1.0, ts)
     assert table.shape == (21, 3)
     for ell in (0, 1, 7, 20):
-        want = eval_I_many(ell, 3, 1.0, ts)
+        want = eval_I_table(3, ell, 1.0, ts)[ell]
         assert np.allclose(table[ell], want, rtol=1e-11, atol=1e-14)
 
 
@@ -217,7 +216,7 @@ def test_argument_validation():
     with pytest.raises(ValueError, match="time"):
         eval_I(1, 1, 1.0, -0.5)
     with pytest.raises(ValueError, match="recurrence"):
-        recurrence_residual(0, 1, 1.0, 1.0)
+        recurrence_residual_sweep(0, 1, 1.0, 1.0)
 
 
 def test_non_finite_time_and_beta_are_rejected():
@@ -228,7 +227,7 @@ def test_non_finite_time_and_beta_are_rejected():
     with pytest.raises(ValueError, match="time"):
         eval_I(1, 1, 1.0, math.inf)
     with pytest.raises(ValueError, match="time"):
-        eval_I_many(1, 1, 1.0, [0.5, nan])
+        eval_I_table(1, 1, 1.0, [0.5, nan])
     with pytest.raises(ValueError, match="time"):
         eval_I_table(1, 4, 1.0, [nan, 0.5])
     with pytest.raises(ValueError, match="time"):
@@ -246,7 +245,6 @@ def test_bad_scalar_time_is_rejected_everywhere(t, kind):
     t = kind(t)
     for call in (lambda: poly_bound(4, 1, 2, 1.0, t), lambda: exp_bound(64, 1, 1.0, t),
                  lambda: eval_I(4, 1, 1.0, t),
-                 lambda: recurrence_residual(4, 1, 1.0, t),
                  lambda: recurrence_residual_sweep(4, 1, 1.0, t)):
         with pytest.raises(ValueError, match="time"):
             call()
@@ -255,14 +253,14 @@ def test_bad_scalar_time_is_rejected_everywhere(t, kind):
 
 
 def test_quadrature_nodes_are_shared_read_only():
-    ss, ww = _panel_nodes(2, 1.0, 3.0, 16)
-    ss2, ww2 = _panel_nodes(2, 1.0, 3.0, 16)
+    ss, ww = _panel_nodes(2, 1.0, 3.0)
+    ss2, ww2 = _panel_nodes(2, 1.0, 3.0)
     assert np.array_equal(ss, ss2) and np.array_equal(ww, ww2)
     assert ww.sum() == pytest.approx(3.0, rel=1e-14)
-    nodes, weights = np.polynomial.legendre.leggauss(16)
-    assert np.array_equal(ss[:16], 0.5 * 1.0 * nodes + 0.5 * 1.0)
+    nodes, weights = np.polynomial.legendre.leggauss(RESIDUAL_ORDER)
+    assert np.array_equal(ss[:RESIDUAL_ORDER], 0.5 * 1.0 * nodes + 0.5 * 1.0)
     with pytest.raises(ValueError):
-        _leggauss(16)[0][0] = 0.0
+        _leggauss()[0][0] = 0.0
 
 
 def test_recurrence_residual_small():
@@ -271,10 +269,11 @@ def test_recurrence_residual_small():
 
 
 def test_residual_sweep_matches_scalar_residual():
-    sweep = recurrence_residual_sweep(12, 2, 1.0, 0.8, order=32)
+    # the oracle integrates one order on its own panels, at 64 nodes each
+    sweep = recurrence_residual_sweep(12, 2, 1.0, 0.8)
     assert sweep.shape == (12,)
     for ell in (1, 5, 12):
-        scalar = recurrence_residual(ell, 2, 1.0, 0.8, order=32)
+        scalar = recurrence_residual(ell, 2, 1.0, 0.8)
         assert sweep[ell - 1] == pytest.approx(scalar, abs=1e-13)
     assert np.max(sweep) < 1e-10
 

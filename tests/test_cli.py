@@ -335,6 +335,17 @@ def test_hierarchy_over_memory_budget_is_a_user_error(tmp_path, capsys):
     assert err.startswith("error: ") and "budget" in err and err.count("\n") == 1
 
 
+def test_allocation_the_machine_cannot_meet_is_a_user_error(tmp_path, capsys):
+    # N = 2**50 asks for 8 PiB of positions, past what any address space can
+    # map, so numpy's MemoryError comes at once
+    cfg = _write_cfg(tmp_path, "huge.cfg",
+                     f"kernel = {KERNEL_PATH}\ndensity_cos = 1.0, 0.5\nsample_grid = 64\n"
+                     f"N = {2 ** 50}\ndt = 1e-3\nT = 2e-3\nreplicas = 1\n")
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: Unable to allocate") and err.count("\n") == 1
+
+
 def test_negative_density_is_a_user_error(tmp_path, capsys):
     # a strong confinement on a coarse grid: the step passes the CFL check
     # but the explicit transport drives the density negative

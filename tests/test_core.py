@@ -20,12 +20,12 @@ def test_grid_validation():
         TorusGrid(1)
 
 
-def test_field_reshapes_flat_input():
+def test_field_rejects_misshapen_input():
     g = TorusGrid(4)
-    f = GridField(g, 2, np.arange(16.0))
-    assert f.values.shape == (4, 4)
-    with pytest.raises(ValueError, match="entries"):
-        GridField(g, 2, np.arange(15.0))
+    assert GridField(g, 2, np.ones((4, 4))).values.shape == (4, 4)
+    for bad in (np.arange(16.0), np.arange(15.0), np.ones((4, 4, 1))):
+        with pytest.raises(ValueError, match=r"expected \(4, 4\) for arity 2 on M=4"):
+            GridField(g, 2, bad)
 
 
 def test_integrate_exact_for_trig_polynomials():
@@ -33,19 +33,6 @@ def test_integrate_exact_for_trig_polynomials():
     f = fourier_field(g, [1.0, 0.3, 0.0, -0.2], [0.0, 0.1, 0.4, 0.0])
     # every nonconstant mode integrates to zero on the full period
     assert f.integrate() == pytest.approx(1.0, abs=1e-15)
-
-
-def test_marginalize_tensor_product():
-    g = TorusGrid(16)
-    rho = fourier_field(g, [1.0, 0.5])
-    sig = fourier_field(g, [1.0, 0.0, 0.25])
-    f2 = GridField(g, 2, np.multiply.outer(rho.values, sig.values))
-    m0 = f2.marginalize(0)   # integrates out x_1, leaving sigma * mass(rho)
-    m1 = f2.marginalize(1)
-    assert np.allclose(m0.values, sig.values, atol=1e-14)
-    assert np.allclose(m1.values, rho.values, atol=1e-14)
-    with pytest.raises(ValueError, match="coordinate"):
-        f2.marginalize(2)
 
 
 def test_is_probability_density():
@@ -87,8 +74,8 @@ def test_kernel_eval_matches_series(default_kernel):
     assert np.allclose(got, want, atol=1e-14)
     assert default_kernel.sup_norm_bound == 1.0
     assert default_kernel.band == 1
-    assert KernelSpec.zero().sup_norm_bound == 0.0
-    assert KernelSpec.zero().mode_table == ()
+    assert KernelSpec.from_tables().sup_norm_bound == 0.0
+    assert KernelSpec.from_tables().mode_table == ()
 
 
 def test_kernel_text_roundtrip_preserves_floats():
@@ -166,7 +153,7 @@ def test_convolve_density_equals_direct_sum():
 def test_convolve_density_mass_and_zero_kernel():
     g = TorusGrid(16)
     rho = fourier_field(g, [1.0, 0.5])
-    assert np.allclose(mean_field_flux(KernelSpec.zero(), g, rho.values), 0.0)
+    assert np.allclose(mean_field_flux(KernelSpec.from_tables(), g, rho.values), 0.0)
     k = KernelSpec.from_tables(b={0: (2.0, 0.0)})   # K * rho = 2 mass(rho) = 2
     flux = mean_field_flux(k, g, rho.values)
     assert np.allclose(flux, 2.0 * rho.values, atol=1e-14)

@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+from concurrent.futures import Future
 from pathlib import Path
 
 import numpy as np
@@ -543,6 +544,33 @@ def test_rate_pool_matches_serial_run(tmp_path):
     assert Path(serial.csv_path).read_bytes() == Path(pooled.csv_path).read_bytes()
 
 
+def test_rate_pool_is_sized_to_the_machine(tmp_path, monkeypatch):
+    # the pool forks every worker at its first task, so 64 requested workers
+    # on two CPUs get a pool of two and chunks for two; the stub pool runs
+    # each task inline and starts no process
+    pools, tasks = [], []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def submit(self, fn, *args, **kwargs):
+            tasks.append(fn)
+            future = Future()
+            future.set_result(fn(*args, **kwargs))
+            return future
+
+        def shutdown(self, cancel_futures=False):
+            pass
+
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(experiments.os, "cpu_count", lambda: 2)
+    run_rate_experiment(_ecfg(tmp_path, N_list=(40, 60, 80), replicas=300, workers=64))
+    assert pools == [2]
+    # the chain-moment table, then every N's chunks for two workers
+    assert len(tasks) == 1 + sum(len(experiments._chunks(300, N, 2)) for N in (40, 60, 80))
+
+
 def test_chunks_cover_replicas_in_multiples_of_workers():
     for replicas, N, workers in ((600, 25, 2), (600, 100, 2), (10000, 800, 8), (10, 4, 3), (3, 10**6, 8)):
         chunks = experiments._chunks(replicas, N, workers)
@@ -559,10 +587,7 @@ def test_chunks_cover_replicas_in_multiples_of_workers():
 
 def test_bounds_report_clean_lattice(tmp_path):
     out = tmp_path / "bounds.csv"
-    rep = run_bounds_report(
-        j_list=(1, 4), ell_max=8, b_list=(1, 3), t_list=(0.5,),
-        out_csv=out, residual_order=8,
-    )
+    rep = run_bounds_report(j_list=(1, 4), ell_max=8, b_list=(1, 3), t_list=(0.5,), out_csv=out)
     assert rep.ok and rep.violations == []
     assert len(rep.rows) == 2 * 8 * 2
     assert all(r["margin"] >= -1e-12 for r in rep.rows)
@@ -577,10 +602,7 @@ def test_bounds_report_clean_lattice(tmp_path):
 def test_bounds_report_flags_injected_fault():
     # at (j=16, ell=64, b=7, t=0.1) the polynomial bound sits near 3e-4, so
     # shifting every value up by 1e-3 must be caught
-    rep = run_bounds_report(
-        j_list=(16,), ell_max=64, b_list=(7,), t_list=(0.1,),
-        inject=1e-3, residual_order=8,
-    )
+    rep = run_bounds_report(j_list=(16,), ell_max=64, b_list=(7,), t_list=(0.1,), inject=1e-3)
     assert not rep.ok
     assert any(v.startswith("poly") for v in rep.violations)
     assert any("FAIL" in s for s in rep.summary)
@@ -594,7 +616,7 @@ def _fails_every_check(summary_line):
 def test_bounds_report_nan_fails_every_gate(monkeypatch):
     # a NaN value fails the gates that read I (inject does not reach the
     # recurrence residuals), a NaN residual fails the recurrence gate
-    lattice = dict(j_list=(1, 4), ell_max=12, b_list=(1, 3), t_list=(0.1, 3.0), residual_order=8)
+    lattice = dict(j_list=(1, 4), ell_max=12, b_list=(1, 3), t_list=(0.1, 3.0))
     rng, rec, poly, exp = run_bounds_report(inject=math.nan, **lattice).summary
     assert all(_fails_every_check(line) for line in (rng, poly, exp))
     assert "PASS" in rec

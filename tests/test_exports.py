@@ -3,7 +3,9 @@
 A stale __all__ entry (a name deleted from the module but still exported)
 breaks `from pchaos.<module> import *` and misleads readers; nothing else
 would catch it.  Likewise every name the benchmark imports or traces must
-resolve, or the benchmark would first fail when it is run.  And every
+resolve, or the benchmark would first fail when it is run.  Every public
+name must also be reached by the package itself or by the benchmark, not
+only by tests: a path only tests take belongs in tests/oracles/.  And every
 reference implementation in tests/oracles/ must be used by a test, or it
 checks nothing.
 """
@@ -49,9 +51,15 @@ def test_benchmark_layer_imports_resolve():
     assert not missing, f"benchmarks/layers.py imports missing names {missing}"
 
 
-def test_benchmark_traced_names_resolve():
+def _traced() -> dict:
+    """The TRACED table of benchmarks/child.py: module -> dotted names it wraps."""
     traced, = [ast.literal_eval(node.value) for node in _module_tree("child.py").body
                if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", None) == "TRACED"]
+    return traced
+
+
+def test_benchmark_traced_names_resolve():
+    traced = _traced()
     assert traced
     missing = []
     for modname, names in traced.items():
@@ -114,3 +122,77 @@ def test_every_oracle_is_used_by_a_test():
     assert len(oracles) >= 13
     orphans = sorted(oracles - used)
     assert not orphans, f"no test uses {orphans} of tests/oracles/"
+
+
+# Public names that no command and no benchmark reaches yet, each kept for
+# the ROADMAP direction that will call it.  The list can only shrink: a piece
+# that becomes reachable fails the guard until it is taken off.
+ROADMAP_PIECES = {
+    "pde.check_energy_inequality": "direction 1: the orders command",
+    "pde.solve_bbgky_reference": "direction 1: the orders command",
+    "bounds.cascade_bound": "direction 3: the cascade certifier",
+    "bounds.integrate_hierarchy": "direction 3: the cascade certifier",
+}
+
+
+def _public_names():
+    """(qualified name, bare name) of each __all__ entry and of each public
+    method or property of the classes listed there."""
+    for modname in MODULES:
+        module = importlib.import_module(f"pchaos.{modname}")
+        for name in module.__all__:
+            yield f"{modname}.{name}", name
+            obj = getattr(module, name)
+            if not inspect.isclass(obj):
+                continue
+            for attr, val in vars(obj).items():
+                if not attr.startswith("_") and (
+                        inspect.isfunction(val)
+                        or isinstance(val, (property, classmethod, staticmethod))):
+                    yield f"{modname}.{name}.{attr}", attr
+
+
+def _references(path, skip_own_def: bool) -> set:
+    """Identifiers that ast.Name and ast.Attribute nodes of a file name; with
+    skip_own_def, not counting those inside a def or class of the same name."""
+    found = set()
+
+    def visit(node, enclosing):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            enclosing = enclosing | {node.name}
+        if isinstance(node, ast.Name):
+            name = node.id
+        elif isinstance(node, ast.Attribute):
+            name = node.attr
+        else:
+            name = None
+        if name is not None and not (skip_own_def and name in enclosing):
+            found.add(name)
+        for child in ast.iter_child_nodes(node):
+            visit(child, enclosing)
+
+    visit(ast.parse(path.read_text(encoding="utf-8")), frozenset())
+    return found
+
+
+def test_every_public_name_is_reached_outside_tests():
+    # A name passes when the package (not counting __init__.py, which only
+    # re-exports) or the benchmark refers to it, or the benchmark traces it.
+    # A shared name (.copy, .at) can hide a dead one, but never makes a live
+    # one fail.
+    reached = set()
+    for path in (REPO_ROOT / "src" / "pchaos").glob("*.py"):
+        if path.name != "__init__.py":
+            reached |= _references(path, skip_own_def=True)
+    for path in (REPO_ROOT / "benchmarks").glob("*.py"):
+        reached |= _references(path, skip_own_def=False)
+    for names in _traced().values():
+        for name in names:
+            reached.update(name.split("."))
+    public = dict(_public_names())
+    unknown = sorted(set(ROADMAP_PIECES) - set(public))
+    assert not unknown, f"ROADMAP_PIECES lists {unknown}, which no module exports"
+    dead = sorted(q for q, name in public.items() if name not in reached and q not in ROADMAP_PIECES)
+    assert not dead, f"only tests reach {dead}: move them to tests/oracles/ or delete them"
+    live = sorted(q for q in ROADMAP_PIECES if public[q] in reached)
+    assert not live, f"{live} are now reached: take them off ROADMAP_PIECES"

@@ -174,8 +174,7 @@ def test_divergence_report_fields_and_roundtrip():
     assert payload["bins"] == 8
     assert payload["n_samples"] == 20_000
     assert payload["n_replicas"] == 200
-    back = DivergenceReport.from_json(rep.to_json())
-    assert back == rep
+    assert DivergenceReport(**payload) == rep
     # the three sample estimators carry different bias corrections, so the
     # Pinsker ordering tv^2 <= kl/2 <= chi2/2 holds only up to estimation error
     assert rep.relative_entropy / 2 - rep.total_variation ** 2 >= -1e-3

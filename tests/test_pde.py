@@ -65,7 +65,6 @@ def l2_norm_sq(values: np.ndarray, h: float) -> float:
 
 def test_time_grid_properties():
     tg = TimeGrid(0.01, 100, store_every=10)
-    assert tg.T == pytest.approx(1.0)
     assert tg.n_stored == 11
     assert np.allclose(tg.stored_times, np.linspace(0.0, 1.0, 11))
     assert list(tg.stored_steps[:3]) == [0, 10, 20]
@@ -93,7 +92,7 @@ def test_heat_evolution_is_exact_per_mode():
     g = TorusGrid(32)
     f = fourier_field(g, [1.0, 0.3, 0.0, -0.1], [0.0, 0.2, 0.1, 0.0])
     tg = TimeGrid(1e-3, 100)
-    traj = solve_mckean_vlasov(f, KernelSpec.zero(), tg)
+    traj = solve_mckean_vlasov(f, KernelSpec.from_tables(), tg)
     x = g.points
     for s, t in ((50, 0.05), (100, 0.1)):
         want = (1.0
@@ -202,8 +201,8 @@ def test_generic_hierarchy_matches_explicit_first_order(default_kernel):
     assert np.max(np.abs(rho.values - solve_mckean_vlasov(f, default_kernel, tg).values)) == 0.0
     g12 = solve_g1_pair(rho, default_kernel, tg)
     g11 = solve_g1_single(rho, g12, default_kernel, tg)
-    assert np.max(np.abs(g12.values - gt.entry(1, 2))) < 1e-12
-    assert np.max(np.abs(g11.values - gt.entry(1, 1))) < 1e-12
+    assert np.max(np.abs(g12.values - gt.entries[(1, 2)])) < 1e-12
+    assert np.max(np.abs(g11.values - gt.entries[(1, 1)])) < 1e-12
 
 
 def test_explicit_solvers_need_full_resolution(default_kernel):
@@ -225,14 +224,13 @@ def test_hierarchy_marginals_vanish(default_kernel):
         if (i, j) == (0, 1):
             continue
         for s in range(gt.n_stored):
-            fld = gt.field(i, j, s)
             for c in range(j):
-                assert np.max(np.abs(fld.marginalize(c).values)) < 1e-12
+                assert np.max(np.abs(arr[s].sum(axis=c) * g.h)) < 1e-12
 
 
 HIERARCHY_ENTRIES = [(1, 1), (1, 2), (2, 1), (2, 2), (2, 3)]
 
-ZERO_KERNEL = KernelSpec.zero()
+ZERO_KERNEL = KernelSpec.from_tables()
 B_ONLY_KERNEL = KernelSpec.from_tables(b={0: (0.3, 0.0), 2: (0.5, -0.25)})
 KHAT_CONSTANT_KERNEL = KernelSpec.from_tables(khat={0: (0.7, 0.0), 1: (0.0, 0.25)})
 
@@ -405,7 +403,7 @@ def test_starred_patterns_cover_both_ties():
 @example(kernel=B_ONLY_KERNEL, seed=1)
 @example(kernel=KHAT_CONSTANT_KERNEL, seed=2)
 def test_starred_matches_direct_quadrature(kernel, seed):
-    # starred() against h sum_y vals[..., y] K(x_k, y) with K from
+    # starred_from() against h sum_y vals[..., y] K(x_k, y) with K from
     # KernelSpec.eval; einsum ties x_k on the diagonal when the factor has it
     grid = TorusGrid(8)
     M, x = grid.M, grid.points
@@ -421,7 +419,7 @@ def test_starred_matches_direct_quadrature(kernel, seed):
                 + "".join(letter[c] for c in out))
         want = grid.h * np.einsum(spec, vals, K)
         want = want.reshape(tuple(M if c in out else 1 for c in range(1, j + 1)))
-        got = op.starred(vals, coords, k, j)
+        got = op.starred_from(vals @ op.U, coords, k, j)
         assert got.shape == want.shape, (coords, k, j)
         assert np.abs(got - want).max() <= 1e-13 * max(1.0, np.abs(want).max()), (coords, k, j)
 
@@ -512,6 +510,8 @@ def test_gtable_load_rejects_other_dimension(saved_table):
 
 
 @pytest.mark.parametrize("edit, message", [
+    (lambda m: m.update(dim=True), r"dim is True, expected a non-negative integer"),
+    (lambda m: m.update(dim=1.0), r"dim is 1\.0, expected a non-negative integer"),
     (lambda m: m.update(M="16"), r"M is '16', expected a non-negative integer"),
     (lambda m: m.update(n_steps=4.0), r"n_steps is 4\.0, expected a non-negative integer"),
     (lambda m: m.update(store_every=True), r"store_every is True, expected a non-negative"),
@@ -530,6 +530,7 @@ def test_gtable_load_rejects_other_dimension(saved_table):
     (lambda m: m.update(kernel_text=5), r"kernel_text, kernel_sha256 and files must be strings"),
     (lambda m: m["entries"][0].update(file=5), r"kernel_text, kernel_sha256 and files must be strings"),
 ], ids=[
+    "dim-bool", "dim-float",
     "M-string", "n_steps-float", "store_every-bool", "i_max-negative", "j-string",
     "i-null", "dt-null", "dt-nan", "dt-string", "entries-object",
     "i_max-above-table", "entry-missing", "entry-repeated", "entry-not-object", "kernel_text-int",
@@ -581,7 +582,7 @@ def test_assemble_phi_has_unit_mass(small_table):
         for j in (1, 2):
             phi = assemble_phi(i, j, 50.0, gt)
             for s in range(gt.n_stored):
-                assert phi.at(s).integrate() == pytest.approx(1.0, abs=1e-11)
+                assert phi.values[s].sum() * gt.grid.h ** j == pytest.approx(1.0, abs=1e-11)
     with pytest.raises(ValueError, match="order"):
         assemble_phi(3, 1, 50.0, gt)
 
@@ -691,7 +692,7 @@ def test_partition_closure_matches_dense_oracle(M):
 def test_compiled_closure_flux_matches_dense_oracle(M):
     # the top level's flux contracts the cluster functions partition by
     # partition; against the dense f_4 of the term-by-term closure,
-    # contracted through starred() and with the pair term added
+    # contracted through starred_from() and with the pair term added
     grid = TorusGrid(M)
     op = _Interaction(RICH_KERNEL, grid)
     c_upper, c_self = 5 / 8, 1 / 8
