@@ -44,7 +44,8 @@ def _hashed_text(cfg: Config) -> str:
     """The config's canonical text, then the text of the kernel file it names.
 
     The kernel is part of the input, so the manifest hash covers it, as in
-    ExperimentConfig.canonical_text.
+    ExperimentConfig.canonical_text.  Each command builds its hash text before
+    it runs, so an input changed during the run does not change the hash.
     """
     text = cfg.canonical_text()
     if cfg.has("kernel"):
@@ -62,9 +63,9 @@ def _time_grid(cfg: Config) -> TimeGrid:
     return TimeGrid(dt, step_count(cfg.get_float("T"), dt), cfg.get_int("store_every", 1))
 
 
-def _max_mass_drift(traj) -> float:
-    """Largest |mass - 1| of a density trajectory over its stored times."""
-    return max(abs(traj.grid.h * traj.values[s].sum() - 1.0) for s in range(len(traj.times)))
+def _max_mass_drift(rho: np.ndarray, grid: TorusGrid) -> float:
+    """Largest |mass - 1| of a density over its stored times (the rows of rho)."""
+    return max(abs(grid.h * row.sum() - 1.0) for row in rho)
 
 
 def _cmd_simulate(cfg: Config, out: Path, seed) -> int:
@@ -75,6 +76,7 @@ def _cmd_simulate(cfg: Config, out: Path, seed) -> int:
         raise ConfigError("self_interaction must be true: every prediction includes the k = j term")
     if cfg.get_str("snapshot_format", "raw") != "raw":
         raise ConfigError("snapshot_format must be raw, the format metrics reads")
+    hashed = _hashed_text(cfg)
     kernel = KernelSpec.from_file(cfg.get_str("kernel"))
     density = _density_from_config(cfg, "sample_grid", 256)
     sim = SimConfig(
@@ -88,27 +90,29 @@ def _cmd_simulate(cfg: Config, out: Path, seed) -> int:
     )
     times = cfg.get_float_list("output_times", [sim.T])
     run_ensemble(sim, times).to_raw(out / "snapshots.raw")
-    _write_manifest(out, _hashed_text(cfg), sim.base_seed, n_replicas=sim.n_replicas, N=sim.N)
+    _write_manifest(out, hashed, sim.base_seed, n_replicas=sim.n_replicas, N=sim.N)
     print(f"simulate: {sim.n_replicas} replicas of N={sim.N} to t={sim.T} -> {out}")
     return 0
 
 
 def _cmd_solve_mv(cfg: Config, out: Path, seed) -> int:
+    hashed = _hashed_text(cfg)
     kernel = KernelSpec.from_file(cfg.get_str("kernel"))
     density = _density_from_config(cfg)
+    grid = density.grid
     tg = _time_grid(cfg)
-    traj = solve_mckean_vlasov(density, kernel, tg)
-    grid = traj.grid
+    rho = solve_mckean_vlasov(density, kernel, tg)
     _write_csv(out / "rho.csv", ("t", "x", "value"),
-               ({"t": t, "x": x, "value": v} for t, vals in zip(traj.times, traj.values)
+               ({"t": t, "x": x, "value": v} for t, vals in zip(tg.stored_times, rho)
                 for x, v in zip(grid.points, vals)))
-    drift = _max_mass_drift(traj)
-    _write_manifest(out, _hashed_text(cfg), _seed(cfg, seed), max_mass_drift=drift)
+    drift = _max_mass_drift(rho, grid)
+    _write_manifest(out, hashed, _seed(cfg, seed), max_mass_drift=drift)
     print(f"solve-mv: M={grid.M}, {tg.n_steps} steps, max mass drift {drift:.3e}")
     return 0
 
 
 def _cmd_solve_hierarchy(cfg: Config, out: Path, seed) -> int:
+    hashed = _hashed_text(cfg)
     kernel = KernelSpec.from_file(cfg.get_str("kernel"))
     density = _density_from_config(cfg)
     tg = _time_grid(cfg)
@@ -117,16 +121,19 @@ def _cmd_solve_hierarchy(cfg: Config, out: Path, seed) -> int:
     gt.save(out / "gtable")
     asymmetry = {f"g_{i}_{j}": max(max_asymmetry(gt.field(i, j, s)) for s in range(gt.n_stored))
                  for i, j in sorted(gt.entries)}
-    _write_manifest(out, _hashed_text(cfg), _seed(cfg, seed), i_max=i_max,
-                    entries=len(gt.entries), max_mass_drift=_max_mass_drift(gt.rho()),
+    _write_manifest(out, hashed, _seed(cfg, seed), i_max=i_max, entries=len(gt.entries),
+                    max_mass_drift=_max_mass_drift(gt.entries[(0, 1)], gt.grid),
                     max_asymmetry=asymmetry)
     print(f"solve-hierarchy: order {i_max}, {len(gt.entries)} entries -> {out / 'gtable'}")
     return 0
 
 
 def _cmd_metrics(cfg: Config, out: Path, seed) -> int:
+    gdir = Path(cfg.get_str("gtable"))
+    inputs = [cfg.get_str("snapshots"), gdir / "meta.json", *sorted(gdir.glob("*.f64"))]
+    hashed = _hashed_text(cfg) + _file_digests(inputs)
     snaps = SnapshotSet.from_raw(cfg.get_str("snapshots"))
-    gt = GTable.load(cfg.get_str("gtable"))
+    gt = GTable.load(gdir)
     t = cfg.get_float("time", float(snaps.times[-1]))
     # written so that a NaN time matches nothing
     tidx = int(np.argmin(np.abs(snaps.times - t)))
@@ -153,14 +160,12 @@ def _cmd_metrics(cfg: Config, out: Path, seed) -> int:
             f"metrics j={j}: chi2 {report.chi_squared:.4e} "
             f"(se {report.se_chi_squared:.2e}), tv {report.total_variation:.4e}"
         )
-    gdir = Path(cfg.get_str("gtable"))
-    inputs = [cfg.get_str("snapshots"), gdir / "meta.json", *sorted(gdir.glob("*.f64"))]
-    _write_manifest(out, _hashed_text(cfg) + _file_digests(inputs), base_seed,
-                    time=t, chi_squared=results)
+    _write_manifest(out, hashed, base_seed, time=t, chi_squared=results)
     return 0
 
 
 def _cmd_bounds(cfg: Config, out: Path, seed) -> int:
+    hashed = _hashed_text(cfg)
     report = run_bounds_report(
         j_list=cfg.get_int_list("j", [1, 4, 16]),
         ell_max=cfg.get_int("ell_max", 64),
@@ -177,8 +182,7 @@ def _cmd_bounds(cfg: Config, out: Path, seed) -> int:
         print("violation:", v)
     if len(report.violations) > 20:
         print(f"... and {len(report.violations) - 20} more")
-    _write_manifest(out, _hashed_text(cfg), _seed(cfg, seed),
-                    violations=len(report.violations))
+    _write_manifest(out, hashed, _seed(cfg, seed), violations=len(report.violations))
     return 0 if report.ok else 1
 
 

@@ -131,6 +131,8 @@ class ExperimentConfig:
             raise ConfigError("N values must be distinct")
         if not self.j_list or any(j not in (1, 2) for j in self.j_list):
             raise ConfigError("marginal orders j must come from {1, 2}")
+        if len(set(self.j_list)) != len(self.j_list):
+            raise ConfigError("j values must be distinct")
         if min(self.N_list) < max(2, max(self.j_list)):
             raise ConfigError("every N must be at least 2 and at least the largest j")
         if not 1 <= self.order <= 2:
@@ -161,6 +163,9 @@ class ExperimentConfig:
                         f"too many histogram cells at N = {N}, j = {j}: {bins}^{j} = "
                         f"{bins ** j} exceeds n/50 = {n / 50:g} (n = replicas * floor(N/j))"
                     )
+        if len(self.N_list) < 3:
+            raise ConfigError(f"need at least three N values for the rate fits, "
+                              f"got {len(self.N_list)}")
         fine = fourier_field(TorusGrid(4096), self.density_cos, self.density_sin)
         if fine.values.min() < 1e-3:
             raise ConfigError("initial density must stay above 1e-3")
@@ -486,19 +491,23 @@ def run_rate_experiment(ecfg: ExperimentConfig) -> RateResult:
     """
     out = Path(ecfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    # built before the run, so the manifest hashes the kernel that ran
+    hashed = ecfg.canonical_text()
     kernel = KernelSpec.from_file(ecfg.kernel_path)
     # the pool forks every worker at its first task, so it is sized to the machine
     workers = min(ecfg.workers, os.cpu_count() or 1)
     pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
     try:
-        return _run_rates(ecfg, kernel, pool, workers)
+        return _run_rates(ecfg, hashed, kernel, pool, workers)
     finally:
         if pool is not None:
             pool.shutdown(cancel_futures=True)
 
 
-def _run_rates(ecfg: ExperimentConfig, kernel: KernelSpec, pool, workers: int) -> RateResult:
-    """run_rate_experiment on the given process pool of workers (None: in this process)."""
+def _run_rates(ecfg: ExperimentConfig, hashed: str, kernel: KernelSpec, pool,
+               workers: int) -> RateResult:
+    """run_rate_experiment on the given process pool of workers (None: in this process);
+    hashed is the manifest's hash text."""
     plan = _predictions(ecfg, kernel, pool)
     per_phi, chi_pred, rho = plan.per_phi, plan.chi_pred, plan.rho
 
@@ -570,7 +579,7 @@ def _run_rates(ecfg: ExperimentConfig, kernel: KernelSpec, pool, workers: int) -
         failure = f"{type(exc).__name__}: {exc}"
         raise
     finally:
-        csv_path, manifest_path = _persist_rates(ecfg, rows, failure)
+        csv_path, manifest_path = _persist_rates(ecfg, hashed, rows, failure)
 
     fits = {
         "bias": fit_rate(bias_points),
@@ -586,14 +595,14 @@ def _row(N, j, i, t, observable, estimate, prediction, se):
     }
 
 
-def _persist_rates(ecfg: ExperimentConfig, rows, failure):
+def _persist_rates(ecfg: ExperimentConfig, hashed: str, rows, failure):
     out = Path(ecfg.out_dir)
     csv_path = out / "rates.csv"
     ordered = sorted(rows, key=lambda r: (r["N"], r["j"], r["observable"]))
     _write_csv(csv_path, ("N", "j", "i", "t", "observable", "estimate", "prediction", "se"),
                ordered)
     manifest_path = _write_manifest(
-        out, ecfg.canonical_text(), ecfg.seed,
+        out, hashed, ecfg.seed,
         rows=len(ordered), status="failed: " + failure if failure else "complete",
     )
     return csv_path, manifest_path

@@ -47,7 +47,6 @@ from .partitions import assemble_correction, clusters_from_moments, solve_order
 
 __all__ = [
     "TimeGrid",
-    "Trajectory",
     "GTable",
     "solve_mckean_vlasov",
     "solve_g_hierarchy",
@@ -100,20 +99,6 @@ class TimeGrid:
     @property
     def n_stored(self) -> int:
         return self.n_steps // self.store_every + 1
-
-
-@dataclass
-class Trajectory:
-    """Time-indexed grid field: values[s] is the field at stored_times[s]."""
-
-    grid: TorusGrid
-    arity: int
-    tg: TimeGrid
-    values: np.ndarray
-
-    @property
-    def times(self) -> np.ndarray:
-        return self.tg.stored_times
 
 
 def _sup_norm_grid(kernel: KernelSpec) -> float:
@@ -172,13 +157,14 @@ def _trajectories(steps, tg: TimeGrid) -> dict:
     return store
 
 
-def solve_mckean_vlasov(f: GridField, kernel: KernelSpec, tg: TimeGrid) -> Trajectory:
+def solve_mckean_vlasov(f: GridField, kernel: KernelSpec, tg: TimeGrid) -> np.ndarray:
     """Mean-field density rho: d/dt rho - Lap rho + d/dx((K*rho) rho) = 0, rho(0) = f.
 
-    This is the order-0 hierarchy.  Mass is conserved exactly each step; a
-    density dipping below -1e-10 anywhere aborts with a diagnostic.
+    This is the order-0 hierarchy; row s of the (n_stored, M) result is rho
+    at tg.stored_times[s].  Mass is conserved exactly each step; a density
+    dipping below -1e-10 anywhere aborts with a diagnostic.
     """
-    return solve_g_hierarchy(0, f, kernel, tg).rho()
+    return solve_g_hierarchy(0, f, kernel, tg).entries[(0, 1)]
 
 
 # the meta.json keys GTable.load reads
@@ -227,9 +213,6 @@ class GTable:
     def fields_at(self, s: int) -> dict:
         """(i, j) -> g^i_j at stored time s, as the plain arrays pchaos.partitions sums."""
         return {key: arr[s] for key, arr in self.entries.items()}
-
-    def rho(self) -> Trajectory:
-        return Trajectory(self.grid, 1, self.tg, self.entries[(0, 1)])
 
     def save(self, path) -> None:
         path = Path(path)
@@ -340,8 +323,8 @@ def solve_g_hierarchy(
 # assembly of the expansion, the remainder, and the energy inequality
 
 
-def assemble_phi(i: int, j: int, N: float, gt: GTable) -> Trajectory:
-    """phi^i_j = sum_{k<=i} N^{-k} f^k_j at every stored time."""
+def assemble_phi(i: int, j: int, N: float, gt: GTable) -> np.ndarray:
+    """phi^i_j = sum_{k<=i} N^{-k} f^k_j at every stored time, shape (n_stored, M, ..., M)."""
     if i > gt.i_max:
         raise ValueError(f"table solved to order {gt.i_max}, requested {i}")
     out = np.zeros((gt.n_stored,) + (gt.grid.M,) * j)
@@ -349,7 +332,7 @@ def assemble_phi(i: int, j: int, N: float, gt: GTable) -> Trajectory:
         fields = gt.fields_at(s)
         for k in range(i + 1):
             out[s] += float(N) ** (-k) * assemble_correction(k, j, fields)
-    return Trajectory(gt.grid, j, gt.tg, out)
+    return out
 
 
 def compute_remainder(i: int, j: int, N: float, gt: GTable, s: int):
@@ -415,8 +398,8 @@ def check_energy_inequality(
     times = gt.times
     k_norm = _sup_norm_grid(gt.kernel)
 
-    phi_j = assemble_phi(i, j, N, gt).values
-    phi_j1 = assemble_phi(i, j + 1, N, gt).values
+    phi_j = assemble_phi(i, j, N, gt)
+    phi_j1 = assemble_phi(i, j + 1, N, gt)
     x_j = np.empty(gt.n_stored)
     x_j1 = np.empty(gt.n_stored)
     y_j = np.empty(gt.n_stored)

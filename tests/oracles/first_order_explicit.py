@@ -10,19 +10,20 @@ between the two solves (test_generic_hierarchy_matches_explicit_first_order
 demands 1e-12); the pair solver alone also reaches the frozen stationary
 amplitude of stationary_pair_amplitude.py.
 
-It shares only the node table `_kernel_matrix` with the package (plus the
-`Trajectory` container it returns); term tables, routing, the interaction
-operator and the stepper are not used.  Its own stepper, _AxisStepper,
-transforms every flux component on its own, where the package's
-`_SpectralOps` derives flux_k from flux_1 by an axis swap, so the comparison
-also checks that shortcut.  Both solvers take the mean-field trajectory at
-every time step.
+It shares only the grid and the node table `_kernel_matrix` with the
+package; term tables, routing, the interaction operator and the stepper are
+not used.  Its own stepper, _AxisStepper, transforms every flux component on
+its own, where the package's `_SpectralOps` derives flux_k from flux_1 by an
+axis swap, so the comparison also checks that shortcut.  Both solvers take
+the mean-field density at every time step, the (n_steps + 1, M) array that
+solve_mckean_vlasov returns with store_every = 1, and return their
+correction at every step in the same layout.
 """
 import numpy as np
 
-from pchaos.core import KernelSpec
+from pchaos.core import KernelSpec, TorusGrid
 from pchaos.operators import _kernel_matrix
-from pchaos.pde import TimeGrid, Trajectory
+from pchaos.pde import TimeGrid
 
 
 class _AxisStepper:
@@ -56,12 +57,12 @@ class _AxisStepper:
         return np.fft.ifftn(out).real
 
 
-def _require_full_resolution(traj: Trajectory) -> None:
-    if traj.tg.store_every != 1:
+def _require_full_resolution(traj: np.ndarray, tg: TimeGrid) -> None:
+    if tg.store_every != 1 or len(traj) != tg.n_steps + 1:
         raise ValueError("this solver needs the driving trajectory at every time step")
 
 
-def solve_g1_pair(rho: Trajectory, kernel: KernelSpec, tg: TimeGrid) -> Trajectory:
+def solve_g1_pair(rho: np.ndarray, kernel: KernelSpec, tg: TimeGrid) -> np.ndarray:
     """First-order pair correlation: the written-out linear PDE with zero initial data.
 
     d/dt g - Lap g + d/dx[rho(x) int K(x,s)g(y,s)ds + g (K*rho)(x)]
@@ -69,10 +70,8 @@ def solve_g1_pair(rho: Trajectory, kernel: KernelSpec, tg: TimeGrid) -> Trajecto
       = d/dx[(K*rho)(x) rho(x)rho(y)] + d/dy[(K*rho)(y) rho(x)rho(y)]
         - d/dx[K(x,y) rho rho] - d/dy[K(y,x) rho rho].
     """
-    _require_full_resolution(rho)
-    if rho.tg != tg:
-        raise ValueError("rho must be solved on the same time grid")
-    grid = rho.grid
+    _require_full_resolution(rho, tg)
+    grid = TorusGrid(rho.shape[1])
     ops = _AxisStepper(grid.M, 2, tg.dt)
     Kmat = _kernel_matrix(kernel, grid)
     h = grid.h
@@ -80,9 +79,8 @@ def solve_g1_pair(rho: Trajectory, kernel: KernelSpec, tg: TimeGrid) -> Trajecto
     g = np.zeros((grid.M,) * 2)
     out = np.empty((tg.n_stored, grid.M, grid.M))
     out[0] = g
-    s = 1
     for n in range(tg.n_steps):
-        r = rho.values[n]
+        r = rho[n]
         conv = h * (Kmat @ r)          # (K*rho)(x) on the nodes
         rr = np.outer(r, r)
         cx = h * np.einsum("xs,ys->xy", Kmat, g)   # int K(x,s) g(y,s) ds
@@ -90,15 +88,13 @@ def solve_g1_pair(rho: Trajectory, kernel: KernelSpec, tg: TimeGrid) -> Trajecto
         flux_x = r[:, None] * cx + g * conv[:, None] - conv[:, None] * rr + Kmat * rr
         flux_y = r[None, :] * cy + g * conv[None, :] - conv[None, :] * rr + Kmat.T * rr
         g = ops.step(g, [flux_x, flux_y])
-        if (n + 1) % tg.store_every == 0:
-            out[s] = g
-            s += 1
-    return Trajectory(grid, 2, tg, out)
+        out[n + 1] = g
+    return out
 
 
 def solve_g1_single(
-    rho: Trajectory, g12: Trajectory, kernel: KernelSpec, tg: TimeGrid
-) -> Trajectory:
+    rho: np.ndarray, g12: np.ndarray, kernel: KernelSpec, tg: TimeGrid
+) -> np.ndarray:
     """First-order single-coordinate correction with zero initial data.
 
     d/dt g - Lap g + d/dx[rho(x) int K(x,s)g(s)ds + g(x)(K*rho)(x)]
@@ -106,9 +102,9 @@ def solve_g1_single(
 
     the last term being the self-interaction carried by the diagonal of K.
     """
-    _require_full_resolution(rho)
-    _require_full_resolution(g12)
-    grid = rho.grid
+    _require_full_resolution(rho, tg)
+    _require_full_resolution(g12, tg)
+    grid = TorusGrid(rho.shape[1])
     ops = _AxisStepper(grid.M, 1, tg.dt)
     Kmat = _kernel_matrix(kernel, grid)
     Kdiag = np.diag(Kmat).copy()
@@ -117,15 +113,12 @@ def solve_g1_single(
     g = np.zeros(grid.M)
     out = np.empty((tg.n_stored, grid.M))
     out[0] = g
-    s = 1
     for n in range(tg.n_steps):
-        r = rho.values[n]
+        r = rho[n]
         conv = h * (Kmat @ r)
         cg = h * (Kmat @ g)
-        pair_force = h * np.einsum("xs,xs->x", Kmat, g12.values[n])
+        pair_force = h * np.einsum("xs,xs->x", Kmat, g12[n])
         flux = r * cg + g * conv - conv * r + pair_force + Kdiag * r
         g = ops.step(g, [flux])
-        if (n + 1) % tg.store_every == 0:
-            out[s] = g
-            s += 1
-    return Trajectory(grid, 1, tg, out)
+        out[n + 1] = g
+    return out

@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from pchaos import cli
 from pchaos.cli import main
 from pchaos.particles import SnapshotSet
 from pchaos.pde import GTable
@@ -91,6 +92,31 @@ def test_manifest_hash_covers_the_kernel_file(tmp_path):
                      (out / "snapshots.raw").read_bytes()))
     assert runs[0][1] != runs[1][1]
     assert runs[0][0] != runs[1][0]
+
+
+@pytest.mark.parametrize("change", ["edit", "delete"])
+def test_manifest_hashes_the_kernel_as_read(tmp_path, monkeypatch, change):
+    # the kernel file changing or vanishing while simulate runs leaves the
+    # hash of the kernel that ran, and the manifest is still written
+    kernel = tmp_path / "kernel.txt"
+    kernel.write_text(KERNEL_PATH.read_text(encoding="utf-8"), encoding="utf-8")
+    cfg = _write_cfg(tmp_path, "sim.cfg", f"kernel = {kernel}\ndensity_cos = 1.0, 0.5\n"
+                     "sample_grid = 64\nN = 8\ndt = 1e-3\nT = 2e-3\nreplicas = 5\n")
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "ref")]) == 0
+    real = cli.run_ensemble
+
+    def changing_kernel(*args):
+        if change == "edit":
+            kernel.write_text("b 1 0.5 0.0\n", encoding="utf-8")
+        else:
+            kernel.unlink()
+        return real(*args)
+
+    monkeypatch.setattr(cli, "run_ensemble", changing_kernel)
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+    hashes = [json.loads((tmp_path / name / "manifest.json").read_text())["config_sha256"]
+              for name in ("ref", "o")]
+    assert hashes[0] == hashes[1]
 
 
 def test_simulate_rejects_bad_format(tmp_path, capsys):
@@ -508,6 +534,24 @@ def test_rates_rejects_histogram_cells_before_simulating(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith("error: too many histogram cells")
     assert "N = 25, j = 1" in err and "32^1 = 32" in err and "n/50 = 30" in err
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("line, message", [
+    ("N = 10, 20", "need at least three N values for the rate fits, got 2"),
+    ("j = 1, 1", "j values must be distinct"),
+], ids=["two_N", "repeated_j"])
+def test_rates_rejects_unfittable_configs_before_simulating(tmp_path, capsys, line, message):
+    # two N cannot be fitted and a repeated j would repeat its rows, so both
+    # are refused before anything runs or is written
+    key = line.split("=")[0]
+    smoke = Path(_rates_smoke_cfg(tmp_path, "")).read_text(encoding="utf-8").splitlines()
+    cfg = _write_cfg(tmp_path, "bad.cfg",
+                     "\n".join([k for k in smoke if not k.startswith(key)] + [line]) + "\n")
+    out = tmp_path / "o"
+    assert main(["rates", "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {message}\n"
     assert list(out.iterdir()) == []
 
 

@@ -74,6 +74,10 @@ def _ecfg(tmp_path, **over):
 def test_experiment_config_validation(tmp_path):
     with pytest.raises(ConfigError, match="at least one N"):
         _ecfg(tmp_path, N_list=())
+    with pytest.raises(ConfigError, match="at least three N values for the rate fits, got 2"):
+        _ecfg(tmp_path, N_list=(10, 20))
+    with pytest.raises(ConfigError, match="j values must be distinct"):
+        _ecfg(tmp_path, j_list=(1, 1))
     with pytest.raises(ConfigError, match="from .1, 2."):
         _ecfg(tmp_path, j_list=(1, 3))
     with pytest.raises(ConfigError, match="largest j"):
@@ -490,6 +494,30 @@ def test_run_rate_experiment_smoke(tmp_path):
     assert manifest["config_sha256"] == want_sha
 
 
+@pytest.mark.parametrize("change", ["edit", "delete"])
+def test_rate_manifest_hashes_the_kernel_as_read(tmp_path, monkeypatch, change):
+    # the kernel file changing or vanishing mid-run leaves the hash of the
+    # kernel that ran, and a complete manifest
+    kernel = tmp_path / "kernel.txt"
+    kernel.write_text(KERNEL_PATH.read_text(encoding="utf-8"), encoding="utf-8")
+    ecfg = _ecfg(tmp_path, kernel_path=str(kernel))
+    want_sha = hashlib.sha256(ecfg.canonical_text().encode()).hexdigest()
+    real = experiments.solve_g_hierarchy
+
+    def changing_kernel(*args):
+        if change == "edit":
+            kernel.write_text("b 1 0.5 0.0\n", encoding="utf-8")
+        else:
+            kernel.unlink()
+        return real(*args)
+
+    monkeypatch.setattr(experiments, "solve_g_hierarchy", changing_kernel)
+    res = run_rate_experiment(ecfg)
+    manifest = json.loads(Path(res.manifest_path).read_text(encoding="utf-8"))
+    assert manifest["status"] == "complete"
+    assert manifest["config_sha256"] == want_sha
+
+
 def test_run_rate_experiment_persists_failures(tmp_path, monkeypatch):
     # a stage that dies at the second N must flush the first N's rows; the
     # histogram stage is made to fail there (the real cell cap is checked
@@ -524,13 +552,13 @@ def test_run_rate_experiment_persists_failures(tmp_path, monkeypatch):
 def test_histogram_cell_cap_checked_per_n_and_j(tmp_path):
     # every (N, j) needs replicas * floor(N/j) / 50 >= bins_j^j, with pair
     # histograms on max(2, bins // 4) bins per axis
-    _ecfg(tmp_path, N_list=(4, 8), bins=8)  # N = 4: 100 * 4 / 50 = 8 cells for j = 1
+    _ecfg(tmp_path, N_list=(4, 8, 16), bins=8)  # N = 4: 100 * 4 / 50 = 8 cells for j = 1
     with pytest.raises(ConfigError, match=r"N = 4, j = 1: 16\^1 = 16 exceeds n/50 = 8"):
         _ecfg(tmp_path, N_list=(8, 4), bins=16)
     # j = 2 at N = 5: floor(5/2) = 2 tuples per replica, 12 // 4 = 3 bins per axis
     with pytest.raises(ConfigError, match=r"N = 5, j = 2: 3\^2 = 9 exceeds n/50 = 4"):
         _ecfg(tmp_path, N_list=(5, 8), j_list=(2,), bins=12, grid=48)
-    _ecfg(tmp_path, N_list=(5, 8), j_list=(2,), bins=12, grid=48, replicas=300)
+    _ecfg(tmp_path, N_list=(5, 8, 16), j_list=(2,), bins=12, grid=48, replicas=300)
     with pytest.raises(ConfigError, match="multiple"):
         _ecfg(tmp_path, bins=5)
 
@@ -625,6 +653,28 @@ def test_bounds_report_nan_fails_every_gate(monkeypatch):
     rep = run_bounds_report(**lattice)
     assert _fails_every_check(rep.summary[1])
     assert all("PASS" in line for line in rep.summary[:1] + rep.summary[2:])
+
+
+_GATES = ("range", "recurrence", "poly", "exp")  # the order of the summary lines
+
+
+@pytest.mark.parametrize("gate", _GATES)
+def test_each_bounds_gate_fires_on_its_own(gate, monkeypatch):
+    # one fault per gate: the shipped inject control trips range and poly
+    # together, so each gate is also shown to catch a fault the others pass
+    lattice = dict(j_list=(1, 4), ell_max=12, b_list=(1, 3), t_list=(0.1, 3.0))
+    inject = -1.5 if gate == "range" else 0.0
+    if gate == "recurrence":
+        monkeypatch.setattr(experiments.bnd, "recurrence_residual_sweep",
+                            lambda ell_max, *args: np.ones(ell_max))
+    elif gate == "exp":
+        real = experiments.bnd.exp_bound
+        monkeypatch.setattr(experiments.bnd, "exp_bound",
+                            lambda *args: None if real(*args) is None else 0.0)
+    elif gate == "poly":
+        monkeypatch.setattr(experiments.bnd, "poly_bound", lambda *args: 0.0)
+    summary = run_bounds_report(inject=inject, **lattice).summary
+    assert [("FAIL" in line) for line in summary] == [g == gate for g in _GATES], summary
 
 
 @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1e-6])

@@ -24,6 +24,21 @@ from conftest import REPO_ROOT
 MODULES = sorted(m.name for m in pkgutil.iter_modules(pchaos.__path__))
 
 
+def test_package_binds_only_its_version():
+    # each module's __all__ is the one public list; a re-export from the
+    # package would be a second path to the same name
+    tree = ast.parse((REPO_ROOT / "src" / "pchaos" / "__init__.py").read_text(encoding="utf-8"))
+    bound = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            bound.add(node.id)
+        elif isinstance(node, ast.alias):
+            bound.add((node.asname or node.name).split(".")[0])
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            bound.add(node.name)
+    assert bound == {"__version__"}, f"pchaos/__init__.py binds {sorted(bound)}"
+
+
 def test_every_module_is_checked():
     assert {"core", "metrics", "partitions", "particles", "pde"} <= set(MODULES)
 
@@ -176,14 +191,12 @@ def _references(path, skip_own_def: bool) -> set:
 
 
 def test_every_public_name_is_reached_outside_tests():
-    # A name passes when the package (not counting __init__.py, which only
-    # re-exports) or the benchmark refers to it, or the benchmark traces it.
-    # A shared name (.copy, .at) can hide a dead one, but never makes a live
-    # one fail.
+    # A name passes when the package or the benchmark refers to it, or the
+    # benchmark traces it.  A shared name (.copy, .at) can hide a dead one,
+    # but never makes a live one fail.
     reached = set()
     for path in (REPO_ROOT / "src" / "pchaos").glob("*.py"):
-        if path.name != "__init__.py":
-            reached |= _references(path, skip_own_def=True)
+        reached |= _references(path, skip_own_def=True)
     for path in (REPO_ROOT / "benchmarks").glob("*.py"):
         reached |= _references(path, skip_own_def=False)
     for names in _traced().values():

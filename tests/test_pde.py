@@ -92,22 +92,22 @@ def test_heat_evolution_is_exact_per_mode():
     g = TorusGrid(32)
     f = fourier_field(g, [1.0, 0.3, 0.0, -0.1], [0.0, 0.2, 0.1, 0.0])
     tg = TimeGrid(1e-3, 100)
-    traj = solve_mckean_vlasov(f, KernelSpec.from_tables(), tg)
+    rho = solve_mckean_vlasov(f, KernelSpec.from_tables(), tg)
     x = g.points
     for s, t in ((50, 0.05), (100, 0.1)):
         want = (1.0
                 + np.exp(-4 * np.pi ** 2 * t) * (0.3 * np.cos(2 * np.pi * x) + 0.2 * np.sin(2 * np.pi * x))
                 + np.exp(-16 * np.pi ** 2 * t) * 0.1 * np.sin(4 * np.pi * x)
                 - np.exp(-36 * np.pi ** 2 * t) * 0.1 * np.cos(6 * np.pi * x))
-        assert np.max(np.abs(traj.values[s] - want)) < 1e-13
+        assert np.max(np.abs(rho[s] - want)) < 1e-13
 
 
 def test_mass_conserved_every_step(default_kernel):
     g = TorusGrid(32)
     f = fourier_field(g, [1.0, 0.5], [0.0, 0.25])
     tg = TimeGrid(2e-3, 100)
-    traj = solve_mckean_vlasov(f, default_kernel, tg)
-    masses = traj.values.sum(axis=1) * g.h
+    rho = solve_mckean_vlasov(f, default_kernel, tg)
+    masses = rho.sum(axis=1) * g.h
     assert np.max(np.abs(np.diff(masses))) < 1e-14
     assert np.max(np.abs(masses - 1.0)) < 1e-12
 
@@ -116,11 +116,11 @@ def test_l2_growth_bound_every_node(default_kernel):
     g = TorusGrid(32)
     f = fourier_field(g, [1.0, 0.5], [0.0, 0.25])
     tg = TimeGrid(2e-3, 200)
-    traj = solve_mckean_vlasov(f, default_kernel, tg)
-    base = l2_norm_sq(traj.values[0], g.h)
+    rho = solve_mckean_vlasov(f, default_kernel, tg)
+    base = l2_norm_sq(rho[0], g.h)
     ksq = default_kernel.sup_norm_bound ** 2
-    for s, t in enumerate(traj.times):
-        assert l2_norm_sq(traj.values[s], g.h) <= np.exp(ksq * t) * base * (1 + 1e-12)
+    for s, t in enumerate(tg.stored_times):
+        assert l2_norm_sq(rho[s], g.h) <= np.exp(ksq * t) * base * (1 + 1e-12)
 
 
 def test_constant_drift_advection_first_order(default_kernel):
@@ -134,9 +134,9 @@ def test_constant_drift_advection_first_order(default_kernel):
 
     def run(dt):
         tg = TimeGrid(dt, int(round(t_end / dt)))
-        traj = solve_mckean_vlasov(f, k, tg)
+        rho = solve_mckean_vlasov(f, k, tg)
         want = 1.0 + 0.4 * np.exp(-4 * np.pi ** 2 * t_end) * np.cos(2 * np.pi * (x - c * t_end))
-        return np.max(np.abs(traj.values[-1] - want))
+        return np.max(np.abs(rho[-1] - want))
 
     e1, e2 = run(1e-3), run(5e-4)
     assert e1 / e2 == pytest.approx(2.0, rel=0.1)
@@ -181,15 +181,15 @@ def test_pair_correlation_reaches_stationary_profile():
     k = KernelSpec.from_tables(khat={1: (0.0, kappa)})
     tg = TimeGrid(2e-3, 1000)       # t = 2: transient ~ e^{-160}
     rho = solve_mckean_vlasov(fourier_field(g, [1.0]), k, tg)
-    assert np.max(np.abs(rho.values[-1] - 1.0)) < 1e-14   # uniform is invariant
+    assert np.max(np.abs(rho[-1] - 1.0)) < 1e-14   # uniform is invariant
 
     g12 = solve_g1_pair(rho, k, tg)
     x = g.points
     want = STATIONARY_AMPLITUDE * np.cos(2 * np.pi * (x[:, None] - x[None, :]))
-    assert np.max(np.abs(g12.values[-1] - want)) < 1e-12
+    assert np.max(np.abs(g12[-1] - want)) < 1e-12
 
     g11 = solve_g1_single(rho, g12, k, tg)
-    assert np.max(np.abs(g11.values[-1])) < 1e-13          # translation invariance
+    assert np.max(np.abs(g11[-1])) < 1e-13          # translation invariance
 
 
 def test_generic_hierarchy_matches_explicit_first_order(default_kernel):
@@ -197,12 +197,12 @@ def test_generic_hierarchy_matches_explicit_first_order(default_kernel):
     f = fourier_field(g, [1.0, 0.5], [0.0, 0.25])
     tg = TimeGrid(2e-3, 50)
     gt = solve_g_hierarchy(1, f, default_kernel, tg)
-    rho = gt.rho()
-    assert np.max(np.abs(rho.values - solve_mckean_vlasov(f, default_kernel, tg).values)) == 0.0
+    rho = gt.entries[(0, 1)]
+    assert np.max(np.abs(rho - solve_mckean_vlasov(f, default_kernel, tg))) == 0.0
     g12 = solve_g1_pair(rho, default_kernel, tg)
     g11 = solve_g1_single(rho, g12, default_kernel, tg)
-    assert np.max(np.abs(g12.values - gt.entries[(1, 2)])) < 1e-12
-    assert np.max(np.abs(g11.values - gt.entries[(1, 1)])) < 1e-12
+    assert np.max(np.abs(g12 - gt.entries[(1, 2)])) < 1e-12
+    assert np.max(np.abs(g11 - gt.entries[(1, 1)])) < 1e-12
 
 
 def test_explicit_solvers_need_full_resolution(default_kernel):
@@ -573,7 +573,7 @@ def test_assemble_phi_order_zero_is_product(small_table):
     phi = assemble_phi(0, 2, 100.0, gt)
     for s in range(gt.n_stored):
         want = product_field(gt.field(0, 1, s), 2).values
-        assert np.allclose(phi.values[s], want, atol=1e-14)
+        assert np.allclose(phi[s], want, atol=1e-14)
 
 
 def test_assemble_phi_has_unit_mass(small_table):
@@ -582,7 +582,7 @@ def test_assemble_phi_has_unit_mass(small_table):
         for j in (1, 2):
             phi = assemble_phi(i, j, 50.0, gt)
             for s in range(gt.n_stored):
-                assert phi.values[s].sum() * gt.grid.h ** j == pytest.approx(1.0, abs=1e-11)
+                assert phi[s].sum() * gt.grid.h ** j == pytest.approx(1.0, abs=1e-11)
     with pytest.raises(ValueError, match="order"):
         assemble_phi(3, 1, 50.0, gt)
 
