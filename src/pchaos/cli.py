@@ -8,14 +8,28 @@ input the package rejects, a file that cannot be read or written, a solve
 over its memory budget or an allocation the machine cannot meet, a density
 driven negative) exits 2 with one line on stderr; exit 1 is left to the rates
 and bounds gates.
+
+Thread policy: a CLI process runs BLAS on the calling thread.  Every product
+in the package is sized for one thread (see operators._EntrySolver), so
+numpy's OpenBLAS worker pool only costs: the pool starts when numpy loads,
+spins ~0.1 CPU-s before it first sleeps, and in the rates pool's workers
+(forked from this process) its threads compete with the other workers for
+the same cores.  Importing this module before numpy therefore defaults
+OPENBLAS_NUM_THREADS to 1.  A value the user set is kept, and a process that
+has already loaded numpy (a library caller, the test suite) is left as it
+is, since OpenBLAS reads the variable only when it loads.
 """
 
 from __future__ import annotations
 
 import argparse
 import hashlib
+import os
 import sys
 from pathlib import Path
+
+if "numpy" not in sys.modules:
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np
 

@@ -38,7 +38,11 @@ chain-moment table steps the chain's spectrum, band-limited by the heat
 factor, so it costs O(M L) per step for M cells and L modes.
 run_rate_experiment keeps one process pool for the run: it builds the
 chain-moment table while the main process solves the hierarchy, then takes
-every N's replica chunks, all submitted up front.
+every N's replica chunks, all submitted up front.  Each worker runs BLAS on
+its own thread under the CLI's thread policy (see pchaos.cli), and the
+chain-moment table sums its spectrum with einsum rather than a BLAS product,
+so a library caller whose OpenBLAS keeps its worker pool does not
+oversubscribe the rate pool either.
 A chunk holds about _CHUNK_PARTICLES particles and each N gets a multiple
 of workers chunks.  Results are consumed in N order, so rows are built and
 a failure is flushed per N.
@@ -58,7 +62,6 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 from itertools import groupby
@@ -315,7 +318,7 @@ def _chain_moments(kernel: KernelSpec, sample_density: GridField, dt: float,
         # sum_j w_j e^{-2 pi i m y_j} for m = 0..L
         phases[0] = 1.0
         phases[1:] = np.exp(-2j * np.pi * y)
-        return np.cumprod(phases, axis=0, out=phases) @ w
+        return np.einsum("mj,j->m", np.cumprod(phases, axis=0, out=phases), w)
 
     Cdt = np.zeros((n_steps + 1, n_modes))
     Sdt = np.zeros((n_steps + 1, n_modes))
@@ -494,6 +497,9 @@ def run_rate_experiment(ecfg: ExperimentConfig) -> RateResult:
     # built before the run, so the manifest hashes the kernel that ran
     hashed = ecfg.canonical_text()
     kernel = KernelSpec.from_file(ecfg.kernel_path)
+    # imported here: only this command needs multiprocessing and what it loads
+    from concurrent.futures import ProcessPoolExecutor
+
     # the pool forks every worker at its first task, so it is sized to the machine
     workers = min(ecfg.workers, os.cpu_count() or 1)
     pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None

@@ -234,7 +234,9 @@ class _EntrySolver:
     Each batch of a matmul is a small product (M x width x M^(j-2) for (A),
     M x T x M for (B)), which OpenBLAS runs on the calling thread at the
     sizes test_hierarchy_solve_keeps_to_one_cpu times; a 2-D product over
-    the whole lattice would wake its worker threads.  The starred
+    the whole lattice would wake its worker threads.  A CLI process has no
+    such threads at all (the thread policy in pchaos.cli); the sizing keeps
+    a library caller on numpy's default threading on one CPU.  The starred
     contractions, and the g @ U they start from, are shared between unknowns
     through a per-step cache.
     """

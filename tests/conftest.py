@@ -1,4 +1,5 @@
 """Shared fixtures: repository paths and the stock interaction kernel."""
+import os
 from pathlib import Path
 
 import pytest
@@ -9,6 +10,16 @@ from pchaos.core import KernelSpec
 REPO_ROOT = Path(__file__).resolve().parents[1]
 KERNEL_PATH = REPO_ROOT / "kernels" / "default.txt"
 RATES_CONFIG_PATH = REPO_ROOT / "configs" / "rates.cfg"
+
+
+def default_threads_env(**extra) -> dict:
+    """Environment for a child interpreter on this checkout's src with numpy's
+    default BLAS threading: the thread counts OpenBLAS reads are dropped, so
+    a runner that exports one cannot make a threading test pass untested."""
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")}
+    return {**env, "PYTHONPATH": str(REPO_ROOT / "src"), **extra}
+
 
 # a kernel with mode-0 and several higher b and khat terms, cos and sin
 RICH_KERNEL = KernelSpec.from_tables(

@@ -14,7 +14,7 @@ from pchaos.cli import main
 from pchaos.particles import SnapshotSet
 from pchaos.pde import GTable
 
-from conftest import KERNEL_PATH, REPO_ROOT
+from conftest import KERNEL_PATH, REPO_ROOT, default_threads_env
 
 
 def _write_cfg(tmp_path, name, text):
@@ -307,12 +307,40 @@ def test_shipped_simulate_solve_metrics_chain(tmp_path, monkeypatch, capsys):
 
 
 def test_cli_import_leaves_out_scipy_integrate():
-    # mpmath and scipy.special are imported where they are used, not at start-up
-    mods = ("scipy.integrate", "mpmath", "scipy.special")
+    # mpmath, scipy.special and the rates pool's multiprocessing are imported
+    # where they are used, not at start-up
+    mods = ("scipy.integrate", "mpmath", "scipy.special", "multiprocessing")
     code = f"import sys, pchaos.cli; print([m in sys.modules for m in {mods!r}])"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")}, check=True)
-    assert proc.stdout.strip() == "[False, False, False]"
+    assert proc.stdout.strip() == "[False, False, False, False]"
+
+
+def _child_stdout(code: str, **env) -> str:
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=default_threads_env(**env), check=True)
+    return proc.stdout.strip()
+
+
+@pytest.mark.skipif(not Path("/proc/self/task").is_dir(),
+                    reason="native threads are counted in /proc/self/task")
+def test_cli_process_runs_blas_on_one_thread():
+    # the thread policy: OpenBLAS starts no worker pool in a CLI process
+    code = ("import os, pchaos.cli\n"
+            "print(len(os.listdir('/proc/self/task')), os.environ['OPENBLAS_NUM_THREADS'])")
+    assert _child_stdout(code) == "1 1"
+
+
+def test_cli_thread_policy_keeps_a_preset_count():
+    code = "import os, pchaos.cli; print(os.environ['OPENBLAS_NUM_THREADS'])"
+    assert _child_stdout(code, OPENBLAS_NUM_THREADS="2") == "2"
+
+
+def test_cli_import_after_numpy_leaves_the_environment():
+    # OpenBLAS has read its thread count by now; a library caller keeps its own
+    code = ("import os, numpy\nbefore = dict(os.environ)\nimport pchaos.cli\n"
+            "print(dict(os.environ) == before)")
+    assert _child_stdout(code) == "True"
 
 
 def test_commands_leave_scipy_unimported(tmp_path):

@@ -1,5 +1,6 @@
 """Rate-experiment driver: config validation, chain moments, fused worker,
 rate fits, persistence, and the bounds lattice report."""
+import concurrent.futures
 import hashlib
 import json
 import math
@@ -7,7 +8,6 @@ import os
 import re
 import subprocess
 import sys
-from concurrent.futures import Future
 from pathlib import Path
 
 import numpy as np
@@ -38,7 +38,7 @@ from pchaos.particles import (
     sample_initial,
 )
 
-from conftest import KERNEL_PATH, REPO_ROOT, RICH_KERNEL, band_limited_kernels
+from conftest import KERNEL_PATH, REPO_ROOT, RICH_KERNEL, band_limited_kernels, default_threads_env
 from oracles import chain_transfer_matrix
 from oracles.chain_transfer_matrix import chain_moments_transfer_matrix
 from oracles.companion_explicit import companion_terms_explicit
@@ -235,6 +235,29 @@ def test_chain_moments_leave_scipy_special_unimported():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")}, check=True)
     assert proc.stdout.strip() == "False"
+
+
+def test_chain_moments_keep_to_one_cpu():
+    # the chain task runs in a rates pool worker beside the others; its
+    # (L + 1, M) spectrum sum at the shipped rates shape (34 x 256, complex)
+    # woke OpenBLAS's worker threads as a matrix-vector product, ~1.9
+    # CPU-seconds per wall-second on two cores under numpy's default
+    # threading.  The child waits out the spin of numpy's import, as in
+    # test_hierarchy_solve_keeps_to_one_cpu.
+    code = (
+        "import time\n"
+        "from pchaos.core import KernelSpec, TorusGrid, fourier_field\n"
+        "from pchaos.experiments import _chain_moments\n"
+        f"k = KernelSpec.from_file({str(KERNEL_PATH)!r})\n"
+        "f = fourier_field(TorusGrid(256), [1.0, 0.5])\n"
+        "time.sleep(0.3)\n"
+        "c0, t0 = time.process_time(), time.perf_counter()\n"
+        "_chain_moments(k, f, 1e-3, 500)\n"
+        "print((time.process_time() - c0) / (time.perf_counter() - t0))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=default_threads_env(), check=True)
+    assert float(proc.stdout) <= 1.3, proc.stdout
 
 
 def test_chain_moments_quadrature_self_convergence(default_kernel):
@@ -584,14 +607,15 @@ def test_rate_pool_is_sized_to_the_machine(tmp_path, monkeypatch):
 
         def submit(self, fn, *args, **kwargs):
             tasks.append(fn)
-            future = Future()
+            future = concurrent.futures.Future()
             future.set_result(fn(*args, **kwargs))
             return future
 
         def shutdown(self, cancel_futures=False):
             pass
 
-    monkeypatch.setattr(experiments, "ProcessPoolExecutor", InlinePool)
+    # run_rate_experiment imports the pool class from concurrent.futures when it runs
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
     monkeypatch.setattr(experiments.os, "cpu_count", lambda: 2)
     run_rate_experiment(_ecfg(tmp_path, N_list=(40, 60, 80), replicas=300, workers=64))
     assert pools == [2]

@@ -10,7 +10,6 @@ from tests/oracles/bbgky_closure_dense.py.
 import itertools as it
 import json
 import math
-import os
 import subprocess
 import sys
 import tracemalloc
@@ -47,7 +46,7 @@ from pchaos.pde import (
     solve_mckean_vlasov,
 )
 
-from conftest import REPO_ROOT, RICH_KERNEL, band_limited_kernels
+from conftest import REPO_ROOT, RICH_KERNEL, band_limited_kernels, default_threads_env
 from field_synth import random_consistent_triple, random_smooth_field
 from oracles.all_k_flux import bbgky_fluxes, entry_fluxes
 from oracles.bbgky_closure_dense import _cluster3, closure_f4
@@ -439,7 +438,8 @@ def test_hierarchy_solve_keeps_to_one_cpu():
     # already crosses the threshold.  Other load can only lower the ratio.
     # Importing numpy starts those workers, and they spin ~0.12 CPU-seconds
     # before they first sleep; the child waits that out, so the timed
-    # window holds the solves alone.
+    # window holds the solves alone.  The child keeps numpy's default
+    # threading, not the CLI's one-thread policy.
     code = (
         "import time\n"
         "from pchaos.core import KernelSpec, TorusGrid, fourier_field\n"
@@ -453,7 +453,7 @@ def test_hierarchy_solve_keeps_to_one_cpu():
         "    print((time.process_time() - c0) / (time.perf_counter() - t0))\n"
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env={**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")}, check=True)
+                          env=default_threads_env(), check=True)
     ratios = [float(line) for line in proc.stdout.split()]
     assert len(ratios) == 2 and max(ratios) <= 1.3, ratios
 
