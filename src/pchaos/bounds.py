@@ -46,11 +46,9 @@ to cross-check it) is plain float arithmetic on top of that evaluator.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 __all__ = [
     "eval_I",
@@ -159,7 +157,13 @@ RESIDUAL_ORDER = 16  # Gauss-Legendre nodes per panel of the recurrence residual
 
 @lru_cache(maxsize=None)
 def _leggauss():
-    """leggauss(RESIDUAL_ORDER), computed once and shared read-only."""
+    """leggauss(RESIDUAL_ORDER), computed once and shared read-only.
+
+    numpy.polynomial is imported here: only the residual check needs it, and
+    it costs every other command ~4 ms of start-up.
+    """
+    from numpy.polynomial.legendre import leggauss
+
     nodes, weights = leggauss(RESIDUAL_ORDER)
     nodes.flags.writeable = weights.flags.writeable = False
     return nodes, weights
@@ -228,7 +232,6 @@ def exp_bound(ell: int, j: int, beta: float, t: float):
 # the cascade for hierarchies of differential inequalities
 
 
-@dataclass(frozen=True)
 class BoundCascade:
     """Data of the closed hierarchy  dx_k/dt <= beta k (alpha_k x_{k+1} - x_k) + r_k.
 
@@ -238,31 +241,26 @@ class BoundCascade:
     the tail window [t0, t] in the two-supremum form of the bound.
     """
 
-    j: int
-    ell: int
-    beta: float
-    alpha: tuple
-    r: tuple
-    t: float
-    t0: float | None = None
-
-    def __post_init__(self):
-        if self.j < 1 or self.ell < 1:
+    def __init__(self, j: int, ell: int, beta: float, alpha, r, t: float,
+                 t0: float | None = None):
+        if j < 1 or ell < 1:
             raise ValueError("need j >= 1 and ell >= 1")
-        if self.beta <= 0:
+        if beta <= 0:
             raise ValueError("beta must be positive")
-        object.__setattr__(self, "alpha", tuple(float(a) for a in self.alpha))
-        object.__setattr__(self, "r", tuple(float(x) for x in self.r))
-        if len(self.alpha) < self.ell or len(self.r) < self.ell:
+        alpha = tuple(float(a) for a in alpha)
+        r = tuple(float(x) for x in r)
+        if len(alpha) < ell or len(r) < ell:
             raise ValueError("alpha and r must cover k = j .. j+ell-1")
-        if any(a < 1.0 for a in self.alpha):
+        if any(a < 1.0 for a in alpha):
             raise ValueError("alpha entries must be at least 1")
-        if any(x < 0 for x in self.r):
+        if any(x < 0 for x in r):
             raise ValueError("r entries must be nonnegative")
-        if self.t < 0:
+        if t < 0:
             raise ValueError("t must be nonnegative")
-        if self.t0 is not None and not 0 <= self.t0 <= self.t:
+        if t0 is not None and not 0 <= t0 <= t:
             raise ValueError("need 0 <= t0 <= t")
+        self.j, self.ell, self.beta, self.t, self.t0 = j, ell, beta, t, t0
+        self.alpha, self.r = alpha, r
 
     def log_A(self, k: int) -> float:
         """log of the prefactor A^k_j = alpha_j * ... * alpha_{j+k-1} (A^0_j = 1)."""

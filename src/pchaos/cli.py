@@ -3,32 +3,45 @@
 Every subcommand takes --config (flat key=value text), --out (a directory it
 will create), and an optional --seed overriding the config seed.  Outputs are
 CSV/JSON plus a manifest recording the config hash and seed so any row can be
-reproduced from the pair.  A user error (a bad or missing config value, an
-input the package rejects, a file that cannot be read or written, a solve
-over its memory budget or an allocation the machine cannot meet, a density
-driven negative) exits 2 with one line on stderr; exit 1 is left to the rates
-and bounds gates.
+reproduced from the pair.  The seed, from --seed or the config, is a
+nonnegative integer in every command.  A user error (a bad or missing config
+value, an input the package rejects, a file that cannot be read or written, a
+solve over its memory budget or an allocation the machine cannot meet, a
+density driven negative) exits 2 with one line on stderr; exit 1 is left to
+the rates and bounds gates.
 
-Thread policy: a CLI process runs BLAS on the calling thread.  Every product
-in the package is sized for one thread (see operators._EntrySolver), so
-numpy's OpenBLAS worker pool only costs: the pool starts when numpy loads,
-spins ~0.1 CPU-s before it first sleeps, and in the rates pool's workers
-(forked from this process) its threads compete with the other workers for
-the same cores.  Importing this module before numpy therefore defaults
-OPENBLAS_NUM_THREADS to 1.  A value the user set is kept, and a process that
-has already loaded numpy (a library caller, the test suite) is left as it
-is, since OpenBLAS reads the variable only when it loads.
+Process policy: this module owns the process when it is imported before
+numpy, as by `python -m pchaos.cli` or the `pchaos` script.  It then sets
+two things that a process which has already loaded numpy (a library caller,
+the test suite) keeps as it has them:
+
+- BLAS runs on the calling thread.  Every product in the package is sized for
+  one thread (see operators._EntrySolver), so numpy's OpenBLAS worker pool
+  only costs: the pool starts when numpy loads, spins ~0.1 CPU-s before it
+  first sleeps, and in the rates pool's workers (forked from this process)
+  its threads compete with the other workers for the same cores.  So
+  OPENBLAS_NUM_THREADS defaults to 1 before numpy loads, the only time
+  OpenBLAS reads it; a value the user set is kept.
+- The collector leaves alone what the imports made.  Those ~23k objects
+  live until exit, so after its imports this module calls gc.freeze(), which
+  moves them out of the collected generations.  Every full collection, the
+  ones the interpreter runs at exit included (~7 ms apiece over the imports
+  alone), then walks only what the command made, and the rates pool's
+  workers fork from a frozen heap.  Objects made after the freeze are
+  collected as before.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import hashlib
 import os
 import sys
 from pathlib import Path
 
-if "numpy" not in sys.modules:
+_OWNS_PROCESS = "numpy" not in sys.modules
+if _OWNS_PROCESS:
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np
@@ -41,6 +54,9 @@ from .particles import SimConfig, SnapshotSet, extract_marginal_samples, run_ens
 from .partitions import max_asymmetry
 from .pde import GTable, NegativeDensityError, TimeGrid, solve_g_hierarchy, solve_mckean_vlasov
 
+if _OWNS_PROCESS:
+    gc.freeze()
+
 __all__ = ["main"]
 
 
@@ -50,8 +66,13 @@ def _density_from_config(cfg: Config, grid_key: str = "grid", default_grid: int 
                          cfg.get_float_list("density_sin", []))
 
 
-def _seed(cfg: Config, override):
-    return override if override is not None else cfg.get_int("seed", 0)
+def _seed(cfg: Config, override) -> int:
+    """The run's seed: --seed when given, else the config's seed (default 0)."""
+    seed = override if override is not None else cfg.get_int("seed", 0)
+    if seed < 0:
+        where = "--seed" if override is not None else f"{cfg.source}: seed"
+        raise ConfigError(f"{where} is {seed}, expected a nonnegative integer")
+    return seed
 
 
 def _hashed_text(cfg: Config) -> str:
@@ -82,7 +103,7 @@ def _max_mass_drift(rho: np.ndarray, grid: TorusGrid) -> float:
     return max(abs(grid.h * row.sum() - 1.0) for row in rho)
 
 
-def _cmd_simulate(cfg: Config, out: Path, seed) -> int:
+def _cmd_simulate(cfg: Config, out: Path, seed: int) -> int:
     # settings whose other values no prediction or reader of this package supports
     if cfg.get_int("d", 1) != 1:
         raise ConfigError("d must be 1: particles live on the one-dimensional torus")
@@ -98,7 +119,7 @@ def _cmd_simulate(cfg: Config, out: Path, seed) -> int:
         dt=cfg.get_float("dt"),
         T=cfg.get_float("T"),
         n_replicas=cfg.get_int("replicas", 1),
-        base_seed=_seed(cfg, seed),
+        base_seed=seed,
         kernel=kernel,
         initial_density=density,
     )
@@ -109,7 +130,7 @@ def _cmd_simulate(cfg: Config, out: Path, seed) -> int:
     return 0
 
 
-def _cmd_solve_mv(cfg: Config, out: Path, seed) -> int:
+def _cmd_solve_mv(cfg: Config, out: Path, seed: int) -> int:
     hashed = _hashed_text(cfg)
     kernel = KernelSpec.from_file(cfg.get_str("kernel"))
     density = _density_from_config(cfg)
@@ -120,12 +141,12 @@ def _cmd_solve_mv(cfg: Config, out: Path, seed) -> int:
                ({"t": t, "x": x, "value": v} for t, vals in zip(tg.stored_times, rho)
                 for x, v in zip(grid.points, vals)))
     drift = _max_mass_drift(rho, grid)
-    _write_manifest(out, hashed, _seed(cfg, seed), max_mass_drift=drift)
+    _write_manifest(out, hashed, seed, max_mass_drift=drift)
     print(f"solve-mv: M={grid.M}, {tg.n_steps} steps, max mass drift {drift:.3e}")
     return 0
 
 
-def _cmd_solve_hierarchy(cfg: Config, out: Path, seed) -> int:
+def _cmd_solve_hierarchy(cfg: Config, out: Path, seed: int) -> int:
     hashed = _hashed_text(cfg)
     kernel = KernelSpec.from_file(cfg.get_str("kernel"))
     density = _density_from_config(cfg)
@@ -135,14 +156,14 @@ def _cmd_solve_hierarchy(cfg: Config, out: Path, seed) -> int:
     gt.save(out / "gtable")
     asymmetry = {f"g_{i}_{j}": max(max_asymmetry(gt.field(i, j, s)) for s in range(gt.n_stored))
                  for i, j in sorted(gt.entries)}
-    _write_manifest(out, hashed, _seed(cfg, seed), i_max=i_max, entries=len(gt.entries),
+    _write_manifest(out, hashed, seed, i_max=i_max, entries=len(gt.entries),
                     max_mass_drift=_max_mass_drift(gt.entries[(0, 1)], gt.grid),
                     max_asymmetry=asymmetry)
     print(f"solve-hierarchy: order {i_max}, {len(gt.entries)} entries -> {out / 'gtable'}")
     return 0
 
 
-def _cmd_metrics(cfg: Config, out: Path, seed) -> int:
+def _cmd_metrics(cfg: Config, out: Path, seed: int) -> int:
     gdir = Path(cfg.get_str("gtable"))
     inputs = [cfg.get_str("snapshots"), gdir / "meta.json", *sorted(gdir.glob("*.f64"))]
     hashed = _hashed_text(cfg) + _file_digests(inputs)
@@ -158,13 +179,12 @@ def _cmd_metrics(cfg: Config, out: Path, seed) -> int:
         raise ConfigError(f"no solved density at time {t}")
     rho = gt.field(0, 1, sidx)
     bins = cfg.get_int("bins", 32)
-    base_seed = _seed(cfg, seed)
     results = {}
     for j in cfg.get_int_list("j", [1]):
         ref = product_field(rho, j)
         samples, rep = extract_marginal_samples(snaps.at_time(tidx), j, True)
         report = divergence_report_from_samples(
-            samples, ref, histogram_bins(bins, j), rep, seed=base_seed
+            samples, ref, histogram_bins(bins, j), rep, seed=seed
         )
         path = out / f"divergence_j{j}.json"
         with open(path, "w", encoding="utf-8") as fh:
@@ -174,11 +194,11 @@ def _cmd_metrics(cfg: Config, out: Path, seed) -> int:
             f"metrics j={j}: chi2 {report.chi_squared:.4e} "
             f"(se {report.se_chi_squared:.2e}), tv {report.total_variation:.4e}"
         )
-    _write_manifest(out, hashed, base_seed, time=t, chi_squared=results)
+    _write_manifest(out, hashed, seed, time=t, chi_squared=results)
     return 0
 
 
-def _cmd_bounds(cfg: Config, out: Path, seed) -> int:
+def _cmd_bounds(cfg: Config, out: Path, seed: int) -> int:
     hashed = _hashed_text(cfg)
     report = run_bounds_report(
         j_list=cfg.get_int_list("j", [1, 4, 16]),
@@ -196,11 +216,11 @@ def _cmd_bounds(cfg: Config, out: Path, seed) -> int:
         print("violation:", v)
     if len(report.violations) > 20:
         print(f"... and {len(report.violations) - 20} more")
-    _write_manifest(out, hashed, _seed(cfg, seed), violations=len(report.violations))
+    _write_manifest(out, hashed, seed, violations=len(report.violations))
     return 0 if report.ok else 1
 
 
-def _cmd_rates(cfg: Config, out: Path, seed) -> int:
+def _cmd_rates(cfg: Config, out: Path, seed: int) -> int:
     lo = cfg.get_float("slope_lo", -1.3)
     hi = cfg.get_float("slope_hi", -0.7)
     if not lo < hi:
@@ -245,9 +265,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = load_config(args.config)
+        seed = _seed(cfg, args.seed)
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        return _COMMANDS[args.command](cfg, out, args.seed)
+        return _COMMANDS[args.command](cfg, out, seed)
     except (OSError, ValueError, MemoryError, NegativeDensityError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -17,7 +17,6 @@ metrics.weighted_l2_error): arity 1, strictly positive, mass 1 to MASS_TOL.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -34,19 +33,23 @@ MASS_TOL = 1e-12  # allowed |mass - 1| of every probability density the package 
 MAX_KERNEL_MODE = 1 << 16  # largest mode a kernel file may name
 
 
-@dataclass(frozen=True)
 class TorusGrid:
     """Uniform periodic grid with M points on T^1.
 
     Nodes are {m/M : 0 <= m < M}; the spacing h = 1/M is exact in floating
-    point for power-of-two M (recommended).
+    point for power-of-two M (recommended).  Grids with the same M are equal.
     """
 
-    M: int
+    def __init__(self, M: int):
+        if M < 2:
+            raise ValueError(f"grid needs at least 2 points, got M={M}")
+        self.M = M
 
-    def __post_init__(self):
-        if self.M < 2:
-            raise ValueError(f"grid needs at least 2 points, got M={self.M}")
+    def __eq__(self, other):
+        return self.M == other.M if type(other) is TorusGrid else NotImplemented
+
+    def __hash__(self):
+        return hash(self.M)
 
     @property
     def h(self) -> float:
@@ -63,20 +66,17 @@ class TorusGrid:
         return self.h ** arity
 
 
-@dataclass
 class GridField:
     """Real-valued function samples on (T^1)^arity; values has shape grid.shape(arity)."""
 
-    grid: TorusGrid
-    arity: int
-    values: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        want = self.grid.shape(self.arity)
+    def __init__(self, grid: TorusGrid, arity: int, values):
+        v = np.asarray(values, dtype=float)
+        want = grid.shape(arity)
         if v.shape != want:
             raise ValueError(f"field values have shape {v.shape}, expected {want} "
-                             f"for arity {self.arity} on M={self.grid.M}")
+                             f"for arity {arity} on M={grid.M}")
+        self.grid = grid
+        self.arity = arity
         self.values = v
 
     def integrate(self) -> float:
@@ -121,7 +121,6 @@ def _series(coeff_cos: np.ndarray, coeff_sin: np.ndarray, x: np.ndarray) -> np.n
     return out
 
 
-@dataclass(frozen=True)
 class KernelSpec:
     """Bounded interaction K(x, y) = b(x) + Khat(x - y) on the torus.
 
@@ -134,20 +133,14 @@ class KernelSpec:
     are b_cos[0] and k_cos[0]); every per-particle mode sum walks it.
     """
 
-    b_cos: np.ndarray
-    b_sin: np.ndarray
-    k_cos: np.ndarray
-    k_sin: np.ndarray
-    mode_table: tuple = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        for name in ("b_cos", "b_sin", "k_cos", "k_sin"):
-            arr = np.atleast_1d(np.asarray(getattr(self, name), dtype=float))
+    def __init__(self, b_cos, b_sin, k_cos, k_sin):
+        for name, table in (("b_cos", b_cos), ("b_sin", b_sin), ("k_cos", k_cos), ("k_sin", k_sin)):
+            arr = np.atleast_1d(np.asarray(table, dtype=float))
             if arr.ndim != 1:
                 raise ValueError(f"{name} must be a 1-d coefficient table")
             if not np.all(np.isfinite(arr)):
                 raise ValueError(f"{name} contains non-finite coefficients")
-            object.__setattr__(self, name, arr)
+            setattr(self, name, arr)
         if len(self.b_cos) != len(self.b_sin) or len(self.k_cos) != len(self.k_sin):
             raise ValueError("cos/sin coefficient tables must have equal length")
         if self.b_sin[0] != 0.0 or self.k_sin[0] != 0.0:
@@ -155,8 +148,8 @@ class KernelSpec:
         width = max(len(self.b_cos), len(self.k_cos))
         coeffs = np.stack([np.pad(a, (0, width - len(a)))
                            for a in (self.b_cos, self.b_sin, self.k_cos, self.k_sin)], axis=1)
-        rows = tuple((m, *map(float, coeffs[m])) for m in range(1, width) if coeffs[m].any())
-        object.__setattr__(self, "mode_table", rows)
+        self.mode_table = tuple((m, *map(float, coeffs[m]))
+                                for m in range(1, width) if coeffs[m].any())
 
     @property
     def band(self) -> int:

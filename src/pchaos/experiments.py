@@ -62,10 +62,10 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
 from functools import partial
 from itertools import groupby
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -107,27 +107,28 @@ _CHUNK_PARTICLES = 6000
 _PHI_PANEL = (("cos1", "cos", 1), ("sin1", "sin", 1), ("cos2", "cos", 2), ("sin2", "sin", 2))
 
 
-@dataclass(frozen=True)
 class ExperimentConfig:
     """Validated inputs of a rate experiment."""
 
-    kernel_path: str
-    density_cos: tuple
-    density_sin: tuple
-    N_list: tuple
-    j_list: tuple
-    order: int
-    T: float
-    dt: float
-    replicas: int
-    seed: int
-    grid: int
-    sample_grid: int
-    bins: int
-    out_dir: str
-    workers: int
+    def __init__(self, kernel_path: str, density_cos: tuple, density_sin: tuple, N_list: tuple,
+                 j_list: tuple, order: int, T: float, dt: float, replicas: int, seed: int,
+                 grid: int, sample_grid: int, bins: int, out_dir: str, workers: int):
+        self.kernel_path = kernel_path
+        self.density_cos = density_cos
+        self.density_sin = density_sin
+        self.N_list = N_list
+        self.j_list = j_list
+        self.order = order
+        self.T = T
+        self.dt = dt
+        self.replicas = replicas
+        self.seed = seed
+        self.grid = grid
+        self.sample_grid = sample_grid
+        self.bins = bins
+        self.out_dir = out_dir
+        self.workers = workers
 
-    def __post_init__(self):
         if not self.N_list:
             raise ConfigError("need at least one N")
         if len(set(self.N_list)) != len(self.N_list):
@@ -213,8 +214,7 @@ class ExperimentConfig:
         return "\n".join(items)
 
 
-@dataclass(frozen=True)
-class RateFit:
+class RateFit(NamedTuple):
     """Least-squares line through (log N, log y) with a slope standard error."""
 
     abscissae: tuple
@@ -427,8 +427,7 @@ def _chunks(replicas: int, N: int, workers: int) -> list:
     return list(zip(edges[:-1], edges[1:]))
 
 
-@dataclass
-class RateResult:
+class RateResult(NamedTuple):
     """Rows of the rate CSV plus the fitted slopes and prediction ratios."""
 
     rows: list
@@ -439,8 +438,7 @@ class RateResult:
     manifest_path: str
 
 
-@dataclass
-class _RatePlan:
+class _RatePlan(NamedTuple):
     """Solved predictions and exact moment tables shared by every worker."""
 
     rho: GridField
@@ -618,8 +616,7 @@ def _persist_rates(ecfg: ExperimentConfig, hashed: str, rows, failure):
 # bounds lattice certification
 
 
-@dataclass
-class BoundsReport:
+class BoundsReport(NamedTuple):
     """Lattice certification rows, violations, and per-inequality summaries."""
 
     rows: list

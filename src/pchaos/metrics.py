@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -221,8 +221,7 @@ def paired_pair_cumulant_difference(
 # aggregated report
 
 
-@dataclass
-class DivergenceReport:
+class DivergenceReport(NamedTuple):
     """Histogram divergences of a sample cloud against a reference density."""
 
     chi_squared: float
@@ -236,7 +235,7 @@ class DivergenceReport:
     n_replicas: int
 
     def to_json(self) -> str:
-        return json.dumps(asdict(self), indent=1)
+        return json.dumps(self._asdict(), indent=1)
 
 
 def _hist_divergences(counts, n, q, n_cells):

@@ -29,7 +29,7 @@ to 1e-13.  The solvers that drive these operators are in pchaos.pde.
 from __future__ import annotations
 
 import itertools as it
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -41,8 +41,7 @@ __all__ = ["STAR", "compile_entry_terms", "compile_bbgky_terms"]
 STAR = 10 ** 6  # sentinel for the integrated-out coordinate; sorts after any real one
 
 
-@dataclass(frozen=True)
-class _Term:
+class _Term(NamedTuple):
     coef: float
     kind: str            # "H" (starred contraction) or "S" (pairwise)
     k: int               # 1-based divergence coordinate

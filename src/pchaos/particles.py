@@ -40,7 +40,7 @@ memory stays O(N^2).
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -63,29 +63,28 @@ _RAW_HEADER = struct.Struct("<4sIIIII8x")  # magic, version, N, d (always 1), re
 _NOISE_BLOCK_BYTES = 1 << 20  # noise _replica_steps draws ahead, all replicas together
 
 
-@dataclass(frozen=True)
 class SimConfig:
     """Ensemble description: system size, time stepping, kernel, initial law."""
 
-    N: int
-    dt: float
-    T: float
-    n_replicas: int
-    base_seed: int
-    kernel: KernelSpec
-    initial_density: GridField
-
-    def __post_init__(self):
-        if self.N < 1:
+    def __init__(self, N: int, dt: float, T: float, n_replicas: int, base_seed: int,
+                 kernel: KernelSpec, initial_density: GridField):
+        if N < 1:
             raise ValueError("need at least one particle")
-        if self.dt <= 0:
+        if dt <= 0:
             raise ValueError("dt must be positive")
-        if self.T < 0:
+        if T < 0:
             raise ValueError("horizon must be nonnegative")
-        if self.n_replicas < 1:
+        if n_replicas < 1:
             raise ValueError("need at least one replica")
-        check_density(self.initial_density, "initial density")
-        step_count(self.T, self.dt)
+        check_density(initial_density, "initial density")
+        step_count(T, dt)
+        self.N = N
+        self.dt = dt
+        self.T = T
+        self.n_replicas = n_replicas
+        self.base_seed = base_seed
+        self.kernel = kernel
+        self.initial_density = initial_density
 
     @property
     def n_steps(self) -> int:
@@ -291,8 +290,7 @@ def em_step(x: np.ndarray, drift: np.ndarray, dt: float, noise: np.ndarray,
     return z
 
 
-@dataclass
-class SnapshotSet:
+class SnapshotSet(NamedTuple):
     """Positions recorded at the requested output times, replica-major."""
 
     times: np.ndarray      # (n_times,)

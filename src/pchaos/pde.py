@@ -35,8 +35,8 @@ import hashlib
 import itertools as it
 import json
 import math
-from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -72,21 +72,31 @@ class MemoryBudgetError(MemoryError):
     """A hierarchy solve would need more memory than MEMORY_BUDGET_BYTES."""
 
 
-@dataclass(frozen=True)
 class TimeGrid:
-    """Uniform time grid dt * n_steps = T with snapshots every store_every steps."""
+    """Uniform time grid dt * n_steps = T with snapshots every store_every steps.
 
-    dt: float
-    n_steps: int
-    store_every: int = 1
+    Grids with the same dt, n_steps and store_every are equal.
+    """
 
-    def __post_init__(self):
-        if not (math.isfinite(self.dt) and self.dt > 0):
-            raise ValueError(f"dt must be positive and finite, got {self.dt}")
-        if self.n_steps < 1:
+    def __init__(self, dt: float, n_steps: int, store_every: int = 1):
+        if not (math.isfinite(dt) and dt > 0):
+            raise ValueError(f"dt must be positive and finite, got {dt}")
+        if n_steps < 1:
             raise ValueError("need at least one step")
-        if self.store_every < 1 or self.n_steps % self.store_every:
+        if store_every < 1 or n_steps % store_every:
             raise ValueError("store_every must divide n_steps")
+        self.dt = dt
+        self.n_steps = n_steps
+        self.store_every = store_every
+
+    def _key(self) -> tuple:
+        return self.dt, self.n_steps, self.store_every
+
+    def __eq__(self, other):
+        return self._key() == other._key() if type(other) is TimeGrid else NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
 
     @property
     def stored_steps(self) -> np.ndarray:
@@ -189,8 +199,7 @@ def _meta_count(meta_file: Path, obj: dict, key: str) -> int:
     return v
 
 
-@dataclass
-class GTable:
+class GTable(NamedTuple):
     """Solved correction hierarchy: trajectories for every (i, j) in T, i <= i_max."""
 
     grid: TorusGrid
@@ -357,8 +366,7 @@ def compute_remainder(i: int, j: int, N: float, gt: GTable, s: int):
     return comps, _weighted_sq(comps, rho_j, gt.grid.h, j)
 
 
-@dataclass
-class EnergyReport:
+class EnergyReport(NamedTuple):
     """Both sides of the hierarchy energy inequality along a reference trajectory."""
 
     times: np.ndarray
@@ -426,8 +434,7 @@ def check_energy_inequality(
 BBGKY_LEVELS = 3  # the reference integrates f_1..f_top, top = BBGKY_LEVELS, and closes above
 
 
-@dataclass
-class BBGKYResult:
+class BBGKYResult(NamedTuple):
     """Marginal trajectories f_1..f_top of the N-particle hierarchy, closed at level top + 1."""
 
     grid: TorusGrid

@@ -1,5 +1,7 @@
-"""Shared fixtures: repository paths and the stock interaction kernel."""
+"""Shared fixtures: repository paths, the stock interaction kernel and a fresh interpreter."""
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -12,13 +14,24 @@ KERNEL_PATH = REPO_ROOT / "kernels" / "default.txt"
 RATES_CONFIG_PATH = REPO_ROOT / "configs" / "rates.cfg"
 
 
-def default_threads_env(**extra) -> dict:
-    """Environment for a child interpreter on this checkout's src with numpy's
-    default BLAS threading: the thread counts OpenBLAS reads are dropped, so
-    a runner that exports one cannot make a threading test pass untested."""
-    env = {k: v for k, v in os.environ.items()
-           if k not in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")}
-    return {**env, "PYTHONPATH": str(REPO_ROOT / "src"), **extra}
+def fresh_python(*args, cwd=None, rc=0, **env) -> str:
+    """Stdout of `python *args` run in a new interpreter on this checkout's src.
+
+    What happens at import (pchaos.cli's process policy, which modules load)
+    cannot be checked in the test process, which has imported everything
+    already.  The child gets numpy's default BLAS threading: the thread
+    counts OpenBLAS reads are dropped from its environment unless env sets
+    them, so a runner that exports one cannot make a threading test pass
+    untested.  The child must exit with code rc; otherwise its stderr is the
+    failure message.
+    """
+    inherited = {k: v for k, v in os.environ.items()
+                 if k not in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")}
+    proc = subprocess.run([sys.executable, *args], capture_output=True, text=True, cwd=cwd,
+                          env={**inherited, "PYTHONPATH": str(REPO_ROOT / "src"), **env},
+                          timeout=600)
+    assert proc.returncode == rc, proc.stderr
+    return proc.stdout
 
 
 # a kernel with mode-0 and several higher b and khat terms, cos and sin

@@ -1,9 +1,6 @@
 """End-to-end smoke tests for every CLI subcommand on tiny configurations."""
 import json
-import os
 import shutil
-import subprocess
-import sys
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +11,7 @@ from pchaos.cli import main
 from pchaos.particles import SnapshotSet
 from pchaos.pde import GTable
 
-from conftest import KERNEL_PATH, REPO_ROOT, default_threads_env
+from conftest import KERNEL_PATH, REPO_ROOT, fresh_python
 
 
 def _write_cfg(tmp_path, name, text):
@@ -306,20 +303,14 @@ def test_shipped_simulate_solve_metrics_chain(tmp_path, monkeypatch, capsys):
     assert set(manifest["chi_squared"]) == {"j1", "j2"}
 
 
-def test_cli_import_leaves_out_scipy_integrate():
-    # mpmath, scipy.special and the rates pool's multiprocessing are imported
-    # where they are used, not at start-up
-    mods = ("scipy.integrate", "mpmath", "scipy.special", "multiprocessing")
-    code = f"import sys, pchaos.cli; print([m in sys.modules for m in {mods!r}])"
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env={**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")}, check=True)
-    assert proc.stdout.strip() == "[False, False, False, False]"
-
-
-def _child_stdout(code: str, **env) -> str:
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env=default_threads_env(**env), check=True)
-    return proc.stdout.strip()
+def test_cli_import_leaves_out_what_start_up_does_not_need():
+    # mpmath, scipy.special, the rates pool's multiprocessing and the bounds
+    # residual's numpy.polynomial are imported where they are used, not at
+    # start-up, and no record class is generated (by dataclasses' exec)
+    mods = ("scipy.integrate", "mpmath", "scipy.special", "multiprocessing", "numpy.polynomial",
+            "dataclasses")
+    code = f"import sys, pchaos.cli; print([m for m in {mods!r} if m in sys.modules])"
+    assert fresh_python("-c", code).strip() == "[]"
 
 
 @pytest.mark.skipif(not Path("/proc/self/task").is_dir(),
@@ -328,19 +319,70 @@ def test_cli_process_runs_blas_on_one_thread():
     # the thread policy: OpenBLAS starts no worker pool in a CLI process
     code = ("import os, pchaos.cli\n"
             "print(len(os.listdir('/proc/self/task')), os.environ['OPENBLAS_NUM_THREADS'])")
-    assert _child_stdout(code) == "1 1"
+    assert fresh_python("-c", code).strip() == "1 1"
 
 
 def test_cli_thread_policy_keeps_a_preset_count():
     code = "import os, pchaos.cli; print(os.environ['OPENBLAS_NUM_THREADS'])"
-    assert _child_stdout(code, OPENBLAS_NUM_THREADS="2") == "2"
+    assert fresh_python("-c", code, OPENBLAS_NUM_THREADS="2").strip() == "2"
 
 
 def test_cli_import_after_numpy_leaves_the_environment():
     # OpenBLAS has read its thread count by now; a library caller keeps its own
     code = ("import os, numpy\nbefore = dict(os.environ)\nimport pchaos.cli\n"
             "print(dict(os.environ) == before)")
-    assert _child_stdout(code) == "True"
+    assert fresh_python("-c", code).strip() == "True"
+
+
+def test_cli_process_freezes_its_import_heap():
+    # the collector policy: what the imports made is left out of every later
+    # collection, the interpreter's exit sweeps included
+    code = "import gc, pchaos.cli; print(gc.get_freeze_count())"
+    assert int(fresh_python("-c", code)) > 0
+
+
+def test_cli_import_after_numpy_leaves_the_collector():
+    # a library caller, or the test suite, keeps every object collectable
+    code = "import gc, numpy, pchaos.cli; print(gc.get_freeze_count())"
+    assert fresh_python("-c", code).strip() == "0"
+
+
+# (command, config, its text, output directory); paths are relative to the run
+# directory, so both runs of test_cli_processes_write_what_main_writes hash the same text
+_PROCESS_RUNS = (
+    ("simulate", "s.cfg", "kernel = kernel.txt\ndensity_cos = 1.0, 0.5\ndensity_sin = 0.0, 0.25\n"
+     "sample_grid = 64\nN = 8\ndt = 1e-3\nT = 2e-3\nreplicas = 50\nseed = 4\n", "s"),
+    ("solve-hierarchy", "h.cfg", "kernel = kernel.txt\ndensity_cos = 1.0, 0.5\n"
+     "density_sin = 0.0, 0.25\ngrid = 32\ndt = 1e-3\nT = 2e-3\n", "h"),
+    ("metrics", "m.cfg", "snapshots = s/snapshots.raw\ngtable = h/gtable\nj = 1, 2\nbins = 8\n",
+     "m"),
+    ("bounds", "b.cfg", "j = 1, 4\nell_max = 6\nb = 1, 3\nt = 0.1, 1.0\n", "b"),
+    ("bounds", "bf.cfg", "j = 16\nell_max = 64\nb = 7\nt = 0.1\ninject = 1e-3\n", "bf"),
+)
+
+
+def test_cli_processes_write_what_main_writes(tmp_path, monkeypatch, capsys):
+    # a CLI process freezes its import heap and keeps it frozen through exit;
+    # every buffered write must still reach its file, and every output, line
+    # of stdout and exit code must match a run of main() in this process,
+    # which freezes nothing
+    def files(root):
+        return {p.relative_to(root): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+    for side in ("main", "process"):
+        (tmp_path / side).mkdir()
+        shutil.copy(KERNEL_PATH, tmp_path / side / "kernel.txt")
+        for _, name, text, _ in _PROCESS_RUNS:
+            (tmp_path / side / name).write_text(text, encoding="utf-8")
+    monkeypatch.chdir(tmp_path / "main")
+    codes = []
+    for sub, name, _, out in _PROCESS_RUNS:
+        args = [sub, "--config", name, "--out", out]
+        codes.append(main(args))
+        stdout = fresh_python("-m", "pchaos.cli", *args, cwd=tmp_path / "process", rc=codes[-1])
+        assert stdout == capsys.readouterr().out, sub
+    assert codes == [0, 0, 0, 0, 1]
+    assert files(tmp_path / "process") == files(tmp_path / "main")
 
 
 def test_commands_leave_scipy_unimported(tmp_path):
@@ -359,9 +401,7 @@ def test_commands_leave_scipy_unimported(tmp_path):
             f"rc = main([{sub!r}, '--config', {cfg!r}, '--out', {str(tmp_path / out)!r}])\n"
             "print(rc, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
         )
-        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                              env={**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")}, check=True)
-        assert proc.stdout.splitlines()[-1] == "0 []", (sub, proc.stdout, proc.stderr)
+        assert fresh_python("-c", code).splitlines()[-1] == "0 []", sub
 
 
 def test_shipped_bounds_config_and_its_fault_control(tmp_path, capsys):
@@ -581,6 +621,21 @@ def test_rates_rejects_unfittable_configs_before_simulating(tmp_path, capsys, li
     err = capsys.readouterr().err
     assert err == f"error: {message}\n"
     assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("sub", ["simulate", "solve-mv", "solve-hierarchy", "metrics", "bounds",
+                                 "rates"])
+def test_negative_seed_is_a_user_error_in_every_command(tmp_path, capsys, sub):
+    # one seed rule: a negative seed from the config or from --seed is refused
+    # by name before the command reads or writes anything
+    cfg = _write_cfg(tmp_path, "c.cfg", "seed = -3\n")
+    out = tmp_path / "o"
+    assert main([sub, "--config", cfg, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {cfg}: seed is -3, expected a nonnegative integer\n"
+    cfg = _write_cfg(tmp_path, "c.cfg", "seed = 3\n")
+    assert main([sub, "--config", cfg, "--out", str(out), "--seed", "-5"]) == 2
+    assert capsys.readouterr().err == "error: --seed is -5, expected a nonnegative integer\n"
+    assert not out.exists()
 
 
 def test_missing_config_and_missing_key(tmp_path, capsys):

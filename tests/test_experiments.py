@@ -4,10 +4,7 @@ import concurrent.futures
 import hashlib
 import json
 import math
-import os
 import re
-import subprocess
-import sys
 from pathlib import Path
 
 import numpy as np
@@ -38,7 +35,7 @@ from pchaos.particles import (
     sample_initial,
 )
 
-from conftest import KERNEL_PATH, REPO_ROOT, RICH_KERNEL, band_limited_kernels, default_threads_env
+from conftest import KERNEL_PATH, RICH_KERNEL, band_limited_kernels, fresh_python
 from oracles import chain_transfer_matrix
 from oracles.chain_transfer_matrix import chain_moments_transfer_matrix
 from oracles.companion_explicit import companion_terms_explicit
@@ -232,9 +229,7 @@ def test_chain_moments_leave_scipy_special_unimported():
         "_chain_moments(k, fourier_field(TorusGrid(64), [1.0, 0.5]), 1e-3, 2)\n"
         "print('scipy.special' in sys.modules)\n"
     )
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env={**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")}, check=True)
-    assert proc.stdout.strip() == "False"
+    assert fresh_python("-c", code).strip() == "False"
 
 
 def test_chain_moments_keep_to_one_cpu():
@@ -255,9 +250,8 @@ def test_chain_moments_keep_to_one_cpu():
         "_chain_moments(k, f, 1e-3, 500)\n"
         "print((time.process_time() - c0) / (time.perf_counter() - t0))\n"
     )
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env=default_threads_env(), check=True)
-    assert float(proc.stdout) <= 1.3, proc.stdout
+    ratio = fresh_python("-c", code)
+    assert float(ratio) <= 1.3, ratio
 
 
 def test_chain_moments_quadrature_self_convergence(default_kernel):

@@ -10,8 +10,6 @@ from tests/oracles/bbgky_closure_dense.py.
 import itertools as it
 import json
 import math
-import subprocess
-import sys
 import tracemalloc
 
 import numpy as np
@@ -46,7 +44,7 @@ from pchaos.pde import (
     solve_mckean_vlasov,
 )
 
-from conftest import REPO_ROOT, RICH_KERNEL, band_limited_kernels, default_threads_env
+from conftest import REPO_ROOT, RICH_KERNEL, band_limited_kernels, fresh_python
 from field_synth import random_consistent_triple, random_smooth_field
 from oracles.all_k_flux import bbgky_fluxes, entry_fluxes
 from oracles.bbgky_closure_dense import _cluster3, closure_f4
@@ -452,9 +450,7 @@ def test_hierarchy_solve_keeps_to_one_cpu():
         "    solve_g_hierarchy(2, f, k, TimeGrid(1e-3, steps))\n"
         "    print((time.process_time() - c0) / (time.perf_counter() - t0))\n"
     )
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env=default_threads_env(), check=True)
-    ratios = [float(line) for line in proc.stdout.split()]
+    ratios = [float(line) for line in fresh_python("-c", code).split()]
     assert len(ratios) == 2 and max(ratios) <= 1.3, ratios
 
 
