@@ -212,7 +212,13 @@ def poly_bound(ell: int, j: int, b: int, beta: float, t: float) -> float:
     _check_args(ell, j, beta, t)
     if b != int(b) or b < 1:
         raise ValueError("exponent b must be a positive integer")
-    return float(((j + b) / (j + ell)) ** b * math.exp(beta * b * t))
+    try:
+        return float(((j + b) / (j + ell)) ** b * math.exp(beta * b * t))
+    except OverflowError:  # a factor leaves the double range; the bound may not
+        try:
+            return math.exp(b * math.log((j + b) / (j + ell)) + beta * b * t)
+        except OverflowError:
+            return math.inf  # the bound leaves it too, and +inf holds
 
 
 def exp_bound(ell: int, j: int, beta: float, t: float):

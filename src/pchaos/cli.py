@@ -225,7 +225,7 @@ def _cmd_rates(cfg: Config, out: Path, seed: int) -> int:
     hi = cfg.get_float("slope_hi", -0.7)
     if not lo < hi:
         raise ConfigError(f"slope_lo = {lo} must be below slope_hi = {hi}")
-    ecfg = ExperimentConfig.from_config(cfg, out_override=str(out), seed_override=seed)
+    ecfg = ExperimentConfig.from_config(cfg, str(out), seed)
     result = run_rate_experiment(ecfg)
     ok = True
     for name, fit in result.fits.items():

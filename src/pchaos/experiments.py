@@ -36,7 +36,8 @@ coefficients, so the drift, its Jacobian and the leave-one-out forcing each
 cost one product per trigonometric value (see _companion_terms).  The
 chain-moment table steps the chain's spectrum, band-limited by the heat
 factor, so it costs O(M L) per step for M cells and L modes.
-run_rate_experiment keeps one process pool for the run: it builds the
+run_rate_experiment runs every task on one process pool of
+min(workers, cpu_count) processes, one worker included: the pool builds the
 chain-moment table while the main process solves the hierarchy, then takes
 every N's replica chunks, all submitted up front.  Each worker runs BLAS on
 its own thread under the CLI's thread policy (see pchaos.cli), and the
@@ -63,7 +64,6 @@ from __future__ import annotations
 import math
 import os
 from functools import partial
-from itertools import groupby
 from pathlib import Path
 from typing import NamedTuple
 
@@ -139,11 +139,9 @@ class ExperimentConfig:
             raise ConfigError("j values must be distinct")
         if min(self.N_list) < max(2, max(self.j_list)):
             raise ConfigError("every N must be at least 2 and at least the largest j")
-        if not 1 <= self.order <= 2:
-            raise ConfigError("correction order must be 1 or 2")
-        if self.order == 2:
+        if self.order != 1:
             raise ConfigError(
-                "order = 2 is not supported: rates is first order by design, because "
+                f"order = {self.order} is not supported: rates is first order by design, because "
                 "simulation cannot resolve the order-2 bias; higher orders are checked "
                 "deterministically against the N-particle hierarchy"
             )
@@ -175,7 +173,7 @@ class ExperimentConfig:
             raise ConfigError("initial density must stay above 1e-3")
 
     @classmethod
-    def from_config(cls, cfg: Config, out_override=None, seed_override=None):
+    def from_config(cls, cfg: Config, out_dir: str, seed: int):
         return cls(
             kernel_path=cfg.get_str("kernel"),
             density_cos=tuple(cfg.get_float_list("density_cos")),
@@ -186,11 +184,11 @@ class ExperimentConfig:
             T=cfg.get_float("T"),
             dt=cfg.get_float("dt", 1e-3),
             replicas=cfg.get_int("replicas", 10000),
-            seed=seed_override if seed_override is not None else cfg.get_int("seed", 0),
+            seed=seed,
             grid=cfg.get_int("grid", 64),
             sample_grid=cfg.get_int("sample_grid", 256),
             bins=cfg.get_int("bins", 32),
-            out_dir=out_override if out_override is not None else cfg.get_str("out", "results"),
+            out_dir=out_dir,
             workers=cfg.get_int("workers", 8),
         )
 
@@ -384,13 +382,14 @@ def _companion_terms(kernel: KernelSpec, y: np.ndarray, C: np.ndarray, S: np.nda
     return drift, jac, force
 
 
-def _rate_worker(cfg: SimConfig, r0, r1, Cdt, Sdt, phis):
+def _rate_worker(cfg: SimConfig, r0, r1, Cdt, Sdt, primary: int):
     """Coupled estimates over replicas range(r0, r1) of the sim configuration.
 
     The interacting system x is particles._replica_steps; the companion y
     starts at the same positions, takes the same noise and drifts by the
-    chain moments Cdt[n], Sdt[n]; delta is the derivative companion.  Every
-    statistic has one column per observable in phis; x is returned last.
+    chain moments Cdt[n], Sdt[n]; delta is the derivative companion.  Returns
+    diffs and plains, one column per _PHI_PANEL observable; pairs, the columns
+    uX, aX, uY, aY of _pair_stats of _PHI_PANEL[primary] on x and on y; and x.
     """
     steps = _replica_steps(cfg, range(r0, r1), cfg.n_steps)
     x, _ = next(steps)
@@ -405,15 +404,15 @@ def _rate_worker(cfg: SimConfig, r0, r1, Cdt, Sdt, phis):
         delta += jac
         em_step(y, dy, cfg.dt, noise, out=y, work=force)
 
-    diffs, plains, uX, aX, uY, aY = np.empty((6, r1 - r0, len(phis)))
-    for p, (_, kind, mode) in enumerate(phis):
+    diffs, plains = np.empty((2, r1 - r0, len(_PHI_PANEL)))
+    for p, (_, kind, mode) in enumerate(_PHI_PANEL):
         vx = _phi_values(kind, mode, x)
         vy = _phi_values(kind, mode, y)
         plains[:, p] = vx.mean(axis=1)
         diffs[:, p] = plains[:, p] - vy.mean(axis=1) - (_phi_deriv_values(kind, mode, y) * delta).mean(axis=1)
-        uX[:, p], aX[:, p] = _pair_stats(vx)
-        uY[:, p], aY[:, p] = _pair_stats(vy)
-    return r0, diffs, plains, uX, aX, uY, aY, x
+        if p == primary:
+            pairs = np.stack((*_pair_stats(vx), *_pair_stats(vy)), axis=1)
+    return diffs, plains, pairs, x
 
 
 def _chunks(replicas: int, N: int, workers: int) -> list:
@@ -452,8 +451,8 @@ class _RatePlan(NamedTuple):
 def _predictions(ecfg: ExperimentConfig, kernel: KernelSpec, pool) -> _RatePlan:
     """Mean-field solve and first-order correction functionals for the panel.
 
-    With a process pool, the chain-moment table is built there while this
-    process solves the hierarchy; the band is checked before the pool gets work.
+    The process pool builds the chain-moment table while this process solves
+    the hierarchy; the band is checked before the pool gets work.
     """
     sample_density = fourier_field(TorusGrid(ecfg.sample_grid), ecfg.density_cos,
                                    ecfg.density_sin)
@@ -461,8 +460,7 @@ def _predictions(ecfg: ExperimentConfig, kernel: KernelSpec, pool) -> _RatePlan:
     density = fourier_field(grid, ecfg.density_cos, ecfg.density_sin)
     kernel._check_band(grid.M)
     n_steps = step_count(ecfg.T, ecfg.dt)
-    chain_args = (kernel, sample_density, ecfg.dt, n_steps)
-    chain = pool.submit(_chain_moments, *chain_args) if pool is not None else None
+    chain = pool.submit(_chain_moments, kernel, sample_density, ecfg.dt, n_steps)
     # only the final time is read, so only t = 0 and T are stored
     gt = solve_g_hierarchy(1, density, kernel, TimeGrid(ecfg.dt, n_steps, n_steps))
     rho = gt.field(0, 1, 1)
@@ -479,7 +477,7 @@ def _predictions(ecfg: ExperimentConfig, kernel: KernelSpec, pool) -> _RatePlan:
         }
     chi_pred = {j: weighted_l2_error(GridField(grid, j, assemble_correction(1, j, fields)), rho)
                 for j in (1, 2)}
-    Cdt, Sdt = chain.result() if chain is not None else _chain_moments(*chain_args)
+    Cdt, Sdt = chain.result()
     return _RatePlan(rho, per_phi, chi_pred, Cdt, Sdt, sample_density)
 
 
@@ -500,18 +498,17 @@ def run_rate_experiment(ecfg: ExperimentConfig) -> RateResult:
 
     # the pool forks every worker at its first task, so it is sized to the machine
     workers = min(ecfg.workers, os.cpu_count() or 1)
-    pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
+    pool = ProcessPoolExecutor(max_workers=workers)
     try:
         return _run_rates(ecfg, hashed, kernel, pool, workers)
     finally:
-        if pool is not None:
-            pool.shutdown(cancel_futures=True)
+        pool.shutdown(cancel_futures=True)
 
 
 def _run_rates(ecfg: ExperimentConfig, hashed: str, kernel: KernelSpec, pool,
                workers: int) -> RateResult:
-    """run_rate_experiment on the given process pool of workers (None: in this process);
-    hashed is the manifest's hash text."""
+    """run_rate_experiment on the given process pool of workers; hashed is the
+    manifest's hash text."""
     plan = _predictions(ecfg, kernel, pool)
     per_phi, chi_pred, rho = plan.per_phi, plan.chi_pred, plan.rho
 
@@ -525,24 +522,17 @@ def _run_rates(ecfg: ExperimentConfig, hashed: str, kernel: KernelSpec, pool,
     bias_points = []
     failure = None
     try:
-        N_list = sorted(ecfg.N_list)
-        sims = {
-            N: SimConfig(N=N, dt=ecfg.dt, T=ecfg.T, n_replicas=ecfg.replicas,
-                         base_seed=ecfg.seed, kernel=kernel,
-                         initial_density=plan.sample_density)
-            for N in N_list
-        }
-        tasks = [(N, r0, r1) for N in N_list
-                 for r0, r1 in _chunks(ecfg.replicas, N, workers)]
-        work = partial(_rate_worker, Cdt=plan.Cdt, Sdt=plan.Sdt, phis=_PHI_PANEL)
-        if pool is None:
-            parts = (work(sims[N], r0, r1) for N, r0, r1 in tasks)
-        else:
-            futures = [pool.submit(work, sims[N], r0, r1) for N, r0, r1 in tasks]
-            parts = (f.result() for f in futures)
-        for N, done in groupby(zip(tasks, parts), key=lambda task_part: task_part[0][0]):
-            diffs, plains, uX, aX, uY, aY, xs = (
-                np.concatenate(arrays) for arrays in list(zip(*(part for _, part in done)))[1:]
+        work = partial(_rate_worker, Cdt=plan.Cdt, Sdt=plan.Sdt, primary=primary_idx)
+        futures = {}
+        for N in sorted(ecfg.N_list):
+            sim = SimConfig(N=N, dt=ecfg.dt, T=ecfg.T, n_replicas=ecfg.replicas,
+                            base_seed=ecfg.seed, kernel=kernel,
+                            initial_density=plan.sample_density)
+            futures[N] = [pool.submit(work, sim, r0, r1)
+                          for r0, r1 in _chunks(ecfg.replicas, N, workers)]
+        for N, chunks in futures.items():
+            diffs, plains, pairs, xs = (
+                np.concatenate(arrays) for arrays in zip(*(f.result() for f in chunks))
             )
             R = diffs.shape[0]
 
@@ -560,7 +550,7 @@ def _run_rates(ecfg: ExperimentConfig, hashed: str, kernel: KernelSpec, pool,
                     bias_points.append((N, abs(est)))
                     ratios[N] = est / pred if pred else math.inf
 
-            uX, aX, uY, aY = (v[:, primary_idx] for v in (uX, aX, uY, aY))
+            uX, aX, uY, aY = pairs.T
             kap, kap_se = paired_pair_cumulant_difference(uX, aX, aX, uY, aY, aY)
             rows.append(
                 _row(
@@ -579,8 +569,8 @@ def _run_rates(ecfg: ExperimentConfig, hashed: str, kernel: KernelSpec, pool,
                 rows.append(
                     _row(N, j, ecfg.order, ecfg.T, f"chi2_j{j}", est, chi_pred[j] / N ** 2, se)
                 )
-    except Exception as exc:  # persist what exists, then re-raise
-        failure = f"{type(exc).__name__}: {exc}"
+    except BaseException as exc:  # an interrupt too: persist what exists, then re-raise
+        failure = type(exc).__name__ + (f": {exc}" if str(exc) else "")
         raise
     finally:
         csv_path, manifest_path = _persist_rates(ecfg, hashed, rows, failure)

@@ -320,6 +320,9 @@ class SnapshotSet(NamedTuple):
             raise ValueError("unrecognized snapshot file")
         if d != 1:
             raise ValueError(f"snapshot file {path} has d = {d}; positions must have one coordinate")
+        if not min(N, R, nt):
+            raise ValueError(f"snapshot file {path} holds no positions: N = {N}, replicas = {R}, "
+                             f"times = {nt}")
         want = _RAW_HEADER.size + 8 * nt * (1 + R * N * d)
         if len(data) != want:
             raise ValueError(f"snapshot file {path} has {len(data)} bytes, its header describes {want}")

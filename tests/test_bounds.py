@@ -288,6 +288,17 @@ def test_poly_bound_dominates():
         poly_bound(1, 1, 0, 1.0, 1.0)
 
 
+def test_poly_bound_past_the_exponential_range():
+    # e^{beta b t} = e^720 leaves the double range, the bound 2/(10^6 + 1) e^720
+    # = e^706.9 does not; where the bound itself leaves it, it is +inf (which holds)
+    want = math.exp(math.log(2 / (10**6 + 1)) + 720.0)
+    assert poly_bound(10**6, 1, 1, 240.0, 3.0) == pytest.approx(want, rel=1e-12)
+    assert math.isfinite(want) and want > 1e306
+    assert poly_bound(4, 1, 7, 100.0, 3.0) == math.inf
+    # the values inside the range keep the product's bits
+    assert poly_bound(4, 1, 7, 1.0, 3.0) == float((8 / 5) ** 7 * math.exp(21.0))
+
+
 def test_exp_bound_hypothesis_and_domination():
     # hypothesis j <= (1/3) e^{-2 beta t - 1} ell, checked on both sides of the line
     ell, beta, t = 60, 1.0, 0.1

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pchaos import cli
+from pchaos import cli, particles
 from pchaos.cli import main
 from pchaos.particles import SnapshotSet
 from pchaos.pde import GTable
@@ -492,6 +492,24 @@ def test_metrics_rejects_truncated_gtable(tmp_path, capsys):
     assert err.count("\n") == 1
 
 
+def test_metrics_snapshot_file_without_positions_is_a_user_error(tmp_path, capsys):
+    # a header of zero times (whose size matches) holds nothing to measure
+    hier_cfg = _write_cfg(
+        tmp_path, "h.cfg",
+        f"kernel = {KERNEL_PATH}\ndensity_cos = 1.0, 0.5\ngrid = 16\ndt = 1e-3\nT = 2e-3\n",
+    )
+    assert main(["solve-hierarchy", "--config", hier_cfg, "--out", str(tmp_path / "h")]) == 0
+    snaps = tmp_path / "empty.raw"
+    snaps.write_bytes(particles._RAW_HEADER.pack(particles._RAW_MAGIC, particles._RAW_VERSION,
+                                                 8, 1, 50, 0))
+    met_cfg = _write_cfg(tmp_path, "m.cfg",
+                         f"snapshots = {snaps}\ngtable = {tmp_path / 'h' / 'gtable'}\n")
+    capsys.readouterr()
+    assert main(["metrics", "--config", met_cfg, "--out", str(tmp_path / "m")]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: snapshot file {snaps} holds no positions: N = 8, replicas = 50, times = 0\n"
+
+
 def test_metrics_nan_time_is_a_user_error(tmp_path, capsys):
     # a NaN time matches no snapshot: one error line, nothing written
     hier_cfg = _write_cfg(
@@ -547,6 +565,17 @@ def test_bounds_clean_and_faulted(tmp_path, capsys):
     assert rc == 1
     text = capsys.readouterr().out
     assert "violation: poly bound" in text and "FAIL" in text
+
+
+def test_bounds_with_a_large_beta(tmp_path, capsys):
+    # beta b t = 2100 overflows e^{beta b t}: the bound is +inf there, and holds
+    cfg = _write_cfg(tmp_path, "b.cfg", "j = 1, 4\nell_max = 8\nb = 1, 7\nt = 0.1, 3.0\nbeta = 100\n")
+    out = tmp_path / "o"
+    assert main(["bounds", "--config", cfg, "--out", str(out)]) == 0
+    rows = (out / "bounds.csv").read_text(encoding="utf-8").splitlines()[1:]
+    assert any(r.split(",")[6] == "inf" for r in rows)
+    assert json.loads((out / "manifest.json").read_text())["violations"] == 0
+    assert "FAIL" not in capsys.readouterr().out
 
 
 def _rates_smoke_cfg(tmp_path, slope_band):

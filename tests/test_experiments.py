@@ -79,7 +79,7 @@ def test_experiment_config_validation(tmp_path):
         _ecfg(tmp_path, j_list=(1, 3))
     with pytest.raises(ConfigError, match="largest j"):
         _ecfg(tmp_path, N_list=(1, 8))
-    with pytest.raises(ConfigError, match="order must be 1 or 2"):
+    with pytest.raises(ConfigError, match="order = 3 is not supported: rates is first order"):
         _ecfg(tmp_path, order=3)
     with pytest.raises(ConfigError, match="positive horizon"):
         _ecfg(tmp_path, T=0.0)
@@ -111,17 +111,13 @@ def test_experiment_config_from_file_defaults(tmp_path):
         "T = 0.5\n",
         encoding="utf-8",
     )
-    ecfg = ExperimentConfig.from_config(load_config(str(p)))
+    ecfg = ExperimentConfig.from_config(load_config(str(p)), str(tmp_path), 5)
     assert ecfg.j_list == (1, 2)
     assert ecfg.order == 1
     assert ecfg.dt == 1e-3
     assert ecfg.replicas == 10_000
     assert ecfg.grid == 64 and ecfg.sample_grid == 256 and ecfg.bins == 32
-    assert ecfg.out_dir == "results"
-    over = ExperimentConfig.from_config(
-        load_config(str(p)), out_override=str(tmp_path), seed_override=5
-    )
-    assert over.out_dir == str(tmp_path) and over.seed == 5
+    assert ecfg.out_dir == str(tmp_path) and ecfg.seed == 5
 
 
 def test_canonical_text_ignores_runtime_knobs(tmp_path):
@@ -316,7 +312,7 @@ def _payload(kernel, density, N, dt, n_steps, seed, r0, r1):
     C, S = _chain_moments(kernel, density, dt, n_steps)
     cfg = SimConfig(N=N, dt=dt, T=n_steps * dt, n_replicas=r1, base_seed=seed,
                     kernel=kernel, initial_density=density)
-    return cfg, r0, r1, C, S, _PHI_PANEL
+    return cfg, r0, r1, C, S, 0  # pair statistics of the panel's first observable
 
 
 def test_worker_matches_canonical_ensemble(default_kernel):
@@ -325,7 +321,7 @@ def test_worker_matches_canonical_ensemble(default_kernel):
     g = TorusGrid(64)
     density = fourier_field(g, [1.0, 0.5], [0.0, 0.25])
     N, dt, n_steps, seed = 8, 1e-3, 3, 11
-    _, _, _, _, _, _, _, x = _rate_worker(
+    _, _, _, x = _rate_worker(
         *_payload(default_kernel, density, N, dt, n_steps, seed, 0, 5)
     )
     cfg = SimConfig(
@@ -408,14 +404,14 @@ RESTATED_TRIG_TOL = 1e-9
 def _assert_moved_within_restated_bound(new, old):
     # two _rate_worker results: the corrected estimates within the restated
     # bound of themselves and of their standard error
-    diffs_new, diffs_old = new[1], old[1]
+    diffs_new, diffs_old = new[0], old[0]
     est_new, est_old = diffs_new.mean(axis=0), diffs_old.mean(axis=0)
     se = diffs_old.std(axis=0, ddof=1) / np.sqrt(len(diffs_old))
     moved = np.abs(est_new - est_old)
     assert np.all(moved <= RESTATED_TRIG_TOL * np.abs(est_old))
     assert np.all(moved <= RESTATED_TRIG_TOL * se)
     # the plain means and the pair statistics see only the positions
-    for k in range(2, 7):
+    for k in (1, 2):
         assert np.max(np.abs(new[k] - old[k])) <= 1e-13
 
 
@@ -427,7 +423,7 @@ def test_quarter_turn_trig_moves_the_worker_within_the_restated_bound(default_ke
     new = _rate_worker(*payload)
     monkeypatch.setattr(particles, "_cos_sin", plain_cos_sin)
     old = _rate_worker(*payload)
-    assert not np.array_equal(new[7], old[7])  # the oracle did take the helper's place
+    assert not np.array_equal(new[3], old[3])  # the oracle did take the helper's place
     _assert_moved_within_restated_bound(new, old)
 
 
@@ -437,11 +433,11 @@ def test_fourier_chain_moves_the_worker_within_the_restated_bound(default_kernel
     # steps carry into the corrected estimates only
     g = TorusGrid(64)
     density = fourier_field(g, [1.0, 0.5], [0.0, 0.25])
-    cfg, r0, r1, C, S, phis = _payload(default_kernel, density, 20, 1e-3, 40, 5, 0, 50)
+    cfg, r0, r1, C, S, primary = _payload(default_kernel, density, 20, 1e-3, 40, 5, 0, 50)
     C_old, S_old = chain_moments_transfer_matrix(default_kernel, density, 1e-3, 40)
     assert not (np.array_equal(C, C_old) and np.array_equal(S, S_old))
-    _assert_moved_within_restated_bound(_rate_worker(cfg, r0, r1, C, S, phis),
-                                        _rate_worker(cfg, r0, r1, C_old, S_old, phis))
+    _assert_moved_within_restated_bound(_rate_worker(cfg, r0, r1, C, S, primary),
+                                        _rate_worker(cfg, r0, r1, C_old, S_old, primary))
 
 
 def test_drift_derivative_matches_finite_differences():
@@ -465,11 +461,9 @@ def test_worker_zero_interaction_null(default_kernel):
     )
     g = TorusGrid(64)
     density = fourier_field(g, [1.0, 0.5])
-    _, diffs, _, uX, aX, uY, aY, _ = _rate_worker(
-        *_payload(kernel, density, 6, 1e-3, 4, 3, 0, 4)
-    )
+    diffs, _, pairs, _ = _rate_worker(*_payload(kernel, density, 6, 1e-3, 4, 3, 0, 4))
     assert np.all(diffs == 0.0)
-    assert np.array_equal(uX, uY) and np.array_equal(aX, aY)
+    assert np.array_equal(pairs[:, :2], pairs[:, 2:])  # uX, aX against uY, aY
 
 
 def test_worker_chunking_is_invisible(default_kernel):
@@ -478,7 +472,8 @@ def test_worker_chunking_is_invisible(default_kernel):
     whole = _rate_worker(*_payload(default_kernel, density, 6, 1e-3, 2, 9, 0, 6))
     lo = _rate_worker(*_payload(default_kernel, density, 6, 1e-3, 2, 9, 0, 3))
     hi = _rate_worker(*_payload(default_kernel, density, 6, 1e-3, 2, 9, 3, 6))
-    for k in range(1, 8):
+    assert len(whole) == 4
+    for k in range(4):
         joined = np.concatenate([lo[k], hi[k]])
         assert np.array_equal(whole[k], joined)
 
@@ -535,7 +530,12 @@ def test_rate_manifest_hashes_the_kernel_as_read(tmp_path, monkeypatch, change):
     assert manifest["config_sha256"] == want_sha
 
 
-def test_run_rate_experiment_persists_failures(tmp_path, monkeypatch):
+@pytest.mark.parametrize("exc, status", [
+    (ValueError("too many cells: injected at the second N"),
+     "failed: ValueError: too many cells: injected at the second N"),
+    (KeyboardInterrupt(), "failed: KeyboardInterrupt"),  # Ctrl-C during a run
+], ids=["error", "interrupt"])
+def test_run_rate_experiment_persists_failures(tmp_path, monkeypatch, exc, status):
     # a stage that dies at the second N must flush the first N's rows; the
     # histogram stage is made to fail there (the real cell cap is checked
     # before any simulation, see test_histogram_cell_cap_checked_per_n_and_j)
@@ -544,14 +544,14 @@ def test_run_rate_experiment_persists_failures(tmp_path, monkeypatch):
 
     def failing_at_second_n(samples, *args, **kw):
         if len(samples) == ecfg.replicas * sorted(ecfg.N_list)[1]:  # j = 1
-            raise ValueError("too many cells: injected at the second N")
+            raise exc
         return real(samples, *args, **kw)
 
     monkeypatch.setattr(experiments, "chi_squared_from_samples", failing_at_second_n)
-    with pytest.raises(ValueError, match="too many cells"):
+    with pytest.raises(type(exc)):
         run_rate_experiment(ecfg)
     manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
-    assert manifest["status"].startswith("failed: ValueError")
+    assert manifest["status"] == status
     lines = (tmp_path / "out" / "rates.csv").read_text().splitlines()
     assert lines[0] == "N,j,i,t,observable,estimate,prediction,se"
     assert len(lines) > 1
@@ -580,19 +580,21 @@ def test_histogram_cell_cap_checked_per_n_and_j(tmp_path):
         _ecfg(tmp_path, bins=5)
 
 
-def test_rate_pool_matches_serial_run(tmp_path):
-    # several chunks per N on two processes give the serial run's bytes
+def test_one_and_two_workers_write_the_same_csv(tmp_path):
+    # one and two pool workers cut N = 60 into 3 and 4 chunks: the same bytes
     base = dict(N_list=(40, 60, 80), replicas=300)
+    assert [len(experiments._chunks(300, N, 1)) for N in base["N_list"]] == [2, 3, 4]
     assert [len(experiments._chunks(300, N, 2)) for N in base["N_list"]] == [2, 4, 4]
-    serial = run_rate_experiment(_ecfg(tmp_path, out_dir=str(tmp_path / "w1"), workers=1, **base))
-    pooled = run_rate_experiment(_ecfg(tmp_path, out_dir=str(tmp_path / "w2"), workers=2, **base))
-    assert Path(serial.csv_path).read_bytes() == Path(pooled.csv_path).read_bytes()
+    one = run_rate_experiment(_ecfg(tmp_path, out_dir=str(tmp_path / "w1"), workers=1, **base))
+    two = run_rate_experiment(_ecfg(tmp_path, out_dir=str(tmp_path / "w2"), workers=2, **base))
+    assert Path(one.csv_path).read_bytes() == Path(two.csv_path).read_bytes()
 
 
-def test_rate_pool_is_sized_to_the_machine(tmp_path, monkeypatch):
+@pytest.mark.parametrize("workers", [1, 64])
+def test_rate_pool_is_sized_to_the_machine(tmp_path, monkeypatch, workers):
     # the pool forks every worker at its first task, so 64 requested workers
-    # on two CPUs get a pool of two and chunks for two; the stub pool runs
-    # each task inline and starts no process
+    # on two CPUs get a pool of two and chunks for two, and one worker a pool
+    # of one; the stub pool runs each task inline and starts no process
     pools, tasks = [], []
 
     class InlinePool:
@@ -611,10 +613,12 @@ def test_rate_pool_is_sized_to_the_machine(tmp_path, monkeypatch):
     # run_rate_experiment imports the pool class from concurrent.futures when it runs
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
     monkeypatch.setattr(experiments.os, "cpu_count", lambda: 2)
-    run_rate_experiment(_ecfg(tmp_path, N_list=(40, 60, 80), replicas=300, workers=64))
-    assert pools == [2]
-    # the chain-moment table, then every N's chunks for two workers
-    assert len(tasks) == 1 + sum(len(experiments._chunks(300, N, 2)) for N in (40, 60, 80))
+    run_rate_experiment(_ecfg(tmp_path, N_list=(40, 60, 80), replicas=300, workers=workers))
+    size = min(workers, 2)
+    assert pools == [size]
+    # the chain-moment table, then every N's chunks for the pool's workers
+    assert tasks[0] is _chain_moments
+    assert len(tasks) == 1 + sum(len(experiments._chunks(300, N, size)) for N in (40, 60, 80))
 
 
 def test_chunks_cover_replicas_in_multiples_of_workers():

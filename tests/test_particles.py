@@ -8,6 +8,9 @@ from hypothesis import strategies as st
 from pchaos.core import KernelSpec, TorusGrid, fourier_field
 from pchaos.metrics import weighted_l2_error
 from pchaos.particles import (
+    _RAW_HEADER,
+    _RAW_MAGIC,
+    _RAW_VERSION,
     SimConfig,
     SnapshotSet,
     _cos_sin,
@@ -372,6 +375,12 @@ def test_raw_rejects_truncated_and_padded_files(tmp_path, snapshot):
     p.write_bytes(data[:10])
     with pytest.raises(ValueError, match="too short for a header"):
         SnapshotSet.from_raw(p)
+    # a header of no times, replicas or particles, with the size it describes
+    for N, R, nt in ((8, 50, 0), (8, 0, 3), (0, 50, 3)):
+        p.write_bytes(_RAW_HEADER.pack(_RAW_MAGIC, _RAW_VERSION, N, 1, R, nt) + b"\0" * 8 * nt)
+        with pytest.raises(ValueError, match=f"holds no positions: N = {N}, replicas = {R}, "
+                                             f"times = {nt}"):
+            SnapshotSet.from_raw(p)
 
 
 def test_raw_rejects_foreign_file(tmp_path):
