@@ -37,16 +37,21 @@ mantissa, so neither p^L q^j underflowing nor C(L-1+b, b) overflowing costs
 precision, for any j.  Against 60-digit mpmath the values agree to within
 4e-14 relative wherever they are at least 1e-300, measured for l up to 400
 and j up to 1000 (and to 1.2e-14 at j = 20000, l <= 32).  The recurrence
-itself is exercised separately by a quadrature residual check.  Everything
-downstream (the polynomial and exponential decay bounds, the cascade bound for
-hierarchies of differential inequalities, and the direct ODE integration used
-to cross-check it) is plain float arithmetic on top of that evaluator.
+itself is exercised separately by a quadrature residual check
+(recurrence_residual_sweep).  It integrates over the lag beta j (t - s),
+cut where the damping weight falls below 2^-60, so it takes at most 21
+Gauss-Legendre panels for any j, beta and t; its nodes are constants, so
+numpy.polynomial is never imported.  One sweep serves every time of a j:
+the times share one outer table and one inner table over all their nodes.
+Everything downstream (the polynomial and exponential decay bounds, the
+cascade bound for hierarchies of differential inequalities, and the direct
+ODE integration used to cross-check it) is plain float arithmetic on top of
+that evaluator.
 """
 
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 
 import numpy as np
 
@@ -96,7 +101,7 @@ def _top_order(ell: int, j: int, a: np.ndarray):
     # accurate one and the terms peak at b ~ ell q / p < ell, so rho = 0.
     small = p < 0.5
     q = np.where(small, 1.0 - p, np.exp(-a))
-    rho = np.where(small, ((1.0 - q) - p) / q, 0.0)
+    rho = np.where(small, ((1.0 - q) - p) / np.where(small, q, 1.0), 0.0)  # q may be 0 past 1/2
     # s 2^e = sum_{b<j} c_b, c_b = C(ell-1+b, b) q^b; ds 2^e = sum_b b c_b
     # carries the first-order rho correction, (1+rho)^b = 1 + b rho
     c = np.ones_like(a)
@@ -135,7 +140,9 @@ def eval_I_table(j: int, ell_max: int, beta: float, ts) -> np.ndarray:
     out = np.ones((ell_max + 1, ts.size))
     if ell_max == 0:
         return out
-    i_m, e, t_m, p_m, p_e = _top_order(ell_max, j, beta * ts)
+    with np.errstate(over="ignore"):  # beta t past the double range is inf: p = 1, q = 0
+        a = beta * ts
+    i_m, e, t_m, p_m, p_e = _top_order(ell_max, j, a)
     # term_ell = term_{ell+1} h_ell 2^-p_e, h_ell = (ell+1) / ((ell+j) p_m), for
     # ell = ell_max-1 .. 1.  A running product of the h can leave the double
     # range, so each h is scaled (exactly) by the power of two that keeps the
@@ -153,58 +160,87 @@ def eval_I_table(j: int, ell_max: int, beta: float, ts) -> np.ndarray:
 
 
 RESIDUAL_ORDER = 16  # Gauss-Legendre nodes per panel of the recurrence residual
+# the positive half of leggauss(RESIDUAL_ORDER): (node, weight), nodes rising;
+# the rule is symmetric, node -x carrying the weight of x
+_GAUSS_HALF = (
+    (0.09501250983763744, 0.18945061045506864),
+    (0.2816035507792589, 0.18260341504492364),
+    (0.45801677765722737, 0.16915651939500265),
+    (0.6178762444026438, 0.1495959888165767),
+    (0.755404408355003, 0.12462897125553407),
+    (0.8656312023878318, 0.0951585116824926),
+    (0.9445750230732326, 0.062253523938647456),
+    (0.9894009349916499, 0.027152459411754176),
+)
+_GAUSS_NODES = np.array([-x for x, _ in reversed(_GAUSS_HALF)] + [x for x, _ in _GAUSS_HALF])
+_GAUSS_WEIGHTS = np.array([w for _, w in reversed(_GAUSS_HALF)] + [w for _, w in _GAUSS_HALF])
+_GAUSS_NODES.flags.writeable = _GAUSS_WEIGHTS.flags.writeable = False
+# The residual integral runs over the lag v = beta j (t - s), in damping
+# times, up to _LAG_CUT at most: the weight e^{-v} dropped past it is
+# e^{-42} < 2^-60, and 21 panels of width 2 reach it.
+_LAG_CUT = 42.0
 
 
-@lru_cache(maxsize=None)
 def _leggauss():
-    """leggauss(RESIDUAL_ORDER), computed once and shared read-only.
+    """Gauss-Legendre nodes and weights of order RESIDUAL_ORDER on [-1, 1].
 
-    numpy.polynomial is imported here: only the residual check needs it, and
-    it costs every other command ~4 ms of start-up.
+    They are constants (leggauss(RESIDUAL_ORDER), written out), shared
+    read-only, so no command imports numpy.polynomial.
     """
-    from numpy.polynomial.legendre import leggauss
-
-    nodes, weights = leggauss(RESIDUAL_ORDER)
-    nodes.flags.writeable = weights.flags.writeable = False
-    return nodes, weights
+    return _GAUSS_NODES, _GAUSS_WEIGHTS
 
 
 def _panel_nodes(j: int, beta: float, t: float):
-    """Gauss-Legendre nodes/weights on [0, t], panels sized to the damping rate."""
-    panels = max(1, math.ceil(beta * j * t / 2.0))
+    """Times s and weights w with beta j int_0^t e^{-beta j (t-s)} f(s) ds ~ sum w f(s).
+
+    The integral is taken over the lag v = beta j (t - s) on [0, min(beta j t,
+    _LAG_CUT)], in Gauss-Legendre panels of width at most 2, so the damping
+    factor e^{-v} varies by at most e^2 per panel and there are at most 21
+    panels.  The weights carry e^{-v}, taken from the lag itself, so a huge t
+    does not cancel to an empty panel; the times are t - v / (beta j), held
+    at 0 against rounding.  t must be positive.
+    """
+    span = min(beta * j * t, _LAG_CUT)
     nodes, weights = _leggauss()
-    edges = np.linspace(0.0, t, panels + 1)
-    ss, ww = [], []
-    for a, b in zip(edges[:-1], edges[1:]):
-        ss.append(0.5 * (b - a) * nodes + 0.5 * (a + b))
-        ww.append(0.5 * (b - a) * weights)
-    return np.concatenate(ss), np.concatenate(ww)
+    edges = np.linspace(0.0, span, max(1, math.ceil(span / 2.0)) + 1)
+    half = 0.5 * np.diff(edges)[:, None]
+    vv = (half * nodes + 0.5 * (edges[:-1] + edges[1:])[:, None]).ravel()
+    ww = (half * weights).ravel() * np.exp(-vv)
+    return np.maximum(t - vv / (beta * j), 0.0), ww
 
 
-def recurrence_residual_sweep(ell_max: int, j: int, beta: float, t: float) -> np.ndarray:
-    """Recurrence residuals for every ell = 1..ell_max at one (j, t).
+def recurrence_residual_sweep(ell_max: int, j: int, beta: float, t) -> np.ndarray:
+    """Recurrence residuals for every ell = 1..ell_max at one j and every time t.
 
     The residual at order ell is
     |I^ell_j(t) - beta j int_0^t e^{-beta j (t-s)} I^{ell-1}_{j+1}(s) ds|, the
-    integral done by Gauss-Legendre panels sized so the exponential factor
-    varies by at most e^2 per panel.  The integrand values come from the
-    evaluator itself, so this measures how well its values satisfy the
-    defining recurrence.  All orders share the quadrature node set and the
-    exponential tables, which makes certifying a whole lattice column cost
-    barely more than its largest single entry.  Entry [ell-1] is the
-    residual at order ell.
+    integral taken over the lag (see _panel_nodes), so the quadrature stays
+    at most 21 panels for any j, beta and t.  The integrand values come from
+    the evaluator itself, so this measures how well its values satisfy the
+    defining recurrence.  One outer table serves every t, and one inner table
+    is evaluated over the panel nodes of all t together, then reduced per t,
+    so a whole lattice column of orders and times costs barely more than its
+    largest single entry.  For a scalar t the result has shape (ell_max,),
+    entry [ell-1] the residual at order ell; for a 1-D array of times it has
+    shape (ell_max, len(t)), one column per time.
     """
     if ell_max < 1:
         raise ValueError("the recurrence starts at ell = 1")
     _check_args(ell_max, j, beta, t)
-    outer = eval_I_table(j, ell_max, beta, [t])[:, 0]
-    if t == 0:
-        return np.abs(outer[1:])
-    ss, ww = _panel_nodes(j, beta, t)
-    inner = eval_I_table(j + 1, ell_max - 1, beta, ss)
-    damp = ww * np.exp(-beta * j * (t - ss))
-    integrals = inner @ damp
-    return np.abs(outer[1:] - beta * j * integrals)
+    ts = np.asarray(t, dtype=float)
+    if ts.ndim > 1:
+        raise ValueError("time must be a scalar or a 1-D array")
+    cols = np.atleast_1d(ts)
+    # the outer values; at t = 0 the integral is empty and they are the residuals
+    res = eval_I_table(j, ell_max, beta, cols)[1:]
+    live = np.flatnonzero(cols > 0)
+    if live.size:
+        ss, ww = zip(*(_panel_nodes(j, beta, tk) for tk in cols[live].tolist()))
+        starts = np.cumsum([0] + [s.size for s in ss[:-1]])
+        inner = eval_I_table(j + 1, ell_max - 1, beta, np.concatenate(ss))
+        res[:, live] -= np.add.reduceat(inner * np.concatenate(ww), starts, axis=1)
+    res = np.abs(res)
+    return res[:, 0] if ts.ndim == 0 else res
 
 
 def poly_bound(ell: int, j: int, b: int, beta: float, t: float) -> float:

@@ -109,15 +109,18 @@ def _cell_cdf(f: GridField) -> np.ndarray:
     return cum
 
 
+def _sampler_law(f: GridField):
+    """The cell cumulative of f (_cell_cdf) and the cell edges it is taken at."""
+    return _cell_cdf(f), np.arange(f.grid.M + 1) * f.grid.h
+
+
 def sample_initial(f: GridField, N: int, rng: np.random.Generator) -> np.ndarray:
     """N i.i.d. samples from the piecewise-constant law of f (_cell_cdf); shape (N, 1).
 
     One uniform block of N values is mapped through the piecewise-linear
     inverse of the cell cumulative.
     """
-    cdf = _cell_cdf(f)
-    edges = np.arange(f.grid.M + 1) * f.grid.h
-    return np.interp(rng.random(N), cdf, edges).reshape(N, 1)
+    return np.interp(rng.random(N), *_sampler_law(f)).reshape(N, 1)
 
 
 def pair_drift(
@@ -341,9 +344,10 @@ def _replica_steps(cfg: SimConfig, replicas: range, n_steps: int):
     draw of N values per step.
     """
     rngs = [_replica_rng(cfg.base_seed, r) for r in replicas]
+    law = _sampler_law(cfg.initial_density)  # sample_initial's, built once for all replicas
     x = np.empty((len(rngs), cfg.N))
     for i, rng in enumerate(rngs):
-        x[i] = sample_initial(cfg.initial_density, cfg.N, rng)[:, 0]
+        x[i] = np.interp(rng.random(cfg.N), *law)
     yield x, None
     steps_per_block = max(1, min(n_steps, _NOISE_BLOCK_BYTES // max(1, x.nbytes)))
     block = np.empty((len(rngs), steps_per_block, cfg.N))

@@ -33,7 +33,7 @@ from pchaos.bounds import (
     poly_bound,
     recurrence_residual_sweep,
 )
-from pchaos.bounds import RESIDUAL_ORDER, _leggauss, _panel_nodes
+from pchaos.bounds import _LAG_CUT, RESIDUAL_ORDER, _leggauss, _panel_nodes
 from pchaos.config import load_config
 
 from conftest import REPO_ROOT
@@ -253,14 +253,62 @@ def test_bad_scalar_time_is_rejected_everywhere(t, kind):
 
 
 def test_quadrature_nodes_are_shared_read_only():
+    # the lag layout: v = beta j (t - s) on panels of width 2 from v = 0, the
+    # weights carrying the damping factor e^{-v}
     ss, ww = _panel_nodes(2, 1.0, 3.0)
     ss2, ww2 = _panel_nodes(2, 1.0, 3.0)
     assert np.array_equal(ss, ss2) and np.array_equal(ww, ww2)
-    assert ww.sum() == pytest.approx(3.0, rel=1e-14)
+    assert ww.sum() == pytest.approx(-math.expm1(-6.0), rel=1e-14)  # int_0^6 e^{-v} dv
     nodes, weights = np.polynomial.legendre.leggauss(RESIDUAL_ORDER)
-    assert np.array_equal(ss[:RESIDUAL_ORDER], 0.5 * 1.0 * nodes + 0.5 * 1.0)
+    v = 1.0 * nodes + 1.0  # the first panel, [0, 2]
+    assert np.array_equal(ss[:RESIDUAL_ORDER], 3.0 - v / 2.0)
+    assert np.array_equal(ww[:RESIDUAL_ORDER], 1.0 * weights * np.exp(-v))
     with pytest.raises(ValueError):
         _leggauss()[0][0] = 0.0
+
+
+def test_gauss_legendre_constants_match_leggauss():
+    # the literal table is numpy's rule to within 2 ulp, and exact through degree 31
+    nodes, weights = _leggauss()
+    want_nodes, want_weights = np.polynomial.legendre.leggauss(RESIDUAL_ORDER)
+    for got, want in ((nodes, want_nodes), (weights, want_weights)):
+        assert got.shape == (RESIDUAL_ORDER,)
+        assert np.all(np.abs(got - want) <= 2 * np.spacing(np.abs(want)))
+    for k in range(2 * RESIDUAL_ORDER):
+        exact = 2.0 / (k + 1) if k % 2 == 0 else 0.0
+        assert abs(math.fsum(weights * nodes ** k) - exact) <= 1e-15, k
+
+
+def test_residual_quadrature_stops_at_the_lag_cut():
+    # past v = _LAG_CUT the dropped weight int e^{-v} dv = e^{-_LAG_CUT} is
+    # below 2^-60, and 21 panels of width 2 end exactly there
+    assert math.exp(-_LAG_CUT) < 2.0 ** -60
+    ss, ww = _panel_nodes(1, 1.0, 100.0)
+    assert ss.size == 21 * RESIDUAL_ORDER
+    nodes, weights = _leggauss()
+    assert np.array_equal(ss[-RESIDUAL_ORDER:], 100.0 - (1.0 * nodes + 41.0) / 1.0)
+    # (1, 0.5, 1.5e-323): a subnormal t whose lags round past t
+    for j, beta, t in ((1, 1.0, 1e-300), (1, 0.5, 1.5e-323), (16, 1.0, 3.0), (100000, 1.0, 1.0),
+                       (16, 1e300, 3.0), (16, 1.0, 1e308), (3, 0.7, 19.9), (3, 0.7, 20.1)):
+        ss, ww = _panel_nodes(j, beta, t)
+        assert ss.size % RESIDUAL_ORDER == 0 and ss.size <= 21 * RESIDUAL_ORDER
+        assert np.all((ss >= 0.0) & (ss <= t)) and np.all(ww >= 0.0)
+
+
+def test_array_time_sweep_equals_scalar_sweep():
+    # one inner table over every time's nodes, reduced per time, gives each
+    # time the residuals it gets alone, on the shipped lattice and at t = 0
+    cfg = load_config(REPO_ROOT / "configs" / "bounds.cfg")
+    ell_max, beta = cfg.get_int("ell_max"), cfg.get_float("beta")
+    ts = [0.0] + cfg.get_float_list("t")
+    for j in cfg.get_int_list("j"):
+        sweep = recurrence_residual_sweep(ell_max, j, beta, ts)
+        assert sweep.shape == (ell_max, len(ts))
+        for k, t in enumerate(ts):
+            assert np.array_equal(sweep[:, k], recurrence_residual_sweep(ell_max, j, beta, t))
+        assert np.all(sweep[:, 0] == 0.0) and np.max(sweep) < 1e-10
+    with pytest.raises(ValueError, match="1-D"):
+        recurrence_residual_sweep(4, 1, 1.0, [[0.5]])
 
 
 def test_recurrence_residual_small():

@@ -304,9 +304,9 @@ def test_shipped_simulate_solve_metrics_chain(tmp_path, monkeypatch, capsys):
 
 
 def test_cli_import_leaves_out_what_start_up_does_not_need():
-    # mpmath, scipy.special, the rates pool's multiprocessing and the bounds
-    # residual's numpy.polynomial are imported where they are used, not at
-    # start-up, and no record class is generated (by dataclasses' exec)
+    # mpmath, scipy.special and the rates pool's multiprocessing are imported
+    # where they are used, not at start-up, numpy.polynomial nowhere, and no
+    # record class is generated (by dataclasses' exec)
     mods = ("scipy.integrate", "mpmath", "scipy.special", "multiprocessing", "numpy.polynomial",
             "dataclasses")
     code = f"import sys, pchaos.cli; print([m for m in {mods!r} if m in sys.modules])"
@@ -576,6 +576,38 @@ def test_bounds_with_a_large_beta(tmp_path, capsys):
     assert any(r.split(",")[6] == "inf" for r in rows)
     assert json.loads((out / "manifest.json").read_text())["violations"] == 0
     assert "FAIL" not in capsys.readouterr().out
+
+
+_EXTREME_LATTICES = {
+    "huge_t": "j = 1, 4, 16\nell_max = 16\nb = 1, 3, 7\nt = 0.1, 1e308\n",
+    "huge_beta": "j = 1, 4, 16\nell_max = 16\nb = 1, 3, 7\nt = 0.1, 1.0, 3.0\nbeta = 1e300\n",
+    "large_j": "j = 100000\nell_max = 2\nb = 1\nt = 1\n",
+    "beta_t_past_double_range": "j = 1, 16\nell_max = 16\nb = 1, 7\nt = 0.1, 3.0\nbeta = 1e308\n",
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("name", _EXTREME_LATTICES)
+def test_bounds_at_extreme_arguments(name, tmp_path, capsys):
+    # the residual quadrature once had no size limit: t = 1e308 overflowed
+    # its panel count, beta = 1e300 asked for more panels than memory holds,
+    # and j = 100000 built 50000 panels; beta t = 3e308 overflowed with a
+    # warning; every gate must pass, silently
+    cfg = _write_cfg(tmp_path, "b.cfg", _EXTREME_LATTICES[name])
+    assert main(["bounds", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    summary = out.splitlines()
+    assert len(summary) == 4 and all(": PASS over " in line for line in summary), summary
+
+
+def test_bounds_leaves_numpy_polynomial_unimported(tmp_path):
+    # the residual's Gauss-Legendre nodes are constants in pchaos.bounds
+    code = ("import sys\nfrom pchaos.cli import main\n"
+            f"rc = main(['bounds', '--config', {str(REPO_ROOT / 'configs' / 'bounds.cfg')!r}, "
+            f"'--out', {str(tmp_path / 'b')!r}])\n"
+            "print(rc, 'numpy.polynomial' in sys.modules)\n")
+    assert fresh_python("-c", code).splitlines()[-1] == "0 False"
 
 
 def _rates_smoke_cfg(tmp_path, slope_band):

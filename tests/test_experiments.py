@@ -671,7 +671,7 @@ def test_bounds_report_nan_fails_every_gate(monkeypatch):
     assert all(_fails_every_check(line) for line in (rng, poly, exp))
     assert "PASS" in rec
     monkeypatch.setattr(experiments.bnd, "recurrence_residual_sweep",
-                        lambda ell_max, *args, **kw: np.full(ell_max, math.nan))
+                        lambda ell_max, j, beta, ts: np.full((ell_max, len(ts)), math.nan))
     rep = run_bounds_report(**lattice)
     assert _fails_every_check(rep.summary[1])
     assert all("PASS" in line for line in rep.summary[:1] + rep.summary[2:])
@@ -688,7 +688,7 @@ def test_each_bounds_gate_fires_on_its_own(gate, monkeypatch):
     inject = -1.5 if gate == "range" else 0.0
     if gate == "recurrence":
         monkeypatch.setattr(experiments.bnd, "recurrence_residual_sweep",
-                            lambda ell_max, *args: np.ones(ell_max))
+                            lambda ell_max, j, beta, ts: np.ones((ell_max, len(ts))))
     elif gate == "exp":
         real = experiments.bnd.exp_bound
         monkeypatch.setattr(experiments.bnd, "exp_bound",
@@ -697,6 +697,27 @@ def test_each_bounds_gate_fires_on_its_own(gate, monkeypatch):
         monkeypatch.setattr(experiments.bnd, "poly_bound", lambda *args: 0.0)
     summary = run_bounds_report(inject=inject, **lattice).summary
     assert [("FAIL" in line) for line in summary] == [g == gate for g in _GATES], summary
+
+
+def test_bounds_report_evaluates_one_column_per_j(monkeypatch):
+    # every time of a j shares one value table and one residual sweep
+    calls = []
+    real_table = experiments.bnd.eval_I_table
+
+    def table(j, ell_max, beta, ts):
+        calls.append(("table", j, list(ts)))
+        return real_table(j, ell_max, beta, ts)
+
+    def sweep(ell_max, j, beta, ts):
+        calls.append(("sweep", j, list(ts)))
+        return np.zeros((ell_max, len(ts)))
+
+    monkeypatch.setattr(experiments.bnd, "eval_I_table", table)
+    monkeypatch.setattr(experiments.bnd, "recurrence_residual_sweep", sweep)
+    t_list = [0.0, 0.1, 3.0]
+    rep = run_bounds_report(j_list=(1, 4, 16), ell_max=8, b_list=(1,), t_list=t_list)
+    assert rep.ok and len(rep.rows) == 3 * 8 * 3
+    assert calls == [(kind, j, t_list) for j in (1, 4, 16) for kind in ("table", "sweep")]
 
 
 @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1e-6])
