@@ -252,16 +252,15 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
+    # one flat parser: every command takes the same three options
     parser = argparse.ArgumentParser(
         prog="pchaos",
         description="Interacting-particle simulation, mean-field solvers, and bound certification.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
-        p = sub.add_parser(name)
-        p.add_argument("--config", required=True, help="flat key=value config file")
-        p.add_argument("--out", required=True, help="output directory")
-        p.add_argument("--seed", type=int, default=None, help="override the config seed")
+    parser.add_argument("command", choices=_COMMANDS)
+    parser.add_argument("--config", required=True, help="flat key=value config file")
+    parser.add_argument("--out", required=True, help="output directory")
+    parser.add_argument("--seed", type=int, default=None, help="override the config seed")
     args = parser.parse_args(argv)
     try:
         cfg = load_config(args.config)

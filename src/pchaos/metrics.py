@@ -90,21 +90,40 @@ def _cell_indices(samples, bins):
     return ravel, j * d
 
 
+def _replica_index(replica_ids):
+    """(inv, R): each sample's replica as a row 0..R-1, in sorted label order, as np.unique gives."""
+    ids = np.asarray(replica_ids)
+    if ids.dtype.kind in "iu" and ids.size and 0 <= ids.min() and ids.max() <= ids.size:
+        present = np.bincount(ids) > 0  # labels no larger than the sample count: a direct table
+        rank = np.cumsum(present) - 1
+        return rank[ids], int(rank[-1]) + 1
+    reps, inv = np.unique(ids, return_inverse=True)
+    return inv.reshape(-1), len(reps)
+
+
 def _replica_count_matrix(ravel, replica_ids, n_cells):
     """Per-replica histogram rows (R, n_cells) from per-sample cell indices."""
-    reps, inv = np.unique(replica_ids, return_inverse=True)
-    mat = np.zeros((len(reps), n_cells), dtype=np.int64)
-    np.add.at(mat, (inv, ravel), 1)
-    return mat
+    inv, R = _replica_index(replica_ids)
+    return np.bincount(inv * n_cells + ravel, minlength=R * n_cells).reshape(R, n_cells)
+
+
+_BOOTSTRAP_BLOCK = 2 ** 14  # replica draws per block of resamples: W's working set stays ~0.4 MB
 
 
 def _binned_bootstrap(samples, reference, bins, replica_ids, n_bootstrap, seed, tag, stat):
     """stat(counts, n, q, cells) of the binned samples against the binned reference.
 
+    stat takes counts as rows (one per sample set) and n as their totals.
     Returns (estimate, boots, n, R): boots[b] is stat of the b-th bootstrap
     resample of whole replicas, drawn from the Philox stream (seed, tag).
     The cell count is capped at n/50 so every cell is populated in
-    expectation.
+    expectation.  The draws come a block of resamples per call: the bit
+    generator carries its state from value to value, so they are the values
+    one call of size R per resample would give.  Row b of W counts how often
+    the b-th draw picked each replica, so the resamples' cell counts are the
+    rows of W @ mat, and stat takes them all at once.  Every entry is an
+    integer below 2^53, so the float product is exact whatever order BLAS
+    sums in.
     """
     ravel, axes = _cell_indices(samples, bins)
     n = len(ravel)
@@ -118,22 +137,25 @@ def _binned_bootstrap(samples, reference, bins, replica_ids, n_bootstrap, seed, 
         raise ValueError("reference assigns zero mass to some cell")
     if replica_ids is None:
         replica_ids = np.arange(n)
-    est = stat(np.bincount(ravel, minlength=n_cells), n, q, n_cells)
+    est = stat(np.bincount(ravel, minlength=n_cells)[None], np.array([n]), q, n_cells)[0]
 
-    mat = _replica_count_matrix(ravel, replica_ids, n_cells)
+    mat = _replica_count_matrix(ravel, replica_ids, n_cells).astype(float)
     R = mat.shape[0]
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, tag))))
-    boots = np.empty((n_bootstrap,) + np.shape(est))
-    for b in range(n_bootstrap):
-        pick = rng.integers(0, R, size=R)
-        c = mat[pick].sum(axis=0)
-        boots[b] = stat(c, c.sum(), q, n_cells)
-    return est, boots, n, R
+    counts = np.empty((n_bootstrap, n_cells))
+    block = max(1, _BOOTSTRAP_BLOCK // R)
+    for b in range(0, n_bootstrap, block):
+        picks = rng.integers(0, R, size=(min(block, n_bootstrap - b), R))
+        picks += np.arange(0, picks.size, R)[:, None]
+        W = np.bincount(picks.ravel(), minlength=picks.size).reshape(picks.shape)
+        counts[b:b + len(W)] = W.astype(float) @ mat
+    return est, stat(counts, counts.sum(axis=1), q, n_cells), n, R
 
 
 def _chi2_stat(counts, n, q, n_cells):
-    phat = counts / n
-    return float(((phat - q) ** 2 / q).sum() - (n_cells - 1) / n)
+    """Bias-corrected chi-squared of each row of counts (rows, n_cells); n holds the row totals."""
+    phat = counts / n[:, None]
+    return ((phat - q) ** 2 / q).sum(axis=1) - (n_cells - 1) / n
 
 
 def chi_squared_from_samples(
@@ -153,7 +175,7 @@ def chi_squared_from_samples(
     """
     est, boots, _, _ = _binned_bootstrap(samples, reference, bins, replica_ids,
                                          n_bootstrap, seed, 0xC2, _chi2_stat)
-    return est, float(boots.std(ddof=1))
+    return float(est), float(boots.std(ddof=1))
 
 
 # ---------------------------------------------------------------------------
@@ -239,11 +261,21 @@ class DivergenceReport(NamedTuple):
 
 
 def _hist_divergences(counts, n, q, n_cells):
-    phat = counts / n
+    """Columns chi-squared, relative entropy and total variation of each row of counts.
+
+    The relative entropy sums over a row's populated cells alone; a row with
+    an empty cell takes that masked sum itself, because summing the full row
+    with zeros in its gaps would group the terms differently.
+    """
+    phat = counts / n[:, None]
     pos = phat > 0
-    re = float((phat[pos] * np.log(phat[pos] / q[pos])).sum())
-    tv = float(0.5 * np.abs(phat - q).sum())
-    return _chi2_stat(counts, n, q, n_cells), re, tv
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms = phat * np.log(phat / q)
+    re = terms.sum(axis=1)
+    for r in np.flatnonzero(~pos.all(axis=1)):
+        re[r] = terms[r][pos[r]].sum()
+    tv = 0.5 * np.abs(phat - q).sum(axis=1)
+    return np.stack([_chi2_stat(counts, n, q, n_cells), re, tv], axis=1)
 
 
 def divergence_report_from_samples(
@@ -261,9 +293,9 @@ def divergence_report_from_samples(
         samples, reference, bins, replica_ids, n_bootstrap, seed, 0xD1, _hist_divergences)
     ses = boots.std(axis=0, ddof=1)
     return DivergenceReport(
-        chi_squared=chi2,
-        relative_entropy=re,
-        total_variation=tv,
+        chi_squared=float(chi2),
+        relative_entropy=float(re),
+        total_variation=float(tv),
         se_chi_squared=float(ses[0]),
         se_relative_entropy=float(ses[1]),
         se_total_variation=float(ses[2]),

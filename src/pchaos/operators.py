@@ -28,7 +28,9 @@ to 1e-13.  The solvers that drive these operators are in pchaos.pde.
 
 from __future__ import annotations
 
+import functools
 import itertools as it
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -153,7 +155,7 @@ def _kernel_matrix(kernel: KernelSpec, grid: TorusGrid) -> np.ndarray:
 class _Interaction:
     """The kernel K on one grid: the only place the hierarchy operators apply it.
 
-    starred_from() is the contraction behind H_k and pair() the routed weight
+    starred() is the contraction behind H_k and pair() the routed weight
     K(x_k, x_l) behind S_{k,l}; _EntrySolver builds every flux from them.
 
     Contractions go through the rank-Q factors h K(x, y) = sum_q V[q, x] U[y, q]
@@ -179,20 +181,35 @@ class _Interaction:
         self.U = np.stack(cols, axis=1)
         self.V = np.stack(rows)
 
-    def starred_from(self, vu: np.ndarray, coords: tuple, k: int, j: int) -> np.ndarray:
-        """Integrate a factor's starred axis against K(x_k, .) and route onto the j-lattice.
+    def starred_route(self, coords: tuple, k: int, j: int) -> tuple:
+        """How starred() routes a factor on coords, contracted against K(x_k, .), onto the j-lattice.
 
-        vu = vals @ U is the factor's contraction against the kernel's y
-        columns.  coords are sorted with STAR last, so the starred axis is the
-        final one.  The contraction appends an x_k axis; when the factor
-        already carries x_k the two are tied on the diagonal.
+        coords are sorted with STAR last, so the starred axis is the final
+        one.  The contraction appends an x_k axis; when the factor already
+        carries x_k the two are tied on the diagonal.  Returns (tie, perm,
+        shape): the factor's axis tied to x_k (or None), the transpose that
+        sorts the axes left (or None), and the shape on the j-lattice.
         """
         rest = coords[:-1]
+        tie = rest.index(k) if k in rest else None
+        axes = tuple(c for c in rest if c != k) + (k,)
+        order = sorted(axes)
+        perm = None if order == list(axes) else [axes.index(c) for c in order]
+        return tie, perm, tuple(self.M if c in axes else 1 for c in range(1, j + 1))
+
+    def starred(self, vu: np.ndarray, route: tuple) -> np.ndarray:
+        """Integrate a factor's starred axis against K(x_k, .), routed by starred_route.
+
+        vu = vals @ U is the factor's contraction against the kernel's y
+        columns.
+        """
+        tie, perm, shape = route
         w = vu @ self.V
-        if k in rest:
-            w = np.diagonal(w, axis1=rest.index(k), axis2=w.ndim - 1)
-            rest = tuple(c for c in rest if c != k)
-        return _route(w, rest + (k,), j, self.M)
+        if tie is not None:
+            w = np.diagonal(w, axis1=tie, axis2=w.ndim - 1)
+        if perm is not None:
+            w = np.transpose(w, perm)
+        return w.reshape(shape)
 
     def pair(self, k: int, l: int, j: int) -> np.ndarray:
         """K(x_k, x_l) routed onto the j-lattice (K(x_k, x_k) on the diagonal)."""
@@ -238,6 +255,13 @@ class _EntrySolver:
     a library caller on numpy's default threading on one CPU.  The starred
     contractions, and the g @ U they start from, are shared between unknowns
     through a per-step cache.
+
+    What a call would otherwise work out per source (its kind, reshape, cache
+    key and the route of a starred contraction) is settled here: each source
+    on each shape it is read at is one slot, which flux1 reads once per call
+    (_read), and each product is a fixed list of slots multiplied left to
+    right (_running_product).  A coefficient 1.0 is left out of its product,
+    since 1.0 * x is x bit for bit.
     """
 
     def __init__(self, terms: list, j: int, op: _Interaction):
@@ -245,16 +269,41 @@ class _EntrySolver:
         self.op = op
         M, Q = op.M, op.U.shape[1]
         X = tuple(range(2, j + 1))
+        slots = {}
+        self._vals, self._reads = [], []
 
         def on(src, axes, tail=()):
             return tuple(M if c in _support(src) else 1 for c in axes) + tail
 
-        def get(src, axes, tail=()):
-            """(kind, arg, shape): how flux1 reads a source, on the given axes."""
-            kind, key, coords = src
+        def const(tag, value):
+            if tag not in slots:
+                slots[tag] = len(self._vals)
+                self._vals.append(value)
+            return slots[tag]
+
+        def get(src, axes, tail=(), kind=None):
+            """Slot of a source's value on the given axes (kind "contracted": its g @ U)."""
+            kind = kind or src[0]
+            _, key, coords = src
+            shape = on(src, axes, tail)
             if kind == "pair":
-                return "const", op.pair(1, key, j).reshape(on(src, axes, tail)), None
-            return kind, (key, coords), on(src, axes, tail)
+                return const((kind, key, shape), op.pair(1, key, j).reshape(shape))
+            tag = (kind, key, coords, shape)
+            if tag not in slots:
+                natural = {"state": (M,) * len(coords),
+                           "contracted": (M,) * (len(coords) - 1) + (Q,),
+                           "starred": on(src, range(1, j + 1))}[kind]
+                self._reads.append((const(tag, None), kind, key, (key, coords, j),
+                                    op.starred_route(coords, 1, j) if kind == "starred" else None,
+                                    None if shape == natural else shape))
+            return slots[tag]
+
+        def product(coef, idx):
+            """(first, rest): slots whose running product, left to right, is coef times idx's."""
+            idx = list(idx)
+            if coef != 1.0 or not idx:  # 1.0 * x is x, bit for bit
+                idx.insert(0, const(("coef", coef), coef))
+            return idx[0], tuple(idx[1:])
 
         groups, self.pairwise, diag = {}, [], {}
         for t in terms:
@@ -277,12 +326,12 @@ class _EntrySolver:
             elif j == 3 and not any({2, 3} <= _support(s) for s in rest):
                 near = [get(s, (1, 2)) for s in x1 + tuple(s for s in rest if 2 in _support(s))]
                 far = [get(s, (1, 3)) for s in rest if 2 not in _support(s)]
-                self.pairwise.append((coef, near, far))
+                self.pairwise.append((product(coef, near), product(1.0, far)))
             else:
                 diag.setdefault(tuple(sorted(rest)), []).append((coef, x1))
-        self.diag = [([get(s, range(1, j + 1)) for s in srcs],
-                      [(coef, [get(s, (1,)) for s in x1]) for coef, x1 in parts])
-                     for srcs, parts in diag.items()]
+        self.diag = [([product(coef, [get(s, (1,)) for s in x1]) for coef, x1 in parts],
+                      [get(s, range(1, j + 1)) for s in srcs]) for srcs, parts in diag.items()]
+        self._dshape = (-1,) + (1,) * (j - 1)
 
         # (A): columns of a per x_1 part, and each term's B part on x_2..x_j
         # with the rank axis last (U[x_l, q] / h for a pair weight, g @ U for
@@ -291,68 +340,101 @@ class _EntrySolver:
         for (x1, expand), terms in groups.items():
             cols = slice(width, width + (Q if expand else 1))
             width = cols.stop
-            self.columns.append(([get(s, (1,)) for s in x1], expand, cols))
+            self.columns.append((product(1.0, [get(s, (1,)) for s in x1]), expand, cols))
             for coef, free, src in terms:
                 parts = [get(s, X, (1,)) for s in free]
                 if src is not None and src[0] == "pair":
-                    parts.append(("const", (op.U / op.h).reshape(on(src, X, (Q,))), None))
+                    shape = on(src, X, (Q,))
+                    parts.append(const(("U/h", shape), (op.U / op.h).reshape(shape)))
                 elif src is not None:
-                    parts.append(("contracted", src[1:], on(src, X, (Q,))))
-                self.b_parts.append((coef, parts, cols))
+                    parts.append(get(src, X, (Q,), "contracted"))
+                self.b_parts.append((product(coef, parts), cols))
         self.width = width
         self._out = np.empty((M,) * j)
-        self._tmp = np.empty((M,) * j) if self.pairwise else None
+        if self.columns:
+            self._a = np.empty((M, width))
+            self._B = np.empty((M,) * (j - 1) + (width,))
+            self._Bt = self._B.reshape(M, -1, width).transpose(0, 2, 1)
+            self._out_t = self._out.reshape(M, M, -1).transpose(1, 0, 2)
+        if self.pairwise:
+            self._F = np.empty((M, M, len(self.pairwise)))
+            self._G = np.empty((M, len(self.pairwise), M))
+            self._tmp = np.empty((M,) * j)
 
-    def _get(self, source, state: dict, cache: dict) -> np.ndarray:
-        kind, arg, shape = source
-        if kind == "const":
-            return arg
-        if kind == "state":
-            return state[arg[0]].reshape(shape)
-        vu = cache.get(arg[0])
-        if vu is None:
-            vu = cache[arg[0]] = state[arg[0]] @ self.op.U
-        if kind == "contracted":
-            return vu.reshape(shape)
-        ckey = arg + (self.j,)
-        if ckey not in cache:
-            cache[ckey] = self.op.starred_from(vu, arg[1], 1, self.j)
-        return cache[ckey].reshape(shape)
-
-    def _product(self, sources, state: dict, cache: dict, prod=1.0):
-        for source in sources:
-            prod = prod * self._get(source, state, cache)
-        return prod
+    def _read(self, state: dict, cache: dict) -> list:
+        """The slots' values at this state: the constants, then each source, read once."""
+        vals = self._vals.copy()
+        for i, kind, key, ckey, route, shape in self._reads:
+            if kind == "state":
+                v = state[key]
+            else:
+                v = cache.get(key)
+                if v is None:
+                    v = cache[key] = state[key] @ self.op.U
+                if kind == "starred":
+                    w = cache.get(ckey)
+                    if w is None:
+                        w = cache[ckey] = self.op.starred(v, route)
+                    v = w
+            vals[i] = v if shape is None else v.reshape(shape)
+        return vals
 
     def flux1(self, state: dict, cache: dict) -> np.ndarray:
         """flux_1 at the time-t state, in a buffer the next call overwrites.
 
         cache holds this step's starred factors and their g @ U.
         """
-        M, j, out = self.op.M, self.j, self._out
+        vals, out = self._read(state, cache), self._out
         if self.columns:
-            a = np.empty((M, self.width))
-            for x1, expand, cols in self.columns:
-                v = np.reshape(self._product(x1, state, cache), (-1, 1))
+            a, B = self._a, self._B
+            for (first, rest), expand, cols in self.columns:
+                v = np.reshape(_running_product(vals, first, rest), (-1, 1))
                 a[:, cols] = v * self.op.V.T if expand else v
-            B = np.zeros((M,) * (j - 1) + (self.width,))
-            for coef, parts, cols in self.b_parts:
-                B[..., cols] += self._product(parts, state, cache, coef)
-            B = B.reshape(M, -1, self.width).transpose(0, 2, 1)
-            np.matmul(a, B, out=out.reshape(M, M, -1).transpose(1, 0, 2))
+            B.fill(0.0)
+            for (first, rest), cols in self.b_parts:
+                B[..., cols] += _running_product(vals, first, rest)
+            np.matmul(a, self._Bt, out=self._out_t)
         else:
             out.fill(0.0)
         if self.pairwise:
-            F = np.empty((M, M, len(self.pairwise)))
-            G = np.empty((M, len(self.pairwise), M))
-            for t, (coef, near, far) in enumerate(self.pairwise):
-                F[:, :, t] = self._product(near, state, cache, coef)
-                G[:, t] = self._product(far, state, cache)
+            F, G = self._F, self._G
+            for t, (near, far) in enumerate(self.pairwise):
+                F[:, :, t] = _running_product(vals, *near)
+                G[:, t] = _running_product(vals, *far)
             out += np.matmul(F, G, out=self._tmp)
-        for srcs, parts in self.diag:
-            d = sum(self._product(x1, state, cache, coef) for coef, x1 in parts)
-            out += self._product(srcs, state, cache, np.reshape(d, (-1,) + (1,) * (j - 1)))
+        for parts, srcs in self.diag:
+            d = 0  # summed from 0, as sum() adds
+            for first, rest in parts:
+                d = d + _running_product(vals, first, rest)
+            p = np.reshape(d, self._dshape)
+            for i in srcs:
+                p = p * vals[i]
+            out += p
         return out
+
+
+def _running_product(vals: list, first: int, rest: tuple):
+    """vals[first] times each of vals[rest] in turn, left to right."""
+    p = vals[first]
+    for i in rest:
+        p = p * vals[i]
+    return p
+
+
+@functools.lru_cache(maxsize=None)
+def _mirror_index(shape: tuple, ax: int) -> np.ndarray:
+    """Flat indices into a half spectrum of this shape of the rows _add_swapped mirrors.
+
+    For a >= H the swap with the last axis reads F(-b, -m..., M - a), F's
+    Hermitian mirror.  xi -> -xi on the full axes is a flip and a roll by
+    one; applied to F's own flat indices, they give where each value of the
+    swapped rows a >= H sits in F.
+    """
+    M, H = shape[0], shape[-1]
+    full = tuple(range(ax))
+    flat = np.arange(math.prod(shape)).reshape(shape)
+    mirror = np.roll(np.flip(flat[..., M - H:0:-1], full), 1, full)
+    return np.ascontiguousarray(np.swapaxes(mirror[:H], 0, ax))
 
 
 def _add_swapped(acc: np.ndarray, F: np.ndarray, ax: int) -> None:
@@ -361,18 +443,16 @@ def _add_swapped(acc: np.ndarray, F: np.ndarray, ax: int) -> None:
     rfftn keeps modes 0..M//2 (H of them) of the last axis.  A swap that
     leaves that axis alone swaps the spectrum's axes.  The swap with the last
     axis reads F where the new first-axis mode a is in the kept half (a < H);
-    for a >= H it reads conj F(-b, -m..., M - a), F's Hermitian mirror
-    (a real field has F(xi) = conj F(-xi)).  xi -> -xi on the full axes is a
-    flip and a roll by one, so no index array is built.
+    for a >= H it reads the conjugate of F's Hermitian mirror (a real field
+    has F(xi) = conj F(-xi)), gathered through _mirror_index.
     """
     if ax < F.ndim - 1:
         acc += np.swapaxes(F, 0, ax)
         return
-    M, H = F.shape[0], F.shape[-1]
+    H = F.shape[-1]
     acc[:H] += np.swapaxes(F[:H], 0, ax)
-    full = tuple(range(ax))
-    mirror = np.roll(np.flip(F[..., M - H:0:-1], full), 1, full)
-    acc[H:] += np.swapaxes(mirror[:H], 0, ax).conj()
+    mirror = F.take(_mirror_index(F.shape, ax))
+    acc[H:] += np.conjugate(mirror, out=mirror)
 
 
 class _SpectralOps:

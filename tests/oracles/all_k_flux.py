@@ -28,7 +28,7 @@ def entry_fluxes(i: int, j: int, op: _Interaction, state: dict) -> list:
             for order, coords in t.factors:
                 vals = state[(order, len(coords))]
                 if STAR in coords:
-                    part = op.starred_from(vals @ op.U, coords, t.k, j)
+                    part = op.starred(vals @ op.U, op.starred_route(coords, t.k, j))
                 else:
                     part = _route(vals, coords, j, M)
                 prod = part if prod is None else prod * part
@@ -47,5 +47,5 @@ def bbgky_fluxes(upper: np.ndarray, u: np.ndarray, c_upper: float, c_self: float
     """[flux_1, ..., flux_a] of c_upper H_k upper + c_self sum_l S_{k,l} u, u of arity a."""
     a = u.ndim
     full = tuple(range(1, a + 1))
-    return [c_upper * op.starred_from(upper @ op.U, full + (STAR,), k, a)
+    return [c_upper * op.starred(upper @ op.U, op.starred_route(full + (STAR,), k, a))
             + c_self * sum(op.pair(k, l, a) for l in full) * u for k in full]

@@ -2,23 +2,33 @@
 
 Exact-enumeration unbiasedness of the replica combiner is certified by
 tests/oracles/pair_cumulant_enumeration.py; here the same combiner is
-checked mechanically and statistically.
+checked mechanically and statistically.  The replica bootstrap, which forms
+all resamples at once, must match the per-resample loop of
+tests/oracles/bootstrap_loop.py bit for bit.
 """
 import json
 
 import numpy as np
 import pytest
 
-from pchaos.core import GridField, TorusGrid, fourier_field
+from pchaos import metrics
+from pchaos.core import GridField, TorusGrid, fourier_field, product_field
 from pchaos.metrics import (
     DivergenceReport,
+    _binned_bootstrap,
+    _cell_indices,
+    _chi2_stat,
+    _hist_divergences,
+    _replica_count_matrix,
     bin_masses,
     chi_squared_from_samples,
     divergence_report_from_samples,
     paired_pair_cumulant_difference,
     weighted_l2_error,
 )
-from pchaos.particles import sample_initial
+from pchaos.particles import extract_marginal_samples, sample_initial
+
+from oracles.bootstrap_loop import bootstrap_loop, chi2_stat, hist_divergences
 
 
 # ---------------------------------------------------------------------------
@@ -94,6 +104,61 @@ def test_chi_squared_cell_cap_and_zero_mass():
         chi_squared_from_samples(x, hole, 8)
     with pytest.raises(ValueError, match="lie in"):
         chi_squared_from_samples(np.ones((5000, 1, 1)), f, 8)
+
+
+@pytest.mark.parametrize("ids", [
+    np.repeat(np.arange(6), 50),                       # extract_marginal_samples' labels
+    np.tile([7, 3, 3, 12, 0, 7], 50),                  # gaps, unsorted
+    np.repeat([-4, 2, 900, 5, 1, 8], 50),              # negative and large: the np.unique path
+    np.repeat(np.arange(6.0), 50),                     # float labels
+])
+def test_replica_count_matrix_matches_unique_and_add_at(ids):
+    ravel = np.random.default_rng(4).integers(0, 16, size=len(ids))
+    reps, inv = np.unique(ids, return_inverse=True)
+    want = np.zeros((len(reps), 16), dtype=np.int64)
+    np.add.at(want, (inv, ravel), 1)
+    got = _replica_count_matrix(ravel, ids, 16)
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+def _same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def _clumped_cloud():
+    """Six replicas of 200 points; only replica 0 reaches [0, 0.25), so a
+    resample that leaves it out has empty cells there."""
+    rng = np.random.default_rng(8)
+    x = np.concatenate([rng.uniform(0.0, 0.5, 200)] + [rng.uniform(0.25, 1.0, 200) for _ in range(5)])
+    return x[:, None, None], np.repeat(np.arange(6), 200)
+
+
+@pytest.mark.parametrize("block", [None, 50])  # 50 draws: blocks of 8 and of 1 resample
+@pytest.mark.parametrize("j", [1, 2])
+@pytest.mark.parametrize("stat,oracle", [(_chi2_stat, chi2_stat),
+                                         (_hist_divergences, hist_divergences)])
+def test_bootstrap_matches_the_per_resample_loop(j, stat, oracle, block, monkeypatch):
+    if block is not None:
+        monkeypatch.setattr(metrics, "_BOOTSTRAP_BLOCK", block)
+    g = TorusGrid(64)
+    f = fourier_field(g, [1.0, 0.5], [0.0, 0.2])
+    if j == 1:
+        (x, ids), bins = _clumped_cloud(), 16
+    else:
+        pos = sample_initial(f, 60 * 40, np.random.default_rng(6)).reshape(60, 40, 1)
+        (x, ids), bins = extract_marginal_samples(pos, 2, True), 4
+    ref = product_field(f, j)
+    est, boots, n, R = _binned_bootstrap(x, ref, bins, ids, 120, 3, 0xD1, stat)
+    ravel, axes = _cell_indices(x, bins)
+    mat = _replica_count_matrix(ravel, ids, bins ** axes)
+    q = bin_masses(ref, bins).reshape(-1)
+    want, counts = bootstrap_loop(mat, q, 120, 3, 0xD1, oracle)
+    assert _same_bits(boots, want)
+    assert _same_bits(np.ravel(est), np.ravel(oracle(mat.sum(axis=0), n, q, bins ** axes)))
+    if j == 1:
+        assert (counts == 0).any()  # the masked relative-entropy sum was exercised
+    assert (n, R) == (len(ids), len(np.unique(ids)))
 
 
 # ---------------------------------------------------------------------------

@@ -339,6 +339,34 @@ def test_half_spectrum_swap_matches_swapped_field(M, arity, seed):
         assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max(), k
 
 
+def _add_swapped_flip_roll(acc: np.ndarray, F: np.ndarray, ax: int) -> None:
+    """_add_swapped as it read the Hermitian mirror before: a flip and a roll on every call."""
+    if ax < F.ndim - 1:
+        acc += np.swapaxes(F, 0, ax)
+        return
+    M, H = F.shape[0], F.shape[-1]
+    acc[:H] += np.swapaxes(F[:H], 0, ax)
+    full = tuple(range(ax))
+    mirror = np.roll(np.flip(F[..., M - H:0:-1], full), 1, full)
+    acc[H:] += np.swapaxes(mirror[:H], 0, ax).conj()
+
+
+@pytest.mark.parametrize("M", [8, 9, 12, 15, 16])
+@pytest.mark.parametrize("arity", [2, 3, 4])
+def test_mirror_gather_equals_flip_and_roll(M, arity):
+    # the cached mirror index reads the same values into the same places,
+    # so every swap adds the same bits, on a spectrum and accumulator with
+    # no symmetry
+    rng = np.random.default_rng(10 * M + arity)
+    F = np.fft.rfftn(rng.standard_normal((M,) * arity))
+    for ax in range(1, arity):
+        got = rng.standard_normal(F.shape) + 1j * rng.standard_normal(F.shape)
+        want = got.copy()
+        _add_swapped(got, F, ax)
+        _add_swapped_flip_roll(want, F, ax)
+        assert got.tobytes() == want.tobytes(), ax
+
+
 def test_carried_spectra_stay_transforms_of_states(default_kernel):
     # each entry's spectrum is advanced apart from its field; after many
     # steps the two must still agree
@@ -400,7 +428,7 @@ def test_starred_patterns_cover_both_ties():
 @example(kernel=B_ONLY_KERNEL, seed=1)
 @example(kernel=KHAT_CONSTANT_KERNEL, seed=2)
 def test_starred_matches_direct_quadrature(kernel, seed):
-    # starred_from() against h sum_y vals[..., y] K(x_k, y) with K from
+    # starred() against h sum_y vals[..., y] K(x_k, y) with K from
     # KernelSpec.eval; einsum ties x_k on the diagonal when the factor has it
     grid = TorusGrid(8)
     M, x = grid.M, grid.points
@@ -416,7 +444,7 @@ def test_starred_matches_direct_quadrature(kernel, seed):
                 + "".join(letter[c] for c in out))
         want = grid.h * np.einsum(spec, vals, K)
         want = want.reshape(tuple(M if c in out else 1 for c in range(1, j + 1)))
-        got = op.starred_from(vals @ op.U, coords, k, j)
+        got = op.starred(vals @ op.U, op.starred_route(coords, k, j))
         assert got.shape == want.shape, (coords, k, j)
         assert np.abs(got - want).max() <= 1e-13 * max(1.0, np.abs(want).max()), (coords, k, j)
 
@@ -688,7 +716,7 @@ def test_partition_closure_matches_dense_oracle(M):
 def test_compiled_closure_flux_matches_dense_oracle(M):
     # the top level's flux contracts the cluster functions partition by
     # partition; against the dense f_4 of the term-by-term closure,
-    # contracted through starred_from() and with the pair term added
+    # contracted through starred() and with the pair term added
     grid = TorusGrid(M)
     op = _Interaction(RICH_KERNEL, grid)
     c_upper, c_self = 5 / 8, 1 / 8
