@@ -16,8 +16,6 @@ import json
 from functools import partial
 from pathlib import Path
 
-import numpy as np
-
 __all__ = ["parse_config_text", "load_config", "ConfigError", "Config"]
 
 
@@ -73,24 +71,19 @@ def _write_manifest(out, canonical_text: str, seed, **fields) -> Path:
     return path
 
 
-def _cell_text(v) -> str:
-    return str(v) if isinstance(v, (str, int)) else repr(float(v))
-
-
-# the cell types the commands write, each to the text _cell_text gives it
-_CELL_TEXT = {str: str, int: str, float: float.__repr__, np.float64: float.__repr__}
-
-
 def _write_csv(path, columns, rows) -> None:
     """Write path as CSV: the header, then each row's values in the header's column order.
 
     str and int values are written as str, every other value as
-    repr(float(v)), the shortest text that reads back as the same double.
+    repr(float(v)), the shortest text that reads back as the same double
+    (float.__repr__ on a float or a float subclass such as np.float64).
     """
-    text = _CELL_TEXT.get
     lines = [",".join(columns)]
     for row in rows:
-        lines.append(",".join([(text(type(v)) or _cell_text)(v) for v in map(row.__getitem__, columns)]))
+        lines.append(",".join([
+            float.__repr__(v) if isinstance(v, float)
+            else str(v) if isinstance(v, (str, int)) else repr(float(v))
+            for v in map(row.__getitem__, columns)]))
     lines.append("")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines))

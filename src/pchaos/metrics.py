@@ -90,21 +90,11 @@ def _cell_indices(samples, bins):
     return ravel, j * d
 
 
-def _replica_index(replica_ids):
-    """(inv, R): each sample's replica as a row 0..R-1, in sorted label order, as np.unique gives."""
-    ids = np.asarray(replica_ids)
-    if ids.dtype.kind in "iu" and ids.size and 0 <= ids.min() and ids.max() <= ids.size:
-        present = np.bincount(ids) > 0  # labels no larger than the sample count: a direct table
-        rank = np.cumsum(present) - 1
-        return rank[ids], int(rank[-1]) + 1
-    reps, inv = np.unique(ids, return_inverse=True)
-    return inv.reshape(-1), len(reps)
-
-
 def _replica_count_matrix(ravel, replica_ids, n_cells):
-    """Per-replica histogram rows (R, n_cells) from per-sample cell indices."""
-    inv, R = _replica_index(replica_ids)
-    return np.bincount(inv * n_cells + ravel, minlength=R * n_cells).reshape(R, n_cells)
+    """Per-replica histogram rows (R, n_cells) from per-sample cell indices, in sorted label order."""
+    reps, inv = np.unique(replica_ids, return_inverse=True)
+    R = len(reps)
+    return np.bincount(inv.reshape(-1) * n_cells + ravel, minlength=R * n_cells).reshape(R, n_cells)
 
 
 _BOOTSTRAP_BLOCK = 2 ** 14  # replica draws per block of resamples: W's working set stays ~0.4 MB

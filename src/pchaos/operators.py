@@ -137,13 +137,27 @@ def compile_bbgky_terms(a: int, c_upper: float, c_self: float, closed: bool) -> 
     return terms
 
 
+def _route_plan(coords: tuple, j: int, M: int) -> tuple:
+    """(perm, shape) that carry an array whose axes follow `coords` onto the full j-lattice.
+
+    perm is the transpose that sorts the axes (None when they are sorted) and
+    shape the array's broadcast shape on the j-lattice.
+    """
+    ordered = sorted(coords)
+    perm = None if ordered == list(coords) else [coords.index(c) for c in ordered]
+    return perm, tuple(M if c in coords else 1 for c in range(1, j + 1))
+
+
+def _apply_route(vals: np.ndarray, plan: tuple) -> np.ndarray:
+    perm, shape = plan
+    if perm is not None:
+        vals = np.transpose(vals, perm)
+    return vals.reshape(shape)
+
+
 def _route(vals: np.ndarray, coords: tuple, j: int, M: int) -> np.ndarray:
     """Broadcast an array whose axes follow `coords` onto the full j-lattice."""
-    ordered = sorted(coords)
-    if ordered != list(coords):
-        vals = np.transpose(vals, [coords.index(c) for c in ordered])
-    present = set(ordered)
-    return vals.reshape(tuple(M if c in present else 1 for c in range(1, j + 1)))
+    return _apply_route(vals, _route_plan(coords, j, M))
 
 
 def _kernel_matrix(kernel: KernelSpec, grid: TorusGrid) -> np.ndarray:
@@ -186,16 +200,13 @@ class _Interaction:
 
         coords are sorted with STAR last, so the starred axis is the final
         one.  The contraction appends an x_k axis; when the factor already
-        carries x_k the two are tied on the diagonal.  Returns (tie, perm,
-        shape): the factor's axis tied to x_k (or None), the transpose that
-        sorts the axes left (or None), and the shape on the j-lattice.
+        carries x_k the two are tied on the diagonal.  Returns (tie, plan):
+        the factor's axis tied to x_k (or None) and the _route_plan of the
+        contracted axes.
         """
         rest = coords[:-1]
         tie = rest.index(k) if k in rest else None
-        axes = tuple(c for c in rest if c != k) + (k,)
-        order = sorted(axes)
-        perm = None if order == list(axes) else [axes.index(c) for c in order]
-        return tie, perm, tuple(self.M if c in axes else 1 for c in range(1, j + 1))
+        return tie, _route_plan(tuple(c for c in rest if c != k) + (k,), j, self.M)
 
     def starred(self, vu: np.ndarray, route: tuple) -> np.ndarray:
         """Integrate a factor's starred axis against K(x_k, .), routed by starred_route.
@@ -203,13 +214,11 @@ class _Interaction:
         vu = vals @ U is the factor's contraction against the kernel's y
         columns.
         """
-        tie, perm, shape = route
+        tie, plan = route
         w = vu @ self.V
         if tie is not None:
             w = np.diagonal(w, axis1=tie, axis2=w.ndim - 1)
-        if perm is not None:
-            w = np.transpose(w, perm)
-        return w.reshape(shape)
+        return _apply_route(w, plan)
 
     def pair(self, k: int, l: int, j: int) -> np.ndarray:
         """K(x_k, x_l) routed onto the j-lattice (K(x_k, x_k) on the diagonal)."""

@@ -109,7 +109,7 @@ def test_chi_squared_cell_cap_and_zero_mass():
 @pytest.mark.parametrize("ids", [
     np.repeat(np.arange(6), 50),                       # extract_marginal_samples' labels
     np.tile([7, 3, 3, 12, 0, 7], 50),                  # gaps, unsorted
-    np.repeat([-4, 2, 900, 5, 1, 8], 50),              # negative and large: the np.unique path
+    np.repeat([-4, 2, 900, 5, 1, 8], 50),              # negative and large
     np.repeat(np.arange(6.0), 50),                     # float labels
 ])
 def test_replica_count_matrix_matches_unique_and_add_at(ids):
