@@ -5,7 +5,7 @@ density and its finite-size correction hierarchy on a periodic spectral grid
 (`pde`), with the one partition-product sum that assembles the corrections
 in `partitions` and shared grid/kernel primitives in `core`.  The stochastic
 layer simulates the interacting particle system (`particles`) and estimates
-histogram divergences and paired pair cumulants from replica ensembles
+the histogram chi-squared and paired pair cumulants from replica ensembles
 (`metrics`).  The certification layer evaluates damping integrals and
 cascade bounds for hierarchies of differential inequalities (`bounds`), and
 `experiments`/`cli` drive end-to-end rate studies against the solved

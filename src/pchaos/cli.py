@@ -190,10 +190,7 @@ def _cmd_metrics(cfg: Config, out: Path, seed: int) -> int:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(report.to_json())
         results[f"j{j}"] = report.chi_squared
-        print(
-            f"metrics j={j}: chi2 {report.chi_squared:.4e} "
-            f"(se {report.se_chi_squared:.2e}), tv {report.total_variation:.4e}"
-        )
+        print(f"metrics j={j}: chi2 {report.chi_squared:.4e} (se {report.se_chi_squared:.2e})")
     _write_manifest(out, hashed, seed, time=t, chi_squared=results)
     return 0
 

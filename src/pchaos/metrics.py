@@ -1,9 +1,10 @@
-"""Sample divergences and the paired pair-cumulant estimator.
+"""Sample chi-squared and the paired pair-cumulant estimator.
 
-Sample-based estimates use histogram binning with the closed-form additive
-chi-squared bias removed, and standard errors come from bootstrap over
-replicas, never over pooled tuples, because tuples cut from one replica are
-correlated.  chi_squared_from_samples and divergence_report_from_samples
+The one sample divergence is the histogram chi-squared, the binned form of
+the weighted L2 distance the rate predictions are made in, with its
+closed-form additive bias removed.  Its standard error comes from bootstrap
+over replicas, never over pooled tuples, because tuples cut from one replica
+are correlated.  chi_squared_from_samples and divergence_report_from_samples
 share one binning and bootstrap pass; each keeps its own Philox stream.
 
 paired_pair_cumulant_difference combines per-replica pair statistics of two
@@ -97,21 +98,32 @@ def _replica_count_matrix(ravel, replica_ids, n_cells):
     return np.bincount(inv.reshape(-1) * n_cells + ravel, minlength=R * n_cells).reshape(R, n_cells)
 
 
+_N_BOOTSTRAP = 200  # replica resamples behind every standard error
 _BOOTSTRAP_BLOCK = 2 ** 14  # replica draws per block of resamples: W's working set stays ~0.4 MB
 
 
-def _binned_bootstrap(samples, reference, bins, replica_ids, n_bootstrap, seed, tag, stat):
-    """stat(counts, n, q, cells) of the binned samples against the binned reference.
+def _chi2_stat(counts, q):
+    """Bias-corrected chi-squared of each row of counts (rows, cells) against the cell masses q.
 
-    stat takes counts as rows (one per sample set) and n as their totals.
-    Returns (estimate, boots, n, R): boots[b] is stat of the b-th bootstrap
-    resample of whole replicas, drawn from the Philox stream (seed, tag).
-    The cell count is capped at n/50 so every cell is populated in
-    expectation.  The draws come a block of resamples per call: the bit
-    generator carries its state from value to value, so they are the values
-    one call of size R per resample would give.  Row b of W counts how often
-    the b-th draw picked each replica, so the resamples' cell counts are the
-    rows of W @ mat, and stat takes them all at once.  Every entry is an
+    Under the null the raw statistic carries an additive bias of
+    (cells - 1)/n for a row of total n, which is subtracted.
+    """
+    n = counts.sum(axis=1)
+    phat = counts / n[:, None]
+    return ((phat - q) ** 2 / q).sum(axis=1) - (len(q) - 1) / n
+
+
+def _binned_bootstrap(samples, reference, bins, replica_ids, seed, tag):
+    """Chi-squared of the binned samples against the binned reference, with its resamples.
+
+    Returns (estimate, boots, n, R): boots[b] is the chi-squared of the b-th
+    of _N_BOOTSTRAP bootstrap resamples of whole replicas, drawn from the
+    Philox stream (seed, tag).  The cell count is capped at n/50 so every
+    cell is populated in expectation.  The draws come a block of resamples
+    per call: the bit generator carries its state from value to value, so
+    they are the values one call of size R per resample would give.  Row b
+    of W counts how often the b-th draw picked each replica, so the
+    resamples' cell counts are the rows of W @ mat.  Every entry is an
     integer below 2^53, so the float product is exact whatever order BLAS
     sums in.
     """
@@ -127,44 +139,29 @@ def _binned_bootstrap(samples, reference, bins, replica_ids, n_bootstrap, seed, 
         raise ValueError("reference assigns zero mass to some cell")
     if replica_ids is None:
         replica_ids = np.arange(n)
-    est = stat(np.bincount(ravel, minlength=n_cells)[None], np.array([n]), q, n_cells)[0]
+    est = _chi2_stat(np.bincount(ravel, minlength=n_cells)[None], q)[0]
 
     mat = _replica_count_matrix(ravel, replica_ids, n_cells).astype(float)
     R = mat.shape[0]
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, tag))))
-    counts = np.empty((n_bootstrap, n_cells))
+    counts = np.empty((_N_BOOTSTRAP, n_cells))
     block = max(1, _BOOTSTRAP_BLOCK // R)
-    for b in range(0, n_bootstrap, block):
-        picks = rng.integers(0, R, size=(min(block, n_bootstrap - b), R))
+    for b in range(0, _N_BOOTSTRAP, block):
+        picks = rng.integers(0, R, size=(min(block, _N_BOOTSTRAP - b), R))
         picks += np.arange(0, picks.size, R)[:, None]
         W = np.bincount(picks.ravel(), minlength=picks.size).reshape(picks.shape)
         counts[b:b + len(W)] = W.astype(float) @ mat
-    return est, stat(counts, counts.sum(axis=1), q, n_cells), n, R
+    return est, _chi2_stat(counts, q), n, R
 
 
-def _chi2_stat(counts, n, q, n_cells):
-    """Bias-corrected chi-squared of each row of counts (rows, n_cells); n holds the row totals."""
-    phat = counts / n[:, None]
-    return ((phat - q) ** 2 / q).sum(axis=1) - (n_cells - 1) / n
-
-
-def chi_squared_from_samples(
-    samples: np.ndarray,
-    reference: GridField,
-    bins: int,
-    replica_ids: np.ndarray | None = None,
-    n_bootstrap: int = 200,
-    seed: int = 0,
-):
+def chi_squared_from_samples(samples: np.ndarray, reference: GridField, bins: int,
+                             replica_ids: np.ndarray | None = None, seed: int = 0):
     """Bias-corrected histogram chi-squared of samples against a reference field.
 
-    Returns (estimate, standard_error).  The raw histogram statistic carries
-    an additive bias of (cells - 1)/n under the null, which is subtracted;
-    the standard error comes from bootstrap resampling whole replicas.  The
-    cell count is capped at n/50 so every cell is populated in expectation.
+    Returns (estimate, standard_error); the error is the spread of the
+    replica bootstrap of _binned_bootstrap.
     """
-    est, boots, _, _ = _binned_bootstrap(samples, reference, bins, replica_ids,
-                                         n_bootstrap, seed, 0xC2, _chi2_stat)
+    est, boots, _, _ = _binned_bootstrap(samples, reference, bins, replica_ids, seed, 0xC2)
     return float(est), float(boots.std(ddof=1))
 
 
@@ -234,14 +231,10 @@ def paired_pair_cumulant_difference(
 
 
 class DivergenceReport(NamedTuple):
-    """Histogram divergences of a sample cloud against a reference density."""
+    """Histogram chi-squared of a sample cloud against a reference density."""
 
     chi_squared: float
-    relative_entropy: float
-    total_variation: float
     se_chi_squared: float
-    se_relative_entropy: float
-    se_total_variation: float
     bins: int
     n_samples: int
     n_replicas: int
@@ -250,46 +243,11 @@ class DivergenceReport(NamedTuple):
         return json.dumps(self._asdict(), indent=1)
 
 
-def _hist_divergences(counts, n, q, n_cells):
-    """Columns chi-squared, relative entropy and total variation of each row of counts.
-
-    The relative entropy sums over a row's populated cells alone; a row with
-    an empty cell takes that masked sum itself, because summing the full row
-    with zeros in its gaps would group the terms differently.
-    """
-    phat = counts / n[:, None]
-    pos = phat > 0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        terms = phat * np.log(phat / q)
-    re = terms.sum(axis=1)
-    for r in np.flatnonzero(~pos.all(axis=1)):
-        re[r] = terms[r][pos[r]].sum()
-    tv = 0.5 * np.abs(phat - q).sum(axis=1)
-    return np.stack([_chi2_stat(counts, n, q, n_cells), re, tv], axis=1)
-
-
-def divergence_report_from_samples(
-    samples: np.ndarray,
-    reference: GridField,
-    bins: int,
-    replica_ids: np.ndarray | None = None,
-    n_bootstrap: int = 200,
-    seed: int = 0,
-) -> DivergenceReport:
-    """Chi-squared (bias-corrected), relative entropy, and total variation of a
-    binned sample cloud against the binned reference, with replica-bootstrap
-    standard errors."""
-    (chi2, re, tv), boots, n, R = _binned_bootstrap(
-        samples, reference, bins, replica_ids, n_bootstrap, seed, 0xD1, _hist_divergences)
-    ses = boots.std(axis=0, ddof=1)
-    return DivergenceReport(
-        chi_squared=float(chi2),
-        relative_entropy=float(re),
-        total_variation=float(tv),
-        se_chi_squared=float(ses[0]),
-        se_relative_entropy=float(ses[1]),
-        se_total_variation=float(ses[2]),
-        bins=bins,
-        n_samples=n,
-        n_replicas=R,
-    )
+def divergence_report_from_samples(samples: np.ndarray, reference: GridField, bins: int,
+                                   replica_ids: np.ndarray | None = None,
+                                   seed: int = 0) -> DivergenceReport:
+    """Bias-corrected chi-squared of a binned sample cloud against the binned
+    reference, with its replica-bootstrap standard error and the sizes it
+    was taken over."""
+    est, boots, n, R = _binned_bootstrap(samples, reference, bins, replica_ids, seed, 0xD1)
+    return DivergenceReport(float(est), float(boots.std(ddof=1)), bins, n, R)

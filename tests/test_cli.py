@@ -181,6 +181,8 @@ def test_solve_hierarchy_and_metrics(tmp_path, capsys):
     assert main(["metrics", "--config", met_cfg, "--out", str(met_out)]) == 0
     for j in (1, 2):
         payload = json.loads((met_out / f"divergence_j{j}.json").read_text())
+        assert list(payload) == ["chi_squared", "se_chi_squared", "bins", "n_samples",
+                                 "n_replicas"]
         assert payload["bins"] == (8 if j == 1 else 2)
         assert np.isfinite(payload["chi_squared"])
     manifest = json.loads((met_out / "manifest.json").read_text())
