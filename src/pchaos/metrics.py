@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import math
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -51,24 +52,41 @@ def weighted_l2_error(gamma: GridField, rho: GridField) -> float:
 # histogram machinery for sample-based estimates
 
 
-def bin_masses(reference: GridField, bins: int) -> np.ndarray:
-    """Cell probability masses of a grid field on a bins^axes histogram.
+@lru_cache(maxsize=None)
+def _bin_matrix(M: int, bins: int) -> np.ndarray:
+    """(bins, M) matrix whose row b integrates over [b/bins, (b+1)/bins) the
+    trigonometric interpolant of values at the M grid points.
 
-    The grid size must be a multiple of bins so cells align with grid points.
+    The interpolant is c_0 + 2 Re sum_{0 < m < M/2} c_m e^{2 pi i m x}, with
+    c_m the discrete Fourier coefficients; an even M's Nyquist mode
+    integrates to zero over every bin, because bins divides M.  Phases are
+    reduced as integers mod M (or bins) before they reach exp, so the
+    matrix is accurate to roundoff at every M.
+    """
+    m = np.arange(1, (M + 1) // 2)
+    edges = np.exp(2j * np.pi * (np.outer(np.arange(bins + 1), m) % bins) / bins)
+    integrals = (edges[1:] - edges[:-1]) / (2j * np.pi * m)
+    waves = np.exp(-2j * np.pi * (np.outer(m, np.arange(M)) % M) / M)
+    mat = (1.0 / bins + 2.0 * (integrals @ waves).real) / M
+    mat.flags.writeable = False
+    return mat
+
+
+def bin_masses(reference: GridField, bins: int) -> np.ndarray:
+    """Cell masses of a grid field on a bins^axes histogram.
+
+    Each mass is the exact integral over its cell of the field's
+    trigonometric interpolant: one (bins, M) matrix applied along every
+    axis.  The grid size must be a multiple of bins.
     """
     grid = reference.grid
     if bins < 1 or grid.M % bins:
         raise ValueError("bins must divide the grid size")
-    axes = reference.arity
-    per = grid.M // bins
-    vals = reference.values
-    shape = []
-    for _ in range(axes):
-        shape.extend([bins, per])
-    v = vals.reshape(shape)
-    for ax in reversed(range(1, 2 * axes, 2)):
-        v = v.sum(axis=ax)
-    return v * grid.h ** axes
+    mat = _bin_matrix(grid.M, bins)
+    v = reference.values
+    for _ in range(reference.arity):
+        v = np.tensordot(v, mat, axes=(0, 1))  # contracts the leading axis, appends its bins
+    return v
 
 
 def histogram_bins(bins: int, j: int) -> int:

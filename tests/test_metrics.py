@@ -10,6 +10,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pchaos import metrics
 from pchaos.core import GridField, TorusGrid, fourier_field, product_field
@@ -55,16 +57,64 @@ def test_weighted_l2_analytic():
 # histogram machinery
 
 
+def _bin_integrals(m, bins):
+    """Closed-form integrals of e^{2 pi i m x} over the cells [b/bins, (b+1)/bins)."""
+    if m == 0:
+        return np.full(bins, 1 / bins, dtype=complex)
+    e = np.exp(2j * np.pi * m * np.arange(bins + 1) / bins)
+    return (e[1:] - e[:-1]) / (2j * np.pi * m)
+
+
 def test_bin_masses_aggregates_cells():
+    # each cell takes the exact integral of the field over it, not the sum
+    # of the grid points inside it (a rectangle rule shifted by half a cell)
     g = TorusGrid(16)
     f = fourier_field(g, [1.0, 0.5], [0.0, -0.25])
     m = bin_masses(f, 4)
     assert m.shape == (4,)
     assert m.sum() == pytest.approx(1.0, abs=1e-14)
-    want = f.values.reshape(4, 4).sum(axis=1) * g.h
-    assert np.allclose(m, want, atol=1e-15)
+    # 0.5 cos - 0.25 sin is the real part of (0.5 + 0.25i) e^{2 pi i x}
+    want = (_bin_integrals(0, 4) + (0.5 + 0.25j) * _bin_integrals(1, 4)).real
+    assert np.allclose(m, want, rtol=0, atol=1e-15)
+    assert not np.allclose(m, f.values.reshape(4, 4).sum(axis=1) * g.h, rtol=0, atol=1e-3)
     with pytest.raises(ValueError, match="divide"):
         bin_masses(f, 5)
+
+
+def _trig_terms(rng, M, arity):
+    """Up to five terms c cos(2 pi m.x + phase) with every |m_a| < M/2 and |c| <= 1."""
+    return [(rng.integers(-(M // 2) + 1, M // 2, size=arity), rng.uniform(-1, 1),
+             rng.uniform(0, 2 * np.pi)) for _ in range(rng.integers(1, 6))]
+
+
+@settings(max_examples=60, deadline=None)
+@given(arity=st.sampled_from([1, 2]), log_m=st.integers(2, 6), log_bins=st.integers(0, 6),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_bin_masses_integrate_trig_polynomials_exactly(arity, log_m, log_bins, seed):
+    M, bins = 2 ** log_m, 2 ** min(log_bins, log_m)
+    terms = _trig_terms(np.random.default_rng(seed), M, arity)
+    axes = np.meshgrid(*[TorusGrid(M).points] * arity, indexing="ij")
+    values = sum(c * np.cos(2 * np.pi * sum(k * x for k, x in zip(m, axes)) + phase)
+                 for m, c, phase in terms)
+    want = 0
+    for m, c, phase in terms:
+        cell = np.exp(1j * phase)
+        for k in m:
+            cell = np.multiply.outer(cell, _bin_integrals(k, bins))
+        want = want + c * cell.real
+    got = bin_masses(GridField(TorusGrid(M), arity, values), bins)
+    assert got.shape == (bins,) * arity
+    assert np.abs(got - want).max() <= 1e-14
+
+
+@pytest.mark.parametrize("M, bins", [(16, 4), (64, 32), (256, 32), (48, 8)])
+def test_bin_masses_of_a_density_and_its_product(M, bins):
+    rho = fourier_field(TorusGrid(M), [1.0, 0.5, 0.1], [0.0, 0.2, -0.05])
+    m1 = bin_masses(rho, bins)
+    assert abs(m1.sum() - 1.0) <= 1e-14
+    m2 = bin_masses(product_field(rho, 2), bins)
+    assert abs(m2.sum() - 1.0) <= 1e-14
+    assert np.abs(m2 - np.multiply.outer(m1, m1)).max() <= 1e-14
 
 
 def test_bin_masses_arity_two():
