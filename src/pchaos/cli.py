@@ -75,17 +75,30 @@ def _seed(cfg: Config, override) -> int:
     return seed
 
 
-def _hashed_text(cfg: Config) -> str:
+def _hashed_text(cfg: Config, kernel_text: str | None = None) -> str:
     """The config's canonical text, then the text of the kernel file it names.
 
     The kernel is part of the input, so the manifest hash covers it, as in
-    ExperimentConfig.canonical_text.  Each command builds its hash text before
-    it runs, so an input changed during the run does not change the hash.
+    ExperimentConfig.canonical_text.  kernel_text is that file's text when
+    the caller has read it; otherwise it is read here.  Each command builds
+    its hash text before it runs, so an input changed during the run does
+    not change the hash.
     """
     text = cfg.canonical_text()
-    if cfg.has("kernel"):
-        text += "\nkernel:\n" + Path(cfg.get_str("kernel")).read_text(encoding="utf-8")
-    return text
+    if kernel_text is None and cfg.has("kernel"):
+        kernel_text = Path(cfg.get_str("kernel")).read_text(encoding="utf-8")
+    return text if kernel_text is None else text + "\nkernel:\n" + kernel_text
+
+
+def _hashed_kernel(cfg: Config) -> tuple[str, KernelSpec]:
+    """The hash text of a command that runs the config's kernel, and that kernel.
+
+    The file is read once and the kernel parsed from the text the hash
+    covers, so a file rewritten during the run cannot run under the hash
+    of another kernel.
+    """
+    kernel_text = Path(cfg.get_str("kernel")).read_text(encoding="utf-8")
+    return _hashed_text(cfg, kernel_text), KernelSpec.from_text(kernel_text)
 
 
 def _file_digests(paths) -> str:
@@ -111,8 +124,7 @@ def _cmd_simulate(cfg: Config, out: Path, seed: int) -> int:
         raise ConfigError("self_interaction must be true: every prediction includes the k = j term")
     if cfg.get_str("snapshot_format", "raw") != "raw":
         raise ConfigError("snapshot_format must be raw, the format metrics reads")
-    hashed = _hashed_text(cfg)
-    kernel = KernelSpec.from_file(cfg.get_str("kernel"))
+    hashed, kernel = _hashed_kernel(cfg)
     density = _density_from_config(cfg, "sample_grid", 256)
     sim = SimConfig(
         N=cfg.get_int("N"),
@@ -131,8 +143,7 @@ def _cmd_simulate(cfg: Config, out: Path, seed: int) -> int:
 
 
 def _cmd_solve_mv(cfg: Config, out: Path, seed: int) -> int:
-    hashed = _hashed_text(cfg)
-    kernel = KernelSpec.from_file(cfg.get_str("kernel"))
+    hashed, kernel = _hashed_kernel(cfg)
     density = _density_from_config(cfg)
     grid = density.grid
     tg = _time_grid(cfg)
@@ -147,8 +158,7 @@ def _cmd_solve_mv(cfg: Config, out: Path, seed: int) -> int:
 
 
 def _cmd_solve_hierarchy(cfg: Config, out: Path, seed: int) -> int:
-    hashed = _hashed_text(cfg)
-    kernel = KernelSpec.from_file(cfg.get_str("kernel"))
+    hashed, kernel = _hashed_kernel(cfg)
     density = _density_from_config(cfg)
     tg = _time_grid(cfg)
     i_max = cfg.get_int("order", 1)

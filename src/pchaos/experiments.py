@@ -114,7 +114,12 @@ _PHI_PANEL = (("cos1", "cos", 1), ("sin1", "sin", 1), ("cos2", "cos", 2), ("sin2
 
 
 class ExperimentConfig:
-    """Validated inputs of a rate experiment."""
+    """Validated inputs of a rate experiment.
+
+    The kernel file is read once, here: kernel_text is what the manifest
+    hashes (canonical_text) and kernel is parsed from it, so the kernel that
+    runs is the one hashed, whatever happens to the file later.
+    """
 
     def __init__(self, kernel_path: str, density_cos: tuple, density_sin: tuple, N_list: tuple,
                  j_list: tuple, order: int, T: float, dt: float, replicas: int, seed: int,
@@ -177,6 +182,11 @@ class ExperimentConfig:
         fine = fourier_field(TorusGrid(4096), self.density_cos, self.density_sin)
         if fine.values.min() < 1e-3:
             raise ConfigError("initial density must stay above 1e-3")
+        self.kernel_text = Path(kernel_path).read_text(encoding="utf-8")
+        self.kernel = KernelSpec.from_text(self.kernel_text)
+        if not any(k_cos or k_sin for *_, k_cos, k_sin in self.kernel.mode_table):
+            raise ConfigError("the kernel has no interaction (no nonzero khat mode m >= 1), so "
+                              "every 1/N correction vanishes and no rate can be fitted")
 
     @classmethod
     def from_config(cls, cfg: Config, out_dir: str, seed: int):
@@ -199,7 +209,6 @@ class ExperimentConfig:
         )
 
     def canonical_text(self) -> str:
-        kernel_text = Path(self.kernel_path).read_text(encoding="utf-8")
         items = [
             f"density_cos = {', '.join(repr(v) for v in self.density_cos)}",
             f"density_sin = {', '.join(repr(v) for v in self.density_sin)}",
@@ -213,7 +222,7 @@ class ExperimentConfig:
             f"sample_grid = {self.sample_grid}",
             f"bins = {self.bins}",
             "kernel:",
-            kernel_text,
+            self.kernel_text,
         ]
         return "\n".join(items)
 
@@ -496,9 +505,7 @@ def run_rate_experiment(ecfg: ExperimentConfig) -> RateResult:
     """
     out = Path(ecfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    # built before the run, so the manifest hashes the kernel that ran
     hashed = ecfg.canonical_text()
-    kernel = KernelSpec.from_file(ecfg.kernel_path)
     # imported here: only this command needs multiprocessing and what it loads
     from concurrent.futures import ProcessPoolExecutor
 
@@ -506,16 +513,15 @@ def run_rate_experiment(ecfg: ExperimentConfig) -> RateResult:
     workers = min(ecfg.workers, os.cpu_count() or 1)
     pool = ProcessPoolExecutor(max_workers=workers)
     try:
-        return _run_rates(ecfg, hashed, kernel, pool, workers)
+        return _run_rates(ecfg, hashed, pool, workers)
     finally:
         pool.shutdown(cancel_futures=True)
 
 
-def _run_rates(ecfg: ExperimentConfig, hashed: str, kernel: KernelSpec, pool,
-               workers: int) -> RateResult:
+def _run_rates(ecfg: ExperimentConfig, hashed: str, pool, workers: int) -> RateResult:
     """run_rate_experiment on the given process pool of workers; hashed is the
     manifest's hash text."""
-    plan = _predictions(ecfg, kernel, pool)
+    plan = _predictions(ecfg, ecfg.kernel, pool)
     per_phi, chi_pred, rho = plan.per_phi, plan.chi_pred, plan.rho
 
     # the primary observable is fixed from the solved correction, not the data
@@ -532,7 +538,7 @@ def _run_rates(ecfg: ExperimentConfig, hashed: str, kernel: KernelSpec, pool,
         futures = {}
         for N in sorted(ecfg.N_list):
             sim = SimConfig(N=N, dt=ecfg.dt, T=ecfg.T, n_replicas=ecfg.replicas,
-                            base_seed=ecfg.seed, kernel=kernel,
+                            base_seed=ecfg.seed, kernel=ecfg.kernel,
                             initial_density=plan.sample_density)
             futures[N] = [pool.submit(work, sim, r0, r1)
                           for r0, r1 in _chunks(ecfg.replicas, N, workers)]
@@ -575,16 +581,12 @@ def _run_rates(ecfg: ExperimentConfig, hashed: str, kernel: KernelSpec, pool,
                 rows.append(
                     _row(N, j, ecfg.order, ecfg.T, f"chi2_j{j}", est, chi_pred[j] / N ** 2, se)
                 )
+        fits = {"bias": fit_rate(bias_points), "pair": fit_rate(pair_points)}
     except BaseException as exc:  # an interrupt too: persist what exists, then re-raise
         failure = type(exc).__name__ + (f": {exc}" if str(exc) else "")
         raise
     finally:
         csv_path, manifest_path = _persist_rates(ecfg, hashed, rows, failure)
-
-    fits = {
-        "bias": fit_rate(bias_points),
-        "pair": fit_rate(pair_points),
-    }
     return RateResult(rows, primary, fits, ratios, str(csv_path), str(manifest_path))
 
 

@@ -116,6 +116,35 @@ def test_manifest_hashes_the_kernel_as_read(tmp_path, monkeypatch, change):
     assert hashes[0] == hashes[1]
 
 
+@pytest.mark.parametrize("sub", ["simulate", "rates"])
+def test_kernel_rewritten_after_its_read_does_not_run(tmp_path, monkeypatch, sub):
+    # the kernel file is read once: rewritten right after that read, the run
+    # keeps the original kernel's hash and outputs
+    kernel = tmp_path / "kernel.txt"
+    kernel.write_text(KERNEL_PATH.read_text(encoding="utf-8"), encoding="utf-8")
+    if sub == "simulate":
+        cfg, output = _sim_cfg(tmp_path), "snapshots.raw"
+    else:
+        cfg, output = _rates_smoke_cfg(tmp_path, "slope_lo = -1000\nslope_hi = 1000\n"), "rates.csv"
+    text = Path(cfg).read_text(encoding="utf-8").replace(str(KERNEL_PATH), str(kernel))
+    Path(cfg).write_text(text, encoding="utf-8")
+    assert main([sub, "--config", cfg, "--out", str(tmp_path / "ref")]) == 0
+    real_read = Path.read_text
+
+    def read_then_rewrite(path, *args, **kwargs):
+        got = real_read(path, *args, **kwargs)
+        if path == kernel:
+            monkeypatch.setattr(Path, "read_text", real_read)
+            kernel.write_text("b 1 0.5 0.0\nkhat 1 0.0 0.25\n", encoding="utf-8")
+        return got
+
+    monkeypatch.setattr(Path, "read_text", read_then_rewrite)
+    assert main([sub, "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+    assert kernel.read_text(encoding="utf-8") == "b 1 0.5 0.0\nkhat 1 0.0 0.25\n"
+    for name in ("manifest.json", output):
+        assert (tmp_path / "o" / name).read_bytes() == (tmp_path / "ref" / name).read_bytes()
+
+
 def test_simulate_rejects_bad_format(tmp_path, capsys):
     # a value no prediction or reader supports fails before any simulation
     for extra, message in (("snapshot_format = hdf5", "snapshot_format must be raw"),
@@ -671,10 +700,15 @@ def test_rates_rejects_histogram_cells_before_simulating(tmp_path, capsys):
 @pytest.mark.parametrize("line, message", [
     ("N = 10, 20", "need at least three N values for the rate fits, got 2"),
     ("j = 1, 1", "j values must be distinct"),
-], ids=["two_N", "repeated_j"])
+    ("kernel = {tmp}/b_only.txt", "the kernel has no interaction (no nonzero khat mode m >= 1), "
+     "so every 1/N correction vanishes and no rate can be fitted"),
+], ids=["two_N", "repeated_j", "b_only_kernel"])
 def test_rates_rejects_unfittable_configs_before_simulating(tmp_path, capsys, line, message):
-    # two N cannot be fitted and a repeated j would repeat its rows, so both
-    # are refused before anything runs or is written
+    # two N cannot be fitted, a repeated j would repeat its rows, and a
+    # kernel without interaction has no 1/N bias to fit, so each is refused
+    # before anything runs or is written
+    (tmp_path / "b_only.txt").write_text("b 1 0.5 0.0\n", encoding="utf-8")
+    line = line.format(tmp=tmp_path)
     key = line.split("=")[0]
     smoke = Path(_rates_smoke_cfg(tmp_path, "")).read_text(encoding="utf-8").splitlines()
     cfg = _write_cfg(tmp_path, "bad.cfg",

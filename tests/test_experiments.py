@@ -566,6 +566,22 @@ def test_run_rate_experiment_persists_failures(tmp_path, monkeypatch, exc, statu
     assert not any(name.startswith("chi2") for name in per_n[6])
 
 
+def test_a_failed_rate_fit_is_recorded_as_failed(tmp_path, monkeypatch):
+    # the fits run inside the run's try, so a fit that fails after every N
+    # has its rows leaves a manifest that says so
+    def failing_fit(points):
+        raise ValueError("rate fit needs positive finite ordinates")
+
+    monkeypatch.setattr(experiments, "fit_rate", failing_fit)
+    ecfg = _ecfg(tmp_path)
+    with pytest.raises(ValueError, match="positive finite"):
+        run_rate_experiment(ecfg)
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert manifest["status"] == "failed: ValueError: rate fit needs positive finite ordinates"
+    n_rows = len(ecfg.N_list) * (2 * len(_PHI_PANEL) + 1 + len(ecfg.j_list))
+    assert manifest["rows"] == n_rows
+
+
 def test_histogram_cell_cap_checked_per_n_and_j(tmp_path):
     # every (N, j) needs replicas * floor(N/j) / 50 >= bins_j^j, with pair
     # histograms on max(2, bins // 4) bins per axis
