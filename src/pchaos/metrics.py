@@ -177,7 +177,8 @@ def chi_squared_from_samples(samples: np.ndarray, reference: GridField, bins: in
     """Bias-corrected histogram chi-squared of samples against a reference field.
 
     Returns (estimate, standard_error); the error is the spread of the
-    replica bootstrap of _binned_bootstrap.
+    replica bootstrap of _binned_bootstrap.  More cells than n/50 is a
+    ValueError.
     """
     est, boots, _, _ = _binned_bootstrap(samples, reference, bins, replica_ids, seed, 0xC2)
     return float(est), float(boots.std(ddof=1))
