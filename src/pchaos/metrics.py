@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import json
 import math
-from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -52,24 +51,26 @@ def weighted_l2_error(gamma: GridField, rho: GridField) -> float:
 # histogram machinery for sample-based estimates
 
 
-@lru_cache(maxsize=None)
 def _bin_matrix(M: int, bins: int) -> np.ndarray:
     """(bins, M) matrix whose row b integrates over [b/bins, (b+1)/bins) the
     trigonometric interpolant of values at the M grid points.
 
-    The interpolant is c_0 + 2 Re sum_{0 < m < M/2} c_m e^{2 pi i m x}, with
-    c_m the discrete Fourier coefficients; an even M's Nyquist mode
-    integrates to zero over every bin, because bins divides M.  Phases are
-    reduced as integers mod M (or bins) before they reach exp, so the
-    matrix is accurate to roundoff at every M.
+    Mode m of the interpolant integrates over the first bin to
+    I_m = (e^{2 pi i m/bins} - 1)/(2 pi i m), so row 0 is the inverse real
+    transform of conj(I_m); an even M's Nyquist mode integrates to zero over
+    every bin, because bins divides M.  One bin is M/bins grid points, so
+    row b is row 0 rolled by b M/bins.  Phases are reduced as integers mod
+    bins before they reach exp, so the matrix is accurate to roundoff at
+    every M.
     """
-    m = np.arange(1, (M + 1) // 2)
-    edges = np.exp(2j * np.pi * (np.outer(np.arange(bins + 1), m) % bins) / bins)
-    integrals = (edges[1:] - edges[:-1]) / (2j * np.pi * m)
-    waves = np.exp(-2j * np.pi * (np.outer(m, np.arange(M)) % M) / M)
-    mat = (1.0 / bins + 2.0 * (integrals @ waves).real) / M
-    mat.flags.writeable = False
-    return mat
+    m = np.arange(1, M // 2 + 1)
+    spectrum = np.empty(M // 2 + 1, dtype=complex)
+    spectrum[0] = 1.0 / bins
+    spectrum[1:] = (np.exp(-2j * np.pi * (m % bins) / bins) - 1) / (-2j * np.pi * m)
+    if M % 2 == 0:
+        spectrum[-1] = 0.0
+    row = np.fft.irfft(spectrum, n=M)
+    return row[(np.arange(M) - M // bins * np.arange(bins)[:, None]) % M]
 
 
 def bin_masses(reference: GridField, bins: int) -> np.ndarray:
