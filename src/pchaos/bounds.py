@@ -43,6 +43,9 @@ cut where the damping weight falls below 2^-60, so it takes at most 21
 Gauss-Legendre panels for any j, beta and t; its nodes are constants, so
 numpy.polynomial is never imported.  One sweep serves every time of a j:
 the times share one outer table and one inner table over all their nodes.
+The outer table is the value table of that j, so a caller that has already
+evaluated it (the bounds report) passes it in, and each j's values are
+evaluated once.
 Everything downstream (the polynomial and exponential decay bounds, the
 cascade bound for hierarchies of differential inequalities, and the direct
 ODE integration used to cross-check it) is plain float arithmetic on top of
@@ -209,7 +212,7 @@ def _panel_nodes(j: int, beta: float, t: float):
     return np.maximum(t - vv / (beta * j), 0.0), ww
 
 
-def recurrence_residual_sweep(ell_max: int, j: int, beta: float, t) -> np.ndarray:
+def recurrence_residual_sweep(ell_max: int, j: int, beta: float, t, outer=None) -> np.ndarray:
     """Recurrence residuals for every ell = 1..ell_max at one j and every time t.
 
     The residual at order ell is
@@ -220,9 +223,12 @@ def recurrence_residual_sweep(ell_max: int, j: int, beta: float, t) -> np.ndarra
     defining recurrence.  One outer table serves every t, and one inner table
     is evaluated over the panel nodes of all t together, then reduced per t,
     so a whole lattice column of orders and times costs barely more than its
-    largest single entry.  For a scalar t the result has shape (ell_max,),
-    entry [ell-1] the residual at order ell; for a 1-D array of times it has
-    shape (ell_max, len(t)), one column per time.
+    largest single entry.  outer is that outer table when the caller has it,
+    eval_I_table(j, ell_max, beta, t) of shape (ell_max+1, len(t)) as
+    returned, and is read, not written; without it the sweep evaluates it.
+    For a scalar t the result has shape (ell_max,), entry [ell-1] the
+    residual at order ell; for a 1-D array of times it has shape
+    (ell_max, len(t)), one column per time.
     """
     if ell_max < 1:
         raise ValueError("the recurrence starts at ell = 1")
@@ -231,8 +237,13 @@ def recurrence_residual_sweep(ell_max: int, j: int, beta: float, t) -> np.ndarra
     if ts.ndim > 1:
         raise ValueError("time must be a scalar or a 1-D array")
     cols = np.atleast_1d(ts)
+    if outer is None:
+        outer = eval_I_table(j, ell_max, beta, cols)
+    elif np.shape(outer) != (ell_max + 1, cols.size):
+        raise ValueError(f"outer table has shape {np.shape(outer)}, "
+                         f"expected {(ell_max + 1, cols.size)}")
     # the outer values; at t = 0 the integral is empty and they are the residuals
-    res = eval_I_table(j, ell_max, beta, cols)[1:]
+    res = np.array(outer[1:], dtype=float)
     live = np.flatnonzero(cols > 0)
     if live.size:
         ss, ww = zip(*(_panel_nodes(j, beta, tk) for tk in cols[live].tolist()))

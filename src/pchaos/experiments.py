@@ -57,8 +57,11 @@ coupled systems share.
 The bounds report certifies the damping integrals on a (j, ell, t) lattice
 one j at a time: one value table (bounds.eval_I_table) and one
 recurrence-residual sweep (bounds.recurrence_residual_sweep) cover every
-order and time of that j.  The gates, the polynomial and exponential bounds
-and the CSV rows stay per lattice point.
+order and time of that j.  The sweep is handed that table as its outer
+values, taken before inject shifts them, so it evaluates only its inner
+table and each j's values are evaluated once.  The gates, the polynomial
+and exponential bounds and the CSV rows stay per lattice point; the CSV is
+formatted a column at a time (config._write_csv).
 
 Everything is deterministic given (config, seed): replica RNG streams depend
 only on the absolute replica index, results are reduced in index order, and
@@ -509,6 +512,11 @@ def run_rate_experiment(ecfg: ExperimentConfig) -> RateResult:
     # imported here: only this command needs multiprocessing and what it loads
     from concurrent.futures import ProcessPoolExecutor
 
+    # numpy loads numpy.random at its first use.  The workers draw from it and
+    # this process bootstraps with it, so it is loaded once, here, before the
+    # pool forks, not again in every worker.
+    import numpy.random  # noqa: F401
+
     # the pool forks every worker at its first task, so it is sized to the machine
     workers = min(ecfg.workers, os.cpu_count() or 1)
     pool = ProcessPoolExecutor(max_workers=workers)
@@ -662,9 +670,11 @@ def run_bounds_report(
         violations.append(message)
 
     for j in j_list:
-        # one column of the lattice: every order at every time, in two calls
-        vals = bnd.eval_I_table(j, ell_max, beta, t_list)[1:] + inject
-        residuals = bnd.recurrence_residual_sweep(ell_max, j, beta, t_list)
+        # one column of the lattice: every order at every time, from one
+        # value table, which the residual sweep reads as its outer values
+        table = bnd.eval_I_table(j, ell_max, beta, t_list)
+        vals = table[1:] + inject
+        residuals = bnd.recurrence_residual_sweep(ell_max, j, beta, t_list, outer=table)
         for k, t in enumerate(t_list):
             for ell in range(1, ell_max + 1):
                 I = float(vals[ell - 1, k])

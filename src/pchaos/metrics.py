@@ -154,8 +154,11 @@ def _binned_bootstrap(samples, reference, bins, replica_ids, seed, tag):
             f"too many cells: {bins}^{axes} = {n_cells} exceeds n/50 = {n / 50:.0f}"
         )
     q = bin_masses(reference, bins).reshape(-1)
-    if q.min() <= 0:
-        raise ValueError("reference assigns zero mass to some cell")
+    low = int(q.argmin())
+    if q[low] <= 0:  # the interpolant of a reference that is not smooth can ring below 0
+        cell = tuple(int(i) for i in np.unravel_index(low, (bins,) * axes))
+        raise ValueError(f"nonpositive reference mass: the smallest is {q[low]:.3g}, "
+                         f"in cell {cell} of {bins}^{axes}")
     if replica_ids is None:
         replica_ids = np.arange(n)
     est = _chi2_stat(np.bincount(ravel, minlength=n_cells)[None], q)[0]
@@ -178,8 +181,8 @@ def chi_squared_from_samples(samples: np.ndarray, reference: GridField, bins: in
     """Bias-corrected histogram chi-squared of samples against a reference field.
 
     Returns (estimate, standard_error); the error is the spread of the
-    replica bootstrap of _binned_bootstrap.  More cells than n/50 is a
-    ValueError.
+    replica bootstrap of _binned_bootstrap.  More cells than n/50, or a
+    reference cell mass that is not positive, is a ValueError.
     """
     est, boots, _, _ = _binned_bootstrap(samples, reference, bins, replica_ids, seed, 0xC2)
     return float(est), float(boots.std(ddof=1))

@@ -297,7 +297,8 @@ def test_residual_quadrature_stops_at_the_lag_cut():
 
 def test_array_time_sweep_equals_scalar_sweep():
     # one inner table over every time's nodes, reduced per time, gives each
-    # time the residuals it gets alone, on the shipped lattice and at t = 0
+    # time the residuals it gets alone, on the shipped lattice and at t = 0;
+    # a caller's outer table gives the same bits and is left as it was
     cfg = load_config(REPO_ROOT / "configs" / "bounds.cfg")
     ell_max, beta = cfg.get_int("ell_max"), cfg.get_float("beta")
     ts = [0.0] + cfg.get_float_list("t")
@@ -307,8 +308,14 @@ def test_array_time_sweep_equals_scalar_sweep():
         for k, t in enumerate(ts):
             assert np.array_equal(sweep[:, k], recurrence_residual_sweep(ell_max, j, beta, t))
         assert np.all(sweep[:, 0] == 0.0) and np.max(sweep) < 1e-10
+        outer = eval_I_table(j, ell_max, beta, ts)
+        kept = outer.copy()
+        assert np.array_equal(recurrence_residual_sweep(ell_max, j, beta, ts, outer=outer), sweep)
+        assert np.array_equal(outer, kept)
     with pytest.raises(ValueError, match="1-D"):
         recurrence_residual_sweep(4, 1, 1.0, [[0.5]])
+    with pytest.raises(ValueError, match=r"outer table has shape \(5, 1\), expected \(5, 2\)"):
+        recurrence_residual_sweep(4, 1, 1.0, [0.5, 1.0], outer=eval_I_table(1, 4, 1.0, [0.5]))
 
 
 def test_recurrence_residual_small():

@@ -336,10 +336,11 @@ def test_shipped_simulate_solve_metrics_chain(tmp_path, monkeypatch, capsys):
 
 def test_cli_import_leaves_out_what_start_up_does_not_need():
     # mpmath, scipy.special and the rates pool's multiprocessing are imported
-    # where they are used, not at start-up, numpy.polynomial nowhere, and no
-    # record class is generated (by dataclasses' exec)
+    # where they are used, not at start-up, numpy.polynomial nowhere, no
+    # record class is generated (by dataclasses' exec), and the command line
+    # is read without argparse and the gettext it loads
     mods = ("scipy.integrate", "mpmath", "scipy.special", "multiprocessing", "numpy.polynomial",
-            "dataclasses")
+            "dataclasses", "argparse", "gettext")
     code = f"import sys, pchaos.cli; print([m for m in {mods!r} if m in sys.modules])"
     assert fresh_python("-c", code).strip() == "[]"
 
@@ -748,6 +749,79 @@ def test_missing_config_and_missing_key(tmp_path, capsys):
 def test_unknown_command_exits():
     with pytest.raises(SystemExit):
         main(["frobnicate", "--config", "x", "--out", "y"])
+
+
+_TINY_BOUNDS = "j = 1\nell_max = 2\nb = 1\nt = 0.1\n"
+
+
+def test_bounds_run_leaves_locale_unimported(tmp_path):
+    # argparse's first message lookup imports gettext and then locale, ~1.6 ms
+    # of a run; the command line is read without them
+    cfg = _write_cfg(tmp_path, "b.cfg", _TINY_BOUNDS)
+    code = ("import sys\nfrom pchaos.cli import main\n"
+            f"rc = main(['bounds', '--config', {cfg!r}, '--out', {str(tmp_path / 'o')!r}])\n"
+            "print(rc, [m for m in ('argparse', 'gettext', 'locale') if m in sys.modules])\n")
+    assert fresh_python("-c", code).splitlines()[-1] == "0 []"
+
+
+@pytest.mark.parametrize("line, seed", [
+    (["bounds", "--config=b.cfg", "--out", "o"], 7),
+    (["--out", "o", "--conf", "b.cfg", "bounds"], 7),
+    (["--o=o", "--s", "3", "--c", "b.cfg", "bounds"], 3),
+    (["bounds", "--config", "b.cfg", "--seed", "1", "--out", "o", "--seed=4"], 4),
+    (["--config", "b.cfg", "--out", "o", "--seed", " 5", "--", "bounds"], 5),
+    (["bounds", "--config", "-b c.cfg", "--out", "o"], 7),
+], ids=["equals", "prefix_before_command", "short_prefixes", "last_wins", "end_of_options",
+        "dash_value_with_space"])
+def test_command_line_forms_argparse_accepted(tmp_path, monkeypatch, capsys, line, seed):
+    # each of these lines ran under argparse, and runs the same command now
+    monkeypatch.chdir(tmp_path)
+    for name in ("b.cfg", "-b c.cfg"):
+        _write_cfg(tmp_path, name, _TINY_BOUNDS + "seed = 7\n")
+    assert main(line) == 0, capsys.readouterr().err
+    assert json.loads((tmp_path / "o" / "manifest.json").read_text())["seed"] == seed
+
+
+@pytest.mark.parametrize("flag", ["--help", "-h", "--he"])
+def test_help_goes_to_stdout_and_exits_zero(capsys, flag):
+    # help is printed where it is met, before the missing options are noticed
+    with pytest.raises(SystemExit) as exc:
+        main(["bounds", flag])
+    assert exc.value.code == 0
+    out, err = capsys.readouterr()
+    assert err == "" and out.startswith("usage: pchaos [-h] COMMAND --config PATH --out DIR")
+    assert "commands: simulate, solve-mv, solve-hierarchy, metrics, bounds, rates" in out
+
+
+@pytest.mark.parametrize("line, message", [
+    (["bounds", "--bogus", "--config", "c", "--out", "o"], "unrecognized arguments: --bogus"),
+    (["bounds", "--=x", "--config", "c", "--out", "o"],
+     "ambiguous option: --=x could match --help, --config, --out, --seed"),
+    (["bounds", "extra", "--config", "c", "--out", "o"], "unrecognized arguments: extra"),
+    (["bounds", "--config", "c"], "the following arguments are required: --out"),
+    (["--out", "o"], "the following arguments are required: COMMAND, --config"),
+    (["bounds", "--config", "c", "--out", "o", "--seed", "x"],
+     "argument --seed: invalid int value: 'x'"),
+    (["bounds", "--config", "c", "--out", "o", "--seed=1.5"],
+     "argument --seed: invalid int value: '1.5'"),
+    (["bounds", "--config", "--out", "o"], "argument --config: expected one argument"),
+    (["bounds", "--config", "c", "--out"], "argument --out: expected one argument"),
+    (["bounds", "--help=x"], "argument -h/--help: ignored explicit argument 'x'"),
+], ids=["unknown_option", "ambiguous_option", "stray_positional", "missing_out",
+        "missing_command_and_config", "non_integer_seed", "fractional_seed", "option_as_value",
+        "no_value", "help_with_value"])
+def test_malformed_command_line_exits_2_with_usage(tmp_path, monkeypatch, capsys, line,
+                                                  message):
+    # as under argparse: the usage line and one error line on stderr, exit 2,
+    # and nothing written
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(line)
+    assert exc.value.code == 2 and list(tmp_path.iterdir()) == []
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("usage: pchaos [-h] COMMAND --config PATH --out DIR [--seed N]\n"
+                   f"pchaos: error: {message}\n")
 
 
 @pytest.mark.parametrize("sub, config, out", [

@@ -1,7 +1,14 @@
-"""Flat key = value config parsing and typed access."""
-import pytest
+"""Flat key = value config parsing and typed access, and the CSV writer."""
+import math
 
-from pchaos.config import Config, ConfigError, load_config, parse_config_text
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from pchaos.config import Config, ConfigError, _write_csv, load_config, parse_config_text
+
+from oracles.csv_rowwise import write_csv_rowwise
 
 SAMPLE = """
 # run parameters
@@ -87,3 +94,45 @@ def test_load_config_reports_file_name(tmp_path):
     assert cfg.get_int("a") == 1
     with pytest.raises(ConfigError, match="run.cfg"):
         cfg.get_str("b")
+
+
+# every kind of cell a CSV row of the package holds, and those it could be handed
+_CELLS = {
+    "str": st.text(max_size=6),
+    "int": st.integers(-10 ** 20, 10 ** 20),
+    "bool": st.booleans(),
+    "float": st.floats(),
+    "np.float64": st.floats().map(np.float64),
+    "np.int64": st.integers(-2 ** 63, 2 ** 63 - 1).map(np.int64),
+}
+
+
+@st.composite
+def _csv_tables(draw):
+    """(columns, rows): each column holds one to three kinds of cell."""
+    columns = [f"c{k}" for k in range(draw(st.integers(1, 4)))]
+    n_rows = draw(st.integers(0, 12))
+    values = []
+    for _ in columns:
+        kinds = draw(st.lists(st.sampled_from(sorted(_CELLS)), min_size=1, max_size=3,
+                              unique=True))
+        cell = st.one_of(*(_CELLS[k] for k in kinds))
+        values.append(draw(st.lists(cell, min_size=n_rows, max_size=n_rows)))
+    return columns, [dict(zip(columns, row)) for row in zip(*values)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(_csv_tables())
+@example((["j", "I", "exp_bound", "n"],
+          [{"j": 1, "I": math.inf, "exp_bound": "", "n": np.int64(3)},
+           {"j": True, "I": math.nan, "exp_bound": np.float64(0.1), "n": np.float64(-0.0)},
+           {"j": -2, "I": -0.0, "exp_bound": 0.25, "n": np.int64(-7)}]))
+def test_column_writer_matches_row_writer(tmp_path_factory, table):
+    # the column-at-a-time writer gives the row-at-a-time writer's bytes for
+    # every cell type: str (empty too), int, bool, float (inf, nan, -0.0),
+    # np.float64 and np.int64, alone or mixed within a column
+    columns, rows = table
+    d = tmp_path_factory.getbasetemp()
+    write_csv_rowwise(d / "rowwise.csv", columns, rows)
+    _write_csv(d / "columnwise.csv", columns, iter(rows))
+    assert (d / "columnwise.csv").read_bytes() == (d / "rowwise.csv").read_bytes()

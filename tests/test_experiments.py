@@ -35,7 +35,7 @@ from pchaos.particles import (
     sample_initial,
 )
 
-from conftest import KERNEL_PATH, RICH_KERNEL, band_limited_kernels, fresh_python
+from conftest import KERNEL_PATH, REPO_ROOT, RICH_KERNEL, band_limited_kernels, fresh_python
 from oracles import chain_transfer_matrix
 from oracles.chain_transfer_matrix import chain_moments_transfer_matrix
 from oracles.companion_explicit import companion_terms_explicit
@@ -637,6 +637,30 @@ def test_rate_pool_is_sized_to_the_machine(tmp_path, monkeypatch, workers):
     assert len(tasks) == 1 + sum(len(experiments._chunks(300, N, size)) for N in (40, 60, 80))
 
 
+def test_rate_pool_forks_after_numpy_random_is_loaded(tmp_path):
+    # numpy loads numpy.random at its first use; every worker draws from it,
+    # so it is loaded before the pool exists and the workers fork with it.
+    # The stub pool records what is loaded when it is built, then stops the run.
+    code = (
+        "import sys, concurrent.futures\n"
+        "from pchaos.config import load_config\n"
+        "from pchaos.experiments import ExperimentConfig, run_rate_experiment\n"
+        "class Built(Exception): pass\n"
+        "class Pool:\n"
+        "    def __init__(self, max_workers):\n"
+        "        raise Built('numpy.random' in sys.modules)\n"
+        "concurrent.futures.ProcessPoolExecutor = Pool\n"
+        f"cfg = load_config({str(REPO_ROOT / 'configs' / 'rates.cfg')!r})\n"
+        f"ecfg = ExperimentConfig.from_config(cfg, {str(tmp_path)!r}, 0)\n"
+        "print('numpy.random' in sys.modules)\n"
+        "try:\n"
+        "    run_rate_experiment(ecfg)\n"
+        "except Built as exc:\n"
+        "    print(exc.args[0])\n"
+    )
+    assert fresh_python("-c", code, cwd=REPO_ROOT).split() == ["False", "True"]
+
+
 def test_chunks_cover_replicas_in_multiples_of_workers():
     for replicas, N, workers in ((600, 25, 2), (600, 100, 2), (10000, 800, 8), (10, 4, 3), (3, 10**6, 8)):
         chunks = experiments._chunks(replicas, N, workers)
@@ -687,7 +711,8 @@ def test_bounds_report_nan_fails_every_gate(monkeypatch):
     assert all(_fails_every_check(line) for line in (rng, poly, exp))
     assert "PASS" in rec
     monkeypatch.setattr(experiments.bnd, "recurrence_residual_sweep",
-                        lambda ell_max, j, beta, ts: np.full((ell_max, len(ts)), math.nan))
+                        lambda ell_max, j, beta, ts, outer=None: np.full((ell_max, len(ts)),
+                                                                          math.nan))
     rep = run_bounds_report(**lattice)
     assert _fails_every_check(rep.summary[1])
     assert all("PASS" in line for line in rep.summary[:1] + rep.summary[2:])
@@ -704,7 +729,7 @@ def test_each_bounds_gate_fires_on_its_own(gate, monkeypatch):
     inject = -1.5 if gate == "range" else 0.0
     if gate == "recurrence":
         monkeypatch.setattr(experiments.bnd, "recurrence_residual_sweep",
-                            lambda ell_max, j, beta, ts: np.ones((ell_max, len(ts))))
+                            lambda ell_max, j, beta, ts, outer=None: np.ones((ell_max, len(ts))))
     elif gate == "exp":
         real = experiments.bnd.exp_bound
         monkeypatch.setattr(experiments.bnd, "exp_bound",
@@ -716,16 +741,20 @@ def test_each_bounds_gate_fires_on_its_own(gate, monkeypatch):
 
 
 def test_bounds_report_evaluates_one_column_per_j(monkeypatch):
-    # every time of a j shares one value table and one residual sweep
+    # every time of a j shares one value table and one residual sweep, and
+    # the sweep reads that very table as its outer values
     calls = []
+    tables, outers = [], []
     real_table = experiments.bnd.eval_I_table
 
     def table(j, ell_max, beta, ts):
         calls.append(("table", j, list(ts)))
-        return real_table(j, ell_max, beta, ts)
+        tables.append(real_table(j, ell_max, beta, ts))
+        return tables[-1]
 
-    def sweep(ell_max, j, beta, ts):
+    def sweep(ell_max, j, beta, ts, outer=None):
         calls.append(("sweep", j, list(ts)))
+        outers.append(outer)
         return np.zeros((ell_max, len(ts)))
 
     monkeypatch.setattr(experiments.bnd, "eval_I_table", table)
@@ -734,6 +763,7 @@ def test_bounds_report_evaluates_one_column_per_j(monkeypatch):
     rep = run_bounds_report(j_list=(1, 4, 16), ell_max=8, b_list=(1,), t_list=t_list)
     assert rep.ok and len(rep.rows) == 3 * 8 * 3
     assert calls == [(kind, j, t_list) for j in (1, 4, 16) for kind in ("table", "sweep")]
+    assert len(outers) == 3 and all(o is t for o, t in zip(outers, tables))
 
 
 @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1e-6])
