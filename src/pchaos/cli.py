@@ -11,14 +11,15 @@ the gettext it loads, and ~2.5 ms to build and run its parser, most of that
 the `import locale` its first message lookup triggers; _parse takes ~0.03 ms.
 _parse accepts every line argparse accepted: options before or after
 COMMAND, `--opt value` or `--opt=value`, a unique prefix of an option name
-(`--conf`), a value that starts with "-" where it is a number (`--seed -5`),
-a repeated option (the last one wins), and "--" ending the options.
--h/--help prints the help to stdout and exits 0; a malformed line prints
-the usage line and one "pchaos: error: ..." line to stderr and raises
-SystemExit(2).  Outputs are
-CSV/JSON plus a manifest recording the config hash and seed so any row can be
-reproduced from the pair.  The seed, from --seed or the config, is a
-nonnegative integer in every command.  A user error (a bad or missing config
+(`--conf`), a value that starts with "-" where it is a number (`--seed -5`)
+or holds a space, a repeated option (the last one wins), and "--" ending
+the options.  -h/--help prints the help to stdout and exits 0; a malformed
+line prints the usage line and one "pchaos: error: ..." line to stderr and
+raises SystemExit(2).
+
+Outputs are CSV/JSON plus a manifest recording the config hash and seed so
+any row can be reproduced from the pair.  The seed, from --seed or the
+config, is a nonnegative integer in every command.  A user error (a bad or missing config
 value, an input the package rejects, a file that cannot be read or written, a
 solve over its memory budget or an allocation the machine cannot meet, a
 density driven negative) exits 2 with one line on stderr; exit 1 is left to
