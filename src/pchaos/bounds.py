@@ -239,9 +239,6 @@ def recurrence_residual_sweep(ell_max: int, j: int, beta: float, t, outer=None) 
     cols = np.atleast_1d(ts)
     if outer is None:
         outer = eval_I_table(j, ell_max, beta, cols)
-    elif np.shape(outer) != (ell_max + 1, cols.size):
-        raise ValueError(f"outer table has shape {np.shape(outer)}, "
-                         f"expected {(ell_max + 1, cols.size)}")
     # the outer values; at t = 0 the integral is empty and they are the residuals
     res = np.array(outer[1:], dtype=float)
     live = np.flatnonzero(cols > 0)

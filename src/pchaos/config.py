@@ -14,6 +14,7 @@ from __future__ import annotations
 import hashlib
 import json
 from functools import partial
+from itertools import islice
 from operator import itemgetter
 from pathlib import Path
 
@@ -30,6 +31,7 @@ class _Required:
 
 
 _REQUIRED = _Required()
+_CSV_CHUNK = 4096  # rows formatted and written together by _write_csv
 _BOOLS = {**dict.fromkeys(("1", "true", "yes", "on"), True),
           **dict.fromkeys(("0", "false", "no", "off"), False)}
 
@@ -81,29 +83,29 @@ def _cell_format(kind: type):
     return lambda v: repr(float(v))
 
 
-def _column_cells(values: list) -> list:
-    """Each value of one column as its CSV text; a column of one type takes one map."""
-    formats = {kind: _cell_format(kind) for kind in set(map(type, values))}
-    if len(formats) == 1:
-        return list(map(formats.popitem()[1], values))
-    return [formats[type(v)](v) for v in values]
-
-
 def _write_csv(path, columns, rows) -> None:
     """Write path as CSV: the header, then each row's values in the header's column order.
 
-    rows are mappings from column name to value.  The cells are formatted a
-    column at a time, each by its value's type: float.__repr__ for a float
-    or a float subclass such as np.float64 (the shortest text that reads
-    back as the same double), str for str and int (bool included), and
-    repr(float(v)) for anything else, such as np.int64.  The rows are then
-    joined from the zipped columns.  tests/oracles/csv_rowwise.py is the
-    row-at-a-time writer this replaced; the two write the same bytes.
+    rows are mappings from column name to value, read _CSV_CHUNK at a time
+    so a long generator is never held whole.  Each chunk's cells are
+    formatted a column at a time, each by its value's type: float.__repr__
+    for a float or a float subclass such as np.float64 (the shortest text
+    that reads back as the same double), str for str and int (bool
+    included), and repr(float(v)) for anything else, such as np.int64.  The
+    chunk's lines are then joined from the zipped columns.
+    tests/oracles/csv_rowwise.py is the row-at-a-time writer this replaced;
+    the two write the same bytes.
     """
-    rows = list(rows)
-    cells = [_column_cells(list(map(itemgetter(c), rows))) for c in columns]
+    getters = [itemgetter(c) for c in columns]
+    rows = iter(rows)
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join([",".join(columns), *map(",".join, zip(*cells)), ""]))
+        fh.write(",".join(columns) + "\n")
+        while chunk := list(islice(rows, _CSV_CHUNK)):
+            cells = []
+            for values in (list(map(get, chunk)) for get in getters):
+                formats = {kind: _cell_format(kind) for kind in set(map(type, values))}
+                cells.append([formats[type(v)](v) for v in values])
+            fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
 
 
 def load_config(path) -> "Config":

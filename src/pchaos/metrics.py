@@ -155,9 +155,9 @@ def _binned_bootstrap(samples, reference, bins, replica_ids, seed, tag):
         )
     q = bin_masses(reference, bins).reshape(-1)
     low = int(q.argmin())
-    if q[low] <= 0:  # the interpolant of a reference that is not smooth can ring below 0
+    if not q[low] > 0:  # a reference that is not smooth rings below 0; argmin finds a nan
         cell = tuple(int(i) for i in np.unravel_index(low, (bins,) * axes))
-        raise ValueError(f"nonpositive reference mass: the smallest is {q[low]:.3g}, "
+        raise ValueError(f"reference mass that is not positive: {q[low]:.3g}, "
                          f"in cell {cell} of {bins}^{axes}")
     if replica_ids is None:
         replica_ids = np.arange(n)

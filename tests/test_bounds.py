@@ -314,8 +314,6 @@ def test_array_time_sweep_equals_scalar_sweep():
         assert np.array_equal(outer, kept)
     with pytest.raises(ValueError, match="1-D"):
         recurrence_residual_sweep(4, 1, 1.0, [[0.5]])
-    with pytest.raises(ValueError, match=r"outer table has shape \(5, 1\), expected \(5, 2\)"):
-        recurrence_residual_sweep(4, 1, 1.0, [0.5, 1.0], outer=eval_I_table(1, 4, 1.0, [0.5]))
 
 
 def test_recurrence_residual_small():

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from pchaos import config
 from pchaos.config import Config, ConfigError, _write_csv, load_config, parse_config_text
 
 from oracles.csv_rowwise import write_csv_rowwise
@@ -136,3 +137,31 @@ def test_column_writer_matches_row_writer(tmp_path_factory, table):
     write_csv_rowwise(d / "rowwise.csv", columns, rows)
     _write_csv(d / "columnwise.csv", columns, iter(rows))
     assert (d / "columnwise.csv").read_bytes() == (d / "rowwise.csv").read_bytes()
+
+
+def test_column_writer_reads_rows_a_chunk_at_a_time(tmp_path, monkeypatch):
+    # a generator of rows is read _CSV_CHUNK rows ahead at most, and the
+    # chunks join into the row writer's bytes
+    monkeypatch.setattr(config, "_CSV_CHUNK", 2)
+    pulled, seen = [], []
+
+    class Cell:  # written as repr(float(v)); notes how many rows were read by then
+        def __init__(self, k):
+            self.k = k
+
+        def __float__(self):
+            seen.append((self.k, len(pulled)))
+            return self.k + 0.5
+
+    def rows():
+        for k in range(5):
+            pulled.append(k)
+            yield {"k": k, "v": Cell(k)}
+
+    write_csv_rowwise(tmp_path / "rowwise.csv", ("k", "v"), rows())
+    pulled.clear()
+    seen.clear()
+    _write_csv(tmp_path / "columnwise.csv", ("k", "v"), rows())
+    assert [k for k, _ in seen] == list(range(5))
+    assert all(n <= 2 * (k // 2 + 1) for k, n in seen)
+    assert (tmp_path / "columnwise.csv").read_bytes() == (tmp_path / "rowwise.csv").read_bytes()

@@ -149,9 +149,14 @@ def test_chi_squared_cell_cap_and_zero_mass():
         chi_squared_from_samples(x, f, 64)
     hole = GridField(g, 1, np.where(g.points < 0.5, 2.0, 0.0))
     # the step's interpolant rings below zero in the empty half
-    with pytest.raises(ValueError, match=r"nonpositive reference mass: the smallest is "
+    with pytest.raises(ValueError, match=r"reference mass that is not positive: "
                                          r"-0\.00167, in cell \(4,\) of 8\^1"):
         chi_squared_from_samples(x, hole, 8)
+    # a nan grid value makes nan masses, which fail the same refusal
+    gap = 1.0 + 0.5 * np.cos(2 * np.pi * g.points)
+    gap[3] = np.nan
+    with pytest.raises(ValueError, match=r"reference mass that is not positive: nan, in cell"):
+        chi_squared_from_samples(x, GridField(g, 1, gap), 8)
     with pytest.raises(ValueError, match="lie in"):
         chi_squared_from_samples(np.ones((5000, 1, 1)), f, 8)
 
