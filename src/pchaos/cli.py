@@ -50,6 +50,7 @@ from __future__ import annotations
 
 import gc
 import hashlib
+import math
 import os
 import re
 import sys
@@ -67,7 +68,8 @@ from .experiments import ExperimentConfig, run_bounds_report, run_rate_experimen
 from .metrics import divergence_report_from_samples, histogram_bins
 from .particles import SimConfig, SnapshotSet, extract_marginal_samples, run_ensemble
 from .partitions import max_asymmetry
-from .pde import GTable, NegativeDensityError, TimeGrid, solve_g_hierarchy, solve_mckean_vlasov
+from .pde import (GTable, NegativeDensityError, TimeGrid, _cfl_margin, solve_g_hierarchy,
+                  solve_mckean_vlasov)
 
 if _OWNS_PROCESS:
     gc.freeze()
@@ -131,6 +133,17 @@ def _max_mass_drift(rho: np.ndarray, grid: TorusGrid) -> float:
     return max(abs(grid.h * row.sum() - 1.0) for row in rho)
 
 
+def _solve_health(rho: np.ndarray, kernel: KernelSpec, grid: TorusGrid, tg: TimeGrid) -> dict:
+    """Manifest fields of a solve: its CFL margin (null with no transport) and rho's minimum.
+
+    The minimum is over rho's stored rows, with the stored time it falls at.
+    """
+    margin = _cfl_margin(grid, kernel, tg)
+    s = int(rho.min(axis=1).argmin())
+    return {"cfl_margin": margin if math.isfinite(margin) else None,
+            "min_density": float(rho[s].min()), "min_density_time": float(tg.stored_times[s])}
+
+
 def _cmd_simulate(cfg: Config, out: Path, seed: int) -> int:
     # settings whose other values no prediction or reader of this package supports
     if cfg.get_int("d", 1) != 1:
@@ -167,7 +180,7 @@ def _cmd_solve_mv(cfg: Config, out: Path, seed: int) -> int:
                ({"t": t, "x": x, "value": v} for t, vals in zip(tg.stored_times, rho)
                 for x, v in zip(grid.points, vals)))
     drift = _max_mass_drift(rho, grid)
-    _write_manifest(out, hashed, seed, max_mass_drift=drift)
+    _write_manifest(out, hashed, seed, max_mass_drift=drift, **_solve_health(rho, kernel, grid, tg))
     print(f"solve-mv: M={grid.M}, {tg.n_steps} steps, max mass drift {drift:.3e}")
     return 0
 
@@ -183,7 +196,7 @@ def _cmd_solve_hierarchy(cfg: Config, out: Path, seed: int) -> int:
                  for i, j in sorted(gt.entries)}
     _write_manifest(out, hashed, seed, i_max=i_max, entries=len(gt.entries),
                     max_mass_drift=_max_mass_drift(gt.entries[(0, 1)], gt.grid),
-                    max_asymmetry=asymmetry)
+                    max_asymmetry=asymmetry, **_solve_health(gt.entries[(0, 1)], kernel, gt.grid, tg))
     print(f"solve-hierarchy: order {i_max}, {len(gt.entries)} entries -> {out / 'gtable'}")
     return 0
 

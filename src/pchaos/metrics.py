@@ -101,7 +101,7 @@ def _cell_indices(samples, bins):
         x = x[:, :, None]
     n, j, d = x.shape
     flat = x.reshape(n, j * d)
-    if flat.min() < 0 or flat.max() >= 1.0:
+    if not (flat.min() >= 0 and flat.max() < 1.0):  # a NaN fails both
         raise ValueError("sample coordinates must lie in [0, 1)")
     idx = np.minimum((flat * bins).astype(int), bins - 1)
     ravel = np.zeros(n, dtype=np.int64)

@@ -14,16 +14,16 @@ c_self sum_l S_{1,l} f_a, also the remainder R^i_j.  One interaction operator
 the grid h K(x, y) factors through Q = 1 + 2 (number of khat modes)
 functions of y, and every contraction against K is two small matrix
 products through those factors.  _EntrySolver, the one flux assembler,
-compiles the k = 1 terms of a table once into a few batched products.
+compiles the k = 1 terms of a table once into a few batched products, rank
+axis first.
 
 Every unknown (each g^i_j and each BBGKY marginal) is symmetric in its
 coordinates, and so are the equations.  So flux_k is flux_1 with x_1 and x_k
-swapped, and _SpectralOps steps from flux_1 alone, in the half spectrum.
-test_pde.py guards the premise: on symmetric states the full term table's
-flux_k equals the swapped flux_1 (tests/oracles/all_k_flux.py), the stepper
-matches one that transforms the swapped fluxes
-(tests/oracles/fourier_swap_step.py), and the solved entries stay symmetric
-to 1e-13.  The solvers that drive these operators are in pchaos.pde.
+swapped, and _SpectralOps steps from flux_1 alone, in the half spectrum, up
+to the last column the dealiased forcing or an initial spectrum reaches.
+test_pde.py guards the premise (tests/oracles/all_k_flux.py,
+fourier_swap_step.py, full_width_step.py) and the solved entries' symmetry.
+The solvers that drive these operators are in pchaos.pde.
 """
 
 from __future__ import annotations
@@ -251,26 +251,25 @@ class _EntrySolver:
         sum_q V[q, x_1] U[x_l, q] / h.  Terms with the same x_1 part share
         columns of a (times V[q, x_1] when expanded) and sum their B parts
         at the size of x_2..x_j; one matmul batched over x_2 writes flux_1.
+        B, the g @ U it reads and U / h are stored rank axis first, so each
+        B part adds into a contiguous block, not Q-long inner loops.
     (B) F(x_1, x_2) G(x_1, x_3), j = 3: no source carries both x_2 and x_3.
-        All such terms are one matmul batched over x_1, (M, M, T) @ (M, T, M).
-    (D) the rest: d(x_1) times lattice sources; terms with the same lattice
-        sources sum their d at size M first.
+        All such terms are one matmul batched over x_1, (M, M, T) @ (M, T, M),
+        with F stored term-first.
+    (D) the rest: d(x_1) times lattice sources, multiplied in a scratch
+        lattice; terms with the same lattice sources sum their d at size M first.
 
     Each batch of a matmul is a small product (M x width x M^(j-2) for (A),
     M x T x M for (B)), which OpenBLAS runs on the calling thread at the
-    sizes test_hierarchy_solve_keeps_to_one_cpu times; a 2-D product over
-    the whole lattice would wake its worker threads.  A CLI process has no
-    such threads at all (the thread policy in pchaos.cli); the sizing keeps
-    a library caller on numpy's default threading on one CPU.  The starred
-    contractions, and the g @ U they start from, are shared between unknowns
-    through a per-step cache.
+    sizes test_hierarchy_solve_keeps_to_one_cpu times, so a library caller
+    on numpy's default threading stays on one CPU (a CLI process has no BLAS
+    threads: pchaos.cli).  The starred contractions, and the g @ U they
+    start from, are shared between unknowns through a per-step cache.
 
-    What a call would otherwise work out per source (its kind, reshape, cache
-    key and the route of a starred contraction) is settled here: each source
-    on each shape it is read at is one slot, which flux1 reads once per call
-    (_read), and each product is a fixed list of slots multiplied left to
-    right (_running_product).  A coefficient 1.0 is left out of its product,
-    since 1.0 * x is x bit for bit.
+    Each source on each shape it is read at is one slot, fixed here with its
+    kind, reshape, cache key and starred route, and read once per call
+    (_read); each product is a fixed list of slots multiplied left to right
+    (_running_product), without a coefficient 1.0 (1.0 * x is x bit for bit).
     """
 
     def __init__(self, terms: list, j: int, op: _Interaction):
@@ -281,8 +280,8 @@ class _EntrySolver:
         slots = {}
         self._vals, self._reads = [], []
 
-        def on(src, axes, tail=()):
-            return tuple(M if c in _support(src) else 1 for c in axes) + tail
+        def on(src, axes, head=()):
+            return head + tuple(M if c in _support(src) else 1 for c in axes)
 
         def const(tag, value):
             if tag not in slots:
@@ -290,19 +289,20 @@ class _EntrySolver:
                 self._vals.append(value)
             return slots[tag]
 
-        def get(src, axes, tail=(), kind=None):
-            """Slot of a source's value on the given axes (kind "contracted": its g @ U)."""
+        def get(src, axes, head=(), kind=None):
+            """Slot of a source's value on the given axes (kind "contracted": its g @ U, rank-first)."""
             kind = kind or src[0]
             _, key, coords = src
-            shape = on(src, axes, tail)
+            shape = on(src, axes, head)
             if kind == "pair":
                 return const((kind, key, shape), op.pair(1, key, j).reshape(shape))
             tag = (kind, key, coords, shape)
             if tag not in slots:
                 natural = {"state": (M,) * len(coords),
-                           "contracted": (M,) * (len(coords) - 1) + (Q,),
+                           "contracted": (Q,) + (M,) * (len(coords) - 1),
                            "starred": on(src, range(1, j + 1))}[kind]
-                self._reads.append((const(tag, None), kind, key, (key, coords, j),
+                self._reads.append((const(tag, None), kind, key,
+                                    (key, coords, j) if kind == "starred" else (key,),
                                     op.starred_route(coords, 1, j) if kind == "starred" else None,
                                     None if shape == natural else shape))
             return slots[tag]
@@ -342,9 +342,8 @@ class _EntrySolver:
                       [get(s, range(1, j + 1)) for s in srcs]) for srcs, parts in diag.items()]
         self._dshape = (-1,) + (1,) * (j - 1)
 
-        # (A): columns of a per x_1 part, and each term's B part on x_2..x_j
-        # with the rank axis last (U[x_l, q] / h for a pair weight, g @ U for
-        # a starred factor)
+        # (A): columns of a per x_1 part, and each term's B part on x_2..x_j,
+        # rank axis first (U[x_l, q] / h for a pair weight, g @ U for a starred factor)
         self.columns, self.b_parts, width = [], [], 0
         for (x1, expand), terms in groups.items():
             cols = slice(width, width + (Q if expand else 1))
@@ -354,7 +353,7 @@ class _EntrySolver:
                 parts = [get(s, X, (1,)) for s in free]
                 if src is not None and src[0] == "pair":
                     shape = on(src, X, (Q,))
-                    parts.append(const(("U/h", shape), (op.U / op.h).reshape(shape)))
+                    parts.append(const(("U/h", shape), (op.U / op.h).T.reshape(shape)))
                 elif src is not None:
                     parts.append(get(src, X, (Q,), "contracted"))
                 self.b_parts.append((product(coef, parts), cols))
@@ -362,13 +361,13 @@ class _EntrySolver:
         self._out = np.empty((M,) * j)
         if self.columns:
             self._a = np.empty((M, width))
-            self._B = np.empty((M,) * (j - 1) + (width,))
-            self._Bt = self._B.reshape(M, -1, width).transpose(0, 2, 1)
+            self._B = np.empty((width,) + (M,) * (j - 1))
+            self._Bt = self._B.reshape(width, M, -1).transpose(1, 0, 2)
             self._out_t = self._out.reshape(M, M, -1).transpose(1, 0, 2)
         if self.pairwise:
-            self._F = np.empty((M, M, len(self.pairwise)))
+            self._F = np.empty((len(self.pairwise), M, M))
             self._G = np.empty((M, len(self.pairwise), M))
-            self._tmp = np.empty((M,) * j)
+        self._tmp = np.empty((M,) * j)
 
     def _read(self, state: dict, cache: dict) -> list:
         """The slots' values at this state: the constants, then each source, read once."""
@@ -380,11 +379,11 @@ class _EntrySolver:
                 v = cache.get(key)
                 if v is None:
                     v = cache[key] = state[key] @ self.op.U
-                if kind == "starred":
-                    w = cache.get(ckey)
-                    if w is None:
-                        w = cache[ckey] = self.op.starred(v, route)
-                    v = w
+                w = cache.get(ckey)
+                if w is None:
+                    w = cache[ckey] = (self.op.starred(v, route) if kind == "starred"
+                                       else np.moveaxis(v, -1, 0).copy())
+                v = w
             vals[i] = v if shape is None else v.reshape(shape)
         return vals
 
@@ -401,23 +400,23 @@ class _EntrySolver:
                 a[:, cols] = v * self.op.V.T if expand else v
             B.fill(0.0)
             for (first, rest), cols in self.b_parts:
-                B[..., cols] += _running_product(vals, first, rest)
+                B[cols] += _running_product(vals, first, rest)
             np.matmul(a, self._Bt, out=self._out_t)
         else:
             out.fill(0.0)
         if self.pairwise:
             F, G = self._F, self._G
             for t, (near, far) in enumerate(self.pairwise):
-                F[:, :, t] = _running_product(vals, *near)
+                F[t] = _running_product(vals, *near)
                 G[:, t] = _running_product(vals, *far)
-            out += np.matmul(F, G, out=self._tmp)
+            out += np.matmul(F.transpose(1, 2, 0), G, out=self._tmp)
         for parts, srcs in self.diag:
             d = 0  # summed from 0, as sum() adds
             for first, rest in parts:
                 d = d + _running_product(vals, first, rest)
             p = np.reshape(d, self._dshape)
             for i in srcs:
-                p = p * vals[i]
+                p = np.multiply(p, vals[i], out=self._tmp)
             out += p
         return out
 
@@ -434,10 +433,10 @@ def _running_product(vals: list, first: int, rest: tuple):
 def _mirror_index(shape: tuple, ax: int) -> np.ndarray:
     """Flat indices into a half spectrum of this shape of the rows _add_swapped mirrors.
 
-    For a >= H the swap with the last axis reads F(-b, -m..., M - a), F's
-    Hermitian mirror.  xi -> -xi on the full axes is a flip and a roll by
-    one; applied to F's own flat indices, they give where each value of the
-    swapped rows a >= H sits in F.
+    Those rows a read F(-b, -m..., M - a), F's Hermitian mirror, from column
+    min(M - H, H - 1) down to 1 (the slice clips its start).  xi -> -xi on the
+    full axes is a flip and a roll by one; applied to F's own flat indices,
+    they give where each value of the mirrored rows sits in F.
     """
     M, H = shape[0], shape[-1]
     full = tuple(range(ax))
@@ -447,13 +446,14 @@ def _mirror_index(shape: tuple, ax: int) -> np.ndarray:
 
 
 def _add_swapped(acc: np.ndarray, F: np.ndarray, ax: int) -> None:
-    """acc += rfftn of f with axes 0 and ax swapped, given F = rfftn(f).
+    """acc += the spectrum of f with axes 0 and ax swapped, given F = rfftn(f)[..., :H].
 
-    rfftn keeps modes 0..M//2 (H of them) of the last axis.  A swap that
-    leaves that axis alone swaps the spectrum's axes.  The swap with the last
-    axis reads F where the new first-axis mode a is in the kept half (a < H);
-    for a >= H it reads the conjugate of F's Hermitian mirror (a real field
-    has F(xi) = conj F(-xi)), gathered through _mirror_index.
+    f's spectrum is zero from column H on.  A swap that leaves the last axis
+    alone swaps the spectrum's axes.  The swap with the last axis reads F
+    where the new first-axis mode a is below H; for a >= max(H, M - H + 1)
+    the conjugate of F's Hermitian mirror (a real field has F(xi) =
+    conj F(-xi)), gathered through _mirror_index; rows in between would
+    read zero columns, and receive nothing.
     """
     if ax < F.ndim - 1:
         acc += np.swapaxes(F, 0, ax)
@@ -461,35 +461,36 @@ def _add_swapped(acc: np.ndarray, F: np.ndarray, ax: int) -> None:
     H = F.shape[-1]
     acc[:H] += np.swapaxes(F[:H], 0, ax)
     mirror = F.take(_mirror_index(F.shape, ax))
-    acc[H:] += np.conjugate(mirror, out=mirror)
+    acc[len(acc) - len(mirror):] += np.conjugate(mirror, out=mirror)
 
 
 class _SpectralOps:
     """Exponential-Euler stepper on (T^1)^arity for a symmetric unknown.
 
-    Every entry carries its spectrum u_hat = rfftn(u) between steps (the last
-    axis keeps modes 0..M//2).  step() takes flux_1 alone: u and every field
-    its flux is built from are symmetric in their coordinates, so flux_k is
-    flux_1 with x_1 and x_k swapped, and its spectrum is flux_1's with the
-    axes swapped (_add_swapped).  The update is
+    Every entry carries u_hat, columns 0..H-1 of rfftn(u)'s last axis,
+    between steps.  force folds the phi_1 weight, the minus sign of the
+    divergence, the 2/3-rule dealiasing and d/dx_1 into one multiplier that
+    zeroes every mode with a coordinate above M//3, and heat only scales, so
+    a column above M//3 that starts at zero stays exactly zero: pde._march
+    picks H = 1 + max(M//3, the highest column an initial spectrum of the
+    arity holds nonzero), and the columns left out are zeros.  step() takes
+    flux_1 alone: u and every field its flux is built from are symmetric in
+    their coordinates, so flux_k's spectrum is flux_1's with axes 0 and k-1
+    swapped (_add_swapped).  The update is
 
         u_hat' = heat u_hat + sum_k P_1k (force rfftn(flux_1)),  u' = irfftn(u_hat'),
 
-    two real transforms per step.  force folds the phi_1 weight, the minus
-    sign of the divergence, the 2/3-rule dealiasing and d/dx_1 into one
-    multiplier, and both multipliers are invariant under coordinate
-    permutations.  The transforms run one axis at a time in a scratch
-    spectrum, in the passes and order of np.fft.rfftn and irfftn (so with the
-    same result), and the new field can go into a buffer the caller reuses:
-    a step then allocates no lattice-sized array.  test_pde.py checks the premise on
-    the full flux tables (test_flux_k_is_flux_1_with_axes_swapped), against a
-    stepper that transforms the swapped fluxes
-    (tests/oracles/fourier_swap_step.py), the half-spectrum swap against
-    rfftn of the swapped field, the carried spectra against rfftn of the
-    solved states, and the solved entries' symmetry.
+    where both multipliers are invariant under coordinate permutations.
+    The transforms run one axis at a time in a scratch spectrum, in the
+    passes and order of np.fft.rfftn and irfftn (so with the same result):
+    the kept columns are copied out of rfft before the complex passes, and
+    irfft pads the short axis with the zeros it stands for.  The new field
+    can go into a buffer the caller reuses.  test_pde.py checks the step
+    against one that transforms the swapped fluxes (fourier_swap_step.py)
+    and, bit for bit, the full half spectrum (full_width_step.py).
     """
 
-    def __init__(self, M: int, arity: int, dt: float):
+    def __init__(self, M: int, arity: int, dt: float, H: int):
         freqs = np.fft.fftfreq(M, d=1.0 / M)  # integer mode numbers
         lam = np.zeros((M,) * arity)
         mask = np.ones((M,) * arity, dtype=bool)
@@ -499,15 +500,15 @@ class _SpectralOps:
             shape[ax] = M
             lam = lam + 4.0 * np.pi ** 2 * freqs.reshape(shape) ** 2
             mask &= keep.reshape(shape)
-        half = M // 2 + 1
-        lam = lam[..., :half]
-        deriv1 = (2j * np.pi * freqs).reshape((M,) + (1,) * (arity - 1))[..., :half]
+        lam = lam[..., :H]
+        deriv1 = (2j * np.pi * freqs).reshape((M,) + (1,) * (arity - 1))[..., :H]
         self.M = M
         self.heat = np.exp(-lam * dt)
         with np.errstate(divide="ignore", invalid="ignore"):
             w = -np.expm1(-lam * dt) / lam
-        self.force = np.where(mask[..., :half], -np.where(lam == 0.0, dt, w), 0.0) * deriv1
+        self.force = np.where(mask[..., :H], -np.where(lam == 0.0, dt, w), 0.0) * deriv1
         self._work = np.empty(lam.shape, dtype=complex)
+        self._rfft = np.empty(lam.shape[:-1] + (M // 2 + 1,), dtype=complex)
 
     def step(self, u_hat: np.ndarray, flux1: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """One step of du/dt = Lap u - sum_k d/dx_k flux_k with flux_k = flux_1 o (x_1 <-> x_k).
@@ -516,7 +517,7 @@ class _SpectralOps:
         out when given).
         """
         F = self._work
-        np.fft.rfft(flux1, axis=-1, out=F)
+        np.copyto(F, np.fft.rfft(flux1, axis=-1, out=self._rfft)[..., :F.shape[-1]])
         for ax in range(F.ndim - 2, -1, -1):
             np.fft.fft(F, axis=ax, out=F)
         F *= self.force
@@ -528,4 +529,3 @@ class _SpectralOps:
         for ax in range(F.ndim - 1):
             np.fft.ifft(F, axis=ax, out=F)
         return np.fft.irfft(F, n=self.M, axis=-1, out=out)
-

@@ -15,8 +15,12 @@ its coordinates, and so are the equations, so every solver assembles flux_1
 alone (operators._EntrySolver) and marches through one loop, _march: one
 operators._SpectralOps per arity carries each unknown's half spectrum
 between steps and adds flux_k's spectrum as flux_1's with the axes swapped,
-and _trajectories keeps the stored times.  compute_remainder swaps axes for
-R^i_j's other components.  The BBGKY reference closes its hierarchy with
+and _trajectories keeps the stored times.  The dealiasing zeroes every
+forced mode above M//3, so an unknown that starts at zero (each g^i_j with
+i >= 1) only ever holds columns 0..M//3 of its half spectrum, and only
+those are carried and transformed; rho and the BBGKY marginals, whose
+initial spectra hold roundoff in every column, run near full width.
+compute_remainder swaps axes for R^i_j's other components.  The BBGKY reference closes its hierarchy with
 the plain cluster expansion of pchaos.partitions, contracted block by block.
 
 The correction hierarchy g^i_j lives on the triangular index set
@@ -119,16 +123,20 @@ def _sup_norm_grid(kernel: KernelSpec) -> float:
     return float(max(b.max() + k.max(), -(b.min() + k.min())))
 
 
+def _cfl_margin(grid: TorusGrid, kernel: KernelSpec, tg: TimeGrid) -> float:
+    """The CFL bound h / |K|_inf over dt (inf for a kernel with no transport); below 1 is refused."""
+    sup = kernel.sup_norm_bound
+    return grid.h / sup / tg.dt if sup > 0 else math.inf
+
+
 def _check_problem(f: GridField, kernel: KernelSpec, tg: TimeGrid) -> None:
     """Inputs every solver needs: a density (core.check_density), a resolved band, the CFL bound."""
     check_density(f, "initial density")
     grid = f.grid
     kernel._check_band(grid.M)
-    sup = kernel.sup_norm_bound
-    if sup > 0 and tg.dt > grid.h / sup:
-        raise ValueError(
-            f"transport CFL violated: dt={tg.dt} exceeds h/|K|_inf = {grid.h / sup:.3e}"
-        )
+    if _cfl_margin(grid, kernel, tg) < 1:
+        raise ValueError(f"transport CFL violated: dt={tg.dt} exceeds "
+                         f"h/|K|_inf = {grid.h / kernel.sup_norm_bound:.3e}")
 
 
 def _march(initial: dict, fluxes, guard, tg: TimeGrid):
@@ -137,12 +145,19 @@ def _march(initial: dict, fluxes, guard, tg: TimeGrid):
     initial maps each key to its field at t = 0, and fluxes(state) yields
     (key, flux_1) for every key from the time-t state.  The field of guard is
     a density: one dipping below -1e-10 aborts.  The field arrays are reused
-    two steps later, so a caller keeps copies.
+    two steps later, so a caller keeps copies.  Each arity's spectra carry
+    H = 1 + max(M//3, the highest last-axis column an initial spectrum of
+    that arity holds nonzero) columns (operators._SpectralOps).
     """
     state = {key: np.array(u, dtype=float) for key, u in initial.items()}
     M = next(iter(state.values())).shape[0]
-    ops = {a: _SpectralOps(M, a, tg.dt) for a in {u.ndim for u in state.values()}}
     spectra = {key: np.fft.rfftn(u) for key, u in state.items()}
+    top = {}  # per arity, the last column to carry
+    for s in spectra.values():
+        cols = np.flatnonzero(s.reshape(-1, s.shape[-1]).any(axis=0))
+        top[s.ndim] = max(top.get(s.ndim, M // 3), int(cols[-1]) if cols.size else 0)
+    ops = {a: _SpectralOps(M, a, tg.dt, c + 1) for a, c in top.items()}
+    spectra = {key: np.ascontiguousarray(s[..., :top[s.ndim] + 1]) for key, s in spectra.items()}
     spare = {key: np.empty_like(u) for key, u in state.items()}
     yield state, spectra
     for n in range(tg.n_steps):
@@ -316,9 +331,12 @@ def solve_g_hierarchy(
     if not 0 <= i_max <= 2:
         raise ValueError("correction order capped at i_max = 2")
     grid = f.grid
-    # the stored trajectory, then per step the field, its spare, its spectrum,
-    # the flux and its scratch arrays
-    need = (tg.n_stored + 6) * grid.M ** (i_max + 1) * 8
+    # in lattices of the top arity: the stored trajectory, the field and its
+    # spare, the flux and its scratch (1 each), the carried spectrum and the
+    # stepper's work array (complex, H <= M//2 + 1 columns: <= ~1 each) and
+    # the stepper's full-width rfft output (~1); the flux assembler's other
+    # buffers are smaller
+    need = (tg.n_stored + 7) * grid.M ** (i_max + 1) * 8
     if need > MEMORY_BUDGET_BYTES:
         raise MemoryBudgetError(
             f"hierarchy solve needs ~{need/1e9:.1f} GB (> {MEMORY_BUDGET_BYTES/1e9:.1f} GB budget)"

@@ -8,6 +8,7 @@ import pytest
 
 from pchaos import cli, particles
 from pchaos.cli import main
+from pchaos.core import KernelSpec
 from pchaos.particles import SnapshotSet
 from pchaos.pde import GTable
 
@@ -245,6 +246,22 @@ def test_solve_hierarchy_manifest_records_mass_drift_and_asymmetry(tmp_path):
     asymmetry = manifest["max_asymmetry"]
     assert set(asymmetry) == {"g_0_1", "g_1_1", "g_1_2", "g_2_1", "g_2_2", "g_2_3"}
     assert all(0.0 <= v <= 1e-13 for v in asymmetry.values()), asymmetry
+
+
+def test_solve_manifests_record_cfl_margin_and_min_density(tmp_path):
+    # both solve commands record h / (dt sup|K|) and rho's minimum over the
+    # stored rows with its time; this density dips lowest at t = 0
+    cfg = _write_cfg(tmp_path, "s.cfg", f"kernel = {KERNEL_PATH}\n"
+                     "density_cos = 1.0, 0.9\ngrid = 16\norder = 1\ndt = 1e-3\nT = 4e-3\n"
+                     "store_every = 2\n")
+    kernel = KernelSpec.from_file(KERNEL_PATH)
+    for command in ("solve-mv", "solve-hierarchy"):
+        assert main([command, "--config", cfg, "--out", str(tmp_path / command)]) == 0
+        manifest = json.loads((tmp_path / command / "manifest.json").read_text())
+        assert manifest["cfl_margin"] == pytest.approx(1 / 16 / kernel.sup_norm_bound / 1e-3)
+        assert manifest["cfl_margin"] > 1
+        assert manifest["min_density"] == pytest.approx(0.1, abs=1e-12)
+        assert manifest["min_density_time"] == 0.0
 
 
 def test_metrics_manifest_hash_covers_its_inputs(tmp_path):

@@ -159,6 +159,10 @@ def test_chi_squared_cell_cap_and_zero_mass():
         chi_squared_from_samples(x, GridField(g, 1, gap), 8)
     with pytest.raises(ValueError, match="lie in"):
         chi_squared_from_samples(np.ones((5000, 1, 1)), f, 8)
+    # a NaN coordinate compares false both ways, and is refused all the same
+    x[7, 0, 0] = np.nan
+    with pytest.raises(ValueError, match=r"must lie in \[0, 1\)"):
+        chi_squared_from_samples(x, f, 8)
 
 
 @pytest.mark.parametrize("ids", [

@@ -4,8 +4,9 @@ The stationary pair-correlation amplitude is frozen from
 tests/oracles/stationary_pair_amplitude.py; the written-out first-order
 solvers come from tests/oracles/first_order_explicit.py, the all-k flux
 assembler from tests/oracles/all_k_flux.py, the Fourier-space swap step
-from tests/oracles/fourier_swap_step.py and the term-by-term BBGKY closure
-from tests/oracles/bbgky_closure_dense.py.
+from tests/oracles/fourier_swap_step.py, the full half-spectrum stepper from
+tests/oracles/full_width_step.py and the term-by-term BBGKY closure from
+tests/oracles/bbgky_closure_dense.py.
 """
 import itertools as it
 import json
@@ -36,6 +37,7 @@ from pchaos.pde import (
     GTable,
     TimeGrid,
     _hierarchy_steps,
+    _march,
     assemble_phi,
     check_energy_inequality,
     compute_remainder,
@@ -50,6 +52,7 @@ from oracles.all_k_flux import bbgky_fluxes, entry_fluxes
 from oracles.bbgky_closure_dense import _cluster3, closure_f4
 from oracles.first_order_explicit import solve_g1_pair, solve_g1_single
 from oracles.fourier_swap_step import FourierSwapStep
+from oracles.full_width_step import FullWidthStep
 
 
 def l2_norm_sq(values: np.ndarray, h: float) -> float:
@@ -304,38 +307,139 @@ def _symmetrize(vals: np.ndarray, axes: tuple) -> np.ndarray:
     return out / math.factorial(len(axes))
 
 
+def _dealiased(x: np.ndarray, H: int) -> np.ndarray:
+    """rfftn(x) with every mode that has a coordinate of |mode| >= H set to zero."""
+    M = x.shape[0]
+    spec = np.fft.rfftn(x)
+    far = np.abs(np.fft.fftfreq(M, d=1.0 / M)) >= H
+    for ax in range(x.ndim - 1):
+        spec[(slice(None),) * ax + (far,)] = 0.0
+    spec[..., H:] = 0.0
+    return spec
+
+
 @pytest.mark.parametrize("M", [12, 15, 32])
 @pytest.mark.parametrize("arity", [1, 2, 3])
 def test_spectral_step_matches_fourier_swap_step(M, arity):
     # the step that carries u's half spectrum and sums the swapped spectra of
     # flux_1 there equals the one that transforms u and the full spectrum of
     # flux_1, on u symmetric in all coordinates and flux_1 symmetric in
-    # x_2..x_j; white noise reaches every mode, the dealiased and (even M)
-    # the Nyquist ones included.  The carried spectrum stays rfftn of the field.
+    # x_2..x_j; white noise reaches every mode of flux_1, the dealiased and
+    # (even M) the Nyquist ones included.  At full width u is white noise
+    # too; at the dealiased width H = 1 + M//3 its spectrum is zero from
+    # column H on.  The carried spectrum stays rfftn of the field.
     rng = np.random.default_rng(100 * M + arity)
     shape = (M,) * arity
-    u = _symmetrize(rng.standard_normal(shape), tuple(range(arity)))
-    flux1 = _symmetrize(rng.standard_normal(shape), tuple(range(1, arity)))
     dt = 1e-3
-    u_hat = np.fft.rfftn(u)
-    got = _SpectralOps(M, arity, dt).step(u_hat, flux1)
-    want = FourierSwapStep(M, arity, dt).step(u, flux1)
-    assert got.shape == shape
-    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
-    assert np.abs(u_hat - np.fft.rfftn(got)).max() <= 1e-13 * np.abs(u_hat).max()
+    for H in (M // 2 + 1, 1 + M // 3):
+        u = _symmetrize(rng.standard_normal(shape), tuple(range(arity)))
+        u = np.fft.irfftn(_dealiased(u, H), s=shape, axes=range(arity))
+        flux1 = _symmetrize(rng.standard_normal(shape), tuple(range(1, arity)))
+        u_hat = np.fft.rfftn(u)[..., :H]
+        got = _SpectralOps(M, arity, dt, H).step(u_hat, flux1)
+        want = FourierSwapStep(M, arity, dt).step(u, flux1)
+        assert got.shape == shape and u_hat.shape[-1] == H
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max(), H
+        assert np.abs(u_hat - np.fft.rfftn(got)[..., :H]).max() <= 1e-13 * np.abs(u_hat).max(), H
+
+
+def _quadratic_fluxes(state: dict):
+    """flux_1 of two unknowns: c(x_1) u^2 for the first, c(x_1) (1 + g) mean(u) for the second.
+
+    c(x_1) = cos(2 pi x_1) / 2; on symmetric fields both are symmetric in
+    x_2..x_j, and the squares reach every mode the grid holds.
+    """
+    (k0, u), (k1, g) = state.items()
+
+    def lead(v):
+        M = v.shape[0]
+        return 0.5 * np.cos(2.0 * np.pi * np.arange(M) / M).reshape((M,) + (1,) * (v.ndim - 1))
+
+    yield k0, lead(u) * u * u
+    yield k1, lead(g) * (1.0 + g) * u.mean()
+
+
+def _product_density(M: int, arity: int) -> np.ndarray:
+    return product_field(fourier_field(TorusGrid(M), [1.0, 0.3], [0.0, 0.1]), arity).values
+
+
+@pytest.mark.parametrize("M", [12, 15, 16])
+@pytest.mark.parametrize("arity", [1, 2, 3])
+@pytest.mark.parametrize("widen", [False, True])
+def test_march_steps_bit_for_bit_as_full_width(M, arity, widen):
+    # _march picks H = 1 + max(M//3, the highest column an initial spectrum
+    # of the arity holds nonzero) and steps the carried columns alone; the
+    # full half spectrum, stepped by the oracle from the same fields, gives
+    # the same bits every step, and its columns from H on stay exactly zero.
+    # g starts at zero (dealiased) or holds a mode above M//3 (widened); a
+    # density of another arity drives it and guards the march.
+    x = np.arange(M) / M
+    g0 = np.zeros((M,) * arity)
+    if widen:
+        for ax in range(arity):
+            g0 = g0 + 0.01 * np.cos(2.0 * np.pi * (M // 3 + 1) * x).reshape(
+                (M,) + (1,) * (arity - 1 - ax))
+    initial = {"rho": _product_density(M, 2 if arity == 1 else 1), "g": g0}
+    dt = 1e-3
+    steps = _march(initial, _quadratic_fluxes, "rho", TimeGrid(dt, 24))
+    state, spectra = next(steps)
+    H = spectra["g"].shape[-1]
+    g_hat = np.fft.rfftn(g0)
+    assert not g_hat[..., H:].any()
+    assert H == 1 + M // 3 if not widen else (H >= M // 3 + 2 and g_hat[..., H - 1].any())
+    oracle = {a: FullWidthStep(M, a, dt) for a in (1, 2 if arity == 1 else arity)}
+    ref = {key: u.copy() for key, u in initial.items()}
+    ref_hat = {key: np.fft.rfftn(u) for key, u in ref.items()}
+    for n, (state, _) in enumerate(steps):
+        ref = {key: oracle[f.ndim].step(ref_hat[key], f) for key, f in _quadratic_fluxes(ref)}
+        for key, u in ref.items():
+            assert state[key].tobytes() == u.tobytes(), (key, n)
+            assert not ref_hat[key][..., spectra[key].shape[-1]:].any(), (key, n)
+    assert n == 23
+
+
+@pytest.mark.parametrize("M", [12, 15, 16])
+@pytest.mark.parametrize("arity", [1, 2, 3])
+@pytest.mark.parametrize("widen", [False, True])
+def test_dealiased_columns_step_bit_for_bit_as_full_width(M, arity, widen):
+    # a carried spectrum exactly zero from column H on, with H = 1 + M//3
+    # (dealiased) or one more (widened by a mode above M//3), and one that
+    # starts at zero, stepped at width H and by the oracle at full width:
+    # the same bits every step, and the oracle's columns from H on stay zero
+    H = M // 3 + 1 + widen
+    shape = (M,) * arity
+    rng = np.random.default_rng(1000 * M + 10 * arity + widen)
+    u_hat = _dealiased(_symmetrize(rng.standard_normal(shape), tuple(range(arity))), H)
+    assert u_hat[..., H - 1].any()
+    zero = np.zeros_like(u_hat)
+    dt = 1e-3
+    ops, oracle = _SpectralOps(M, arity, dt, H), FullWidthStep(M, arity, dt)
+    hats = {"u": u_hat[..., :H].copy(), "g": zero[..., :H].copy()}
+    ref_hats = {"u": u_hat, "g": zero}
+    fields = {"u": np.fft.irfftn(u_hat, s=shape, axes=range(arity)), "g": np.zeros(shape)}
+    ref = {key: v.copy() for key, v in fields.items()}
+    for n in range(24):
+        fields = {key: ops.step(hats[key], f) for key, f in _quadratic_fluxes(fields)}
+        ref = {key: oracle.step(ref_hats[key], f) for key, f in _quadratic_fluxes(ref)}
+        for key, u in ref.items():
+            assert fields[key].tobytes() == u.tobytes(), (key, n)
+            assert not ref_hats[key][..., H:].any(), (key, n)
 
 
 @settings(max_examples=60, deadline=None)
 @given(M=st.sampled_from([8, 9, 12, 15, 16]), arity=st.sampled_from([2, 3]),
-       seed=st.integers(0, 2 ** 32 - 1))
-def test_half_spectrum_swap_matches_swapped_field(M, arity, seed):
+       cut=st.integers(0, 8), seed=st.integers(0, 2 ** 32 - 1))
+def test_half_spectrum_swap_matches_swapped_field(M, arity, cut, seed):
     # every swap of x_1 with x_k, the Hermitian mirror of the last axis
-    # included, on a real array with no symmetry
+    # included, on a real array with no symmetry whose spectrum is zero from
+    # column H on, at every H from M//2 + 1 (the full half spectrum) down
     x = np.random.default_rng(seed).standard_normal((M,) * arity)
+    H = max(1, M // 2 + 1 - cut)
+    x = np.fft.irfftn(np.fft.rfftn(x)[..., :H], s=x.shape, axes=range(arity))
     for k in range(2, arity + 1):
-        want = np.fft.rfftn(np.swapaxes(x, 0, k - 1))
+        want = np.fft.rfftn(np.swapaxes(x, 0, k - 1))[..., :H]
         got = np.zeros_like(want)
-        _add_swapped(got, np.fft.rfftn(x), k - 1)
+        _add_swapped(got, np.fft.rfftn(x)[..., :H], k - 1)
         assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max(), k
 
 
@@ -345,10 +449,11 @@ def _add_swapped_flip_roll(acc: np.ndarray, F: np.ndarray, ax: int) -> None:
         acc += np.swapaxes(F, 0, ax)
         return
     M, H = F.shape[0], F.shape[-1]
+    lo = max(H, M - H + 1)  # the first mirrored row
     acc[:H] += np.swapaxes(F[:H], 0, ax)
     full = tuple(range(ax))
-    mirror = np.roll(np.flip(F[..., M - H:0:-1], full), 1, full)
-    acc[H:] += np.swapaxes(mirror[:H], 0, ax).conj()
+    mirror = np.roll(np.flip(F[..., M - lo:0:-1], full), 1, full)
+    acc[lo:] += np.swapaxes(mirror[:H], 0, ax).conj()
 
 
 @pytest.mark.parametrize("M", [8, 9, 12, 15, 16])
@@ -356,27 +461,33 @@ def _add_swapped_flip_roll(acc: np.ndarray, F: np.ndarray, ax: int) -> None:
 def test_mirror_gather_equals_flip_and_roll(M, arity):
     # the cached mirror index reads the same values into the same places,
     # so every swap adds the same bits, on a spectrum and accumulator with
-    # no symmetry
+    # no symmetry, at the full width and at H = M//2 + 1 - cut columns
     rng = np.random.default_rng(10 * M + arity)
-    F = np.fft.rfftn(rng.standard_normal((M,) * arity))
-    for ax in range(1, arity):
-        got = rng.standard_normal(F.shape) + 1j * rng.standard_normal(F.shape)
-        want = got.copy()
-        _add_swapped(got, F, ax)
-        _add_swapped_flip_roll(want, F, ax)
-        assert got.tobytes() == want.tobytes(), ax
+    for cut in (0, 1, 2):
+        F = np.fft.rfftn(rng.standard_normal((M,) * arity))[..., :M // 2 + 1 - cut].copy()
+        for ax in range(1, arity):
+            got = rng.standard_normal(F.shape) + 1j * rng.standard_normal(F.shape)
+            want = got.copy()
+            _add_swapped(got, F, ax)
+            _add_swapped_flip_roll(want, F, ax)
+            assert got.tobytes() == want.tobytes(), (cut, ax)
 
 
 def test_carried_spectra_stay_transforms_of_states(default_kernel):
     # each entry's spectrum is advanced apart from its field; after many
-    # steps the two must still agree
+    # steps the two must still agree on the carried columns, and the field
+    # must hold next to nothing in the columns left out
     f = fourier_field(TorusGrid(16), [1.0, 0.5], [0.0, 0.25])
     for state, spectra in _hierarchy_steps(2, f, default_kernel, TimeGrid(1e-3, 200)):
         pass
     for key, u in state.items():
+        H = spectra[key].shape[-1]
+        assert H == 6 or u.ndim == 1, key  # arity 1 shares the width rho's roundoff sets
         scale = np.abs(spectra[key]).max()
         assert scale > 0.0, key
-        assert np.abs(spectra[key] - np.fft.rfftn(u)).max() <= 1e-13 * scale, key
+        full = np.fft.rfftn(u)
+        assert np.abs(spectra[key] - full[..., :H]).max() <= 1e-13 * scale, key
+        assert np.abs(full[..., H:]).max(initial=0.0) <= 1e-13 * scale, key
 
 
 @pytest.mark.parametrize("solver", list(SOLVERS))
