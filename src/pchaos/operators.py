@@ -21,7 +21,10 @@ Every unknown (each g^i_j and each BBGKY marginal) is symmetric in its
 coordinates, and so are the equations.  So flux_k is flux_1 with x_1 and x_k
 swapped, and _SpectralOps steps from flux_1 alone, in the half spectrum, up
 to the last column the dealiased forcing or an initial spectrum reaches.
-test_pde.py guards the premise (tests/oracles/all_k_flux.py,
+On the grids the solvers run at (M <= _DFT_MAX_M) its last-axis transforms
+are products with precomputed real DFT matrices, which cost less than
+pocketfft's per-line work there; the other axes, and larger grids, go
+through np.fft.  test_pde.py guards the premise (tests/oracles/all_k_flux.py,
 fourier_swap_step.py, full_width_step.py) and the solved entries' symmetry.
 The solvers that drive these operators are in pchaos.pde.
 """
@@ -464,6 +467,29 @@ def _add_swapped(acc: np.ndarray, F: np.ndarray, ax: int) -> None:
     acc[len(acc) - len(mirror):] += np.conjugate(mirror, out=mirror)
 
 
+# The largest M whose last-axis transforms are DFT matrix products (pocketfft
+# above it, where the matrices, growing as M^2, read slower).  np.matmul runs
+# them one (M, M) @ (M, 2H) slice at a time: at most 64 * 64 * 66
+# multiply-adds, a quarter of the ~2^20 at which OpenBLAS 0.3.31 started its
+# threads on a 2-core x86-64 machine (test_hierarchy_solve_keeps_to_one_cpu).
+_DFT_MAX_M = 64
+
+
+def _dft_matrices(M: int, H: int) -> tuple:
+    """(W, V): x @ W is rfft(x)[:H] as interleaved (re, im), and Z @ V is irfft(Z, n=M).
+
+    Z is such a real view of a spectrum zero from column H on.  The
+    imaginary parts at DC and (even M) Nyquist get zero columns of W and rows
+    of V, as rfft makes them and irfft ignores them; V weighs those columns'
+    real parts 1/M and the others 2/M.
+    """
+    k = np.arange(H)
+    edge = (k == 0) | (2 * k == M)
+    turn = 2.0 * np.pi * (np.outer(np.arange(M), k) % M) / M
+    W = np.stack([np.cos(turn), np.where(edge, 0.0, -np.sin(turn))], axis=-1).reshape(M, 2 * H)
+    return W, (W * np.repeat(np.where(edge, 1.0, 2.0) / M, 2)).T.copy()
+
+
 class _SpectralOps:
     """Exponential-Euler stepper on (T^1)^arity for a symmetric unknown.
 
@@ -481,34 +507,31 @@ class _SpectralOps:
         u_hat' = heat u_hat + sum_k P_1k (force rfftn(flux_1)),  u' = irfftn(u_hat'),
 
     where both multipliers are invariant under coordinate permutations.
-    The transforms run one axis at a time in a scratch spectrum, in the
-    passes and order of np.fft.rfftn and irfftn (so with the same result):
-    the kept columns are copied out of rfft before the complex passes, and
-    irfft pads the short axis with the zeros it stands for.  The new field
-    can go into a buffer the caller reuses.  test_pde.py checks the step
-    against one that transforms the swapped fluxes (fourier_swap_step.py)
-    and, bit for bit, the full half spectrum (full_width_step.py).
+    The transforms run one axis at a time, the last axis first forward and
+    last inverse.  Up to M = _DFT_MAX_M the last-axis pass is a real product
+    with the DFT matrices of _dft_matrices, written straight into (or read
+    from) the real view of the complex work spectrum; above it, np.fft.rfft
+    and irfft (which pads the short axis with the zeros it stands for).  The
+    other axes are np.fft's complex passes, the first inverse one reading
+    u_hat out of place.  The new field can go into a buffer the caller
+    reuses.  test_pde.py checks the step against one that transforms the
+    swapped fluxes (fourier_swap_step.py) and against the full half
+    spectrum (full_width_step.py): to roundoff with the matrices, bit for
+    bit with pocketfft.
     """
 
     def __init__(self, M: int, arity: int, dt: float, H: int):
-        freqs = np.fft.fftfreq(M, d=1.0 / M)  # integer mode numbers
-        lam = np.zeros((M,) * arity)
-        mask = np.ones((M,) * arity, dtype=bool)
-        keep = np.abs(freqs) <= M // 3  # 2/3-rule dealiasing
-        for ax in range(arity):
-            shape = [1] * arity
-            shape[ax] = M
-            lam = lam + 4.0 * np.pi ** 2 * freqs.reshape(shape) ** 2
-            mask &= keep.reshape(shape)
-        lam = lam[..., :H]
-        deriv1 = (2j * np.pi * freqs).reshape((M,) + (1,) * (arity - 1))[..., :H]
+        freqs = np.ix_(*[np.fft.fftfreq(M, d=1.0 / M)] * arity)  # integer mode numbers per axis
+        lam = sum(4.0 * np.pi ** 2 * f ** 2 for f in freqs)[..., :H]
+        keep = functools.reduce(np.logical_and, [np.abs(f) <= M // 3 for f in freqs])  # 2/3 rule
         self.M = M
         self.heat = np.exp(-lam * dt)
         with np.errstate(divide="ignore", invalid="ignore"):
             w = -np.expm1(-lam * dt) / lam
-        self.force = np.where(mask[..., :H], -np.where(lam == 0.0, dt, w), 0.0) * deriv1
+        self.force = (np.where(keep[..., :H], -np.where(lam == 0.0, dt, w), 0.0)
+                      * (2j * np.pi * freqs[0])[..., :H])
         self._work = np.empty(lam.shape, dtype=complex)
-        self._rfft = np.empty(lam.shape[:-1] + (M // 2 + 1,), dtype=complex)
+        self._dft = _dft_matrices(M, H) if M <= _DFT_MAX_M else None
 
     def step(self, u_hat: np.ndarray, flux1: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """One step of du/dt = Lap u - sum_k d/dx_k flux_k with flux_k = flux_1 o (x_1 <-> x_k).
@@ -516,8 +539,11 @@ class _SpectralOps:
         u_hat is advanced in place; the new field is returned (written into
         out when given).
         """
-        F = self._work
-        np.copyto(F, np.fft.rfft(flux1, axis=-1, out=self._rfft)[..., :F.shape[-1]])
+        F, dft = self._work, self._dft
+        if dft is None:
+            F[...] = np.fft.rfft(flux1, axis=-1)[..., :F.shape[-1]]
+        else:
+            np.matmul(flux1, dft[0], out=F.view(float))
         for ax in range(F.ndim - 2, -1, -1):
             np.fft.fft(F, axis=ax, out=F)
         F *= self.force
@@ -525,7 +551,9 @@ class _SpectralOps:
         u_hat += F
         for ax in range(1, F.ndim):
             _add_swapped(u_hat, F, ax)
-        np.copyto(F, u_hat)
+        spec = u_hat
         for ax in range(F.ndim - 1):
-            np.fft.ifft(F, axis=ax, out=F)
-        return np.fft.irfft(F, n=self.M, axis=-1, out=out)
+            spec = np.fft.ifft(spec, axis=ax, out=F)
+        if dft is None:
+            return np.fft.irfft(spec, n=self.M, axis=-1, out=out)
+        return np.matmul(spec.view(float), dft[1], out=out)

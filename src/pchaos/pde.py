@@ -333,9 +333,9 @@ def solve_g_hierarchy(
     grid = f.grid
     # in lattices of the top arity: the stored trajectory, the field and its
     # spare, the flux and its scratch (1 each), the carried spectrum and the
-    # stepper's work array (complex, H <= M//2 + 1 columns: <= ~1 each) and
-    # the stepper's full-width rfft output (~1); the flux assembler's other
-    # buffers are smaller
+    # stepper's work array (complex, H <= M//2 + 1 columns: <= ~1 each) and,
+    # above operators._DFT_MAX_M, pocketfft's full-width rfft output (~1); the
+    # flux assembler's other buffers are smaller
     need = (tg.n_stored + 7) * grid.M ** (i_max + 1) * 8
     if need > MEMORY_BUDGET_BYTES:
         raise MemoryBudgetError(

@@ -4,10 +4,12 @@ The package carries each unknown's half spectrum only up to a column H
 (operators._SpectralOps), because the 2/3-rule dealiasing zeroes every
 forced mode above M//3 and an unknown that starts at zero never gets one.
 This stepper carries all M//2 + 1 columns of rfftn, transforms every column
-of flux_1 and adds the swapped spectra of flux_k over the whole half
-spectrum, as the package did before it dropped columns.  It shares no code
-with the package, so test_pde.py can step both side by side and compare the
-fields bit for bit.
+of flux_1 with np.fft alone and adds the swapped spectra of flux_k over the
+whole half spectrum, as the package did before it dropped columns.  It
+shares no code with the package, so test_pde.py can step both side by side:
+bit for bit where the package's last-axis transforms are pocketfft's too,
+and to 1e-14 of the field's max where they are DFT matrix products
+(operators._DFT_MAX_M).
 """
 import functools
 import math

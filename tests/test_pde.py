@@ -6,7 +6,11 @@ solvers come from tests/oracles/first_order_explicit.py, the all-k flux
 assembler from tests/oracles/all_k_flux.py, the Fourier-space swap step
 from tests/oracles/fourier_swap_step.py, the full half-spectrum stepper from
 tests/oracles/full_width_step.py and the term-by-term BBGKY closure from
-tests/oracles/bbgky_closure_dense.py.
+tests/oracles/bbgky_closure_dense.py.  The stepper's last-axis transforms
+are DFT matrix products up to operators._DFT_MAX_M and pocketfft above it;
+the stepper tests meet the full-width oracle bit for bit with pocketfft
+(forced at small M by lowering the constant) and to 1e-14 relative with the
+matrices, and the Fourier-swap oracle to 1e-13 on both sides.
 """
 import itertools as it
 import json
@@ -19,13 +23,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pchaos.core import KernelSpec, TorusGrid, fourier_field, product_field
-from pchaos import pde
+from pchaos import operators, pde
 from pchaos.experiments import fit_rate
 from pchaos.partitions import (assemble_correction, cluster_moment, clusters_from_moments,
                                max_asymmetry)
 from pchaos.operators import (
     STAR,
     _add_swapped,
+    _dft_matrices,
     _EntrySolver,
     _Interaction,
     _kernel_matrix,
@@ -318,7 +323,7 @@ def _dealiased(x: np.ndarray, H: int) -> np.ndarray:
     return spec
 
 
-@pytest.mark.parametrize("M", [12, 15, 32])
+@pytest.mark.parametrize("M", [12, 15, 32, 96])
 @pytest.mark.parametrize("arity", [1, 2, 3])
 def test_spectral_step_matches_fourier_swap_step(M, arity):
     # the step that carries u's half spectrum and sums the swapped spectra of
@@ -327,7 +332,8 @@ def test_spectral_step_matches_fourier_swap_step(M, arity):
     # x_2..x_j; white noise reaches every mode of flux_1, the dealiased and
     # (even M) the Nyquist ones included.  At full width u is white noise
     # too; at the dealiased width H = 1 + M//3 its spectrum is zero from
-    # column H on.  The carried spectrum stays rfftn of the field.
+    # column H on.  The carried spectrum stays rfftn of the field.  M = 96
+    # is above _DFT_MAX_M, so both last-axis transforms meet the oracle.
     rng = np.random.default_rng(100 * M + arity)
     shape = (M,) * arity
     dt = 1e-3
@@ -363,16 +369,23 @@ def _product_density(M: int, arity: int) -> np.ndarray:
     return product_field(fourier_field(TorusGrid(M), [1.0, 0.3], [0.0, 0.1]), arity).values
 
 
-@pytest.mark.parametrize("M", [12, 15, 16])
-@pytest.mark.parametrize("arity", [1, 2, 3])
-@pytest.mark.parametrize("widen", [False, True])
-def test_march_steps_bit_for_bit_as_full_width(M, arity, widen):
-    # _march picks H = 1 + max(M//3, the highest column an initial spectrum
-    # of the arity holds nonzero) and steps the carried columns alone; the
-    # full half spectrum, stepped by the oracle from the same fields, gives
-    # the same bits every step, and its columns from H on stay exactly zero.
-    # g starts at zero (dealiased) or holds a mode above M//3 (widened); a
-    # density of another arity drives it and guards the march.
+def _same_bits(got: np.ndarray, want: np.ndarray) -> bool:
+    return got.tobytes() == want.tobytes()
+
+
+def _within_roundoff(got: np.ndarray, want: np.ndarray) -> bool:
+    return np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+
+def _march_against_full_width(M: int, arity: int, widen: bool, agree) -> None:
+    """Step _march and the full-width oracle side by side; agree(field, oracle's) every step.
+
+    _march picks H = 1 + max(M//3, the highest column an initial spectrum of
+    the arity holds nonzero) and steps the carried columns alone; the
+    oracle's columns from H on stay exactly zero.  g starts at zero
+    (dealiased) or holds a mode above M//3 (widened); a density of another
+    arity drives it and guards the march.
+    """
     x = np.arange(M) / M
     g0 = np.zeros((M,) * arity)
     if widen:
@@ -393,19 +406,19 @@ def test_march_steps_bit_for_bit_as_full_width(M, arity, widen):
     for n, (state, _) in enumerate(steps):
         ref = {key: oracle[f.ndim].step(ref_hat[key], f) for key, f in _quadratic_fluxes(ref)}
         for key, u in ref.items():
-            assert state[key].tobytes() == u.tobytes(), (key, n)
+            assert agree(state[key], u), (key, n)
             assert not ref_hat[key][..., spectra[key].shape[-1]:].any(), (key, n)
     assert n == 23
 
 
-@pytest.mark.parametrize("M", [12, 15, 16])
-@pytest.mark.parametrize("arity", [1, 2, 3])
-@pytest.mark.parametrize("widen", [False, True])
-def test_dealiased_columns_step_bit_for_bit_as_full_width(M, arity, widen):
-    # a carried spectrum exactly zero from column H on, with H = 1 + M//3
-    # (dealiased) or one more (widened by a mode above M//3), and one that
-    # starts at zero, stepped at width H and by the oracle at full width:
-    # the same bits every step, and the oracle's columns from H on stay zero
+def _dealiased_against_full_width(M: int, arity: int, widen: bool, agree, dft: bool) -> None:
+    """Step _SpectralOps at width H and the oracle at full width; agree(field, oracle's) every step.
+
+    The carried spectrum is exactly zero from column H on, with H = 1 + M//3
+    (dealiased) or one more (widened by a mode above M//3); a second one
+    starts at zero.  The oracle's columns from H on stay zero.  dft says
+    whether the stepper runs the last axis as DFT matrix products.
+    """
     H = M // 3 + 1 + widen
     shape = (M,) * arity
     rng = np.random.default_rng(1000 * M + 10 * arity + widen)
@@ -414,6 +427,7 @@ def test_dealiased_columns_step_bit_for_bit_as_full_width(M, arity, widen):
     zero = np.zeros_like(u_hat)
     dt = 1e-3
     ops, oracle = _SpectralOps(M, arity, dt, H), FullWidthStep(M, arity, dt)
+    assert (ops._dft is not None) == dft
     hats = {"u": u_hat[..., :H].copy(), "g": zero[..., :H].copy()}
     ref_hats = {"u": u_hat, "g": zero}
     fields = {"u": np.fft.irfftn(u_hat, s=shape, axes=range(arity)), "g": np.zeros(shape)}
@@ -422,8 +436,76 @@ def test_dealiased_columns_step_bit_for_bit_as_full_width(M, arity, widen):
         fields = {key: ops.step(hats[key], f) for key, f in _quadratic_fluxes(fields)}
         ref = {key: oracle.step(ref_hats[key], f) for key, f in _quadratic_fluxes(ref)}
         for key, u in ref.items():
-            assert fields[key].tobytes() == u.tobytes(), (key, n)
+            assert agree(fields[key], u), (key, n)
             assert not ref_hats[key][..., H:].any(), (key, n)
+
+
+@pytest.mark.parametrize("M", [12, 15, 16])
+@pytest.mark.parametrize("arity", [1, 2, 3])
+@pytest.mark.parametrize("widen", [False, True])
+def test_march_steps_bit_for_bit_as_full_width(M, arity, widen, monkeypatch):
+    # with pocketfft on the last axis (every M here is forced above the
+    # matrix cut-off), the carried columns step to the oracle's bits
+    monkeypatch.setattr(operators, "_DFT_MAX_M", 0)
+    _march_against_full_width(M, arity, widen, _same_bits)
+
+
+@pytest.mark.parametrize("M", [12, 15, 16])
+@pytest.mark.parametrize("arity", [1, 2, 3])
+@pytest.mark.parametrize("widen", [False, True])
+def test_march_steps_match_full_width_with_dft_matrices(M, arity, widen):
+    # with the last-axis DFT matrices, every field within 1e-14 of the
+    # oracle's max every step
+    _march_against_full_width(M, arity, widen, _within_roundoff)
+
+
+@pytest.mark.parametrize("M", [12, 15, 16])
+@pytest.mark.parametrize("arity", [1, 2, 3])
+@pytest.mark.parametrize("widen", [False, True])
+def test_dealiased_columns_step_bit_for_bit_as_full_width(M, arity, widen, monkeypatch):
+    # pocketfft on the last axis (forced, as above): the same bits every step
+    monkeypatch.setattr(operators, "_DFT_MAX_M", 0)
+    _dealiased_against_full_width(M, arity, widen, _same_bits, dft=False)
+
+
+@pytest.mark.parametrize("M", [12, 15, 16])
+@pytest.mark.parametrize("arity", [1, 2, 3])
+@pytest.mark.parametrize("widen", [False, True])
+def test_dealiased_columns_match_full_width_with_dft_matrices(M, arity, widen):
+    # the last-axis DFT matrices: within 1e-14 of the oracle's max every step
+    _dealiased_against_full_width(M, arity, widen, _within_roundoff, dft=True)
+
+
+@pytest.mark.parametrize("arity", [1, 2])
+def test_large_grid_steps_bit_for_bit_as_full_width(arity):
+    # above _DFT_MAX_M the stepper picks pocketfft by itself, and keeps the
+    # oracle's bits
+    M = 96
+    assert M > operators._DFT_MAX_M
+    _dealiased_against_full_width(M, arity, False, _same_bits, dft=False)
+
+
+@settings(max_examples=200, deadline=None)
+@given(M=st.integers(1, operators._DFT_MAX_M), arity=st.integers(1, 3), data=st.data())
+def test_dft_matrices_are_rfft_and_irfft(M, arity, data):
+    # the last-axis pair the stepper runs up to _DFT_MAX_M, at every width
+    # H <= M//2 + 1: x @ W is rfft(x)[..., :H] as interleaved (re, im), and
+    # the real view of a spectrum zero from column H on, @ V, is its irfft;
+    # Z's imaginary parts at DC and (even M) Nyquist are not zero, and both
+    # must be ignored.  The scale is the largest value each transform can
+    # take (a line's l1 norm, weighted 2/M for irfft): a single coefficient
+    # such as the DC sum can cancel far below it.
+    H = data.draw(st.integers(1, M // 2 + 1), label="H")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1), label="seed"))
+    W, V = _dft_matrices(M, H)
+    x = rng.standard_normal((M,) * arity)
+    want = np.fft.rfft(x, axis=-1)[..., :H]
+    got = (x.reshape(-1, M) @ W).view(complex).reshape(want.shape)
+    assert np.abs(got - want).max() <= 1e-14 * np.abs(x).sum(axis=-1).max()
+    Z = rng.standard_normal(want.shape) + 1j * rng.standard_normal(want.shape)
+    want = np.fft.irfft(Z, n=M, axis=-1)
+    got = (Z.view(float).reshape(-1, 2 * H) @ V).reshape(want.shape)
+    assert np.abs(got - want).max() <= 1e-14 * 2.0 / M * np.abs(Z).sum(axis=-1).max()
 
 
 @settings(max_examples=60, deadline=None)
@@ -572,25 +654,32 @@ def test_hierarchy_solve_keeps_to_one_cpu():
     # the solve is single-threaded work; a BLAS call large enough to start
     # OpenBLAS's worker threads left them spinning, ~1.9 CPU-seconds per
     # wall-second on two cores.  At M=64 a 2-D (64, Q) @ (Q, 4096) product
-    # already crosses the threshold.  Other load can only lower the ratio.
-    # Importing numpy starts those workers, and they spin ~0.12 CPU-seconds
-    # before they first sleep; the child waits that out, so the timed
-    # window holds the solves alone.  The child keeps numpy's default
-    # threading, not the CLI's one-thread policy.
+    # already crosses the threshold, and so would an unbatched last-axis DFT
+    # product of an arity-3 unknown.  The solves cover order 2 at M=32 and 64,
+    # order 1 at M=64 and the BBGKY reference at M=32, whose full-width
+    # arity-3 marginals carry the largest last-axis products.  Other load
+    # can only lower the ratio.  Importing numpy starts those workers, and
+    # they spin ~0.12 CPU-seconds before they first sleep; the child waits
+    # that out, so the timed window holds the solves alone.  The child keeps
+    # numpy's default threading, not the CLI's one-thread policy.
     code = (
         "import time\n"
         "from pchaos.core import KernelSpec, TorusGrid, fourier_field\n"
-        "from pchaos.pde import TimeGrid, solve_g_hierarchy\n"
+        "from pchaos.pde import TimeGrid, solve_bbgky_reference, solve_g_hierarchy\n"
         f"k = KernelSpec.from_file({str(REPO_ROOT / 'kernels' / 'default.txt')!r})\n"
+        "f = {M: fourier_field(TorusGrid(M), [1.0, 0.5]) for M in (32, 64)}\n"
+        "solves = [lambda: solve_g_hierarchy(2, f[32], k, TimeGrid(1e-3, 50)),\n"
+        "          lambda: solve_g_hierarchy(2, f[64], k, TimeGrid(1e-3, 8)),\n"
+        "          lambda: solve_g_hierarchy(1, f[64], k, TimeGrid(1e-3, 400)),\n"
+        "          lambda: solve_bbgky_reference(f[32], k, 10, TimeGrid(1e-3, 40))]\n"
         "time.sleep(0.3)\n"
-        "for M, steps in ((32, 50), (64, 8)):\n"
-        "    f = fourier_field(TorusGrid(M), [1.0, 0.5])\n"
+        "for solve in solves:\n"
         "    c0, t0 = time.process_time(), time.perf_counter()\n"
-        "    solve_g_hierarchy(2, f, k, TimeGrid(1e-3, steps))\n"
+        "    solve()\n"
         "    print((time.process_time() - c0) / (time.perf_counter() - t0))\n"
     )
     ratios = [float(line) for line in fresh_python("-c", code).split()]
-    assert len(ratios) == 2 and max(ratios) <= 1.3, ratios
+    assert len(ratios) == 4 and max(ratios) <= 1.3, ratios
 
 
 def test_hierarchy_order_cap_and_memory_guard(default_kernel):
