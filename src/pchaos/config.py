@@ -15,7 +15,7 @@ import hashlib
 import json
 from functools import partial
 from itertools import islice
-from operator import is_, itemgetter
+from operator import itemgetter
 from pathlib import Path
 
 __all__ = ["parse_config_text", "load_config", "ConfigError", "Config"]
@@ -83,33 +83,16 @@ def _cell_format(kind: type):
     return lambda v: repr(float(v))
 
 
-def _column_text(values: list) -> list:
-    """The text of one column's cells, each by its value's type (see _write_csv).
-
-    When the column holds numbers other than int and at least half its cells
-    repeat the object of the row before (a value shared by a run of rows),
-    each object is formatted once, keyed by identity: equal values held by
-    different objects (0.0 and -0.0, 1.0 and True, two NaNs) keep their own
-    text.  str of an int or a str costs less than the lookup.
-    """
-    formats = {kind: _cell_format(kind) for kind in set(map(type, values))}
-    if set(formats.values()) == {str} or 2 * sum(map(is_, values, values[1:])) < len(values):
-        return [formats[type(v)](v) for v in values]
-    ids = list(map(id, values))
-    text = {i: formats[type(v)](v) for i, v in dict(zip(ids, values)).items()}
-    return list(map(text.__getitem__, ids))
-
-
 def _write_csv(path, columns, rows) -> None:
     """Write path as CSV: the header, then each row's values in the header's column order.
 
     rows are mappings from column name to value, read _CSV_CHUNK at a time
     so a long generator is never held whole.  Each chunk's cells are
-    formatted a column at a time (_column_text), each by its value's type:
-    float.__repr__ for a float or a float subclass such as np.float64 (the
-    shortest text that reads back as the same double), str for str and int
-    (bool included), and repr(float(v)) for anything else, such as
-    np.int64.  The chunk's lines are then joined from the zipped columns.
+    formatted a column at a time, each by its value's type: float.__repr__
+    for a float or a float subclass such as np.float64 (the shortest text
+    that reads back as the same double), str for str and int (bool
+    included), and repr(float(v)) for anything else, such as np.int64.  The
+    chunk's lines are then joined from the zipped columns.
     tests/oracles/csv_rowwise.py is the row-at-a-time writer this replaced;
     the two write the same bytes.
     """
@@ -118,7 +101,10 @@ def _write_csv(path, columns, rows) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(",".join(columns) + "\n")
         while chunk := list(islice(rows, _CSV_CHUNK)):
-            cells = [_column_text(list(map(get, chunk))) for get in getters]
+            cells = []
+            for values in (list(map(get, chunk)) for get in getters):
+                formats = {kind: _cell_format(kind) for kind in set(map(type, values))}
+                cells.append([formats[type(v)](v) for v in values])
             fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
 
 

@@ -511,7 +511,8 @@ class _SpectralOps:
     last inverse.  Up to M = _DFT_MAX_M the last-axis pass is a real product
     with the DFT matrices of _dft_matrices, written straight into (or read
     from) the real view of the complex work spectrum; above it, np.fft.rfft
-    and irfft (which pads the short axis with the zeros it stands for).  The
+    into a full-width buffer, whose kept columns are copied out, and irfft
+    (which pads the short axis with the zeros it stands for).  The
     other axes are np.fft's complex passes, the first inverse one reading
     u_hat out of place.  The new field can go into a buffer the caller
     reuses.  test_pde.py checks the step against one that transforms the
@@ -532,6 +533,7 @@ class _SpectralOps:
                       * (2j * np.pi * freqs[0])[..., :H])
         self._work = np.empty(lam.shape, dtype=complex)
         self._dft = _dft_matrices(M, H) if M <= _DFT_MAX_M else None
+        self._rfft = None if self._dft else np.empty(lam.shape[:-1] + (M // 2 + 1,), dtype=complex)
 
     def step(self, u_hat: np.ndarray, flux1: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """One step of du/dt = Lap u - sum_k d/dx_k flux_k with flux_k = flux_1 o (x_1 <-> x_k).
@@ -541,7 +543,7 @@ class _SpectralOps:
         """
         F, dft = self._work, self._dft
         if dft is None:
-            F[...] = np.fft.rfft(flux1, axis=-1)[..., :F.shape[-1]]
+            np.copyto(F, np.fft.rfft(flux1, axis=-1, out=self._rfft)[..., :F.shape[-1]])
         else:
             np.matmul(flux1, dft[0], out=F.view(float))
         for ax in range(F.ndim - 2, -1, -1):

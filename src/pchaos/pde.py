@@ -186,8 +186,9 @@ def solve_mckean_vlasov(f: GridField, kernel: KernelSpec, tg: TimeGrid) -> np.nd
     """Mean-field density rho: d/dt rho - Lap rho + d/dx((K*rho) rho) = 0, rho(0) = f.
 
     This is the order-0 hierarchy; row s of the (n_stored, M) result is rho
-    at tg.stored_times[s].  Mass is conserved exactly each step; a density
-    dipping below -1e-10 anywhere aborts with a diagnostic.
+    at tg.stored_times[s].  The carried mean mode is conserved exactly, the
+    grid sum of rho to roundoff; a density dipping below -1e-10 anywhere
+    aborts with a diagnostic.
     """
     return solve_g_hierarchy(0, f, kernel, tg).entries[(0, 1)]
 

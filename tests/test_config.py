@@ -165,28 +165,3 @@ def test_column_writer_reads_rows_a_chunk_at_a_time(tmp_path, monkeypatch):
     assert [k for k, _ in seen] == list(range(5))
     assert all(n <= 2 * (k // 2 + 1) for k, n in seen)
     assert (tmp_path / "columnwise.csv").read_bytes() == (tmp_path / "rowwise.csv").read_bytes()
-
-
-def test_column_writer_formats_a_shared_object_once(tmp_path):
-    # a value shared by a run of rows (I, t and beta across the b of a
-    # bounds row) is formatted once per chunk; equal values held by
-    # different objects (0.0 and -0.0, 1, 1.0 and True, two NaNs) keep their
-    # own text, and the bytes are the row writer's
-    formatted = []
-
-    class Cell:  # written as repr(float(v)); notes each formatting
-        def __init__(self, k):
-            self.k = k
-
-        def __float__(self):
-            formatted.append(self.k)
-            return self.k + 0.5
-
-    shared = [0.0, -0.0, math.nan, np.float64(math.nan), 1, 1.0, True, np.float64(-0.0)]
-    cells = [Cell(k) for k in range(4)]
-    rows = [{"v": shared[k // 3], "c": cells[k // 6], "n": float(k)} for k in range(24)]
-    write_csv_rowwise(tmp_path / "rowwise.csv", ("v", "c", "n"), rows)
-    formatted.clear()
-    _write_csv(tmp_path / "columnwise.csv", ("v", "c", "n"), rows)
-    assert sorted(formatted) == [0, 1, 2, 3]
-    assert (tmp_path / "columnwise.csv").read_bytes() == (tmp_path / "rowwise.csv").read_bytes()
