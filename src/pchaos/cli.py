@@ -33,17 +33,19 @@ the test suite) keeps as it has them:
 - BLAS runs on the calling thread.  Every product in the package is sized for
   one thread (see operators._EntrySolver), so numpy's OpenBLAS worker pool
   only costs: the pool starts when numpy loads, spins ~0.1 CPU-s before it
-  first sleeps, and in the rates pool's workers (forked from this process)
-  its threads compete with the other workers for the same cores.  So
-  OPENBLAS_NUM_THREADS defaults to 1 before numpy loads, the only time
-  OpenBLAS reads it; a value the user set is kept.
+  first sleeps, and in the rates pool's workers and simulate's replica
+  shares (both forked from this process) its threads compete with the other
+  processes for the same cores.  So OPENBLAS_NUM_THREADS defaults to 1
+  before numpy loads, the only time OpenBLAS reads it; a value the user set
+  is kept.
 - The collector leaves alone what the imports made.  Those ~23k objects
   live until exit, so after its imports this module calls gc.freeze(), which
   moves them out of the collected generations.  Every full collection, the
   ones the interpreter runs at exit included (~7 ms apiece over the imports
-  alone), then walks only what the command made, and the rates pool's
-  workers fork from a frozen heap.  Objects made after the freeze are
-  collected as before.
+  alone), then walks only what the command made.  Objects made after the
+  freeze are collected as before.  The rates pool's workers and simulate's
+  forked replica shares (particles.run_ensemble) start from that frozen
+  heap, so no collection in them walks, and so copies, the imports' pages.
 """
 
 from __future__ import annotations

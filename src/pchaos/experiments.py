@@ -37,14 +37,17 @@ cost one product per trigonometric value (see _companion_terms).  The
 chain-moment table steps the chain's spectrum, band-limited by the heat
 factor, so it costs O(M L) per step for M cells and L modes.
 run_rate_experiment runs every task on one process pool of
-min(workers, cpu_count) processes, one worker included: the pool builds the
+min(workers, usable CPUs) processes, one worker included (usable CPUs are
+those of the process's affinity mask, particles._usable_cpus, which sizes
+run_ensemble's shares too): the pool builds the
 chain-moment table while the main process solves the hierarchy, then takes
 every N's replica chunks, all submitted up front.  Each worker runs BLAS on
 its own thread under the CLI's thread policy (see pchaos.cli), and the
 chain-moment table sums its spectrum with einsum rather than a BLAS product,
 so a library caller whose OpenBLAS keeps its worker pool does not
 oversubscribe the rate pool either.
-A chunk holds about _CHUNK_PARTICLES particles and each N gets a multiple
+A chunk holds about _CHUNK_PARTICLES particles (the one block-size constant
+of both ensemble commands, kept in particles) and each N gets a multiple
 of workers chunks.  Results are consumed in N order, so rows are built and
 a failure is flushed per N.
 
@@ -71,7 +74,6 @@ the manifest records the config hash and seed next to the CSV.
 from __future__ import annotations
 
 import math
-import os
 from functools import partial
 from pathlib import Path
 from typing import NamedTuple
@@ -88,11 +90,14 @@ from .metrics import (
     weighted_l2_error,
 )
 from .particles import (
+    _CHUNK_PARTICLES,
     _MODE_WORK,
     SimConfig,
     _cell_cdf,
     _mode_terms,
+    _replica_ranges,
     _replica_steps,
+    _usable_cpus,
     em_step,
     extract_marginal_samples,
     mode_sum_drift,
@@ -110,9 +115,6 @@ __all__ = [
     "run_bounds_report",
 ]
 
-# particles (replicas x N) per worker task: enough to amortize each step's
-# per-call overhead, few enough that the step's arrays stay in cache
-_CHUNK_PARTICLES = 6000
 _PHI_PANEL = (("cos1", "cos", 1), ("sin1", "sin", 1), ("cos2", "cos", 2), ("sin2", "sin", 2))
 
 
@@ -440,8 +442,7 @@ def _chunks(replicas: int, N: int, workers: int) -> list:
     count is a multiple of workers, so every worker gets the same share.
     """
     n = min(replicas, workers * max(1, round(replicas * N / (_CHUNK_PARTICLES * workers))))
-    edges = [i * replicas // n for i in range(n + 1)]
-    return list(zip(edges[:-1], edges[1:]))
+    return _replica_ranges(replicas, n)
 
 
 class RateResult(NamedTuple):
@@ -517,8 +518,9 @@ def run_rate_experiment(ecfg: ExperimentConfig) -> RateResult:
     # pool forks, not again in every worker.
     import numpy.random  # noqa: F401
 
-    # the pool forks every worker at its first task, so it is sized to the machine
-    workers = min(ecfg.workers, os.cpu_count() or 1)
+    # the pool forks every worker at its first task, so it is sized to the CPUs
+    # this process may run on: more workers would time-share them
+    workers = min(ecfg.workers, _usable_cpus())
     pool = ProcessPoolExecutor(max_workers=workers)
     try:
         return _run_rates(ecfg, hashed, pool, workers)

@@ -21,6 +21,17 @@ each replica the bits it has when simulated alone.  Public arrays keep a trailin
 coordinate axis of length 1: positions are (N, 1) per system and snapshots
 (R, n_times, N, 1).
 
+That contract is what lets run_ensemble split its replicas into P contiguous
+shares and step them on P CPUs at once with byte-identical snapshots for
+every P.  P follows the rate pool's chunk rule, capped by the CPUs this
+process may run on and by the replicas: P = min(usable CPUs, R, max(1,
+round(R N / _CHUNK_PARTICLES))), so a block of fewer than 1.5
+_CHUNK_PARTICLES particles stays in one process.  Share 0 steps in the
+calling process; on Linux every other share steps in a child made by
+os.fork(), which writes its rows into one anonymous shared mapping and
+leaves by os._exit.  Elsewhere P = 1.  A share steps no BLAS product, so a
+parent that runs OpenBLAS threads forks children that need none.
+
 The pairwise drift sum costs O(N^2); for the translation-invariant kernel
 part a mode-summation fast path costs O(N * modes) and agrees with the direct
 sum to roundoff, since the kernels are trigonometric polynomials.  The
@@ -39,7 +50,11 @@ memory stays O(N^2).
 
 from __future__ import annotations
 
+import builtins
+import math
+import os
 import struct
+import sys
 from typing import NamedTuple
 
 import numpy as np
@@ -61,6 +76,11 @@ _RAW_MAGIC = b"PCEN"
 _RAW_VERSION = 1
 _RAW_HEADER = struct.Struct("<4sIIIII8x")  # magic, version, N, d (always 1), replicas, times
 _NOISE_BLOCK_BYTES = 1 << 20  # noise _replica_steps draws ahead, all replicas together
+# particles (replicas x N) in one block of an ensemble command, a rate pool
+# task or a run_ensemble share: enough to amortize each step's per-call
+# overhead, few enough that the step's arrays stay in cache
+_CHUNK_PARTICLES = 6000
+_REPORT_BYTES = 4096  # a failed share's report: at most PIPE_BUF, so one write never blocks
 
 
 class SimConfig:
@@ -363,12 +383,130 @@ def _replica_steps(cfg: SimConfig, replicas: range, n_steps: int):
             yield x, noise
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask (taskset, a cgroup
+    cpuset), or the machine's count where the platform has no affinity call."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _replica_ranges(replicas: int, n: int) -> list:
+    """n contiguous (start, stop) replica ranges covering 0..replicas, in order,
+    their sizes within one of each other."""
+    edges = [i * replicas // n for i in range(n + 1)]
+    return list(zip(edges[:-1], edges[1:]))
+
+
+def _share_count(replicas: int, N: int) -> int:
+    """How many shares run_ensemble steps at once (see the module docstring)."""
+    if not sys.platform.startswith("linux"):
+        return 1
+    return min(_usable_cpus(), replicas, max(1, round(replicas * N / _CHUNK_PARTICLES)))
+
+
+def _record(cfg: SimConfig, r0: int, r1: int, steps: np.ndarray, out: np.ndarray) -> None:
+    """Step replicas r0..r1 - 1 and write their positions at every output step
+    (steps, one per output time) into out[r0:r1]."""
+    rows = out[r0:r1]
+    for n, (x, _) in enumerate(_replica_steps(cfg, range(r0, r1), steps[-1])):
+        rows[:, steps == n] = x[:, None, :, None]
+
+
+def _record_share_and_exit(cfg: SimConfig, r0: int, r1: int, steps: np.ndarray,
+                           out: np.ndarray, report_fd: int):
+    """The whole life of a forked share: _record, then os._exit, never a return.
+
+    A failure is written to report_fd as its type's name and message and the
+    exit code is 1.  os._exit runs no exit handler and flushes no buffer the
+    parent also holds.
+    """
+    code = 1
+    try:
+        try:
+            _record(cfg, r0, r1, steps, out)
+            code = 0
+        except BaseException as exc:  # an interrupt too: the parent re-raises it
+            report = f"{type(exc).__name__}\n{exc}".encode("utf-8", "replace")
+            os.write(report_fd, report[:_REPORT_BYTES])
+    finally:
+        os._exit(code)
+
+
+def _share_failure(report: bytes, status: int, r0: int, r1: int) -> BaseException:
+    """The exception a failed share ended with, rebuilt from its report: a
+    built-in type with its message, another type's name and message as a
+    RuntimeError, and no report (the child was killed) a ChildProcessError."""
+    if not report:
+        code = os.waitstatus_to_exitcode(status)
+        return ChildProcessError(f"the process stepping replicas {r0} to {r1 - 1} "
+                                 f"ended with exit code {code}")
+    name, _, message = report.decode("utf-8", "replace").partition("\n")
+    cls = getattr(builtins, name, None)
+    if not (isinstance(cls, type) and issubclass(cls, BaseException)):
+        cls, message = RuntimeError, f"{name}: {message}"
+    return cls(message) if message else cls()
+
+
+def _record_forked(cfg: SimConfig, shares: list, steps: np.ndarray, shape: tuple) -> np.ndarray:
+    """_record over every share, share 0 in this process and each other in a
+    forked child, into one anonymous shared mapping of the given shape.
+
+    Every child is reaped on every path.  After this process's own share, it
+    waits for each child in share order, and if any failed it raises the
+    first failure by share order.  If anything raises first (its own share,
+    an interrupt), the children left are killed (SIGKILL) and reaped before
+    the exception goes on.
+    """
+    import mmap
+    import signal
+
+    out = np.frombuffer(mmap.mmap(-1, 8 * math.prod(shape)), dtype=float).reshape(shape)
+    children = {}  # pid -> (read end of its report pipe, its share)
+    try:
+        for r0, r1 in shares[1:]:
+            read_fd, write_fd = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(read_fd)
+                os.close(write_fd)
+                raise
+            if pid == 0:
+                _record_share_and_exit(cfg, r0, r1, steps, out, write_fd)
+            os.close(write_fd)
+            children[pid] = (read_fd, (r0, r1))
+        _record(cfg, *shares[0], steps, out)
+        failure = None
+        for pid in list(children):
+            status = os.waitpid(pid, 0)[1]
+            read_fd, share = children.pop(pid)
+            with os.fdopen(read_fd, "rb") as fh:
+                report = fh.read()
+            if status and failure is None:
+                failure = _share_failure(report, status, *share)
+        if failure is not None:
+            raise failure
+    finally:
+        for pid, (read_fd, _) in children.items():
+            try:
+                os.kill(pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
+            os.waitpid(pid, 0)
+            os.close(read_fd)
+    return out
+
+
 def run_ensemble(cfg: SimConfig, output_times) -> SnapshotSet:
     """Simulate all replicas and record positions at the requested times.
 
     Output times must be sorted, within the horizon [0, T], and multiples of
-    dt (core.step_count).  The result is a deterministic function of the
-    configuration.
+    dt (core.step_count).  The replicas are stepped in contiguous shares,
+    one per CPU the block is large enough to use (see the module docstring);
+    the result is a deterministic function of the configuration, whatever
+    the number of shares.  A share that fails raises its exception's type
+    and message here, after every share's process has ended.
     """
     output_times = np.asarray(output_times, dtype=float)
     if output_times.ndim != 1 or len(output_times) == 0:
@@ -382,9 +520,13 @@ def run_ensemble(cfg: SimConfig, output_times) -> SnapshotSet:
     except ValueError:
         raise ValueError("output times must be multiples of dt") from None
 
-    out = np.empty((cfg.n_replicas, len(output_times), cfg.N, 1))
-    for n, (x, _) in enumerate(_replica_steps(cfg, range(cfg.n_replicas), steps[-1])):
-        out[:, steps == n] = x[:, None, :, None]
+    R = cfg.n_replicas
+    shape = (R, len(output_times), cfg.N, 1)
+    shares = _replica_ranges(R, _share_count(R, cfg.N))
+    if len(shares) > 1:
+        return SnapshotSet(output_times, _record_forked(cfg, shares, steps, shape))
+    out = np.empty(shape)
+    _record(cfg, 0, R, steps, out)
     return SnapshotSet(output_times, out)
 
 

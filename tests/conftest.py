@@ -1,5 +1,7 @@
-"""Shared fixtures: repository paths, the stock interaction kernel and a fresh interpreter."""
+"""Shared fixtures: repository paths, the stock interaction kernel, a fresh interpreter,
+and a guard against child processes a test leaves behind."""
 import os
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -32,6 +34,49 @@ def fresh_python(*args, cwd=None, rc=0, **env) -> str:
                           timeout=600)
     assert proc.returncode == rc, proc.stderr
     return proc.stdout
+
+
+@pytest.fixture(autouse=True)
+def no_child_process_left():
+    """Fail a test that leaves a child process unreaped: one still running, or
+    ended and never waited for.  run_ensemble's forked shares and the rates
+    pool must reap every child on every path, a failure included."""
+    yield
+    try:
+        pid, _ = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return
+    if not pid:  # still running: end it where Linux lists it, so later tests start clean
+        for listing in Path("/proc/self/task").glob("*/children"):
+            for child in map(int, listing.read_text().split()):
+                os.kill(child, signal.SIGKILL)
+                os.waitpid(child, 0)
+    pytest.fail(f"the test left child process {pid} unreaped" if pid
+                else "the test left a child process running")
+
+
+# run_ensemble forks its replica shares on Linux only
+forks_shares = pytest.mark.skipif(not sys.platform.startswith("linux"),
+                                  reason="run_ensemble steps one share off Linux")
+
+
+def force_shares(monkeypatch, P: int) -> list:
+    """Make run_ensemble step any block of at least P replicas in P shares;
+    returns the list of the pids it forks."""
+    from pchaos import particles
+
+    monkeypatch.setattr(particles, "_CHUNK_PARTICLES", 1)
+    monkeypatch.setattr(particles, "_usable_cpus", lambda: P)
+    forked, fork = [], os.fork
+
+    def recording_fork():
+        pid = fork()
+        if pid:
+            forked.append(pid)
+        return pid
+
+    monkeypatch.setattr(particles.os, "fork", recording_fork)
+    return forked
 
 
 # a kernel with mode-0 and several higher b and khat terms, cos and sin

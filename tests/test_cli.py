@@ -1,6 +1,11 @@
 """End-to-end smoke tests for every CLI subcommand on tiny configurations."""
 import json
+import os
 import shutil
+import signal
+import subprocess
+import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +17,7 @@ from pchaos.core import KernelSpec
 from pchaos.particles import SnapshotSet
 from pchaos.pde import GTable
 
-from conftest import KERNEL_PATH, REPO_ROOT, fresh_python
+from conftest import KERNEL_PATH, REPO_ROOT, force_shares, forks_shares, fresh_python
 
 
 def _write_cfg(tmp_path, name, text):
@@ -487,6 +492,67 @@ def test_allocation_the_machine_cannot_meet_is_a_user_error(tmp_path, capsys):
     assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: Unable to allocate") and err.count("\n") == 1
+
+
+@forks_shares
+def test_simulate_in_two_shares_writes_the_same_snapshots(tmp_path, monkeypatch):
+    cfg = _sim_cfg(tmp_path, "output_times = 0.0, 1e-3, 2e-3\n")
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "one")]) == 0
+    forked = force_shares(monkeypatch, 2)
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "two")]) == 0
+    assert len(forked) == 1
+    assert ((tmp_path / "two" / "snapshots.raw").read_bytes()
+            == (tmp_path / "one" / "snapshots.raw").read_bytes())
+
+
+@forks_shares
+def test_a_child_share_out_of_memory_is_a_user_error(tmp_path, monkeypatch, capsys):
+    # the forked share's MemoryError comes back to the parent as a
+    # MemoryError, so simulate exits 2 with one line
+    record = particles._record
+
+    def record_or_fail(cfg, r0, r1, steps, out):
+        if r0 != 0:
+            raise MemoryError("Unable to allocate the share's noise")
+        record(cfg, r0, r1, steps, out)
+
+    force_shares(monkeypatch, 2)
+    monkeypatch.setattr(particles, "_record", record_or_fail)
+    assert main(["simulate", "--config", _sim_cfg(tmp_path), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: Unable to allocate the share's noise\n"
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.skipif(not Path(f"/proc/{os.getpid()}/task/{os.getpid()}/children").exists(),
+                    reason="a process's children are listed in /proc/PID/task/TID/children")
+def test_an_interrupted_simulate_leaves_no_child(tmp_path):
+    # 400 replicas of 100 particles step in two shares for about twenty
+    # seconds; a SIGINT to the parent alone, once its child share runs, ends
+    # the run, and the parent kills and reaps that child before it exits
+    cfg = _write_cfg(tmp_path, "long.cfg",
+                     f"kernel = {KERNEL_PATH}\ndensity_cos = 1.0, 0.5\nsample_grid = 64\n"
+                     "N = 100\ndt = 1e-3\nT = 20\nreplicas = 400\n")
+    env = {**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")}
+    proc = subprocess.Popen([sys.executable, "-m", "pchaos.cli", "simulate", "--config", cfg,
+                             "--out", str(tmp_path / "o")], env=env, stderr=subprocess.DEVNULL)
+    try:
+        listing = Path(f"/proc/{proc.pid}/task/{proc.pid}/children")
+        deadline = time.monotonic() + 60
+        children = []
+        while not children and proc.poll() is None and time.monotonic() < deadline:
+            time.sleep(0.05)
+            children = [int(pid) for pid in listing.read_text().split()]
+        assert children, "simulate forked no share"
+        proc.send_signal(signal.SIGINT)
+        proc.wait(timeout=60)
+    finally:
+        proc.kill()
+        proc.wait()
+    assert proc.returncode != 0
+    assert not [pid for pid in children if Path(f"/proc/{pid}").exists()]
+    assert not (tmp_path / "o" / "snapshots.raw").exists()
 
 
 def test_negative_density_is_a_user_error(tmp_path, capsys):

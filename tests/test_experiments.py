@@ -606,11 +606,9 @@ def test_one_and_two_workers_write_the_same_csv(tmp_path):
     assert Path(one.csv_path).read_bytes() == Path(two.csv_path).read_bytes()
 
 
-@pytest.mark.parametrize("workers", [1, 64])
-def test_rate_pool_is_sized_to_the_machine(tmp_path, monkeypatch, workers):
-    # the pool forks every worker at its first task, so 64 requested workers
-    # on two CPUs get a pool of two and chunks for two, and one worker a pool
-    # of one; the stub pool runs each task inline and starts no process
+def _inline_pool(monkeypatch):
+    """Replace the rate pool by a stub that runs each task inline and starts
+    no process; returns the lists of the pool sizes and tasks it is given."""
     pools, tasks = [], []
 
     class InlinePool:
@@ -628,13 +626,42 @@ def test_rate_pool_is_sized_to_the_machine(tmp_path, monkeypatch, workers):
 
     # run_rate_experiment imports the pool class from concurrent.futures when it runs
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
-    monkeypatch.setattr(experiments.os, "cpu_count", lambda: 2)
+    return pools, tasks
+
+
+@pytest.mark.parametrize("workers", [1, 64])
+def test_rate_pool_is_sized_to_the_machine(tmp_path, monkeypatch, workers):
+    # the pool forks every worker at its first task, so 64 requested workers
+    # on two usable CPUs get a pool of two and chunks for two, and one worker
+    # a pool of one
+    pools, tasks = _inline_pool(monkeypatch)
+    monkeypatch.setattr(experiments, "_usable_cpus", lambda: 2)
     run_rate_experiment(_ecfg(tmp_path, N_list=(40, 60, 80), replicas=300, workers=workers))
     size = min(workers, 2)
     assert pools == [size]
     # the chain-moment table, then every N's chunks for the pool's workers
     assert tasks[0] is _chain_moments
     assert len(tasks) == 1 + sum(len(experiments._chunks(300, N, size)) for N in (40, 60, 80))
+
+
+def test_one_usable_cpu_gets_one_worker_and_one_share(tmp_path, monkeypatch):
+    # under `taskset -c 0` or a one-CPU cpuset the machine still counts two
+    # CPUs but the process may run on one, so two workers or two shares would
+    # time-share it: the rates pool gets one worker and run_ensemble forks none
+    monkeypatch.setattr(particles.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(particles.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    pools, _ = _inline_pool(monkeypatch)
+    run_rate_experiment(_ecfg(tmp_path, workers=64))
+    assert pools == [1]
+
+    def no_fork():
+        raise AssertionError("run_ensemble forked on one usable CPU")
+
+    monkeypatch.setattr(particles.os, "fork", no_fork)
+    # 200 replicas of 64 particles: two shares by the size rule on two CPUs
+    cfg = SimConfig(N=64, dt=1e-3, T=2e-3, n_replicas=200, base_seed=3, kernel=RICH_KERNEL,
+                    initial_density=fourier_field(TorusGrid(32), [1.0, 0.5]))
+    assert run_ensemble(cfg, [cfg.T]).positions.shape == (200, 1, 64, 1)
 
 
 def test_rate_pool_forks_after_numpy_random_is_loaded(tmp_path):

@@ -1,10 +1,15 @@
 """Particle sampling, pairwise drift, time stepping, and snapshot formats."""
+import os
+import signal
+import time
+
 import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pchaos import particles
 from pchaos.core import KernelSpec, TorusGrid, fourier_field
 from pchaos.metrics import weighted_l2_error
 from pchaos.particles import (
@@ -23,7 +28,7 @@ from pchaos.particles import (
 )
 from pchaos.pde import TimeGrid, solve_mckean_vlasov
 
-from conftest import RICH_KERNEL, band_limited_kernels
+from conftest import RICH_KERNEL, band_limited_kernels, force_shares, forks_shares
 
 
 # ---------------------------------------------------------------------------
@@ -340,6 +345,102 @@ def test_run_ensemble_repeated_output_time():
     assert np.array_equal(snap.positions[:, 0], snap.positions[:, 1])
     assert np.array_equal(snap.positions[:, 0], run_ensemble(cfg, [2e-3]).positions[:, 0])
     assert np.array_equal(snap.positions[:, 2], run_ensemble(cfg, [5e-3]).positions[:, 0])
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@forks_shares
+@pytest.mark.parametrize("P", [2, 3])
+def test_run_ensemble_shares_are_byte_identical(monkeypatch, P):
+    # replica r draws from its own stream, so 7 replicas stepped in 2 or 3
+    # uneven shares, all but the first in forked children, give the bytes of
+    # one process; a share of 1 is the serial path and forks nothing
+    cfg = _small_config(n_replicas=7)
+    times = [0.0, 2e-3, 2e-3, 5e-3]
+    assert particles._share_count(7, cfg.N) == 1
+    serial = run_ensemble(cfg, times)
+    forked = force_shares(monkeypatch, P)
+    split = run_ensemble(cfg, times)
+    assert len(forked) == P - 1
+    assert split.positions.tobytes() == serial.positions.tobytes()
+    assert np.array_equal(split.times, serial.times)
+    _assert_no_child_left()
+
+
+@forks_shares
+def test_share_count_follows_the_chunk_rule(monkeypatch):
+    monkeypatch.setattr(particles, "_usable_cpus", lambda: 2)
+    # the ensemble workload (R = 200, N = 64) takes both CPUs; the shipped
+    # simulate.cfg (R = 128, N = 64: 8192 particles) stays in one process
+    assert particles._share_count(200, 64) == 2
+    assert particles._share_count(128, 64) == 1
+    assert particles._share_count(1, 10 ** 6) == 1
+    monkeypatch.setattr(particles, "_usable_cpus", lambda: 64)
+    assert particles._share_count(1000, 60) == 10
+
+
+class _NotBuiltin(Exception):
+    pass
+
+
+@forks_shares
+@pytest.mark.parametrize("fail, expected, match", [
+    (lambda: MemoryError("share out of memory"), MemoryError, "^share out of memory$"),
+    (lambda: _NotBuiltin("odd"), RuntimeError, "^_NotBuiltin: odd$"),
+    (lambda: os.kill(os.getpid(), signal.SIGKILL), ChildProcessError,
+     "replicas 2 to 3 ended with exit code -9"),
+])
+def test_a_failed_child_share_raises_in_the_parent(monkeypatch, fail, expected, match):
+    # the child's failure comes back as its built-in type and message (other
+    # types as a RuntimeError naming them; a killed child as ChildProcessError),
+    # raised after the parent's own share and every child have ended
+    record = particles._record
+
+    def failing_record(cfg, r0, r1, steps, out):
+        if r0 != 0:
+            raise fail()
+        record(cfg, r0, r1, steps, out)
+
+    force_shares(monkeypatch, 2)
+    monkeypatch.setattr(particles, "_record", failing_record)
+    with pytest.raises(expected, match=match):
+        run_ensemble(_small_config(n_replicas=4), [5e-3])
+    _assert_no_child_left()
+
+
+@forks_shares
+def test_an_interrupted_parent_kills_and_reaps_its_children(monkeypatch):
+    # the parent's own share is interrupted while the child's would run for
+    # a minute: the child is killed (SIGKILL) and reaped before the interrupt
+    # goes on
+    record = particles._record
+
+    def slow_record(cfg, r0, r1, steps, out):
+        if r0 == 0:
+            raise KeyboardInterrupt
+        time.sleep(60)
+        record(cfg, r0, r1, steps, out)
+
+    statuses, waitpid = [], os.waitpid
+
+    def recording_waitpid(pid, options):
+        result = waitpid(pid, options)
+        statuses.append(result[1])
+        return result
+
+    force_shares(monkeypatch, 3)
+    monkeypatch.setattr(particles, "_record", slow_record)
+    monkeypatch.setattr(particles.os, "waitpid", recording_waitpid)
+    t0 = time.monotonic()
+    with pytest.raises(KeyboardInterrupt):
+        run_ensemble(_small_config(n_replicas=6), [5e-3])
+    assert time.monotonic() - t0 < 30
+    assert len(statuses) == 2
+    assert all(os.WIFSIGNALED(s) and os.WTERMSIG(s) == signal.SIGKILL for s in statuses)
+    _assert_no_child_left()
 
 
 # ---------------------------------------------------------------------------
