@@ -23,29 +23,37 @@ config, is a nonnegative integer in every command.  A user error (a bad or missi
 value, an input the package rejects, a file that cannot be read or written, a
 solve over its memory budget or an allocation the machine cannot meet, a
 density driven negative) exits 2 with one line on stderr; exit 1 is left to
-the rates and bounds gates.
+the rates and bounds gates.  An interrupt, SIGINT or SIGTERM, exits 128 plus
+the signal's number with one line on stderr.
 
-Process policy: this module owns the process when it is imported before
-numpy, as by `python -m pchaos.cli` or the `pchaos` script.  It then sets
-two things that a process which has already loaded numpy (a library caller,
-the test suite) keeps as it has them:
+Process policy: while a command runs, main() turns SIGTERM into the
+interrupt path (KeyboardInterrupt) and restores the previous handler when it
+returns.  So a terminated command kills and reaps the children it forked
+(particles._Shares, where simulate's replica shares and the rate driver's
+shares and chain-moment table run), and `rates` records its run as failed
+with the rows of every finished N.  Each such child also dies with its
+parent, so a SIGKILLed command leaves no child either.
+
+This module also owns the process when it is imported before numpy, as by
+`python -m pchaos.cli` or the `pchaos` script.  It then sets two things
+that a process which has already loaded numpy (a library caller, the test
+suite) keeps as it has them:
 
 - BLAS runs on the calling thread.  Every product in the package is sized for
   one thread (see operators._EntrySolver), so numpy's OpenBLAS worker pool
   only costs: the pool starts when numpy loads, spins ~0.1 CPU-s before it
-  first sleeps, and in the rates pool's workers and simulate's replica
-  shares (both forked from this process) its threads compete with the other
-  processes for the same cores.  So OPENBLAS_NUM_THREADS defaults to 1
-  before numpy loads, the only time OpenBLAS reads it; a value the user set
-  is kept.
+  first sleeps, and in the children forked from this process its threads
+  compete with the other processes for the same cores.  So
+  OPENBLAS_NUM_THREADS defaults to 1 before numpy loads, the only time
+  OpenBLAS reads it; a value the user set is kept.
 - The collector leaves alone what the imports made.  Those ~23k objects
   live until exit, so after its imports this module calls gc.freeze(), which
   moves them out of the collected generations.  Every full collection, the
   ones the interpreter runs at exit included (~7 ms apiece over the imports
   alone), then walks only what the command made.  Objects made after the
-  freeze are collected as before.  The rates pool's workers and simulate's
-  forked replica shares (particles.run_ensemble) start from that frozen
-  heap, so no collection in them walks, and so copies, the imports' pages.
+  freeze are collected as before.  The forked children start from that
+  frozen heap, so no collection in them walks, and so copies, the imports'
+  pages.
 """
 
 from __future__ import annotations
@@ -55,7 +63,9 @@ import hashlib
 import math
 import os
 import re
+import signal
 import sys
+import threading
 from pathlib import Path
 
 _OWNS_PROCESS = "numpy" not in sys.modules
@@ -379,8 +389,16 @@ def _parse(argv) -> tuple:
     return command, values["--config"], values["--out"], values.get("--seed")
 
 
+def _interrupt(signum, frame):
+    raise KeyboardInterrupt(signal.Signals(signum).name)
+
+
 def main(argv=None) -> int:
     command, config, out, seed = _parse(sys.argv[1:] if argv is None else argv)
+    # SIGTERM takes the interrupt path while the command runs (see the module
+    # docstring); only the main thread may set a handler
+    main_thread = threading.current_thread() is threading.main_thread()
+    previous = signal.signal(signal.SIGTERM, _interrupt) if main_thread else None
     try:
         cfg = load_config(config)
         seed = _seed(cfg, seed)
@@ -390,6 +408,13 @@ def main(argv=None) -> int:
     except (OSError, ValueError, MemoryError, NegativeDensityError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except KeyboardInterrupt as exc:
+        name = exc.args[0] if exc.args == ("SIGTERM",) else "SIGINT"
+        print(f"error: interrupted by {name}", file=sys.stderr)
+        return 128 + signal.Signals[name]
+    finally:
+        if main_thread:
+            signal.signal(signal.SIGTERM, signal.SIG_DFL if previous is None else previous)
 
 
 if __name__ == "__main__":

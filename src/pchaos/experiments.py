@@ -36,20 +36,21 @@ coefficients, so the drift, its Jacobian and the leave-one-out forcing each
 cost one product per trigonometric value (see _companion_terms).  The
 chain-moment table steps the chain's spectrum, band-limited by the heat
 factor, so it costs O(M L) per step for M cells and L modes.
-run_rate_experiment runs every task on one process pool of
-min(workers, usable CPUs) processes, one worker included (usable CPUs are
-those of the process's affinity mask, particles._usable_cpus, which sizes
-run_ensemble's shares too): the pool builds the
-chain-moment table while the main process solves the hierarchy, then takes
-every N's replica chunks, all submitted up front.  Each worker runs BLAS on
-its own thread under the CLI's thread policy (see pchaos.cli), and the
-chain-moment table sums its spectrum with einsum rather than a BLAS product,
-so a library caller whose OpenBLAS keeps its worker pool does not
-oversubscribe the rate pool either.
-A chunk holds about _CHUNK_PARTICLES particles (the one block-size constant
-of both ensemble commands, kept in particles) and each N gets a multiple
-of workers chunks.  Results are consumed in N order, so rows are built and
-a failure is flushed per N.
+run_rate_experiment forks through particles._Shares, the package's one
+fork helper, on min(workers, usable CPUs) CPUs (usable CPUs are those of
+the process's affinity mask, particles._usable_cpus, which sizes
+run_ensemble's shares too).  With two or more, one child builds the
+chain-moment table while this process solves the hierarchy.  Then each N's
+replicas are cut into P = min(workers, particles._share_count) contiguous
+shares, and each share steps its replicas in blocks of about
+_CHUNK_PARTICLES particles (the one block-size constant of both ensemble
+commands, kept in particles) and writes its rows of the N's fixed-shape
+outputs (diffs, plains, pairs, final positions) into one shared mapping.
+The N values run in increasing order, and N's rows are built while the
+next N's shares run, so a failure or an interrupt keeps every finished N's
+rows.  A share runs no BLAS product (the chain-moment table sums its
+spectrum with einsum rather than a BLAS product), so a library caller
+whose OpenBLAS keeps its worker pool does not oversubscribe the shares.
 
 Pair cumulants are estimated within replicas over all ordered distinct pairs
 with the exact between-replica mean-covariance correction, for both coupled
@@ -74,7 +75,6 @@ the manifest records the config hash and seed next to the CSV.
 from __future__ import annotations
 
 import math
-from functools import partial
 from pathlib import Path
 from typing import NamedTuple
 
@@ -97,6 +97,8 @@ from .particles import (
     _mode_terms,
     _replica_ranges,
     _replica_steps,
+    _share_count,
+    _Shares,
     _usable_cpus,
     em_step,
     extract_marginal_samples,
@@ -262,7 +264,7 @@ def fit_rate(points) -> RateFit:
 
 
 # ---------------------------------------------------------------------------
-# the coupled simulation worker (top level so it pickles)
+# the coupled simulation worker
 
 
 def _phi_values(kind: str, mode: int, x: np.ndarray) -> np.ndarray:
@@ -435,13 +437,14 @@ def _rate_worker(cfg: SimConfig, r0, r1, Cdt, Sdt, primary: int):
     return diffs, plains, pairs, x
 
 
-def _chunks(replicas: int, N: int, workers: int) -> list:
-    """Replica ranges of one N for the worker pool, in order.
+def _chunks(replicas: int, N: int, shares: int) -> list:
+    """Replica blocks of one N for the given number of shares, in order.
 
     Each holds about _CHUNK_PARTICLES particles (replicas x N), and their
-    count is a multiple of workers, so every worker gets the same share.
+    count is a multiple of shares (unless every block is one replica), so
+    every share steps the same number of blocks.
     """
-    n = min(replicas, workers * max(1, round(replicas * N / (_CHUNK_PARTICLES * workers))))
+    n = min(replicas, shares * max(1, round(replicas * N / (_CHUNK_PARTICLES * shares))))
     return _replica_ranges(replicas, n)
 
 
@@ -457,7 +460,7 @@ class RateResult(NamedTuple):
 
 
 class _RatePlan(NamedTuple):
-    """Solved predictions and exact moment tables shared by every worker."""
+    """Solved predictions and exact moment tables shared by every share."""
 
     rho: GridField
     per_phi: dict
@@ -467,11 +470,12 @@ class _RatePlan(NamedTuple):
     sample_density: GridField
 
 
-def _predictions(ecfg: ExperimentConfig, kernel: KernelSpec, pool) -> _RatePlan:
+def _predictions(ecfg: ExperimentConfig, kernel: KernelSpec, workers: int) -> _RatePlan:
     """Mean-field solve and first-order correction functionals for the panel.
 
-    The process pool builds the chain-moment table while this process solves
-    the hierarchy; the band is checked before the pool gets work.
+    With two workers or more, a forked child builds the chain-moment table
+    while this process solves the hierarchy; the band is checked before
+    the child is forked.
     """
     sample_density = fourier_field(TorusGrid(ecfg.sample_grid), ecfg.density_cos,
                                    ecfg.density_sin)
@@ -479,9 +483,16 @@ def _predictions(ecfg: ExperimentConfig, kernel: KernelSpec, pool) -> _RatePlan:
     density = fourier_field(grid, ecfg.density_cos, ecfg.density_sin)
     kernel._check_band(grid.M)
     n_steps = step_count(ecfg.T, ecfg.dt)
-    chain = pool.submit(_chain_moments, kernel, sample_density, ecfg.dt, n_steps)
-    # only the final time is read, so only t = 0 and T are stored
-    gt = solve_g_hierarchy(1, density, kernel, TimeGrid(ecfg.dt, n_steps, n_steps))
+    shape = (n_steps + 1, max(len(kernel.k_cos), 1))  # _chain_moments' tables
+
+    def chain(share, out):
+        out[0][:], out[1][:] = _chain_moments(kernel, sample_density, ecfg.dt, n_steps)
+
+    with _Shares(chain, [(0, n_steps + 1)], [shape, shape], what="chain-moment steps",
+                 fork=workers > 1) as table:
+        # only the final time is read, so only t = 0 and T are stored
+        gt = solve_g_hierarchy(1, density, kernel, TimeGrid(ecfg.dt, n_steps, n_steps))
+        Cdt, Sdt = table.join()
     rho = gt.field(0, 1, 1)
     fields = gt.fields_at(1)
     h = grid.h
@@ -496,66 +507,67 @@ def _predictions(ecfg: ExperimentConfig, kernel: KernelSpec, pool) -> _RatePlan:
         }
     chi_pred = {j: weighted_l2_error(GridField(grid, j, assemble_correction(1, j, fields)), rho)
                 for j in (1, 2)}
-    Cdt, Sdt = chain.result()
     return _RatePlan(rho, per_phi, chi_pred, Cdt, Sdt, sample_density)
+
+
+def _rate_shares(ecfg: ExperimentConfig, plan: _RatePlan, N: int, workers: int,
+                 primary: int) -> _Shares:
+    """Start N's coupled replicas: P = min(workers, particles._share_count)
+    shares of whole _chunks blocks, each block one _rate_worker call, whose
+    diffs, plains, pairs (R, 4 each) and final positions x (R, N) fill the
+    shares' outputs."""
+    sim = SimConfig(N=N, dt=ecfg.dt, T=ecfg.T, n_replicas=ecfg.replicas, base_seed=ecfg.seed,
+                    kernel=ecfg.kernel, initial_density=plan.sample_density)
+    R = ecfg.replicas
+    P = min(workers, _share_count(R, N))
+    blocks = _chunks(R, N, P)
+    n = len(blocks)
+    shares = [(blocks[i * n // P][0], blocks[(i + 1) * n // P - 1][1]) for i in range(P)]
+
+    def work(share, out):
+        for r0, r1 in blocks:
+            if share[0] <= r0 < share[1]:
+                for rows, block in zip(out, _rate_worker(sim, r0, r1, plan.Cdt, plan.Sdt, primary)):
+                    rows[r0:r1] = block
+
+    panel = len(_PHI_PANEL)
+    return _Shares(work, shares, [(R, panel), (R, panel), (R, 4), (R, N)])
 
 
 def run_rate_experiment(ecfg: ExperimentConfig) -> RateResult:
     """Simulate, estimate observable biases and pair cumulants per N, fit rates.
 
     Persists rates.csv (header N,j,i,t,observable,estimate,prediction,se) and
-    manifest.json into the output directory; partial results are flushed with
-    a failure note if a stage dies.
+    manifest.json into the output directory.  If anything fails or an
+    interrupt comes first, the rows of every finished N are written and the
+    manifest's status is "failed: " and the exception, and every child is
+    killed and reaped before the exception goes on.
     """
     out = Path(ecfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     hashed = ecfg.canonical_text()
-    # imported here: only this command needs multiprocessing and what it loads
-    from concurrent.futures import ProcessPoolExecutor
-
-    # numpy loads numpy.random at its first use.  The workers draw from it and
-    # this process bootstraps with it, so it is loaded once, here, before the
-    # pool forks, not again in every worker.
-    import numpy.random  # noqa: F401
-
-    # the pool forks every worker at its first task, so it is sized to the CPUs
-    # this process may run on: more workers would time-share them
+    # children are forked on the CPUs this process may run on: more would
+    # time-share them
     workers = min(ecfg.workers, _usable_cpus())
-    pool = ProcessPoolExecutor(max_workers=workers)
-    try:
-        return _run_rates(ecfg, hashed, pool, workers)
-    finally:
-        pool.shutdown(cancel_futures=True)
-
-
-def _run_rates(ecfg: ExperimentConfig, hashed: str, pool, workers: int) -> RateResult:
-    """run_rate_experiment on the given process pool of workers; hashed is the
-    manifest's hash text."""
-    plan = _predictions(ecfg, ecfg.kernel, pool)
-    per_phi, chi_pred, rho = plan.per_phi, plan.chi_pred, plan.rho
-
-    # the primary observable is fixed from the solved correction, not the data
-    primary = max(per_phi, key=lambda k: abs(per_phi[k]["bias"]))
-    primary_idx = [p[0] for p in _PHI_PANEL].index(primary)
-
     rows = []
     ratios = {}
     pair_points = []
     bias_points = []
     failure = None
+    running = None
     try:
-        work = partial(_rate_worker, Cdt=plan.Cdt, Sdt=plan.Sdt, primary=primary_idx)
-        futures = {}
-        for N in sorted(ecfg.N_list):
-            sim = SimConfig(N=N, dt=ecfg.dt, T=ecfg.T, n_replicas=ecfg.replicas,
-                            base_seed=ecfg.seed, kernel=ecfg.kernel,
-                            initial_density=plan.sample_density)
-            futures[N] = [pool.submit(work, sim, r0, r1)
-                          for r0, r1 in _chunks(ecfg.replicas, N, workers)]
-        for N, chunks in futures.items():
-            diffs, plains, pairs, xs = (
-                np.concatenate(arrays) for arrays in zip(*(f.result() for f in chunks))
-            )
+        plan = _predictions(ecfg, ecfg.kernel, workers)
+        per_phi, chi_pred, rho = plan.per_phi, plan.chi_pred, plan.rho
+        # the primary observable is fixed from the solved correction, not the data
+        primary = max(per_phi, key=lambda k: abs(per_phi[k]["bias"]))
+        primary_idx = [p[0] for p in _PHI_PANEL].index(primary)
+        N_list = sorted(ecfg.N_list)
+        running = _rate_shares(ecfg, plan, N_list[0], workers, primary_idx)
+        for k, N in enumerate(N_list):
+            diffs, plains, pairs, xs = running.join()
+            # the next N's shares run while this N's rows are built
+            running = (_rate_shares(ecfg, plan, N_list[k + 1], workers, primary_idx)
+                       if k + 1 < len(N_list) else None)
             R = diffs.shape[0]
 
             for p, (name, _, _) in enumerate(_PHI_PANEL):
@@ -596,6 +608,8 @@ def _run_rates(ecfg: ExperimentConfig, hashed: str, pool, workers: int) -> RateR
         failure = type(exc).__name__ + (f": {exc}" if str(exc) else "")
         raise
     finally:
+        if running is not None:
+            running.close()
         csv_path, manifest_path = _persist_rates(ecfg, hashed, rows, failure)
     return RateResult(rows, primary, fits, ratios, str(csv_path), str(manifest_path))
 

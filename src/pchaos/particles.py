@@ -23,14 +23,16 @@ coordinate axis of length 1: positions are (N, 1) per system and snapshots
 
 That contract is what lets run_ensemble split its replicas into P contiguous
 shares and step them on P CPUs at once with byte-identical snapshots for
-every P.  P follows the rate pool's chunk rule, capped by the CPUs this
+every P.  P follows the rate driver's chunk rule, capped by the CPUs this
 process may run on and by the replicas: P = min(usable CPUs, R, max(1,
 round(R N / _CHUNK_PARTICLES))), so a block of fewer than 1.5
-_CHUNK_PARTICLES particles stays in one process.  Share 0 steps in the
-calling process; on Linux every other share steps in a child made by
-os.fork(), which writes its rows into one anonymous shared mapping and
-leaves by os._exit.  Elsewhere P = 1.  A share steps no BLAS product, so a
-parent that runs OpenBLAS threads forks children that need none.
+_CHUNK_PARTICLES particles stays in one process.  The shares run under
+_Shares, the one place the package forks, which the rate driver uses too:
+on Linux each of two or more shares steps in its own forked child, which
+writes its rows into one anonymous shared mapping and dies with its parent.
+One share, and every share elsewhere, steps in the calling process.  A
+share steps no BLAS product, so a parent that runs OpenBLAS threads forks
+children that need none.
 
 The pairwise drift sum costs O(N^2); for the translation-invariant kernel
 part a mode-summation fast path costs O(N * modes) and agrees with the direct
@@ -51,8 +53,10 @@ memory stays O(N^2).
 from __future__ import annotations
 
 import builtins
+import ctypes
 import math
 import os
+import signal
 import struct
 import sys
 from typing import NamedTuple
@@ -76,11 +80,12 @@ _RAW_MAGIC = b"PCEN"
 _RAW_VERSION = 1
 _RAW_HEADER = struct.Struct("<4sIIIII8x")  # magic, version, N, d (always 1), replicas, times
 _NOISE_BLOCK_BYTES = 1 << 20  # noise _replica_steps draws ahead, all replicas together
-# particles (replicas x N) in one block of an ensemble command, a rate pool
-# task or a run_ensemble share: enough to amortize each step's per-call
-# overhead, few enough that the step's arrays stay in cache
+# particles (replicas x N) in one block of an ensemble command, a rate
+# share's block or a run_ensemble share: enough to amortize each step's
+# per-call overhead, few enough that the step's arrays stay in cache
 _CHUNK_PARTICLES = 6000
 _REPORT_BYTES = 4096  # a failed share's report: at most PIPE_BUF, so one write never blocks
+_PR_SET_PDEATHSIG = 1  # Linux prctl option: the signal a child gets when its parent ends
 
 
 class SimConfig:
@@ -400,8 +405,6 @@ def _replica_ranges(replicas: int, n: int) -> list:
 
 def _share_count(replicas: int, N: int) -> int:
     """How many shares run_ensemble steps at once (see the module docstring)."""
-    if not sys.platform.startswith("linux"):
-        return 1
     return min(_usable_cpus(), replicas, max(1, round(replicas * N / _CHUNK_PARTICLES)))
 
 
@@ -413,19 +416,123 @@ def _record(cfg: SimConfig, r0: int, r1: int, steps: np.ndarray, out: np.ndarray
         rows[:, steps == n] = x[:, None, :, None]
 
 
-def _record_share_and_exit(cfg: SimConfig, r0: int, r1: int, steps: np.ndarray,
-                           out: np.ndarray, report_fd: int):
-    """The whole life of a forked share: _record, then os._exit, never a return.
+class _Shares:
+    """One job cut into shares, each run in a forked child: the only place
+    the package forks.
 
-    A failure is written to report_fd as its type's name and message and the
-    exit code is 1.  os._exit runs no exit handler and flushes no buffer the
-    parent also holds.
+    work(share, out) runs once per share, a (start, stop) range.  out is a
+    tuple of float arrays of the given shapes, all views of one block (an
+    anonymous shared mapping when children write it), and each share writes
+    its own rows of them.  On Linux, with two shares or more, or with fork
+    true, one child per share is forked here, so the caller can do its own
+    work before join().  Otherwise nothing is forked, and join() runs each
+    share in this process, in order.
+
+    A child first asks to be SIGKILLed when this process ends
+    (prctl(PR_SET_PDEATHSIG) through ctypes, which numpy has loaded), and
+    leaves at once if this process has ended before that.  It then runs its
+    share and leaves by os._exit, which runs no exit handler and flushes no
+    buffer this process also holds; a failure is written to a pipe as its
+    type's name and message (see _share_failure) and the exit code is 1.
+    SIGINT and SIGTERM are blocked across each fork, so neither can raise in
+    a child before it is inside its own handler, nor between a fork and
+    this process recording the child.  numpy.random, which every share of
+    both ensemble commands draws from, is loaded before the first fork, so
+    no child loads it again.
+
+    join() waits for the children in share order and raises the failure of
+    the first that failed, as its own type where that is a built-in.  Every
+    child is reaped on every path: close(), which join() and the end of a
+    with block call, SIGKILLs and reaps each child not yet reaped, so a
+    failed share, or an exception or interrupt (the CLI turns SIGTERM into
+    one) in the caller or in join(), leaves no child behind.
     """
+
+    def __init__(self, work, shares: list, shapes, what: str = "replicas", fork: bool = False):
+        import mmap
+
+        forks = (fork or len(shares) > 1) and sys.platform.startswith("linux")
+        sizes = [math.prod(shape) for shape in shapes]
+        flat = (np.frombuffer(mmap.mmap(-1, 8 * max(1, sum(sizes))), dtype=float) if forks
+                else np.empty(sum(sizes)))
+        edges = np.cumsum([0, *sizes])
+        self.out = tuple(flat[a:b].reshape(shape) for a, b, shape in zip(edges, edges[1:], shapes))
+        self._work, self._what = work, what
+        self._inline, self._children = [], {}  # pid -> (read end of its report pipe, its share)
+        if not forks:
+            self._inline = list(shares)
+            return
+        import numpy.random  # noqa: F401
+
+        prctl = ctypes.CDLL(None, use_errno=True).prctl
+        prctl.argtypes, prctl.restype = (ctypes.c_int, ctypes.c_ulong), ctypes.c_int
+        parent = os.getpid()
+        stops = {signal.SIGINT, signal.SIGTERM}
+        try:
+            for share in shares:
+                read_fd, write_fd = os.pipe()
+                mask = signal.pthread_sigmask(signal.SIG_BLOCK, stops)
+                try:
+                    pid = os.fork()
+                    if pid == 0:
+                        _run_share_and_exit(work, share, self.out, write_fd, parent, prctl, mask)
+                    self._children[pid] = (read_fd, share)
+                except BaseException:
+                    os.close(read_fd)
+                    raise
+                finally:
+                    os.close(write_fd)
+                    signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+        except BaseException:
+            self.close()
+            raise
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.close()
+
+    def join(self) -> tuple:
+        """Run the shares left to this process, wait for every child, and
+        return out; raise the first failure by share order (see the class)."""
+        try:
+            while self._inline:
+                self._work(self._inline.pop(0), self.out)
+            for pid, (read_fd, share) in list(self._children.items()):
+                status = os.waitpid(pid, 0)[1]
+                del self._children[pid]
+                with os.fdopen(read_fd, "rb") as fh:
+                    report = fh.read()
+                if status:
+                    raise _share_failure(report, status, self._what, *share)
+        finally:
+            self.close()
+        return self.out
+
+    def close(self) -> None:
+        """SIGKILL and reap every child not yet reaped."""
+        while self._children:
+            pid, (read_fd, _) = self._children.popitem()
+            os.close(read_fd)
+            try:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+            except (ProcessLookupError, ChildProcessError):  # reaped before an interrupt
+                pass
+
+
+def _run_share_and_exit(work, share, out, report_fd: int, parent: int, prctl, mask):
+    """The whole life of a forked share (see _Shares): never a return."""
     code = 1
     try:
         try:
-            _record(cfg, r0, r1, steps, out)
-            code = 0
+            if prctl(_PR_SET_PDEATHSIG, signal.SIGKILL) != 0:
+                raise OSError(ctypes.get_errno(), "prctl(PR_SET_PDEATHSIG) failed")
+            signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+            if os.getppid() == parent:
+                work(share, out)
+                code = 0
         except BaseException as exc:  # an interrupt too: the parent re-raises it
             report = f"{type(exc).__name__}\n{exc}".encode("utf-8", "replace")
             os.write(report_fd, report[:_REPORT_BYTES])
@@ -433,69 +540,19 @@ def _record_share_and_exit(cfg: SimConfig, r0: int, r1: int, steps: np.ndarray,
         os._exit(code)
 
 
-def _share_failure(report: bytes, status: int, r0: int, r1: int) -> BaseException:
+def _share_failure(report: bytes, status: int, what: str, r0: int, r1: int) -> BaseException:
     """The exception a failed share ended with, rebuilt from its report: a
     built-in type with its message, another type's name and message as a
     RuntimeError, and no report (the child was killed) a ChildProcessError."""
     if not report:
         code = os.waitstatus_to_exitcode(status)
-        return ChildProcessError(f"the process stepping replicas {r0} to {r1 - 1} "
+        return ChildProcessError(f"the process stepping {what} {r0} to {r1 - 1} "
                                  f"ended with exit code {code}")
     name, _, message = report.decode("utf-8", "replace").partition("\n")
     cls = getattr(builtins, name, None)
     if not (isinstance(cls, type) and issubclass(cls, BaseException)):
         cls, message = RuntimeError, f"{name}: {message}"
     return cls(message) if message else cls()
-
-
-def _record_forked(cfg: SimConfig, shares: list, steps: np.ndarray, shape: tuple) -> np.ndarray:
-    """_record over every share, share 0 in this process and each other in a
-    forked child, into one anonymous shared mapping of the given shape.
-
-    Every child is reaped on every path.  After this process's own share, it
-    waits for each child in share order, and if any failed it raises the
-    first failure by share order.  If anything raises first (its own share,
-    an interrupt), the children left are killed (SIGKILL) and reaped before
-    the exception goes on.
-    """
-    import mmap
-    import signal
-
-    out = np.frombuffer(mmap.mmap(-1, 8 * math.prod(shape)), dtype=float).reshape(shape)
-    children = {}  # pid -> (read end of its report pipe, its share)
-    try:
-        for r0, r1 in shares[1:]:
-            read_fd, write_fd = os.pipe()
-            try:
-                pid = os.fork()
-            except OSError:
-                os.close(read_fd)
-                os.close(write_fd)
-                raise
-            if pid == 0:
-                _record_share_and_exit(cfg, r0, r1, steps, out, write_fd)
-            os.close(write_fd)
-            children[pid] = (read_fd, (r0, r1))
-        _record(cfg, *shares[0], steps, out)
-        failure = None
-        for pid in list(children):
-            status = os.waitpid(pid, 0)[1]
-            read_fd, share = children.pop(pid)
-            with os.fdopen(read_fd, "rb") as fh:
-                report = fh.read()
-            if status and failure is None:
-                failure = _share_failure(report, status, *share)
-        if failure is not None:
-            raise failure
-    finally:
-        for pid, (read_fd, _) in children.items():
-            try:
-                os.kill(pid, signal.SIGKILL)
-            except ProcessLookupError:
-                pass
-            os.waitpid(pid, 0)
-            os.close(read_fd)
-    return out
 
 
 def run_ensemble(cfg: SimConfig, output_times) -> SnapshotSet:
@@ -506,7 +563,7 @@ def run_ensemble(cfg: SimConfig, output_times) -> SnapshotSet:
     one per CPU the block is large enough to use (see the module docstring);
     the result is a deterministic function of the configuration, whatever
     the number of shares.  A share that fails raises its exception's type
-    and message here, after every share's process has ended.
+    and message here, after every share's process has ended (_Shares.join).
     """
     output_times = np.asarray(output_times, dtype=float)
     if output_times.ndim != 1 or len(output_times) == 0:
@@ -521,13 +578,10 @@ def run_ensemble(cfg: SimConfig, output_times) -> SnapshotSet:
         raise ValueError("output times must be multiples of dt") from None
 
     R = cfg.n_replicas
-    shape = (R, len(output_times), cfg.N, 1)
     shares = _replica_ranges(R, _share_count(R, cfg.N))
-    if len(shares) > 1:
-        return SnapshotSet(output_times, _record_forked(cfg, shares, steps, shape))
-    out = np.empty(shape)
-    _record(cfg, 0, R, steps, out)
-    return SnapshotSet(output_times, out)
+    positions, = _Shares(lambda share, out: _record(cfg, *share, steps, out[0]), shares,
+                         [(R, len(output_times), cfg.N, 1)]).join()
+    return SnapshotSet(output_times, positions)
 
 
 def extract_marginal_samples(

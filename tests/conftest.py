@@ -1,5 +1,5 @@
 """Shared fixtures: repository paths, the stock interaction kernel, a fresh interpreter,
-and a guard against child processes a test leaves behind."""
+a guard against child processes a test leaves behind, and the processes of one CLI run."""
 import os
 import signal
 import subprocess
@@ -39,8 +39,9 @@ def fresh_python(*args, cwd=None, rc=0, **env) -> str:
 @pytest.fixture(autouse=True)
 def no_child_process_left():
     """Fail a test that leaves a child process unreaped: one still running, or
-    ended and never waited for.  run_ensemble's forked shares and the rates
-    pool must reap every child on every path, a failure included."""
+    ended and never waited for.  particles._Shares, which forks for
+    run_ensemble and the rate driver, must reap every child on every path, a
+    failure included."""
     yield
     try:
         pid, _ = os.waitpid(-1, os.WNOHANG)
@@ -53,6 +54,31 @@ def no_child_process_left():
                 os.waitpid(child, 0)
     pytest.fail(f"the test left child process {pid} unreaped" if pid
                 else "the test left a child process running")
+
+
+def run_processes(config) -> list:
+    """PIDs of the live processes of one CLI run, found by its config path.
+
+    A process is listed when one argument of its /proc/PID/cmdline is the
+    path: a forked child keeps its parent's argv, so this finds the run's
+    children as well as the run, wherever they were reparented.  A process
+    that has ended but was not reaped has an empty cmdline and is not
+    listed.  It only reads /proc, and skips the test off Linux.
+    """
+    if not sys.platform.startswith("linux"):
+        pytest.skip("processes are found through /proc/PID/cmdline")
+    want = str(config).encode()
+    pids = []
+    for entry in Path("/proc").iterdir():
+        if not entry.name.isdigit():
+            continue
+        try:
+            args = (entry / "cmdline").read_bytes().split(b"\0")
+        except OSError:  # ended while listed
+            continue
+        if want in args:
+            pids.append(int(entry.name))
+    return pids
 
 
 # run_ensemble forks its replica shares on Linux only

@@ -11,13 +11,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pchaos import cli, particles
+from pchaos import cli, experiments, particles
 from pchaos.cli import main
 from pchaos.core import KernelSpec
 from pchaos.particles import SnapshotSet
 from pchaos.pde import GTable
 
-from conftest import KERNEL_PATH, REPO_ROOT, force_shares, forks_shares, fresh_python
+from conftest import (KERNEL_PATH, REPO_ROOT, force_shares, forks_shares, fresh_python,
+                      run_processes)
 
 
 def _write_cfg(tmp_path, name, text):
@@ -357,8 +358,8 @@ def test_shipped_simulate_solve_metrics_chain(tmp_path, monkeypatch, capsys):
 
 
 def test_cli_import_leaves_out_what_start_up_does_not_need():
-    # mpmath, scipy.special and the rates pool's multiprocessing are imported
-    # where they are used, not at start-up, numpy.polynomial nowhere, no
+    # mpmath and scipy.special are imported where they are used, not at
+    # start-up, numpy.polynomial and multiprocessing nowhere, no
     # record class is generated (by dataclasses' exec), and the command line
     # is read without argparse and the gettext it loads
     mods = ("scipy.integrate", "mpmath", "scipy.special", "multiprocessing", "numpy.polynomial",
@@ -500,7 +501,7 @@ def test_simulate_in_two_shares_writes_the_same_snapshots(tmp_path, monkeypatch)
     assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "one")]) == 0
     forked = force_shares(monkeypatch, 2)
     assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "two")]) == 0
-    assert len(forked) == 1
+    assert len(forked) == 2
     assert ((tmp_path / "two" / "snapshots.raw").read_bytes()
             == (tmp_path / "one" / "snapshots.raw").read_bytes())
 
@@ -553,6 +554,148 @@ def test_an_interrupted_simulate_leaves_no_child(tmp_path):
     assert proc.returncode != 0
     assert not [pid for pid in children if Path(f"/proc/{pid}").exists()]
     assert not (tmp_path / "o" / "snapshots.raw").exists()
+
+
+def _rates_cfg(tmp_path):
+    return _write_cfg(
+        tmp_path, "rates.cfg",
+        f"kernel = {KERNEL_PATH}\n"
+        "density_cos = 1.0, 0.5\n"
+        "N = 4, 6, 8\n"
+        "T = 2e-3\n"
+        "replicas = 100\n"
+        "grid = 32\n"
+        "sample_grid = 64\n"
+        "bins = 8\n"
+        "workers = 2\n",
+    )
+
+
+@forks_shares
+def test_rates_and_simulate_fork_without_a_process_pool(tmp_path):
+    # both commands fork through particles._Shares alone: a rates run on two
+    # CPUs (the chain table, then two shares per N) and a simulate in two
+    # shares load neither concurrent.futures nor multiprocessing
+    code = (
+        "import os, sys\n"
+        "from pchaos import cli, experiments, particles\n"
+        "experiments._usable_cpus = particles._usable_cpus = lambda: 2\n"
+        "particles._CHUNK_PARTICLES = 1\n"
+        "forks, fork = [], os.fork\n"
+        "def counted():\n"
+        "    forks.append(None)\n"
+        "    return fork()\n"
+        "os.fork = counted\n"
+        f"assert cli.main(['rates', '--config', {_rates_cfg(tmp_path)!r}, "
+        f"'--out', {str(tmp_path / 'r')!r}]) in (0, 1)\n"
+        f"assert cli.main(['simulate', '--config', {_sim_cfg(tmp_path)!r}, "
+        f"'--out', {str(tmp_path / 's')!r}]) == 0\n"
+        "pools = ('concurrent.futures', 'multiprocessing')\n"
+        "print(len(forks), [m for m in pools if m in sys.modules])\n"
+    )
+    assert fresh_python("-c", code).splitlines()[-1] == "9 []"
+
+
+@forks_shares
+def test_sigterm_at_the_second_n_keeps_the_first_n_rows(tmp_path, monkeypatch, capsys):
+    # main() turns SIGTERM into an interrupt while the command runs: a rates
+    # run terminated at its second N kills and reaps the third N's shares,
+    # records itself as failed with the first N's rows, and main() exits
+    # 128 + SIGTERM with one line and puts back the handler it found
+    force_shares(monkeypatch, 2)
+    monkeypatch.setattr(experiments, "_usable_cpus", lambda: 2)
+    real, calls = experiments.paired_pair_cumulant_difference, []
+
+    def terminated_at_second_n(*args):
+        calls.append(None)
+        if len(calls) == 2:
+            os.kill(os.getpid(), signal.SIGTERM)
+        return real(*args)
+
+    monkeypatch.setattr(experiments, "paired_pair_cumulant_difference", terminated_at_second_n)
+    previous = signal.getsignal(signal.SIGTERM)
+    out = tmp_path / "o"
+    assert main(["rates", "--config", _rates_cfg(tmp_path), "--out", str(out)]) == 143
+    assert signal.getsignal(signal.SIGTERM) is previous
+    assert capsys.readouterr().err == "error: interrupted by SIGTERM\n"
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["status"] == "failed: KeyboardInterrupt: SIGTERM"
+    per_n = {}
+    for line in (out / "rates.csv").read_text().splitlines()[1:]:
+        per_n.setdefault(int(line.split(",")[0]), []).append(line.split(",")[4])
+    # the first N's 4 observables and their plain rows, its pair row and two
+    # chi2 rows; the second N's rows made before its pair row
+    assert {N: len(names) for N, names in per_n.items()} == {4: 11, 6: 8}
+
+
+# a command in a fresh interpreter that counts two usable CPUs, whatever the
+# machine has, so simulate and rates each fork two shares
+_ON_TWO_CPUS = ("import sys\n"
+                "from pchaos import cli, experiments, particles\n"
+                "experiments._usable_cpus = particles._usable_cpus = lambda: 2\n"
+                "sys.exit(cli.main())\n")
+# runs that step for tens of seconds in two shares
+_LONG_RUNS = {
+    "simulate": "N = 100\ndt = 1e-3\nT = 20\nreplicas = 400\n",
+    "rates": "N = 100, 200, 400\nT = 0.5\nreplicas = 2000\nworkers = 2\n",
+}
+
+
+def _start_long_run(tmp_path, command):
+    """A long run of command, once its two shares run: (process, config path)."""
+    cfg = _write_cfg(tmp_path, f"{command}.cfg", f"kernel = {KERNEL_PATH}\ndensity_cos = 1.0, 0.5\n"
+                     f"sample_grid = 64\n{_LONG_RUNS[command]}")
+    proc = subprocess.Popen([sys.executable, "-c", _ON_TWO_CPUS, command, "--config", cfg,
+                             "--out", str(tmp_path / "o")],
+                            env={**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")},
+                            stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
+    deadline = time.monotonic() + 60
+    while len(run_processes(cfg)) < 3 and proc.poll() is None and time.monotonic() < deadline:
+        time.sleep(0.02)
+    return proc, cfg
+
+
+def _left_running(cfg, seconds: float) -> list:
+    """The processes of the run of cfg still alive after up to seconds of polling."""
+    deadline = time.monotonic() + seconds
+    while (pids := run_processes(cfg)) and time.monotonic() < deadline:
+        time.sleep(0.02)
+    return pids
+
+
+@pytest.mark.parametrize("command", ["simulate", "rates"])
+def test_a_terminated_command_leaves_no_process_and_keeps_its_record(tmp_path, command):
+    proc, cfg = _start_long_run(tmp_path, command)
+    try:
+        assert len(run_processes(cfg)) == 3, f"{command} is not stepping two shares"
+        proc.terminate()
+        _, err = proc.communicate(timeout=60)
+    finally:
+        proc.kill()
+        proc.wait()
+        proc.stderr.close()
+    assert proc.returncode == 128 + signal.SIGTERM
+    assert err == "error: interrupted by SIGTERM\n"
+    assert _left_running(cfg, 2.0) == []
+    if command == "rates":
+        manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())
+        assert manifest["status"].startswith("failed")
+
+
+@pytest.mark.parametrize("command", ["simulate", "rates"])
+def test_a_killed_command_leaves_no_child(tmp_path, command):
+    # every forked child asks to die with its parent, so SIGKILL, which no
+    # handler sees, leaves no child running either
+    proc, cfg = _start_long_run(tmp_path, command)
+    try:
+        assert len(run_processes(cfg)) == 3, f"{command} is not stepping two shares"
+        proc.kill()
+        proc.wait(timeout=60)
+    finally:
+        proc.kill()
+        proc.wait()
+        proc.stderr.close()
+    assert _left_running(cfg, 2.0) == []
 
 
 def test_negative_density_is_a_user_error(tmp_path, capsys):

@@ -1,6 +1,5 @@
 """Rate-experiment driver: config validation, chain moments, fused worker,
 rate fits, persistence, and the bounds lattice report."""
-import concurrent.futures
 import hashlib
 import json
 import math
@@ -16,6 +15,7 @@ from pchaos import experiments, particles
 from pchaos.cli import main
 from pchaos.config import ConfigError, load_config
 from pchaos.core import GridField, KernelSpec, TorusGrid, fourier_field
+from pchaos.pde import TimeGrid, solve_mckean_vlasov
 from pchaos.experiments import (
     _PHI_PANEL,
     _chain_moments,
@@ -229,7 +229,7 @@ def test_chain_moments_leave_scipy_special_unimported():
 
 
 def test_chain_moments_keep_to_one_cpu():
-    # the chain task runs in a rates pool worker beside the others; its
+    # the chain task runs in a forked child beside the hierarchy solve; its
     # (L + 1, M) spectrum sum at the shipped rates shape (34 x 256, complex)
     # woke OpenBLAS's worker threads as a matrix-vector product, ~1.9
     # CPU-seconds per wall-second on two cores under numpy's default
@@ -265,6 +265,24 @@ def test_chain_moments_quadrature_self_convergence(default_kernel):
     assert err_fine < err_coarse / 2
 
 
+def test_chain_richardson_pair_reaches_the_continuum(default_kernel):
+    # the chain's sin1 moment at T = 0.5 misses rho's by Euler's first-order
+    # error (-1.122e-3 at dt = 1e-3), so the pair 2 S(dt/2) - S(dt) of two
+    # chain tables must land within 1e-5 of rho's (measured -3.42e-6), and
+    # the plain table must not; this checks that both tables belong to one
+    # path of step sizes
+    f = fourier_field(TorusGrid(256), [1.0, 0.5])
+    coarse = _chain_moments(default_kernel, f, 1e-3, 500)[1][-1, 1]
+    fine = _chain_moments(default_kernel, f, 5e-4, 1000)[1][-1, 1]
+    g = TorusGrid(64)
+    rho = solve_mckean_vlasov(fourier_field(g, [1.0, 0.5]), default_kernel,
+                              TimeGrid(1e-4, 5000, 5000))
+    sin1 = g.h * float((np.sin(2 * np.pi * g.points) * rho[-1]).sum())
+    assert sin1 == pytest.approx(0.0584208775, abs=1e-10)
+    assert abs(2 * fine - coarse - sin1) <= 1e-5
+    assert not abs(coarse - sin1) <= 1e-5
+
+
 def test_chain_moments_one_step_against_fine_quadrature(default_kernel):
     # independent route: E cos(2 pi m X_1) equals the Gaussian-damped moment
     # of y + dt * drift(y) under the sampler law, by the characteristic
@@ -286,22 +304,15 @@ def test_chain_moments_one_step_against_fine_quadrature(default_kernel):
         assert S[1, m] == pytest.approx(want_s, abs=2e-6)
 
 
-def test_predictions_check_the_band_before_the_pool_gets_work(tmp_path):
+def test_predictions_check_the_band_before_the_pool_gets_work(tmp_path, monkeypatch):
     # a kernel mode past the grid's Nyquist limit is a user error; it must
-    # be raised before the chain moments go to the pool, where a mode that
-    # high takes seconds to tabulate
-    class RecordingPool:
-        def __init__(self):
-            self.submitted = []
-
-        def submit(self, fn, *args):
-            self.submitted.append(fn)
-
+    # be raised before the chain moments go to a forked child, where a mode
+    # that high takes seconds to tabulate
+    calls = _recorded_shares(monkeypatch)
     kernel = KernelSpec.from_tables(b={1: (0.5, 0.0)}, khat={1500: (0.0, 0.25)})
-    pool = RecordingPool()
     with pytest.raises(ValueError, match="Nyquist"):
-        experiments._predictions(_ecfg(tmp_path, workers=2), kernel, pool)
-    assert pool.submitted == []
+        experiments._predictions(_ecfg(tmp_path, workers=2), kernel, 2)
+    assert calls == []
 
 
 # ---------------------------------------------------------------------------
@@ -597,7 +608,8 @@ def test_histogram_cell_cap_checked_per_n_and_j(tmp_path):
 
 
 def test_one_and_two_workers_write_the_same_csv(tmp_path):
-    # one and two pool workers cut N = 60 into 3 and 4 chunks: the same bytes
+    # one worker steps N = 60 in 3 blocks in this process, two in two forked
+    # shares of 2 blocks each: the same bytes
     base = dict(N_list=(40, 60, 80), replicas=300)
     assert [len(experiments._chunks(300, N, 1)) for N in base["N_list"]] == [2, 3, 4]
     assert [len(experiments._chunks(300, N, 2)) for N in base["N_list"]] == [2, 4, 4]
@@ -606,58 +618,56 @@ def test_one_and_two_workers_write_the_same_csv(tmp_path):
     assert Path(one.csv_path).read_bytes() == Path(two.csv_path).read_bytes()
 
 
-def _inline_pool(monkeypatch):
-    """Replace the rate pool by a stub that runs each task inline and starts
-    no process; returns the lists of the pool sizes and tasks it is given."""
-    pools, tasks = [], []
+def _recorded_shares(monkeypatch):
+    """Record every particles._Shares the rate driver starts, as (what,
+    shares, fork); returns the list they go to."""
+    calls = []
 
-    class InlinePool:
-        def __init__(self, max_workers):
-            pools.append(max_workers)
+    class Recorded(particles._Shares):
+        def __init__(self, work, shares, shapes, what="replicas", fork=False):
+            calls.append((what, list(shares), fork))
+            super().__init__(work, shares, shapes, what, fork)
 
-        def submit(self, fn, *args, **kwargs):
-            tasks.append(fn)
-            future = concurrent.futures.Future()
-            future.set_result(fn(*args, **kwargs))
-            return future
-
-        def shutdown(self, cancel_futures=False):
-            pass
-
-    # run_rate_experiment imports the pool class from concurrent.futures when it runs
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
-    return pools, tasks
+    monkeypatch.setattr(experiments, "_Shares", Recorded)
+    return calls
 
 
 @pytest.mark.parametrize("workers", [1, 64])
 def test_rate_pool_is_sized_to_the_machine(tmp_path, monkeypatch, workers):
-    # the pool forks every worker at its first task, so 64 requested workers
-    # on two usable CPUs get a pool of two and chunks for two, and one worker
-    # a pool of one
-    pools, tasks = _inline_pool(monkeypatch)
+    # more processes than usable CPUs would time-share them, so 64 requested
+    # workers on two usable CPUs fork the chain table beside the hierarchy
+    # solve and two shares per N, each of whole _chunks blocks, and one
+    # worker forks nothing
+    calls = _recorded_shares(monkeypatch)
     monkeypatch.setattr(experiments, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(particles, "_usable_cpus", lambda: 2)
     run_rate_experiment(_ecfg(tmp_path, N_list=(40, 60, 80), replicas=300, workers=workers))
     size = min(workers, 2)
-    assert pools == [size]
-    # the chain-moment table, then every N's chunks for the pool's workers
-    assert tasks[0] is _chain_moments
-    assert len(tasks) == 1 + sum(len(experiments._chunks(300, N, size)) for N in (40, 60, 80))
+    # the chain-moment table (T = 2 dt: steps 0 to 2), then every N's shares
+    assert calls[0] == ("chain-moment steps", [(0, 3)], size > 1)
+    assert len(calls) == 1 + 3
+    for (what, shares, fork), N in zip(calls[1:], (40, 60, 80)):
+        starts = [r0 for r0, _ in experiments._chunks(300, N, size)]
+        assert (what, len(shares), fork) == ("replicas", size, False)
+        assert shares[0][0] == 0 and shares[-1][1] == 300
+        assert all(a[1] == b[0] for a, b in zip(shares, shares[1:]))
+        assert all(r0 in starts for r0, _ in shares)
 
 
 def test_one_usable_cpu_gets_one_worker_and_one_share(tmp_path, monkeypatch):
     # under `taskset -c 0` or a one-CPU cpuset the machine still counts two
-    # CPUs but the process may run on one, so two workers or two shares would
-    # time-share it: the rates pool gets one worker and run_ensemble forks none
+    # CPUs but the process may run on one, so two processes would time-share
+    # it: the rate driver and run_ensemble step one share each and fork none
     monkeypatch.setattr(particles.os, "cpu_count", lambda: 2)
     monkeypatch.setattr(particles.os, "sched_getaffinity", lambda pid: {0}, raising=False)
-    pools, _ = _inline_pool(monkeypatch)
-    run_rate_experiment(_ecfg(tmp_path, workers=64))
-    assert pools == [1]
+    calls = _recorded_shares(monkeypatch)
 
     def no_fork():
-        raise AssertionError("run_ensemble forked on one usable CPU")
+        raise AssertionError("forked on one usable CPU")
 
     monkeypatch.setattr(particles.os, "fork", no_fork)
+    run_rate_experiment(_ecfg(tmp_path, workers=64))
+    assert [(len(shares), fork) for _, shares, fork in calls] == [(1, False)] * 4
     # 200 replicas of 64 particles: two shares by the size rule on two CPUs
     cfg = SimConfig(N=64, dt=1e-3, T=2e-3, n_replicas=200, base_seed=3, kernel=RICH_KERNEL,
                     initial_density=fourier_field(TorusGrid(32), [1.0, 0.5]))
@@ -665,24 +675,25 @@ def test_one_usable_cpu_gets_one_worker_and_one_share(tmp_path, monkeypatch):
 
 
 def test_rate_pool_forks_after_numpy_random_is_loaded(tmp_path):
-    # numpy loads numpy.random at its first use; every worker draws from it,
-    # so it is loaded before the pool exists and the workers fork with it.
-    # The stub pool records what is loaded when it is built, then stops the run.
+    # numpy loads numpy.random at its first use; every share draws from it,
+    # so it is loaded before the first fork and the children start with it.
+    # The stub fork records what is loaded at the first fork, then stops the
+    # run.
     code = (
-        "import sys, concurrent.futures\n"
+        "import os, sys\n"
+        "from pchaos import experiments, particles\n"
         "from pchaos.config import load_config\n"
-        "from pchaos.experiments import ExperimentConfig, run_rate_experiment\n"
-        "class Built(Exception): pass\n"
-        "class Pool:\n"
-        "    def __init__(self, max_workers):\n"
-        "        raise Built('numpy.random' in sys.modules)\n"
-        "concurrent.futures.ProcessPoolExecutor = Pool\n"
+        "class Forked(Exception): pass\n"
+        "def fork():\n"
+        "    raise Forked('numpy.random' in sys.modules)\n"
+        "os.fork = fork\n"
+        "experiments._usable_cpus = particles._usable_cpus = lambda: 2\n"
         f"cfg = load_config({str(REPO_ROOT / 'configs' / 'rates.cfg')!r})\n"
-        f"ecfg = ExperimentConfig.from_config(cfg, {str(tmp_path)!r}, 0)\n"
+        f"ecfg = experiments.ExperimentConfig.from_config(cfg, {str(tmp_path)!r}, 0)\n"
         "print('numpy.random' in sys.modules)\n"
         "try:\n"
-        "    run_rate_experiment(ecfg)\n"
-        "except Built as exc:\n"
+        "    experiments.run_rate_experiment(ecfg)\n"
+        "except Forked as exc:\n"
         "    print(exc.args[0])\n"
     )
     assert fresh_python("-c", code, cwd=REPO_ROOT).split() == ["False", "True"]

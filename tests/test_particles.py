@@ -28,7 +28,8 @@ from pchaos.particles import (
 )
 from pchaos.pde import TimeGrid, solve_mckean_vlasov
 
-from conftest import RICH_KERNEL, band_limited_kernels, force_shares, forks_shares
+from conftest import (REPO_ROOT, RICH_KERNEL, band_limited_kernels, force_shares, forks_shares,
+                      fresh_python)
 
 
 # ---------------------------------------------------------------------------
@@ -356,15 +357,15 @@ def _assert_no_child_left():
 @pytest.mark.parametrize("P", [2, 3])
 def test_run_ensemble_shares_are_byte_identical(monkeypatch, P):
     # replica r draws from its own stream, so 7 replicas stepped in 2 or 3
-    # uneven shares, all but the first in forked children, give the bytes of
-    # one process; a share of 1 is the serial path and forks nothing
+    # uneven shares, each in its own forked child, give the bytes of one
+    # process; a share of 1 is the serial path and forks nothing
     cfg = _small_config(n_replicas=7)
     times = [0.0, 2e-3, 2e-3, 5e-3]
     assert particles._share_count(7, cfg.N) == 1
     serial = run_ensemble(cfg, times)
     forked = force_shares(monkeypatch, P)
     split = run_ensemble(cfg, times)
-    assert len(forked) == P - 1
+    assert len(forked) == P
     assert split.positions.tobytes() == serial.positions.tobytes()
     assert np.array_equal(split.times, serial.times)
     _assert_no_child_left()
@@ -380,6 +381,30 @@ def test_share_count_follows_the_chunk_rule(monkeypatch):
     assert particles._share_count(1, 10 ** 6) == 1
     monkeypatch.setattr(particles, "_usable_cpus", lambda: 64)
     assert particles._share_count(1000, 60) == 10
+
+
+@forks_shares
+def test_simulate_forks_after_numpy_random_is_loaded(tmp_path):
+    # every share draws from numpy.random, so it is loaded before the first
+    # fork and the children start with it; the stub fork records what is
+    # loaded then and stops the run
+    code = (
+        "import os, sys\n"
+        "from pchaos import cli, particles\n"
+        "particles._usable_cpus = lambda: 2\n"
+        "particles._CHUNK_PARTICLES = 1\n"  # the shipped config steps in one share otherwise
+        "class Forked(Exception): pass\n"
+        "def fork():\n"
+        "    raise Forked('numpy.random' in sys.modules)\n"
+        "os.fork = fork\n"
+        "print('numpy.random' in sys.modules)\n"
+        "try:\n"
+        "    cli.main(['simulate', '--config', 'configs/simulate.cfg',\n"
+        f"              '--out', {str(tmp_path)!r}])\n"
+        "except Forked as exc:\n"
+        "    print(exc.args[0])\n"
+    )
+    assert fresh_python("-c", code, cwd=REPO_ROOT).split() == ["False", "True"]
 
 
 class _NotBuiltin(Exception):
@@ -413,33 +438,31 @@ def test_a_failed_child_share_raises_in_the_parent(monkeypatch, fail, expected, 
 
 @forks_shares
 def test_an_interrupted_parent_kills_and_reaps_its_children(monkeypatch):
-    # the parent's own share is interrupted while the child's would run for
-    # a minute: the child is killed (SIGKILL) and reaped before the interrupt
-    # goes on
-    record = particles._record
-
+    # every share would run for a minute in its child, and the parent is
+    # interrupted while it waits for the first: each child is killed
+    # (SIGKILL) and reaped before the interrupt goes on
     def slow_record(cfg, r0, r1, steps, out):
-        if r0 == 0:
-            raise KeyboardInterrupt
         time.sleep(60)
-        record(cfg, r0, r1, steps, out)
 
     statuses, waitpid = [], os.waitpid
 
-    def recording_waitpid(pid, options):
+    def interrupted_waitpid(pid, options):
+        if not statuses:
+            statuses.append(None)
+            raise KeyboardInterrupt
         result = waitpid(pid, options)
         statuses.append(result[1])
         return result
 
     force_shares(monkeypatch, 3)
     monkeypatch.setattr(particles, "_record", slow_record)
-    monkeypatch.setattr(particles.os, "waitpid", recording_waitpid)
+    monkeypatch.setattr(particles.os, "waitpid", interrupted_waitpid)
     t0 = time.monotonic()
     with pytest.raises(KeyboardInterrupt):
         run_ensemble(_small_config(n_replicas=6), [5e-3])
     assert time.monotonic() - t0 < 30
-    assert len(statuses) == 2
-    assert all(os.WIFSIGNALED(s) and os.WTERMSIG(s) == signal.SIGKILL for s in statuses)
+    assert len(statuses) == 1 + 3
+    assert all(os.WIFSIGNALED(s) and os.WTERMSIG(s) == signal.SIGKILL for s in statuses[1:])
     _assert_no_child_left()
 
 

@@ -58,6 +58,7 @@ from oracles.bbgky_closure_dense import _cluster3, closure_f4
 from oracles.first_order_explicit import solve_g1_pair, solve_g1_single
 from oracles.fourier_swap_step import FourierSwapStep
 from oracles.full_width_step import FullWidthStep
+from oracles.n_particle_forward import n_particle_marginals
 
 
 def l2_norm_sq(values: np.ndarray, h: float) -> float:
@@ -940,6 +941,22 @@ def test_bbgky_closure_size_falls_as_inverse_square(default_kernel):
     sizes = [(N, solve_bbgky_reference(f, default_kernel, N, tg).closure_size[-1])
              for N in (8, 16, 32, 64)]
     assert fit_rate(sizes).slope == pytest.approx(-2.0, abs=0.1)
+
+
+def test_bbgky_reference_matches_the_exact_n_particle_law(default_kernel):
+    # at N = 4 the whole forward equation fits on a 12^4 grid; its marginals
+    # (tests/oracles/n_particle_forward.py, which shares only core._series
+    # with the package) are the exact ones of the same time discretization.
+    # The level-3 reference's only error is its closure's, measured at
+    # 8.2e-14 (f_1) and 3.7e-11 (f_2); a fault in the shared flux code moves
+    # them far more
+    g = TorusGrid(12)
+    f = fourier_field(g, [1.0, 0.5])
+    dt, n_steps = 2e-3, 250
+    exact_f1, exact_f2 = n_particle_marginals(default_kernel, f.values, 4, dt, n_steps)
+    ref = solve_bbgky_reference(f, default_kernel, 4, TimeGrid(dt, n_steps, n_steps))
+    assert np.abs(ref.marginals[1][-1] - exact_f1).max() <= 1e-12
+    assert np.abs(ref.marginals[2][-1] - exact_f2).max() <= 4e-10
 
 
 def test_bbgky_step_never_forms_f4(default_kernel):
