@@ -29,10 +29,13 @@ the signal's number with one line on stderr.
 Process policy: while a command runs, main() turns SIGTERM into the
 interrupt path (KeyboardInterrupt) and restores the previous handler when it
 returns.  So a terminated command kills and reaps the children it forked
-(particles._Shares, where simulate's replica shares and the rate driver's
-shares and chain-moment table run), and `rates` records its run as failed
-with the rows of every finished N.  Each such child also dies with its
-parent, so a SIGKILLed command leaves no child either.
+(particles._Shares, where simulate's replica shares, the rate driver's
+shares and chain-moment table and, from order 2 on, solve-hierarchy's
+top-arity entry run), and `rates` records its run as failed with the rows
+of every finished N.  Each such child also dies with its parent, so a
+SIGKILLed command leaves no child either.  The solve-hierarchy manifest
+records whether the solve ran in one process or two, and which entry the
+child stepped; it is a record of the CPUs the run could use, not an option.
 
 This module also owns the process when it is imported before numpy, as by
 `python -m pchaos.cli` or the `pchaos` script.  It then sets two things
@@ -80,8 +83,8 @@ from .experiments import ExperimentConfig, run_bounds_report, run_rate_experimen
 from .metrics import divergence_report_from_samples, histogram_bins
 from .particles import SimConfig, SnapshotSet, extract_marginal_samples, run_ensemble
 from .partitions import max_asymmetry
-from .pde import (GTable, NegativeDensityError, TimeGrid, _cfl_margin, solve_g_hierarchy,
-                  solve_mckean_vlasov)
+from .pde import (GTable, NegativeDensityError, TimeGrid, _cfl_margin, _entry_apart,
+                  solve_g_hierarchy, solve_mckean_vlasov)
 
 if _OWNS_PROCESS:
     gc.freeze()
@@ -202,11 +205,15 @@ def _cmd_solve_hierarchy(cfg: Config, out: Path, seed: int) -> int:
     density = _density_from_config(cfg)
     tg = _time_grid(cfg)
     i_max = cfg.get_int("order", 1)
+    apart = _entry_apart(i_max)
     gt = solve_g_hierarchy(i_max, density, kernel, tg)
     gt.save(out / "gtable")
     asymmetry = {f"g_{i}_{j}": max(max_asymmetry(gt.field(i, j, s)) for s in range(gt.n_stored))
                  for i, j in sorted(gt.entries)}
+    # how the solve was stepped: in one process, or with the entry apart in a forked child
     _write_manifest(out, hashed, seed, i_max=i_max, entries=len(gt.entries),
+                    processes=1 if apart is None else 2,
+                    child_entry=None if apart is None else "g_{}_{}".format(*apart),
                     max_mass_drift=_max_mass_drift(gt.entries[(0, 1)], gt.grid),
                     max_asymmetry=asymmetry, **_solve_health(gt.entries[(0, 1)], kernel, gt.grid, tg))
     print(f"solve-hierarchy: order {i_max}, {len(gt.entries)} entries -> {out / 'gtable'}")

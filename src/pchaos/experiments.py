@@ -543,6 +543,8 @@ def run_rate_experiment(ecfg: ExperimentConfig) -> RateResult:
     manifest's status is "failed: " and the exception, and every child is
     killed and reaped before the exception goes on.
     """
+    import numpy.random  # noqa: F401  (every share draws from it; loaded before any fork)
+
     out = Path(ecfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     hashed = ecfg.canonical_text()

@@ -27,12 +27,14 @@ every P.  P follows the rate driver's chunk rule, capped by the CPUs this
 process may run on and by the replicas: P = min(usable CPUs, R, max(1,
 round(R N / _CHUNK_PARTICLES))), so a block of fewer than 1.5
 _CHUNK_PARTICLES particles stays in one process.  The shares run under
-_Shares, the one place the package forks, which the rate driver uses too:
-on Linux each of two or more shares steps in its own forked child, which
-writes its rows into one anonymous shared mapping and dies with its parent.
-One share, and every share elsewhere, steps in the calling process.  A
-share steps no BLAS product, so a parent that runs OpenBLAS threads forks
-children that need none.
+_Shares, the one place the package forks, which the rate driver and the
+hierarchy solve (pde._march) use too: on Linux each of two or more shares
+steps in its own forked child, which writes its rows into one anonymous
+shared mapping and dies with its parent.  One share, and every share
+elsewhere, steps in the calling process.  A replica share steps no BLAS
+product, and the hierarchy's forked entry steps products sized for one
+thread (operators._EntrySolver), so a parent that runs OpenBLAS threads
+forks children that need none.
 
 The pairwise drift sum costs O(N^2); for the translation-invariant kernel
 part a mode-summation fast path costs O(N * modes) and agrees with the direct
@@ -86,6 +88,7 @@ _NOISE_BLOCK_BYTES = 1 << 20  # noise _replica_steps draws ahead, all replicas t
 _CHUNK_PARTICLES = 6000
 _REPORT_BYTES = 4096  # a failed share's report: at most PIPE_BUF, so one write never blocks
 _PR_SET_PDEATHSIG = 1  # Linux prctl option: the signal a child gets when its parent ends
+_FORKS = sys.platform.startswith("linux")  # where _Shares forks: the death signal is Linux's
 
 
 class SimConfig:
@@ -436,9 +439,10 @@ class _Shares:
     type's name and message (see _share_failure) and the exit code is 1.
     SIGINT and SIGTERM are blocked across each fork, so neither can raise in
     a child before it is inside its own handler, nor between a fork and
-    this process recording the child.  numpy.random, which every share of
-    both ensemble commands draws from, is loaded before the first fork, so
-    no child loads it again.
+    this process recording the child.  run_ensemble and the rate driver,
+    whose shares all draw from numpy.random, load it before they fork, so
+    no child loads it again; the hierarchy's child draws nothing, and its
+    solve does not load it.
 
     join() waits for the children in share order and raises the failure of
     the first that failed, as its own type where that is a built-in.  Every
@@ -451,7 +455,7 @@ class _Shares:
     def __init__(self, work, shares: list, shapes, what: str = "replicas", fork: bool = False):
         import mmap
 
-        forks = (fork or len(shares) > 1) and sys.platform.startswith("linux")
+        forks = (fork or len(shares) > 1) and _FORKS
         sizes = [math.prod(shape) for shape in shapes]
         flat = (np.frombuffer(mmap.mmap(-1, 8 * max(1, sum(sizes))), dtype=float) if forks
                 else np.empty(sum(sizes)))
@@ -462,8 +466,6 @@ class _Shares:
         if not forks:
             self._inline = list(shares)
             return
-        import numpy.random  # noqa: F401
-
         prctl = ctypes.CDLL(None, use_errno=True).prctl
         prctl.argtypes, prctl.restype = (ctypes.c_int, ctypes.c_ulong), ctypes.c_int
         parent = os.getpid()
@@ -576,6 +578,8 @@ def run_ensemble(cfg: SimConfig, output_times) -> SnapshotSet:
         steps = np.array([step_count(t, cfg.dt) for t in output_times])
     except ValueError:
         raise ValueError("output times must be multiples of dt") from None
+
+    import numpy.random  # noqa: F401  (every share draws from it; loaded before any fork)
 
     R = cfg.n_replicas
     shares = _replica_ranges(R, _share_count(R, cfg.N))

@@ -81,9 +81,23 @@ def run_processes(config) -> list:
     return pids
 
 
-# run_ensemble forks its replica shares on Linux only
+# run_ensemble forks its replica shares, and an order-2 solve its top entry, on Linux only
 forks_shares = pytest.mark.skipif(not sys.platform.startswith("linux"),
                                   reason="run_ensemble steps one share off Linux")
+
+
+def record_forks(monkeypatch) -> list:
+    """Record every os.fork; returns the list of the child pids, in order."""
+    forked, fork = [], os.fork
+
+    def recording_fork():
+        pid = fork()
+        if pid:
+            forked.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", recording_fork)
+    return forked
 
 
 def force_shares(monkeypatch, P: int) -> list:
@@ -93,16 +107,7 @@ def force_shares(monkeypatch, P: int) -> list:
 
     monkeypatch.setattr(particles, "_CHUNK_PARTICLES", 1)
     monkeypatch.setattr(particles, "_usable_cpus", lambda: P)
-    forked, fork = [], os.fork
-
-    def recording_fork():
-        pid = fork()
-        if pid:
-            forked.append(pid)
-        return pid
-
-    monkeypatch.setattr(particles.os, "fork", recording_fork)
-    return forked
+    return record_forks(monkeypatch)
 
 
 # a kernel with mode-0 and several higher b and khat terms, cos and sin

@@ -11,14 +11,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pchaos import cli, experiments, particles
+from pchaos import cli, experiments, operators, particles, pde
 from pchaos.cli import main
 from pchaos.core import KernelSpec
 from pchaos.particles import SnapshotSet
 from pchaos.pde import GTable
 
 from conftest import (KERNEL_PATH, REPO_ROOT, force_shares, forks_shares, fresh_python,
-                      run_processes)
+                      record_forks, run_processes)
 
 
 def _write_cfg(tmp_path, name, text):
@@ -252,6 +252,55 @@ def test_solve_hierarchy_manifest_records_mass_drift_and_asymmetry(tmp_path):
     asymmetry = manifest["max_asymmetry"]
     assert set(asymmetry) == {"g_0_1", "g_1_1", "g_1_2", "g_2_1", "g_2_2", "g_2_3"}
     assert all(0.0 <= v <= 1e-13 for v in asymmetry.values()), asymmetry
+
+
+@forks_shares
+def test_a_split_solve_writes_the_same_table(tmp_path, monkeypatch):
+    # the benchmark's order-2 solve at M=32 writes the same bytes whether its
+    # top entry steps in a forked child or in this process, and the manifest
+    # records which it was
+    cfg = _write_cfg(tmp_path, "h.cfg", f"kernel = {KERNEL_PATH}\ndensity_cos = 1.0, 0.5\n"
+                     "grid = 32\ndt = 1e-3\nT = 0.1\nstore_every = 50\norder = 2\n")
+    forked = record_forks(monkeypatch)
+    runs = {}
+    for cpus in (2, 1):
+        monkeypatch.setattr(pde, "_usable_cpus", lambda: cpus)
+        out = tmp_path / f"cpus{cpus}"
+        assert main(["solve-hierarchy", "--config", cfg, "--out", str(out)]) == 0
+        runs[cpus] = json.loads((out / "manifest.json").read_text())
+    assert len(forked) == 1
+    assert (runs[2]["processes"], runs[2]["child_entry"]) == (2, "g_2_3")
+    assert (runs[1]["processes"], runs[1]["child_entry"]) == (1, None)
+    assert ({k: v for k, v in runs[2].items() if k not in ("processes", "child_entry")}
+            == {k: v for k, v in runs[1].items() if k not in ("processes", "child_entry")})
+    names = sorted(p.name for p in (tmp_path / "cpus1" / "gtable").iterdir())
+    assert len(names) == 7
+    for name in names:
+        assert ((tmp_path / "cpus2" / "gtable" / name).read_bytes()
+                == (tmp_path / "cpus1" / "gtable" / name).read_bytes()), name
+
+
+@forks_shares
+def test_a_child_entry_out_of_memory_is_a_user_error(tmp_path, monkeypatch, capsys):
+    # the forked top entry's MemoryError comes back as a MemoryError, so
+    # solve-hierarchy exits 2 with one line and leaves no child
+    flux1 = operators._EntrySolver.flux1
+
+    def flux_or_fail(self, state, cache):
+        if self.j == 3:
+            raise MemoryError("Unable to allocate the entry's flux")
+        return flux1(self, state, cache)
+
+    monkeypatch.setattr(pde, "_usable_cpus", lambda: 2)
+    forked = record_forks(monkeypatch)
+    monkeypatch.setattr(operators._EntrySolver, "flux1", flux_or_fail)
+    cfg = _write_cfg(tmp_path, "h.cfg", f"kernel = {KERNEL_PATH}\ndensity_cos = 1.0, 0.5\n"
+                     "grid = 12\ndt = 1e-3\nT = 1e-2\norder = 2\n")
+    assert main(["solve-hierarchy", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == "error: Unable to allocate the entry's flux\n"
+    assert len(forked) == 1
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_solve_manifests_record_cfl_margin_and_min_density(tmp_path):
@@ -629,30 +678,34 @@ def test_sigterm_at_the_second_n_keeps_the_first_n_rows(tmp_path, monkeypatch, c
 
 
 # a command in a fresh interpreter that counts two usable CPUs, whatever the
-# machine has, so simulate and rates each fork two shares
+# machine has, so simulate and rates each fork two shares and an order-2
+# solve-hierarchy forks its top entry
 _ON_TWO_CPUS = ("import sys\n"
-                "from pchaos import cli, experiments, particles\n"
-                "experiments._usable_cpus = particles._usable_cpus = lambda: 2\n"
+                "from pchaos import cli, experiments, particles, pde\n"
+                "experiments._usable_cpus = particles._usable_cpus = pde._usable_cpus = lambda: 2\n"
                 "sys.exit(cli.main())\n")
-# runs that step for tens of seconds in two shares
+# runs that step for tens of seconds in forked children, and their process count
 _LONG_RUNS = {
-    "simulate": "N = 100\ndt = 1e-3\nT = 20\nreplicas = 400\n",
-    "rates": "N = 100, 200, 400\nT = 0.5\nreplicas = 2000\nworkers = 2\n",
+    "simulate": ("N = 100\ndt = 1e-3\nT = 20\nreplicas = 400\n", 3),
+    "rates": ("N = 100, 200, 400\nT = 0.5\nreplicas = 2000\nworkers = 2\n", 3),
+    "solve-hierarchy": ("order = 2\ngrid = 32\ndt = 1e-3\nT = 20\nstore_every = 20000\n", 2),
 }
 
 
 def _start_long_run(tmp_path, command):
-    """A long run of command, once its two shares run: (process, config path)."""
+    """A long run of command, once its children run: (process, config path, process count)."""
+    text, processes = _LONG_RUNS[command]
     cfg = _write_cfg(tmp_path, f"{command}.cfg", f"kernel = {KERNEL_PATH}\ndensity_cos = 1.0, 0.5\n"
-                     f"sample_grid = 64\n{_LONG_RUNS[command]}")
+                     f"sample_grid = 64\n{text}")
     proc = subprocess.Popen([sys.executable, "-c", _ON_TWO_CPUS, command, "--config", cfg,
                              "--out", str(tmp_path / "o")],
                             env={**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")},
                             stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
     deadline = time.monotonic() + 60
-    while len(run_processes(cfg)) < 3 and proc.poll() is None and time.monotonic() < deadline:
+    while (len(run_processes(cfg)) < processes and proc.poll() is None
+           and time.monotonic() < deadline):
         time.sleep(0.02)
-    return proc, cfg
+    return proc, cfg, processes
 
 
 def _left_running(cfg, seconds: float) -> list:
@@ -663,11 +716,11 @@ def _left_running(cfg, seconds: float) -> list:
     return pids
 
 
-@pytest.mark.parametrize("command", ["simulate", "rates"])
+@pytest.mark.parametrize("command", list(_LONG_RUNS))
 def test_a_terminated_command_leaves_no_process_and_keeps_its_record(tmp_path, command):
-    proc, cfg = _start_long_run(tmp_path, command)
+    proc, cfg, processes = _start_long_run(tmp_path, command)
     try:
-        assert len(run_processes(cfg)) == 3, f"{command} is not stepping two shares"
+        assert len(run_processes(cfg)) == processes, f"{command} is not stepping in children"
         proc.terminate()
         _, err = proc.communicate(timeout=60)
     finally:
@@ -682,13 +735,13 @@ def test_a_terminated_command_leaves_no_process_and_keeps_its_record(tmp_path, c
         assert manifest["status"].startswith("failed")
 
 
-@pytest.mark.parametrize("command", ["simulate", "rates"])
+@pytest.mark.parametrize("command", list(_LONG_RUNS))
 def test_a_killed_command_leaves_no_child(tmp_path, command):
     # every forked child asks to die with its parent, so SIGKILL, which no
     # handler sees, leaves no child running either
-    proc, cfg = _start_long_run(tmp_path, command)
+    proc, cfg, processes = _start_long_run(tmp_path, command)
     try:
-        assert len(run_processes(cfg)) == 3, f"{command} is not stepping two shares"
+        assert len(run_processes(cfg)) == processes, f"{command} is not stepping in children"
         proc.kill()
         proc.wait(timeout=60)
     finally:

@@ -15,6 +15,10 @@ matrices, and the Fourier-swap oracle to 1e-13 on both sides.
 import itertools as it
 import json
 import math
+import os
+import signal
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -51,7 +55,8 @@ from pchaos.pde import (
     solve_mckean_vlasov,
 )
 
-from conftest import REPO_ROOT, RICH_KERNEL, band_limited_kernels, fresh_python
+from conftest import (REPO_ROOT, RICH_KERNEL, band_limited_kernels, forks_shares, fresh_python,
+                      record_forks)
 from field_synth import random_consistent_triple, random_smooth_field
 from oracles.all_k_flux import bbgky_fluxes, entry_fluxes
 from oracles.bbgky_closure_dense import _cluster3, closure_f4
@@ -395,7 +400,7 @@ def _march_against_full_width(M: int, arity: int, widen: bool, agree) -> None:
                 (M,) + (1,) * (arity - 1 - ax))
     initial = {"rho": _product_density(M, 2 if arity == 1 else 1), "g": g0}
     dt = 1e-3
-    steps = _march(initial, _quadratic_fluxes, "rho", TimeGrid(dt, 24))
+    steps = _march(initial, lambda state, keys: _quadratic_fluxes(state), "rho", TimeGrid(dt, 24))
     state, spectra = next(steps)
     H = spectra["g"].shape[-1]
     g_hat = np.fft.rfftn(g0)
@@ -662,25 +667,194 @@ def test_hierarchy_solve_keeps_to_one_cpu():
     # can only lower the ratio.  Importing numpy starts those workers, and
     # they spin ~0.12 CPU-seconds before they first sleep; the child waits
     # that out, so the timed window holds the solves alone.  The child keeps
-    # numpy's default threading, not the CLI's one-thread policy.
+    # numpy's default threading, not the CLI's one-thread policy.  The
+    # order-2 solves step their top entry in a forked child on two usable
+    # CPUs (counted as two here, whatever the machine has), which runs the
+    # arity-3 products; its CPU, read from RUSAGE_CHILDREN once it is
+    # reaped, is held to the same bound per wall-second of its solve.
     code = (
-        "import time\n"
+        "import resource, time\n"
+        "from pchaos import pde\n"
         "from pchaos.core import KernelSpec, TorusGrid, fourier_field\n"
         "from pchaos.pde import TimeGrid, solve_bbgky_reference, solve_g_hierarchy\n"
+        "pde._usable_cpus = lambda: 2\n"
         f"k = KernelSpec.from_file({str(REPO_ROOT / 'kernels' / 'default.txt')!r})\n"
         "f = {M: fourier_field(TorusGrid(M), [1.0, 0.5]) for M in (32, 64)}\n"
         "solves = [lambda: solve_g_hierarchy(2, f[32], k, TimeGrid(1e-3, 50)),\n"
         "          lambda: solve_g_hierarchy(2, f[64], k, TimeGrid(1e-3, 8)),\n"
         "          lambda: solve_g_hierarchy(1, f[64], k, TimeGrid(1e-3, 400)),\n"
         "          lambda: solve_bbgky_reference(f[32], k, 10, TimeGrid(1e-3, 40))]\n"
+        "def children():\n"
+        "    use = resource.getrusage(resource.RUSAGE_CHILDREN)\n"
+        "    return use.ru_utime + use.ru_stime\n"
         "time.sleep(0.3)\n"
         "for solve in solves:\n"
-        "    c0, t0 = time.process_time(), time.perf_counter()\n"
+        "    c0, k0, t0 = time.process_time(), children(), time.perf_counter()\n"
         "    solve()\n"
-        "    print((time.process_time() - c0) / (time.perf_counter() - t0))\n"
+        "    wall = time.perf_counter() - t0\n"
+        "    print((time.process_time() - c0) / wall, (children() - k0) / wall)\n"
     )
-    ratios = [float(line) for line in fresh_python("-c", code).split()]
+    rows = [[float(v) for v in line.split()] for line in fresh_python("-c", code).splitlines()]
+    ratios = [parent for parent, _ in rows]
     assert len(ratios) == 4 and max(ratios) <= 1.3, ratios
+    children = [child for _, child in rows]
+    assert children[2:] == [0.0, 0.0] and max(children) <= 1.3, children
+    if sys.platform.startswith("linux"):  # where the order-2 solves fork
+        assert min(children[:2]) > 0.0, children
+
+
+@forks_shares
+@pytest.mark.parametrize("M", [16, 32])
+def test_a_split_order_2_solve_has_the_bits_of_one_process(M, default_kernel, monkeypatch):
+    # the top entry stepped in a forked child reads and writes the same
+    # time-t fields as in one process: every entry at every step, bit for bit
+    f = fourier_field(TorusGrid(M), [1.0, 0.5], [0.0, 0.25])
+    tg = TimeGrid(1e-3, 40)
+    forked = record_forks(monkeypatch)
+    monkeypatch.setattr(pde, "_usable_cpus", lambda: 2)
+    split = solve_g_hierarchy(2, f, default_kernel, tg)
+    assert len(forked) == 1
+    monkeypatch.setattr(pde, "_usable_cpus", lambda: 1)
+    serial = solve_g_hierarchy(2, f, default_kernel, tg)
+    assert len(forked) == 1
+    assert set(split.entries) == set(serial.entries)
+    for key, arr in serial.entries.items():
+        assert split.entries[key].tobytes() == arr.tobytes(), key
+
+
+@forks_shares
+def test_split_solves_keep_their_bits_on_oversubscribed_cpus():
+    # three split solves at once, six processes on the machine's CPUs, so
+    # each barrier meets the other side at a different point of its step
+    # from run to run; a write into a buffer still being read would change
+    # some entry's bits
+    code = (
+        "from pchaos import pde\n"
+        "from pchaos.core import KernelSpec, TorusGrid, fourier_field\n"
+        "from pchaos.pde import TimeGrid, solve_g_hierarchy\n"
+        f"k = KernelSpec.from_file({str(REPO_ROOT / 'kernels' / 'default.txt')!r})\n"
+        "f = fourier_field(TorusGrid(12), [1.0, 0.5], [0.0, 0.25])\n"
+        "tables = []\n"
+        "for cpus in (2, 1):\n"
+        "    pde._usable_cpus = lambda: cpus\n"
+        "    tables.append(solve_g_hierarchy(2, f, k, TimeGrid(1e-3, 400, 5)).entries)\n"
+        "print(all(tables[0][key].tobytes() == u.tobytes() for key, u in tables[1].items()))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")}
+    procs = [subprocess.Popen([sys.executable, "-c", code], env=env, stdout=subprocess.PIPE,
+                              text=True) for _ in range(3)]
+    try:
+        outs = [proc.communicate(timeout=120)[0] for proc in procs]
+    finally:
+        for proc in procs:
+            proc.kill()
+            proc.wait()
+    assert [proc.returncode for proc in procs] == [0, 0, 0]
+    assert [out.strip() for out in outs] == ["True"] * 3
+
+
+def test_only_the_top_entry_from_order_2_on_two_cpus_is_split(default_kernel, monkeypatch):
+    # orders 0 and 1, one usable CPU and the BBGKY reference step in one
+    # process; os.fork made to fail shows that none of them forks
+    def no_fork():
+        raise AssertionError("forked")
+
+    monkeypatch.setattr(pde, "_usable_cpus", lambda: 2)
+    assert pde._entry_apart(2) == ((2, 3) if pde._FORKS else None)
+    assert pde._entry_apart(0) is pde._entry_apart(1) is None
+    monkeypatch.setattr(os, "fork", no_fork)
+    f = fourier_field(TorusGrid(12), [1.0, 0.5])
+    tg = TimeGrid(2e-3, 4)
+    for order in (0, 1):
+        solve_g_hierarchy(order, f, default_kernel, tg)
+    solve_bbgky_reference(f, default_kernel, 10, tg)
+    monkeypatch.setattr(pde, "_usable_cpus", lambda: 1)
+    assert pde._entry_apart(2) is None
+    solve_g_hierarchy(2, f, default_kernel, tg)
+
+
+def _reaped(monkeypatch) -> dict:
+    """Record the status of every child os.waitpid reaps: pid -> status."""
+    statuses, waitpid = {}, os.waitpid
+
+    def recording_waitpid(pid, options):
+        got, status = waitpid(pid, options)
+        if got:
+            statuses[got] = status
+        return got, status
+
+    monkeypatch.setattr(os, "waitpid", recording_waitpid)
+    return statuses
+
+
+def _killed(status: int) -> bool:
+    return os.WIFSIGNALED(status) and os.WTERMSIG(status) == signal.SIGKILL
+
+
+class _ChildFault(Exception):
+    pass
+
+
+def _fail_top_entry(monkeypatch, exc, at_call: int = 3) -> None:
+    """Make the top entry's flux (arity 3, assembled by the child alone) raise
+    exc at its at_call-th call."""
+    flux1, calls = _EntrySolver.flux1, []
+
+    def failing(self, state, cache):
+        if self.j == 3:
+            calls.append(None)
+            if len(calls) == at_call:
+                raise exc
+        return flux1(self, state, cache)
+
+    monkeypatch.setattr(_EntrySolver, "flux1", failing)
+
+
+@forks_shares
+def test_a_failed_child_is_raised_here_and_reaped(default_kernel, monkeypatch):
+    # an exception of a type that is not a built-in comes back as a
+    # RuntimeError that names it (a built-in one as itself: test_cli.py's
+    # MemoryError); the child has ended and is reaped
+    forked, reaped = record_forks(monkeypatch), _reaped(monkeypatch)
+    monkeypatch.setattr(pde, "_usable_cpus", lambda: 2)
+    _fail_top_entry(monkeypatch, _ChildFault("the flux failed"))
+    f = fourier_field(TorusGrid(12), [1.0, 0.5])
+    with pytest.raises(RuntimeError) as info:
+        solve_g_hierarchy(2, f, default_kernel, TimeGrid(1e-3, 20))
+    assert type(info.value) is RuntimeError and str(info.value) == "_ChildFault: the flux failed"
+    assert len(forked) == 1 and os.WEXITSTATUS(reaped[forked[0]]) == 1
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@forks_shares
+def test_the_guard_kills_and_reaps_the_child(monkeypatch):
+    # a strong confinement drives the density negative: this process's
+    # guard raises, and the child stepping the top entry is SIGKILLed
+    forked, reaped = record_forks(monkeypatch), _reaped(monkeypatch)
+    monkeypatch.setattr(pde, "_usable_cpus", lambda: 2)
+    f = fourier_field(TorusGrid(16), [1.0, 0.5])
+    kernel = KernelSpec.from_tables(b={1: (100.0, 0.0)})
+    with pytest.raises(pde.NegativeDensityError, match="density reached"):
+        solve_g_hierarchy(2, f, kernel, TimeGrid(0.000625, 16))
+    assert len(forked) == 1 and _killed(reaped[forked[0]])
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@forks_shares
+def test_closing_the_march_early_kills_and_reaps_the_child(default_kernel, monkeypatch):
+    forked, reaped = record_forks(monkeypatch), _reaped(monkeypatch)
+    monkeypatch.setattr(pde, "_usable_cpus", lambda: 2)
+    f = fourier_field(TorusGrid(12), [1.0, 0.5])
+    steps = _hierarchy_steps(2, f, default_kernel, TimeGrid(1e-3, 50))
+    for _ in zip(range(5), steps):
+        pass
+    assert len(forked) == 1 and forked[0] not in reaped
+    steps.close()
+    assert _killed(reaped[forked[0]])
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_hierarchy_order_cap_and_memory_guard(default_kernel):
