@@ -164,7 +164,9 @@ def eval_I_table(j: int, ell_max: int, beta: float, ts) -> np.ndarray:
 
 RESIDUAL_ORDER = 16  # Gauss-Legendre nodes per panel of the recurrence residual
 # the positive half of leggauss(RESIDUAL_ORDER): (node, weight), nodes rising;
-# the rule is symmetric, node -x carrying the weight of x
+# the rule is symmetric, node -x carrying the weight of x.  Written out, and
+# shared read-only as _GAUSS_NODES and _GAUSS_WEIGHTS on [-1, 1], so no
+# command imports numpy.polynomial
 _GAUSS_HALF = (
     (0.09501250983763744, 0.18945061045506864),
     (0.2816035507792589, 0.18260341504492364),
@@ -184,15 +186,6 @@ _GAUSS_NODES.flags.writeable = _GAUSS_WEIGHTS.flags.writeable = False
 _LAG_CUT = 42.0
 
 
-def _leggauss():
-    """Gauss-Legendre nodes and weights of order RESIDUAL_ORDER on [-1, 1].
-
-    They are constants (leggauss(RESIDUAL_ORDER), written out), shared
-    read-only, so no command imports numpy.polynomial.
-    """
-    return _GAUSS_NODES, _GAUSS_WEIGHTS
-
-
 def _panel_nodes(j: int, beta: float, t: float):
     """Times s and weights w with beta j int_0^t e^{-beta j (t-s)} f(s) ds ~ sum w f(s).
 
@@ -204,11 +197,10 @@ def _panel_nodes(j: int, beta: float, t: float):
     at 0 against rounding.  t must be positive.
     """
     span = min(beta * j * t, _LAG_CUT)
-    nodes, weights = _leggauss()
     edges = np.linspace(0.0, span, max(1, math.ceil(span / 2.0)) + 1)
     half = 0.5 * np.diff(edges)[:, None]
-    vv = (half * nodes + 0.5 * (edges[:-1] + edges[1:])[:, None]).ravel()
-    ww = (half * weights).ravel() * np.exp(-vv)
+    vv = (half * _GAUSS_NODES + 0.5 * (edges[:-1] + edges[1:])[:, None]).ravel()
+    ww = (half * _GAUSS_WEIGHTS).ravel() * np.exp(-vv)
     return np.maximum(t - vv / (beta * j), 0.0), ww
 
 

@@ -38,9 +38,10 @@ chain-moment table steps the chain's spectrum, band-limited by the heat
 factor, so it costs O(M L) per step for M cells and L modes.
 run_rate_experiment forks through particles._Shares, the package's one
 fork helper, on min(workers, usable CPUs) CPUs (usable CPUs are those of
-the process's affinity mask, particles._usable_cpus, which sizes
-run_ensemble's shares too).  With two or more, one child builds the
-chain-moment table while this process solves the hierarchy.  Then each N's
+the process's affinity mask, and one where _Shares does not fork:
+particles._usable_cpus, which sizes run_ensemble's shares too).  With two
+or more, one child builds the chain-moment table while this process
+solves the hierarchy.  Then each N's
 replicas are cut into P = min(workers, particles._share_count) contiguous
 shares, and each share steps its replicas in blocks of about
 _CHUNK_PARTICLES particles (the one block-size constant of both ensemble

@@ -393,10 +393,8 @@ def _replica_steps(cfg: SimConfig, replicas: range, n_steps: int):
 
 def _usable_cpus() -> int:
     """CPUs this process may run on: its affinity mask (taskset, a cgroup
-    cpuset), or the machine's count where the platform has no affinity call."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
+    cpuset), or 1 where _Shares does not fork, so that every share runs here."""
+    return len(os.sched_getaffinity(0)) if _FORKS else 1
 
 
 def _replica_ranges(replicas: int, n: int) -> list:
@@ -429,7 +427,8 @@ class _Shares:
     its own rows of them.  On Linux, with two shares or more, or with fork
     true, one child per share is forked here, so the caller can do its own
     work before join().  Otherwise nothing is forked, and join() runs each
-    share in this process, in order.
+    share in this process, in order; with no share, out is only a block of
+    this process's memory (pde._march's buffers when no entry is forked).
 
     A child first asks to be SIGKILLed when this process ends
     (prctl(PR_SET_PDEATHSIG) through ctypes, which numpy has loaded), and

@@ -23,12 +23,11 @@ initial spectra hold roundoff in every column, run near full width.
 compute_remainder swaps axes for R^i_j's other components.  The BBGKY reference closes its hierarchy with
 the plain cluster expansion of pchaos.partitions, contracted block by block.
 
-From order 2 on, where this process may run on two CPUs and
-particles._Shares forks (Linux), _march steps the top-arity entry
+From order 2 on, where this process may run on two CPUs
+(particles._usable_cpus), the same loop, _march, steps the top-arity entry
 g^i_{i+1}, whose lattice takes most of each step, in one forked child in
-lockstep with this process (_lockstep); every field keeps the bits of a
-one-process solve.  Orders 0 and 1 and the BBGKY reference step in one
-process.
+lockstep with this process; every field keeps the bits of a one-process
+solve.  Orders 0 and 1 and the BBGKY reference step in one process.
 
 The correction hierarchy g^i_j lives on the triangular index set
 T = {(i, j): 1 <= j <= i + 1}.  Entry (0, 1) is the mean-field density rho,
@@ -55,7 +54,7 @@ import numpy as np
 from .core import GridField, KernelSpec, TorusGrid, check_density, product_field
 from .operators import (_EntrySolver, _Interaction, _SpectralOps, compile_bbgky_terms,
                         compile_entry_terms)
-from .particles import _FORKS, _Shares, _usable_cpus
+from .particles import _Shares, _usable_cpus
 from .partitions import assemble_correction, clusters_from_moments, solve_order
 
 __all__ = [
@@ -153,36 +152,97 @@ def _march(initial: dict, fluxes, guard, tg: TimeGrid, apart=None):
 
     initial maps each key to its field at t = 0, and fluxes(state, keys)
     yields (key, flux_1) for each of keys, in order, from the time-t state.
-    The field of guard is a density: one dipping below -1e-10 aborts.  The
-    field arrays are rewritten two steps later, which a forked child may
-    begin while the next state is held, so a caller copies what it keeps
-    before it asks for that state.  Each arity's spectra carry H = 1 +
-    max(M//3, the highest last-axis column an initial spectrum of that arity
-    holds nonzero) columns (operators._SpectralOps).  With apart, one of the
-    keys, that unknown steps in a forked child in lockstep with this process
-    (_lockstep); without it, every unknown steps here.
+    The field of guard is a density: one dipping below -1e-10 aborts.  Each
+    arity's spectra carry H = 1 + max(M//3, the highest last-axis column an
+    initial spectrum of that arity holds nonzero) columns
+    (operators._SpectralOps).
+
+    The fields live in two buffers: step n reads buffer (n - 1) % 2 and
+    writes buffer n % 2, and the state it yields is buffer n % 2 itself, so
+    every flux is assembled from the time-t fields alone.  A state is
+    rewritten two steps later, which a forked child may begin while the next
+    state is held, so a caller copies what it keeps before it asks for that
+    state.
+
+    With apart, one of the keys, that unknown steps in one forked child
+    (particles._Shares) in lockstep with this process, and every field has
+    the bits it has without it.  The helper's anonymous shared mapping holds
+    apart's carried spectrum, which the child steps in place, and both
+    buffers.  After each step each process writes one byte to the other's
+    pipe and then reads the other's byte (_barrier), so neither starts a
+    step before both have ended the last, neither writes a buffer the other
+    still reads, and the slower side finds the other's byte waiting; the
+    child first waits at one such barrier while this process fills buffer 0.
+    apart's spectrum is complete at the last yield, by which the child has
+    been reaped.  A child that fails is re-raised here with its type and
+    message (_Shares.join); an exception here, the guard's included, or the
+    generator's close kills and reaps it.  Without apart, nothing is forked,
+    no pipe is opened and no memory is shared.
     """
-    state = {key: np.array(u, dtype=float) for key, u in initial.items()}
-    M = next(iter(state.values())).shape[0]
-    spectra = {key: np.fft.rfftn(u) for key, u in state.items()}
+    M = next(iter(initial.values())).shape[0]
+    spectra = {key: np.fft.rfftn(u) for key, u in initial.items()}
     top = {}  # per arity, the last column to carry
     for s in spectra.values():
         cols = np.flatnonzero(s.reshape(-1, s.shape[-1]).any(axis=0))
         top[s.ndim] = max(top.get(s.ndim, M // 3), int(cols[-1]) if cols.size else 0)
     ops = {a: _SpectralOps(M, a, tg.dt, c + 1) for a, c in top.items()}
     spectra = {key: np.ascontiguousarray(s[..., :top[s.ndim] + 1]) for key, s in spectra.items()}
+    keys = tuple(key for key in initial if key != apart)
+    shapes, child_shares = [(2,) + u.shape for u in initial.values()], []
     if apart is not None:
-        yield from _lockstep(state, spectra, ops, fluxes, guard, tg, apart)
-        return
-    keys = tuple(state)
-    spare = {key: np.empty_like(u) for key, u in state.items()}
-    yield state, spectra
-    for n in range(tg.n_steps):
-        new = {key: ops[flux.ndim].step(spectra[key], flux, spare[key])
-               for key, flux in fluxes(state, keys)}
-        _check_guard(new[guard], (n + 1) * tg.dt)
-        state, spare = new, state
-        yield state, spectra
+        # apart's spectrum last, as (re, im) pairs: each field's two buffers
+        # take a multiple of 16 bytes, so its complex view is aligned
+        shapes.append(spectra[apart].shape[:-1] + (2 * spectra[apart].shape[-1],))
+        child_shares = [(1, tg.n_steps + 1)]  # one share: steps 1 to n_steps
+        down, up = os.pipe(), os.pipe()  # (read, write) ends of the pipe to the child and from it
+
+    def buffers(out):
+        """The two buffers of fields, key -> field, that lead out."""
+        return [dict(zip(initial, (f[b] for f in out))) for b in (0, 1)]
+
+    def child(steps, out):
+        os.close(down[1])
+        os.close(up[0])
+        u_hat, bufs = out[-1].view(complex), buffers(out)
+        step = ops[u_hat.ndim].step
+        for n in range(*steps):
+            if not _barrier(up[1], down[0]):
+                raise EOFError("the process stepping the other unknowns has ended")
+            (_, flux), = fluxes(bufs[(n - 1) % 2], (apart,))
+            step(u_hat, flux, bufs[n % 2][apart])
+        _barrier(up[1], down[0])
+
+    try:
+        try:
+            shares = _Shares(child, child_shares, shapes, what=f"unknown {apart} over steps",
+                             fork=bool(child_shares))
+        finally:
+            if apart is not None:
+                os.close(down[0])
+                os.close(up[1])
+        with shares:
+            bufs = buffers(shares.out)
+            for key, u in initial.items():
+                bufs[0][key][...] = u
+            if apart is not None:
+                u_hat = shares.out[-1].view(complex)
+                u_hat[...] = spectra[apart]
+                spectra[apart] = u_hat
+            for n in range(tg.n_steps + 1):
+                if n:
+                    for key, flux in fluxes(bufs[(n - 1) % 2], keys):
+                        ops[flux.ndim].step(spectra[key], flux, bufs[n % 2][key])
+                    _check_guard(bufs[n % 2][guard], n * tg.dt)
+                if apart is not None and not _barrier(down[1], up[0]):
+                    shares.join()
+                    raise ChildProcessError(f"the process stepping {apart} ended at step {n}")
+                if n == tg.n_steps:
+                    shares.join()
+                yield bufs[n % 2], spectra
+    finally:
+        if apart is not None:
+            os.close(down[1])
+            os.close(up[0])
 
 
 def _check_guard(u: np.ndarray, t: float) -> None:
@@ -203,80 +263,6 @@ def _barrier(send: int, receive: int) -> bool:
     except BrokenPipeError:
         return False
     return os.read(receive, 1) == b"\0"
-
-
-def _lockstep(state: dict, spectra: dict, ops: dict, fluxes, guard, tg: TimeGrid, apart):
-    """_march's steps with the unknown apart stepped in one forked child (particles._Shares).
-
-    The helper's anonymous shared mapping holds apart's carried spectrum,
-    which the child steps in place, and two buffers of every field.  Step n
-    reads the fields of buffer (n - 1) % 2 and writes those of buffer n % 2:
-    this process every key but apart, the child apart.  After each step
-    each process writes one byte to the other's pipe and then reads the
-    other's byte (_barrier), so neither starts a step before both have ended
-    the last, neither writes a buffer the other still reads, and the slower
-    side finds the other's byte waiting.  The child first waits at one such
-    barrier while this process fills buffer 0.  Every flux is assembled from
-    the same time-t fields as in one process, so every field has the bits
-    of a serial march.
-
-    A yielded state is buffer n % 2 itself, and the child may already be
-    writing apart's field into the other buffer.  apart's spectrum is
-    complete at the last yield, by which the child has been reaped.  A
-    child that fails is re-raised here with its type and message
-    (_Shares.join); an exception here, the guard's included, or the
-    generator's close kills and reaps it.
-    """
-    keys = tuple(key for key in state if key != apart)
-    # the spectrum first, as (re, im) pairs: its complex view starts the mapping, aligned
-    shapes = [spectra[apart].shape[:-1] + (2 * spectra[apart].shape[-1],)]
-    shapes += [(2,) + u.shape for u in state.values()]
-    down, up = os.pipe(), os.pipe()  # (read, write) ends of the pipe to the child and from it
-
-    def views(out):
-        """apart's spectrum and the two buffers of fields, in the shared mapping."""
-        spectrum, *fields = out
-        return spectrum.view(complex), [dict(zip(state, (f[b] for f in fields))) for b in (0, 1)]
-
-    def child(steps, out):
-        os.close(down[1])
-        os.close(up[0])
-        u_hat, bufs = views(out)
-        step = ops[u_hat.ndim].step
-        for n in range(*steps):
-            if not _barrier(up[1], down[0]):
-                raise EOFError("the process stepping the other unknowns has ended")
-            (_, flux), = fluxes(bufs[(n - 1) % 2], (apart,))
-            step(u_hat, flux, bufs[n % 2][apart])
-        _barrier(up[1], down[0])
-
-    try:
-        try:
-            shares = _Shares(child, [(1, tg.n_steps + 1)], shapes,
-                             what=f"unknown {apart} over steps", fork=True)
-        finally:
-            os.close(down[0])
-            os.close(up[1])
-        with shares:
-            u_hat, bufs = views(shares.out)
-            for key, u in state.items():
-                bufs[0][key][...] = u
-            u_hat[...] = spectra[apart]
-            spectra = {**spectra, apart: u_hat}
-            for n in range(tg.n_steps + 1):
-                if n:
-                    for key, flux in fluxes(bufs[(n - 1) % 2], keys):
-                        ops[flux.ndim].step(spectra[key], flux, bufs[n % 2][key])
-                    _check_guard(bufs[n % 2][guard], n * tg.dt)
-                if not _barrier(down[1], up[0]):
-                    shares.join()
-                    raise ChildProcessError(f"the process stepping {apart} ended at step {n}")
-                if n == tg.n_steps:
-                    shares.join()
-                yield bufs[n % 2], spectra
-    finally:
-        os.close(down[1])
-        os.close(up[0])
 
 
 def _trajectories(steps, tg: TimeGrid) -> dict:
@@ -418,7 +404,7 @@ def _hierarchy_steps(i_max: int, f: GridField, kernel: KernelSpec, tg: TimeGrid)
 
     Every entry steps from the time-t state, so each sees exactly the values
     a sequential solve in the triangular order would have used.  The entry
-    _entry_apart names steps in a forked child.
+    _entry_apart names steps in a forked child (_march).
     """
     entries = solve_order(i_max)  # (0, 1) first
     op = _Interaction(kernel, f.grid)
@@ -435,14 +421,15 @@ def _hierarchy_steps(i_max: int, f: GridField, kernel: KernelSpec, tg: TimeGrid)
 
 
 def _entry_apart(i_max: int):
-    """The entry an order-i_max solve steps in a forked child (_lockstep), or None.
+    """The entry an order-i_max solve steps in a forked child (_march), or None.
 
     From order 2 on, that is the top-arity entry (i_max, i_max + 1), whose
     lattice has a coordinate more than any other entry's and takes most of
-    each step; it goes to a second CPU where this process may run on two and
-    particles._Shares forks (Linux).  Lower orders step in one process.
+    each step; it goes to a second CPU where this process may run on two
+    (particles._usable_cpus, which counts one where _Shares cannot fork).
+    Lower orders step in one process.
     """
-    return (i_max, i_max + 1) if i_max >= 2 and _FORKS and _usable_cpus() >= 2 else None
+    return (i_max, i_max + 1) if i_max >= 2 and _usable_cpus() >= 2 else None
 
 
 def solve_g_hierarchy(
@@ -457,14 +444,15 @@ def solve_g_hierarchy(
     if not 0 <= i_max <= 2:
         raise ValueError("correction order capped at i_max = 2")
     grid = f.grid
-    # in lattices of the top arity: the stored trajectory, the field and its
-    # spare, the flux and its scratch (1 each), the carried spectrum and the
+    # in lattices of the top arity: the stored trajectory, the field's two
+    # buffers, the flux and its scratch (1 each), the carried spectrum and the
     # stepper's work array (complex, H <= M//2 + 1 columns: <= ~1 each) and,
     # above operators._DFT_MAX_M, pocketfft's full-width rfft output (~1); the
-    # flux assembler's other buffers are smaller.  Stepped in a forked child,
-    # the entry's field and spare lie in the mapping both processes share and
-    # the rest in the child, whose copy of this process's arrays is shared
-    # until written, so the two processes hold the same lattices between them
+    # flux assembler's other buffers are smaller.  Stepped in a forked child
+    # (_march), the entry's buffers and spectrum lie in the mapping both
+    # processes share and the rest in the child, whose copy of this process's
+    # arrays is shared until written, so the two processes hold the same
+    # lattices between them
     need = (tg.n_stored + 7) * grid.M ** (i_max + 1) * 8
     if need > MEMORY_BUDGET_BYTES:
         raise MemoryBudgetError(

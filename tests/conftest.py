@@ -39,9 +39,10 @@ def fresh_python(*args, cwd=None, rc=0, **env) -> str:
 @pytest.fixture(autouse=True)
 def no_child_process_left():
     """Fail a test that leaves a child process unreaped: one still running, or
-    ended and never waited for.  particles._Shares, which forks for
-    run_ensemble and the rate driver, must reap every child on every path, a
-    failure included."""
+    ended and never waited for.  particles._Shares, which forks
+    run_ensemble's replica shares, the rate driver's chain-moment table and
+    replica shares, and the hierarchy's top-arity entry (pde._march), must
+    reap every child on every path, a failure included."""
     yield
     try:
         pid, _ = os.waitpid(-1, os.WNOHANG)

@@ -33,7 +33,7 @@ from pchaos.bounds import (
     poly_bound,
     recurrence_residual_sweep,
 )
-from pchaos.bounds import _LAG_CUT, RESIDUAL_ORDER, _leggauss, _panel_nodes
+from pchaos.bounds import _GAUSS_NODES, _GAUSS_WEIGHTS, _LAG_CUT, RESIDUAL_ORDER, _panel_nodes
 from pchaos.config import load_config
 
 from conftest import REPO_ROOT
@@ -263,13 +263,14 @@ def test_quadrature_nodes_are_shared_read_only():
     v = 1.0 * nodes + 1.0  # the first panel, [0, 2]
     assert np.array_equal(ss[:RESIDUAL_ORDER], 3.0 - v / 2.0)
     assert np.array_equal(ww[:RESIDUAL_ORDER], 1.0 * weights * np.exp(-v))
-    with pytest.raises(ValueError):
-        _leggauss()[0][0] = 0.0
+    for table in (_GAUSS_NODES, _GAUSS_WEIGHTS):
+        with pytest.raises(ValueError):
+            table[0] = 0.0
 
 
 def test_gauss_legendre_constants_match_leggauss():
     # the literal table is numpy's rule to within 2 ulp, and exact through degree 31
-    nodes, weights = _leggauss()
+    nodes, weights = _GAUSS_NODES, _GAUSS_WEIGHTS
     want_nodes, want_weights = np.polynomial.legendre.leggauss(RESIDUAL_ORDER)
     for got, want in ((nodes, want_nodes), (weights, want_weights)):
         assert got.shape == (RESIDUAL_ORDER,)
@@ -285,8 +286,7 @@ def test_residual_quadrature_stops_at_the_lag_cut():
     assert math.exp(-_LAG_CUT) < 2.0 ** -60
     ss, ww = _panel_nodes(1, 1.0, 100.0)
     assert ss.size == 21 * RESIDUAL_ORDER
-    nodes, weights = _leggauss()
-    assert np.array_equal(ss[-RESIDUAL_ORDER:], 100.0 - (1.0 * nodes + 41.0) / 1.0)
+    assert np.array_equal(ss[-RESIDUAL_ORDER:], 100.0 - (1.0 * _GAUSS_NODES + 41.0) / 1.0)
     # (1, 0.5, 1.5e-323): a subnormal t whose lags round past t
     for j, beta, t in ((1, 1.0, 1e-300), (1, 0.5, 1.5e-323), (16, 1.0, 3.0), (100000, 1.0, 1.0),
                        (16, 1e300, 3.0), (16, 1.0, 1e308), (3, 0.7, 19.9), (3, 0.7, 20.1)):

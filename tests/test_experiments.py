@@ -658,7 +658,6 @@ def test_one_usable_cpu_gets_one_worker_and_one_share(tmp_path, monkeypatch):
     # under `taskset -c 0` or a one-CPU cpuset the machine still counts two
     # CPUs but the process may run on one, so two processes would time-share
     # it: the rate driver and run_ensemble step one share each and fork none
-    monkeypatch.setattr(particles.os, "cpu_count", lambda: 2)
     monkeypatch.setattr(particles.os, "sched_getaffinity", lambda pid: {0}, raising=False)
     calls = _recorded_shares(monkeypatch)
 

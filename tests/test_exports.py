@@ -7,7 +7,7 @@ resolve, or the benchmark would first fail when it is run.  Every public
 name must also be reached by the package itself or by the benchmark, not
 only by tests: a path only tests take belongs in tests/oracles/.  And every
 reference implementation in tests/oracles/ must be used by a test, or it
-checks nothing.
+checks nothing.  The package forks in one place, particles._Shares.
 """
 import ast
 import importlib
@@ -209,3 +209,32 @@ def test_every_public_name_is_reached_outside_tests():
     assert not dead, f"only tests reach {dead}: move them to tests/oracles/ or delete them"
     live = sorted(q for q in ROADMAP_PIECES if public[q] in reached)
     assert not live, f"{live} are now reached: take them off ROADMAP_PIECES"
+
+
+def _os_uses(name: str) -> set:
+    """(module, outermost def or class) of every os.<name> in the package,
+    and of every `from os import <name>`."""
+    found = set()
+
+    def visit(node, module, outer):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            outer = outer or node.name
+        if (isinstance(node, ast.Attribute) and node.attr == name
+                and isinstance(node.value, ast.Name) and node.value.id == "os"):
+            found.add((module, outer))
+        if isinstance(node, ast.ImportFrom) and node.module == "os":
+            found.update((module, "from os import") for a in node.names if a.name == name)
+        for child in ast.iter_child_nodes(node):
+            visit(child, module, outer)
+
+    for path in (REPO_ROOT / "src" / "pchaos").glob("*.py"):
+        visit(ast.parse(path.read_text(encoding="utf-8")), path.stem, None)
+    return found
+
+
+def test_the_package_forks_in_one_place():
+    # _Shares forks every child, kills and reaps it on every path; the only
+    # other pipes are the lockstep barrier's, opened by the march that
+    # steps an entry in a _Shares child
+    assert _os_uses("fork") == {("particles", "_Shares")}
+    assert _os_uses("pipe") == {("particles", "_Shares"), ("pde", "_march")}

@@ -15,6 +15,7 @@ matrices, and the Fourier-swap oracle to 1e-13 on both sides.
 import itertools as it
 import json
 import math
+import mmap
 import os
 import signal
 import subprocess
@@ -755,14 +756,16 @@ def test_split_solves_keep_their_bits_on_oversubscribed_cpus():
 
 def test_only_the_top_entry_from_order_2_on_two_cpus_is_split(default_kernel, monkeypatch):
     # orders 0 and 1, one usable CPU and the BBGKY reference step in one
-    # process; os.fork made to fail shows that none of them forks
-    def no_fork():
-        raise AssertionError("forked")
+    # process; os.fork, os.pipe and mmap.mmap made to fail show that none of
+    # them forks, opens the barrier's pipes or maps shared memory
+    def refused(*args):
+        raise AssertionError("a child's machinery was used")
 
     monkeypatch.setattr(pde, "_usable_cpus", lambda: 2)
-    assert pde._entry_apart(2) == ((2, 3) if pde._FORKS else None)
+    assert pde._entry_apart(2) == (2, 3)
     assert pde._entry_apart(0) is pde._entry_apart(1) is None
-    monkeypatch.setattr(os, "fork", no_fork)
+    for module, name in ((os, "fork"), (os, "pipe"), (mmap, "mmap")):
+        monkeypatch.setattr(module, name, refused)
     f = fourier_field(TorusGrid(12), [1.0, 0.5])
     tg = TimeGrid(2e-3, 4)
     for order in (0, 1):
