@@ -39,14 +39,12 @@ factor, so it costs O(M L) per step for M cells and L modes.
 run_rate_experiment forks through particles._Shares, the package's one
 fork helper, on min(workers, usable CPUs) CPUs (usable CPUs are those of
 the process's affinity mask, and one where _Shares does not fork:
-particles._usable_cpus, which sizes run_ensemble's shares too).  With two
-or more, one child builds the chain-moment table while this process
-solves the hierarchy.  Then each N's
-replicas are cut into P = min(workers, particles._share_count) contiguous
-shares, and each share steps its replicas in blocks of about
-_CHUNK_PARTICLES particles (the one block-size constant of both ensemble
-commands, kept in particles) and writes its rows of the N's fixed-shape
-outputs (diffs, plains, pairs, final positions) into one shared mapping.
+particles._usable_cpus).  With two or more, one child builds the
+chain-moment table while this process solves the hierarchy.  Then each N's
+replicas are cut into shares and blocks by particles._replica_plan, the
+one rule of both ensemble commands, and each share steps its blocks and
+writes its rows of the N's fixed-shape outputs (diffs, plains, pairs,
+final positions) into one shared mapping.
 The N values run in increasing order, and N's rows are built while the
 next N's shares run, so a failure or an interrupt keeps every finished N's
 rows.  A share runs no BLAS product (the chain-moment table sums its
@@ -91,14 +89,12 @@ from .metrics import (
     weighted_l2_error,
 )
 from .particles import (
-    _CHUNK_PARTICLES,
     _MODE_WORK,
     SimConfig,
     _cell_cdf,
     _mode_terms,
-    _replica_ranges,
+    _replica_shares,
     _replica_steps,
-    _share_count,
     _Shares,
     _usable_cpus,
     em_step,
@@ -438,17 +434,6 @@ def _rate_worker(cfg: SimConfig, r0, r1, Cdt, Sdt, primary: int):
     return diffs, plains, pairs, x
 
 
-def _chunks(replicas: int, N: int, shares: int) -> list:
-    """Replica blocks of one N for the given number of shares, in order.
-
-    Each holds about _CHUNK_PARTICLES particles (replicas x N), and their
-    count is a multiple of shares (unless every block is one replica), so
-    every share steps the same number of blocks.
-    """
-    n = min(replicas, shares * max(1, round(replicas * N / (_CHUNK_PARTICLES * shares))))
-    return _replica_ranges(replicas, n)
-
-
 class RateResult(NamedTuple):
     """Rows of the rate CSV plus the fitted slopes and prediction ratios."""
 
@@ -471,7 +456,7 @@ class _RatePlan(NamedTuple):
     sample_density: GridField
 
 
-def _predictions(ecfg: ExperimentConfig, kernel: KernelSpec, workers: int) -> _RatePlan:
+def _predictions(ecfg: ExperimentConfig, workers: int) -> _RatePlan:
     """Mean-field solve and first-order correction functionals for the panel.
 
     With two workers or more, a forked child builds the chain-moment table
@@ -482,6 +467,7 @@ def _predictions(ecfg: ExperimentConfig, kernel: KernelSpec, workers: int) -> _R
                                    ecfg.density_sin)
     grid = TorusGrid(ecfg.grid)
     density = fourier_field(grid, ecfg.density_cos, ecfg.density_sin)
+    kernel = ecfg.kernel
     kernel._check_band(grid.M)
     n_steps = step_count(ecfg.T, ecfg.dt)
     shape = (n_steps + 1, max(len(kernel.k_cos), 1))  # _chain_moments' tables
@@ -513,26 +499,18 @@ def _predictions(ecfg: ExperimentConfig, kernel: KernelSpec, workers: int) -> _R
 
 def _rate_shares(ecfg: ExperimentConfig, plan: _RatePlan, N: int, workers: int,
                  primary: int) -> _Shares:
-    """Start N's coupled replicas: P = min(workers, particles._share_count)
-    shares of whole _chunks blocks, each block one _rate_worker call, whose
-    diffs, plains, pairs (R, 4 each) and final positions x (R, N) fill the
-    shares' outputs."""
+    """Start N's coupled replicas (particles._replica_shares): each block is
+    one _rate_worker call, whose diffs, plains, pairs (R, 4 each) and final
+    positions x (R, N) fill its rows of the shares' outputs."""
     sim = SimConfig(N=N, dt=ecfg.dt, T=ecfg.T, n_replicas=ecfg.replicas, base_seed=ecfg.seed,
                     kernel=ecfg.kernel, initial_density=plan.sample_density)
-    R = ecfg.replicas
-    P = min(workers, _share_count(R, N))
-    blocks = _chunks(R, N, P)
-    n = len(blocks)
-    shares = [(blocks[i * n // P][0], blocks[(i + 1) * n // P - 1][1]) for i in range(P)]
 
-    def work(share, out):
-        for r0, r1 in blocks:
-            if share[0] <= r0 < share[1]:
-                for rows, block in zip(out, _rate_worker(sim, r0, r1, plan.Cdt, plan.Sdt, primary)):
-                    rows[r0:r1] = block
+    def step(r0, r1, out):
+        for rows, block in zip(out, _rate_worker(sim, r0, r1, plan.Cdt, plan.Sdt, primary)):
+            rows[r0:r1] = block
 
-    panel = len(_PHI_PANEL)
-    return _Shares(work, shares, [(R, panel), (R, panel), (R, 4), (R, N)])
+    R, panel = ecfg.replicas, len(_PHI_PANEL)
+    return _replica_shares(R, N, workers, step, [(R, panel), (R, panel), (R, 4), (R, N)])
 
 
 def run_rate_experiment(ecfg: ExperimentConfig) -> RateResult:
@@ -544,8 +522,6 @@ def run_rate_experiment(ecfg: ExperimentConfig) -> RateResult:
     manifest's status is "failed: " and the exception, and every child is
     killed and reaped before the exception goes on.
     """
-    import numpy.random  # noqa: F401  (every share draws from it; loaded before any fork)
-
     out = Path(ecfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     hashed = ecfg.canonical_text()
@@ -559,7 +535,7 @@ def run_rate_experiment(ecfg: ExperimentConfig) -> RateResult:
     failure = None
     running = None
     try:
-        plan = _predictions(ecfg, ecfg.kernel, workers)
+        plan = _predictions(ecfg, workers)
         per_phi, chi_pred, rho = plan.per_phi, plan.chi_pred, plan.rho
         # the primary observable is fixed from the solved correction, not the data
         primary = max(per_phi, key=lambda k: abs(per_phi[k]["bias"]))

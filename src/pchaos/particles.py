@@ -21,20 +21,20 @@ each replica the bits it has when simulated alone.  Public arrays keep a trailin
 coordinate axis of length 1: positions are (N, 1) per system and snapshots
 (R, n_times, N, 1).
 
-That contract is what lets run_ensemble split its replicas into P contiguous
-shares and step them on P CPUs at once with byte-identical snapshots for
-every P.  P follows the rate driver's chunk rule, capped by the CPUs this
-process may run on and by the replicas: P = min(usable CPUs, R, max(1,
-round(R N / _CHUNK_PARTICLES))), so a block of fewer than 1.5
-_CHUNK_PARTICLES particles stays in one process.  The shares run under
-_Shares, the one place the package forks, which the rate driver and the
-hierarchy solve (pde._march) use too: on Linux each of two or more shares
-steps in its own forked child, which writes its rows into one anonymous
-shared mapping and dies with its parent.  One share, and every share
-elsewhere, steps in the calling process.  A replica share steps no BLAS
-product, and the hierarchy's forked entry steps products sized for one
-thread (operators._EntrySolver), so a parent that runs OpenBLAS threads
-forks children that need none.
+That contract lets both ensemble commands cut replicas by one rule,
+_replica_plan, with the same bytes for every cut: P = min(workers, R, max(1,
+round(R N / _CHUNK_PARTICLES))) contiguous shares, each of whole blocks of
+about _CHUNK_PARTICLES particles stepped in order, so fewer than 1.5
+_CHUNK_PARTICLES particles stay in one process.  run_ensemble's workers are
+the CPUs this process may run on (_usable_cpus).  _replica_shares starts
+the shares under _Shares, the one place the package forks, which the rate
+driver's chain-moment table and the hierarchy solve (pde._march) use too:
+on Linux each of two or more shares steps in its own forked child, which
+writes its rows into one anonymous shared mapping and dies with its parent.
+One share, and every share elsewhere, steps in the calling process.  A
+replica share steps no BLAS product, and the hierarchy's forked entry steps
+products sized for one thread (operators._EntrySolver), so a parent that
+runs OpenBLAS threads forks children that need none.
 
 The pairwise drift sum costs O(N^2); for the translation-invariant kernel
 part a mode-summation fast path costs O(N * modes) and agrees with the direct
@@ -82,9 +82,9 @@ _RAW_MAGIC = b"PCEN"
 _RAW_VERSION = 1
 _RAW_HEADER = struct.Struct("<4sIIIII8x")  # magic, version, N, d (always 1), replicas, times
 _NOISE_BLOCK_BYTES = 1 << 20  # noise _replica_steps draws ahead, all replicas together
-# particles (replicas x N) in one block of an ensemble command, a rate
-# share's block or a run_ensemble share: enough to amortize each step's
-# per-call overhead, few enough that the step's arrays stay in cache
+# particles (replicas x N) in one block of _replica_plan, which both
+# ensemble commands step: enough to amortize each step's per-call
+# overhead, few enough that the step's arrays stay in cache
 _CHUNK_PARTICLES = 6000
 _REPORT_BYTES = 4096  # a failed share's report: at most PIPE_BUF, so one write never blocks
 _PR_SET_PDEATHSIG = 1  # Linux prctl option: the signal a child gets when its parent ends
@@ -404,9 +404,29 @@ def _replica_ranges(replicas: int, n: int) -> list:
     return list(zip(edges[:-1], edges[1:]))
 
 
-def _share_count(replicas: int, N: int) -> int:
-    """How many shares run_ensemble steps at once (see the module docstring)."""
-    return min(_usable_cpus(), replicas, max(1, round(replicas * N / _CHUNK_PARTICLES)))
+def _replica_plan(replicas: int, N: int, workers: int):
+    """(shares, blocks) of an ensemble command (see the module docstring).  The
+    block count is a multiple of the share count P unless every block is one
+    replica, so each share, one of _replica_ranges(replicas, P), is whole blocks."""
+    P = min(workers, replicas, max(1, round(replicas * N / _CHUNK_PARTICLES)))
+    n = min(replicas, P * max(1, round(replicas * N / (_CHUNK_PARTICLES * P))))
+    return _replica_ranges(replicas, P), _replica_ranges(replicas, n)
+
+
+def _replica_shares(replicas: int, N: int, workers: int, step, shapes) -> _Shares:
+    """Start _replica_plan's shares under _Shares, with outputs of the given
+    shapes: each share calls step(r0, r1, out) on its blocks, in order.  Every
+    block draws from numpy.random, so it is loaded here, before any fork."""
+    import numpy.random  # noqa: F401
+
+    shares, blocks = _replica_plan(replicas, N, workers)
+
+    def work(share, out):
+        for r0, r1 in blocks:
+            if share[0] <= r0 < share[1]:
+                step(r0, r1, out)
+
+    return _Shares(work, shares, shapes)
 
 
 def _record(cfg: SimConfig, r0: int, r1: int, steps: np.ndarray, out: np.ndarray) -> None:
@@ -438,10 +458,9 @@ class _Shares:
     type's name and message (see _share_failure) and the exit code is 1.
     SIGINT and SIGTERM are blocked across each fork, so neither can raise in
     a child before it is inside its own handler, nor between a fork and
-    this process recording the child.  run_ensemble and the rate driver,
-    whose shares all draw from numpy.random, load it before they fork, so
-    no child loads it again; the hierarchy's child draws nothing, and its
-    solve does not load it.
+    this process recording the child.  _replica_shares, whose shares all
+    draw from numpy.random, loads it before they fork, so no child loads it
+    again; the chain-moment and hierarchy children draw nothing.
 
     join() waits for the children in share order and raises the failure of
     the first that failed, as its own type where that is a built-in.  Every
@@ -560,8 +579,8 @@ def run_ensemble(cfg: SimConfig, output_times) -> SnapshotSet:
     """Simulate all replicas and record positions at the requested times.
 
     Output times must be sorted, within the horizon [0, T], and multiples of
-    dt (core.step_count).  The replicas are stepped in contiguous shares,
-    one per CPU the block is large enough to use (see the module docstring);
+    dt (core.step_count).  The replicas are stepped in contiguous shares of
+    blocks, one share per CPU the block is large enough to use (_replica_plan);
     the result is a deterministic function of the configuration, whatever
     the number of shares.  A share that fails raises its exception's type
     and message here, after every share's process has ended (_Shares.join).
@@ -578,12 +597,10 @@ def run_ensemble(cfg: SimConfig, output_times) -> SnapshotSet:
     except ValueError:
         raise ValueError("output times must be multiples of dt") from None
 
-    import numpy.random  # noqa: F401  (every share draws from it; loaded before any fork)
-
     R = cfg.n_replicas
-    shares = _replica_ranges(R, _share_count(R, cfg.N))
-    positions, = _Shares(lambda share, out: _record(cfg, *share, steps, out[0]), shares,
-                         [(R, len(output_times), cfg.N, 1)]).join()
+    positions, = _replica_shares(R, cfg.N, _usable_cpus(),
+                                 lambda r0, r1, out: _record(cfg, r0, r1, steps, out[0]),
+                                 [(R, len(output_times), cfg.N, 1)]).join()
     return SnapshotSet(output_times, positions)
 
 

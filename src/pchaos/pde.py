@@ -359,7 +359,8 @@ class GTable(NamedTuple):
     @classmethod
     def load(cls, path) -> "GTable":
         """Read a table written by save (dim 1); the kernel hash and every file size must match,
-        and the entries must be exactly solve_order(i_max).  A malformed meta.json is a ValueError."""
+        the entries must be exactly solve_order(i_max), each in the g_{i}_{j}.f64 file save
+        names.  A malformed meta.json is a ValueError."""
         path = Path(path)
         meta_file = path / "meta.json"
         with open(meta_file, "r", encoding="utf-8") as fh:
@@ -388,6 +389,9 @@ class GTable(NamedTuple):
         kernel = KernelSpec.from_text(ktext)
         entries = {}
         for (i, j), ent in zip(keys, meta["entries"]):
+            if ent["file"] != f"g_{i}_{j}.f64":  # the name save writes, which metrics hashes
+                raise ValueError(f"{meta_file}: entry ({i}, {j}) names file {ent['file']!r}, "
+                                 f"expected 'g_{i}_{j}.f64'")
             want = 8 * tg.n_stored * M ** j
             data = (path / ent["file"]).read_bytes()
             if len(data) != want:

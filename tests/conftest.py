@@ -102,8 +102,9 @@ def record_forks(monkeypatch) -> list:
 
 
 def force_shares(monkeypatch, P: int) -> list:
-    """Make run_ensemble step any block of at least P replicas in P shares;
-    returns the list of the pids it forks."""
+    """Make run_ensemble step any ensemble of at least P replicas in P shares,
+    each replica its own block (the rate driver's blocks too); returns the
+    list of the pids it forks."""
     from pchaos import particles
 
     monkeypatch.setattr(particles, "_CHUNK_PARTICLES", 1)

@@ -1,6 +1,7 @@
 """End-to-end smoke tests for every CLI subcommand on tiny configurations."""
 import json
 import os
+import re
 import shutil
 import signal
 import subprocess
@@ -801,6 +802,35 @@ def test_metrics_rejects_truncated_gtable(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.endswith("meta.json: M is '16', expected a non-negative integer\n")
     assert err.count("\n") == 1
+
+
+def test_metrics_refuses_a_renamed_table_file(tmp_path, capsys):
+    # the manifest hashes meta.json and the table's *.f64 files, so an entry
+    # may name only the g_{i}_{j}.f64 file save writes: a file renamed to
+    # g_0_1.bin would be read but not hashed
+    hier_cfg = _write_cfg(
+        tmp_path, "h.cfg",
+        f"kernel = {KERNEL_PATH}\ndensity_cos = 1.0, 0.5\ngrid = 16\ndt = 1e-3\nT = 2e-3\n",
+    )
+    assert main(["solve-hierarchy", "--config", hier_cfg, "--out", str(tmp_path / "h")]) == 0
+    assert main(["simulate", "--config", _sim_cfg(tmp_path), "--out", str(tmp_path / "s")]) == 0
+    gdir = tmp_path / "h" / "gtable"
+    (gdir / "g_0_1.f64").rename(gdir / "g_0_1.bin")
+    meta = json.loads((gdir / "meta.json").read_text())
+    assert meta["entries"][0] == {"i": 0, "j": 1, "file": "g_0_1.f64"}
+    meta["entries"][0]["file"] = "g_0_1.bin"
+    (gdir / "meta.json").write_text(json.dumps(meta))
+    message = "meta.json: entry (0, 1) names file 'g_0_1.bin', expected 'g_0_1.f64'"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        GTable.load(gdir)
+    met_cfg = _write_cfg(tmp_path, "m.cfg",
+                         f"snapshots = {tmp_path / 's' / 'snapshots.raw'}\ngtable = {gdir}\n")
+    capsys.readouterr()
+    assert main(["metrics", "--config", met_cfg, "--out", str(tmp_path / "m")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.endswith(message + "\n")
+    assert err.count("\n") == 1
+    assert not (tmp_path / "m" / "manifest.json").exists()
 
 
 def test_metrics_snapshot_file_without_positions_is_a_user_error(tmp_path, capsys):

@@ -309,9 +309,10 @@ def test_predictions_check_the_band_before_the_pool_gets_work(tmp_path, monkeypa
     # be raised before the chain moments go to a forked child, where a mode
     # that high takes seconds to tabulate
     calls = _recorded_shares(monkeypatch)
-    kernel = KernelSpec.from_tables(b={1: (0.5, 0.0)}, khat={1500: (0.0, 0.25)})
+    kernel = tmp_path / "mode1500.txt"
+    kernel.write_text(KernelSpec.from_tables(b={1: (0.5, 0.0)}, khat={1500: (0.0, 0.25)}).to_text())
     with pytest.raises(ValueError, match="Nyquist"):
-        experiments._predictions(_ecfg(tmp_path, workers=2), kernel, 2)
+        experiments._predictions(_ecfg(tmp_path, kernel_path=str(kernel), workers=2), 2)
     assert calls == []
 
 
@@ -611,16 +612,17 @@ def test_one_and_two_workers_write_the_same_csv(tmp_path):
     # one worker steps N = 60 in 3 blocks in this process, two in two forked
     # shares of 2 blocks each: the same bytes
     base = dict(N_list=(40, 60, 80), replicas=300)
-    assert [len(experiments._chunks(300, N, 1)) for N in base["N_list"]] == [2, 3, 4]
-    assert [len(experiments._chunks(300, N, 2)) for N in base["N_list"]] == [2, 4, 4]
+    assert [len(particles._replica_plan(300, N, 1)[1]) for N in base["N_list"]] == [2, 3, 4]
+    assert [len(particles._replica_plan(300, N, 2)[1]) for N in base["N_list"]] == [2, 4, 4]
     one = run_rate_experiment(_ecfg(tmp_path, out_dir=str(tmp_path / "w1"), workers=1, **base))
     two = run_rate_experiment(_ecfg(tmp_path, out_dir=str(tmp_path / "w2"), workers=2, **base))
     assert Path(one.csv_path).read_bytes() == Path(two.csv_path).read_bytes()
 
 
 def _recorded_shares(monkeypatch):
-    """Record every particles._Shares the rate driver starts, as (what,
-    shares, fork); returns the list they go to."""
+    """Record every particles._Shares the rate driver starts, itself or
+    through particles._replica_shares, as (what, shares, fork); returns the
+    list they go to."""
     calls = []
 
     class Recorded(particles._Shares):
@@ -629,6 +631,7 @@ def _recorded_shares(monkeypatch):
             super().__init__(work, shares, shapes, what, fork)
 
     monkeypatch.setattr(experiments, "_Shares", Recorded)
+    monkeypatch.setattr(particles, "_Shares", Recorded)
     return calls
 
 
@@ -636,7 +639,7 @@ def _recorded_shares(monkeypatch):
 def test_rate_pool_is_sized_to_the_machine(tmp_path, monkeypatch, workers):
     # more processes than usable CPUs would time-share them, so 64 requested
     # workers on two usable CPUs fork the chain table beside the hierarchy
-    # solve and two shares per N, each of whole _chunks blocks, and one
+    # solve and two shares per N, each of whole _replica_plan blocks, and one
     # worker forks nothing
     calls = _recorded_shares(monkeypatch)
     monkeypatch.setattr(experiments, "_usable_cpus", lambda: 2)
@@ -647,7 +650,7 @@ def test_rate_pool_is_sized_to_the_machine(tmp_path, monkeypatch, workers):
     assert calls[0] == ("chain-moment steps", [(0, 3)], size > 1)
     assert len(calls) == 1 + 3
     for (what, shares, fork), N in zip(calls[1:], (40, 60, 80)):
-        starts = [r0 for r0, _ in experiments._chunks(300, N, size)]
+        starts = [r0 for r0, _ in particles._replica_plan(300, N, size)[1]]
         assert (what, len(shares), fork) == ("replicas", size, False)
         assert shares[0][0] == 0 and shares[-1][1] == 300
         assert all(a[1] == b[0] for a, b in zip(shares, shares[1:]))
@@ -674,16 +677,21 @@ def test_one_usable_cpu_gets_one_worker_and_one_share(tmp_path, monkeypatch):
 
 
 def test_rate_pool_forks_after_numpy_random_is_loaded(tmp_path):
-    # numpy loads numpy.random at its first use; every share draws from it,
-    # so it is loaded before the first fork and the children start with it.
-    # The stub fork records what is loaded at the first fork, then stops the
-    # run.
+    # numpy loads numpy.random at its first use; every replica share draws
+    # from it, so it is loaded before the first replica share is forked and
+    # the children start with it.  The chain-moment child, forked first,
+    # draws nothing.  The stub fork lets that child fork, then records what
+    # is loaded at the next fork and stops the run.
     code = (
         "import os, sys\n"
         "from pchaos import experiments, particles\n"
         "from pchaos.config import load_config\n"
         "class Forked(Exception): pass\n"
+        "forks, real_fork = [], os.fork\n"
         "def fork():\n"
+        "    forks.append(None)\n"
+        "    if len(forks) == 1:\n"
+        "        return real_fork()\n"
         "    raise Forked('numpy.random' in sys.modules)\n"
         "os.fork = fork\n"
         "experiments._usable_cpus = particles._usable_cpus = lambda: 2\n"
@@ -700,12 +708,15 @@ def test_rate_pool_forks_after_numpy_random_is_loaded(tmp_path):
 
 def test_chunks_cover_replicas_in_multiples_of_workers():
     for replicas, N, workers in ((600, 25, 2), (600, 100, 2), (10000, 800, 8), (10, 4, 3), (3, 10**6, 8)):
-        chunks = experiments._chunks(replicas, N, workers)
+        shares, chunks = particles._replica_plan(replicas, N, workers)
         assert chunks[0][0] == 0 and chunks[-1][1] == replicas
         assert all(a[1] == b[0] for a, b in zip(chunks, chunks[1:]))
         assert all(r1 > r0 for r0, r1 in chunks)
-        assert len(chunks) % workers == 0 or len(chunks) == replicas
-    assert experiments._chunks(600, 100, 2) == [(60 * i, 60 * i + 60) for i in range(10)]
+        assert len(chunks) % len(shares) == 0 or len(chunks) == replicas
+        # every share is made of whole blocks
+        starts, stops = {r0 for r0, _ in chunks}, {r1 for _, r1 in chunks}
+        assert all(r0 in starts and r1 in stops for r0, r1 in shares)
+    assert particles._replica_plan(600, 100, 2)[1] == [(60 * i, 60 * i + 60) for i in range(10)]
 
 
 # ---------------------------------------------------------------------------

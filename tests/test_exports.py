@@ -7,7 +7,8 @@ resolve, or the benchmark would first fail when it is run.  Every public
 name must also be reached by the package itself or by the benchmark, not
 only by tests: a path only tests take belongs in tests/oracles/.  And every
 reference implementation in tests/oracles/ must be used by a test, or it
-checks nothing.  The package forks in one place, particles._Shares.
+checks nothing.  The package forks in one place, particles._Shares, and
+starts replica shares in one, particles._replica_shares.
 """
 import ast
 import importlib
@@ -211,19 +212,16 @@ def test_every_public_name_is_reached_outside_tests():
     assert not live, f"{live} are now reached: take them off ROADMAP_PIECES"
 
 
-def _os_uses(name: str) -> set:
-    """(module, outermost def or class) of every os.<name> in the package,
-    and of every `from os import <name>`."""
+def _uses(match) -> set:
+    """(module, outermost def or class) of every node of the package for
+    which match(node) is true; a node outside any def is placed at None."""
     found = set()
 
     def visit(node, module, outer):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             outer = outer or node.name
-        if (isinstance(node, ast.Attribute) and node.attr == name
-                and isinstance(node.value, ast.Name) and node.value.id == "os"):
+        if match(node):
             found.add((module, outer))
-        if isinstance(node, ast.ImportFrom) and node.module == "os":
-            found.update((module, "from os import") for a in node.names if a.name == name)
         for child in ast.iter_child_nodes(node):
             visit(child, module, outer)
 
@@ -232,9 +230,39 @@ def _os_uses(name: str) -> set:
     return found
 
 
+def _os_uses(name: str) -> set:
+    """(module, outermost def or class) of every os.<name> in the package,
+    and of every `from os import <name>` (placed at "from os import")."""
+    attr = _uses(lambda node: isinstance(node, ast.Attribute) and node.attr == name
+                 and isinstance(node.value, ast.Name) and node.value.id == "os")
+    imported = _uses(lambda node: isinstance(node, ast.ImportFrom) and node.module == "os"
+                     and any(a.name == name for a in node.names))
+    return attr | {(module, "from os import") for module, _ in imported}
+
+
 def test_the_package_forks_in_one_place():
     # _Shares forks every child, kills and reaps it on every path; the only
     # other pipes are the lockstep barrier's, opened by the march that
     # steps an entry in a _Shares child
     assert _os_uses("fork") == {("particles", "_Shares")}
     assert _os_uses("pipe") == {("particles", "_Shares"), ("pde", "_march")}
+
+
+def test_shares_start_in_three_places():
+    # the replica shares of both ensemble commands start in _replica_shares,
+    # the one place numpy.random is loaded before they fork; the rate
+    # driver's chain-moment table and the hierarchy's top entry are the
+    # other two _Shares, and neither draws
+    def starts_shares(node):
+        return isinstance(node, ast.Call) and (
+            getattr(node.func, "id", None) == "_Shares" or getattr(node.func, "attr", None) == "_Shares")
+
+    def loads_numpy_random(node):
+        return ((isinstance(node, ast.Import) and any(a.name == "numpy.random" for a in node.names))
+                or (isinstance(node, ast.ImportFrom) and node.module == "numpy.random")
+                or (isinstance(node, ast.ImportFrom) and node.module == "numpy"
+                    and any(a.name == "random" for a in node.names)))
+
+    assert _uses(starts_shares) == {("particles", "_replica_shares"),
+                                    ("experiments", "_predictions"), ("pde", "_march")}
+    assert _uses(loads_numpy_random) == {("particles", "_replica_shares")}

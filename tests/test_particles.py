@@ -29,7 +29,7 @@ from pchaos.particles import (
 from pchaos.pde import TimeGrid, solve_mckean_vlasov
 
 from conftest import (REPO_ROOT, RICH_KERNEL, band_limited_kernels, force_shares, forks_shares,
-                      fresh_python)
+                      fresh_python, record_forks)
 
 
 # ---------------------------------------------------------------------------
@@ -361,7 +361,7 @@ def test_run_ensemble_shares_are_byte_identical(monkeypatch, P):
     # process; a share of 1 is the serial path and forks nothing
     cfg = _small_config(n_replicas=7)
     times = [0.0, 2e-3, 2e-3, 5e-3]
-    assert particles._share_count(7, cfg.N) == 1
+    assert len(particles._replica_plan(7, cfg.N, particles._usable_cpus())[0]) == 1
     serial = run_ensemble(cfg, times)
     forked = force_shares(monkeypatch, P)
     split = run_ensemble(cfg, times)
@@ -371,16 +371,40 @@ def test_run_ensemble_shares_are_byte_identical(monkeypatch, P):
     _assert_no_child_left()
 
 
-@forks_shares
-def test_share_count_follows_the_chunk_rule(monkeypatch):
-    monkeypatch.setattr(particles, "_usable_cpus", lambda: 2)
+def test_share_count_follows_the_chunk_rule():
+    def shares(replicas, N, workers):
+        return len(particles._replica_plan(replicas, N, workers)[0])
+
     # the ensemble workload (R = 200, N = 64) takes both CPUs; the shipped
     # simulate.cfg (R = 128, N = 64: 8192 particles) stays in one process
-    assert particles._share_count(200, 64) == 2
-    assert particles._share_count(128, 64) == 1
-    assert particles._share_count(1, 10 ** 6) == 1
-    monkeypatch.setattr(particles, "_usable_cpus", lambda: 64)
-    assert particles._share_count(1000, 60) == 10
+    assert shares(200, 64, 2) == 2
+    assert shares(128, 64, 2) == 1
+    assert shares(1, 10 ** 6, 2) == 1
+    assert shares(1000, 60, 64) == 10
+
+
+@forks_shares
+def test_run_ensemble_steps_a_share_in_blocks(monkeypatch):
+    # 60 replicas of 400 particles (24000, four _CHUNK_PARTICLES) step on one
+    # usable CPU in four blocks of 15 replicas, one _record call each, and
+    # give the bytes of two forked shares of two such blocks
+    cfg = _small_config(N=400, n_replicas=60, T=2e-3)
+    calls, record = [], particles._record
+
+    def recorded(cfg, r0, r1, steps, out):
+        calls.append((r0, r1))
+        record(cfg, r0, r1, steps, out)
+
+    monkeypatch.setattr(particles, "_record", recorded)
+    monkeypatch.setattr(particles, "_usable_cpus", lambda: 1)
+    one = run_ensemble(cfg, [0.0, 2e-3])
+    assert calls == [(0, 15), (15, 30), (30, 45), (45, 60)]
+    monkeypatch.setattr(particles, "_usable_cpus", lambda: 2)
+    forked = record_forks(monkeypatch)
+    two = run_ensemble(cfg, [0.0, 2e-3])
+    assert len(forked) == 2
+    assert two.positions.tobytes() == one.positions.tobytes()
+    _assert_no_child_left()
 
 
 @forks_shares
@@ -425,7 +449,7 @@ def test_a_failed_child_share_raises_in_the_parent(monkeypatch, fail, expected, 
     record = particles._record
 
     def failing_record(cfg, r0, r1, steps, out):
-        if r0 != 0:
+        if r0 >= 2:  # share 1's blocks: each replica is its own block
             raise fail()
         record(cfg, r0, r1, steps, out)
 

@@ -931,12 +931,14 @@ def test_gtable_load_rejects_other_dimension(saved_table):
     (lambda m: m["entries"].append(5), r"expected an object, got int"),
     (lambda m: m.update(kernel_text=5), r"kernel_text, kernel_sha256 and files must be strings"),
     (lambda m: m["entries"][0].update(file=5), r"kernel_text, kernel_sha256 and files must be strings"),
+    (lambda m: m["entries"][0].update(file="g_0_1.bin"),
+     r"entry \(0, 1\) names file 'g_0_1\.bin', expected 'g_0_1\.f64'"),
 ], ids=[
     "dim-bool", "dim-float",
     "M-string", "n_steps-float", "store_every-bool", "i_max-negative", "j-string",
     "i-null", "dt-null", "dt-nan", "dt-string", "entries-object",
     "i_max-above-table", "entry-missing", "entry-repeated", "entry-not-object", "kernel_text-int",
-    "file-int",
+    "file-int", "file-renamed",
 ])
 def test_gtable_load_rejects_malformed_meta(saved_table, edit, message):
     # every malformed meta.json is a ValueError naming the file, not a
