@@ -63,6 +63,7 @@ from __future__ import annotations
 
 import gc
 import hashlib
+import json
 import math
 import os
 import re
@@ -136,6 +137,19 @@ def _hashed_kernel(cfg: Config) -> tuple[str, KernelSpec]:
 def _file_digests(paths) -> str:
     """One 'sha256  name' line per input file, so a manifest hash covers the bytes read."""
     return "".join(f"\n{hashlib.sha256(Path(p).read_bytes()).hexdigest()}  {p}" for p in paths)
+
+
+def _gtable_inputs(gdir: Path) -> list:
+    """meta.json of a saved table, then the files it lists in name order:
+    the files GTable.load reads, taken from meta.json before the load."""
+    meta_file = gdir / "meta.json"
+    with open(meta_file, "r", encoding="utf-8") as fh:
+        meta = json.load(fh)
+    entries = meta.get("entries") if isinstance(meta, dict) else None
+    if not isinstance(entries, list):
+        entries = []  # the load refuses this meta.json and says why
+    files = {ent["file"] for ent in entries if isinstance(ent, dict) and isinstance(ent.get("file"), str)}
+    return [meta_file, *(gdir / name for name in sorted(files))]
 
 
 def _time_grid(cfg: Config) -> TimeGrid:
@@ -222,7 +236,7 @@ def _cmd_solve_hierarchy(cfg: Config, out: Path, seed: int) -> int:
 
 def _cmd_metrics(cfg: Config, out: Path, seed: int) -> int:
     gdir = Path(cfg.get_str("gtable"))
-    inputs = [cfg.get_str("snapshots"), gdir / "meta.json", *sorted(gdir.glob("*.f64"))]
+    inputs = [cfg.get_str("snapshots"), *_gtable_inputs(gdir)]
     hashed = _hashed_text(cfg) + _file_digests(inputs)
     snaps = SnapshotSet.from_raw(cfg.get_str("snapshots"))
     gt = GTable.load(gdir)

@@ -26,16 +26,20 @@ then has expectation exactly zero by independence, so the corrected
 difference stays unbiased while its standard error drops by a further order
 of magnitude.
 
-The worker steps both systems and the derivative companion in place, in
-work arrays allocated once per chunk.  Per kernel mode it takes cos and sin
-of 2 pi m x once per particle and system from particles._cos_sin (exact
-quarter-turn reduction, then one libm sin on [-pi/4, pi/4] and cos as
-sqrt(1 - sin^2)); b's coefficients and the moments (each replica's for the
-interacting system, the chain's for the companion) fold into two per-mode
-coefficients, so the drift, its Jacobian and the leave-one-out forcing each
-cost one product per trigonometric value (see _companion_terms).  The
-chain-moment table steps the chain's spectrum, band-limited by the heat
-factor, so it costs O(M L) per step for M cells and L modes.
+The worker steps both systems through the package's one stepping loop,
+particles._replica_steps, as the two rows of one (2, R, N) block: per
+kernel mode one particles._cos_sin call over the block (exact quarter-turn
+reduction, then one libm sin on [-pi/4, pi/4] and cos as sqrt(1 - sin^2)),
+b's coefficients and the moments (each replica's for the interacting row,
+the chain's for the companion row) folded into two coefficients per row,
+one multiply-add into the block's drift, and one Euler-Maruyama step of the
+block with the noise scaled once.  The worker keeps only the companion's
+own arithmetic (_Companion): fed the companion row's trigonometry of each
+mode, it sums the drift's Jacobian and the leave-one-out forcing, one
+product per trigonometric value each, and steps the derivative companion,
+in arrays allocated once per block.  The chain-moment table steps the
+chain's spectrum, band-limited by the heat factor, so it costs O(M L) per
+step for M cells and L modes.
 run_rate_experiment forks through particles._Shares, the package's one
 fork helper, on min(workers, usable CPUs) CPUs (usable CPUs are those of
 the process's affinity mask, and one where _Shares does not fork:
@@ -89,15 +93,12 @@ from .metrics import (
     weighted_l2_error,
 )
 from .particles import (
-    _MODE_WORK,
     SimConfig,
     _cell_cdf,
-    _mode_terms,
     _replica_shares,
     _replica_steps,
     _Shares,
     _usable_cpus,
-    em_step,
     extract_marginal_samples,
     mode_sum_drift,
 )
@@ -160,8 +161,15 @@ class ExperimentConfig:
                 "simulation cannot resolve the order-2 bias; higher orders are checked "
                 "deterministically against the N-particle hierarchy"
             )
-        if self.T <= 0 or self.dt <= 0:
-            raise ConfigError("need positive horizon and step")
+        # written so that NaN fails every check
+        if not 0 < self.T < math.inf:
+            raise ConfigError(f"T = {self.T!r}: need a finite positive horizon")
+        if not 0 < self.dt < math.inf:
+            raise ConfigError(f"dt = {self.dt!r}: need a finite positive step")
+        try:
+            step_count(self.T, self.dt)
+        except ValueError:
+            raise ConfigError(f"T = {self.T!r} is not a whole number of steps dt = {self.dt!r}") from None
         if self.replicas < 10 or self.seed < 0:
             raise ConfigError("need replicas >= 10 and a nonnegative seed")
         if self.workers < 1:
@@ -184,8 +192,9 @@ class ExperimentConfig:
             raise ConfigError(f"need at least three N values for the rate fits, "
                               f"got {len(self.N_list)}")
         fine = fourier_field(TorusGrid(4096), self.density_cos, self.density_sin)
-        if fine.values.min() < 1e-3:
-            raise ConfigError("initial density must stay above 1e-3")
+        if not fine.values.min() >= 1e-3:
+            raise ConfigError(f"density_cos, density_sin: initial density must stay above 1e-3, "
+                              f"its minimum is {float(fine.values.min()):g}")
         self.kernel_text = Path(kernel_path).read_text(encoding="utf-8")
         self.kernel = KernelSpec.from_text(self.kernel_text)
         if not any(k_cos or k_sin for *_, k_cos, k_sin in self.kernel.mode_table):
@@ -350,21 +359,17 @@ def _chain_moments(kernel: KernelSpec, sample_density: GridField, dt: float,
     return Cdt, Sdt
 
 
-# scratch rows of _companion_terms: drift, jac, force, then _mode_terms'
-# rows, whose third is free between modes
-_COMPANION_WORK = 3 + _MODE_WORK
+class _Companion:
+    """The rate worker's companion arithmetic: the companion drift's Jacobian,
+    the derivative companion's forcing, and the derivative companion delta.
 
-
-def _companion_terms(kernel: KernelSpec, y: np.ndarray, C: np.ndarray, S: np.ndarray,
-                     work=None):
-    """Companion drift, its Jacobian, and the derivative companion's forcing.
-
-    y is the (R, N) companion block and C[m], S[m] the chain moments of the
-    step.  particles._mode_terms sums the drift into one row, as
-    mode_sum_drift does (so it equals the interacting drift bitwise when
-    khat = 0), and yields per mode cos = cos(2 pi m y), sin = sin(2 pi m y)
-    and the step's scalars a = b_c + k_c C[m] - k_s S[m] and
-    b = b_s + k_c S[m] + k_s C[m].  With w = 2 pi m, mode m contributes
+    particles._replica_steps steps the interacting system and its companion
+    y as rows 0 and 1 of one block and calls add(n, ...) with each mode of
+    step n's drift (particles._mode_terms with companion): the block's cos
+    = cos(2 pi m .) and sin = sin(2 pi m .), y's folded coefficients a =
+    b_c + k_c C[m] - k_s S[m] and b = b_s + k_c S[m] + k_s C[m], and the
+    block's empirical moments.  With w = 2 pi m, mode m contributes, on y's
+    row,
 
         jac    w (cos b - sin a), the drift's derivative in the evaluation point,
         force  cos (k_c P_c - k_s P_s) + sin (k_c P_s + k_s P_c) - k_c / N,
@@ -372,63 +377,87 @@ def _companion_terms(kernel: KernelSpec, y: np.ndarray, C: np.ndarray, S: np.nda
     where P = mean - C[m] (1 - 1/N) per replica.  force is the khat response
     to each replica's companion moment discrepancy with every particle's own
     contribution left out: cos^2 + sin^2 = 1 turns the left-out self terms
-    into the constant -k_c / N.  cos/sin are evaluated once per mode.  The
-    three results are rows of work, a (_COMPANION_WORK, *y.shape) scratch
-    array (allocated when None) that the next call overwrites.
+    into the constant -k_c / N.  Each sum writes its first product rather
+    than adding it to a zero fill.  terms() ends the step's sums and step(dt)
+    then moves delta by dt (jac delta + force).
     """
-    N = y.shape[-1]
-    if work is None:
-        work = np.empty((_COMPANION_WORK, *y.shape))
-    drift, jac, force = work[:3]
-    modes = work[3:]
-    tmp = modes[2]
-    jac.fill(0.0)
-    force.fill(0.0)
-    self_terms = 0.0
-    for (m, _, _, kc, ks), cy, sy, a, b in _mode_terms(kernel, y, C, S, drift, modes):
+
+    def __init__(self, shape: tuple, C: np.ndarray, S: np.ndarray):
+        self.N = shape[-1]
+        self.delta = np.zeros(shape)
+        self.jac, self.force, self._tmp = np.empty((3, *shape))
+        # C[m], S[m] (1 - 1/N) of every step, each a (2, 1, 1) column of P's centre
+        self._centre = np.stack((C, S), axis=1)[..., None, None] * (1.0 - 1.0 / self.N)
+        self._start()
+
+    def _start(self) -> None:
+        self._jac_fresh = self._force_fresh = True
+        self._self_terms = 0.0
+
+    def add(self, n: int, mode: tuple, cos, sin, a, b, means) -> None:
+        m, _, _, kc, ks = mode
+        cy, sy, tmp = cos[1], sin[1], self._tmp
         w = 2 * np.pi * m
-        jac += np.multiply(cy, w * b, out=tmp)
-        jac -= np.multiply(sy, w * a, out=tmp)
+        if self._jac_fresh:
+            np.multiply(cy, w * b, out=self.jac)
+            self._jac_fresh = False
+        else:
+            self.jac += np.multiply(cy, w * b, out=tmp)
+        self.jac -= np.multiply(sy, w * a, out=tmp)
         if kc == 0.0 and ks == 0.0:
-            continue
-        Pc, Ps = np.add.reduce(modes[:2], axis=-1, keepdims=True) / N
-        Pc -= C[m] * (1.0 - 1.0 / N)
-        Ps -= S[m] * (1.0 - 1.0 / N)
-        force += np.multiply(cy, kc * Pc - ks * Ps, out=tmp)
-        force += np.multiply(sy, kc * Ps + ks * Pc, out=tmp)
-        self_terms += kc
-    force -= self_terms / N
-    return drift, jac, force
+            return
+        P = np.subtract(means[:, 1], self._centre[n, :, m])
+        Pc, Ps = P[0], P[1]
+        if self._force_fresh:
+            np.multiply(cy, kc * Pc - ks * Ps, out=self.force)
+            self._force_fresh = False
+        else:
+            self.force += np.multiply(cy, kc * Pc - ks * Ps, out=tmp)
+        self.force += np.multiply(sy, kc * Ps + ks * Pc, out=tmp)
+        self._self_terms += kc
+
+    def terms(self) -> tuple:
+        """(jac, force) of the step's modes added so far, which the next add overwrites."""
+        if self._jac_fresh:
+            self.jac.fill(0.0)
+        if self._force_fresh:
+            self.force.fill(0.0)
+        else:
+            self.force -= self._self_terms / self.N
+        self._start()
+        return self.jac, self.force
+
+    def step(self, dt: float) -> None:
+        jac, force = self.terms()
+        jac *= self.delta
+        jac += force
+        jac *= dt
+        self.delta += jac
 
 
 def _rate_worker(cfg: SimConfig, r0, r1, Cdt, Sdt, primary: int):
     """Coupled estimates over replicas range(r0, r1) of the sim configuration.
 
-    The interacting system x is particles._replica_steps; the companion y
-    starts at the same positions, takes the same noise and drifts by the
-    chain moments Cdt[n], Sdt[n]; delta is the derivative companion.  Returns
-    diffs and plains, one column per _PHI_PANEL observable; pairs, the columns
-    uX, aX, uY, aY of _pair_stats of _PHI_PANEL[primary] on x and on y; and x.
+    particles._replica_steps steps the interacting system x and the
+    companion y, which starts at the same positions, takes the same noise
+    and drifts by the chain moments Cdt[n], Sdt[n], as one (2, R, N) block;
+    the derivative companion delta is _Companion's.  Returns diffs and
+    plains, one column per _PHI_PANEL observable; pairs, the columns uX, aX,
+    uY, aY of _pair_stats of _PHI_PANEL[primary] on x and on y; and x.
     """
-    steps = _replica_steps(cfg, range(r0, r1), cfg.n_steps)
-    x, _ = next(steps)
-    y = x.copy()
-    delta = np.zeros_like(y)
-    work = np.empty((_COMPANION_WORK, *y.shape))
-    for n, (x, noise) in enumerate(steps):
-        dy, jac, force = _companion_terms(cfg.kernel, y, Cdt[n], Sdt[n], work)
-        jac *= delta
-        jac += force
-        jac *= cfg.dt
-        delta += jac
-        em_step(y, dy, cfg.dt, noise, out=y, work=force)
+    companion = _Companion((r1 - r0, cfg.N), Cdt, Sdt)
+    steps = _replica_steps(cfg, range(r0, r1), cfg.n_steps, (Cdt, Sdt, companion.add))
+    xy, _ = next(steps)
+    for xy, _ in steps:
+        companion.step(cfg.dt)
+    x, y = xy
 
     diffs, plains = np.empty((2, r1 - r0, len(_PHI_PANEL)))
     for p, (_, kind, mode) in enumerate(_PHI_PANEL):
-        vx = _phi_values(kind, mode, x)
-        vy = _phi_values(kind, mode, y)
+        vx, vy = _phi_values(kind, mode, xy)
         plains[:, p] = vx.mean(axis=1)
-        diffs[:, p] = plains[:, p] - vy.mean(axis=1) - (_phi_deriv_values(kind, mode, y) * delta).mean(axis=1)
+        diffs[:, p] = (plains[:, p] - vy.mean(axis=1)
+                       - (_phi_deriv_values(kind, mode, y) * companion.delta).mean(axis=1))
         if p == primary:
             pairs = np.stack((*_pair_stats(vx), *_pair_stats(vy)), axis=1)
     return diffs, plains, pairs, x

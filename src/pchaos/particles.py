@@ -7,19 +7,22 @@ Each of N particles follows
 with the k = j self-interaction term included (the kernel need not vanish on
 the diagonal), as in the correction hierarchy and the BBGKY reference.
 
-One stepper, _replica_steps, simulates the system; run_ensemble and the rate
-experiment's worker both iterate it.  It fixes the stream layout, which is
-the reproducibility contract: replica r owns the Philox stream seeded with
-SeedSequence((base_seed, r)) and draws from it in this order: one
+One stepping loop, _replica_steps, simulates the system; run_ensemble and
+the rate experiment's worker both iterate it.  It steps one system, or, for
+the worker, the system and its companion as the two rows of one (2, R, N)
+block, both from the same initial draw and moved by the same noise, so the
+companion draws nothing.  Either way the loop fixes the stream layout, which
+is the reproducibility contract: replica r owns the Philox stream seeded
+with SeedSequence((base_seed, r)) and draws from it in this order: one
 sample_initial block of N positions, then one standard_normal draw of N
 values per time step (the same bits as an (N, 1) draw).  The initial law
 is the piecewise-constant one of _cell_cdf, from which the rate
 experiment's companion chain (experiments._chain_moments) starts too.  A
 replica's trajectory depends on its own stream alone, so all replicas step
 together as one replica-major (R, N) block, and any range of replicas gives
-each replica the bits it has when simulated alone.  Public arrays keep a trailing
-coordinate axis of length 1: positions are (N, 1) per system and snapshots
-(R, n_times, N, 1).
+each replica the bits it has when simulated alone.  Public arrays keep a
+trailing coordinate axis of length 1: positions are (N, 1) per system and
+snapshots (R, n_times, N, 1).
 
 That contract lets both ensemble commands cut replicas by one rule,
 _replica_plan, with the same bytes for every cut: P = min(workers, R, max(1,
@@ -42,14 +45,14 @@ sum to roundoff, since the kernels are trigonometric polynomials.  The
 stepper always takes the fast path, which walks the kernel's mode table once
 over the whole block: per mode it takes cos(2 pi m x) and sin(2 pi m x) of
 every particle from _cos_sin, folds b's coefficients and each replica's
-moments into two coefficients a, b, and adds cos * a + sin * b to one drift
-row (see _mode_terms).  _cos_sin reduces m x by whole and quarter turns
-exactly (Cody & Waite), takes sin from libm only on [-pi/4, pi/4], where
-libm is about twice as fast as on [0, 2 pi) and the rounding of 2 pi m x
-never enters, and takes cos from sin as sqrt(1 - sin^2), which cannot cancel
-there.  The stepper's work arrays are allocated once per simulation, not per
-step.  The direct path, kept as the oracle, loops over replicas so its
-memory stays O(N^2).
+moments (the chain's, on a companion row) into two coefficients a, b, and
+adds cos * a + sin * b to one drift block (see _mode_terms).  _cos_sin
+reduces m x by whole and quarter turns exactly (Cody & Waite), takes sin
+from libm only on [-pi/4, pi/4], where libm is about twice as fast as on
+[0, 2 pi) and the rounding of 2 pi m x never enters, and takes cos from sin
+as sqrt(1 - sin^2), which cannot cancel there.  The stepper's work arrays
+are allocated once per simulation, not per step.  The direct path, kept as
+the oracle, loops over replicas so its memory stays O(N^2).
 """
 
 from __future__ import annotations
@@ -239,44 +242,73 @@ def _cos_sin(m: int, x: np.ndarray, cos: np.ndarray, sin: np.ndarray, work: np.n
     sin -= np.multiply(c, k, out=k)
 
 
-def _mode_terms(kernel: KernelSpec, xc: np.ndarray, C, S, drift: np.ndarray, work: np.ndarray):
+def _mode_terms(kernel: KernelSpec, xc: np.ndarray, C, S, drift: np.ndarray, work: np.ndarray,
+                companion: bool = False):
     """Walk the kernel's mode table over the block xc, summing b + khat * law into drift.
 
-    drift is first filled with the mode-0 term b_c[0] + k_c[0] C[0].  For
-    mode m, with cos = cos(2 pi m xc) and sin = sin(2 pi m xc) from
-    _cos_sin, the law's moments fold with b's coefficients into
+    The law is given by its moments C, S, or is each replica's empirical
+    measure along the last axis when C is None (C[0] = 1).  With companion,
+    xc is the rate experiment's (2, R, N) block: row 0, an interacting
+    system, takes its replicas' empirical moments and row 1, its companion,
+    the given C, S.  drift starts at each row's mode-0 term b_c[0] +
+    k_c[0] C[0]; where every row's is 0, the first product is written into
+    drift rather than added to a zero fill.  For mode m, with cos =
+    cos(2 pi m xc) and sin = sin(2 pi m xc) from _cos_sin over the whole
+    block, the moments fold with b's coefficients into
 
         a = b_c + k_c C[m] - k_s S[m],    b = b_s + k_c S[m] + k_s C[m],
 
-    and the mode adds cos a + sin b to drift.  The moments are C, S when
-    given (a, b are then scalars) and each replica's empirical moments along
-    the last axis when C is None (C[0] = 1; a, b have shape (..., 1)); they
-    are read only where khat has the mode, and a mode khat lacks adds only
-    its nonzero b terms.  Yields ((m, b_c, b_s, k_c, k_s), cos,
-    sin, a, b) after adding.  work is (_MODE_WORK, *xc.shape) scratch: cos
-    and sin are its first two rows, and rows from the third on are free
-    until the next mode.
+    scalars for given moments and (..., 1) per replica for empirical ones,
+    and the mode adds cos a + sin b to drift, row by row with companion (a
+    product by a scalar costs a third of one by a per-replica column).
+    Moments are read only where khat has the mode; a mode khat lacks adds
+    only its nonzero b terms.  Yields ((m, b_c, b_s, k_c, k_s), cos, sin, a,
+    b, means) after adding: a, b fold the given moments where C is given (so
+    row 1's with companion) and the empirical ones otherwise, and means,
+    where khat has the mode and a row is empirical, is the empirical cos and
+    sin moments of every row, shape (2, *xc.shape[:-1], 1); elsewhere None.
+    drift is whole once the walk ends.  work is (_MODE_WORK, *xc.shape)
+    scratch: cos and sin are its first two rows, and rows from the third on
+    are free until the next mode.
     """
     cm, sm, arg = work[0], work[1], work[2]
     N = xc.shape[-1]
-    drift.fill(kernel.b_cos[0] + kernel.k_cos[0] * (1.0 if C is None else C[0]))
+    # (rows, law): the parts of the block that fold one law, None where empirical
+    parts = ((0, None), (1, C)) if companion else ((..., C),)
+    b0, k0 = kernel.b_cos[0], kernel.k_cos[0]
+    fills = [b0 + k0 * (1.0 if law is None else law[0]) for _, law in parts]
+    fresh = not any(fills)
+    if not fresh:
+        for (rows, _), value in zip(parts, fills):
+            drift[rows].fill(value)
     for row in kernel.mode_table:
         m, bc, bs, kc, ks = row
         _cos_sin(m, xc, cm, sm, work[2:])
-        a, b = bc, bs
         has_k = kc != 0.0 or ks != 0.0
-        if has_k:
-            if C is None:  # np.add.reduce / N is ndarray.mean bit for bit, at less call overhead
-                Cm, Sm = np.add.reduce(work[:2], axis=-1, keepdims=True) / N
-            else:
-                Cm, Sm = C[m], S[m]
-            a = bc + (kc * Cm - ks * Sm)
-            b = bs + (kc * Sm + ks * Cm)
-        if has_k or bc != 0.0:
-            drift += np.multiply(cm, a, out=arg)
-        if has_k or bs != 0.0:
-            drift += np.multiply(sm, b, out=arg)
-        yield row, cm, sm, a, b
+        means = None
+        if has_k and (C is None or companion):
+            # np.add.reduce / N is ndarray.mean bit for bit, at less call overhead
+            means = np.add.reduce(work[:2], axis=-1, keepdims=True)
+            means /= N
+        coefs = []  # (rows, (a, b)) of each part
+        for rows, law in parts:
+            a, b = bc, bs
+            if has_k:
+                Cm, Sm = (means[0][rows], means[1][rows]) if law is None else (C[m], S[m])
+                a = bc + (kc * Cm - ks * Sm)
+                b = bs + (kc * Sm + ks * Cm)
+            coefs.append((rows, (a, b)))
+        for t, (trig, term) in enumerate(((cm, bc), (sm, bs))):
+            if has_k or term != 0.0:
+                out = drift if fresh else arg
+                for rows, ab in coefs:
+                    np.multiply(trig[rows], ab[t], out=out[rows])
+                if not fresh:
+                    drift += arg
+                fresh = False
+        yield (row, cm, sm, *coefs[-1][1], means)
+    if fresh:
+        drift.fill(0.0)
 
 
 def mode_sum_drift(kernel: KernelSpec, xc: np.ndarray, C=None, S=None, work=None) -> np.ndarray:
@@ -309,13 +341,15 @@ def em_step(x: np.ndarray, drift: np.ndarray, dt: float, noise: np.ndarray,
     The sum z is wrapped as z - floor(z), which equals np.mod(z, 1.0) bit for
     bit except where a tiny negative z rounds up to exactly 1.0; that value is
     mapped to 0.0 (the representable point nearest to it on the torus), so
-    every output lies in [0, 1).  x, drift and noise share one shape.  The
-    result goes to out when given (x itself steps in place); no other
-    argument is modified.  work, when given, is a scratch array of x's shape.
+    every output lies in [0, 1).  x and drift share one shape; noise has it
+    too, or that of one row x[0], which then moves every row and is scaled
+    once.  The result goes to out when given (x itself steps in place); no
+    other argument is modified.  work, when given, is a scratch array of x's
+    shape.
     """
     tmp = np.multiply(dt, drift, out=work)
     z = np.add(x, tmp, out=out)
-    z += np.multiply(noise, np.sqrt(2.0 * dt), out=tmp)
+    z += np.multiply(noise, np.sqrt(2.0 * dt), out=tmp if np.ndim(noise) == tmp.ndim else tmp[0])
     z -= np.floor(z, out=tmp)
     z -= np.floor(z, out=tmp)  # moves only an exact 1.0 (to 0.0); values in [0, 1) keep their bits
     return z
@@ -361,23 +395,32 @@ class SnapshotSet(NamedTuple):
         return cls(body[:nt].copy(), body[nt:].reshape(R, nt, N, d).copy())
 
 
-def _replica_steps(cfg: SimConfig, replicas: range, n_steps: int):
+def _replica_steps(cfg: SimConfig, replicas: range, n_steps: int, chain=None):
     """Yield (x, noise) for steps 0..n_steps of the given replicas.
 
     x is the (R, N) block of positions and noise the standard normal block
     that moved it there (None at step 0); both are overwritten by a later
-    step.  Draws follow the stream layout in the module docstring.  The
-    noise of as many steps as fit in _NOISE_BLOCK_BYTES (at least one) is
-    drawn ahead with one call per replica, which yields the same bits as one
-    draw of N values per step.
+    step.  With chain, a triple (C, S, visit), x is the rate experiment's
+    (2, R, N) block: row 0 is the interacting system and row 1 its
+    companion, which starts at row 0's positions, takes the same noise and
+    drifts by the chain moments C[n], S[n] at step n; each mode of step n's
+    drift (_mode_terms with companion) is passed on as visit(n, *terms)
+    before the step moves the block.  Draws follow the stream layout in the
+    module docstring.  The noise of as many steps as fit in
+    _NOISE_BLOCK_BYTES (at least one) is drawn ahead with one call per
+    replica, which yields the same bits as one draw of N values per step.
     """
     rngs = [_replica_rng(cfg.base_seed, r) for r in replicas]
     law = _sampler_law(cfg.initial_density)  # sample_initial's, built once for all replicas
-    x = np.empty((len(rngs), cfg.N))
+    x = np.empty((len(rngs), cfg.N) if chain is None else (2, len(rngs), cfg.N))
+    system = x if chain is None else x[0]
     for i, rng in enumerate(rngs):
-        x[i] = np.interp(rng.random(cfg.N), *law)
+        system[i] = np.interp(rng.random(cfg.N), *law)
+    if chain is not None:
+        C, S, visit = chain
+        x[1] = system
     yield x, None
-    steps_per_block = max(1, min(n_steps, _NOISE_BLOCK_BYTES // max(1, x.nbytes)))
+    steps_per_block = max(1, min(n_steps, _NOISE_BLOCK_BYTES // max(1, system.nbytes)))
     block = np.empty((len(rngs), steps_per_block, cfg.N))
     work = np.empty((_DRIFT_WORK, *x.shape))
     for n0 in range(0, n_steps, steps_per_block):
@@ -386,8 +429,13 @@ def _replica_steps(cfg: SimConfig, replicas: range, n_steps: int):
             rng.standard_normal(out=block[i, :nb])
         for b in range(nb):
             noise = block[:, b]
-            drift = mode_sum_drift(cfg.kernel, x, work=work)
-            em_step(x, drift, cfg.dt, noise, out=x, work=work[1])
+            if chain is None:
+                mode_sum_drift(cfg.kernel, x, work=work)
+            else:
+                n = n0 + b
+                for terms in _mode_terms(cfg.kernel, x, C[n], S[n], work[0], work[1:], True):
+                    visit(n, *terms)
+            em_step(x, work[0], cfg.dt, noise, out=x, work=work[1])
             yield x, noise
 
 

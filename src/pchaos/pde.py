@@ -389,7 +389,7 @@ class GTable(NamedTuple):
         kernel = KernelSpec.from_text(ktext)
         entries = {}
         for (i, j), ent in zip(keys, meta["entries"]):
-            if ent["file"] != f"g_{i}_{j}.f64":  # the name save writes, which metrics hashes
+            if ent["file"] != f"g_{i}_{j}.f64":  # the name save writes
                 raise ValueError(f"{meta_file}: entry ({i}, {j}) names file {ent['file']!r}, "
                                  f"expected 'g_{i}_{j}.f64'")
             want = 8 * tg.n_stored * M ** j

@@ -1,12 +1,12 @@
 """The rate worker's companion terms in their explicit leave-one-out form.
 
 The package folds each kernel mode's moments into two per-step coefficients
-and writes the leave-one-out forcing through per-replica moment residuals
-(experiments._companion_terms).  This evaluator keeps the textbook form: the
-drift b + khat * law expanded over the chain moments C[m], S[m], its
-derivative term by term, and each particle's forcing built from the moment
-discrepancies ecm, esm with that particle's own contribution removed.  The
-two must agree to roundoff.
+(particles._mode_terms) and writes the leave-one-out forcing through
+per-replica moment residuals (experiments._Companion).  This evaluator keeps
+the textbook form: the drift b + khat * law expanded over the chain moments
+C[m], S[m], its derivative term by term, and each particle's forcing built
+from the moment discrepancies ecm, esm with that particle's own
+contribution removed.  The two must agree to roundoff.
 """
 import numpy as np
 

@@ -353,6 +353,34 @@ def test_metrics_manifest_hash_covers_its_inputs(tmp_path):
     assert metrics_hash("s1", 1e-9) != base
 
 
+def test_metrics_manifest_hashes_the_table_files_meta_json_lists(tmp_path):
+    # the hash covers meta.json and the files it lists, which are what the
+    # table load reads: a stray *.f64 beside them is no input, while one
+    # changed byte in a listed file is
+    hier_cfg = _write_cfg(
+        tmp_path, "h.cfg",
+        f"kernel = {KERNEL_PATH}\ndensity_cos = 1.0, 0.5\ngrid = 16\ndt = 1e-3\nT = 2e-3\n",
+    )
+    assert main(["solve-hierarchy", "--config", hier_cfg, "--out", str(tmp_path / "h")]) == 0
+    assert main(["simulate", "--config", _sim_cfg(tmp_path), "--out", str(tmp_path / "s")]) == 0
+    gdir = tmp_path / "h" / "gtable"
+    met_cfg = _write_cfg(tmp_path, "m.cfg",
+                         f"snapshots = {tmp_path / 's' / 'snapshots.raw'}\ngtable = {gdir}\nbins = 8\n")
+
+    def metrics_hash():
+        assert main(["metrics", "--config", met_cfg, "--out", str(tmp_path / "m")]) == 0
+        return json.loads((tmp_path / "m" / "manifest.json").read_text())["config_sha256"]
+
+    base = metrics_hash()
+    (gdir / "old_copy.f64").write_bytes((gdir / "g_0_1.f64").read_bytes())
+    assert metrics_hash() == base
+    table = gdir / "g_1_2.f64"
+    data = bytearray(table.read_bytes())
+    data[0] ^= 1  # the lowest bit of the first value
+    table.write_bytes(bytes(data))
+    assert metrics_hash() != base
+
+
 def test_metrics_three_particle_marginal(tmp_path, capsys):
     # j = 3 is compared against rho^{⊗3}; a sample too small for the 2^3
     # cells exits 2 with the one-line cell-count message
@@ -805,9 +833,8 @@ def test_metrics_rejects_truncated_gtable(tmp_path, capsys):
 
 
 def test_metrics_refuses_a_renamed_table_file(tmp_path, capsys):
-    # the manifest hashes meta.json and the table's *.f64 files, so an entry
-    # may name only the g_{i}_{j}.f64 file save writes: a file renamed to
-    # g_0_1.bin would be read but not hashed
+    # an entry may name only the g_{i}_{j}.f64 file save writes: a table
+    # renamed to g_0_1.bin is refused, before any manifest is written
     hier_cfg = _write_cfg(
         tmp_path, "h.cfg",
         f"kernel = {KERNEL_PATH}\ndensity_cos = 1.0, 0.5\ngrid = 16\ndt = 1e-3\nT = 2e-3\n",
@@ -1028,6 +1055,29 @@ def test_rates_rejects_unfittable_configs_before_simulating(tmp_path, capsys, li
     err = capsys.readouterr().err
     assert err == f"error: {message}\n"
     assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("lines, message", [
+    (["T = nan"], "T = nan: need a finite positive horizon"),
+    (["T = inf"], "T = inf: need a finite positive horizon"),
+    (["dt = nan"], "dt = nan: need a finite positive step"),
+    (["T = 0.2005", "dt = 0.001"], "T = 0.2005 is not a whole number of steps dt = 0.001"),
+    (["density_cos = nan, 0.5"], "density_cos, density_sin: initial density must stay above "
+     "1e-3, its minimum is nan"),
+], ids=["nan_T", "inf_T", "nan_dt", "fractional_steps", "nan_density"])
+def test_rates_refuses_unsteppable_configs_before_running(tmp_path, capsys, lines, message):
+    # NaN fails no comparison written as `value <= bound`; each of these
+    # configs once started a run that failed in the hierarchy solve and
+    # left an empty rates.csv and a failed manifest, and is now refused,
+    # naming its key, before anything is written
+    keys = {line.split("=")[0] for line in lines}
+    smoke = Path(_rates_smoke_cfg(tmp_path, "")).read_text(encoding="utf-8").splitlines()
+    cfg = _write_cfg(tmp_path, "bad.cfg",
+                     "\n".join([k for k in smoke if k.split("=")[0] not in keys] + lines) + "\n")
+    out = tmp_path / "o"
+    assert main(["rates", "--config", cfg, "--out", str(out)]) == 2
+    assert not (out / "rates.csv").exists() and not (out / "manifest.json").exists()
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize("sub", ["simulate", "solve-mv", "solve-hierarchy", "metrics", "bounds",

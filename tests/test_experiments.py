@@ -19,7 +19,6 @@ from pchaos.pde import TimeGrid, solve_mckean_vlasov
 from pchaos.experiments import (
     _PHI_PANEL,
     _chain_moments,
-    _companion_terms,
     _rate_worker,
     ExperimentConfig,
     fit_rate,
@@ -40,6 +39,7 @@ from oracles import chain_transfer_matrix
 from oracles.chain_transfer_matrix import chain_moments_transfer_matrix
 from oracles.companion_explicit import companion_terms_explicit
 from oracles.plain_trig import plain_cos_sin
+from oracles.rate_worker_two_pass import rate_worker_two_pass
 
 
 def _ecfg(tmp_path, **over):
@@ -350,6 +350,19 @@ def test_worker_matches_canonical_ensemble(default_kernel):
         assert np.abs(x[r] - y[:, 0]).max() < 1e-10
 
 
+def _companion_terms(kernel, y, C, S):
+    """(drift, jac, force) of the (R, N) companion block y at chain moments C,
+    S, summed as in a rate worker step: y is row 1 of the block walked by
+    particles._mode_terms with companion, whose modes experiments._Companion
+    takes up (row 0, the interacting system, is y too)."""
+    xy = np.stack((y, y))
+    work = np.empty((particles._DRIFT_WORK, *xy.shape))
+    companion = experiments._Companion(y.shape, C[None], S[None])
+    for terms in particles._mode_terms(kernel, xy, C, S, work[0], work[1:], companion=True):
+        companion.add(0, *terms)
+    return (work[0, 1], *companion.terms())
+
+
 def test_companion_drift_is_the_moment_drift():
     # the fused companion evaluator sums the drift as mode_sum_drift does
     y = np.random.default_rng(4).random((3, 16))
@@ -488,6 +501,29 @@ def test_worker_chunking_is_invisible(default_kernel):
     for k in range(4):
         joined = np.concatenate([lo[k], hi[k]])
         assert np.array_equal(whole[k], joined)
+
+
+@pytest.mark.parametrize("name", ["default", "rich", "no_khat"])
+def test_worker_is_the_two_pass_worker_bit_for_bit(name, default_kernel):
+    # the (2, R, N) block steps both systems through one loop; the worker
+    # that stepped them in two passes over the same noise gave these bytes,
+    # for the whole range and for each side of a block edge of the rate
+    # driver's plan
+    kernel = {"default": default_kernel, "rich": RICH_KERNEL,
+              "no_khat": KernelSpec(b_cos=default_kernel.b_cos, b_sin=default_kernel.b_sin,
+                                    k_cos=np.zeros(1), k_sin=np.zeros(1))}[name]
+    density = fourier_field(TorusGrid(64), [1.0, 0.5], [0.0, 0.25])
+    N, R = 50, 240
+    _, blocks = particles._replica_plan(R, N, 2)
+    assert len(blocks) > 1
+    edge = blocks[0][1]
+    cfg, _, _, C, S, primary = _payload(kernel, density, N, 1e-3, 4, 13, 0, R)
+    for r0, r1 in ((0, R), (0, edge), (edge, R)):
+        got = _rate_worker(cfg, r0, r1, C, S, primary)
+        want = rate_worker_two_pass(cfg, r0, r1, C, S, primary)
+        assert len(got) == len(want) == 4
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b)
 
 
 # ---------------------------------------------------------------------------

@@ -266,3 +266,16 @@ def test_shares_start_in_three_places():
     assert _uses(starts_shares) == {("particles", "_replica_shares"),
                                     ("experiments", "_predictions"), ("pde", "_march")}
     assert _uses(loads_numpy_random) == {("particles", "_replica_shares")}
+
+
+def test_particles_step_in_one_loop():
+    # both ensemble commands step through _replica_steps, one system or the
+    # rate worker's pair: it alone draws streams and takes Euler-Maruyama
+    # steps, and the kernel's trigonometry is taken in one mode walk
+    def calls(name):
+        return _uses(lambda node: isinstance(node, ast.Call) and name in (
+            getattr(node.func, "id", None), getattr(node.func, "attr", None)))
+
+    for name in ("standard_normal", "_replica_rng", "em_step"):
+        assert calls(name) == {("particles", "_replica_steps")}, name
+    assert calls("_cos_sin") == {("particles", "_mode_terms")}
