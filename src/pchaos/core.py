@@ -101,13 +101,20 @@ def check_density(f: GridField, name: str) -> None:
 
 
 def step_count(T: float, dt: float) -> int:
-    """Number of steps of size dt in the horizon T, which must be a multiple of dt."""
-    if not dt > 0:
-        raise ValueError("dt must be positive")
+    """Number of steps of size dt in the horizon T, which must be a multiple of dt.
+
+    A T or dt that is not finite, a negative T and a dt that is not positive
+    are each refused by key and value.
+    """
+    # written so that NaN fails every check
+    if not 0 < dt < math.inf:
+        raise ValueError(f"dt = {dt!r}: need a finite positive step")
+    if not 0 <= T < math.inf:
+        raise ValueError(f"T = {T!r}: need a finite positive horizon")
     q = T / dt
     if math.isfinite(q) and abs(T - round(q) * dt) <= 1e-12 * max(1, round(q)):
         return round(q)
-    raise ValueError("T must be an integer multiple of dt")
+    raise ValueError(f"T = {T!r} must be an integer multiple of dt = {dt!r}")
 
 
 def _series(coeff_cos: np.ndarray, coeff_sin: np.ndarray, x: np.ndarray) -> np.ndarray:

@@ -44,16 +44,19 @@ run_rate_experiment forks through particles._Shares, the package's one
 fork helper, on min(workers, usable CPUs) CPUs (usable CPUs are those of
 the process's affinity mask, and one where _Shares does not fork:
 particles._usable_cpus).  With two or more, one child builds the
-chain-moment table while this process solves the hierarchy.  Then each N's
-replicas are cut into shares and blocks by particles._replica_plan, the
-one rule of both ensemble commands, and each share steps its blocks and
-writes its rows of the N's fixed-shape outputs (diffs, plains, pairs,
-final positions) into one shared mapping.
-The N values run in increasing order, and N's rows are built while the
-next N's shares run, so a failure or an interrupt keeps every finished N's
-rows.  A share runs no BLAS product (the chain-moment table sums its
-spectrum with einsum rather than a BLAS product), so a library caller
-whose OpenBLAS keeps its worker pool does not oversubscribe the shares.
+chain-moment table while this process solves the hierarchy.  Then one
+pool steps the whole ladder of N: each N's replicas are cut into blocks by
+particles._replica_plan, the one rule of both ensemble commands, the
+blocks of every N are queued in increasing N, and the pool's workers,
+forked once, each take the next block as soon as they have finished one
+and write its rows of the N's fixed-shape outputs (diffs, plains, pairs,
+final positions) into one shared mapping.  N's rows are built as soon as
+its last block is in, while the workers step the next N's blocks, so a
+failure or an interrupt keeps every finished N's rows; a block that fails
+names its N and replicas.  A block runs no BLAS product (the chain-moment
+table sums its spectrum with einsum rather than a BLAS product), so a
+library caller whose OpenBLAS keeps its worker pool does not oversubscribe
+the workers.
 
 Pair cumulants are estimated within replicas over all ordered distinct pairs
 with the exact between-replica mean-covariance correction, for both coupled
@@ -475,7 +478,7 @@ class RateResult(NamedTuple):
 
 
 class _RatePlan(NamedTuple):
-    """Solved predictions and exact moment tables shared by every share."""
+    """Solved predictions and exact moment tables shared by every block."""
 
     rho: GridField
     per_phi: dict
@@ -501,11 +504,12 @@ def _predictions(ecfg: ExperimentConfig, workers: int) -> _RatePlan:
     n_steps = step_count(ecfg.T, ecfg.dt)
     shape = (n_steps + 1, max(len(kernel.k_cos), 1))  # _chain_moments' tables
 
-    def chain(share, out):
+    def chain(steps, out):
         out[0][:], out[1][:] = _chain_moments(kernel, sample_density, ecfg.dt, n_steps)
 
-    with _Shares(chain, [(0, n_steps + 1)], [shape, shape], what="chain-moment steps",
-                 fork=workers > 1) as table:
+    with _Shares(chain, [(0, n_steps + 1)], [shape, shape],
+                 lambda steps: f"chain-moment steps {steps[0]} to {steps[1] - 1}",
+                 processes=1 if workers > 1 else 0) as table:
         # only the final time is read, so only t = 0 and T are stored
         gt = solve_g_hierarchy(1, density, kernel, TimeGrid(ecfg.dt, n_steps, n_steps))
         Cdt, Sdt = table.join()
@@ -526,20 +530,28 @@ def _predictions(ecfg: ExperimentConfig, workers: int) -> _RatePlan:
     return _RatePlan(rho, per_phi, chi_pred, Cdt, Sdt, sample_density)
 
 
-def _rate_shares(ecfg: ExperimentConfig, plan: _RatePlan, N: int, workers: int,
-                 primary: int) -> _Shares:
-    """Start N's coupled replicas (particles._replica_shares): each block is
-    one _rate_worker call, whose diffs, plains, pairs (R, 4 each) and final
-    positions x (R, N) fill its rows of the shares' outputs."""
-    sim = SimConfig(N=N, dt=ecfg.dt, T=ecfg.T, n_replicas=ecfg.replicas, base_seed=ecfg.seed,
-                    kernel=ecfg.kernel, initial_density=plan.sample_density)
+def _rate_pool(ecfg: ExperimentConfig, plan: _RatePlan, N_list: list, workers: int,
+               primary: int) -> _Shares:
+    """Start every N's coupled replicas, in the order of N_list, in one pool
+    (particles._replica_shares): each block is one _rate_worker call, whose
+    diffs, plains, pairs (R, 4 each) and final positions x (R, N) fill its
+    rows of the N's four outputs, out[4 k:4 k + 4] for N_list[k].  A block
+    that fails names its N and replicas in its message."""
+    sims = [SimConfig(N=N, dt=ecfg.dt, T=ecfg.T, n_replicas=ecfg.replicas, base_seed=ecfg.seed,
+                      kernel=ecfg.kernel, initial_density=plan.sample_density) for N in N_list]
 
-    def step(r0, r1, out):
-        for rows, block in zip(out, _rate_worker(sim, r0, r1, plan.Cdt, plan.Sdt, primary)):
+    def step(k, r0, r1, out):
+        try:
+            blocks = _rate_worker(sims[k], r0, r1, plan.Cdt, plan.Sdt, primary)
+        except Exception as exc:
+            exc.args = (f"N = {N_list[k]}, replicas {r0} to {r1 - 1}: {exc}",)
+            raise
+        for rows, block in zip(out[4 * k:4 * k + 4], blocks):
             rows[r0:r1] = block
 
     R, panel = ecfg.replicas, len(_PHI_PANEL)
-    return _replica_shares(R, N, workers, step, [(R, panel), (R, panel), (R, 4), (R, N)])
+    shapes = [shape for N in N_list for shape in ((R, panel), (R, panel), (R, 4), (R, N))]
+    return _replica_shares(R, N_list, workers, step, shapes)
 
 
 def run_rate_experiment(ecfg: ExperimentConfig) -> RateResult:
@@ -562,7 +574,7 @@ def run_rate_experiment(ecfg: ExperimentConfig) -> RateResult:
     pair_points = []
     bias_points = []
     failure = None
-    running = None
+    pool = None
     try:
         plan = _predictions(ecfg, workers)
         per_phi, chi_pred, rho = plan.per_phi, plan.chi_pred, plan.rho
@@ -570,12 +582,11 @@ def run_rate_experiment(ecfg: ExperimentConfig) -> RateResult:
         primary = max(per_phi, key=lambda k: abs(per_phi[k]["bias"]))
         primary_idx = [p[0] for p in _PHI_PANEL].index(primary)
         N_list = sorted(ecfg.N_list)
-        running = _rate_shares(ecfg, plan, N_list[0], workers, primary_idx)
+        pool = _rate_pool(ecfg, plan, N_list, workers, primary_idx)
         for k, N in enumerate(N_list):
-            diffs, plains, pairs, xs = running.join()
-            # the next N's shares run while this N's rows are built
-            running = (_rate_shares(ecfg, plan, N_list[k + 1], workers, primary_idx)
-                       if k + 1 < len(N_list) else None)
+            # N's rows are built while the workers step the next N's blocks
+            stop = sum(task[0] <= k for task in pool.tasks)
+            diffs, plains, pairs, xs = pool.wait(stop)[4 * k:4 * k + 4]
             R = diffs.shape[0]
 
             for p, (name, _, _) in enumerate(_PHI_PANEL):
@@ -611,13 +622,14 @@ def run_rate_experiment(ecfg: ExperimentConfig) -> RateResult:
                 rows.append(
                     _row(N, j, ecfg.order, ecfg.T, f"chi2_j{j}", est, chi_pred[j] / N ** 2, se)
                 )
+        pool.join()
         fits = {"bias": fit_rate(bias_points), "pair": fit_rate(pair_points)}
     except BaseException as exc:  # an interrupt too: persist what exists, then re-raise
         failure = type(exc).__name__ + (f": {exc}" if str(exc) else "")
         raise
     finally:
-        if running is not None:
-            running.close()
+        if pool is not None:
+            pool.close()
         csv_path, manifest_path = _persist_rates(ecfg, hashed, rows, failure)
     return RateResult(rows, primary, fits, ratios, str(csv_path), str(manifest_path))
 

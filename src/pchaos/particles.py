@@ -26,18 +26,21 @@ snapshots (R, n_times, N, 1).
 
 That contract lets both ensemble commands cut replicas by one rule,
 _replica_plan, with the same bytes for every cut: P = min(workers, R, max(1,
-round(R N / _CHUNK_PARTICLES))) contiguous shares, each of whole blocks of
-about _CHUNK_PARTICLES particles stepped in order, so fewer than 1.5
-_CHUNK_PARTICLES particles stay in one process.  run_ensemble's workers are
-the CPUs this process may run on (_usable_cpus).  _replica_shares starts
-the shares under _Shares, the one place the package forks, which the rate
-driver's chain-moment table and the hierarchy solve (pde._march) use too:
-on Linux each of two or more shares steps in its own forked child, which
-writes its rows into one anonymous shared mapping and dies with its parent.
-One share, and every share elsewhere, steps in the calling process.  A
-replica share steps no BLAS product, and the hierarchy's forked entry steps
-products sized for one thread (operators._EntrySolver), so a parent that
-runs OpenBLAS threads forks children that need none.
+round(R N / _CHUNK_PARTICLES))) shares, whose count sets how many processes
+step the replicas, so fewer than 1.5 _CHUNK_PARTICLES particles stay in one
+process, and blocks of about _CHUNK_PARTICLES particles, a multiple of P of
+them.  run_ensemble's workers are the CPUs this process may run on
+(_usable_cpus).  _replica_shares starts the blocks of one N, or of the rate
+driver's whole ladder of N, under _Shares, the one place the package forks,
+which the rate driver's chain-moment table and the hierarchy solve
+(pde._march) use too: on Linux, with two or more shares, that many forked
+workers take the blocks from one queue, each the next block as soon as it
+has finished the last, write their rows into one anonymous shared mapping
+and die with their parent.  One share, and every block elsewhere, steps in
+the calling process.  A replica block steps no BLAS product, and the
+hierarchy's forked entry steps products sized for one thread
+(operators._EntrySolver), so a parent that runs OpenBLAS threads forks
+children that need none.
 
 The pairwise drift sum costs O(N^2); for the translation-invariant kernel
 part a mode-summation fast path costs O(N * modes) and agrees with the direct
@@ -89,7 +92,9 @@ _NOISE_BLOCK_BYTES = 1 << 20  # noise _replica_steps draws ahead, all replicas t
 # ensemble commands step: enough to amortize each step's per-call
 # overhead, few enough that the step's arrays stay in cache
 _CHUNK_PARTICLES = 6000
-_REPORT_BYTES = 4096  # a failed share's report: at most PIPE_BUF, so one write never blocks
+_REPORT_BYTES = 4096  # a worker's note with its failure report: at most PIPE_BUF, one write
+_TASK = struct.Struct("<I")  # a task's index in the _Shares queue
+_NOTE = struct.Struct("<iiiI")  # pid, task finished (-1: none), task taken (-1: none), report bytes
 _PR_SET_PDEATHSIG = 1  # Linux prctl option: the signal a child gets when its parent ends
 _FORKS = sys.platform.startswith("linux")  # where _Shares forks: the death signal is Linux's
 
@@ -101,10 +106,6 @@ class SimConfig:
                  kernel: KernelSpec, initial_density: GridField):
         if N < 1:
             raise ValueError("need at least one particle")
-        if dt <= 0:
-            raise ValueError("dt must be positive")
-        if T < 0:
-            raise ValueError("horizon must be nonnegative")
         if n_replicas < 1:
             raise ValueError("need at least one replica")
         check_density(initial_density, "initial density")
@@ -461,20 +462,21 @@ def _replica_plan(replicas: int, N: int, workers: int):
     return _replica_ranges(replicas, P), _replica_ranges(replicas, n)
 
 
-def _replica_shares(replicas: int, N: int, workers: int, step, shapes) -> _Shares:
-    """Start _replica_plan's shares under _Shares, with outputs of the given
-    shapes: each share calls step(r0, r1, out) on its blocks, in order.  Every
-    block draws from numpy.random, so it is loaded here, before any fork."""
+def _replica_shares(replicas: int, sizes, workers: int, step, shapes) -> _Shares:
+    """Start the replica blocks of every system size N of sizes, in order, under
+    _Shares, with outputs of the given shapes: the blocks of each N are those
+    of _replica_plan(replicas, N, workers), and block r0..r1 of sizes[k] is one
+    call step(k, r0, r1, out).  As many workers as the largest share count of
+    the sizes pull them; one share runs them in this process.  Every block
+    draws from numpy.random, so it is loaded here, before any fork."""
     import numpy.random  # noqa: F401
 
-    shares, blocks = _replica_plan(replicas, N, workers)
-
-    def work(share, out):
-        for r0, r1 in blocks:
-            if share[0] <= r0 < share[1]:
-                step(r0, r1, out)
-
-    return _Shares(work, shares, shapes)
+    plans = [_replica_plan(replicas, N, workers) for N in sizes]
+    tasks = [(k, *block) for k, (_, blocks) in enumerate(plans) for block in blocks]
+    processes = max(len(shares) for shares, _ in plans)
+    return _Shares(lambda task, out: step(*task, out), tasks, shapes,
+                   lambda task: f"N = {sizes[task[0]]}, replicas {task[1]} to {task[2] - 1}",
+                   processes if processes > 1 else 0)
 
 
 def _record(cfg: SimConfig, r0: int, r1: int, steps: np.ndarray, out: np.ndarray) -> None:
@@ -486,74 +488,104 @@ def _record(cfg: SimConfig, r0: int, r1: int, steps: np.ndarray, out: np.ndarray
 
 
 class _Shares:
-    """One job cut into shares, each run in a forked child: the only place
-    the package forks.
+    """One job cut into tasks that forked workers pull as they finish: the
+    only place the package forks.
 
-    work(share, out) runs once per share, a (start, stop) range.  out is a
-    tuple of float arrays of the given shapes, all views of one block (an
-    anonymous shared mapping when children write it), and each share writes
-    its own rows of them.  On Linux, with two shares or more, or with fork
-    true, one child per share is forked here, so the caller can do its own
-    work before join().  Otherwise nothing is forked, and join() runs each
-    share in this process, in order; with no share, out is only a block of
-    this process's memory (pde._march's buffers when no entry is forked).
+    work(task, out) runs once per task of tasks, and what(task) names a task
+    in a failure's message.  out is a tuple of float arrays of the given
+    shapes, all views of one block (an anonymous shared mapping when workers
+    write it), and each task writes its own rows of them.  On Linux, with
+    processes >= 1, min(processes, len(tasks)) workers are forked here, so
+    the caller can do its own work before it waits.  The queue is a pipe that
+    holds every task's index, in order; a worker takes the next index as soon
+    as it has finished its last task, and leaves when the queue is empty, so
+    a worker that is slowed (by the CPU it shares, or by larger tasks) takes
+    fewer tasks rather than holding the others up.  Otherwise nothing is
+    forked and wait() runs the tasks in this process, in order; with no task,
+    out is only a block of this process's memory (pde._march's buffers when
+    no entry is forked).
 
-    A child first asks to be SIGKILLed when this process ends
+    Each worker tells this process what it did through a second pipe, one
+    note per task (_NOTE: its pid, the task it finished and the task it
+    took), written in one write of at most PIPE_BUF bytes, so the notes of
+    several workers never interleave.  wait(stop) returns once tasks[:stop]
+    are finished, so a caller can use the first tasks' rows while the workers
+    step the rest; join() waits for every task and reaps the workers.
+
+    A worker first asks to be SIGKILLed when this process ends
     (prctl(PR_SET_PDEATHSIG) through ctypes, which numpy has loaded), and
-    leaves at once if this process has ended before that.  It then runs its
-    share and leaves by os._exit, which runs no exit handler and flushes no
-    buffer this process also holds; a failure is written to a pipe as its
-    type's name and message (see _share_failure) and the exit code is 1.
+    leaves at once if this process has ended before that.  It leaves by
+    os._exit, which runs no exit handler and flushes no buffer this process
+    also holds.  A failure is its last note, which carries the exception's
+    type name and message (see _task_failure), and the exit code is 1.
     SIGINT and SIGTERM are blocked across each fork, so neither can raise in
-    a child before it is inside its own handler, nor between a fork and
-    this process recording the child.  _replica_shares, whose shares all
-    draw from numpy.random, loads it before they fork, so no child loads it
-    again; the chain-moment and hierarchy children draw nothing.
+    a worker before it is inside its own handler, nor between a fork and
+    this process recording the worker.  _replica_shares, whose tasks all
+    draw from numpy.random, loads it before they fork, so no worker loads it
+    again; the chain-moment and hierarchy workers draw nothing.
 
-    join() waits for the children in share order and raises the failure of
-    the first that failed, as its own type where that is a built-in.  Every
-    child is reaped on every path: close(), which join() and the end of a
-    with block call, SIGKILLs and reaps each child not yet reaped, so a
-    failed share, or an exception or interrupt (the CLI turns SIGTERM into
-    one) in the caller or in join(), leaves no child behind.
+    wait() raises the failure of a task it waits for, as its own type where
+    that is a built-in, and a failure of a later task only once it is waited
+    for, so the rows of every task before it can be used.  A worker that
+    ends without a note (killed) is found when every worker has left the
+    note pipe, and is raised as a ChildProcessError naming the task it held.
+    Every worker is reaped on every path: close(), which join(), a failure
+    in wait() and the end of a with block call, SIGKILLs and reaps each
+    worker not yet reaped, so a failed task, or an exception or interrupt
+    (the CLI turns SIGTERM into one) in the caller or in wait(), leaves no
+    worker behind.
     """
 
-    def __init__(self, work, shares: list, shapes, what: str = "replicas", fork: bool = False):
+    def __init__(self, work, tasks: list, shapes, what, processes: int = 0):
         import mmap
 
-        forks = (fork or len(shares) > 1) and _FORKS
+        processes = min(processes, len(tasks)) if _FORKS else 0
         sizes = [math.prod(shape) for shape in shapes]
-        flat = (np.frombuffer(mmap.mmap(-1, 8 * max(1, sum(sizes))), dtype=float) if forks
+        flat = (np.frombuffer(mmap.mmap(-1, 8 * max(1, sum(sizes))), dtype=float) if processes
                 else np.empty(sum(sizes)))
         edges = np.cumsum([0, *sizes])
         self.out = tuple(flat[a:b].reshape(shape) for a, b, shape in zip(edges, edges[1:], shapes))
-        self._work, self._what = work, what
-        self._inline, self._children = [], {}  # pid -> (read end of its report pipe, its share)
-        if not forks:
-            self._inline = list(shares)
+        self.tasks, self._work, self._what = tasks, work, what
+        self._finished = [False] * len(tasks)
+        self._forked = bool(processes)
+        self._children = {}  # pid -> index of the task it holds, or -1
+        self._failures = {}  # index of a failed task (-1: none held) -> its report
+        self._notes = None  # read end of the note pipe, until every worker has left it
+        if not processes:
             return
         prctl = ctypes.CDLL(None, use_errno=True).prctl
         prctl.argtypes, prctl.restype = (ctypes.c_int, ctypes.c_ulong), ctypes.c_int
         parent = os.getpid()
         stops = {signal.SIGINT, signal.SIGTERM}
+        ends = list(os.pipe())  # the note pipe's read and write ends, then the queue's
+        self._notes = ends[0]
         try:
-            for share in shares:
-                read_fd, write_fd = os.pipe()
+            ends += os.pipe()
+            for _ in range(processes):
                 mask = signal.pthread_sigmask(signal.SIG_BLOCK, stops)
                 try:
                     pid = os.fork()
                     if pid == 0:
-                        _run_share_and_exit(work, share, self.out, write_fd, parent, prctl, mask)
-                    self._children[pid] = (read_fd, share)
-                except BaseException:
-                    os.close(read_fd)
-                    raise
+                        _run_worker_and_exit(work, tasks, self.out, ends, parent, prctl, mask)
+                    self._children[pid] = -1
                 finally:
-                    os.close(write_fd)
                     signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+            # the workers' ends: the note pipe ends once the last worker has left it
+            for fd in (ends.pop(1), ends.pop(1)):
+                os.close(fd)
+            # every index, in order; the write blocks only while the queue is full
+            order = memoryview(np.arange(len(tasks), dtype="<u4").tobytes())
+            try:
+                while order:
+                    order = order[os.write(ends[1], order):]
+            except BrokenPipeError:  # every worker has left: wait() says why
+                pass
         except BaseException:
             self.close()
             raise
+        finally:
+            for fd in ends[1:]:
+                os.close(fd)
 
     def __enter__(self):
         return self
@@ -561,61 +593,118 @@ class _Shares:
     def __exit__(self, *exc):
         self.close()
 
-    def join(self) -> tuple:
-        """Run the shares left to this process, wait for every child, and
-        return out; raise the first failure by share order (see the class)."""
+    def wait(self, stop: int | None = None) -> tuple:
+        """Finish tasks[:stop], every task by default, and return out: run them
+        here when nothing is forked, else read the workers' notes until they
+        are finished.  Raise the first of them that failed (see the class)."""
+        stop = len(self.tasks) if stop is None else stop
         try:
-            while self._inline:
-                self._work(self._inline.pop(0), self.out)
-            for pid, (read_fd, share) in list(self._children.items()):
-                status = os.waitpid(pid, 0)[1]
-                del self._children[pid]
-                with os.fdopen(read_fd, "rb") as fh:
-                    report = fh.read()
-                if status:
-                    raise _share_failure(report, status, self._what, *share)
+            if not self._forked:
+                for i in range(stop):
+                    if not self._finished[i]:
+                        self._work(self.tasks[i], self.out)
+                        self._finished[i] = True
+            while not all(self._finished[:stop]):
+                failed = min(self._failures, default=stop)
+                if failed < stop:
+                    raise _task_failure(self._failures[failed])
+                if not self._read_note():
+                    raise self._lost()
+        except BaseException:
+            self.close()
+            raise
+        return self.out
+
+    def join(self) -> tuple:
+        """wait() for every task, then reap every worker; return out."""
+        try:
+            self.wait()
+            self._reap()
         finally:
             self.close()
         return self.out
 
-    def close(self) -> None:
-        """SIGKILL and reap every child not yet reaped."""
+    def _read_note(self) -> bool:
+        """Take in one worker's note; False once every worker has left the note pipe."""
+        head = os.read(self._notes, _NOTE.size) if self._notes is not None else b""
+        if not head:
+            return False
+        pid, finished, taken, size = _NOTE.unpack(head)
+        if finished >= 0:
+            self._finished[finished] = True
+        if size:
+            self._failures.setdefault(self._children[pid], os.read(self._notes, size))
+        self._children[pid] = taken
+        return True
+
+    def _reap(self) -> list:
+        """Wait for every worker: (the task it held or -1, its wait status) of each."""
+        ended = []
         while self._children:
-            pid, (read_fd, _) = self._children.popitem()
-            os.close(read_fd)
+            pid, held = next(iter(self._children.items()))
+            ended.append((held, os.waitpid(pid, 0)[1]))
+            del self._children[pid]
+        return ended
+
+    def _lost(self) -> ChildProcessError:
+        """Every worker has left with a task unfinished: reap them and name the
+        first such task, with the exit code of the worker that held it."""
+        ended = self._reap()
+        first = self._finished.index(False)
+        status = next((s for held, s in ended if held == first), 0) or next(
+            (s for _, s in ended if s), 0)
+        return ChildProcessError(f"the process stepping {self._what(self.tasks[first])} "
+                                 f"ended with exit code {os.waitstatus_to_exitcode(status)}")
+
+    def close(self) -> None:
+        """SIGKILL and reap every worker not yet reaped, and close the note pipe."""
+        while self._children:
+            pid, _ = self._children.popitem()
             try:
                 os.kill(pid, signal.SIGKILL)
                 os.waitpid(pid, 0)
             except (ProcessLookupError, ChildProcessError):  # reaped before an interrupt
                 pass
+        if self._notes is not None:
+            os.close(self._notes)
+            self._notes = None
 
 
-def _run_share_and_exit(work, share, out, report_fd: int, parent: int, prctl, mask):
-    """The whole life of a forked share (see _Shares): never a return."""
+def _run_worker_and_exit(work, tasks, out, ends, parent: int, prctl, mask):
+    """The whole life of a forked worker (see _Shares): never a return."""
     code = 1
+    notes_read, notes, queue, queue_write = ends
+    pid = os.getpid()
     try:
         try:
+            os.close(notes_read)
+            os.close(queue_write)
             if prctl(_PR_SET_PDEATHSIG, signal.SIGKILL) != 0:
                 raise OSError(ctypes.get_errno(), "prctl(PR_SET_PDEATHSIG) failed")
             signal.pthread_sigmask(signal.SIG_SETMASK, mask)
             if os.getppid() == parent:
-                work(share, out)
+                finished = -1
+                while True:
+                    record = os.read(queue, _TASK.size)
+                    task = _TASK.unpack(record)[0] if record else -1
+                    os.write(notes, _NOTE.pack(pid, finished, task, 0))
+                    if task < 0:
+                        break
+                    work(tasks[task], out)
+                    finished = task
                 code = 0
         except BaseException as exc:  # an interrupt too: the parent re-raises it
             report = f"{type(exc).__name__}\n{exc}".encode("utf-8", "replace")
-            os.write(report_fd, report[:_REPORT_BYTES])
+            report = report[:_REPORT_BYTES - _NOTE.size]
+            os.write(notes, _NOTE.pack(pid, -1, -1, len(report)) + report)
     finally:
         os._exit(code)
 
 
-def _share_failure(report: bytes, status: int, what: str, r0: int, r1: int) -> BaseException:
-    """The exception a failed share ended with, rebuilt from its report: a
+def _task_failure(report: bytes) -> BaseException:
+    """The exception a failed task ended with, rebuilt from its report: a
     built-in type with its message, another type's name and message as a
-    RuntimeError, and no report (the child was killed) a ChildProcessError."""
-    if not report:
-        code = os.waitstatus_to_exitcode(status)
-        return ChildProcessError(f"the process stepping {what} {r0} to {r1 - 1} "
-                                 f"ended with exit code {code}")
+    RuntimeError."""
     name, _, message = report.decode("utf-8", "replace").partition("\n")
     cls = getattr(builtins, name, None)
     if not (isinstance(cls, type) and issubclass(cls, BaseException)):
@@ -627,11 +716,12 @@ def run_ensemble(cfg: SimConfig, output_times) -> SnapshotSet:
     """Simulate all replicas and record positions at the requested times.
 
     Output times must be sorted, within the horizon [0, T], and multiples of
-    dt (core.step_count).  The replicas are stepped in contiguous shares of
-    blocks, one share per CPU the block is large enough to use (_replica_plan);
-    the result is a deterministic function of the configuration, whatever
-    the number of shares.  A share that fails raises its exception's type
-    and message here, after every share's process has ended (_Shares.join).
+    dt (core.step_count).  The replicas are stepped in blocks by one process
+    per share, one share per CPU the ensemble is large enough to use
+    (_replica_plan); the result is a deterministic function of the
+    configuration, whatever the number of shares.  A block that fails
+    raises its exception's type and message here, after every worker has
+    ended (_Shares.join).
     """
     output_times = np.asarray(output_times, dtype=float)
     if output_times.ndim != 1 or len(output_times) == 0:
@@ -646,8 +736,8 @@ def run_ensemble(cfg: SimConfig, output_times) -> SnapshotSet:
         raise ValueError("output times must be multiples of dt") from None
 
     R = cfg.n_replicas
-    positions, = _replica_shares(R, cfg.N, _usable_cpus(),
-                                 lambda r0, r1, out: _record(cfg, r0, r1, steps, out[0]),
+    positions, = _replica_shares(R, [cfg.N], _usable_cpus(),
+                                 lambda _, r0, r1, out: _record(cfg, r0, r1, steps, out[0]),
                                  [(R, len(output_times), cfg.N, 1)]).join()
     return SnapshotSet(output_times, positions)
 

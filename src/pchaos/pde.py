@@ -188,12 +188,12 @@ def _march(initial: dict, fluxes, guard, tg: TimeGrid, apart=None):
     ops = {a: _SpectralOps(M, a, tg.dt, c + 1) for a, c in top.items()}
     spectra = {key: np.ascontiguousarray(s[..., :top[s.ndim] + 1]) for key, s in spectra.items()}
     keys = tuple(key for key in initial if key != apart)
-    shapes, child_shares = [(2,) + u.shape for u in initial.values()], []
+    shapes, child_tasks = [(2,) + u.shape for u in initial.values()], []
     if apart is not None:
         # apart's spectrum last, as (re, im) pairs: each field's two buffers
         # take a multiple of 16 bytes, so its complex view is aligned
         shapes.append(spectra[apart].shape[:-1] + (2 * spectra[apart].shape[-1],))
-        child_shares = [(1, tg.n_steps + 1)]  # one share: steps 1 to n_steps
+        child_tasks = [(1, tg.n_steps + 1)]  # one task: steps 1 to n_steps
         down, up = os.pipe(), os.pipe()  # (read, write) ends of the pipe to the child and from it
 
     def buffers(out):
@@ -214,8 +214,8 @@ def _march(initial: dict, fluxes, guard, tg: TimeGrid, apart=None):
 
     try:
         try:
-            shares = _Shares(child, child_shares, shapes, what=f"unknown {apart} over steps",
-                             fork=bool(child_shares))
+            shares = _Shares(child, child_tasks, shapes,
+                             lambda s: f"unknown {apart} over steps {s[0]} to {s[1] - 1}", 1)
         finally:
             if apart is not None:
                 os.close(down[0])

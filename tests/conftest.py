@@ -39,10 +39,10 @@ def fresh_python(*args, cwd=None, rc=0, **env) -> str:
 @pytest.fixture(autouse=True)
 def no_child_process_left():
     """Fail a test that leaves a child process unreaped: one still running, or
-    ended and never waited for.  particles._Shares, which forks
-    run_ensemble's replica shares, the rate driver's chain-moment table and
-    replica shares, and the hierarchy's top-arity entry (pde._march), must
-    reap every child on every path, a failure included."""
+    ended and never waited for.  particles._Shares, which forks the workers
+    of run_ensemble's and the rate driver's replica blocks, the rate
+    driver's chain-moment table and the hierarchy's top-arity entry
+    (pde._march), must reap every child on every path, a failure included."""
     yield
     try:
         pid, _ = os.waitpid(-1, os.WNOHANG)
@@ -102,9 +102,9 @@ def record_forks(monkeypatch) -> list:
 
 
 def force_shares(monkeypatch, P: int) -> list:
-    """Make run_ensemble step any ensemble of at least P replicas in P shares,
-    each replica its own block (the rate driver's blocks too); returns the
-    list of the pids it forks."""
+    """Make run_ensemble step any ensemble of at least P replicas in P
+    workers, each replica its own block (the rate driver's blocks too);
+    returns the list of the pids it forks."""
     from pchaos import particles
 
     monkeypatch.setattr(particles, "_CHUNK_PARTICLES", 1)

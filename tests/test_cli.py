@@ -562,6 +562,26 @@ def test_hierarchy_over_memory_budget_is_a_user_error(tmp_path, capsys):
     assert err.startswith("error: ") and "budget" in err and err.count("\n") == 1
 
 
+# a step or horizon no step count fits, and the line each command answers it with
+_BAD_STEPS = [
+    ("1e-3", "inf", "T = inf: need a finite positive horizon"),
+    ("1e-3", "nan", "T = nan: need a finite positive horizon"),
+    ("1e-3", "-0.01", "T = -0.01: need a finite positive horizon"),
+    ("inf", "2e-3", "dt = inf: need a finite positive step"),
+]
+
+
+@pytest.mark.parametrize("dt, T, message", _BAD_STEPS, ids=["T=inf", "T=nan", "T=-0.01", "dt=inf"])
+@pytest.mark.parametrize("command", ["simulate", "solve-hierarchy", "solve-mv"])
+def test_a_bad_horizon_or_step_is_named(tmp_path, capsys, command, dt, T, message):
+    # core.step_count names the key and its value in every command
+    cfg = _write_cfg(tmp_path, "steps.cfg",
+                     f"kernel = {KERNEL_PATH}\ndensity_cos = 1.0, 0.5\nsample_grid = 64\n"
+                     f"grid = 16\nN = 8\nreplicas = 2\ndt = {dt}\nT = {T}\n")
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_allocation_the_machine_cannot_meet_is_a_user_error(tmp_path, capsys):
     # N = 2**50 asks for 8 PiB of positions, past what any address space can
     # map, so numpy's MemoryError comes at once
@@ -652,8 +672,8 @@ def _rates_cfg(tmp_path):
 @forks_shares
 def test_rates_and_simulate_fork_without_a_process_pool(tmp_path):
     # both commands fork through particles._Shares alone: a rates run on two
-    # CPUs (the chain table, then two shares per N) and a simulate in two
-    # shares load neither concurrent.futures nor multiprocessing
+    # CPUs (the chain table, then two workers for every N) and a simulate in
+    # two workers load neither concurrent.futures nor multiprocessing
     code = (
         "import os, sys\n"
         "from pchaos import cli, experiments, particles\n"
@@ -671,7 +691,7 @@ def test_rates_and_simulate_fork_without_a_process_pool(tmp_path):
         "pools = ('concurrent.futures', 'multiprocessing')\n"
         "print(len(forks), [m for m in pools if m in sys.modules])\n"
     )
-    assert fresh_python("-c", code).splitlines()[-1] == "9 []"
+    assert fresh_python("-c", code).splitlines()[-1] == "5 []"
 
 
 @forks_shares

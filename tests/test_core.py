@@ -58,11 +58,15 @@ def test_fourier_field_empty_sine_list_means_no_sine_terms():
 def test_step_count():
     assert step_count(0.5, 1e-3) == 500
     assert step_count(0.0, 0.1) == 0
-    for T in (2.5e-4, float("nan"), float("inf")):
-        with pytest.raises(ValueError, match="integer multiple of dt"):
+    with pytest.raises(ValueError, match=r"^T = 0.00025 must be an integer multiple of dt = 0.001"):
+        step_count(2.5e-4, 1e-3)
+    # a horizon or step that no step count fits is named by key and value
+    for T in (float("nan"), float("inf"), -0.01):
+        with pytest.raises(ValueError, match=rf"^T = {T!r}: need a finite positive horizon$"):
             step_count(T, 1e-3)
-    with pytest.raises(ValueError, match="dt must be positive"):
-        step_count(1.0, 0.0)
+    for dt in (0.0, -1e-3, float("inf"), float("nan")):
+        with pytest.raises(ValueError, match=rf"^dt = {dt!r}: need a finite positive step$"):
+            step_count(1.0, dt)
 
 
 def test_kernel_eval_matches_series(default_kernel):

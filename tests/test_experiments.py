@@ -3,7 +3,9 @@ rate fits, persistence, and the bounds lattice report."""
 import hashlib
 import json
 import math
+import os
 import re
+import time
 from pathlib import Path
 
 import numpy as np
@@ -34,7 +36,8 @@ from pchaos.particles import (
     sample_initial,
 )
 
-from conftest import KERNEL_PATH, REPO_ROOT, RICH_KERNEL, band_limited_kernels, fresh_python
+from conftest import (KERNEL_PATH, REPO_ROOT, RICH_KERNEL, band_limited_kernels, forks_shares,
+                      fresh_python, record_forks)
 from oracles import chain_transfer_matrix
 from oracles.chain_transfer_matrix import chain_moments_transfer_matrix
 from oracles.companion_explicit import companion_terms_explicit
@@ -657,46 +660,128 @@ def test_one_and_two_workers_write_the_same_csv(tmp_path):
 
 def _recorded_shares(monkeypatch):
     """Record every particles._Shares the rate driver starts, itself or
-    through particles._replica_shares, as (what, shares, fork); returns the
-    list they go to."""
+    through particles._replica_shares, as (the name of its first task, its
+    tasks, processes); returns the list they go to."""
     calls = []
 
     class Recorded(particles._Shares):
-        def __init__(self, work, shares, shapes, what="replicas", fork=False):
-            calls.append((what, list(shares), fork))
-            super().__init__(work, shares, shapes, what, fork)
+        def __init__(self, work, tasks, shapes, what, processes=0):
+            calls.append((what(tasks[0]), list(tasks), processes))
+            super().__init__(work, tasks, shapes, what, processes)
 
     monkeypatch.setattr(experiments, "_Shares", Recorded)
     monkeypatch.setattr(particles, "_Shares", Recorded)
     return calls
 
 
+def _ladder_blocks(N_list, replicas, workers):
+    """The rate pool's tasks: every N's _replica_plan blocks, in increasing N."""
+    return [(k, *block) for k, N in enumerate(N_list)
+            for block in particles._replica_plan(replicas, N, workers)[1]]
+
+
+@forks_shares
 @pytest.mark.parametrize("workers", [1, 64])
 def test_rate_pool_is_sized_to_the_machine(tmp_path, monkeypatch, workers):
     # more processes than usable CPUs would time-share them, so 64 requested
     # workers on two usable CPUs fork the chain table beside the hierarchy
-    # solve and two shares per N, each of whole _replica_plan blocks, and one
-    # worker forks nothing
+    # solve and one pool of two workers for the whole ladder, whose tasks are
+    # every N's whole _replica_plan blocks, and one worker forks nothing
     calls = _recorded_shares(monkeypatch)
+    forked = record_forks(monkeypatch)
     monkeypatch.setattr(experiments, "_usable_cpus", lambda: 2)
     monkeypatch.setattr(particles, "_usable_cpus", lambda: 2)
     run_rate_experiment(_ecfg(tmp_path, N_list=(40, 60, 80), replicas=300, workers=workers))
     size = min(workers, 2)
-    # the chain-moment table (T = 2 dt: steps 0 to 2), then every N's shares
-    assert calls[0] == ("chain-moment steps", [(0, 3)], size > 1)
-    assert len(calls) == 1 + 3
-    for (what, shares, fork), N in zip(calls[1:], (40, 60, 80)):
-        starts = [r0 for r0, _ in particles._replica_plan(300, N, size)[1]]
-        assert (what, len(shares), fork) == ("replicas", size, False)
-        assert shares[0][0] == 0 and shares[-1][1] == 300
-        assert all(a[1] == b[0] for a, b in zip(shares, shares[1:]))
-        assert all(r0 in starts for r0, _ in shares)
+    # the chain-moment table (T = 2 dt: steps 0 to 2), then every N's blocks
+    blocks = _ladder_blocks((40, 60, 80), 300, size)
+    assert calls == [("chain-moment steps 0 to 2", [(0, 3)], size - 1),
+                     (f"N = 40, replicas 0 to {blocks[0][2] - 1}", blocks, size if size > 1 else 0)]
+    assert len(forked) == (1 + size if size > 1 else 0)
+
+
+@forks_shares
+@pytest.mark.parametrize("N_list", [(40, 60, 80), (40, 60, 80, 100, 120, 140)])
+def test_the_whole_ladder_forks_once(tmp_path, monkeypatch, N_list):
+    # one fork round per run, whatever the ladder's length: the chain-moment
+    # child, then min(workers, usable CPUs) workers that step every N
+    forked = record_forks(monkeypatch)
+    monkeypatch.setattr(experiments, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(particles, "_usable_cpus", lambda: 2)
+    run_rate_experiment(_ecfg(tmp_path, N_list=N_list, replicas=300, workers=8))
+    assert len(forked) == 1 + 2
+
+
+@forks_shares
+def test_a_slowed_worker_takes_fewer_blocks(tmp_path, monkeypatch):
+    # the worker that takes the first block sleeps before each of its
+    # blocks, so the other worker takes the next blocks as they come: it
+    # steps more of them, and the bytes are those of a one-worker run
+    base = dict(N_list=(40, 60, 80), replicas=300)
+    one = run_rate_experiment(_ecfg(tmp_path, out_dir=str(tmp_path / "w1"), workers=1, **base))
+    log, real, slowed = tmp_path / "blocks", experiments._rate_worker, []
+    log.mkdir()
+
+    def logged(cfg, r0, r1, *args):
+        if (cfg.N, r0) == (40, 0):
+            slowed.append(None)  # in this worker's memory alone
+        if slowed:
+            time.sleep(0.3)
+        with open(log / str(os.getpid()), "a", encoding="utf-8") as fh:
+            fh.write(f"{cfg.N} {r0}\n")
+        return real(cfg, r0, r1, *args)
+
+    monkeypatch.setattr(experiments, "_rate_worker", logged)
+    monkeypatch.setattr(experiments, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(particles, "_usable_cpus", lambda: 2)
+    two = run_rate_experiment(_ecfg(tmp_path, out_dir=str(tmp_path / "w2"), workers=2, **base))
+    assert Path(two.csv_path).read_bytes() == Path(one.csv_path).read_bytes()
+    stepped = {path.name: path.read_text(encoding="utf-8").splitlines() for path in log.iterdir()}
+    assert len(stepped) == 2 and not slowed
+    assert sorted(b for blocks in stepped.values() for b in blocks) == sorted(
+        f"{(40, 60, 80)[k]} {r0}" for k, r0, _ in _ladder_blocks((40, 60, 80), 300, 2))
+    slow, = (blocks for blocks in stepped.values() if "40 0" in blocks)
+    fast, = (blocks for blocks in stepped.values() if "40 0" not in blocks)
+    assert len(slow) < len(fast)
+
+
+@forks_shares
+@pytest.mark.parametrize("workers", [1, 2])
+def test_a_failed_block_is_named_and_the_finished_rows_are_kept(tmp_path, monkeypatch, workers):
+    # a block that raises, in a worker or in this process, names its N and
+    # replicas; every worker is reaped and the first N's rows are written
+    real = experiments._rate_worker
+    r0, r1 = particles._replica_plan(300, 60, workers)[1][1]  # N = 60's second block
+
+    def failing(cfg, a, b, *args):
+        if (cfg.N, a) == (60, r0):
+            raise MemoryError("Unable to allocate the block's noise")
+        return real(cfg, a, b, *args)
+
+    monkeypatch.setattr(experiments, "_rate_worker", failing)
+    monkeypatch.setattr(experiments, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(particles, "_usable_cpus", lambda: 2)
+    forked = record_forks(monkeypatch)
+    message = f"N = 60, replicas {r0} to {r1 - 1}: Unable to allocate the block's noise"
+    ecfg = _ecfg(tmp_path, N_list=(40, 60, 80), replicas=300, workers=workers)
+    with pytest.raises(MemoryError, match=f"^{message}$"):
+        run_rate_experiment(ecfg)
+    assert len(forked) == (3 if workers == 2 else 0)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert manifest["status"] == f"failed: MemoryError: {message}"
+    per_n = {}
+    for line in (tmp_path / "out" / "rates.csv").read_text().splitlines()[1:]:
+        per_n.setdefault(int(line.split(",")[0]), []).append(line)
+    assert {N: len(rows) for N, rows in per_n.items()} == {40: 2 * len(_PHI_PANEL) + 1 + 2}
 
 
 def test_one_usable_cpu_gets_one_worker_and_one_share(tmp_path, monkeypatch):
     # under `taskset -c 0` or a one-CPU cpuset the machine still counts two
     # CPUs but the process may run on one, so two processes would time-share
-    # it: the rate driver and run_ensemble step one share each and fork none
+    # it: the rate driver and run_ensemble step every block in this process
+    # and fork none
     monkeypatch.setattr(particles.os, "sched_getaffinity", lambda pid: {0}, raising=False)
     calls = _recorded_shares(monkeypatch)
 
@@ -705,11 +790,12 @@ def test_one_usable_cpu_gets_one_worker_and_one_share(tmp_path, monkeypatch):
 
     monkeypatch.setattr(particles.os, "fork", no_fork)
     run_rate_experiment(_ecfg(tmp_path, workers=64))
-    assert [(len(shares), fork) for _, shares, fork in calls] == [(1, False)] * 4
+    assert [processes for _, _, processes in calls] == [0, 0]
     # 200 replicas of 64 particles: two shares by the size rule on two CPUs
     cfg = SimConfig(N=64, dt=1e-3, T=2e-3, n_replicas=200, base_seed=3, kernel=RICH_KERNEL,
                     initial_density=fourier_field(TorusGrid(32), [1.0, 0.5]))
     assert run_ensemble(cfg, [cfg.T]).positions.shape == (200, 1, 64, 1)
+    assert [processes for _, _, processes in calls] == [0, 0, 0]
 
 
 def test_rate_pool_forks_after_numpy_random_is_loaded(tmp_path):

@@ -440,16 +440,16 @@ class _NotBuiltin(Exception):
     (lambda: MemoryError("share out of memory"), MemoryError, "^share out of memory$"),
     (lambda: _NotBuiltin("odd"), RuntimeError, "^_NotBuiltin: odd$"),
     (lambda: os.kill(os.getpid(), signal.SIGKILL), ChildProcessError,
-     "replicas 2 to 3 ended with exit code -9"),
+     "replicas 2 to 2 ended with exit code -9"),
 ])
 def test_a_failed_child_share_raises_in_the_parent(monkeypatch, fail, expected, match):
     # the child's failure comes back as its built-in type and message (other
-    # types as a RuntimeError naming them; a killed child as ChildProcessError),
-    # raised after the parent's own share and every child have ended
+    # types as a RuntimeError naming them; a killed child as ChildProcessError
+    # naming the first block it left unfinished), and every child is reaped
     record = particles._record
 
     def failing_record(cfg, r0, r1, steps, out):
-        if r0 >= 2:  # share 1's blocks: each replica is its own block
+        if r0 >= 2:  # the last two blocks: each replica is its own block
             raise fail()
         record(cfg, r0, r1, steps, out)
 
@@ -461,32 +461,61 @@ def test_a_failed_child_share_raises_in_the_parent(monkeypatch, fail, expected, 
 
 
 @forks_shares
+def test_every_task_is_taken_once_by_more_workers_than_cpus(monkeypatch):
+    # four workers, more than the CPUs, pull 500 tiny tasks from one queue:
+    # a task taken twice or lost would leave a count other than 1 in its slot
+    def work(task, out):
+        out[0][task] += 1.0
+        out[1][task] = os.getpid()
+
+    def timeout(*_):
+        raise TimeoutError("the pool did not finish in 60 s")
+
+    forked = record_forks(monkeypatch)
+    previous = signal.signal(signal.SIGALRM, timeout)
+    signal.alarm(60)
+    try:
+        counts, pids = particles._Shares(work, list(range(500)), [(500,), (500,)], str, 4).join()
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert np.array_equal(counts, np.ones(500))
+    assert len(forked) == 4 and set(pids.astype(int)) <= set(forked)
+    _assert_no_child_left()
+
+
+@forks_shares
 def test_an_interrupted_parent_kills_and_reaps_its_children(monkeypatch):
-    # every share would run for a minute in its child, and the parent is
-    # interrupted while it waits for the first: each child is killed
-    # (SIGKILL) and reaped before the interrupt goes on
+    # every block would run for a minute in its worker, and the parent is
+    # interrupted at its first read of the workers' notes: each worker is
+    # killed (SIGKILL) and reaped before the interrupt goes on
     def slow_record(cfg, r0, r1, steps, out):
         time.sleep(60)
 
-    statuses, waitpid = [], os.waitpid
+    parent, read, waitpid = os.getpid(), os.read, os.waitpid
+    reads, statuses = [], []
 
-    def interrupted_waitpid(pid, options):
-        if not statuses:
-            statuses.append(None)
+    def interrupted_read(fd, n):
+        if os.getpid() == parent and not reads:  # the workers read their queue as before
+            reads.append(fd)
             raise KeyboardInterrupt
+        return read(fd, n)
+
+    def recorded_waitpid(pid, options):
         result = waitpid(pid, options)
         statuses.append(result[1])
         return result
 
     force_shares(monkeypatch, 3)
     monkeypatch.setattr(particles, "_record", slow_record)
-    monkeypatch.setattr(particles.os, "waitpid", interrupted_waitpid)
+    monkeypatch.setattr(particles.os, "read", interrupted_read)
+    monkeypatch.setattr(particles.os, "waitpid", recorded_waitpid)
     t0 = time.monotonic()
     with pytest.raises(KeyboardInterrupt):
         run_ensemble(_small_config(n_replicas=6), [5e-3])
     assert time.monotonic() - t0 < 30
-    assert len(statuses) == 1 + 3
-    assert all(os.WIFSIGNALED(s) and os.WTERMSIG(s) == signal.SIGKILL for s in statuses[1:])
+    assert len(reads) == 1 and len(statuses) == 3
+    assert all(os.WIFSIGNALED(s) and os.WTERMSIG(s) == signal.SIGKILL for s in statuses)
     _assert_no_child_left()
 
 
