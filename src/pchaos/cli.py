@@ -28,10 +28,11 @@ the signal's number with one line on stderr.
 
 Process policy: while a command runs, main() turns SIGTERM into the
 interrupt path (KeyboardInterrupt) and restores the previous handler when it
-returns.  So a terminated command kills and reaps the children it forked
-(particles._Shares, where simulate's and the rate driver's replica
-blocks, the rate driver's chain-moment table and, from order 2 on,
-solve-hierarchy's top-arity entry run), and `rates` records its run as failed with the rows
+returns.  So a terminated command kills and reaps the workers it forked
+through particles._Shares, whose docstring sets out how they take tasks
+and report: simulate's and the rate driver's replica blocks, the rate
+driver's chain-moment table and, from order 2 on, solve-hierarchy's
+top-arity entry.  `rates` records its run as failed with the rows
 of every finished N.  Each such child also dies with its parent, so a
 SIGKILLed command leaves no child either.  The solve-hierarchy manifest
 records whether the solve ran in one process or two, and which entry the

@@ -47,10 +47,10 @@ particles._usable_cpus).  With two or more, one child builds the
 chain-moment table while this process solves the hierarchy.  Then one
 pool steps the whole ladder of N: each N's replicas are cut into blocks by
 particles._replica_plan, the one rule of both ensemble commands, the
-blocks of every N are queued in increasing N, and the pool's workers,
-forked once, each take the next block as soon as they have finished one
-and write its rows of the N's fixed-shape outputs (diffs, plains, pairs,
-final positions) into one shared mapping.  N's rows are built as soon as
+blocks of every N are queued at once in increasing N, and the pool's
+workers, forked once, pull them (see particles._Shares) and write each
+block's rows of the N's fixed-shape outputs (diffs, plains, pairs, final
+positions) into one shared mapping.  N's rows are built as soon as
 its last block is in, while the workers step the next N's blocks, so a
 failure or an interrupt keeps every finished N's rows; a block that fails
 names its N and replicas.  A block runs no BLAS product (the chain-moment
@@ -510,6 +510,7 @@ def _predictions(ecfg: ExperimentConfig, workers: int) -> _RatePlan:
     with _Shares(chain, [(0, n_steps + 1)], [shape, shape],
                  lambda steps: f"chain-moment steps {steps[0]} to {steps[1] - 1}",
                  processes=1 if workers > 1 else 0) as table:
+        table.release()
         # only the final time is read, so only t = 0 and T are stored
         gt = solve_g_hierarchy(1, density, kernel, TimeGrid(ecfg.dt, n_steps, n_steps))
         Cdt, Sdt = table.join()

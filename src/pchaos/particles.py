@@ -30,14 +30,14 @@ round(R N / _CHUNK_PARTICLES))) shares, whose count sets how many processes
 step the replicas, so fewer than 1.5 _CHUNK_PARTICLES particles stay in one
 process, and blocks of about _CHUNK_PARTICLES particles, a multiple of P of
 them.  run_ensemble's workers are the CPUs this process may run on
-(_usable_cpus).  _replica_shares starts the blocks of one N, or of the rate
-driver's whole ladder of N, under _Shares, the one place the package forks,
-which the rate driver's chain-moment table and the hierarchy solve
-(pde._march) use too: on Linux, with two or more shares, that many forked
-workers take the blocks from one queue, each the next block as soon as it
-has finished the last, write their rows into one anonymous shared mapping
-and die with their parent.  One share, and every block elsewhere, steps in
-the calling process.  A replica block steps no BLAS product, and the
+(_usable_cpus).  _replica_shares queues the blocks of one N, or of the rate
+driver's whole ladder of N, as tasks of _Shares, the one place the package
+forks, which the rate driver's chain-moment table and the hierarchy solve
+(pde._march) use too, and whose docstring sets out its queue, its notes
+and the lockstep order: on Linux, with two or more shares, that many
+forked workers pull the blocks and write their rows into one anonymous
+shared mapping.  One share, and every block elsewhere, steps in the
+calling process.  A replica block steps no BLAS product, and the
 hierarchy's forked entry steps products sized for one thread
 (operators._EntrySolver), so a parent that runs OpenBLAS threads forks
 children that need none.
@@ -94,7 +94,7 @@ _NOISE_BLOCK_BYTES = 1 << 20  # noise _replica_steps draws ahead, all replicas t
 _CHUNK_PARTICLES = 6000
 _REPORT_BYTES = 4096  # a worker's note with its failure report: at most PIPE_BUF, one write
 _TASK = struct.Struct("<I")  # a task's index in the _Shares queue
-_NOTE = struct.Struct("<iiiI")  # pid, task finished (-1: none), task taken (-1: none), report bytes
+_NOTE = struct.Struct("<iI")  # a task (-1: none held), its failure report's bytes (0: finished)
 _PR_SET_PDEATHSIG = 1  # Linux prctl option: the signal a child gets when its parent ends
 _FORKS = sys.platform.startswith("linux")  # where _Shares forks: the death signal is Linux's
 
@@ -466,17 +466,20 @@ def _replica_shares(replicas: int, sizes, workers: int, step, shapes) -> _Shares
     """Start the replica blocks of every system size N of sizes, in order, under
     _Shares, with outputs of the given shapes: the blocks of each N are those
     of _replica_plan(replicas, N, workers), and block r0..r1 of sizes[k] is one
-    call step(k, r0, r1, out).  As many workers as the largest share count of
-    the sizes pull them; one share runs them in this process.  Every block
-    draws from numpy.random, so it is loaded here, before any fork."""
+    call step(k, r0, r1, out).  Every block is queued at once, and as many
+    workers as the largest share count of the sizes pull them; one share runs
+    them in this process.  Every block draws from numpy.random, so it is
+    loaded here, before any fork."""
     import numpy.random  # noqa: F401
 
     plans = [_replica_plan(replicas, N, workers) for N in sizes]
     tasks = [(k, *block) for k, (_, blocks) in enumerate(plans) for block in blocks]
     processes = max(len(shares) for shares, _ in plans)
-    return _Shares(lambda task, out: step(*task, out), tasks, shapes,
-                   lambda task: f"N = {sizes[task[0]]}, replicas {task[1]} to {task[2] - 1}",
-                   processes if processes > 1 else 0)
+    shares = _Shares(lambda task, out: step(*task, out), tasks, shapes,
+                     lambda task: f"N = {sizes[task[0]]}, replicas {task[1]} to {task[2] - 1}",
+                     processes if processes > 1 else 0)
+    shares.release()
+    return shares
 
 
 def _record(cfg: SimConfig, r0: int, r1: int, steps: np.ndarray, out: np.ndarray) -> None:
@@ -496,21 +499,36 @@ class _Shares:
     shapes, all views of one block (an anonymous shared mapping when workers
     write it), and each task writes its own rows of them.  On Linux, with
     processes >= 1, min(processes, len(tasks)) workers are forked here, so
-    the caller can do its own work before it waits.  The queue is a pipe that
-    holds every task's index, in order; a worker takes the next index as soon
-    as it has finished its last task, and leaves when the queue is empty, so
-    a worker that is slowed (by the CPU it shares, or by larger tasks) takes
-    fewer tasks rather than holding the others up.  Otherwise nothing is
+    the caller can do its own work before it waits.  Otherwise nothing is
     forked and wait() runs the tasks in this process, in order; with no task,
     out is only a block of this process's memory (pde._march's buffers when
     no entry is forked).
 
-    Each worker tells this process what it did through a second pipe, one
-    note per task (_NOTE: its pid, the task it finished and the task it
-    took), written in one write of at most PIPE_BUF bytes, so the notes of
-    several workers never interleave.  wait(stop) returns once tasks[:stop]
-    are finished, so a caller can use the first tasks' rows while the workers
-    step the rest; join() waits for every task and reaps the workers.
+    The queue.  release(stop) writes the indices of tasks[:stop] not yet
+    queued, in order, into one pipe, and closes it with the last task; wait()
+    first releases what it waits for, so no caller waits for a task it has
+    not queued.  A worker reads the next index as soon as it has finished its
+    last task, so a worker that is slowed (by the CPU it shares, or by larger
+    tasks) takes fewer tasks rather than holding the others up, and it
+    leaves at the queue's end.  _replica_shares releases every block at once;
+    pde._march releases one step at a time.
+
+    The notes.  A worker writes a task's note (_NOTE: the task and its
+    failure report's length) to a second pipe as soon as the task ends,
+    before it reads the queue again, in one write of at most PIPE_BUF bytes,
+    so the notes of several workers never interleave.  wait(stop) reads
+    notes until tasks[:stop] are finished, so a caller can use the first
+    tasks' rows while the workers step the rest; join() waits for every task
+    and reaps the workers.  Tasks are taken in index order, so once every
+    worker has left the note pipe, the first unfinished task is one that a
+    worker held when it ended.
+
+    The lockstep order.  pde._march steps one unknown in one worker, one
+    task per time step, and this process steps the others: after its own
+    step n it releases step n + 1 and then waits for step n.  So the worker,
+    which reads the fields of step n, finds step n + 1 queued as soon as
+    it is free, neither process writes a buffer the other still reads (see
+    _march), and each step costs one write and one read on each side.
 
     A worker first asks to be SIGKILLed when this process ends
     (prctl(PR_SET_PDEATHSIG) through ctypes, which numpy has loaded), and
@@ -528,12 +546,12 @@ class _Shares:
     that is a built-in, and a failure of a later task only once it is waited
     for, so the rows of every task before it can be used.  A worker that
     ends without a note (killed) is found when every worker has left the
-    note pipe, and is raised as a ChildProcessError naming the task it held.
-    Every worker is reaped on every path: close(), which join(), a failure
-    in wait() and the end of a with block call, SIGKILLs and reaps each
-    worker not yet reaped, so a failed task, or an exception or interrupt
-    (the CLI turns SIGTERM into one) in the caller or in wait(), leaves no
-    worker behind.
+    note pipe, and is raised as a ChildProcessError naming the first
+    unfinished task.  Every worker is reaped on every path: close(), which
+    join(), a failure in release() or wait() and the end of a with block
+    call, SIGKILLs and reaps each worker not yet reaped, so a failed task,
+    or an exception or interrupt (the CLI turns SIGTERM into one) in the
+    caller, leaves no worker behind.
     """
 
     def __init__(self, work, tasks: list, shapes, what, processes: int = 0):
@@ -547,10 +565,11 @@ class _Shares:
         self.out = tuple(flat[a:b].reshape(shape) for a, b, shape in zip(edges, edges[1:], shapes))
         self.tasks, self._work, self._what = tasks, work, what
         self._finished = [False] * len(tasks)
+        self._done = self._released = 0  # tasks[:_done] are finished, tasks[:_released] queued
         self._forked = bool(processes)
-        self._children = {}  # pid -> index of the task it holds, or -1
+        self._children = []  # pids of the workers not yet reaped
         self._failures = {}  # index of a failed task (-1: none held) -> its report
-        self._notes = None  # read end of the note pipe, until every worker has left it
+        self._notes = self._queue = None  # read end of the note pipe, write end of the queue
         if not processes:
             return
         prctl = ctypes.CDLL(None, use_errno=True).prctl
@@ -561,30 +580,22 @@ class _Shares:
         self._notes = ends[0]
         try:
             ends += os.pipe()
+            self._queue = ends[3]
             for _ in range(processes):
                 mask = signal.pthread_sigmask(signal.SIG_BLOCK, stops)
                 try:
                     pid = os.fork()
                     if pid == 0:
                         _run_worker_and_exit(work, tasks, self.out, ends, parent, prctl, mask)
-                    self._children[pid] = -1
+                    self._children.append(pid)
                 finally:
                     signal.pthread_sigmask(signal.SIG_SETMASK, mask)
-            # the workers' ends: the note pipe ends once the last worker has left it
-            for fd in (ends.pop(1), ends.pop(1)):
-                os.close(fd)
-            # every index, in order; the write blocks only while the queue is full
-            order = memoryview(np.arange(len(tasks), dtype="<u4").tobytes())
-            try:
-                while order:
-                    order = order[os.write(ends[1], order):]
-            except BrokenPipeError:  # every worker has left: wait() says why
-                pass
         except BaseException:
             self.close()
             raise
         finally:
-            for fd in ends[1:]:
+            # the workers' ends: the note pipe ends once the last worker has left it
+            for fd in ends[1:3]:
                 os.close(fd)
 
     def __enter__(self):
@@ -593,18 +604,37 @@ class _Shares:
     def __exit__(self, *exc):
         self.close()
 
+    def release(self, stop: int | None = None) -> None:
+        """Queue tasks[:stop], every task by default, for the workers (see the class)."""
+        stop = len(self.tasks) if stop is None else min(stop, len(self.tasks))
+        if self._queue is None or stop <= self._released:
+            return
+        order = memoryview(struct.pack(f"<{stop - self._released}I", *range(self._released, stop)))
+        self._released = stop
+        try:
+            while order:  # the write blocks only while the queue is full
+                order = order[os.write(self._queue, order):]
+        except BrokenPipeError:  # every worker has left: wait() says why
+            stop = len(self.tasks)
+        except BaseException:
+            self.close()
+            raise
+        if stop == len(self.tasks):  # the queue ends with the last task
+            os.close(self._queue)
+            self._queue = None
+
     def wait(self, stop: int | None = None) -> tuple:
         """Finish tasks[:stop], every task by default, and return out: run them
-        here when nothing is forked, else read the workers' notes until they
-        are finished.  Raise the first of them that failed (see the class)."""
-        stop = len(self.tasks) if stop is None else stop
+        here when nothing is forked, else release them and read the workers'
+        notes until they are finished.  Raise the first of them that failed
+        (see the class)."""
+        stop = len(self.tasks) if stop is None else min(stop, len(self.tasks))
+        self.release(stop)
         try:
-            if not self._forked:
-                for i in range(stop):
-                    if not self._finished[i]:
-                        self._work(self.tasks[i], self.out)
-                        self._finished[i] = True
-            while not all(self._finished[:stop]):
+            while self._done < stop and not self._forked:
+                self._work(self.tasks[self._done], self.out)
+                self._done += 1
+            while self._done < stop:
                 failed = min(self._failures, default=stop)
                 if failed < stop:
                     raise _task_failure(self._failures[failed])
@@ -629,52 +659,49 @@ class _Shares:
         head = os.read(self._notes, _NOTE.size) if self._notes is not None else b""
         if not head:
             return False
-        pid, finished, taken, size = _NOTE.unpack(head)
-        if finished >= 0:
-            self._finished[finished] = True
+        task, size = _NOTE.unpack(head)
         if size:
-            self._failures.setdefault(self._children[pid], os.read(self._notes, size))
-        self._children[pid] = taken
+            self._failures.setdefault(task, os.read(self._notes, size))
+            return True
+        self._finished[task] = True
+        while self._done < len(self.tasks) and self._finished[self._done]:
+            self._done += 1
         return True
 
     def _reap(self) -> list:
-        """Wait for every worker: (the task it held or -1, its wait status) of each."""
-        ended = []
+        """Wait for every worker; return their wait statuses."""
+        statuses = []
         while self._children:
-            pid, held = next(iter(self._children.items()))
-            ended.append((held, os.waitpid(pid, 0)[1]))
-            del self._children[pid]
-        return ended
+            statuses.append(os.waitpid(self._children[-1], 0)[1])
+            self._children.pop()
+        return statuses
 
     def _lost(self) -> ChildProcessError:
         """Every worker has left with a task unfinished: reap them and name the
-        first such task, with the exit code of the worker that held it."""
-        ended = self._reap()
-        first = self._finished.index(False)
-        status = next((s for held, s in ended if held == first), 0) or next(
-            (s for _, s in ended if s), 0)
-        return ChildProcessError(f"the process stepping {self._what(self.tasks[first])} "
+        first such task, with the first nonzero exit code among them."""
+        status = next((s for s in self._reap() if s), 0)
+        return ChildProcessError(f"the process stepping {self._what(self.tasks[self._done])} "
                                  f"ended with exit code {os.waitstatus_to_exitcode(status)}")
 
     def close(self) -> None:
-        """SIGKILL and reap every worker not yet reaped, and close the note pipe."""
+        """SIGKILL and reap every worker not yet reaped, and close both pipes."""
         while self._children:
-            pid, _ = self._children.popitem()
+            pid = self._children.pop()
             try:
                 os.kill(pid, signal.SIGKILL)
                 os.waitpid(pid, 0)
             except (ProcessLookupError, ChildProcessError):  # reaped before an interrupt
                 pass
-        if self._notes is not None:
-            os.close(self._notes)
-            self._notes = None
+        for fd in (self._notes, self._queue):
+            if fd is not None:
+                os.close(fd)
+        self._notes = self._queue = None
 
 
 def _run_worker_and_exit(work, tasks, out, ends, parent: int, prctl, mask):
     """The whole life of a forked worker (see _Shares): never a return."""
-    code = 1
+    code, task = 1, -1
     notes_read, notes, queue, queue_write = ends
-    pid = os.getpid()
     try:
         try:
             os.close(notes_read)
@@ -683,20 +710,16 @@ def _run_worker_and_exit(work, tasks, out, ends, parent: int, prctl, mask):
                 raise OSError(ctypes.get_errno(), "prctl(PR_SET_PDEATHSIG) failed")
             signal.pthread_sigmask(signal.SIG_SETMASK, mask)
             if os.getppid() == parent:
-                finished = -1
-                while True:
-                    record = os.read(queue, _TASK.size)
-                    task = _TASK.unpack(record)[0] if record else -1
-                    os.write(notes, _NOTE.pack(pid, finished, task, 0))
-                    if task < 0:
-                        break
+                while record := os.read(queue, _TASK.size):
+                    task, = _TASK.unpack(record)
                     work(tasks[task], out)
-                    finished = task
+                    os.write(notes, _NOTE.pack(task, 0))
+                    task = -1
                 code = 0
         except BaseException as exc:  # an interrupt too: the parent re-raises it
             report = f"{type(exc).__name__}\n{exc}".encode("utf-8", "replace")
             report = report[:_REPORT_BYTES - _NOTE.size]
-            os.write(notes, _NOTE.pack(pid, -1, -1, len(report)) + report)
+            os.write(notes, _NOTE.pack(task, len(report)) + report)
     finally:
         os._exit(code)
 

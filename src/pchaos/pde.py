@@ -25,9 +25,10 @@ the plain cluster expansion of pchaos.partitions, contracted block by block.
 
 From order 2 on, where this process may run on two CPUs
 (particles._usable_cpus), the same loop, _march, steps the top-arity entry
-g^i_{i+1}, whose lattice takes most of each step, in one forked child in
-lockstep with this process; every field keeps the bits of a one-process
-solve.  Orders 0 and 1 and the BBGKY reference step in one process.
+g^i_{i+1}, whose lattice takes most of each step, in one forked worker, one
+particles._Shares task per time step in the lockstep order set out there;
+every field keeps the bits of a one-process solve.  Orders 0 and 1 and the
+BBGKY reference step in one process.
 
 The correction hierarchy g^i_j lives on the triangular index set
 T = {(i, j): 1 <= j <= i + 1}.  Entry (0, 1) is the mean-field density rho,
@@ -45,7 +46,6 @@ import hashlib
 import itertools as it
 import json
 import math
-import os
 from pathlib import Path
 from typing import NamedTuple
 
@@ -160,24 +160,23 @@ def _march(initial: dict, fluxes, guard, tg: TimeGrid, apart=None):
     The fields live in two buffers: step n reads buffer (n - 1) % 2 and
     writes buffer n % 2, and the state it yields is buffer n % 2 itself, so
     every flux is assembled from the time-t fields alone.  A state is
-    rewritten two steps later, which a forked child may begin while the next
+    rewritten two steps later, which a forked worker may begin while the next
     state is held, so a caller copies what it keeps before it asks for that
     state.
 
-    With apart, one of the keys, that unknown steps in one forked child
-    (particles._Shares) in lockstep with this process, and every field has
-    the bits it has without it.  The helper's anonymous shared mapping holds
-    apart's carried spectrum, which the child steps in place, and both
-    buffers.  After each step each process writes one byte to the other's
-    pipe and then reads the other's byte (_barrier), so neither starts a
-    step before both have ended the last, neither writes a buffer the other
-    still reads, and the slower side finds the other's byte waiting; the
-    child first waits at one such barrier while this process fills buffer 0.
-    apart's spectrum is complete at the last yield, by which the child has
-    been reaped.  A child that fails is re-raised here with its type and
-    message (_Shares.join); an exception here, the guard's included, or the
-    generator's close kills and reaps it.  Without apart, nothing is forked,
-    no pipe is opened and no memory is shared.
+    With apart, one of the keys, that unknown steps in one forked worker of
+    particles._Shares, one task per time step (task n - 1 is its step n),
+    in the lockstep order set out there, and every field has the bits it
+    has without it: step n + 1 is released once this process has ended its
+    own step n and checked the guard, and step n is waited for before its
+    state is yielded.  The helper's anonymous shared mapping holds apart's
+    carried spectrum, which the worker steps in place, and both buffers;
+    apart's spectrum is complete at the last yield, by which the worker has
+    been reaped.  A worker that fails is re-raised here with its type and
+    message, and one that is killed as a ChildProcessError naming apart's
+    step; an exception here, the guard's included, or the generator's close
+    kills and reaps it (_Shares).  Without apart, nothing is forked and no
+    memory is shared.
     """
     M = next(iter(initial.values())).shape[0]
     spectra = {key: np.fft.rfftn(u) for key, u in initial.items()}
@@ -188,61 +187,45 @@ def _march(initial: dict, fluxes, guard, tg: TimeGrid, apart=None):
     ops = {a: _SpectralOps(M, a, tg.dt, c + 1) for a, c in top.items()}
     spectra = {key: np.ascontiguousarray(s[..., :top[s.ndim] + 1]) for key, s in spectra.items()}
     keys = tuple(key for key in initial if key != apart)
-    shapes, child_tasks = [(2,) + u.shape for u in initial.values()], []
+    shapes, apart_steps = [(2,) + u.shape for u in initial.values()], []
     if apart is not None:
         # apart's spectrum last, as (re, im) pairs: each field's two buffers
         # take a multiple of 16 bytes, so its complex view is aligned
         shapes.append(spectra[apart].shape[:-1] + (2 * spectra[apart].shape[-1],))
-        child_tasks = [(1, tg.n_steps + 1)]  # one task: steps 1 to n_steps
-        down, up = os.pipe(), os.pipe()  # (read, write) ends of the pipe to the child and from it
+        apart_steps = list(range(1, tg.n_steps + 1))
 
     def buffers(out):
         """The two buffers of fields, key -> field, that lead out."""
         return [dict(zip(initial, (f[b] for f in out))) for b in (0, 1)]
 
-    def child(steps, out):
-        os.close(down[1])
-        os.close(up[0])
-        u_hat, bufs = out[-1].view(complex), buffers(out)
-        step = ops[u_hat.ndim].step
-        for n in range(*steps):
-            if not _barrier(up[1], down[0]):
-                raise EOFError("the process stepping the other unknowns has ended")
-            (_, flux), = fluxes(bufs[(n - 1) % 2], (apart,))
-            step(u_hat, flux, bufs[n % 2][apart])
-        _barrier(up[1], down[0])
+    held = []  # in the worker: its two buffers and apart's spectrum, from its first step on
 
-    try:
-        try:
-            shares = _Shares(child, child_tasks, shapes,
-                             lambda s: f"unknown {apart} over steps {s[0]} to {s[1] - 1}", 1)
-        finally:
-            if apart is not None:
-                os.close(down[0])
-                os.close(up[1])
-        with shares:
-            bufs = buffers(shares.out)
-            for key, u in initial.items():
-                bufs[0][key][...] = u
-            if apart is not None:
-                u_hat = shares.out[-1].view(complex)
-                u_hat[...] = spectra[apart]
-                spectra[apart] = u_hat
-            for n in range(tg.n_steps + 1):
-                if n:
-                    for key, flux in fluxes(bufs[(n - 1) % 2], keys):
-                        ops[flux.ndim].step(spectra[key], flux, bufs[n % 2][key])
-                    _check_guard(bufs[n % 2][guard], n * tg.dt)
-                if apart is not None and not _barrier(down[1], up[0]):
-                    shares.join()
-                    raise ChildProcessError(f"the process stepping {apart} ended at step {n}")
-                if n == tg.n_steps:
-                    shares.join()
-                yield bufs[n % 2], spectra
-    finally:
+    def step_apart(n, out):
+        if not held:
+            held.extend([*buffers(out), out[-1].view(complex)])
+        (_, flux), = fluxes(held[(n - 1) % 2], (apart,))
+        ops[flux.ndim].step(held[2], flux, held[n % 2][apart])
+
+    with _Shares(step_apart, apart_steps, shapes, lambda n: f"unknown {apart} at step {n}",
+                 1) as shares:
+        bufs = buffers(shares.out)
+        for key, u in initial.items():
+            bufs[0][key][...] = u
         if apart is not None:
-            os.close(down[1])
-            os.close(up[0])
+            u_hat = shares.out[-1].view(complex)
+            u_hat[...] = spectra[apart]
+            spectra[apart] = u_hat
+        for n in range(tg.n_steps + 1):
+            if n:
+                for key, flux in fluxes(bufs[(n - 1) % 2], keys):
+                    ops[flux.ndim].step(spectra[key], flux, bufs[n % 2][key])
+                _check_guard(bufs[n % 2][guard], n * tg.dt)
+            shares.release(n + 1)
+            if n < tg.n_steps:
+                shares.wait(n)
+            else:
+                shares.join()
+            yield bufs[n % 2], spectra
 
 
 def _check_guard(u: np.ndarray, t: float) -> None:
@@ -251,18 +234,6 @@ def _check_guard(u: np.ndarray, t: float) -> None:
     if m < -1e-10:
         raise NegativeDensityError(f"density reached {m:.3e} at t={t:.6f}; "
                                    "time step too large for the transport")
-
-
-def _barrier(send: int, receive: int) -> bool:
-    """A lockstep barrier: one byte to the other process, then its byte.
-
-    False when the other process has ended (its end of either pipe is closed).
-    """
-    try:
-        os.write(send, b"\0")
-    except BrokenPipeError:
-        return False
-    return os.read(receive, 1) == b"\0"
 
 
 def _trajectories(steps, tg: TimeGrid) -> dict:

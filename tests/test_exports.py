@@ -241,11 +241,11 @@ def _os_uses(name: str) -> set:
 
 
 def test_the_package_forks_in_one_place():
-    # _Shares forks every child, kills and reaps it on every path; the only
-    # other pipes are the lockstep barrier's, opened by the march that
-    # steps an entry in a _Shares child
+    # _Shares forks every child, kills and reaps it on every path, and opens
+    # the only pipes, its queue and its notes: the march that steps an entry
+    # in a _Shares worker keeps lockstep through them
     assert _os_uses("fork") == {("particles", "_Shares")}
-    assert _os_uses("pipe") == {("particles", "_Shares"), ("pde", "_march")}
+    assert _os_uses("pipe") == {("particles", "_Shares")}
 
 
 def test_shares_start_in_three_places():

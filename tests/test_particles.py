@@ -461,12 +461,18 @@ def test_a_failed_child_share_raises_in_the_parent(monkeypatch, fail, expected, 
 
 
 @forks_shares
-def test_every_task_is_taken_once_by_more_workers_than_cpus(monkeypatch):
-    # four workers, more than the CPUs, pull 500 tiny tasks from one queue:
-    # a task taken twice or lost would leave a count other than 1 in its slot
+@pytest.mark.parametrize("one_at_a_time", [False, True], ids=["at_once", "one_at_a_time"])
+def test_every_task_is_taken_once_by_more_workers_than_cpus(monkeypatch, one_at_a_time):
+    # four workers, more than the CPUs, pull 500 tiny tasks from one queue,
+    # released all at once or one at a time: a task taken twice or lost
+    # would leave a count other than 1 in its slot.  Released one at a
+    # time, the parent first writes the task's value into the shared
+    # mapping, and the task must see it there (the value is 0 for a task
+    # released at once, before any value is written)
     def work(task, out):
         out[0][task] += 1.0
         out[1][task] = os.getpid()
+        out[2][task] = out[3][0]
 
     def timeout(*_):
         raise TimeoutError("the pool did not finish in 60 s")
@@ -475,11 +481,18 @@ def test_every_task_is_taken_once_by_more_workers_than_cpus(monkeypatch):
     previous = signal.signal(signal.SIGALRM, timeout)
     signal.alarm(60)
     try:
-        counts, pids = particles._Shares(work, list(range(500)), [(500,), (500,)], str, 4).join()
+        with particles._Shares(work, list(range(500)), [(500,), (500,), (500,), (1,)],
+                               str, 4) as shares:
+            for task in range(500) if one_at_a_time else ():
+                shares.out[3][0] = task + 1
+                shares.release(task + 1)
+                shares.wait(task + 1)
+            counts, pids, seen, _ = shares.join()
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
     assert np.array_equal(counts, np.ones(500))
+    assert np.array_equal(seen, np.arange(1, 501) if one_at_a_time else np.zeros(500))
     assert len(forked) == 4 and set(pids.astype(int)) <= set(forked)
     _assert_no_child_left()
 

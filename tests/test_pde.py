@@ -726,9 +726,9 @@ def test_a_split_order_2_solve_has_the_bits_of_one_process(M, default_kernel, mo
 @forks_shares
 def test_split_solves_keep_their_bits_on_oversubscribed_cpus():
     # three split solves at once, six processes on the machine's CPUs, so
-    # each barrier meets the other side at a different point of its step
-    # from run to run; a write into a buffer still being read would change
-    # some entry's bits
+    # each step's release and note meet the other side at a different point
+    # of its step from run to run; a write into a buffer still being read
+    # would change some entry's bits
     code = (
         "from pchaos import pde\n"
         "from pchaos.core import KernelSpec, TorusGrid, fourier_field\n"
@@ -757,7 +757,7 @@ def test_split_solves_keep_their_bits_on_oversubscribed_cpus():
 def test_only_the_top_entry_from_order_2_on_two_cpus_is_split(default_kernel, monkeypatch):
     # orders 0 and 1, one usable CPU and the BBGKY reference step in one
     # process; os.fork, os.pipe and mmap.mmap made to fail show that none of
-    # them forks, opens the barrier's pipes or maps shared memory
+    # them forks, opens the queue's or the notes' pipe or maps shared memory
     def refused(*args):
         raise AssertionError("a child's machinery was used")
 
@@ -798,16 +798,18 @@ class _ChildFault(Exception):
     pass
 
 
-def _fail_top_entry(monkeypatch, exc, at_call: int = 3) -> None:
-    """Make the top entry's flux (arity 3, assembled by the child alone) raise
-    exc at its at_call-th call."""
+def _fail_top_entry(monkeypatch, fail, at_call: int = 3) -> None:
+    """Make the top entry's flux (arity 3, assembled by the child alone) fail
+    at its at_call-th call: raise fail, an exception, or call fail."""
     flux1, calls = _EntrySolver.flux1, []
 
     def failing(self, state, cache):
         if self.j == 3:
             calls.append(None)
             if len(calls) == at_call:
-                raise exc
+                if isinstance(fail, BaseException):
+                    raise fail
+                fail()
         return flux1(self, state, cache)
 
     monkeypatch.setattr(_EntrySolver, "flux1", failing)
@@ -826,6 +828,22 @@ def test_a_failed_child_is_raised_here_and_reaped(default_kernel, monkeypatch):
         solve_g_hierarchy(2, f, default_kernel, TimeGrid(1e-3, 20))
     assert type(info.value) is RuntimeError and str(info.value) == "_ChildFault: the flux failed"
     assert len(forked) == 1 and os.WEXITSTATUS(reaped[forked[0]]) == 1
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@forks_shares
+def test_a_killed_child_is_named_with_its_step(default_kernel, monkeypatch):
+    # the child SIGKILLs itself in its step 3 and leaves no note: the solve
+    # names the unknown, the step and the exit code, and nothing is left
+    forked, reaped = record_forks(monkeypatch), _reaped(monkeypatch)
+    monkeypatch.setattr(pde, "_usable_cpus", lambda: 2)
+    _fail_top_entry(monkeypatch, lambda: os.kill(os.getpid(), signal.SIGKILL))
+    f = fourier_field(TorusGrid(12), [1.0, 0.5])
+    with pytest.raises(ChildProcessError) as info:
+        solve_g_hierarchy(2, f, default_kernel, TimeGrid(1e-3, 20))
+    assert str(info.value) == "the process stepping unknown (2, 3) at step 3 ended with exit code -9"
+    assert len(forked) == 1 and _killed(reaped[forked[0]])
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 

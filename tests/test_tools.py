@@ -67,5 +67,26 @@ def test_a_seed_with_one_side_is_left_out_and_the_table_prints(tmp_path):
     log.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
     table = pairs.format_rows(pairs.summarize(pairs._read_log(log), END_TO_END))
     assert table.splitlines()[0].split()[:3] == ["metric", "base", "change"]
-    assert any(line.startswith("throughput") and "+10.00%" in line and line.endswith("yes")
+    assert any(line.startswith("throughput") and "+10.00%" in line and line.split()[-2:] == ["ok", "yes"]
                for line in table.splitlines())
+
+
+def test_the_bound_marks_a_change_worse_or_unresolved():
+    # bounds of BENCHMARK.json: 0.25 of the base's median for both metrics
+    tight = [_line(1.0e7, 2.0) for _ in range(10)]
+
+    def verdicts(base, change):
+        return {name: row["verdict"] for name, row in _rows(_records(base, change)).items()}
+
+    # 30% worse on both metrics (throughput lower, wall_s higher): worse
+    assert verdicts(tight, [_line(0.7e7, 2.6)] * 10) == {"throughput": "worse", "wall_s": "worse"}
+    # 10% worse, inside the bound, on a tight base: ok, though every pair is lost
+    assert verdicts(tight, [_line(0.9e7, 2.2)] * 10) == {"throughput": "ok", "wall_s": "ok"}
+    # a base whose interquartile range (0.8e7, 2.0 s) is wider than the bound
+    # cannot tell a change inside the bound from the base: unresolved
+    wide = [_line(0.6e7, 1.0) if k % 2 else _line(1.4e7, 3.0) for k in range(10)]
+    assert verdicts(wide, tight) == {"throughput": "unresolved", "wall_s": "unresolved"}
+    # unless every change run beats every base run
+    assert verdicts(wide, [_line(1.5e7, 0.9)] * 10) == {"throughput": "ok", "wall_s": "ok"}
+    # and a median worse by more than the bound is worse however wide the base
+    assert verdicts(wide, [_line(0.7e7, 2.6)] * 10) == {"throughput": "worse", "wall_s": "worse"}

@@ -16,9 +16,14 @@ second form summarizes such a log.
 For each end-to-end metric of the base checkout's BENCHMARK.json the summary
 prints both medians, the base's interquartile range (statistics.quantiles,
 as benchmarks/run.py takes its quartiles), the pairs the change won (ties
-count for neither side) and whether the gain rule holds: the change wins at
+count for neither side), whether the gain rule holds (the change wins at
 least nine tenths of the pairs and its median is better than the base's by
-more than the base's interquartile range.  Standard library only.
+more than the base's interquartile range) and a verdict by the metric's
+no-regression bound (its `bound`, a fraction of the base's median): "worse"
+when the change's median is worse than the base's by more than the bound,
+else "unresolved" when the base's interquartile range is wider than the
+bound, unless every change run beats every base run, else "ok".  Standard
+library only.
 """
 
 from __future__ import annotations
@@ -46,9 +51,10 @@ def summarize(records: list, metrics: list) -> list:
     result a benchmarks/run.py result line whose metrics map a name to
     {"value", "unit"}; runs of one seed form a pair, and a seed with only
     one side is left out.
-    metrics are BENCHMARK.json's end_to_end entries (name, better).  A row
-    holds the metric's name, both medians, the base's interquartile range,
-    the change's wins, the pair count and whether the gain rule holds.
+    metrics are BENCHMARK.json's end_to_end entries (name, better, bound).
+    A row holds the metric's name, both medians, the base's interquartile
+    range, the change's wins, the pair count, whether the gain rule holds
+    and the verdict of the bound.
     """
     sides = {}
     for rec in records:
@@ -66,19 +72,26 @@ def summarize(records: list, metrics: list) -> list:
         median_b, median_c = statistics.median(base), statistics.median(change)
         iqr = _quartile_gap(base)
         gain = 10 * wins >= 9 * len(both) and sign * (median_c - median_b) > iqr
+        bound = metric["bound"] * abs(median_b)
+        if sign * (median_c - median_b) < -bound:
+            verdict = "worse"
+        elif iqr > bound and min(sign * c for c in change) <= max(sign * b for b in base):
+            verdict = "unresolved"
+        else:
+            verdict = "ok"
         rows.append({"metric": name, "base": median_b, "change": median_c, "base_iqr": iqr,
-                     "wins": wins, "pairs": len(both), "gain": gain})
+                     "wins": wins, "pairs": len(both), "gain": gain, "verdict": verdict})
     return rows
 
 
 def format_rows(rows: list) -> str:
     lines = [f"{'metric':<12} {'base':>12} {'change':>12} {'change %':>9} {'base IQR':>11} "
-             f"{'wins':>7}  gain"]
+             f"{'wins':>7}  {'verdict':<10}  gain"]
     for r in rows:
         pct = 100.0 * (r["change"] - r["base"]) / r["base"] if r["base"] else float("nan")
         lines.append(f"{r['metric']:<12} {r['base']:>12.6g} {r['change']:>12.6g} {pct:>+8.2f}% "
                      f"{r['base_iqr']:>11.4g} {r['wins']:>3}/{r['pairs']:<3}  "
-                     f"{'yes' if r['gain'] else 'no'}")
+                     f"{r['verdict']:<10}  {'yes' if r['gain'] else 'no'}")
     return "\n".join(lines)
 
 
